@@ -74,7 +74,7 @@ pub mod wire;
 
 pub use config::{ConfigError, ProtocolConfig};
 pub use descriptor::NodeDescriptor;
-pub use id::NodeId;
+pub use id::{IdHashBuilder, IdHasher, NodeId};
 pub use message::{Exchange, Reply, Request};
 pub use node::{GossipNode, PeerSamplingNode};
 pub use policy::{

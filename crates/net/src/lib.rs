@@ -15,13 +15,15 @@
 //!   mesh with per-message latency and loss mirroring the event engine's
 //!   [`pss_sim::EventConfig`] semantics, so runtime behavior can be pinned
 //!   statistically against [`pss_sim::EventSimulation`] (the differential
-//!   tests do exactly that).
+//!   tests do exactly that). Frame buffers circulate as on the UDP receive
+//!   ring: swapped, not copied, and reused.
 //! * [`NetRuntime`] — hosts many gossip nodes on one OS thread: a timer
 //!   wheel fires each node's active cycle with jitter, incoming frames are
 //!   decoded straight into arena-recycled message buffers
 //!   ([`pss_core::wire`]), an address book maps node ids to transport
 //!   addresses (learned from bootstrap introducers and from every received
-//!   descriptor), and per-node counters track messages, decode failures and
+//!   descriptor; keyed cheap hashing, written only when an address
+//!   changes), and per-node counters track messages, decode failures and
 //!   reply timeouts.
 //! * [`cluster`] — a loopback harness: N nodes across K runtime threads on
 //!   UDP, with per-period overlay snapshots flowing into the simulators'

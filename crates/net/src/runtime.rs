@@ -8,15 +8,16 @@
 //! milliseconds to ticks and call [`NetRuntime::run_until`] in a loop (see
 //! [`crate::cluster`]); deterministic tests drive virtual time directly.
 //!
-//! # The receive path is allocation-free in steady state
+//! # The frame path is allocation-free in steady state
 //!
 //! Incoming frames are decoded ([`pss_core::wire`]) straight into message
 //! buffers recycled through the runtime's own [`pss_core::Arena`]; the
 //! node's absorb path consumes the buffer through the fused
 //! `merge_select_from_slice` and recycles it back to the arena. One
 //! reusable receive buffer (swapped, not copied, against the transport's
-//! receive ring), one reusable encode buffer, one decode scratch table —
-//! nothing per-frame.
+//! buffers — the UDP receive ring and the in-memory mesh's spare stack
+//! alike), one reusable encode buffer, one decode scratch table, one
+//! rumor-target list — nothing per-frame, over either transport.
 //!
 //! # Addresses
 //!
@@ -25,12 +26,38 @@
 //! ([`NetRuntime::add_node`]) and by every received frame (sender address
 //! and all descriptor addresses), so any id a view can contain is
 //! resolvable by construction. An unresolvable id is counted, never fatal.
+//!
+//! The book is consulted once per descriptor of every frame, in both
+//! directions, so its cost per probe is the runtime's cost per frame:
+//!
+//! * **Keyed cheap hashing.** The book and the hosted-node index are
+//!   `HashMap<NodeId, _, IdHashBuilder>` ([`pss_core::IdHashBuilder`]): one
+//!   xorshift–multiply mix per probe instead of SipHash. The two keys are
+//!   derived from the construction seed, so runs stay bit-reproducible,
+//!   while a remote peer — which chooses the ids it gossips but does not
+//!   know the seed — cannot aim ids at one bucket. Neither map is ever
+//!   iterated, so hash order reaches no view, counter or digest.
+//! * **Learning writes on change only.** A descriptor-carried address is
+//!   compared with the book's entry first and written only if it differs.
+//!   The rules are unchanged — gossip content may *update* an established
+//!   entry (how a genuine address change propagates), a frame header may
+//!   only *introduce* one ([`RuntimeStats::addr_rebinds_rejected`]), and a
+//!   reply is absorbed only from the peer the exchange is pending with
+//!   ([`RuntimeStats::forged_replies_rejected`]) — but in steady state
+//!   every id is already known at its address, and the table is only read.
+//! * **The book grows with what frames teach it** and shrinks only on
+//!   [`NetRuntime::leave`]. Honest traffic bounds it by the cluster's
+//!   population; hostile frames (up to 1 024 fresh ids each) can grow it
+//!   without bound. There is no cap and no eviction yet — the size is
+//!   exported as [`RuntimeStats::book_entries`] and the
+//!   `pss_net_book_entries` gauge so that growth past the population shows.
 
 use std::collections::HashMap;
 
 use pss_core::wire::{self, DecodeScratch, EncodeError, FrameKind, NetAddr};
 use pss_core::{
-    Arena, Exchange, Freshness, GossipNode, NodeDescriptor, NodeId, Reply, Request, View,
+    Arena, Exchange, Freshness, GossipNode, IdHashBuilder, NodeDescriptor, NodeId, Reply, Request,
+    View,
 };
 use pss_sim::{workload::Partition, EventConfig, EventConfigError};
 use rand::rngs::SmallRng;
@@ -38,6 +65,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::transport::Transport;
 use crate::wheel::TimerWheel;
+use crate::workload::mix;
 
 /// Timing parameters of a runtime, in abstract ticks (the loopback cluster
 /// drives 1 tick = 1 ms).
@@ -194,6 +222,12 @@ pub struct RuntimeStats {
     /// App frames addressed to a departed node — deliveries wasted on the
     /// dead, the deployed twin of the protocol layer's `wasted` metric.
     pub app_wasted: u64,
+    /// Address-book entries held right now — a level, not a count of
+    /// events. The book shrinks only on [`NetRuntime::leave`], so growth
+    /// past the cluster's population means frames are teaching it ids that
+    /// do not exist (see the module docs). Merged by sum: each runtime
+    /// holds its own book.
+    pub book_entries: u64,
 }
 
 impl RuntimeStats {
@@ -233,6 +267,7 @@ impl RuntimeStats {
             app_delivered,
             app_redundant,
             app_wasted,
+            book_entries,
         } = *other;
         self.frames_in += frames_in;
         self.frames_out += frames_out;
@@ -257,6 +292,7 @@ impl RuntimeStats {
         self.app_delivered += app_delivered;
         self.app_redundant += app_redundant;
         self.app_wasted += app_wasted;
+        self.book_entries += book_entries;
     }
 }
 
@@ -277,6 +313,9 @@ struct NetTele {
     decode_errors: pss_telemetry::Counter,
     /// High-water mark of the transport's dry-ring refill counter.
     ring_dry: pss_telemetry::Gauge,
+    /// High-water mark of the address book's size (the largest book among
+    /// the process's runtimes — the cells are shared).
+    book_entries: pss_telemetry::Gauge,
 }
 
 impl NetTele {
@@ -306,6 +345,10 @@ impl NetTele {
             ring_dry: reg.gauge(
                 "pss_net_recv_ring_empty",
                 "Receive-ring refills that had to allocate because the spent ring was dry",
+            ),
+            book_entries: reg.gauge(
+                "pss_net_book_entries",
+                "Largest address book (id to transport address entries) held by a runtime",
             ),
         }
     }
@@ -339,9 +382,9 @@ pub struct NetRuntime<T: Transport, N: GossipNode = pss_core::PeerSamplingNode> 
     config: NetConfig,
     nodes: Vec<Slot<N>>,
     /// Hosted node id → slot index.
-    index: HashMap<u64, u32>,
+    index: HashMap<NodeId, u32, IdHashBuilder>,
     /// Node id → transport address, cluster-wide (learned).
-    book: HashMap<u64, NetAddr>,
+    book: HashMap<NodeId, NetAddr, IdHashBuilder>,
     wheel: TimerWheel,
     rng: SmallRng,
     now: u64,
@@ -356,6 +399,7 @@ pub struct NetRuntime<T: Transport, N: GossipNode = pss_core::PeerSamplingNode> 
     recv_buf: Vec<u8>,
     encode_buf: Vec<u8>,
     fired: Vec<u32>,
+    rumor_targets: Vec<NodeId>,
     scratch: DecodeScratch,
     // Runtime-level counters (per-node ones live in the slots).
     frames_in: u64,
@@ -392,12 +436,17 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
     /// [`EventConfigError`] if `config` violates a timer invariant.
     pub fn new(transport: T, config: NetConfig, seed: u64) -> Result<Self, EventConfigError> {
         config.validate()?;
+        // Table keys derive from the construction seed (through the
+        // splitmix finalizer, so they share nothing with the RNG stream):
+        // reproducible per seed, unknown to remote peers.
+        let hasher =
+            IdHashBuilder::with_keys(mix(seed ^ 0x6b30_626f_6f6b), mix(seed ^ 0x6b31_626f_6f6b));
         Ok(NetRuntime {
             transport,
             config,
             nodes: Vec::new(),
-            index: HashMap::new(),
-            book: HashMap::new(),
+            index: HashMap::with_hasher(hasher),
+            book: HashMap::with_hasher(hasher),
             // Horizon covers the fully backed-off re-arm distance
             // (`MAX_BACKOFF_STRETCH` periods + jitter), not just one period.
             wheel: TimerWheel::new(MAX_BACKOFF_STRETCH * config.period + 2 * config.jitter + 1),
@@ -410,6 +459,7 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
             recv_buf: Vec::new(),
             encode_buf: Vec::new(),
             fired: Vec::new(),
+            rumor_targets: Vec::new(),
             scratch: DecodeScratch::new(),
             frames_in: 0,
             frames_out: 0,
@@ -469,13 +519,10 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
     /// Panics if a node with the same id is already hosted here.
     pub fn add_node(&mut self, mut node: N, introducers: &[(NodeId, NetAddr)]) -> NodeId {
         let id = node.id();
-        assert!(
-            !self.index.contains_key(&id.as_u64()),
-            "node {id} already hosted"
-        );
-        self.book.insert(id.as_u64(), self.transport.local_addr());
+        assert!(!self.index.contains_key(&id), "node {id} already hosted");
+        self.book.insert(id, self.transport.local_addr());
         for &(peer, addr) in introducers {
-            self.book.insert(peer.as_u64(), addr);
+            self.book.insert(peer, addr);
         }
         node.init(
             &mut introducers
@@ -491,7 +538,7 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
             consecutive_timeouts: 0,
             informed: false,
         });
-        self.index.insert(id.as_u64(), slot);
+        self.index.insert(id, slot);
         let phase = self.rng.random_range(0..self.config.period);
         // Never into the fired past (phase 0 right after a run).
         let due = (self.now + phase).max(self.wheel.next_tick());
@@ -508,10 +555,10 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
     /// that is harmless, the entry just points at a silent node.)
     /// Returns false if the node is unknown or already gone.
     pub fn leave(&mut self, id: NodeId) -> bool {
-        match self.index.get(&id.as_u64()) {
+        match self.index.get(&id) {
             Some(&slot) if self.nodes[slot as usize].alive => {
                 self.nodes[slot as usize].alive = false;
-                self.book.remove(&id.as_u64());
+                self.book.remove(&id);
                 true
             }
             _ => false,
@@ -556,7 +603,7 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
     /// Plants the rumor at a hosted live node; false if it is unknown or
     /// departed.
     pub fn seed_rumor(&mut self, id: NodeId) -> bool {
-        match self.index.get(&id.as_u64()) {
+        match self.index.get(&id) {
             Some(&slot) if self.nodes[slot as usize].alive => {
                 self.nodes[slot as usize].informed = true;
                 true
@@ -567,7 +614,7 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
 
     /// True if a hosted live node holds the rumor.
     pub fn is_informed(&self, id: NodeId) -> bool {
-        self.index.get(&id.as_u64()).is_some_and(|&slot| {
+        self.index.get(&id).is_some_and(|&slot| {
             self.nodes[slot as usize].alive && self.nodes[slot as usize].informed
         })
     }
@@ -583,20 +630,20 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
 
     /// The view of a hosted, live node.
     pub fn view_of(&self, id: NodeId) -> Option<&View> {
-        let &slot = self.index.get(&id.as_u64())?;
+        let &slot = self.index.get(&id)?;
         let slot = &self.nodes[slot as usize];
         slot.alive.then(|| slot.node.view())
     }
 
     /// A hosted node's counters.
     pub fn node_counters(&self, id: NodeId) -> Option<NodeCounters> {
-        let &slot = self.index.get(&id.as_u64())?;
+        let &slot = self.index.get(&id)?;
         Some(self.nodes[slot as usize].counters)
     }
 
     /// The learned address for `id`, if any.
     pub fn address_of(&self, id: NodeId) -> Option<NetAddr> {
-        self.book.get(&id.as_u64()).copied()
+        self.book.get(&id).copied()
     }
 
     /// Visits every live hosted node's `(id, view)` in add order.
@@ -630,6 +677,7 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
             app_delivered: self.app_delivered,
             app_redundant: self.app_redundant,
             app_wasted: self.app_wasted,
+            book_entries: self.book.len() as u64,
             ..RuntimeStats::default()
         };
         for slot in &self.nodes {
@@ -656,6 +704,7 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
             self.now = t;
         }
         self.tele.ring_dry.set_max(self.transport.recv_ring_empty());
+        self.tele.book_entries.set_max(self.book.len() as u64);
     }
 
     /// One full gossip period from the current time.
@@ -689,7 +738,7 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
         // forged-src frame must not redirect a known peer's traffic.
         // Genuine address changes propagate through descriptor-carried
         // addresses (gossip content, learned below).
-        match self.book.entry(frame.src.as_u64()) {
+        match self.book.entry(frame.src) {
             std::collections::hash_map::Entry::Vacant(vacant) => {
                 vacant.insert(frame.src_addr);
             }
@@ -709,7 +758,7 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
             self.v1_ages_rejected += 1;
             return;
         }
-        let Some(&slot_idx) = self.index.get(&frame.dst.as_u64()) else {
+        let Some(&slot_idx) = self.index.get(&frame.dst) else {
             self.unknown_destination += 1;
             return;
         };
@@ -730,8 +779,14 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
             // descriptor region a peer put there must not teach the book.
             wire::read_descriptors(&frame, &mut payload, &mut self.scratch, |_, _| {})
         } else {
+            // Descriptor-carried addresses may update an established entry
+            // (the path genuine address changes take), but at steady state
+            // every id is already known at this address: read first, and
+            // write only on change, so the table's lines stay clean.
             wire::read_descriptors(&frame, &mut payload, &mut self.scratch, |id, addr| {
-                book.insert(id.as_u64(), addr);
+                if book.get(&id) != Some(&addr) {
+                    book.insert(id, addr);
+                }
             })
         };
         if decoded.is_err() {
@@ -903,18 +958,22 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
         if view_len == 0 || fanout == 0 {
             return;
         }
-        let mut targets = Vec::with_capacity(fanout);
+        // All draws before any send, as ever: a lossy partition draws from
+        // the same RNG per frame, so interleaving would reorder the stream.
+        debug_assert!(self.rumor_targets.is_empty());
+        let mut targets = core::mem::take(&mut self.rumor_targets);
         for _ in 0..fanout {
             let pick = self.rng.random_range(0..view_len);
             targets.push(self.nodes[slot_idx as usize].node.view().descriptors()[pick].id());
         }
-        for dst in targets {
+        for dst in targets.drain(..) {
             let Some(to) = self.addr_of_or_local(dst) else {
                 self.missing_address += 1;
                 continue;
             };
             self.send_frame(FrameKind::App, false, src, dst, to, &[]);
         }
+        self.rumor_targets = targets;
     }
 
     /// Destination resolution: the book, with locally-hosted ids (live or
@@ -923,9 +982,9 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
     /// graceful leave's dropped book entry yields a dead delivery (the
     /// simulators' semantics), never a missing address.
     fn addr_of_or_local(&self, id: NodeId) -> Option<NetAddr> {
-        self.book.get(&id.as_u64()).copied().or_else(|| {
+        self.book.get(&id).copied().or_else(|| {
             self.index
-                .contains_key(&id.as_u64())
+                .contains_key(&id)
                 .then(|| self.transport.local_addr())
         })
     }
@@ -1006,9 +1065,9 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
         // can drop its book entry while views that still reference the
         // departed id stay encodable.
         let resolve = |id: NodeId| {
-            book.get(&id.as_u64())
+            book.get(&id)
                 .copied()
-                .or_else(|| index.contains_key(&id.as_u64()).then_some(local))
+                .or_else(|| index.contains_key(&id).then_some(local))
         };
         match wire::encode(
             &mut self.encode_buf,
@@ -1318,6 +1377,61 @@ mod tests {
         assert!(rt.view_of(NodeId::new(0)).unwrap().is_empty());
     }
 
+    /// Both arms of the change-only book write. (The header-side rule — a
+    /// frame's source address may introduce, never rebind — is pinned in
+    /// `tests/adversary_net.rs`.)
+    #[test]
+    fn descriptor_carried_address_change_updates_the_book() {
+        let net = MemNetwork::new(3, LatencyModel::Zero, 0.0).expect("valid");
+        let mut raw = net.endpoint();
+        let transport = net.endpoint();
+        let addr = transport.net_addr();
+        let mut rt: NetRuntime<MemTransport> =
+            NetRuntime::new(transport, config(), 8).expect("valid");
+        rt.add_node(node(0, 8), &[]);
+        let peer = NodeId::new(7);
+        let mut tick = 0;
+        let mut gossip = |rt: &mut NetRuntime<MemTransport>, peer_addr: NetAddr| {
+            let mut buf = Vec::new();
+            wire::encode(
+                &mut buf,
+                FrameKind::Request,
+                false,
+                NodeId::new(9),
+                NodeId::new(0),
+                raw.net_addr(),
+                &[NodeDescriptor::new(peer, 1)],
+                |_| Some(peer_addr),
+            )
+            .unwrap();
+            raw.send(addr, &buf);
+            tick += 5;
+            rt.run_until(tick);
+        };
+
+        gossip(&mut rt, NetAddr::Virtual(5));
+        assert_eq!(rt.address_of(peer), Some(NetAddr::Virtual(5)));
+        let entries = rt.stats().book_entries;
+        assert_eq!(entries, 3, "node 0, the sender and the gossiped peer");
+
+        // Unchanged address: the entry, the book's size and the rebind
+        // counter all stay as they were.
+        gossip(&mut rt, NetAddr::Virtual(5));
+        assert_eq!(rt.address_of(peer), Some(NetAddr::Virtual(5)));
+        let stats = rt.stats();
+        assert_eq!(stats.book_entries, entries);
+        assert_eq!(stats.addr_rebinds_rejected, 0, "{stats:?}");
+
+        // Changed address: gossip content replaces the established entry —
+        // the path a genuine address change takes — and is no rebind.
+        gossip(&mut rt, NetAddr::Virtual(6));
+        assert_eq!(rt.address_of(peer), Some(NetAddr::Virtual(6)));
+        let stats = rt.stats();
+        assert_eq!(stats.book_entries, entries);
+        assert_eq!(stats.addr_rebinds_rejected, 0, "{stats:?}");
+        assert_eq!(stats.requests_in, 3, "{stats:?}");
+    }
+
     #[test]
     #[should_panic(expected = "already hosted")]
     fn duplicate_node_ids_are_rejected() {
@@ -1452,6 +1566,7 @@ mod tests {
             app_delivered: 19,
             app_redundant: 20,
             app_wasted: 21,
+            book_entries: 24,
         };
         let b = RuntimeStats {
             frames_in: 100,
@@ -1477,6 +1592,7 @@ mod tests {
             app_delivered: 1900,
             app_redundant: 2000,
             app_wasted: 2100,
+            book_entries: 2400,
         };
         let mut merged = a;
         merged.merge(&b);
@@ -1504,6 +1620,7 @@ mod tests {
             app_delivered,
             app_redundant,
             app_wasted,
+            book_entries,
         } = merged;
         assert_eq!(frames_in, 101);
         assert_eq!(frames_out, 202);
@@ -1528,5 +1645,6 @@ mod tests {
         assert_eq!(app_delivered, 1919);
         assert_eq!(app_redundant, 2020);
         assert_eq!(app_wasted, 2121);
+        assert_eq!(book_entries, 2424);
     }
 }

@@ -20,9 +20,11 @@ pub trait Transport {
     /// as on a real network.
     fn send(&mut self, to: NetAddr, frame: &[u8]) -> bool;
 
-    /// Copies the next pending received frame into `buf` (cleared first)
-    /// and returns the sender's transport address, or `None` if nothing is
-    /// pending. Never blocks.
+    /// Puts the next pending received frame into `buf`, replacing its
+    /// contents, and returns the sender's transport address, or `None` if
+    /// nothing is pending. Never blocks. Both transports here hand the
+    /// frame over by swapping buffers and keep the caller's old allocation
+    /// for a later frame, so callers should pass the same `buf` every time.
     fn try_recv(&mut self, buf: &mut Vec<u8>) -> Option<NetAddr>;
 
     /// Advances transport-virtual time to `now` ticks. Real-time transports

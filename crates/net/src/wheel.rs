@@ -65,16 +65,16 @@ impl TimerWheel {
     pub(crate) fn due_at(&mut self, t: u64, out: &mut Vec<u32>) {
         assert_eq!(t, self.next, "ticks must be fired in order");
         let bucket = &mut self.slots[(t & self.mask) as usize];
-        let mut i = 0;
-        while i < bucket.len() {
-            if bucket[i].0 == t {
-                out.push(bucket[i].1);
-                bucket.remove(i); // keep schedule order for equal future dues
-                self.len -= 1;
-            } else {
-                i += 1;
+        let before = bucket.len();
+        // One stable pass: due entries leave in schedule order, later laps
+        // keep theirs.
+        bucket.retain(|&(due, slot)| {
+            if due == t {
+                out.push(slot);
             }
-        }
+            due != t
+        });
+        self.len -= before - bucket.len();
         self.next = t + 1;
     }
 }
@@ -131,6 +131,42 @@ mod tests {
             wheel.due_at(t, &mut out);
         }
         assert_eq!(out, vec![2]);
+
+        // A herd in one bucket: timers due now interleaved with timers due
+        // one lap later. `schedule`'s horizon check keeps pending dues
+        // within one lap of each other, so the mix is built on the bucket
+        // directly; the pass must not depend on that check. It fires
+        // exactly the due ones, in schedule order, and leaves the rest in
+        // schedule order.
+        out.clear();
+        let (now, lap) = (134u64, 128u64);
+        let herd = [
+            (now, 10),
+            (now + lap, 20),
+            (now, 11),
+            (now, 12),
+            (now + lap, 21),
+            (now + lap, 22),
+            (now, 13),
+        ];
+        wheel.slots[(now & wheel.mask) as usize].extend(herd);
+        wheel.len += herd.len();
+        wheel.due_at(now, &mut out);
+        assert_eq!(out, vec![10, 11, 12, 13]);
+        assert_eq!(wheel.len(), 3);
+        assert_eq!(
+            wheel.slots[(now & wheel.mask) as usize],
+            vec![(now + lap, 20), (now + lap, 21), (now + lap, 22)],
+            "the next lap's timers stay behind, in order"
+        );
+        out.clear();
+        for t in now + 1..now + lap {
+            wheel.due_at(t, &mut out);
+        }
+        assert!(out.is_empty(), "nothing fires between the laps");
+        wheel.due_at(now + lap, &mut out);
+        assert_eq!(out, vec![20, 21, 22]);
+        assert_eq!(wheel.len(), 0);
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! Allocation accounting for the UDP receive ring.
+//! Allocation accounting for the transports' frame-buffer circulation: the
+//! UDP receive ring, and a whole [`NetRuntime`] over the in-memory mesh.
 //!
-//! The transport's receive path circulates owned, prewarmed buffers
+//! The UDP transport's receive path circulates owned, prewarmed buffers
 //! between the socket thread and the runtime thread (`try_recv` hands a
 //! frame over by pointer swap; the caller's previous buffer rides back as
 //! ring capacity). In steady state the datagram path must therefore touch
@@ -9,15 +10,22 @@
 //! fresh maximum-length allocation whenever the return path raced the
 //! receive thread.
 //!
+//! The mesh circulates buffers the same way (`send` fills a spare,
+//! `try_recv` swaps), so a runtime over it must be allocation-free in
+//! steady state end to end: timers, encode, mesh, decode, node exchange.
+//!
 //! Kept in its own integration-test binary because the `#[global_allocator]`
-//! is process-wide; the single `#[test]` keeps the measurement window free
-//! of concurrent test allocations.
+//! is process-wide; the tests take [`WINDOW`] so that no measurement window
+//! sees another test's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use pss_net::{Transport, UdpTransport};
+use pss_core::{NodeId, PeerSamplingNode, PolicyTriple, ProtocolConfig};
+use pss_net::{MemNetwork, NetAddr, NetConfig, NetRuntime, Transport, UdpTransport};
+use pss_sim::LatencyModel;
 
 struct CountingAllocator;
 
@@ -44,6 +52,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
+/// Serializes the tests: the counter is process-wide.
+static WINDOW: Mutex<()> = Mutex::new(());
+
 /// Sends one frame a → b and spins until b yields it into `buf`.
 fn roundtrip(a: &mut UdpTransport, b: &mut UdpTransport, buf: &mut Vec<u8>, frame: &[u8]) {
     assert!(a.send(b.local_addr(), frame));
@@ -60,6 +71,7 @@ fn roundtrip(a: &mut UdpTransport, b: &mut UdpTransport, buf: &mut Vec<u8>, fram
 
 #[test]
 fn steady_state_udp_receive_is_nearly_allocation_free() {
+    let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
     let mut a = UdpTransport::bind("127.0.0.1:0").expect("bind a");
     let mut b = UdpTransport::bind("127.0.0.1:0").expect("bind b");
     let frame = [0xabu8; 900]; // a typical c = 30 frame size
@@ -90,5 +102,62 @@ fn steady_state_udp_receive_is_nearly_allocation_free() {
         b.ring_empty_events(),
         0,
         "prewarmed ring ran dry during a paced run"
+    );
+}
+
+#[test]
+fn steady_state_mem_runtime_is_allocation_free() {
+    let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
+    const NODES: u64 = 200;
+    // A short period keeps the timer wheel small (256 buckets), so its
+    // buckets are all in use well before the window opens.
+    let config = NetConfig {
+        period: 30,
+        jitter: 3,
+        reply_timeout: 30,
+    };
+    let protocol = ProtocolConfig::new(PolicyTriple::newscast(), 30).expect("valid");
+    let net = MemNetwork::new(11, LatencyModel::Uniform { min: 1, max: 6 }, 0.0).expect("valid");
+    let transport = net.endpoint();
+    let addr = transport.net_addr();
+    let mut rt = NetRuntime::new(transport, config, 12).expect("valid");
+    for i in 0..NODES {
+        let introducers: Vec<(NodeId, NetAddr)> = if i == 0 {
+            Vec::new()
+        } else {
+            vec![(NodeId::new(i / 2), addr)]
+        };
+        let node = PeerSamplingNode::with_seed(NodeId::new(i), protocol.clone(), i * 31 + 5);
+        rt.add_node(node, &introducers);
+    }
+
+    // Warm up: views fill, every circulating buffer grows to frame size,
+    // the book learns every id, queue footprints stabilize.
+    for _ in 0..20 {
+        rt.run_period();
+    }
+    let warm = rt.stats();
+
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for _ in 0..5 {
+        rt.run_period();
+    }
+    let during = ALLOCATIONS.load(Ordering::Relaxed) - before;
+
+    let stats = rt.stats();
+    let exchanges = stats.exchanges_completed - warm.exchanges_completed;
+    assert!(
+        exchanges >= 4 * NODES,
+        "only {exchanges} exchanges measured"
+    );
+    assert_eq!(stats.book_entries, NODES);
+    // A copying mesh allocates one buffer per frame, two per exchange. What
+    // remains is growth to a new high-water mark — one more buffer in
+    // flight than ever before, a fuller wheel bucket — a few per period and
+    // thinning out; one per twenty exchanges is far above that and far
+    // below one per frame.
+    assert!(
+        during * 20 <= exchanges,
+        "{during} allocations over {exchanges} exchanges — the mem path allocates per frame again"
     );
 }
