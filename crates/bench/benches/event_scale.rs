@@ -8,7 +8,7 @@
 //! element = one node-cycle, so numbers are directly comparable with
 //! `BENCH_scale.json` and `BENCH_throughput.json` — the gap between the
 //! two files is the price of full asynchrony (per-message latency draws,
-//! priority queues, bucket exchange) relative to the cycle model.
+//! per-tick calendar queues, bucket exchange) relative to the cycle model.
 //!
 //! Run `BENCH_JSON=BENCH_event_scale.json cargo bench --bench event_scale`
 //! to record the measurements; `BENCH_event_scale.json` at the repository

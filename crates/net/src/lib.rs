@@ -18,7 +18,7 @@
 //!   tests do exactly that). Frame buffers circulate as on the UDP receive
 //!   ring: swapped, not copied, and reused.
 //! * [`NetRuntime`] — hosts many gossip nodes on one OS thread: a timer
-//!   wheel fires each node's active cycle with jitter, incoming frames are
+//!   queue fires each node's active cycle with jitter, incoming frames are
 //!   decoded straight into arena-recycled message buffers
 //!   ([`pss_core::wire`]), an address book maps node ids to transport
 //!   addresses (learned from bootstrap introducers and from every received
@@ -74,7 +74,6 @@ mod mem;
 mod runtime;
 mod transport;
 mod udp;
-mod wheel;
 
 pub mod cluster;
 pub mod workload;

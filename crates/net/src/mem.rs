@@ -28,47 +28,29 @@
 //! # Determinism
 //!
 //! All randomness (latency, loss) comes from the construction seed, and
-//! delivery order is `(deliver-at, send-sequence)`. Runs are bit-reproducible
+//! delivery order is `(deliver-at, send order)`: frames in flight wait in a
+//! [`TickQueue`] — the event engine's per-tick FIFO calendar queue, its ring
+//! as long as the latency model's maximum. Runs are bit-reproducible
 //! when endpoints are driven from a single thread in a fixed order — the
 //! harness pattern used by the tests. (The mesh is `Mutex`-guarded, so
 //! multi-threaded drivers are safe but trade the reproducibility away,
 //! exactly like a real network.)
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 use pss_core::wire::NetAddr;
-use pss_sim::{EventConfig, EventConfigError, LatencyModel};
+use pss_sim::{EventConfig, EventConfigError, LatencyModel, TickQueue};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::transport::Transport;
 
-/// A frame in flight: ordered by `(deliver-at, send sequence)`.
+/// A frame in flight.
 struct Flight {
-    at: u64,
-    seq: u64,
     dst: usize,
     from: NetAddr,
     bytes: Vec<u8>,
-}
-
-impl PartialEq for Flight {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.seq) == (other.at, other.seq)
-    }
-}
-impl Eq for Flight {}
-impl PartialOrd for Flight {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Flight {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
 }
 
 /// Spare frame buffers kept for reuse, mesh-wide. The stack never holds
@@ -83,8 +65,9 @@ struct Inner {
     latency: LatencyModel,
     loss: f64,
     now: u64,
-    seq: u64,
-    in_flight: BinaryHeap<Reverse<Flight>>,
+    in_flight: TickQueue<Flight>,
+    /// Drain buffer: swapped against the queue slot of the tick landing.
+    landing: Vec<Flight>,
     inboxes: Vec<VecDeque<(NetAddr, Vec<u8>)>>,
     /// Recycled frame buffers (contents stale), at most [`MAX_SPARES`].
     spares: Vec<Vec<u8>>,
@@ -115,8 +98,8 @@ impl MemNetwork {
                 latency,
                 loss,
                 now: 0,
-                seq: 0,
-                in_flight: BinaryHeap::new(),
+                in_flight: TickQueue::new(latency.maximum()),
+                landing: Vec::new(),
                 inboxes: Vec::new(),
                 spares: Vec::new(),
                 lost: 0,
@@ -200,18 +183,15 @@ impl Transport for MemTransport {
         }
         let latency = inner.latency.sample(&mut inner.rng);
         let at = inner.now + latency;
-        inner.seq += 1;
         let mut bytes = inner.spares.pop().unwrap_or_default();
         bytes.clear();
         bytes.extend_from_slice(frame);
         let flight = Flight {
-            at,
-            seq: inner.seq,
             dst,
             from: NetAddr::Virtual(self.id),
             bytes,
         };
-        inner.in_flight.push(Reverse(flight));
+        inner.in_flight.push(at, flight);
         true
     }
 
@@ -228,18 +208,19 @@ impl Transport for MemTransport {
     }
 
     fn advance_to(&mut self, now: u64) {
-        let mut inner = self.inner.lock().expect("mesh lock");
+        let mut guard = self.inner.lock().expect("mesh lock");
+        let inner = &mut *guard;
         if now > inner.now {
             inner.now = now;
         }
-        let horizon = inner.now;
         while inner
             .in_flight
-            .peek()
-            .is_some_and(|Reverse(f)| f.at <= horizon)
+            .take_tick(inner.now, &mut inner.landing)
+            .is_some()
         {
-            let Reverse(flight) = inner.in_flight.pop().expect("peeked");
-            inner.inboxes[flight.dst].push_back((flight.from, flight.bytes));
+            for flight in inner.landing.drain(..) {
+                inner.inboxes[flight.dst].push_back((flight.from, flight.bytes));
+            }
         }
     }
 }

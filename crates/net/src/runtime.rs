@@ -1,9 +1,11 @@
 //! The node runtime: many gossip nodes on one OS thread, over any
 //! [`Transport`].
 //!
-//! A [`NetRuntime`] owns a set of [`GossipNode`]s, a timer wheel that fires
+//! A [`NetRuntime`] owns a set of [`GossipNode`]s, a timer queue that fires
 //! each node's active cycle once per period (± uniform jitter, mirroring
-//! the event engine's timer model), and one transport endpoint multiplexing
+//! the event engine's timer model — and held in the event engine's queue,
+//! [`pss_sim::TickQueue`]: a per-tick ring of bounded size, so no period,
+//! however long, sizes memory), and one transport endpoint multiplexing
 //! all of them. Time is abstract **ticks**: real-time drivers map wall
 //! milliseconds to ticks and call [`NetRuntime::run_until`] in a loop (see
 //! [`crate::cluster`]); deterministic tests drive virtual time directly.
@@ -59,12 +61,11 @@ use pss_core::{
     Arena, Exchange, Freshness, GossipNode, IdHashBuilder, NodeDescriptor, NodeId, Reply, Request,
     View,
 };
-use pss_sim::{workload::Partition, EventConfig, EventConfigError};
+use pss_sim::{workload::Partition, EventConfig, EventConfigError, TickQueue};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::transport::Transport;
-use crate::wheel::TimerWheel;
 use crate::workload::mix;
 
 /// Timing parameters of a runtime, in abstract ticks (the loopback cluster
@@ -303,7 +304,7 @@ impl RuntimeStats {
 struct NetTele {
     /// Request→reply round trips, in virtual ticks.
     rtt_ticks: pss_telemetry::Histogram,
-    /// How far behind `t` the timer wheel was when a batch fired.
+    /// How far behind `t` the timer queue was when a batch fired.
     wheel_lag_ticks: pss_telemetry::Histogram,
     /// Wire decode latency (header + descriptors) per frame kind.
     decode_request_ns: pss_telemetry::Histogram,
@@ -385,7 +386,8 @@ pub struct NetRuntime<T: Transport, N: GossipNode = pss_core::PeerSamplingNode> 
     index: HashMap<NodeId, u32, IdHashBuilder>,
     /// Node id → transport address, cluster-wide (learned).
     book: HashMap<NodeId, NetAddr, IdHashBuilder>,
-    wheel: TimerWheel,
+    /// Pending gossip timers, as node slots.
+    timers: TickQueue<u32>,
     rng: SmallRng,
     now: u64,
     /// Installed partition loss matrix, if any (egress-side blocking).
@@ -447,9 +449,16 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
             nodes: Vec::new(),
             index: HashMap::with_hasher(hasher),
             book: HashMap::with_hasher(hasher),
-            // Horizon covers the fully backed-off re-arm distance
-            // (`MAX_BACKOFF_STRETCH` periods + jitter), not just one period.
-            wheel: TimerWheel::new(MAX_BACKOFF_STRETCH * config.period + 2 * config.jitter + 1),
+            // The ring reaches the fully backed-off re-arm distance
+            // (`MAX_BACKOFF_STRETCH` periods + jitter), not just one period
+            // — as far as the queue's slot cap lets it; a longer period
+            // re-arms through the overflow map.
+            timers: TickQueue::new(
+                config
+                    .period
+                    .saturating_mul(MAX_BACKOFF_STRETCH)
+                    .saturating_add(config.jitter),
+            ),
             rng: SmallRng::seed_from_u64(seed),
             now: 0,
             partition: None,
@@ -540,9 +549,11 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
         });
         self.index.insert(id, slot);
         let phase = self.rng.random_range(0..self.config.period);
-        // Never into the fired past (phase 0 right after a run).
-        let due = (self.now + phase).max(self.wheel.next_tick());
-        self.wheel.schedule(due, slot);
+        // Never into the fired past: once the runtime has run, tick `now`
+        // has fired, and a phase of 0 waits for the next one.
+        let first_unfired = if self.now == 0 { 0 } else { self.now + 1 };
+        self.timers
+            .push((self.now + phase).max(first_unfired), slot);
         id
     }
 
@@ -873,76 +884,76 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
     fn fire_timers(&mut self, t: u64) {
         debug_assert!(self.fired.is_empty());
         let mut fired = core::mem::take(&mut self.fired);
-        // Catch the wheel up through tick `t` (tick 0 is only reachable on
-        // the very first call; afterwards this loop runs exactly once).
-        while self.wheel.next_tick() <= t {
-            let tick = self.wheel.next_tick();
-            let before = fired.len();
-            self.wheel.due_at(tick, &mut fired);
-            if fired.len() > before {
-                // Only batches that actually fired something: empty
-                // catch-up ticks say nothing about scheduling lag.
-                self.tele.wheel_lag_ticks.record(t - tick);
-            }
-        }
-        for slot_idx in fired.drain(..) {
-            let slot = &mut self.nodes[slot_idx as usize];
-            if !slot.alive {
-                continue; // left: the timer dies here
-            }
-            self.timers_fired += 1;
-            // Expire a stale pushpull exchange.
-            if let Some((_, sent)) = slot.pending_reply {
-                if t.saturating_sub(sent) >= self.config.reply_timeout {
-                    slot.counters.timeouts += 1;
-                    slot.consecutive_timeouts += 1;
-                    slot.pending_reply = None;
-                }
-            }
-            match slot.node.initiate(&mut self.arena) {
-                Some(exchange) => self.send_request(slot_idx, exchange, t),
-                None => {
-                    self.nodes[slot_idx as usize].counters.empty_view += 1;
-                }
-            }
-            // Re-arm with jitter, the event engine's formula — stretched
-            // exponentially (capped at 8×) for a *bootstrapping* node
-            // whose exchanges keep timing out. A flash herd of joiners all
-            // introduced to one node would otherwise hammer it in lockstep
-            // every period while it is too overloaded to answer any of
-            // them: the first timeout retries at full rate, repeat
-            // offenders space out, and the first absorbed protocol message
-            // snaps the node back to the period. Every retry still happens
-            // and is counted — no joiner is silently dropped. Integrated
-            // nodes (any protocol message absorbed) never back off:
-            // post-catastrophe timeouts on dead peers must not slow the
-            // self-healing gossip rate.
-            let slot = &mut self.nodes[slot_idx as usize];
-            let stretch = if slot.counters.msgs_in == 0 {
-                1u64 << slot
-                    .consecutive_timeouts
-                    .saturating_sub(1)
-                    .min(MAX_BACKOFF_STRETCH.trailing_zeros())
-            } else {
-                1
-            };
-            if stretch > 1 {
-                slot.counters.backoffs += 1;
-            }
-            let jitter = if self.config.jitter == 0 {
-                0
-            } else {
-                self.rng.random_range(0..=2 * self.config.jitter)
-            };
-            self.wheel.schedule(
-                t + stretch * self.config.period - self.config.jitter + jitter,
-                slot_idx,
-            );
-            if let Some(fanout) = self.app_fanout {
-                self.push_rumor(slot_idx, fanout);
+        // Every timer due through tick `t`, tick by tick in schedule order
+        // (a tick before `t` is only pending on the very first call;
+        // afterwards there is at most the one batch).
+        while let Some(tick) = self.timers.take_tick(t, &mut fired) {
+            // Only batches that actually fired something: empty catch-up
+            // ticks say nothing about scheduling lag.
+            self.tele.wheel_lag_ticks.record(t - tick);
+            for slot_idx in fired.drain(..) {
+                self.fire_timer(slot_idx, t);
             }
         }
         self.fired = fired;
+    }
+
+    /// One hosted node's active cycle at tick `t`, and its re-arm.
+    fn fire_timer(&mut self, slot_idx: u32, t: u64) {
+        let slot = &mut self.nodes[slot_idx as usize];
+        if !slot.alive {
+            return; // left: the timer dies here
+        }
+        self.timers_fired += 1;
+        // Expire a stale pushpull exchange.
+        if let Some((_, sent)) = slot.pending_reply {
+            if t.saturating_sub(sent) >= self.config.reply_timeout {
+                slot.counters.timeouts += 1;
+                slot.consecutive_timeouts += 1;
+                slot.pending_reply = None;
+            }
+        }
+        match slot.node.initiate(&mut self.arena) {
+            Some(exchange) => self.send_request(slot_idx, exchange, t),
+            None => {
+                self.nodes[slot_idx as usize].counters.empty_view += 1;
+            }
+        }
+        // Re-arm with jitter, the event engine's formula — stretched
+        // exponentially (capped at 8×) for a *bootstrapping* node whose
+        // exchanges keep timing out. A flash herd of joiners all
+        // introduced to one node would otherwise hammer it in lockstep
+        // every period while it is too overloaded to answer any of them:
+        // the first timeout retries at full rate, repeat offenders space
+        // out, and the first absorbed protocol message snaps the node back
+        // to the period. Every retry still happens and is counted — no
+        // joiner is silently dropped. Integrated nodes (any protocol
+        // message absorbed) never back off: post-catastrophe timeouts on
+        // dead peers must not slow the self-healing gossip rate.
+        let slot = &mut self.nodes[slot_idx as usize];
+        let stretch = if slot.counters.msgs_in == 0 {
+            1u64 << slot
+                .consecutive_timeouts
+                .saturating_sub(1)
+                .min(MAX_BACKOFF_STRETCH.trailing_zeros())
+        } else {
+            1
+        };
+        if stretch > 1 {
+            slot.counters.backoffs += 1;
+        }
+        let jitter = if self.config.jitter == 0 {
+            0
+        } else {
+            self.rng.random_range(0..=2 * self.config.jitter)
+        };
+        self.timers.push(
+            t + stretch * self.config.period - self.config.jitter + jitter,
+            slot_idx,
+        );
+        if let Some(fanout) = self.app_fanout {
+            self.push_rumor(slot_idx, fanout);
+        }
     }
 
     /// One period's rumor pushes from a hosted node, if it holds one:

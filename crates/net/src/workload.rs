@@ -5,7 +5,7 @@
 //! [`CompiledWorkload`](pss_sim::workload::CompiledWorkload) that drives
 //! the simulators — same kills, same joins, same contacts, same
 //! partition windows — executes against the deployed stack: real wire
-//! frames, the timer wheel, the address book. Over the deterministic
+//! frames, the timer queue, the address book. Over the deterministic
 //! in-memory mesh ([`crate::MemNetwork`]) the whole trajectory is
 //! bit-reproducible per seed; the conformance tests pin it statistically
 //! against the event engine. For the multi-runtime loopback UDP version

@@ -14,6 +14,9 @@
 //! `try_recv` swaps), so a runtime over it must be allocation-free in
 //! steady state end to end: timers, encode, mesh, decode, node exchange.
 //!
+//! The byte total pins the other way a queue can misuse the allocator: a
+//! timer ring sized by the period is a single call for hundreds of MiB.
+//!
 //! Kept in its own integration-test binary because the `#[global_allocator]`
 //! is process-wide; the tests take [`WINDOW`] so that no measurement window
 //! sees another test's allocations.
@@ -30,12 +33,15 @@ use pss_sim::LatencyModel;
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+/// Bytes requested, over all calls: one huge allocation is one call.
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
-// SAFETY: pure pass-through to the system allocator; the counter is the
-// only addition and is atomic.
+// SAFETY: pure pass-through to the system allocator; the counters are the
+// only addition and are atomic.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
 
@@ -45,6 +51,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -160,4 +167,52 @@ fn steady_state_mem_runtime_is_allocation_free() {
         during * 20 <= exchanges,
         "{during} allocations over {exchanges} exchanges — the mem path allocates per frame again"
     );
+}
+
+#[test]
+fn a_long_period_does_not_size_memory() {
+    let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
+    const NODES: u64 = 8;
+    // One hour in the cluster's 1 ms ticks: passes `validate()`, reachable
+    // through `ClusterConfig::period_ms`. A ring with one slot per tick of
+    // the backed-off horizon would be 2²⁵ slots, ≈ 805 MB, before the first
+    // frame.
+    let config = NetConfig {
+        period: 3_600_000,
+        jitter: 0,
+        reply_timeout: 3_600_000,
+    };
+    config.validate().expect("a valid configuration");
+    let net = MemNetwork::new(3, LatencyModel::Uniform { min: 1, max: 6 }, 0.0).expect("valid");
+    let transport = net.endpoint();
+    let addr = transport.net_addr();
+
+    let before = BYTES.load(Ordering::Relaxed);
+    let mut rt: NetRuntime<_, PeerSamplingNode> =
+        NetRuntime::new(transport, config, 4).expect("valid");
+    let requested = BYTES.load(Ordering::Relaxed) - before;
+    assert!(
+        requested < 4 << 20,
+        "constructing the runtime requested {requested} bytes — the period sizes memory again"
+    );
+
+    let protocol = ProtocolConfig::new(PolicyTriple::newscast(), 8).expect("valid");
+    for i in 0..NODES {
+        let introducers: Vec<(NodeId, NetAddr)> = if i == 0 {
+            Vec::new()
+        } else {
+            vec![(NodeId::new(i - 1), addr)]
+        };
+        let node = PeerSamplingNode::with_seed(NodeId::new(i), protocol.clone(), i + 1);
+        rt.add_node(node, &introducers);
+    }
+    // Every timer re-arms a period ahead, far beyond the ring: it waits in
+    // the queue's overflow map and still fires on its tick. Without jitter
+    // a node fires exactly one period after its last, so two periods hold
+    // two fires of every node and no third of any.
+    rt.run_period();
+    assert_eq!(rt.stats().timers_fired, NODES);
+    rt.run_period();
+    assert_eq!(rt.stats().timers_fired, 2 * NODES);
+    assert!(rt.stats().exchanges_completed > 0);
 }

@@ -11,7 +11,7 @@
 //! # Execution model
 //!
 //! [`ShardedEventSimulation`] partitions the population into `S` shards,
-//! each owning a time-ordered event queue over its own nodes. Simulated
+//! each owning the pending events of its own nodes. Simulated
 //! time advances in **buckets** of width `W` = the minimum network latency
 //! (the *conservative lookahead window* of parallel discrete-event
 //! simulation): within the bucket `[t, t + W)` every shard processes its
@@ -21,6 +21,21 @@
 //! fixed-order per-`(src, dst)` mailboxes ([`crate::exec`], shared with the
 //! cycle engine) and are exchanged at bucket boundaries: transposed on the
 //! driver, then merged into each destination queue in sender-shard order.
+//!
+//! # The event queue
+//!
+//! A shard has the shape of the deployed runtime (`pss_net::NetRuntime`): a
+//! timer queue of node slots plus a short-horizon message queue, both
+//! [`TickQueue`]s — per-tick FIFO calendar rings, O(1) to push and to
+//! drain. Every event carries the shard's monotone push counter `seq`, and
+//! a shard processes its events in `(time, seq)` order. A per-tick FIFO
+//! gives that order for free: `seq` only grows, so push order within a tick
+//! *is* `(time, seq)` order — for timers, same-shard messages and
+//! cross-shard arrivals alike. Timers (most of what is pending, 16 bytes
+//! each, up to `period + jitter` ahead) and messages (fat, at most the
+//! maximum latency ahead) sit in separate rings so that neither sizes the
+//! other's slots; a tick's two batches are merged by `seq` when it is
+//! drained.
 //!
 //! # Determinism contract
 //!
@@ -41,9 +56,6 @@
 //! every message is then shard-local, the global `(time, seq)` order is the
 //! schedule order, and the mailbox machinery is never touched.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use pss_core::{
     Arena, GossipNode, NodeDescriptor, NodeId, PeerSamplingNode, ProtocolConfig, Reply, Request,
     View,
@@ -54,6 +66,7 @@ use rand::{Rng, SeedableRng};
 use crate::exec::{self, lose, Directory, Mailboxes, SlotRef};
 use crate::pool::WorkerPool;
 use crate::population::{BoxedNode, Population};
+use crate::queue::TickQueue;
 use crate::workload::Partition;
 use crate::{CycleReport, Snapshot};
 
@@ -95,6 +108,15 @@ impl LatencyModel {
         match self {
             LatencyModel::Zero => 0,
             LatencyModel::Uniform { min, .. } => min,
+        }
+    }
+
+    /// The largest latency the model can produce — how far ahead a message
+    /// queue has to reach.
+    pub fn maximum(self) -> u64 {
+        match self {
+            LatencyModel::Zero => 0,
+            LatencyModel::Uniform { min, max } => max.max(min),
         }
     }
 }
@@ -293,57 +315,18 @@ pub struct Delivery {
     pub is_request: bool,
 }
 
-/// A pending event in a shard's local queue.
-struct Event {
-    time: u64,
-    /// Tie-breaker for equal times: local schedule order.
+/// A message due at a node of this shard, waiting in the message queue.
+struct Arrival {
+    /// The shard's push counter when it was queued: its place among the
+    /// timers of the same tick.
     seq: u64,
-    kind: EventKind,
+    src_shard: u32,
+    wire: WireEvent,
 }
 
-enum EventKind {
-    /// A node's gossip timer (local slot).
-    Timer(u32),
-    /// A request arriving at local slot `to_slot`.
-    Request {
-        from: NodeId,
-        to_slot: u32,
-        sent: u64,
-        sent_seq: u64,
-        src_shard: u32,
-        request: Request,
-    },
-    /// A reply arriving at local slot `to_slot`.
-    Reply {
-        from: NodeId,
-        to_slot: u32,
-        sent: u64,
-        sent_seq: u64,
-        src_shard: u32,
-        reply: Reply,
-    },
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        (self.time, self.seq) == (other.time, other.seq)
-    }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
-
-/// A message crossing a shard boundary, parked in a mailbox lane until the
-/// bucket ends. Lane index gives the destination; the sender shard is the
-/// lane it sits in after transposition.
+/// A message in transit. One that crosses a shard boundary is parked in a
+/// mailbox lane until the bucket ends: lane index gives the destination,
+/// and the sender shard is the lane it sits in after transposition.
 struct WireEvent {
     time: u64,
     sent: u64,
@@ -364,7 +347,7 @@ enum WireMsg {
 /// memory.
 const PAYLOAD_POOL_LIMIT: usize = 1024;
 
-/// One shard of the event engine: a node partition, its local event queue,
+/// One shard of the event engine: a node partition, its two event queues,
 /// its RNG stream, and its cross-shard mailboxes.
 struct EventShard<N> {
     index: usize,
@@ -378,7 +361,13 @@ struct EventShard<N> {
     arena: Arena,
     /// Shard-local RNG: timer jitter, message latency, message loss.
     rng: SmallRng,
-    queue: BinaryHeap<Reverse<Event>>,
+    /// Gossip timers as `(seq, local slot)`.
+    timers: TickQueue<(u64, u32)>,
+    messages: TickQueue<Arrival>,
+    /// The two drain buffers, swapped against the slots of the tick being
+    /// processed and handed back empty.
+    timer_batch: Vec<(u64, u32)>,
+    message_batch: Vec<Arrival>,
     /// Monotone event sequence; tie-breaks equal times, orders sends.
     seq: u64,
     mail: Mailboxes<WireEvent>,
@@ -396,9 +385,30 @@ impl<N> EventShard<N> {
         self.seq
     }
 
-    fn schedule(&mut self, time: u64, kind: EventKind) {
+    fn schedule_timer(&mut self, time: u64, slot: u32) {
         let seq = self.next_seq();
-        self.queue.push(Reverse(Event { time, seq, kind }));
+        self.timers.push(time, (seq, slot));
+    }
+
+    /// Queues a message that arrives at `wire.time` from `src_shard`.
+    fn schedule_arrival(&mut self, src_shard: u32, wire: WireEvent) {
+        let seq = self.next_seq();
+        let arrival = Arrival {
+            seq,
+            src_shard,
+            wire,
+        };
+        self.messages.push(arrival.wire.time, arrival);
+    }
+
+    /// The earliest pending event time.
+    fn next_time(&mut self) -> Option<u64> {
+        let timer = self.timers.next_time();
+        timer.into_iter().chain(self.messages.next_time()).min()
+    }
+
+    fn pending(&self) -> usize {
+        self.timers.len() + self.messages.len()
     }
 }
 
@@ -454,6 +464,12 @@ pub struct ShardedEventSimulation<N: GossipNode + Send = BoxedNode> {
     partition: Option<Partition>,
     /// Phase/imbalance telemetry (`engine="event"`); purely observational.
     tele: crate::telemetry::EngineTele,
+    /// `pss_queue_overflow_total{engine="event"}`: events that were pushed
+    /// beyond a shard ring's reach ([`TickQueue::overflowed`]), summed over
+    /// shards and queues — a run that fell off the O(1) path shows here.
+    queue_overflow: pss_telemetry::Counter,
+    /// How much of that sum the counter has been given so far.
+    overflow_exported: u64,
 }
 
 impl ShardedEventSimulation {
@@ -530,7 +546,12 @@ impl<N: GossipNode + Send> ShardedEventSimulation<N> {
                 pop: Population::new(),
                 arena: Arena::with_pool_limit(PAYLOAD_POOL_LIMIT),
                 rng: SmallRng::seed_from_u64(exec::shard_seed(seed, index)),
-                queue: BinaryHeap::new(),
+                // Timers re-arm at most `period + jitter` ahead, messages
+                // land at most the maximum latency ahead.
+                timers: TickQueue::new(config.period.saturating_add(config.jitter)),
+                messages: TickQueue::new(config.latency.maximum()),
+                timer_batch: Vec::new(),
+                message_batch: Vec::new(),
                 seq: 0,
                 mail: Mailboxes::new(shards),
                 report: EventReport::default(),
@@ -554,6 +575,12 @@ impl<N: GossipNode + Send> ShardedEventSimulation<N> {
             cycles: 0,
             partition: None,
             tele,
+            queue_overflow: pss_telemetry::global().counter_with(
+                "pss_queue_overflow_total",
+                &[("engine", "event")],
+                "Events scheduled beyond the calendar queue's ring, through its overflow map",
+            ),
+            overflow_exported: 0,
         })
     }
 
@@ -606,6 +633,17 @@ impl<N: GossipNode + Send> ShardedEventSimulation<N> {
     /// Total events processed since construction.
     pub fn events_processed(&self) -> u64 {
         self.shards.iter().map(|s| s.processed).sum()
+    }
+
+    /// Events that were scheduled beyond their queue's ring and waited in
+    /// its overflow map ([`TickQueue::overflowed`]), over all shards. Zero
+    /// whenever `period + jitter` and the maximum latency fit the ring
+    /// (2¹⁶ ticks).
+    fn queue_overflowed(&self) -> u64 {
+        self.shards
+            .iter()
+            .map(|s| s.timers.overflowed() + s.messages.overflowed())
+            .sum()
     }
 
     /// Recycled payload buffers currently pooled across all shard arenas —
@@ -685,7 +723,7 @@ impl<N: GossipNode + Send> ShardedEventSimulation<N> {
         // cross-shard message due before the next boundary (a lookahead
         // violation). Only a phase-0 draw right after a run can hit this.
         let at = (self.now + phase).max(self.frontier);
-        self.shards[shard].schedule(at, EventKind::Timer(slot));
+        self.shards[shard].schedule_timer(at, slot);
         id
     }
 
@@ -721,7 +759,7 @@ impl<N: GossipNode + Send> ShardedEventSimulation<N> {
                 let phase = exec::bulk_timer_phase(seed, id.as_u64(), period);
                 // Clamp below-frontier phases exactly like `add_node`.
                 let at = (now + phase).max(frontier);
-                shard.schedule(at, EventKind::Timer(slot));
+                shard.schedule_timer(at, slot);
             },
         );
     }
@@ -997,6 +1035,9 @@ impl<N: GossipNode + Send> ShardedEventSimulation<N> {
         }
         self.cycles += 1;
         self.tele.cycle_done();
+        let overflowed = self.queue_overflowed();
+        self.queue_overflow.add(overflowed - self.overflow_exported);
+        self.overflow_exported = overflowed;
         self.report().since(&before).as_cycle_report()
     }
 
@@ -1007,14 +1048,11 @@ impl<N: GossipNode + Send> ShardedEventSimulation<N> {
 }
 
 /// Smallest pending event time across all shard queues.
-fn earliest<N>(shards: &[EventShard<N>]) -> Option<u64> {
-    shards
-        .iter()
-        .filter_map(|s| s.queue.peek().map(|Reverse(e)| e.time))
-        .min()
+fn earliest<N>(shards: &mut [EventShard<N>]) -> Option<u64> {
+    shards.iter_mut().filter_map(|s| s.next_time()).min()
 }
 
-/// Merges a shard's freshly transposed inbox into its event queue, in
+/// Merges a shard's freshly transposed inbox into its message queue, in
 /// sender-shard lane order (FIFO within each lane): the deterministic
 /// cross-shard arrival order of the engine's contract.
 fn merge_inbox<N: GossipNode + Send>(shard: &mut EventShard<N>, horizon: u64) {
@@ -1027,95 +1065,110 @@ fn merge_inbox<N: GossipNode + Send>(shard: &mut EventShard<N>, horizon: u64) {
                 wire.time,
                 horizon
             );
-            let kind = match wire.msg {
-                WireMsg::Request(request) => EventKind::Request {
-                    from: wire.from,
-                    to_slot: wire.to_slot,
-                    sent: wire.sent,
-                    sent_seq: wire.sent_seq,
-                    src_shard: src_shard as u32,
-                    request,
-                },
-                WireMsg::Reply(reply) => EventKind::Reply {
-                    from: wire.from,
-                    to_slot: wire.to_slot,
-                    sent: wire.sent,
-                    sent_seq: wire.sent_seq,
-                    src_shard: src_shard as u32,
-                    reply,
-                },
-            };
-            shard.schedule(wire.time, kind);
+            shard.schedule_arrival(src_shard as u32, wire);
         }
     }
     shard.mail.inbox = inbox;
 }
 
-/// Processes every event with `time <= limit` in this shard's queue, in
-/// `(time, seq)` order. New local events (timers, same-shard messages) go
-/// back into the queue; cross-shard messages park in the out-mailboxes.
+/// Processes every event with `time <= limit` in this shard's queues, in
+/// `(time, seq)` order: tick by tick, the tick's timers and messages merged
+/// by `seq`. New local events (timers, same-shard messages) go back into
+/// the queues — a zero-latency message onto the tick being drained, which
+/// then comes round again; cross-shard messages park in the out-mailboxes.
 fn process_until<N: GossipNode + Send>(shard: &mut EventShard<N>, limit: u64, ctx: &EventCtx<'_>) {
-    while let Some(Reverse(head)) = shard.queue.peek() {
-        if head.time > limit {
-            break;
+    let mut timers = core::mem::take(&mut shard.timer_batch);
+    let mut messages = core::mem::take(&mut shard.message_batch);
+    while let Some(now) = shard.next_time().filter(|&t| t <= limit) {
+        shard.timers.take_tick(now, &mut timers);
+        shard.messages.take_tick(now, &mut messages);
+        shard.processed += (timers.len() + messages.len()) as u64;
+        let mut due_timers = timers.drain(..).peekable();
+        let mut due_messages = messages.drain(..).peekable();
+        loop {
+            let timer_first = match (due_timers.peek(), due_messages.peek()) {
+                (Some(&(seq, _)), Some(arrival)) => seq < arrival.seq,
+                (Some(_), None) => true,
+                (None, Some(_)) => false,
+                (None, None) => break,
+            };
+            if timer_first {
+                let (_, slot) = due_timers.next().expect("peeked");
+                fire_timer(shard, slot, now, ctx);
+            } else {
+                deliver(shard, due_messages.next().expect("peeked"), now, ctx);
+            }
         }
-        let Reverse(event) = shard.queue.pop().expect("peeked");
-        shard.processed += 1;
-        dispatch(shard, event, ctx);
     }
+    // Nothing is left through `limit`: move both cursors there, so that the
+    // rings reach their full span ahead of the frontier.
+    let closed = shard.timers.take_tick(limit, &mut timers);
+    debug_assert!(closed.is_none());
+    let closed = shard.messages.take_tick(limit, &mut messages);
+    debug_assert!(closed.is_none());
+    shard.timer_batch = timers;
+    shard.message_batch = messages;
 }
 
-fn dispatch<N: GossipNode + Send>(shard: &mut EventShard<N>, event: Event, ctx: &EventCtx<'_>) {
-    let now = event.time;
-    match event.kind {
-        EventKind::Timer(slot) => {
-            // Dead nodes stop participating: no exchange, no re-arm.
-            if !shard.pop.slot(slot).alive {
-                return;
-            }
-            shard.report.timers_fired += 1;
-            let entry = shard.pop.slot_mut(slot);
-            let initiator = entry.node.id();
-            match entry.node.initiate(&mut shard.arena) {
-                Some(exchange) => {
-                    if lose(&mut shard.rng, ctx.config.loss_probability) {
-                        shard.report.dropped_messages += 1;
-                    } else {
-                        let peer = exchange.peer;
-                        send(
-                            shard,
-                            ctx,
-                            now,
-                            initiator,
-                            peer,
-                            WireMsg::Request(exchange.request),
-                        );
-                    }
-                }
-                None => shard.report.empty_view += 1,
-            }
-            // Re-arm the timer with jitter regardless.
-            let jitter = if ctx.config.jitter == 0 {
-                0
+/// The gossip timer of local slot `slot` fires at `now`.
+fn fire_timer<N: GossipNode + Send>(
+    shard: &mut EventShard<N>,
+    slot: u32,
+    now: u64,
+    ctx: &EventCtx<'_>,
+) {
+    // Dead nodes stop participating: no exchange, no re-arm.
+    if !shard.pop.slot(slot).alive {
+        return;
+    }
+    shard.report.timers_fired += 1;
+    let entry = shard.pop.slot_mut(slot);
+    let initiator = entry.node.id();
+    match entry.node.initiate(&mut shard.arena) {
+        Some(exchange) => {
+            if lose(&mut shard.rng, ctx.config.loss_probability) {
+                shard.report.dropped_messages += 1;
             } else {
-                shard.rng.random_range(0..=2 * ctx.config.jitter)
-            };
-            let next = now + ctx.config.period - ctx.config.jitter + jitter;
-            shard.schedule(next, EventKind::Timer(slot));
-        }
-        EventKind::Request {
-            from,
-            to_slot,
-            sent,
-            sent_seq,
-            src_shard,
-            request,
-        } => {
-            record_delivery(shard, sent, now, from, to_slot, src_shard, sent_seq, true);
-            if !shard.pop.slot(to_slot).alive {
-                shard.report.dead_deliveries += 1;
-                return;
+                let peer = exchange.peer;
+                send(
+                    shard,
+                    ctx,
+                    now,
+                    initiator,
+                    peer,
+                    WireMsg::Request(exchange.request),
+                );
             }
+        }
+        None => shard.report.empty_view += 1,
+    }
+    // Re-arm the timer with jitter regardless.
+    let jitter = if ctx.config.jitter == 0 {
+        0
+    } else {
+        shard.rng.random_range(0..=2 * ctx.config.jitter)
+    };
+    let next = now + ctx.config.period - ctx.config.jitter + jitter;
+    shard.schedule_timer(next, slot);
+}
+
+/// A message arrives at its destination slot at `now`.
+fn deliver<N: GossipNode + Send>(
+    shard: &mut EventShard<N>,
+    arrival: Arrival,
+    now: u64,
+    ctx: &EventCtx<'_>,
+) {
+    record_delivery(shard, &arrival, now);
+    let WireEvent {
+        from, to_slot, msg, ..
+    } = arrival.wire;
+    if !shard.pop.slot(to_slot).alive {
+        shard.report.dead_deliveries += 1;
+        return;
+    }
+    match msg {
+        WireMsg::Request(request) => {
             shard.report.requests_delivered += 1;
             // The reply (if any) builds from the shard arena's pool; the
             // spent request buffer is recycled into the same pool by the
@@ -1137,19 +1190,7 @@ fn dispatch<N: GossipNode + Send>(shard: &mut EventShard<N>, event: Event, ctx: 
                 None => shard.report.exchanges_completed += 1,
             }
         }
-        EventKind::Reply {
-            from,
-            to_slot,
-            sent,
-            sent_seq,
-            src_shard,
-            reply,
-        } => {
-            record_delivery(shard, sent, now, from, to_slot, src_shard, sent_seq, false);
-            if !shard.pop.slot(to_slot).alive {
-                shard.report.dead_deliveries += 1;
-                return;
-            }
+        WireMsg::Reply(reply) => {
             shard
                 .pop
                 .slot_mut(to_slot)
@@ -1162,9 +1203,8 @@ fn dispatch<N: GossipNode + Send>(shard: &mut EventShard<N>, event: Event, ctx: 
 }
 
 /// Sends `msg` from `from` (on `shard`) to `to`, drawing the latency from
-/// the sender shard's RNG: local destinations go straight into the queue,
-/// remote ones park in the out-mailbox lane until the bucket ends.
-#[allow(clippy::too_many_arguments)]
+/// the sender shard's RNG: local destinations go straight into the message
+/// queue, remote ones park in the out-mailbox lane until the bucket ends.
 fn send<N: GossipNode + Send>(
     shard: &mut EventShard<N>,
     ctx: &EventCtx<'_>,
@@ -1187,66 +1227,42 @@ fn send<N: GossipNode + Send>(
         return;
     }
     let latency = ctx.config.latency.sample(&mut shard.rng);
-    let at = now + latency;
     let sent_seq = shard.next_seq();
     let dest = ctx.directory[to.as_index()];
+    let wire = WireEvent {
+        time: now + latency,
+        sent: now,
+        sent_seq,
+        from,
+        to_slot: dest.slot,
+        msg,
+    };
     if dest.shard as usize == shard.index {
-        let src_shard = shard.index as u32;
-        let kind = match msg {
-            WireMsg::Request(request) => EventKind::Request {
-                from,
-                to_slot: dest.slot,
-                sent: now,
-                sent_seq,
-                src_shard,
-                request,
-            },
-            WireMsg::Reply(reply) => EventKind::Reply {
-                from,
-                to_slot: dest.slot,
-                sent: now,
-                sent_seq,
-                src_shard,
-                reply,
-            },
-        };
-        shard.schedule(at, kind);
+        shard.schedule_arrival(shard.index as u32, wire);
     } else {
-        shard.mail.out[dest.shard as usize].push(WireEvent {
-            time: at,
-            sent: now,
-            sent_seq,
-            from,
-            to_slot: dest.slot,
-            msg,
-        });
+        shard.mail.out[dest.shard as usize].push(wire);
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn record_delivery<N: GossipNode + Send>(
     shard: &mut EventShard<N>,
-    sent: u64,
+    arrival: &Arrival,
     delivered: u64,
-    from: NodeId,
-    to_slot: u32,
-    src_shard: u32,
-    sent_seq: u64,
-    is_request: bool,
 ) {
     if !shard.trace {
         return;
     }
-    let to = shard.pop.slot(to_slot).node.id();
+    let wire = &arrival.wire;
+    let to = shard.pop.slot(wire.to_slot).node.id();
     shard.deliveries.push(Delivery {
-        sent,
+        sent: wire.sent,
         delivered,
-        from,
+        from: wire.from,
         to,
-        src_shard,
+        src_shard: arrival.src_shard,
         dst_shard: shard.index as u32,
-        sent_seq,
-        is_request,
+        sent_seq: wire.sent_seq,
+        is_request: matches!(wire.msg, WireMsg::Request(_)),
     });
 }
 
@@ -1261,7 +1277,7 @@ impl<N: GossipNode + Send> std::fmt::Debug for ShardedEventSimulation<N> {
             .field("alive", &self.dir.alive_count())
             .field(
                 "pending_events",
-                &self.shards.iter().map(|s| s.queue.len()).sum::<usize>(),
+                &self.shards.iter().map(|s| s.pending()).sum::<usize>(),
             )
             .finish()
     }
@@ -1406,12 +1422,7 @@ impl std::fmt::Debug for EventSimulation {
             .field("alive", &self.inner.alive_count())
             .field(
                 "pending_events",
-                &self
-                    .inner
-                    .shards
-                    .iter()
-                    .map(|s| s.queue.len())
-                    .sum::<usize>(),
+                &self.inner.shards.iter().map(|s| s.pending()).sum::<usize>(),
             )
             .finish()
     }
@@ -1650,6 +1661,53 @@ mod tests {
         let more = s.run_until(1000);
         assert!(more > 0);
         assert_eq!(s.now(), 1000);
+    }
+
+    #[test]
+    fn a_period_beyond_the_ring_still_fires_every_timer() {
+        // 200 000 ticks is past the queue's 2¹⁶-slot ring: every re-arm
+        // waits in the overflow map and enters its slot when the cursor
+        // uncovers it. Without jitter a node fires once per period exactly.
+        const NODES: usize = 12;
+        const PERIODS: u64 = 3;
+        let config = EventConfig {
+            period: 200_000,
+            jitter: 0,
+            latency: LatencyModel::Uniform { min: 5, max: 40 },
+            loss_probability: 0.0,
+        };
+        for shards in [1, 2] {
+            let mut s =
+                ShardedEventSimulation::new(protocol(), config, 5, shards).expect("valid config");
+            s.add_connected_nodes(NODES);
+            s.run_until(PERIODS * config.period - 1);
+            let report = s.report();
+            assert_eq!(
+                report.timers_fired,
+                NODES as u64 * PERIODS,
+                "{shards} shards"
+            );
+            assert!(report.exchanges_completed > 0);
+            assert!(
+                s.queue_overflowed() >= NODES as u64 * PERIODS,
+                "every re-arm is beyond the ring"
+            );
+        }
+        // The period driver exports what the shards counted (the series is
+        // process-wide, so other simulations may have added to it).
+        let mut s = ShardedEventSimulation::new(protocol(), config, 5, 2).expect("valid config");
+        s.add_connected_nodes(NODES);
+        s.run_cycle();
+        assert!(s.queue_overflowed() >= NODES as u64);
+        if pss_telemetry::enabled() {
+            assert!(s.queue_overflow.get() >= s.queue_overflowed());
+        }
+        // The configurations the repo runs stay on the ring.
+        let mut s = ShardedEventSimulation::new(protocol(), EventConfig::default(), 5, 2)
+            .expect("valid config");
+        s.add_connected_nodes(NODES);
+        s.run_for(5_000);
+        assert_eq!(s.queue_overflowed(), 0);
     }
 
     #[test]

@@ -61,6 +61,7 @@ mod event;
 mod exec;
 mod pool;
 mod population;
+mod queue;
 mod shard;
 mod snapshot;
 mod telemetry;
@@ -78,6 +79,7 @@ pub use event::{
     ShardedEventSimulation,
 };
 pub use population::BoxedNode;
+pub use queue::TickQueue;
 pub use shard::{CycleReport, FailureMode, GrowthPlan, ShardedSimulation};
 pub use snapshot::{CsrSnapshot, Snapshot, StreamingMetrics};
 pub use workload::{Partition, Workload, WorkloadTarget};

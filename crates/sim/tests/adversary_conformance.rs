@@ -104,54 +104,6 @@ fn attack_schedules() -> Vec<(&'static str, Workload)> {
     ]
 }
 
-/// Calibration sweep (run with `--ignored --nocapture`): final-period hub
-/// metrics for every interesting honest policy, cycle engine.
-#[test]
-#[ignore = "calibration helper, not a conformance check"]
-fn sweep_hub_attack_across_policies() {
-    let workload = Workload::parse("adv:hub@0.02,quiet:30", 61).unwrap();
-    let compiled = workload.compile(N);
-    let policies: Vec<(&str, HonestPolicy)> = vec![
-        ("newscast (rand,head,pushpull)", newscast()),
-        (
-            "blind (rand,rand,pushpull)",
-            HonestPolicy::Sampling(
-                ProtocolConfig::new("(rand,rand,pushpull)".parse().unwrap(), C).unwrap(),
-            ),
-        ),
-        (
-            "tail-select (rand,tail,pushpull)",
-            HonestPolicy::Sampling(
-                ProtocolConfig::new("(rand,tail,pushpull)".parse().unwrap(), C).unwrap(),
-            ),
-        ),
-        (
-            "hs healer (H=7,S=0)",
-            HonestPolicy::Hs(HsConfig::new(C, 7, 0, HsPeerSelection::Rand).unwrap()),
-        ),
-        (
-            "hs swapper (H=0,S=7)",
-            HonestPolicy::Hs(HsConfig::new(C, 0, 7, HsPeerSelection::Rand).unwrap()),
-        ),
-        (
-            "hs balanced (H=4,S=3)",
-            HonestPolicy::Hs(HsConfig::new(C, 4, 3, HsPeerSelection::Rand).unwrap()),
-        ),
-    ];
-    for (name, policy) in policies {
-        let mut sim = cycle_sim(&policy, &workload, 17, 2);
-        let (_, audit) = run_attacked(&mut sim, &compiled, C);
-        let f = audit.final_record().unwrap();
-        eprintln!(
-            "{name:34} skew {:7.2} edge {:.3} gini {:.3} honest-comp {:.3}",
-            f.skew(),
-            f.attacker_edge_fraction,
-            f.in_degree_gini,
-            f.honest_component_fraction(),
-        );
-    }
-}
-
 /// (a) Bit-determinism: for a fixed `(seed, shard_count)`, the benign
 /// records, the attack records, and the final overlay are identical at any
 /// worker count — for every attack kind, on both sharded engines.

@@ -1,11 +1,14 @@
 //! Property-based tests for the simulators.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use proptest::prelude::*;
 use pss_core::{NodeDescriptor, NodeId, PolicyTriple, ProtocolConfig};
 use pss_sim::workload::{Partition, PhaseSpec, Workload};
 use pss_sim::{
     scenario, ChurnProcess, EventConfig, EventSimulation, FailureMode, LatencyModel,
-    RateAccumulator,
+    RateAccumulator, TickQueue,
 };
 
 /// Builds one grammar-expressible phase from raw draws. Rates and losses
@@ -434,5 +437,86 @@ proptest! {
             }
             Err(e) => prop_assert!(!e.to_string().is_empty()),
         }
+    }
+}
+
+/// The structure [`TickQueue`] replaced, kept as its reference model: a
+/// binary heap ordered by `(time, seq)` with `seq` the monotone push counter.
+#[derive(Default)]
+struct HeapModel {
+    heap: BinaryHeap<Reverse<(u64, u64)>>,
+    seq: u64,
+}
+
+impl HeapModel {
+    /// Pushes onto both structures; the item is the push counter itself.
+    fn push_both(&mut self, queue: &mut TickQueue<u64>, time: u64) {
+        self.seq += 1;
+        self.heap.push(Reverse((time, self.seq)));
+        queue.push(time, self.seq);
+    }
+
+    fn drain_through(&mut self, limit: u64) -> Vec<(u64, u64)> {
+        let mut popped = Vec::new();
+        while self.heap.peek().is_some_and(|&Reverse((t, _))| t <= limit) {
+            popped.push(self.heap.pop().expect("peeked").0);
+        }
+        popped
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Differential test against the heap: random interleavings of pushes
+    /// and drains over rings of 1–16 slots, so that wrap-around, the
+    /// overflow map, migration into a just-uncovered slot, pushes onto the
+    /// tick being drained, jumps over empty stretches and `limit =
+    /// u64::MAX` all occur. Both must pop the same `(time, seq)` sequence.
+    #[test]
+    fn tick_queue_pops_in_heap_order(
+        span in 0u64..16,
+        ops in prop::collection::vec((0u32..40, 0u64..48, 0u32..4), 1..160),
+    ) {
+        let mut queue = TickQueue::new(span);
+        let mut model = HeapModel::default();
+        // The lowest tick a push may still name: the last drain limit.
+        let mut floor = 0u64;
+        // Every run ends by draining to exhaustion.
+        let ops = ops.into_iter().chain([(39, 0, 1)]);
+        for (kind, offset, echo) in ops {
+            let limit = match kind {
+                // Near pushes: on the ring, just beyond it, onto the floor.
+                0..=29 => {
+                    model.push_both(&mut queue, floor.saturating_add(offset));
+                    continue;
+                }
+                // Far pushes: an empty stretch many laps long.
+                30..=32 => {
+                    model.push_both(&mut queue, floor.saturating_add(offset * 1_000));
+                    continue;
+                }
+                33..=38 => floor.saturating_add(offset),
+                _ => u64::MAX,
+            };
+            prop_assert_eq!(queue.next_time(), model.heap.peek().map(|&Reverse((t, _))| t));
+            let mut popped = Vec::new();
+            let mut batch = Vec::new();
+            let mut echoes = echo;
+            while let Some(tick) = queue.take_tick(limit, &mut batch) {
+                prop_assert!(!batch.is_empty() && tick <= limit);
+                popped.extend(batch.drain(..).map(|seq| (tick, seq)));
+                // A zero-latency send: onto the tick being drained. It must
+                // come out of this same drain, after the tick's others.
+                if echoes > 0 {
+                    echoes -= 1;
+                    model.push_both(&mut queue, tick);
+                }
+            }
+            prop_assert_eq!(popped, model.drain_through(limit));
+            prop_assert_eq!(queue.len(), model.heap.len());
+            floor = limit;
+        }
+        prop_assert!(queue.is_empty());
     }
 }
