@@ -20,7 +20,7 @@
 //! throughput rows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use pss_core::{NodeDescriptor, NodeId, PolicyTriple};
+use pss_core::{NodeDescriptor, NodeId, PeerSamplingNode, PolicyTriple};
 use pss_experiments::Scale;
 use pss_protocols::{run_under_workload, AppConfig, Sampler};
 use pss_sim::workload::Workload;
@@ -30,7 +30,7 @@ use std::hint::black_box;
 const SCHEDULE: &str = "quiet:5,kill:0.3,churn:0.01x15";
 const PERIODS: u64 = 21; // quiet 5 + kill-merged churn period + 15 churn
 
-fn build_engine(scale: &Scale, shards: usize) -> ShardedSimulation {
+fn build_engine(scale: &Scale, shards: usize) -> ShardedSimulation<PeerSamplingNode> {
     let config = scale.protocol(PolicyTriple::newscast());
     let mut sim = ShardedSimulation::new(config, scale.seed, shards);
     for i in 0..scale.nodes as u64 {

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pss_core::{PolicyTriple, ProtocolConfig};
-use pss_sim::{scenario, EventConfig, EventSimulation, LatencyModel};
+use pss_sim::{scenario, EventConfig, LatencyModel, ShardedEventSimulation};
 use std::hint::black_box;
 
 fn bench_cycle_engine(c: &mut Criterion) {
@@ -51,8 +51,9 @@ fn bench_event_engine(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bencher, &n| {
             bencher.iter_batched(
                 || {
-                    let mut sim = EventSimulation::new(protocol.clone(), event_config, 42)
-                        .expect("valid event config");
+                    let mut sim =
+                        ShardedEventSimulation::new(protocol.clone(), event_config, 42, 1)
+                            .expect("valid event config");
                     sim.add_connected_nodes(n);
                     sim.run_for(5_000);
                     sim

@@ -6,9 +6,10 @@
 //! over. Measured as elements/second where an element is one *node-cycle*
 //! (N nodes × cycles run), so numbers are comparable across N.
 //!
-//! Run `cargo bench --bench throughput -- --bench-json BENCH_throughput.json`
-//! (or set `BENCH_JSON`) to record the measurements; `BENCH_throughput.json`
-//! at the repository root tracks the trajectory across PRs.
+//! Run `cargo bench --bench throughput -- --bench-json "$PWD/BENCH_throughput.json"`
+//! (or set `BENCH_JSON`; bench binaries run in `crates/bench/`, hence the
+//! absolute path) to record the measurements; `BENCH_throughput.json` at
+//! the repository root tracks the trajectory across PRs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pss_core::PolicyTriple;
@@ -29,13 +30,13 @@ fn policies() -> [(&'static str, PolicyTriple); 3] {
     ]
 }
 
-/// The monomorphized fast path ([`scenario::random_overlay_fast`]): this is
-/// the headline number recorded in `BENCH_throughput.json`.
-fn bench_cycles_mono(c: &mut Criterion) {
+/// The 1-shard serial engine ([`scenario::random_overlay`]): this is the
+/// headline number recorded in `BENCH_throughput.json`.
+fn bench_cycles(c: &mut Criterion) {
     let scale = Scale::throughput_bench();
     let mut group = c.benchmark_group("throughput");
     group.sample_size(10);
-    group.meta("cycles", scale.cycles).meta("engine", "mono");
+    group.meta("cycles", scale.cycles);
     for &n in &[scale.nodes / 10, scale.nodes] {
         // One element = one node-cycle.
         group.throughput(Throughput::Elements(n as u64 * scale.cycles));
@@ -45,31 +46,6 @@ fn bench_cycles_mono(c: &mut Criterion) {
             let config = scale.protocol(policy);
             // Warm a converged overlay once; each iteration advances it
             // further, so the workload is steady-state gossip, not bootstrap.
-            let mut sim = scenario::random_overlay_fast(&config, n, scale.seed);
-            sim.run_cycles(10);
-            group.bench_with_input(BenchmarkId::new(name, n), &n, |bencher, _| {
-                bencher.iter(|| {
-                    sim.run_cycles(scale.cycles);
-                    black_box(sim.cycle())
-                });
-            });
-        }
-    }
-    group.finish();
-}
-
-/// The boxed (virtual-dispatch) engine, for the mono-vs-boxed comparison.
-fn bench_cycles_boxed(c: &mut Criterion) {
-    let scale = Scale::throughput_bench();
-    let mut group = c.benchmark_group("throughput_boxed");
-    group.sample_size(10);
-    group.meta("cycles", scale.cycles).meta("engine", "boxed");
-    for &n in &[scale.nodes / 10, scale.nodes] {
-        group.throughput(Throughput::Elements(n as u64 * scale.cycles));
-        group.meta("nodes", n);
-        for (name, policy) in policies() {
-            group.meta("policy", name);
-            let config = scale.protocol(policy);
             let mut sim = scenario::random_overlay(&config, n, scale.seed);
             sim.run_cycles(10);
             group.bench_with_input(BenchmarkId::new(name, n), &n, |bencher, _| {
@@ -83,5 +59,5 @@ fn bench_cycles_boxed(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_cycles_mono, bench_cycles_boxed);
+criterion_group!(benches, bench_cycles);
 criterion_main!(benches);

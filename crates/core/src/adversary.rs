@@ -43,7 +43,6 @@ use crate::{
 
 /// The attack implemented by a malicious node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AdversaryKind {
     /// Descriptor flooding / self-promotion with age-0 forged entries.
     Hub,
@@ -131,7 +130,6 @@ impl std::error::Error for AdversaryError {}
 ///
 /// Compiled against a concrete population size into [`AdversaryRoles`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AdversarySpec {
     kind: AdversaryKind,
     fraction: f64,

@@ -37,11 +37,9 @@ impl std::error::Error for ConfigError {}
 /// assert_eq!(config.to_string(), "(rand,head,pushpull) c=30");
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ProtocolConfig {
     policy: PolicyTriple,
     view_size: usize,
-    #[cfg_attr(feature = "serde", serde(default))]
     freshness: Freshness,
 }
 

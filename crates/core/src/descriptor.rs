@@ -31,7 +31,6 @@ use crate::NodeId;
 /// assert_eq!(older.id(), d.id());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NodeDescriptor {
     id: NodeId,
     hop_count: u32,

@@ -35,7 +35,6 @@ use crate::{Exchange, GossipNode, NodeDescriptor, NodeId, Reply, Request, View};
 /// Peer selection for the H&S protocol: TOCS 2007 considers uniform random
 /// and oldest-entry selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum HsPeerSelection {
     /// Uniform random view entry.
     Rand,
@@ -78,7 +77,6 @@ impl std::error::Error for HsConfigError {}
 /// # Ok::<(), pss_core::hs::HsConfigError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HsConfig {
     view_size: usize,
     healer: usize,

@@ -20,7 +20,6 @@ use core::hash::{BuildHasher, Hasher};
 /// assert_eq!(id.to_string(), "n7");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NodeId(u64);
 
 impl NodeId {

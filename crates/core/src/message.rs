@@ -9,7 +9,6 @@ use crate::{NodeDescriptor, NodeId};
 /// * In `pull` mode `descriptors` is empty — "empty view to trigger
 ///   response" in the paper's skeleton.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Request {
     /// Pushed view content (possibly empty for pull-only).
     pub descriptors: Vec<NodeDescriptor>,
@@ -32,7 +31,6 @@ impl Request {
 /// The passive thread's response to a [`Request`] with `wants_reply`,
 /// carrying the responder's view merged with its own fresh descriptor.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Reply {
     /// The responder's view content.
     pub descriptors: Vec<NodeDescriptor>,
@@ -54,7 +52,6 @@ impl Reply {
 
 /// An initiated exchange: the chosen peer and the request to deliver to it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Exchange {
     /// The peer selected from the initiator's view.
     pub peer: NodeId,

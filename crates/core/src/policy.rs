@@ -22,7 +22,6 @@ use std::str::FromStr;
 /// long enough for a heal to re-merge the overlay. The workload
 /// conformance suite pins both outcomes on the identical schedule.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Freshness {
     /// Hop-count age: incremented once per cycle in the stored view *and*
     /// once on every transfer (the paper's generic `increaseHopCount`).
@@ -73,7 +72,6 @@ impl FromStr for Freshness {
 
 /// Peer selection policy: which view entry to exchange views with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PeerSelection {
     /// Uniform randomly select an available node from the view.
     Rand,
@@ -85,7 +83,6 @@ pub enum PeerSelection {
 
 /// View selection policy: which `c` entries survive truncation after a merge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ViewSelection {
     /// Uniform randomly select `c` elements without replacement.
     Rand,
@@ -97,7 +94,6 @@ pub enum ViewSelection {
 
 /// View propagation policy: the symmetry of an exchange.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ViewPropagation {
     /// The initiator sends its view to the selected peer.
     Push,
@@ -135,7 +131,6 @@ impl ViewPropagation {
 /// # Ok::<(), pss_core::ParsePolicyError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PolicyTriple {
     /// Peer selection dimension.
     pub peer_selection: PeerSelection,

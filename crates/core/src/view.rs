@@ -58,7 +58,6 @@ use crate::{NodeDescriptor, NodeId, ViewSelection};
 /// assert_eq!(view.len(), 2);
 /// ```
 #[derive(Debug, Clone, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct View {
     /// Sorted by hop count; ties keep insertion order.
     entries: Vec<NodeDescriptor>,
@@ -67,7 +66,6 @@ pub struct View {
     /// so aging never touches the index). Pure derived acceleration:
     /// excluded from serialization and rebuilt lazily, so untrusted input
     /// can never smuggle in an inconsistent index.
-    #[cfg_attr(feature = "serde", serde(skip))]
     index: Vec<(u64, u32)>,
 }
 

@@ -17,7 +17,7 @@ use std::time::Instant;
 
 use pss_core::PolicyTriple;
 use pss_graph::{GraphMetrics, MetricsConfig};
-use pss_sim::{scenario, EventConfig, EventSimulation, LatencyModel};
+use pss_sim::{scenario, EventConfig, LatencyModel};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -43,10 +43,10 @@ pub struct AsyncConfig {
     /// Protocols to test (default: one per view-selection × propagation
     /// corner).
     pub protocols: Vec<PolicyTriple>,
-    /// Shard counts for the event rows: `None` runs the sequential
-    /// [`EventSimulation`]; `Some(list)` runs the sharded engine once per
-    /// count (and the cycle baseline on the sharded cycle engine at the
-    /// largest count).
+    /// Shard counts for the event rows: `None` runs the 1-shard engine on
+    /// the serially built (`add_node`) bootstrap; `Some(list)` runs the
+    /// bulk-built engine once per count (and the cycle baseline on the
+    /// cycle engine at the largest count).
     pub shard_counts: Option<Vec<usize>>,
     /// Worker-thread override for sharded rows (`None` = available
     /// parallelism). Affects wall-clock only, never results.
@@ -255,20 +255,18 @@ fn run_sequential(config: &AsyncConfig) -> AsyncResult {
         Job::Event(policy, loss) => {
             let protocol = scale.protocol(policy);
             let event = config.event_config(loss);
-            let mut sim = EventSimulation::new(protocol, event, scale.seed ^ 0xa52)
-                .expect("asynchrony sweep uses a validated event config");
-            // Same random bootstrap graph as the cycle scenario.
+            // Same kind of random bootstrap graph as the cycle scenario.
             let mut topo_rng = SmallRng::seed_from_u64(scale.seed ^ 0xa53);
             let digraph =
                 pss_graph::gen::uniform_view_digraph(scale.nodes, scale.view_size, &mut topo_rng);
-            for v in 0..scale.nodes as u32 {
-                sim.add_node(
-                    digraph
-                        .out_neighbors(v)
-                        .iter()
-                        .map(|&t| pss_core::NodeDescriptor::fresh(pss_core::NodeId::new(t as u64))),
-                );
-            }
+            let mut sim = scenario::event_from_digraph_sharded(
+                &protocol,
+                event,
+                &digraph,
+                scale.seed ^ 0xa52,
+                1,
+            )
+            .expect("asynchrony sweep uses a validated event config");
             let started = Instant::now();
             sim.run_for(scale.cycles * event.period);
             let seconds = started.elapsed().as_secs_f64();

@@ -3,7 +3,7 @@
 use pss_core::PolicyTriple;
 use pss_graph::{gen, GraphMetrics, MetricsConfig};
 use pss_sim::observe::{run_observed, MetricsRecorder};
-use pss_sim::{scenario, Simulation};
+use pss_sim::{scenario, ShardedSimulation};
 use pss_stats::TimeSeries;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -34,7 +34,12 @@ impl ScenarioKind {
         }
     }
 
-    fn build(&self, policy: PolicyTriple, scale: Scale, seed: u64) -> Simulation {
+    fn build(
+        &self,
+        policy: PolicyTriple,
+        scale: Scale,
+        seed: u64,
+    ) -> ShardedSimulation<pss_core::PeerSamplingNode> {
         let protocol = scale.protocol(policy);
         match *self {
             ScenarioKind::Growing { per_cycle } => {

@@ -11,7 +11,7 @@
 
 use pss_core::hs::{HsConfig, HsNode, HsPeerSelection};
 use pss_core::NodeDescriptor;
-use pss_sim::{BoxedNode, Simulation};
+use pss_sim::{BoxedNode, ShardedSimulation};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -109,7 +109,7 @@ pub fn run(config: &HsAblationConfig) -> HsAblationResult {
     let points = parallel_map(config.corners.clone(), move |(healer, swapper)| {
         let hs = HsConfig::new(scale.view_size, healer, swapper, HsPeerSelection::Rand)
             .expect("corner within the valid triangle");
-        let mut sim = Simulation::with_factory(scale.seed ^ 0x45a, move |id, seed| {
+        let mut sim = ShardedSimulation::with_factory(scale.seed ^ 0x45a, 1, move |id, seed| {
             Box::new(HsNode::with_seed(id, hs, seed)) as BoxedNode
         });
         // Random bootstrap: every node knows `c` uniform-random others.
@@ -128,7 +128,7 @@ pub fn run(config: &HsAblationConfig) -> HsAblationResult {
                 })
                 .collect();
             // Re-initialize the node's view in place via the factory-made
-            // node: Simulation::add_node already initialized empty views,
+            // node: `add_node` already initialized empty views,
             // so feed seeds through a one-off init.
             sim.reinit_node(id, seeds);
         }

@@ -13,7 +13,6 @@ use crate::UGraph;
 
 /// The result of a connected-components analysis.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ComponentReport {
     sizes: Vec<usize>,
     assignment: Vec<u32>,

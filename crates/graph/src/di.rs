@@ -24,7 +24,6 @@ use crate::{GraphError, UGraph};
 /// # Ok::<(), pss_graph::GraphError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DiGraph {
     out: Vec<Vec<u32>>,
     edge_count: usize,

@@ -13,7 +13,6 @@ use crate::UGraph;
 /// samples". The per-cycle experiment loops use sampling, end-of-run reports
 /// use exact values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MetricsConfig {
     /// Number of nodes to sample for the clustering coefficient.
     pub clustering_samples: Option<usize>,
@@ -40,7 +39,6 @@ impl MetricsConfig {
 
 /// A full property snapshot of an undirected communication graph.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GraphMetrics {
     /// Number of nodes.
     pub node_count: usize,

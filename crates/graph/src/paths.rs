@@ -42,7 +42,6 @@ pub fn bfs_distances(g: &UGraph, src: u32) -> Vec<u32> {
 
 /// Aggregate shortest-path statistics for a graph.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PathLengthStats {
     /// Mean shortest-path length over the measured reachable ordered pairs.
     pub average: f64,

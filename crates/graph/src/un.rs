@@ -22,7 +22,6 @@ use crate::GraphError;
 /// # Ok::<(), pss_graph::GraphError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct UGraph {
     adj: Vec<Vec<u32>>,
     edge_count: usize,

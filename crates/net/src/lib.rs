@@ -14,9 +14,9 @@
 //! * [`MemTransport`] / [`MemNetwork`] — a deterministic, seeded in-memory
 //!   mesh with per-message latency and loss mirroring the event engine's
 //!   [`pss_sim::EventConfig`] semantics, so runtime behavior can be pinned
-//!   statistically against [`pss_sim::EventSimulation`] (the differential
-//!   tests do exactly that). Frame buffers circulate as on the UDP receive
-//!   ring: swapped, not copied, and reused.
+//!   statistically against the 1-shard [`pss_sim::ShardedEventSimulation`]
+//!   (the differential tests do exactly that). Frame buffers circulate as
+//!   on the UDP receive ring: swapped, not copied, and reused.
 //! * [`NetRuntime`] — hosts many gossip nodes on one OS thread: a timer
 //!   queue fires each node's active cycle with jitter, incoming frames are
 //!   decoded straight into arena-recycled message buffers

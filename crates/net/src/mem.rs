@@ -6,8 +6,8 @@
 //! same per-message model as the event engine's
 //! [`pss_sim::EventConfig`]/[`pss_sim::LatencyModel`], which is exactly
 //! what lets the differential tests pin [`crate::NetRuntime`] behavior
-//! statistically against [`pss_sim::EventSimulation`] at equal
-//! `(seed, latency, loss)`.
+//! statistically against the 1-shard [`pss_sim::ShardedEventSimulation`] at
+//! equal `(seed, latency, loss)`.
 //!
 //! Frames cross the mesh as **encoded bytes**: the in-memory path exercises
 //! the identical [`pss_core::wire`] codec the UDP transport puts on real

@@ -14,7 +14,7 @@
 
 use pss_core::{NodeId, PeerSamplingNode, PolicyTriple, ProtocolConfig};
 use pss_net::{MemNetwork, MemTransport, NetAddr, NetConfig, NetRuntime};
-use pss_sim::{CsrSnapshot, EventConfig, EventSimulation, LatencyModel};
+use pss_sim::{CsrSnapshot, EventConfig, LatencyModel, ShardedEventSimulation};
 
 const N: usize = 200;
 const C: usize = 15;
@@ -61,12 +61,12 @@ fn stats_of(in_degrees: &[u32], out_degrees: impl Iterator<Item = usize>) -> Deg
 
 /// Event-engine trajectory: per-period in-degree stats, chain bootstrap.
 fn event_trajectory(seed: u64) -> Vec<DegreeStats> {
-    let mut sim = EventSimulation::new(protocol(), event_config(), seed).expect("valid");
+    let mut sim = ShardedEventSimulation::new(protocol(), event_config(), seed, 1).expect("valid");
     sim.add_connected_nodes(N);
     let mut out = Vec::new();
     for _ in 0..PERIODS {
         sim.run_for(event_config().period);
-        let csr = sim.as_sharded().csr_snapshot();
+        let csr = sim.csr_snapshot();
         let in_degrees = csr.graph().in_degrees();
         let outs: Vec<usize> = (0..csr.node_count() as u32)
             .map(|v| csr.graph().out_degree(v))

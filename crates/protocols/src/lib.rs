@@ -7,11 +7,11 @@
 //! averaging) — as *liveness-aware* clients of any sampler:
 //!
 //! - [`EngineSampleSource`] runs them on any [`pss_sim::Engine`] — the
-//!   sequential cycle simulator, the sharded cycle engine, or the sharded
-//!   event engine — sampling only live peers from each node's view.
-//! - [`SimSampleSource`] hands out raw view entries of the sequential
-//!   simulator, dead links included, so the cost of stale views is visible
-//!   as `wasted` deliveries.
+//!   cycle engine or the event engine, at any shard count — sampling only
+//!   live peers from each node's view.
+//! - [`SimSampleSource`] hands out raw view entries of the cycle engine,
+//!   dead links included, so the cost of stale views is visible as
+//!   `wasted` deliveries.
 //! - [`OracleSource`] is the ideal uniform sampler all epidemic theory
 //!   assumes. *Caveat:* the oracle covers a fixed id range `0..n`; askers
 //!   outside that range (late joiners) are served uniformly from the whole

@@ -1,7 +1,8 @@
 //! Peer sources: where applications get their gossip partners from.
 
 use pss_core::NodeId;
-use pss_sim::{Engine, Simulation};
+use pss_core::PeerSamplingNode;
+use pss_sim::{Engine, ShardedSimulation};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -38,19 +39,19 @@ pub trait SampleSource {
 }
 
 /// The gossip-based service: peers come from each node's partial view in a
-/// live [`Simulation`], and the overlay keeps evolving one cycle per
+/// live [`ShardedSimulation`], and the overlay keeps evolving one cycle per
 /// application round.
 ///
 /// Unlike [`EngineSampleSource`] this draws raw view entries, dead links
 /// included — the price of a crashed peer surfaces as a `wasted` delivery in
 /// the consuming protocol.
 pub struct SimSampleSource<'a> {
-    sim: &'a mut Simulation,
+    sim: &'a mut ShardedSimulation<PeerSamplingNode>,
 }
 
 impl<'a> SimSampleSource<'a> {
     /// Wraps a simulation as a peer source.
-    pub fn new(sim: &'a mut Simulation) -> Self {
+    pub fn new(sim: &'a mut ShardedSimulation<PeerSamplingNode>) -> Self {
         SimSampleSource { sim }
     }
 }

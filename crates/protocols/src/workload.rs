@@ -395,7 +395,7 @@ mod tests {
         }
     }
 
-    fn cycle_engine(workers: usize) -> ShardedSimulation<pss_sim::BoxedNode> {
+    fn cycle_engine(workers: usize) -> ShardedSimulation<pss_core::PeerSamplingNode> {
         let mut sim = ShardedSimulation::new(protocol(), 11, 2);
         for i in 0..NODES as u64 {
             sim.add_node(seeds(i));
@@ -404,7 +404,7 @@ mod tests {
         sim
     }
 
-    fn event_engine(workers: usize) -> ShardedEventSimulation<pss_sim::BoxedNode> {
+    fn event_engine(workers: usize) -> ShardedEventSimulation<pss_core::PeerSamplingNode> {
         let event_config = EventConfig {
             period: 1000,
             jitter: 200,

@@ -2,29 +2,33 @@
 //! broadcast and aggregation, and the oracle-vs-overlay decay ordering.
 
 use proptest::prelude::*;
-use pss_core::{NodeId, PolicyTriple, ProtocolConfig};
+use pss_core::{NodeId, PeerSamplingNode, PolicyTriple, ProtocolConfig};
 use pss_protocols::{
     aggregation, broadcast, run_under_workload, AppConfig, OracleSource, SampleSource, Sampler,
     SimSampleSource,
 };
 use pss_sim::workload::Workload;
-use pss_sim::{scenario, Simulation};
+use pss_sim::{scenario, ShardedSimulation};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// A live-filtered peer source over a [`Simulation`] that replays a
+/// A live-filtered peer source over a [`ShardedSimulation`] that replays a
 /// scripted churn trace: each round kills and joins a scheduled number of
 /// nodes *after* the application's sends, exactly like the engine sources
 /// but with membership under test control.
 struct ChurnTraceSource {
-    sim: Simulation,
+    sim: ShardedSimulation<PeerSamplingNode>,
     rng: SmallRng,
     trace: Vec<(usize, usize)>,
     round: usize,
 }
 
 impl ChurnTraceSource {
-    fn new(sim: Simulation, seed: u64, trace: Vec<(usize, usize)>) -> Self {
+    fn new(
+        sim: ShardedSimulation<PeerSamplingNode>,
+        seed: u64,
+        trace: Vec<(usize, usize)>,
+    ) -> Self {
         ChurnTraceSource {
             sim,
             rng: SmallRng::seed_from_u64(seed),
@@ -64,7 +68,7 @@ impl SampleSource for ChurnTraceSource {
     }
 }
 
-fn converged_sim(n: usize, seed: u64) -> Simulation {
+fn converged_sim(n: usize, seed: u64) -> ShardedSimulation<PeerSamplingNode> {
     let config = ProtocolConfig::new(PolicyTriple::newscast(), 8).unwrap();
     let mut sim = scenario::random_overlay(&config, n, seed);
     sim.run_cycles(10);

@@ -153,11 +153,11 @@ impl ChurnProcess {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{scenario, Simulation};
+    use crate::{scenario, ShardedSimulation};
     use pss_core::{PolicyTriple, ProtocolConfig};
     use pss_graph::components;
 
-    fn sim(n: usize, c: usize, seed: u64) -> Simulation {
+    fn sim(n: usize, c: usize, seed: u64) -> ShardedSimulation<pss_core::PeerSamplingNode> {
         let config = ProtocolConfig::new(PolicyTriple::newscast(), c).unwrap();
         let mut s = scenario::random_overlay(&config, n, seed);
         s.run_cycles(15);

@@ -1,98 +1,230 @@
-//! The cycle-driven simulation engine (the paper's execution model).
+//! The cycle-driven engine (the paper's execution model), sharded.
 //!
-//! Since the sharded-engine refactor there is exactly **one** cycle engine:
-//! [`crate::ShardedSimulation`]. The [`Simulation`] type here is that
-//! engine pinned to a single shard and a single worker — every peer is then
-//! local, every exchange completes inline and atomically in initiation
-//! order, and the cross-shard mailboxes are never touched. The historical
-//! API is preserved verbatim.
+//! [`ShardedSimulation`] is the sharded population of [`crate::shard`] run
+//! under the paper's cycle model — in every cycle each live node initiates
+//! exactly one exchange — as a **two-phase** protocol per cycle:
+//!
+//! 1. **Initiate** — every shard walks its own live nodes in a fresh
+//!    shard-local random order. An exchange whose peer lives in the *same*
+//!    shard completes inline and atomically (initiate → handle_request →
+//!    handle_reply). An exchange targeting a *remote* shard queues its
+//!    request into a fixed-order cross-shard mailbox.
+//! 2. **Exchange** — each shard drains its request mailbox in sender-shard
+//!    order (FIFO within each sender), running the passive thread and
+//!    queueing replies; replies are then drained the same way and absorbed
+//!    by their initiators.
+//!
+//! An exchange whose peer is dead does nothing at all on the initiator
+//! side — push messages are lost, pull requests time out — matching the
+//! paper's model where self-healing comes exclusively from view selection.
+//!
+//! With **one shard** every peer is local: every exchange is inline and
+//! atomic in initiation order and the mailboxes are never touched — the
+//! sequential model of the paper's experiments, which is what
+//! [`crate::scenario::random_overlay`] and the figure experiments build.
+//! The determinism contract (bit-identical at any worker count for a fixed
+//! `(seed, shard_count)`) is stated in [`crate::shard`]; the shard RNG
+//! streams draw the initiation order and message loss here.
 
-use pss_core::{GossipNode, NodeDescriptor, NodeId, PeerSamplingNode, ProtocolConfig, View};
+use pss_core::{
+    Arena, GossipNode, NodeDescriptor, NodeId, PeerSamplingNode, ProtocolConfig, Reply, Request,
+};
+use rand::seq::SliceRandom;
+use rand::Rng;
 
-use crate::population::BoxedNode;
-use crate::shard::ShardedSimulation;
+use crate::exec::{self, lose, Mailboxes, SlotRef};
+use crate::shard::{Mode, Shard, Sharded};
+use crate::telemetry::EngineTele;
 use crate::workload::Partition;
-use crate::{CycleReport, FailureMode, GrowthPlan, Snapshot};
 
-/// The sequential cycle-driven simulator.
-///
-/// In each cycle every live node initiates exactly one exchange, in a fresh
-/// uniform-random order; each exchange runs atomically (initiate →
-/// handle_request → handle_reply). An exchange whose peer is dead does
-/// nothing at all on the initiator side — push messages are lost, pull
-/// requests time out — matching the paper's model where self-healing comes
-/// exclusively from view selection.
-///
-/// All randomness derives from the construction seed, so runs are exactly
-/// reproducible. `Simulation` is the 1-shard special case of
-/// [`ShardedSimulation`]; the two are interchangeable and produce identical
-/// results at equal seeds (pinned by the differential tests).
+/// Per-cycle accounting returned by [`ShardedSimulation::run_cycle`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CycleReport {
+    /// Exchanges that ran to completion.
+    pub completed: u64,
+    /// Exchanges aimed at a dead peer (message silently lost).
+    pub failed_dead_peer: u64,
+    /// Nodes that could not initiate (empty view).
+    pub empty_view: u64,
+    /// Requests or replies dropped by the loss model.
+    pub dropped_messages: u64,
+}
+
+impl CycleReport {
+    /// Total initiation attempts in the cycle.
+    pub fn initiated(&self) -> u64 {
+        self.completed + self.failed_dead_peer + self.empty_view + self.dropped_messages
+    }
+}
+
+impl core::ops::AddAssign for CycleReport {
+    fn add_assign(&mut self, rhs: CycleReport) {
+        self.completed += rhs.completed;
+        self.failed_dead_peer += rhs.failed_dead_peer;
+        self.empty_view += rhs.empty_view;
+        self.dropped_messages += rhs.dropped_messages;
+    }
+}
+
+/// How the simulator treats exchange attempts with dead peers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum FailureMode {
+    /// Peer selection only considers live view entries — the paper's model:
+    /// "selectPeer() … returns the address of a live node as found in the
+    /// caller's current view". This abstracts the timeout-and-retry a real
+    /// implementation performs within one period. Dead descriptors stay in
+    /// views as dead links; they are just never *selected*.
+    #[default]
+    SkipDead,
+    /// Peer selection is liveness-blind; an exchange aimed at a dead peer is
+    /// silently lost and the initiator's cycle is wasted. Under `tail` peer
+    /// selection this model lets nodes wedge on a dead stalest entry and
+    /// re-select it forever — a failure mode worth studying (see the
+    /// extension experiments), but not what the paper simulated.
+    AttemptAndLose,
+}
+
+/// Automatic population growth, reproducing the paper's *growing overlay*
+/// scenario: at the beginning of each cycle, `nodes_per_cycle` fresh nodes
+/// join (until `target` is reached), each knowing only the oldest node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GrowthPlan {
+    /// Nodes added per cycle.
+    pub nodes_per_cycle: usize,
+    /// Population size at which growth stops.
+    pub target: usize,
+}
+
+/// A request crossing a shard boundary.
+struct QueuedRequest {
+    from: NodeId,
+    to_slot: u32,
+    request: Request,
+}
+
+/// A reply crossing back.
+struct QueuedReply {
+    from: NodeId,
+    to_slot: u32,
+    reply: Reply,
+}
+
+/// What a cycle-engine shard holds beyond its nodes.
+pub struct CycleShard {
+    /// Per-cycle initiation order (local slots), reused across cycles.
+    order: Vec<u32>,
+    /// Cross-shard request queues (filled in phase 1, drained in phase 2).
+    requests: Mailboxes<QueuedRequest>,
+    /// Cross-shard reply queues (filled in phase 2, drained in phase 3).
+    replies: Mailboxes<QueuedReply>,
+    /// This shard's share of the cycle report.
+    report: CycleReport,
+}
+
+/// Driver-side state of the cycle model (the [`Mode`] of
+/// [`ShardedSimulation`]).
+pub struct CycleDriven {
+    growth: Option<GrowthPlan>,
+    message_loss: f64,
+    failure_mode: FailureMode,
+    /// Per-cycle liveness snapshot buffer, reused across cycles.
+    alive_snapshot: Vec<u64>,
+}
+
+/// Read-only cycle context shared by all workers during a phase.
+struct CycleCtx<'a> {
+    directory: &'a [SlotRef],
+    /// Cycle-start liveness snapshot, bit per *global* id.
+    alive: &'a [u64],
+    loss: f64,
+    mode: FailureMode,
+    partition: Option<Partition>,
+}
+
+impl CycleCtx<'_> {
+    #[inline]
+    fn is_live(&self, id: NodeId) -> bool {
+        let slot = id.as_index();
+        self.alive
+            .get(slot / 64)
+            .is_some_and(|word| word & (1 << (slot % 64)) != 0)
+    }
+}
+
+/// The sharded cycle-driven simulator. See the [module docs](self) for the
+/// execution model; the membership and observation API (`add_node`,
+/// `kill`, `view_of`, `snapshot`, …) is [`Sharded`]'s, shared with the
+/// event engine.
 ///
 /// # Node type parameter
 ///
-/// `Simulation` defaults to heterogeneous boxed nodes
-/// ([`BoxedNode`], virtual dispatch per protocol call), which keeps the
-/// historical API: `Simulation::new(config, seed)` and
-/// [`Simulation::with_factory`] with a boxing factory compile unchanged.
-/// For large populations, [`Simulation::typed`] (or `with_factory` with a
-/// concrete node type) builds a **monomorphized** simulation whose inner
-/// loop is devirtualized and inlined — measurably faster at N = 10⁴ and
-/// beyond (see `benches/throughput.rs`).
-pub struct Simulation<N: GossipNode + Send = BoxedNode> {
-    inner: ShardedSimulation<N>,
-}
+/// [`ShardedSimulation::new`] builds a **monomorphized** population of
+/// [`PeerSamplingNode`]s, whose inner loop is devirtualized and inlined.
+/// [`ShardedSimulation::with_factory`] takes any [`GossipNode`], including
+/// heterogeneous [`crate::BoxedNode`]s (virtual dispatch per protocol call).
+pub type ShardedSimulation<N> = Sharded<N, CycleDriven>;
 
-impl Simulation {
-    /// Creates an empty simulation whose (boxed) nodes run the generic
+impl ShardedSimulation<PeerSamplingNode> {
+    /// Creates an empty sharded simulation whose nodes run the generic
     /// protocol of the paper under `config`.
-    pub fn new(config: ProtocolConfig, seed: u64) -> Self {
-        Simulation {
-            inner: ShardedSimulation::new(config, seed, 1),
-        }
+    pub fn new(config: ProtocolConfig, seed: u64, shards: usize) -> Self {
+        ShardedSimulation::with_factory(seed, shards, move |id, node_seed| {
+            PeerSamplingNode::with_seed(id, config.clone(), node_seed)
+        })
     }
 }
 
-impl Simulation<PeerSamplingNode> {
-    /// Creates an empty **monomorphized** simulation of
-    /// [`PeerSamplingNode`]s: identical behavior to [`Simulation::new`]
-    /// (same seeds ⇒ same exchanges), minus the virtual dispatch.
-    pub fn typed(config: ProtocolConfig, seed: u64) -> Self {
-        Simulation {
-            inner: ShardedSimulation::typed(config, seed, 1),
-        }
-    }
-}
-
-impl<N: GossipNode + Send> Simulation<N> {
-    /// Creates an empty simulation with a custom node factory (e.g. for
-    /// [`pss_core::hs::HsNode`] or user protocols). The factory receives the
-    /// assigned node id and a derived RNG seed. It must be `Fn + Sync` —
-    /// the contract shared by every engine so populations can be built
-    /// worker-parallel (see [`ShardedSimulation::add_nodes_bulk`]).
+impl<N: GossipNode + Send> ShardedSimulation<N> {
+    /// Creates an empty sharded simulation with a custom node factory (e.g.
+    /// for [`pss_core::hs::HsNode`] or user protocols). The factory
+    /// receives the assigned node id and a derived RNG seed; it must be
+    /// `Fn + Sync` so per-shard populations can be built in parallel
+    /// ([`Sharded::add_nodes_bulk`]).
+    ///
+    /// Worker count defaults to the available parallelism, capped at the
+    /// shard count; it affects wall-clock time only, never results.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards` is zero.
     pub fn with_factory(
         seed: u64,
+        shards: usize,
         factory: impl Fn(NodeId, u64) -> N + Send + Sync + 'static,
     ) -> Self {
-        Simulation {
-            inner: ShardedSimulation::with_factory(seed, 1, factory),
-        }
-    }
-
-    /// The underlying sharded engine (always one shard).
-    pub fn as_sharded(&self) -> &ShardedSimulation<N> {
-        &self.inner
+        Sharded::empty(
+            seed,
+            shards,
+            factory,
+            EngineTele::new("cycle", &["initiate", "respond", "absorb"], shards),
+            CycleDriven {
+                growth: None,
+                message_loss: 0.0,
+                failure_mode: FailureMode::default(),
+                alive_snapshot: Vec::new(),
+            },
+            || {
+                let state = CycleShard {
+                    order: Vec::new(),
+                    requests: Mailboxes::new(shards),
+                    replies: Mailboxes::new(shards),
+                    report: CycleReport::default(),
+                };
+                (Arena::new(), state)
+            },
+        )
     }
 
     /// Selects how exchanges with dead peers are handled (default:
     /// [`FailureMode::SkipDead`], the paper's model).
     pub fn set_failure_mode(&mut self, mode: FailureMode) {
-        self.inner.set_failure_mode(mode);
+        self.mode.failure_mode = mode;
     }
 
     /// Installs a growth plan (see [`GrowthPlan`]). Growth happens at the
     /// beginning of each subsequent cycle.
     pub fn set_growth(&mut self, plan: GrowthPlan) {
-        self.inner.set_growth(plan);
+        self.mode.growth = Some(plan);
     }
 
     /// Sets a per-message loss probability (0.0 = the paper's lossless
@@ -102,72 +234,38 @@ impl<N: GossipNode + Send> Simulation<N> {
     ///
     /// Panics if `p` is not within `[0, 1]`.
     pub fn set_message_loss(&mut self, p: f64) {
-        self.inner.set_message_loss(p);
+        assert!(
+            (0.0..=1.0).contains(&p),
+            "loss probability must be in [0,1]"
+        );
+        self.mode.message_loss = p;
     }
 
-    /// Installs (`Some`) or lifts (`None`) a partition loss matrix; see
-    /// [`ShardedSimulation::set_partition`].
-    pub fn set_partition(&mut self, partition: Option<Partition>) {
-        self.inner.set_partition(partition);
-    }
-
-    /// Adds one node bootstrapped from `seeds` and returns its id.
-    pub fn add_node(&mut self, seeds: impl IntoIterator<Item = NodeDescriptor>) -> NodeId {
-        self.inner.add_node(seeds)
-    }
-
-    /// Adds `count` nodes, each bootstrapped with `contacts` uniform-random
-    /// live contacts (join under churn). Contacts are drawn from the
-    /// members that existed *before* this batch — fresh joiners never
-    /// bootstrap off each other, which would risk isolated joiner islands.
-    /// Returns the new ids.
-    pub fn add_nodes_with_random_contacts(&mut self, count: usize, contacts: usize) -> Vec<NodeId> {
-        self.inner.add_nodes_with_random_contacts(count, contacts)
-    }
-
-    /// Runs one full cycle and reports what happened.
-    pub fn run_cycle(&mut self) -> CycleReport {
-        self.inner.run_cycle()
-    }
-
-    /// Runs `n` cycles, discarding the per-cycle reports.
-    pub fn run_cycles(&mut self, n: u64) {
-        self.inner.run_cycles(n);
-    }
-
-    /// Number of cycles run so far.
-    pub fn cycle(&self) -> u64 {
-        self.inner.cycle()
-    }
-
-    /// Total nodes ever added (dead slots included).
-    pub fn node_count(&self) -> usize {
-        self.inner.node_count()
-    }
-
-    /// Number of live nodes.
-    pub fn alive_count(&self) -> usize {
-        self.inner.alive_count()
-    }
-
-    /// True if `id` exists and is alive.
-    pub fn is_alive(&self, id: NodeId) -> bool {
-        self.inner.is_alive(id)
-    }
-
-    /// Ids of all live nodes, in increasing order.
-    pub fn alive_ids(&self) -> Vec<NodeId> {
-        self.inner.alive_ids()
-    }
-
-    /// The view of a live node.
-    pub fn view_of(&self, id: NodeId) -> Option<&View> {
-        self.inner.view_of(id)
+    fn apply_growth(&mut self) {
+        let Some(plan) = self.mode.growth else { return };
+        if self.node_count() >= plan.target {
+            return;
+        }
+        let missing = plan.target - self.node_count();
+        let joining = plan.nodes_per_cycle.min(missing);
+        // "The view of these nodes is initialized with only a single node
+        // descriptor, which belongs to the oldest, initial node."
+        let oldest = NodeId::new(0);
+        for _ in 0..joining {
+            self.add_node([NodeDescriptor::fresh(oldest)]);
+        }
     }
 
     /// Calls the peer sampling service (`getPeer()`) on a live node.
     pub fn get_peer(&mut self, id: NodeId) -> Option<NodeId> {
-        self.inner.get_peer(id)
+        // getPeer is a uniform sample of the view, per the paper's simplest
+        // implementation; drive it with the control RNG for determinism.
+        let len = self.view_of(id)?.len();
+        if len == 0 {
+            return None;
+        }
+        let idx = self.control_rng.random_range(0..len);
+        Some(self.view_of(id)?.descriptors()[idx].id())
     }
 
     /// Re-initializes a live node's view from fresh seed descriptors (the
@@ -178,43 +276,241 @@ impl<N: GossipNode + Send> Simulation<N> {
         id: NodeId,
         seeds: impl IntoIterator<Item = NodeDescriptor>,
     ) -> bool {
-        self.inner.reinit_node(id, seeds)
-    }
-
-    /// Kills one node (crash-stop). Returns false if already dead/unknown.
-    pub fn kill(&mut self, id: NodeId) -> bool {
-        self.inner.kill(id)
-    }
-
-    /// Kills a uniform-random set of `count` live nodes and returns them.
-    pub fn kill_random(&mut self, count: usize) -> Vec<NodeId> {
-        self.inner.kill_random(count)
-    }
-
-    /// Kills `fraction` (0..=1) of the live population at random.
-    pub fn kill_random_fraction(&mut self, fraction: f64) -> Vec<NodeId> {
-        self.inner.kill_random_fraction(fraction)
-    }
-
-    /// Descriptors in live views that point to dead nodes (Figure 7's
-    /// y-axis).
-    pub fn dead_link_count(&self) -> usize {
-        self.inner.dead_link_count()
-    }
-
-    /// Builds the communication-graph snapshot over live nodes.
-    pub fn snapshot(&self) -> Snapshot {
-        self.inner.snapshot()
+        if !self.is_alive(id) {
+            return false;
+        }
+        let at = self
+            .dir
+            .slot_ref(id)
+            .expect("live ids are in the directory");
+        let entry = self.shards[at.shard as usize].pop.slot_mut(at.slot);
+        entry.node.init(&mut seeds.into_iter());
+        true
     }
 }
 
-impl<N: GossipNode + Send> std::fmt::Debug for Simulation<N> {
+impl Mode for CycleDriven {
+    type ShardState = CycleShard;
+
+    // Cycle nodes have no per-node schedule.
+    fn joined(&self, _: &mut CycleShard, _: u32, _: impl FnOnce(u64) -> u64) {}
+
+    fn run_cycle<N: GossipNode + Send>(sim: &mut Sharded<N, Self>) -> CycleReport {
+        sim.apply_growth();
+        sim.cycles += 1;
+
+        let Sharded {
+            shards,
+            dir,
+            pool,
+            partition,
+            tele,
+            cycles,
+            mode,
+            ..
+        } = sim;
+        // Liveness cannot change mid-cycle, so snapshot it once; every
+        // worker reads the same frozen bitset.
+        mode.alive_snapshot.clear();
+        mode.alive_snapshot.extend_from_slice(dir.alive_bits());
+        let cycle = *cycles;
+        let ctx = CycleCtx {
+            directory: dir.slots(),
+            alive: mode.alive_snapshot.as_slice(),
+            loss: mode.message_loss,
+            mode: mode.failure_mode,
+            partition: *partition,
+        };
+
+        // Phase indices match the names registered in `with_factory`.
+        tele.run_phase(0, Some(cycle), shards, pool, |shard| {
+            phase_initiate(shard, &ctx)
+        });
+        exec::transpose(shards, |shard| &mut shard.state.requests);
+        tele.run_phase(1, Some(cycle), shards, pool, |shard| {
+            phase_respond(shard, &ctx)
+        });
+        exec::transpose(shards, |shard| &mut shard.state.replies);
+        tele.run_phase(2, Some(cycle), shards, pool, phase_absorb);
+        tele.cycle_done();
+
+        let mut report = CycleReport::default();
+        for shard in shards.iter_mut() {
+            report += core::mem::take(&mut shard.state.report);
+        }
+        report
+    }
+}
+
+impl<N: GossipNode + Send> std::fmt::Debug for ShardedSimulation<N> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Simulation")
-            .field("cycle", &self.inner.cycle())
-            .field("nodes", &self.inner.node_count())
-            .field("alive", &self.inner.alive_count())
+        f.debug_struct("ShardedSimulation")
+            .field("cycle", &self.cycles)
+            .field("shards", &self.shards.len())
+            .field("workers", &self.pool.workers())
+            .field("nodes", &self.dir.len())
+            .field("alive", &self.dir.alive_count())
+            .field("growth", &self.mode.growth)
+            .field("message_loss", &self.mode.message_loss)
+            .field("partition", &self.partition)
             .finish()
+    }
+}
+
+/// Phase 1: every live node initiates; local exchanges complete inline,
+/// remote requests are queued.
+fn phase_initiate<N: GossipNode + Send>(shard: &mut Shard<N, CycleShard>, ctx: &CycleCtx<'_>) {
+    let Shard {
+        index,
+        pop,
+        arena,
+        rng,
+        state,
+    } = shard;
+    let CycleShard {
+        order,
+        requests,
+        report,
+        ..
+    } = state;
+    order.clear();
+    order.extend(pop.alive_slots());
+    order.shuffle(rng);
+    for &slot in order.iter() {
+        // Nodes cannot die mid-cycle, but guard anyway.
+        if !pop.slot(slot).alive {
+            continue;
+        }
+        let entry = pop.slot_mut(slot);
+        let initiator = entry.node.id();
+        let had_view = !entry.node.view().is_empty();
+        let exchange = match ctx.mode {
+            FailureMode::SkipDead => entry
+                .node
+                .initiate_filtered(arena, &mut |peer| ctx.is_live(peer)),
+            FailureMode::AttemptAndLose => entry.node.initiate(arena),
+        };
+        let Some(exchange) = exchange else {
+            if had_view {
+                report.failed_dead_peer += 1; // view held only dead links
+            } else {
+                report.empty_view += 1;
+            }
+            continue;
+        };
+        let peer = exchange.peer;
+        if !ctx.is_live(peer) {
+            report.failed_dead_peer += 1;
+            continue;
+        }
+        // Partition loss matrix: a dropped request loses the whole
+        // exchange. Replies cross back in the other direction, so under a
+        // lossy/asymmetric matrix they get their own directional check —
+        // only a total blackout makes the reply check unreachable.
+        if ctx.partition.is_some_and(|p| p.drops(initiator, peer, rng)) {
+            report.dropped_messages += 1;
+            continue;
+        }
+        if lose(rng, ctx.loss) {
+            report.dropped_messages += 1;
+            continue;
+        }
+        let dest = ctx.directory[peer.as_index()];
+        if dest.shard as usize == *index {
+            // Local peer: the exchange completes inline and atomically —
+            // with one shard, every exchange does.
+            let reply =
+                pop.slot_mut(dest.slot)
+                    .node
+                    .handle_request(arena, initiator, exchange.request);
+            if let Some(reply) = reply {
+                if ctx.partition.is_some_and(|p| p.drops(peer, initiator, rng))
+                    || lose(rng, ctx.loss)
+                {
+                    report.dropped_messages += 1;
+                    continue;
+                }
+                pop.slot_mut(slot).node.handle_reply(arena, peer, reply);
+            }
+            report.completed += 1;
+        } else {
+            requests.out[dest.shard as usize].push(QueuedRequest {
+                from: initiator,
+                to_slot: dest.slot,
+                request: exchange.request,
+            });
+        }
+    }
+}
+
+/// Phase 2: drain the request mailbox in sender-shard order, queueing
+/// replies.
+fn phase_respond<N: GossipNode + Send>(shard: &mut Shard<N, CycleShard>, ctx: &CycleCtx<'_>) {
+    let Shard {
+        pop,
+        arena,
+        rng,
+        state,
+        ..
+    } = shard;
+    let CycleShard {
+        requests,
+        replies,
+        report,
+        ..
+    } = state;
+    // Inbox lane = sender shard: draining in lane order is sender-shard
+    // order, the fixed ordering the determinism contract relies on.
+    for inbox in requests.inbox.iter_mut() {
+        for queued in inbox.drain(..) {
+            let responder = pop.slot_mut(queued.to_slot);
+            let responder_id = responder.node.id();
+            let reply = responder
+                .node
+                .handle_request(arena, queued.from, queued.request);
+            match reply {
+                Some(reply) => {
+                    // The reply crosses back: apply the matrix's reverse
+                    // direction (relevant only for lossy partitions — a
+                    // total one never lets the request through).
+                    if ctx
+                        .partition
+                        .is_some_and(|p| p.drops(responder_id, queued.from, rng))
+                        || lose(rng, ctx.loss)
+                    {
+                        report.dropped_messages += 1;
+                        continue;
+                    }
+                    let dest = ctx.directory[queued.from.as_index()];
+                    replies.out[dest.shard as usize].push(QueuedReply {
+                        from: responder_id,
+                        to_slot: dest.slot,
+                        reply,
+                    });
+                }
+                // Push-only exchange: complete on request delivery.
+                None => report.completed += 1,
+            }
+        }
+    }
+}
+
+/// Phase 3: drain the reply mailbox in responder-shard order; initiators
+/// absorb and the exchanges complete.
+fn phase_absorb<N: GossipNode + Send>(shard: &mut Shard<N, CycleShard>) {
+    let Shard {
+        pop, arena, state, ..
+    } = shard;
+    let CycleShard {
+        replies, report, ..
+    } = state;
+    for inbox in replies.inbox.iter_mut() {
+        for queued in inbox.drain(..) {
+            pop.slot_mut(queued.to_slot)
+                .node
+                .handle_reply(arena, queued.from, queued.reply);
+            report.completed += 1;
+        }
     }
 }
 
@@ -227,8 +523,8 @@ mod tests {
         ProtocolConfig::new(PolicyTriple::newscast(), 5).unwrap()
     }
 
-    fn two_node_sim() -> Simulation {
-        let mut sim = Simulation::new(config(), 7);
+    fn two_node_sim() -> ShardedSimulation<PeerSamplingNode> {
+        let mut sim = ShardedSimulation::new(config(), 7, 1);
         // Node 0 bootstraps knowing the (yet to join) node 1; node 1 joins
         // knowing node 0.
         let a = sim.add_node([NodeDescriptor::fresh(NodeId::new(1))]);
@@ -239,7 +535,7 @@ mod tests {
 
     #[test]
     fn add_node_assigns_sequential_ids() {
-        let mut sim = Simulation::new(config(), 1);
+        let mut sim = ShardedSimulation::new(config(), 1, 1);
         assert_eq!(sim.add_node([]), NodeId::new(0));
         assert_eq!(sim.add_node([]), NodeId::new(1));
         assert_eq!(sim.node_count(), 2);
@@ -248,7 +544,7 @@ mod tests {
 
     #[test]
     fn seeds_initialize_views() {
-        let mut sim = Simulation::new(config(), 1);
+        let mut sim = ShardedSimulation::new(config(), 1, 1);
         let a = sim.add_node([]);
         let b = sim.add_node([NodeDescriptor::fresh(a)]);
         assert!(sim.view_of(b).unwrap().contains(a));
@@ -274,56 +570,36 @@ mod tests {
     }
 
     #[test]
-    fn typed_simulation_matches_boxed_exactly() {
-        // The monomorphized fast path must be observationally identical to
-        // the boxed engine: same seeds, same exchanges, same views.
-        let fingerprint = |views: Vec<Vec<(u64, u32)>>| views;
-        let run_boxed = || {
-            let mut sim = Simulation::new(config(), 99);
+    fn boxed_population_matches_monomorphized_exactly() {
+        // A boxed population (virtual dispatch per protocol call) must be
+        // observationally identical to the monomorphized one `new` builds:
+        // same seeds, same exchanges, same views.
+        fn run<N: GossipNode + Send>(mut sim: ShardedSimulation<N>) -> Vec<Vec<(u64, u32)>> {
             let first = sim.add_node([]);
             for _ in 0..14 {
                 sim.add_node([NodeDescriptor::fresh(first)]);
             }
             sim.run_cycles(8);
-            fingerprint(
-                sim.alive_ids()
-                    .into_iter()
-                    .map(|id| {
-                        sim.view_of(id)
-                            .unwrap()
-                            .iter()
-                            .map(|d| (d.id().as_u64(), d.hop_count()))
-                            .collect()
-                    })
-                    .collect(),
-            )
-        };
-        let run_typed = || {
-            let mut sim = Simulation::typed(config(), 99);
-            let first = sim.add_node([]);
-            for _ in 0..14 {
-                sim.add_node([NodeDescriptor::fresh(first)]);
-            }
-            sim.run_cycles(8);
-            fingerprint(
-                sim.alive_ids()
-                    .into_iter()
-                    .map(|id| {
-                        sim.view_of(id)
-                            .unwrap()
-                            .iter()
-                            .map(|d| (d.id().as_u64(), d.hop_count()))
-                            .collect()
-                    })
-                    .collect(),
-            )
-        };
-        assert_eq!(run_boxed(), run_typed());
+            sim.alive_ids()
+                .into_iter()
+                .map(|id| {
+                    sim.view_of(id)
+                        .unwrap()
+                        .iter()
+                        .map(|d| (d.id().as_u64(), d.hop_count()))
+                        .collect()
+                })
+                .collect()
+        }
+        let boxed = ShardedSimulation::with_factory(99, 1, |id, seed| {
+            Box::new(PeerSamplingNode::with_seed(id, config(), seed)) as crate::BoxedNode
+        });
+        assert_eq!(run(boxed), run(ShardedSimulation::new(config(), 99, 1)));
     }
 
     #[test]
     fn empty_views_are_reported() {
-        let mut sim = Simulation::new(config(), 1);
+        let mut sim = ShardedSimulation::new(config(), 1, 1);
         sim.add_node([]);
         let report = sim.run_cycle();
         assert_eq!(report.empty_view, 1);
@@ -359,7 +635,7 @@ mod tests {
     fn skip_dead_mode_finds_live_alternatives() {
         // Node 0 knows a dead node and a live one; SkipDead must pick the
         // live one every cycle.
-        let mut sim = Simulation::new(config(), 13);
+        let mut sim = ShardedSimulation::new(config(), 13, 1);
         let a = sim.add_node([]); // will die
         let b = sim.add_node([]); // stays
         let c = sim.add_node([NodeDescriptor::fresh(a), NodeDescriptor::fresh(b)]);
@@ -386,7 +662,7 @@ mod tests {
 
     #[test]
     fn kill_random_fraction_halves() {
-        let mut sim = Simulation::new(config(), 3);
+        let mut sim = ShardedSimulation::new(config(), 3, 1);
         for _ in 0..100 {
             sim.add_node([]);
         }
@@ -419,7 +695,7 @@ mod tests {
 
     #[test]
     fn growth_plan_adds_nodes_each_cycle() {
-        let mut sim = Simulation::new(config(), 5);
+        let mut sim = ShardedSimulation::new(config(), 5, 1);
         sim.add_node([]);
         sim.set_growth(GrowthPlan {
             nodes_per_cycle: 10,
@@ -437,7 +713,7 @@ mod tests {
 
     #[test]
     fn growth_seeds_point_at_oldest() {
-        let mut sim = Simulation::new(config(), 5);
+        let mut sim = ShardedSimulation::new(config(), 5, 1);
         sim.add_node([]);
         sim.set_growth(GrowthPlan {
             nodes_per_cycle: 3,
@@ -464,7 +740,7 @@ mod tests {
     #[test]
     fn deterministic_runs_with_same_seed() {
         let run = |seed: u64| {
-            let mut sim = Simulation::new(config(), seed);
+            let mut sim = ShardedSimulation::new(config(), seed, 1);
             let first = sim.add_node([]);
             for _ in 0..19 {
                 sim.add_node([NodeDescriptor::fresh(first)]);
@@ -526,7 +802,7 @@ mod tests {
 
     #[test]
     fn add_nodes_with_random_contacts_yields_live_seeds() {
-        let mut sim = Simulation::new(config(), 9);
+        let mut sim = ShardedSimulation::new(config(), 9, 1);
         sim.add_node([]);
         sim.add_node([NodeDescriptor::fresh(NodeId::new(0))]);
         let ids = sim.add_nodes_with_random_contacts(5, 2);
@@ -546,13 +822,6 @@ mod tests {
         let text = format!("{sim:?}");
         assert!(text.contains("cycle"));
         assert!(text.contains("alive"));
-    }
-
-    #[test]
-    fn as_sharded_exposes_single_shard_engine() {
-        let sim = two_node_sim();
-        assert_eq!(sim.as_sharded().shard_count(), 1);
-        assert_eq!(sim.as_sharded().alive_count(), 2);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!
 //! # Execution model
 //!
-//! [`ShardedEventSimulation`] partitions the population into `S` shards,
-//! each owning the pending events of its own nodes. Simulated
+//! [`ShardedEventSimulation`] is the sharded population of [`crate::shard`]
+//! — `S` shards, each owning the pending events of its own nodes. Simulated
 //! time advances in **buckets** of width `W` = the minimum network latency
 //! (the *conservative lookahead window* of parallel discrete-event
 //! simulation): within the bucket `[t, t + W)` every shard processes its
@@ -39,40 +39,36 @@
 //!
 //! # Determinism contract
 //!
-//! Mirrors the cycle engine's ([`crate::ShardedSimulation`]): all
-//! randomness derives from the construction seed — a *control* RNG on the
-//! driver (node seeds, timer phases, churn) plus one RNG per shard (timer
-//! jitter, message latency and loss, drawn by the shard that owns the
-//! sending node). Shards share no mutable state within a bucket, and the
-//! mailbox exchange is fixed-order, so for a fixed `(seed, shard_count)`
-//! results are **bit-identical at any worker count** — and invariant under
-//! how a run is chunked into [`ShardedEventSimulation::run_until`] calls,
-//! because mailboxes are only exchanged at absolute bucket boundaries.
-//! Changing the *shard count* legitimately changes results (same-time
-//! deliveries tie-break in mailbox order rather than global schedule
-//! order), exactly like changing the seed does.
+//! The contract of [`crate::shard`], shared with the cycle engine: the
+//! shard RNG streams draw timer jitter, message latency and loss here (by
+//! the shard that owns the sending node). Shards share no mutable state
+//! within a bucket, and the mailbox exchange is fixed-order, so for a fixed
+//! `(seed, shard_count)` results are **bit-identical at any worker count**
+//! — and invariant under how a run is chunked into
+//! [`ShardedEventSimulation::run_until`] calls, because mailboxes are only
+//! exchanged at absolute bucket boundaries. Changing the *shard count*
+//! legitimately changes results (same-time deliveries tie-break in mailbox
+//! order rather than global schedule order), exactly like changing the seed
+//! does.
 //!
-//! The single-threaded [`EventSimulation`] is this engine with one shard:
-//! every message is then shard-local, the global `(time, seq)` order is the
-//! schedule order, and the mailbox machinery is never touched.
+//! With **one shard** every message is shard-local: the global
+//! `(time, seq)` order is the schedule order, and the mailbox machinery is
+//! never touched.
 
 use pss_core::{
     Arena, GossipNode, NodeDescriptor, NodeId, PeerSamplingNode, ProtocolConfig, Reply, Request,
-    View,
 };
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
-use crate::exec::{self, lose, Directory, Mailboxes, SlotRef};
-use crate::pool::WorkerPool;
-use crate::population::{BoxedNode, Population};
+use crate::exec::{self, lose, Mailboxes, SlotRef};
 use crate::queue::TickQueue;
+use crate::shard::{Mode, Shard, Sharded};
+use crate::telemetry::EngineTele;
 use crate::workload::Partition;
-use crate::{CycleReport, Snapshot};
+use crate::CycleReport;
 
 /// Message latency model, in abstract time ticks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum LatencyModel {
     /// Instant delivery.
     Zero,
@@ -123,7 +119,6 @@ impl LatencyModel {
 
 /// Parameters of the event-driven engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EventConfig {
     /// Gossip period `T` in ticks (the paper's "wait(T time units)").
     pub period: u64,
@@ -226,12 +221,11 @@ impl EventConfig {
     }
 }
 
-/// Cumulative accounting of a ([`Sharded`](ShardedEventSimulation)`)
-/// [`EventSimulation`] run — the event-engine analogue of
+/// Cumulative accounting of a [`ShardedEventSimulation`] run — the
+/// event-engine analogue of
 /// [`CycleReport`], as totals since construction rather than per cycle
 /// (an "exchange" spans multiple events here).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EventReport {
     /// Timer events fired by live nodes.
     pub timers_fired: u64,
@@ -347,20 +341,14 @@ enum WireMsg {
 /// memory.
 const PAYLOAD_POOL_LIMIT: usize = 1024;
 
-/// One shard of the event engine: a node partition, its two event queues,
-/// its RNG stream, and its cross-shard mailboxes.
-struct EventShard<N> {
-    index: usize,
-    pop: Population<N>,
-    /// Shard-owned staging arena. Every protocol call on this shard's nodes
-    /// works out of it: absorbed payload buffers are parked in its pool and
-    /// reused for outgoing messages. Sends and receives balance per shard
-    /// in steady state, so ownership replaces the cross-shard
-    /// capacity-return lanes earlier revisions needed when the pool was
-    /// tied to short-lived worker threads.
-    arena: Arena,
-    /// Shard-local RNG: timer jitter, message latency, message loss.
-    rng: SmallRng,
+/// What an event-engine shard holds beyond its nodes: its two event
+/// queues and its cross-shard mailboxes. Its arena is where absorbed
+/// payload buffers are parked and reused for outgoing messages; sends and
+/// receives balance per shard in steady state, so ownership replaces the
+/// cross-shard capacity-return lanes earlier revisions needed when the pool
+/// was tied to short-lived worker threads. Its RNG stream draws timer
+/// jitter, message latency and message loss.
+pub struct EventShard {
     /// Gossip timers as `(seq, local slot)`.
     timers: TickQueue<(u64, u32)>,
     messages: TickQueue<Arrival>,
@@ -379,7 +367,7 @@ struct EventShard<N> {
     trace: bool,
 }
 
-impl<N> EventShard<N> {
+impl EventShard {
     fn next_seq(&mut self) -> u64 {
         self.seq += 1;
         self.seq
@@ -419,9 +407,34 @@ struct EventCtx<'a> {
     partition: Option<Partition>,
 }
 
+/// Driver-side state of the event model (the [`Mode`] of
+/// [`ShardedEventSimulation`]).
+pub struct EventDriven {
+    config: EventConfig,
+    /// Conservative lookahead window = minimum latency (≥ 1 when sharded).
+    window: u64,
+    /// Current simulation time: the largest deadline reached so far.
+    now: u64,
+    /// Processing frontier: every event *strictly before* it has been
+    /// processed. Advances bucket-by-bucket; the bucket grid is absolute
+    /// (multiples of the window), which is what makes results invariant
+    /// under how a run is chunked into `run_until` calls.
+    frontier: u64,
+    /// True while cross-shard messages are parked in out-lanes mid-bucket.
+    pending_mail: bool,
+    /// `pss_queue_overflow_total{engine="event"}`: events that were pushed
+    /// beyond a shard ring's reach ([`TickQueue::overflowed`]), summed over
+    /// shards and queues — a run that fell off the O(1) path shows here.
+    queue_overflow: pss_telemetry::Counter,
+    /// How much of that sum the counter has been given so far.
+    overflow_exported: u64,
+}
+
 /// The sharded discrete-event simulator over the same node population
 /// types as [`crate::ShardedSimulation`]. See the [module docs](self) for
-/// the lookahead model and determinism contract.
+/// the lookahead model; the membership and observation API (`add_node`,
+/// `kill`, `view_of`, `snapshot`, …) is [`Sharded`]'s, shared with the
+/// cycle engine.
 ///
 /// # Examples
 ///
@@ -436,45 +449,11 @@ struct EventCtx<'a> {
 /// assert!(sim.snapshot().undirected().average_degree() > 20.0);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub struct ShardedEventSimulation<N: GossipNode + Send = BoxedNode> {
-    shards: Vec<EventShard<N>>,
-    dir: Directory,
-    factory: Box<dyn Fn(NodeId, u64) -> N + Send + Sync>,
-    /// Driver-thread RNG: node seeds, timer phases, churn.
-    control_rng: SmallRng,
-    config: EventConfig,
-    /// Conservative lookahead window = minimum latency (≥ 1 when sharded).
-    window: u64,
-    /// Current simulation time: the largest deadline reached so far.
-    now: u64,
-    /// Processing frontier: every event *strictly before* it has been
-    /// processed. Advances bucket-by-bucket; the bucket grid is absolute
-    /// (multiples of the window), which is what makes results invariant
-    /// under how a run is chunked into `run_until` calls.
-    frontier: u64,
-    /// Construction seed, kept for (seed, id)-pure bulk construction.
-    seed: u64,
-    /// Persistent bucket executor: threads live as long as the simulation.
-    pool: WorkerPool,
-    /// True while cross-shard messages are parked in out-lanes mid-bucket.
-    pending_mail: bool,
-    /// Completed [`ShardedEventSimulation::run_cycle`] calls.
-    cycles: u64,
-    /// Installed partition loss matrix, if any.
-    partition: Option<Partition>,
-    /// Phase/imbalance telemetry (`engine="event"`); purely observational.
-    tele: crate::telemetry::EngineTele,
-    /// `pss_queue_overflow_total{engine="event"}`: events that were pushed
-    /// beyond a shard ring's reach ([`TickQueue::overflowed`]), summed over
-    /// shards and queues — a run that fell off the O(1) path shows here.
-    queue_overflow: pss_telemetry::Counter,
-    /// How much of that sum the counter has been given so far.
-    overflow_exported: u64,
-}
+pub type ShardedEventSimulation<N> = Sharded<N, EventDriven>;
 
-impl ShardedEventSimulation {
-    /// Creates an empty sharded event simulation for the paper's generic
-    /// protocol with (boxed) nodes.
+impl ShardedEventSimulation<PeerSamplingNode> {
+    /// Creates an empty sharded event simulation of (monomorphized)
+    /// [`PeerSamplingNode`]s running the paper's generic protocol.
     ///
     /// # Errors
     ///
@@ -482,27 +461,6 @@ impl ShardedEventSimulation {
     /// (zero period, `jitter >= period`, loss probability outside `[0, 1]`,
     /// or zero minimum latency with more than one shard).
     pub fn new(
-        protocol: ProtocolConfig,
-        config: EventConfig,
-        seed: u64,
-        shards: usize,
-    ) -> Result<Self, EventConfigError> {
-        Self::with_factory(config, seed, shards, move |id, node_seed| {
-            Box::new(PeerSamplingNode::with_seed(id, protocol.clone(), node_seed)) as BoxedNode
-        })
-    }
-}
-
-impl ShardedEventSimulation<PeerSamplingNode> {
-    /// Creates an empty **monomorphized** sharded event simulation of
-    /// [`PeerSamplingNode`]s: identical behavior to
-    /// [`ShardedEventSimulation::new`] (same seeds ⇒ same events), minus
-    /// the virtual dispatch.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`EventConfigError`] if `config` violates an invariant.
-    pub fn typed(
         protocol: ProtocolConfig,
         config: EventConfig,
         seed: u64,
@@ -518,7 +476,7 @@ impl<N: GossipNode + Send> ShardedEventSimulation<N> {
     /// Creates an empty sharded event simulation with a custom node
     /// factory. The factory receives the assigned node id and a derived RNG
     /// seed; it must be `Fn + Sync` so per-shard populations can be built
-    /// in parallel ([`ShardedEventSimulation::add_nodes_bulk`]).
+    /// in parallel ([`Sharded::add_nodes_bulk`]).
     ///
     /// # Errors
     ///
@@ -533,19 +491,23 @@ impl<N: GossipNode + Send> ShardedEventSimulation<N> {
         shards: usize,
         factory: impl Fn(NodeId, u64) -> N + Send + Sync + 'static,
     ) -> Result<Self, EventConfigError> {
-        assert!(shards > 0, "need at least one shard");
         config.validate_sharded(shards)?;
-        let tele = crate::telemetry::EngineTele::new("event", &["process", "merge"], shards);
-        let default_workers = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-            .min(shards);
-        let shards: Vec<EventShard<N>> = (0..shards)
-            .map(|index| EventShard {
-                index,
-                pop: Population::new(),
-                arena: Arena::with_pool_limit(PAYLOAD_POOL_LIMIT),
-                rng: SmallRng::seed_from_u64(exec::shard_seed(seed, index)),
+        let mode = EventDriven {
+            config,
+            window: config.latency.minimum().max(1),
+            now: 0,
+            frontier: 0,
+            pending_mail: false,
+            queue_overflow: pss_telemetry::global().counter_with(
+                "pss_queue_overflow_total",
+                &[("engine", "event")],
+                "Events scheduled beyond the calendar queue's ring, through its overflow map",
+            ),
+            overflow_exported: 0,
+        };
+        let tele = EngineTele::new("event", &["process", "merge"], shards);
+        Ok(Sharded::empty(seed, shards, factory, tele, mode, || {
+            let state = EventShard {
                 // Timers re-arm at most `period + jitter` ahead, messages
                 // land at most the maximum latency ahead.
                 timers: TickQueue::new(config.period.saturating_add(config.jitter)),
@@ -558,81 +520,39 @@ impl<N: GossipNode + Send> ShardedEventSimulation<N> {
                 processed: 0,
                 deliveries: Vec::new(),
                 trace: false,
-            })
-            .collect();
-        Ok(ShardedEventSimulation {
-            shards,
-            dir: Directory::new(),
-            factory: Box::new(factory),
-            control_rng: SmallRng::seed_from_u64(seed),
-            config,
-            window: config.latency.minimum().max(1),
-            now: 0,
-            frontier: 0,
-            seed,
-            pool: WorkerPool::new(default_workers),
-            pending_mail: false,
-            cycles: 0,
-            partition: None,
-            tele,
-            queue_overflow: pss_telemetry::global().counter_with(
-                "pss_queue_overflow_total",
-                &[("engine", "event")],
-                "Events scheduled beyond the calendar queue's ring, through its overflow map",
-            ),
-            overflow_exported: 0,
-        })
-    }
-
-    /// Number of shards (fixed at construction; part of the result
-    /// contract, unlike the worker count).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Worker threads used per bucket.
-    pub fn workers(&self) -> usize {
-        self.pool.workers()
-    }
-
-    /// Sets the worker-thread count (clamped to `1..=shard_count`),
-    /// rebuilding the persistent pool. Affects wall-clock time only;
-    /// results are bit-identical for any value.
-    pub fn set_workers(&mut self, workers: usize) {
-        let workers = workers.clamp(1, self.shards.len());
-        if workers != self.pool.workers() {
-            self.pool = WorkerPool::new(workers);
-        }
+            };
+            (Arena::with_pool_limit(PAYLOAD_POOL_LIMIT), state)
+        }))
     }
 
     /// The conservative lookahead window in ticks (= the minimum latency,
     /// at least 1).
     pub fn lookahead(&self) -> u64 {
-        self.window
+        self.mode.window
     }
 
     /// The engine configuration.
     pub fn config(&self) -> EventConfig {
-        self.config
+        self.mode.config
     }
 
     /// Current simulation time in ticks.
     pub fn now(&self) -> u64 {
-        self.now
+        self.mode.now
     }
 
     /// Cumulative event statistics since construction.
     pub fn report(&self) -> EventReport {
         let mut total = EventReport::default();
         for shard in &self.shards {
-            total += shard.report;
+            total += shard.state.report;
         }
         total
     }
 
     /// Total events processed since construction.
     pub fn events_processed(&self) -> u64 {
-        self.shards.iter().map(|s| s.processed).sum()
+        self.shards.iter().map(|s| s.state.processed).sum()
     }
 
     /// Events that were scheduled beyond their queue's ring and waited in
@@ -642,7 +562,7 @@ impl<N: GossipNode + Send> ShardedEventSimulation<N> {
     fn queue_overflowed(&self) -> u64 {
         self.shards
             .iter()
-            .map(|s| s.timers.overflowed() + s.messages.overflowed())
+            .map(|s| s.state.timers.overflowed() + s.state.messages.overflowed())
             .sum()
     }
 
@@ -652,23 +572,12 @@ impl<N: GossipNode + Send> ShardedEventSimulation<N> {
         self.shards.iter().map(|s| s.arena.pooled_buffers()).sum()
     }
 
-    /// Installs (`Some`) or lifts (`None`) a partition loss matrix
-    /// ([`Partition`]): messages whose sender and destination sit in
-    /// different groups are dropped at send time (before any latency draw),
-    /// counted as [`EventReport::dropped_messages`]. Messages already in
-    /// flight still deliver — a partition cuts links, it does not reach
-    /// into the network and destroy packets. The check is a pure function
-    /// of the two ids, so the worker-invariance contract is unaffected.
-    pub fn set_partition(&mut self, partition: Option<Partition>) {
-        self.partition = partition;
-    }
-
     /// Turns the per-arrival delivery log on or off (off by default; the
     /// log grows with every message arrival). The test harness uses it to
     /// check the lookahead and FIFO invariants from outside.
     pub fn set_record_deliveries(&mut self, on: bool) {
         for shard in &mut self.shards {
-            shard.trace = on;
+            shard.state.trace = on;
         }
     }
 
@@ -677,91 +586,9 @@ impl<N: GossipNode + Send> ShardedEventSimulation<N> {
     pub fn take_deliveries(&mut self) -> Vec<Delivery> {
         let mut all = Vec::new();
         for shard in &mut self.shards {
-            all.append(&mut shard.deliveries);
+            all.append(&mut shard.state.deliveries);
         }
         all
-    }
-
-    /// Declares that the next `n` node ids will be bulk-added into
-    /// contiguous per-shard ranges; see
-    /// [`crate::ShardedSimulation::plan_capacity`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if nodes were already added.
-    pub fn plan_capacity(&mut self, n: usize) {
-        self.dir.plan_capacity(n);
-    }
-
-    fn shard_for_new(&self, id: u64) -> usize {
-        self.dir
-            .shard_for_new(id, self.shards.iter().map(|sh| sh.pop.len()))
-    }
-
-    /// Adds a node bootstrapped from `seeds`; its first timer fires at a
-    /// uniform-random phase within one period (nodes are not synchronized).
-    /// Node seed and phase come from the driver's control RNG; for the
-    /// worker-parallel bulk path see
-    /// [`ShardedEventSimulation::add_nodes_bulk`].
-    pub fn add_node(&mut self, seeds: impl IntoIterator<Item = NodeDescriptor>) -> NodeId {
-        let node_seed = self.control_rng.random();
-        let id = NodeId::new(self.dir.len() as u64);
-        let shard = self.shard_for_new(id.as_u64());
-        let node = (self.factory)(id, node_seed);
-        debug_assert_eq!(node.id(), id, "factory must honor the assigned id");
-        let slot = self.shards[shard].pop.add_slot(node);
-        let pushed = self.dir.push(shard as u32, slot);
-        debug_assert_eq!(pushed, id);
-        self.shards[shard]
-            .pop
-            .slot_mut(slot)
-            .node
-            .init(&mut seeds.into_iter());
-        let phase = self.control_rng.random_range(0..self.config.period);
-        // Never schedule below the processing frontier: a bucket that was
-        // already exchanged is frozen, and a timer inside it could emit a
-        // cross-shard message due before the next boundary (a lookahead
-        // violation). Only a phase-0 draw right after a run can hit this.
-        let at = (self.now + phase).max(self.frontier);
-        self.shards[shard].schedule_timer(at, slot);
-        id
-    }
-
-    /// Bulk-adds `n` nodes with **worker-parallel per-shard construction**:
-    /// node `i` gets the view returned by `seeds(i)`, and its RNG seed,
-    /// shard placement and initial timer phase are pure functions of
-    /// `(construction seed, id)` — the resulting population and event
-    /// schedule are bit-identical at any worker count. `seeds` must be pure
-    /// for the same reason.
-    ///
-    /// # Panics
-    ///
-    /// Panics if nodes were already added.
-    pub fn add_nodes_bulk<I>(&mut self, n: usize, seeds: impl Fn(NodeId) -> I + Sync)
-    where
-        I: IntoIterator<Item = NodeDescriptor>,
-    {
-        let seed = self.seed;
-        let period = self.config.period;
-        let now = self.now;
-        let frontier = self.frontier;
-        exec::bulk_build(
-            &mut self.dir,
-            &mut self.shards,
-            &self.pool,
-            n,
-            seed,
-            self.factory.as_ref(),
-            seeds,
-            |shard| &mut shard.pop,
-            |shard| shard.index,
-            |shard, slot, id| {
-                let phase = exec::bulk_timer_phase(seed, id.as_u64(), period);
-                // Clamp below-frontier phases exactly like `add_node`.
-                let at = (now + phase).max(frontier);
-                shard.schedule_timer(at, slot);
-            },
-        );
     }
 
     /// Adds `n` nodes where node `i` bootstraps off node `i − 1` (a simple
@@ -778,133 +605,6 @@ impl<N: GossipNode + Send> ShardedEventSimulation<N> {
         ids
     }
 
-    /// Adds `count` nodes, each bootstrapped with `contacts` uniform-random
-    /// live contacts (join under churn); see
-    /// [`crate::ShardedSimulation::add_nodes_with_random_contacts`].
-    pub fn add_nodes_with_random_contacts(&mut self, count: usize, contacts: usize) -> Vec<NodeId> {
-        let existing: Vec<NodeId> = self.alive_ids();
-        let mut new_ids = Vec::with_capacity(count);
-        for _ in 0..count {
-            let seeds: Vec<NodeDescriptor> = if existing.is_empty() {
-                Vec::new()
-            } else {
-                (0..contacts)
-                    .map(|_| {
-                        let pick = existing[self.control_rng.random_range(0..existing.len())];
-                        NodeDescriptor::fresh(pick)
-                    })
-                    .collect()
-            };
-            new_ids.push(self.add_node(seeds));
-        }
-        new_ids
-    }
-
-    /// Number of live nodes.
-    pub fn alive_count(&self) -> usize {
-        self.dir.alive_count()
-    }
-
-    /// Total nodes ever added (dead ones included).
-    pub fn node_count(&self) -> usize {
-        self.dir.len()
-    }
-
-    /// True if `id` exists and is alive.
-    pub fn is_alive(&self, id: NodeId) -> bool {
-        self.dir.is_alive(id)
-    }
-
-    /// Ids of all live nodes, in increasing order.
-    pub fn alive_ids(&self) -> Vec<NodeId> {
-        self.dir.alive_ids()
-    }
-
-    fn entry(&self, id: NodeId) -> Option<&crate::population::Entry<N>> {
-        let slot_ref = self.dir.slot_ref(id)?;
-        Some(self.shards[slot_ref.shard as usize].pop.slot(slot_ref.slot))
-    }
-
-    /// The view of a live node.
-    pub fn view_of(&self, id: NodeId) -> Option<&View> {
-        if !self.is_alive(id) {
-            return None;
-        }
-        self.entry(id).map(|e| e.node.view())
-    }
-
-    /// Kills one node (crash-stop): pending deliveries to it are dropped at
-    /// delivery time, and its timer never re-arms. Returns false if already
-    /// dead/unknown.
-    pub fn kill(&mut self, id: NodeId) -> bool {
-        exec::kill_node(&mut self.dir, &mut self.shards, id, |shard| &mut shard.pop)
-    }
-
-    /// Kills a uniform-random set of `count` live nodes and returns them.
-    pub fn kill_random(&mut self, count: usize) -> Vec<NodeId> {
-        use rand::seq::SliceRandom;
-        let mut alive: Vec<NodeId> = self.alive_ids();
-        let count = count.min(alive.len());
-        let (victims, _) = alive.partial_shuffle(&mut self.control_rng, count);
-        let victims = victims.to_vec();
-        for &v in &victims {
-            self.kill(v);
-        }
-        victims
-    }
-
-    /// Kills `fraction` (0..=1) of the live population at random.
-    pub fn kill_random_fraction(&mut self, fraction: f64) -> Vec<NodeId> {
-        let fraction = fraction.clamp(0.0, 1.0);
-        let count = (self.alive_count() as f64 * fraction).round() as usize;
-        self.kill_random(count)
-    }
-
-    /// Descriptors in live views pointing at dead nodes.
-    pub fn dead_link_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|sh| sh.pop.dead_link_count_with(|id| self.is_alive(id)))
-            .sum()
-    }
-
-    /// Builds the communication-graph snapshot over live nodes, in global
-    /// id order.
-    pub fn snapshot(&self) -> Snapshot {
-        Snapshot::build(
-            (0..self.dir.len() as u64)
-                .map(NodeId::new)
-                .filter(|&id| self.is_alive(id))
-                .map(|id| (id, self.entry(id).expect("in directory").node.view())),
-            |id| self.is_alive(id),
-        )
-    }
-
-    /// Visits every live node's `(id, view)` in increasing id order.
-    pub fn for_each_live_view(&self, mut f: impl FnMut(NodeId, &View)) {
-        for id in (0..self.dir.len() as u64).map(NodeId::new) {
-            if self.is_alive(id) {
-                f(id, self.entry(id).expect("in directory").node.view());
-            }
-        }
-    }
-
-    /// Builds the directed live-view graph as a flat CSR — the snapshot
-    /// path that survives N = 10⁶ (see
-    /// [`crate::ShardedSimulation::csr_snapshot`]).
-    pub fn csr_snapshot(&self) -> crate::CsrSnapshot {
-        exec::csr_from_views(self.dir.len(), self.dir.alive_count(), |f| {
-            self.for_each_live_view(f)
-        })
-    }
-
-    /// Estimates overlay health by streaming view rows — the O(id-space)
-    /// alternative to materializing [`ShardedEventSimulation::csr_snapshot`]'s
-    /// edge arrays at very large N (see [`crate::StreamingMetrics`]).
-    pub fn streaming_metrics(&self) -> crate::StreamingMetrics {
-        crate::StreamingMetrics::from_views(self.dir.len(), |f| self.for_each_live_view(f))
-    }
-
     /// Runs until simulation time reaches `deadline`: every event at or
     /// before it is processed. Returns the number of events processed.
     ///
@@ -914,23 +614,27 @@ impl<N: GossipNode + Send> ShardedEventSimulation<N> {
     /// parks them in their fixed-order lanes until the bucket completes.
     pub fn run_until(&mut self, deadline: u64) -> u64 {
         let before = self.events_processed();
-        let Self {
+        let Sharded {
             shards,
             dir,
-            config,
-            window,
-            frontier,
             pool,
-            pending_mail,
             partition,
             tele,
+            mode,
             ..
         } = self;
         let ctx = EventCtx {
             directory: dir.slots(),
-            config: *config,
+            config: mode.config,
             partition: *partition,
         };
+        let EventDriven {
+            window,
+            now,
+            frontier,
+            pending_mail,
+            ..
+        } = mode;
 
         if shards.len() == 1 {
             // Sequential special case: every message is local, the global
@@ -939,7 +643,7 @@ impl<N: GossipNode + Send> ShardedEventSimulation<N> {
                 tele.time_solo(0, || process_until(&mut shards[0], deadline, &ctx));
                 *frontier = deadline.saturating_add(1);
             }
-            self.now = self.now.max(deadline);
+            *now = (*now).max(deadline);
             return self.events_processed() - before;
         }
 
@@ -955,7 +659,7 @@ impl<N: GossipNode + Send> ShardedEventSimulation<N> {
             if !*pending_mail {
                 // Fast-forward across empty stretches: with no parked mail,
                 // every pending event sits in some shard's queue.
-                match earliest(shards) {
+                match shards.iter_mut().filter_map(|s| s.state.next_time()).min() {
                     None => {
                         *frontier = deadline.saturating_add(1);
                         break;
@@ -975,20 +679,19 @@ impl<N: GossipNode + Send> ShardedEventSimulation<N> {
                 Some(end) if full => end - 1,
                 _ => deadline,
             };
-            // Per-bucket phases go to the histograms only (`trail: false`):
+            // Per-bucket phases go to the histograms only (`trail: None`):
             // buckets are far too frequent for the flight ring; the period
             // driver records the trail events instead.
-            let index = |shard: &EventShard<N>| shard.index;
-            tele.run_phase(0, None, shards, pool, index, |shard| {
+            tele.run_phase(0, None, shards, pool, |shard| {
                 process_until(shard, limit, &ctx);
             });
             if full {
                 let end = bucket_end.expect("full implies a boundary");
                 // Bucket boundary: exchange mailboxes and merge, in fixed
                 // sender-shard order.
-                exec::transpose(shards, |shard| &mut shard.mail);
-                tele.run_phase(1, None, shards, pool, index, |shard| {
-                    merge_inbox(shard, end)
+                exec::transpose(shards, |shard| &mut shard.state.mail);
+                tele.run_phase(1, None, shards, pool, |shard| {
+                    merge_inbox(&mut shard.state, end)
                 });
                 *pending_mail = false;
                 *frontier = end;
@@ -996,66 +699,70 @@ impl<N: GossipNode + Send> ShardedEventSimulation<N> {
                 // Mid-bucket stop: cross-shard messages stay parked in
                 // their fixed-order lanes until the bucket completes, so
                 // chunked and unchunked runs merge them identically.
-                *pending_mail = !shards.iter().all(|s| s.mail.out_is_empty());
+                *pending_mail = !shards.iter().all(|s| s.state.mail.out_is_empty());
                 *frontier = deadline.saturating_add(1);
                 break;
             }
         }
-        self.now = self.now.max(deadline);
+        *now = (*now).max(deadline);
         self.events_processed() - before
     }
 
     /// Runs for `duration` ticks from the current time.
     pub fn run_for(&mut self, duration: u64) -> u64 {
-        self.run_until(self.now.saturating_add(duration))
+        self.run_until(self.mode.now.saturating_add(duration))
+    }
+}
+
+impl Mode for EventDriven {
+    type ShardState = EventShard;
+
+    fn joined(&self, state: &mut EventShard, slot: u32, phase: impl FnOnce(u64) -> u64) {
+        // Never schedule below the processing frontier: a bucket that was
+        // already exchanged is frozen, and a timer inside it could emit a
+        // cross-shard message due before the next boundary (a lookahead
+        // violation). Only a phase-0 draw right after a run can hit this.
+        let at = (self.now + phase(self.config.period)).max(self.frontier);
+        state.schedule_timer(at, slot);
     }
 
-    /// Runs one gossip period — the event engine's notion of a "cycle" for
-    /// generic drivers ([`crate::Engine`]) — and reports what happened
-    /// during it, projected onto the cycle engine's report shape.
-    pub fn run_cycle(&mut self) -> CycleReport {
-        let before = self.report();
+    /// One gossip period, projected onto the cycle engine's report shape.
+    fn run_cycle<N: GossipNode + Send>(sim: &mut Sharded<N, Self>) -> CycleReport {
+        let before = sim.report();
+        let period = sim.mode.config.period;
         if pss_telemetry::enabled() {
             pss_telemetry::flight().record(
                 pss_telemetry::EventKind::PhaseStart,
                 "event/period",
-                self.cycles + 1,
+                sim.cycles + 1,
                 0,
             );
             let started = std::time::Instant::now();
-            self.run_for(self.config.period);
+            sim.run_for(period);
             pss_telemetry::flight().record(
                 pss_telemetry::EventKind::PhaseEnd,
                 "event/period",
-                self.cycles + 1,
+                sim.cycles + 1,
                 started.elapsed().as_nanos() as u64,
             );
         } else {
-            self.run_for(self.config.period);
+            sim.run_for(period);
         }
-        self.cycles += 1;
-        self.tele.cycle_done();
-        let overflowed = self.queue_overflowed();
-        self.queue_overflow.add(overflowed - self.overflow_exported);
-        self.overflow_exported = overflowed;
-        self.report().since(&before).as_cycle_report()
+        sim.cycles += 1;
+        sim.tele.cycle_done();
+        let overflowed = sim.queue_overflowed();
+        sim.mode
+            .queue_overflow
+            .add(overflowed - sim.mode.overflow_exported);
+        sim.mode.overflow_exported = overflowed;
+        sim.report().since(&before).as_cycle_report()
     }
-
-    /// Completed [`ShardedEventSimulation::run_cycle`] periods.
-    pub fn cycle(&self) -> u64 {
-        self.cycles
-    }
-}
-
-/// Smallest pending event time across all shard queues.
-fn earliest<N>(shards: &mut [EventShard<N>]) -> Option<u64> {
-    shards.iter_mut().filter_map(|s| s.next_time()).min()
 }
 
 /// Merges a shard's freshly transposed inbox into its message queue, in
 /// sender-shard lane order (FIFO within each lane): the deterministic
 /// cross-shard arrival order of the engine's contract.
-fn merge_inbox<N: GossipNode + Send>(shard: &mut EventShard<N>, horizon: u64) {
+fn merge_inbox(shard: &mut EventShard, horizon: u64) {
     let mut inbox = core::mem::take(&mut shard.mail.inbox);
     for (src_shard, lane) in inbox.iter_mut().enumerate() {
         for wire in lane.drain(..) {
@@ -1076,13 +783,17 @@ fn merge_inbox<N: GossipNode + Send>(shard: &mut EventShard<N>, horizon: u64) {
 /// by `seq`. New local events (timers, same-shard messages) go back into
 /// the queues — a zero-latency message onto the tick being drained, which
 /// then comes round again; cross-shard messages park in the out-mailboxes.
-fn process_until<N: GossipNode + Send>(shard: &mut EventShard<N>, limit: u64, ctx: &EventCtx<'_>) {
-    let mut timers = core::mem::take(&mut shard.timer_batch);
-    let mut messages = core::mem::take(&mut shard.message_batch);
-    while let Some(now) = shard.next_time().filter(|&t| t <= limit) {
-        shard.timers.take_tick(now, &mut timers);
-        shard.messages.take_tick(now, &mut messages);
-        shard.processed += (timers.len() + messages.len()) as u64;
+fn process_until<N: GossipNode + Send>(
+    shard: &mut Shard<N, EventShard>,
+    limit: u64,
+    ctx: &EventCtx<'_>,
+) {
+    let mut timers = core::mem::take(&mut shard.state.timer_batch);
+    let mut messages = core::mem::take(&mut shard.state.message_batch);
+    while let Some(now) = shard.state.next_time().filter(|&t| t <= limit) {
+        shard.state.timers.take_tick(now, &mut timers);
+        shard.state.messages.take_tick(now, &mut messages);
+        shard.state.processed += (timers.len() + messages.len()) as u64;
         let mut due_timers = timers.drain(..).peekable();
         let mut due_messages = messages.drain(..).peekable();
         loop {
@@ -1102,17 +813,17 @@ fn process_until<N: GossipNode + Send>(shard: &mut EventShard<N>, limit: u64, ct
     }
     // Nothing is left through `limit`: move both cursors there, so that the
     // rings reach their full span ahead of the frontier.
-    let closed = shard.timers.take_tick(limit, &mut timers);
+    let closed = shard.state.timers.take_tick(limit, &mut timers);
     debug_assert!(closed.is_none());
-    let closed = shard.messages.take_tick(limit, &mut messages);
+    let closed = shard.state.messages.take_tick(limit, &mut messages);
     debug_assert!(closed.is_none());
-    shard.timer_batch = timers;
-    shard.message_batch = messages;
+    shard.state.timer_batch = timers;
+    shard.state.message_batch = messages;
 }
 
 /// The gossip timer of local slot `slot` fires at `now`.
 fn fire_timer<N: GossipNode + Send>(
-    shard: &mut EventShard<N>,
+    shard: &mut Shard<N, EventShard>,
     slot: u32,
     now: u64,
     ctx: &EventCtx<'_>,
@@ -1121,13 +832,13 @@ fn fire_timer<N: GossipNode + Send>(
     if !shard.pop.slot(slot).alive {
         return;
     }
-    shard.report.timers_fired += 1;
+    shard.state.report.timers_fired += 1;
     let entry = shard.pop.slot_mut(slot);
     let initiator = entry.node.id();
     match entry.node.initiate(&mut shard.arena) {
         Some(exchange) => {
             if lose(&mut shard.rng, ctx.config.loss_probability) {
-                shard.report.dropped_messages += 1;
+                shard.state.report.dropped_messages += 1;
             } else {
                 let peer = exchange.peer;
                 send(
@@ -1140,7 +851,7 @@ fn fire_timer<N: GossipNode + Send>(
                 );
             }
         }
-        None => shard.report.empty_view += 1,
+        None => shard.state.report.empty_view += 1,
     }
     // Re-arm the timer with jitter regardless.
     let jitter = if ctx.config.jitter == 0 {
@@ -1149,12 +860,12 @@ fn fire_timer<N: GossipNode + Send>(
         shard.rng.random_range(0..=2 * ctx.config.jitter)
     };
     let next = now + ctx.config.period - ctx.config.jitter + jitter;
-    shard.schedule_timer(next, slot);
+    shard.state.schedule_timer(next, slot);
 }
 
 /// A message arrives at its destination slot at `now`.
 fn deliver<N: GossipNode + Send>(
-    shard: &mut EventShard<N>,
+    shard: &mut Shard<N, EventShard>,
     arrival: Arrival,
     now: u64,
     ctx: &EventCtx<'_>,
@@ -1164,12 +875,12 @@ fn deliver<N: GossipNode + Send>(
         from, to_slot, msg, ..
     } = arrival.wire;
     if !shard.pop.slot(to_slot).alive {
-        shard.report.dead_deliveries += 1;
+        shard.state.report.dead_deliveries += 1;
         return;
     }
     match msg {
         WireMsg::Request(request) => {
-            shard.report.requests_delivered += 1;
+            shard.state.report.requests_delivered += 1;
             // The reply (if any) builds from the shard arena's pool; the
             // spent request buffer is recycled into the same pool by the
             // node's absorb, whichever shard it was allocated on.
@@ -1181,13 +892,13 @@ fn deliver<N: GossipNode + Send>(
             {
                 Some(reply) => {
                     if lose(&mut shard.rng, ctx.config.loss_probability) {
-                        shard.report.dropped_messages += 1;
+                        shard.state.report.dropped_messages += 1;
                     } else {
                         send(shard, ctx, now, responder_id, from, WireMsg::Reply(reply));
                     }
                 }
                 // Push-only exchange: complete on request delivery.
-                None => shard.report.exchanges_completed += 1,
+                None => shard.state.report.exchanges_completed += 1,
             }
         }
         WireMsg::Reply(reply) => {
@@ -1196,8 +907,8 @@ fn deliver<N: GossipNode + Send>(
                 .slot_mut(to_slot)
                 .node
                 .handle_reply(&mut shard.arena, from, reply);
-            shard.report.replies_delivered += 1;
-            shard.report.exchanges_completed += 1;
+            shard.state.report.replies_delivered += 1;
+            shard.state.report.exchanges_completed += 1;
         }
     }
 }
@@ -1206,7 +917,7 @@ fn deliver<N: GossipNode + Send>(
 /// the sender shard's RNG: local destinations go straight into the message
 /// queue, remote ones park in the out-mailbox lane until the bucket ends.
 fn send<N: GossipNode + Send>(
-    shard: &mut EventShard<N>,
+    shard: &mut Shard<N, EventShard>,
     ctx: &EventCtx<'_>,
     now: u64,
     from: NodeId,
@@ -1223,11 +934,11 @@ fn send<N: GossipNode + Send>(
         .partition
         .is_some_and(|p| p.drops(from, to, &mut shard.rng))
     {
-        shard.report.dropped_messages += 1;
+        shard.state.report.dropped_messages += 1;
         return;
     }
     let latency = ctx.config.latency.sample(&mut shard.rng);
-    let sent_seq = shard.next_seq();
+    let sent_seq = shard.state.next_seq();
     let dest = ctx.directory[to.as_index()];
     let wire = WireEvent {
         time: now + latency,
@@ -1238,23 +949,23 @@ fn send<N: GossipNode + Send>(
         msg,
     };
     if dest.shard as usize == shard.index {
-        shard.schedule_arrival(shard.index as u32, wire);
+        shard.state.schedule_arrival(shard.index as u32, wire);
     } else {
-        shard.mail.out[dest.shard as usize].push(wire);
+        shard.state.mail.out[dest.shard as usize].push(wire);
     }
 }
 
 fn record_delivery<N: GossipNode + Send>(
-    shard: &mut EventShard<N>,
+    shard: &mut Shard<N, EventShard>,
     arrival: &Arrival,
     delivered: u64,
 ) {
-    if !shard.trace {
+    if !shard.state.trace {
         return;
     }
     let wire = &arrival.wire;
     let to = shard.pop.slot(wire.to_slot).node.id();
-    shard.deliveries.push(Delivery {
+    shard.state.deliveries.push(Delivery {
         sent: wire.sent,
         delivered,
         from: wire.from,
@@ -1269,160 +980,15 @@ fn record_delivery<N: GossipNode + Send>(
 impl<N: GossipNode + Send> std::fmt::Debug for ShardedEventSimulation<N> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedEventSimulation")
-            .field("now", &self.now)
+            .field("now", &self.mode.now)
             .field("shards", &self.shards.len())
             .field("workers", &self.pool.workers())
-            .field("lookahead", &self.window)
+            .field("lookahead", &self.mode.window)
             .field("nodes", &self.dir.len())
             .field("alive", &self.dir.alive_count())
             .field(
                 "pending_events",
-                &self.shards.iter().map(|s| s.pending()).sum::<usize>(),
-            )
-            .finish()
-    }
-}
-
-/// The single-threaded discrete-event simulator over boxed nodes — the
-/// 1-shard special case of [`ShardedEventSimulation`], keeping the
-/// historical API (exactly as [`crate::Simulation`] wraps
-/// [`crate::ShardedSimulation`]).
-///
-/// # Examples
-///
-/// ```
-/// use pss_core::{PolicyTriple, ProtocolConfig};
-/// use pss_sim::{EventConfig, EventSimulation};
-///
-/// let protocol = ProtocolConfig::new(PolicyTriple::newscast(), 20)?;
-/// let mut sim = EventSimulation::new(protocol, EventConfig::default(), 7)?;
-/// sim.add_connected_nodes(100);
-/// sim.run_for(20_000); // ≈ 20 gossip periods
-/// assert!(sim.snapshot().undirected().average_degree() > 20.0);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub struct EventSimulation {
-    inner: ShardedEventSimulation<BoxedNode>,
-}
-
-impl EventSimulation {
-    /// Creates an empty event simulation for the paper's generic protocol.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`EventConfigError`] if `config` violates an invariant
-    /// (zero period, `jitter >= period`, loss probability outside `[0, 1]`).
-    pub fn new(
-        protocol: ProtocolConfig,
-        config: EventConfig,
-        seed: u64,
-    ) -> Result<Self, EventConfigError> {
-        Ok(EventSimulation {
-            inner: ShardedEventSimulation::new(protocol, config, seed, 1)?,
-        })
-    }
-
-    /// Creates an empty event simulation with a custom node factory.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`EventConfigError`] if `config` violates an invariant.
-    pub fn with_factory(
-        config: EventConfig,
-        seed: u64,
-        factory: impl Fn(NodeId, u64) -> BoxedNode + Send + Sync + 'static,
-    ) -> Result<Self, EventConfigError> {
-        Ok(EventSimulation {
-            inner: ShardedEventSimulation::with_factory(config, seed, 1, factory)?,
-        })
-    }
-
-    /// The underlying sharded engine (always one shard).
-    pub fn as_sharded(&self) -> &ShardedEventSimulation<BoxedNode> {
-        &self.inner
-    }
-
-    /// Mutable access to the underlying 1-shard engine (e.g. for the
-    /// delivery log).
-    pub fn as_sharded_mut(&mut self) -> &mut ShardedEventSimulation<BoxedNode> {
-        &mut self.inner
-    }
-
-    /// Current simulation time in ticks.
-    pub fn now(&self) -> u64 {
-        self.inner.now()
-    }
-
-    /// Number of live nodes.
-    pub fn alive_count(&self) -> usize {
-        self.inner.alive_count()
-    }
-
-    /// The view of a live node.
-    pub fn view_of(&self, id: NodeId) -> Option<&View> {
-        self.inner.view_of(id)
-    }
-
-    /// Adds a node bootstrapped from `seeds`; its first timer fires at a
-    /// uniform-random phase within one period (nodes are not synchronized).
-    pub fn add_node(&mut self, seeds: impl IntoIterator<Item = NodeDescriptor>) -> NodeId {
-        self.inner.add_node(seeds)
-    }
-
-    /// Adds `n` nodes where node `i` bootstraps off node `i − 1` (a simple
-    /// connected chain, convenient for tests and examples).
-    pub fn add_connected_nodes(&mut self, n: usize) -> Vec<NodeId> {
-        self.inner.add_connected_nodes(n)
-    }
-
-    /// Kills one node (crash-stop): pending deliveries to it are dropped at
-    /// delivery time.
-    pub fn kill(&mut self, id: NodeId) -> bool {
-        self.inner.kill(id)
-    }
-
-    /// Installs (`Some`) or lifts (`None`) a partition loss matrix; see
-    /// [`ShardedEventSimulation::set_partition`].
-    pub fn set_partition(&mut self, partition: Option<Partition>) {
-        self.inner.set_partition(partition);
-    }
-
-    /// Runs until simulation time reaches `deadline`, processing every
-    /// event at or before it. Returns the number of events processed.
-    pub fn run_until(&mut self, deadline: u64) -> u64 {
-        self.inner.run_until(deadline)
-    }
-
-    /// Runs for `duration` ticks from the current time.
-    pub fn run_for(&mut self, duration: u64) -> u64 {
-        self.inner.run_for(duration)
-    }
-
-    /// Cumulative event statistics since construction.
-    pub fn report(&self) -> EventReport {
-        self.inner.report()
-    }
-
-    /// Descriptors in live views pointing at dead nodes.
-    pub fn dead_link_count(&self) -> usize {
-        self.inner.dead_link_count()
-    }
-
-    /// Builds the communication-graph snapshot over live nodes.
-    pub fn snapshot(&self) -> Snapshot {
-        self.inner.snapshot()
-    }
-}
-
-impl std::fmt::Debug for EventSimulation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EventSimulation")
-            .field("now", &self.inner.now())
-            .field("nodes", &self.inner.node_count())
-            .field("alive", &self.inner.alive_count())
-            .field(
-                "pending_events",
-                &self.inner.shards.iter().map(|s| s.pending()).sum::<usize>(),
+                &self.shards.iter().map(|s| s.state.pending()).sum::<usize>(),
             )
             .finish()
     }
@@ -1432,13 +998,15 @@ impl std::fmt::Debug for EventSimulation {
 mod tests {
     use super::*;
     use pss_core::PolicyTriple;
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
 
     fn protocol() -> ProtocolConfig {
         ProtocolConfig::new(PolicyTriple::newscast(), 8).unwrap()
     }
 
-    fn sim(config: EventConfig) -> EventSimulation {
-        EventSimulation::new(protocol(), config, 11).expect("valid config")
+    fn sim(config: EventConfig) -> ShardedEventSimulation<PeerSamplingNode> {
+        ShardedEventSimulation::new(protocol(), config, 11, 1).expect("valid config")
     }
 
     #[test]
@@ -1457,7 +1025,8 @@ mod tests {
 
     #[test]
     fn invalid_configs_are_rejected() {
-        let build = |config: EventConfig| EventSimulation::new(protocol(), config, 11).err();
+        let build =
+            |config: EventConfig| ShardedEventSimulation::new(protocol(), config, 11, 1).err();
         assert_eq!(
             build(EventConfig {
                 period: 100,
@@ -1510,7 +1079,7 @@ mod tests {
             latency: LatencyModel::Zero,
             loss_probability: 0.0,
         };
-        assert!(EventSimulation::new(protocol(), config, 1).is_ok());
+        assert!(ShardedEventSimulation::new(protocol(), config, 1, 1).is_ok());
         // ...but has no lookahead window to run shards concurrently under.
         assert_eq!(
             ShardedEventSimulation::new(protocol(), config, 1, 2).err(),
@@ -1553,7 +1122,7 @@ mod tests {
         // threshold (tiny views can genuinely partition, see Section 4.3
         // experiments).
         let protocol = ProtocolConfig::new(PolicyTriple::newscast(), 16).unwrap();
-        let mut s = EventSimulation::new(
+        let mut s = ShardedEventSimulation::new(
             protocol,
             EventConfig {
                 period: 1000,
@@ -1562,6 +1131,7 @@ mod tests {
                 loss_probability: 0.0,
             },
             11,
+            1,
         )
         .expect("valid config");
         // Tree bootstrap (every joiner knows an introducer): a bare chain
@@ -1604,7 +1174,7 @@ mod tests {
             loss_probability: 1.0,
         });
         s.add_connected_nodes(4);
-        let ids = |s: &EventSimulation, i: u64| -> Vec<NodeId> {
+        let ids = |s: &ShardedEventSimulation<PeerSamplingNode>, i: u64| -> Vec<NodeId> {
             s.view_of(NodeId::new(i)).unwrap().ids().collect()
         };
         let before: Vec<_> = (0..4).map(|i| ids(&s, i)).collect();
@@ -1620,7 +1190,7 @@ mod tests {
     #[test]
     fn deterministic_under_seed() {
         let run = |seed: u64| {
-            let mut s = EventSimulation::new(protocol(), EventConfig::default(), seed)
+            let mut s = ShardedEventSimulation::new(protocol(), EventConfig::default(), seed, 1)
                 .expect("valid config");
             s.add_connected_nodes(30);
             s.run_for(20_000);
@@ -1700,7 +1270,7 @@ mod tests {
         s.run_cycle();
         assert!(s.queue_overflowed() >= NODES as u64);
         if pss_telemetry::enabled() {
-            assert!(s.queue_overflow.get() >= s.queue_overflowed());
+            assert!(s.mode.queue_overflow.get() >= s.queue_overflowed());
         }
         // The configurations the repo runs stay on the ring.
         let mut s = ShardedEventSimulation::new(protocol(), EventConfig::default(), 5, 2)

@@ -25,12 +25,11 @@
 
 use std::sync::Mutex;
 
-use pss_core::{GossipNode, NodeDescriptor, NodeId};
+use pss_core::NodeId;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
 use crate::pool::WorkerPool;
-use crate::population::Population;
 
 /// Where a global node id lives: `(shard, slot within the shard)`.
 #[derive(Debug, Clone, Copy)]
@@ -182,74 +181,6 @@ pub(crate) fn lose(rng: &mut SmallRng, loss: f64) -> bool {
     loss > 0.0 && rng.random::<f64>() < loss
 }
 
-/// Crash-stop kill shared by both engines: clears the directory liveness
-/// bit and the owning shard's population slot. `pop` projects the
-/// population out of the engine-specific shard type.
-pub(crate) fn kill_node<S, N: GossipNode>(
-    dir: &mut Directory,
-    shards: &mut [S],
-    id: NodeId,
-    pop: impl Fn(&mut S) -> &mut Population<N>,
-) -> bool {
-    let Some(slot_ref) = dir.kill(id) else {
-        return false;
-    };
-    let killed = pop(&mut shards[slot_ref.shard as usize]).kill_slot(slot_ref.slot);
-    debug_assert!(killed);
-    true
-}
-
-/// Worker-parallel bulk construction shared by both engines: plans `n`
-/// contiguous per-shard id ranges, builds every shard's partition
-/// concurrently with `(seed, id)`-pure node seeds, runs the
-/// engine-specific `per_node` hook (the event engine schedules the initial
-/// timer there), then registers the ids in the directory — bit-identical
-/// at any worker count.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn bulk_build<S, N, I>(
-    dir: &mut Directory,
-    shards: &mut [S],
-    pool: &WorkerPool,
-    n: usize,
-    seed: u64,
-    factory: &(dyn Fn(NodeId, u64) -> N + Send + Sync),
-    seeds: impl Fn(NodeId) -> I + Sync,
-    pop: impl Fn(&mut S) -> &mut Population<N> + Sync,
-    index: impl Fn(&S) -> usize + Sync,
-    per_node: impl Fn(&mut S, u32, NodeId) + Sync,
-) where
-    S: Send,
-    N: GossipNode + Send,
-    I: IntoIterator<Item = NodeDescriptor>,
-{
-    dir.plan_capacity(n);
-    let shard_count = shards.len();
-    // Routed through the pool with the same contiguous partition the
-    // phases use, so each shard's nodes are first-touched (and thus, on
-    // NUMA systems, placed) by the worker that will run them.
-    run_phase(shards, pool, |shard| {
-        let (start, end) = planned_range(n, shard_count, index(shard));
-        for raw in start..end {
-            let id = NodeId::new(raw as u64);
-            let node = factory(id, bulk_node_seed(seed, id.as_u64()));
-            debug_assert_eq!(node.id(), id, "factory must honor the assigned id");
-            let slot = pop(shard).add_slot(node);
-            debug_assert_eq!(slot as usize, raw - start);
-            pop(shard)
-                .slot_mut(slot)
-                .node
-                .init(&mut seeds(id).into_iter());
-            per_node(shard, slot, id);
-        }
-    });
-    for raw in 0..n as u64 {
-        // Same placement formula `shard_for_new` uses for planned ids.
-        let shard = ((raw * shard_count as u64) / n as u64) as usize;
-        let (start, _) = planned_range(n, shard_count, shard);
-        dir.push(shard as u32, (raw as usize - start) as u32);
-    }
-}
-
 /// The contiguous id range shard `index` of `shards` owns under a plan of
 /// `n` ids: `[⌈index·n/shards⌉, ⌈(index+1)·n/shards⌉)` — exactly the ids
 /// [`Directory::shard_for_new`] maps to that shard, so bulk construction
@@ -272,40 +203,6 @@ pub(crate) fn bulk_node_seed(seed: u64, id: u64) -> u64 {
 /// engine's bulk construction, uniform over `[0, period)`.
 pub(crate) fn bulk_timer_phase(seed: u64, id: u64, period: u64) -> u64 {
     mix(seed ^ 0x7c15_9e37_79b9_7f4a ^ id.wrapping_mul(0x2545_f491_4f6c_dd1d)) % period
-}
-
-/// Builds the flat CSR live-view snapshot shared by both engines'
-/// `csr_snapshot`: `for_each` must visit every live `(id, view)` in
-/// increasing id order (both engines' `for_each_live_view`), and is called
-/// twice — once to build the compact index, once to emit edges. Dead view
-/// targets are dropped, exactly as in the `Vec`-based snapshot.
-pub(crate) fn csr_from_views(
-    id_space: usize,
-    alive_count: usize,
-    for_each: impl Fn(&mut dyn FnMut(NodeId, &pss_core::View)),
-) -> crate::CsrSnapshot {
-    let mut index = vec![u32::MAX; id_space];
-    let mut ids: Vec<NodeId> = Vec::with_capacity(alive_count);
-    let mut per_node = 0usize;
-    for_each(&mut |id, view| {
-        index[id.as_index()] = ids.len() as u32;
-        ids.push(id);
-        // Estimate edge capacity from the first live view (views share c).
-        if per_node == 0 {
-            per_node = view.len();
-        }
-    });
-    let mut builder = pss_graph::csr::CsrBuilder::with_capacity(ids.len(), ids.len() * per_node);
-    for_each(&mut |_, view| {
-        builder.push_node(view.ids().filter_map(|target| {
-            index
-                .get(target.as_index())
-                .copied()
-                .filter(|&compact| compact != u32::MAX)
-        }));
-    });
-    let graph = builder.finish().expect("compact indices are in range");
-    crate::CsrSnapshot::new(graph, ids)
 }
 
 /// The outgoing/incoming cross-shard queues of one shard, one fixed-order

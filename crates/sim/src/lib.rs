@@ -1,26 +1,29 @@
 //! Simulators for gossip-based peer sampling protocols.
 //!
-//! Three execution models over the same node population:
+//! Two engines over one sharded node population ([`ShardedSimulation`] and
+//! [`ShardedEventSimulation`] are the same struct under two execution
+//! models, so joins, kills, views and snapshots are one API), with the
+//! **shard count** as the one parameter that picks between sequential and
+//! parallel execution:
 //!
-//! * [`Simulation`] — the **cycle-driven** model the paper's experiments
-//!   use: in every cycle each live node initiates exactly one exchange, in a
-//!   fresh random order, and each exchange completes atomically. Exchanges
-//!   with dead peers silently do nothing to the initiator (no failure
-//!   detector; the protocol heals only through view selection).
-//! * [`ShardedSimulation`] — the same cycle model **sharded across worker
-//!   threads** for large populations (N = 10⁶ and beyond): nodes are
-//!   partitioned into shards, cross-shard exchanges flow through
+//! * [`ShardedSimulation`] — the **cycle-driven** model the paper's
+//!   experiments use: in every cycle each live node initiates exactly one
+//!   exchange, in a fresh random order. Exchanges with dead peers silently
+//!   do nothing to the initiator (no failure detector; the protocol heals
+//!   only through view selection). With one shard every exchange completes
+//!   inline and atomically — the paper's sequential model, which
+//!   [`scenario::random_overlay`] and the figure experiments build. With
+//!   more, nodes are partitioned across worker threads for large
+//!   populations (N = 10⁶ and beyond), cross-shard exchanges flow through
 //!   fixed-order mailboxes, and results are bit-identical for a given
 //!   `(seed, shard_count)` regardless of the worker-thread count.
-//!   [`Simulation`] is exactly this engine with one shard.
-//! * [`EventSimulation`] / [`ShardedEventSimulation`] — a **discrete-event**
-//!   engine with per-node timer jitter, message latency and message loss.
-//!   This goes beyond the paper's model and is used for the
-//!   asynchrony-robustness extension experiments. The sharded variant runs
-//!   the event queues shard-parallel under a conservative lookahead window
-//!   equal to the minimum latency, with the same determinism contract as
-//!   the cycle engine; [`EventSimulation`] is exactly its 1-shard special
-//!   case.
+//! * [`ShardedEventSimulation`] — a **discrete-event** engine with per-node
+//!   timer jitter, message latency and message loss. This goes beyond the
+//!   paper's model and is used for the asynchrony-robustness extension
+//!   experiments. With more than one shard the event queues run
+//!   shard-parallel under a conservative lookahead window equal to the
+//!   minimum latency, with the same determinism contract as the cycle
+//!   engine.
 //!
 //! Scenario constructors ([`scenario`]) reproduce the paper's three
 //! bootstrap regimes — growing overlay, ring lattice, uniform random — and
@@ -72,14 +75,13 @@ pub mod scenario;
 pub mod workload;
 
 pub use churn::{ChurnProcess, RateAccumulator};
-pub use cycle::Simulation;
+pub use cycle::{CycleReport, FailureMode, GrowthPlan, ShardedSimulation};
 pub use engine::Engine;
 pub use event::{
-    Delivery, EventConfig, EventConfigError, EventReport, EventSimulation, LatencyModel,
-    ShardedEventSimulation,
+    Delivery, EventConfig, EventConfigError, EventReport, LatencyModel, ShardedEventSimulation,
 };
 pub use population::BoxedNode;
 pub use queue::TickQueue;
-pub use shard::{CycleReport, FailureMode, GrowthPlan, ShardedSimulation};
+pub use shard::Sharded;
 pub use snapshot::{CsrSnapshot, Snapshot, StreamingMetrics};
 pub use workload::{Partition, Workload, WorkloadTarget};

@@ -11,14 +11,13 @@ use pss_stats::TimeSeries;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::{Engine, Simulation, Snapshot};
+use crate::{Engine, Snapshot};
 
 /// Everything an observer may look at after a cycle.
 ///
-/// Generic over the engine (defaulting to the sequential boxed
-/// [`Simulation`]), so observers work unchanged on the monomorphized fast
-/// path and on the sharded parallel engine.
-pub struct CycleContext<'a, E: Engine = Simulation> {
+/// Generic over the engine, so observers work unchanged on the cycle and
+/// the event engine at any shard count.
+pub struct CycleContext<'a, E: Engine> {
     /// The cycle that just completed.
     pub cycle: u64,
     /// The simulation (read-only).
@@ -30,7 +29,7 @@ pub struct CycleContext<'a, E: Engine = Simulation> {
 }
 
 /// A per-cycle metric recorder.
-pub trait Observer<E: Engine = Simulation> {
+pub trait Observer<E: Engine> {
     /// Called once after every completed cycle.
     fn observe(&mut self, ctx: &CycleContext<'_, E>);
 }

@@ -4,10 +4,9 @@
 //! liveness mirror, holding **one shard** of a sharded population: slots
 //! are shard-local indices, the node's *global* id lives in the node
 //! itself, and the mapping from global id to `(shard, slot)` is kept by
-//! the owning engine's [`crate::exec::Directory`]. Both the cycle engines
-//! ([`crate::ShardedSimulation`]) and the event engines
-//! ([`crate::ShardedEventSimulation`]) store their partitions this way;
-//! the sequential wrappers are the 1-shard special case.
+//! the owning engine's [`crate::exec::Directory`]. The cycle engine
+//! ([`crate::ShardedSimulation`]) and the event engine
+//! ([`crate::ShardedEventSimulation`]) store their partitions this way.
 
 use pss_core::{GossipNode, NodeId};
 
@@ -26,11 +25,11 @@ pub(crate) struct Entry<N> {
 /// Dense table of nodes; slots are assigned sequentially and never reused,
 /// so a dead node's slot stays dead.
 ///
-/// Generic over the node type: `Population<BoxedNode>` (the default) holds
-/// heterogeneous boxed nodes behind virtual dispatch; a concrete `N` gives
-/// the monomorphized fast path. Liveness is mirrored in a `u64` bitset so
+/// Generic over the node type: `Population<BoxedNode>` holds heterogeneous
+/// boxed nodes behind virtual dispatch; a concrete `N` gives the
+/// monomorphized fast path. Liveness is mirrored in a `u64` bitset so
 /// per-cycle snapshots are word copies instead of per-node scans.
-pub(crate) struct Population<N = BoxedNode> {
+pub(crate) struct Population<N> {
     entries: Vec<Entry<N>>,
     alive_count: usize,
     /// Bit `i` set ⇔ slot `i` is alive.

@@ -11,28 +11,31 @@
 //! * **random** ([`random_overlay`]) — views are uniform random samples
 //!   (the baseline topology itself).
 
-use pss_core::{GossipNode, NodeDescriptor, NodeId, PeerSamplingNode, ProtocolConfig};
+use pss_core::{NodeDescriptor, NodeId, PeerSamplingNode, ProtocolConfig};
 use pss_graph::{gen, DiGraph};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::{
-    EventConfig, EventConfigError, GrowthPlan, ShardedEventSimulation, ShardedSimulation,
-    Simulation,
-};
+use crate::shard::{Mode, Sharded};
+use crate::{EventConfig, EventConfigError, GrowthPlan, ShardedEventSimulation, ShardedSimulation};
 
-/// Seeds an existing (empty) simulation so that node `i`'s view holds a
-/// fresh descriptor per out-neighbor of `i` in `graph`. Works for any node
-/// type, so boxed and monomorphized scenarios share one implementation.
+/// Seeds an empty engine so that node `i`'s view holds a fresh descriptor
+/// per out-neighbor of `i` in `graph` — one loop for both engines.
+///
+/// Deliberately **serial** (`add_node`: node seeds, and on the event engine
+/// timer phases, from the control RNG in join order — unlike the bulk path
+/// of [`random_overlay_sharded`]): the 1-shard trajectories every figure
+/// experiment rides on are pinned on exactly these draws.
 ///
 /// # Panics
 ///
 /// Panics if any out-degree exceeds `view_size`.
-fn seed_from_digraph<N: GossipNode + Send>(
-    sim: &mut Simulation<N>,
+fn seed_from_digraph<M: Mode>(
+    sim: &mut Sharded<PeerSamplingNode, M>,
     view_size: usize,
     graph: &DiGraph,
 ) {
+    sim.plan_capacity(graph.node_count());
     for v in 0..graph.node_count() as u32 {
         let out = graph.out_neighbors(v);
         assert!(
@@ -48,29 +51,20 @@ fn seed_from_digraph<N: GossipNode + Send>(
     }
 }
 
-/// Builds a simulation whose initial views replicate a directed graph:
-/// node `i`'s view holds a fresh descriptor per out-neighbor of `i`.
+/// Builds a sequential (1-shard) simulation whose initial views replicate a
+/// directed graph: node `i`'s view holds a fresh descriptor per
+/// out-neighbor of `i`.
 ///
 /// # Panics
 ///
 /// Panics if any out-degree exceeds the configured view size (the scenario
 /// would silently truncate otherwise).
-pub fn from_digraph(config: &ProtocolConfig, graph: &DiGraph, seed: u64) -> Simulation {
-    let mut sim = Simulation::new(config.clone(), seed);
-    seed_from_digraph(&mut sim, config.view_size(), graph);
-    sim
-}
-
-/// Monomorphized variant of [`from_digraph`]: same seeds, same exchanges,
-/// no virtual dispatch in the cycle loop (see [`Simulation::typed`]).
-pub fn from_digraph_fast(
+pub fn from_digraph(
     config: &ProtocolConfig,
     graph: &DiGraph,
     seed: u64,
-) -> Simulation<PeerSamplingNode> {
-    let mut sim = Simulation::typed(config.clone(), seed);
-    seed_from_digraph(&mut sim, config.view_size(), graph);
-    sim
+) -> ShardedSimulation<PeerSamplingNode> {
+    from_digraph_sharded(config, graph, seed, 1)
 }
 
 /// The growing-overlay scenario: one initial node, `per_cycle` joiners per
@@ -83,8 +77,8 @@ pub fn growing_overlay(
     target: usize,
     per_cycle: usize,
     seed: u64,
-) -> Simulation {
-    let mut sim = Simulation::new(config.clone(), seed);
+) -> ShardedSimulation<PeerSamplingNode> {
+    let mut sim = ShardedSimulation::new(config.clone(), seed, 1);
     sim.add_node([]);
     sim.set_growth(GrowthPlan {
         nodes_per_cycle: per_cycle,
@@ -94,14 +88,22 @@ pub fn growing_overlay(
 }
 
 /// The ring-lattice scenario: views hold the `c` nearest ring neighbors.
-pub fn lattice_overlay(config: &ProtocolConfig, n: usize, seed: u64) -> Simulation {
+pub fn lattice_overlay(
+    config: &ProtocolConfig,
+    n: usize,
+    seed: u64,
+) -> ShardedSimulation<PeerSamplingNode> {
     let lattice = gen::ring_lattice(n, config.view_size());
     from_digraph(config, &lattice, seed)
 }
 
 /// The random scenario: views are independent uniform samples of the other
 /// nodes — the paper's baseline topology as the starting point.
-pub fn random_overlay(config: &ProtocolConfig, n: usize, seed: u64) -> Simulation {
+pub fn random_overlay(
+    config: &ProtocolConfig,
+    n: usize,
+    seed: u64,
+) -> ShardedSimulation<PeerSamplingNode> {
     // Derive the topology RNG from the run seed but keep it distinct from
     // the simulation RNG stream.
     let mut topo_rng = SmallRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
@@ -109,33 +111,19 @@ pub fn random_overlay(config: &ProtocolConfig, n: usize, seed: u64) -> Simulatio
     from_digraph(config, &graph, seed)
 }
 
-/// Monomorphized variant of [`random_overlay`]: identical topology and
-/// protocol behavior for the same seed, minus the boxed dispatch.
-pub fn random_overlay_fast(
+/// A star bootstrap: every node knows only node 0 (and node 0 knows node 1).
+/// The pathological topology pull-only protocols collapse to.
+pub fn star_overlay(
     config: &ProtocolConfig,
     n: usize,
     seed: u64,
-) -> Simulation<PeerSamplingNode> {
-    let mut topo_rng = SmallRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
-    let graph = gen::uniform_view_digraph(n, config.view_size(), &mut topo_rng);
-    from_digraph_fast(config, &graph, seed)
-}
-
-/// A star bootstrap: every node knows only node 0 (and node 0 knows node 1).
-/// The pathological topology pull-only protocols collapse to.
-pub fn star_overlay(config: &ProtocolConfig, n: usize, seed: u64) -> Simulation {
+) -> ShardedSimulation<PeerSamplingNode> {
     let graph = gen::star(n);
     from_digraph(config, &graph, seed)
 }
 
-/// Seeds an empty [`ShardedSimulation`] from a directed graph, exactly like
-/// [`from_digraph`] does for the sequential engine (same per-node seed
-/// draws, same views). With `shards == 1` the two engines then produce
-/// identical cycles — the differential tests pin this.
-///
-/// Deliberately **serial** (control-RNG node seeds, unlike the bulk path of
-/// [`random_overlay_sharded`]): the 1-shard-equals-`Simulation` contract
-/// requires drawing node seeds exactly as `Simulation`'s `add_node` does.
+/// [`from_digraph`] at any shard count: the same serial per-node seed
+/// draws and the same views, placed in contiguous per-shard id ranges.
 ///
 /// # Panics
 ///
@@ -146,21 +134,8 @@ pub fn from_digraph_sharded(
     seed: u64,
     shards: usize,
 ) -> ShardedSimulation<PeerSamplingNode> {
-    let mut sim = ShardedSimulation::typed(config.clone(), seed, shards);
-    sim.plan_capacity(graph.node_count());
-    for v in 0..graph.node_count() as u32 {
-        let out = graph.out_neighbors(v);
-        assert!(
-            out.len() <= config.view_size(),
-            "initial out-degree {} exceeds view size {}",
-            out.len(),
-            config.view_size()
-        );
-        sim.add_node(
-            out.iter()
-                .map(|&t| NodeDescriptor::fresh(NodeId::new(t as u64))),
-        );
-    }
+    let mut sim = ShardedSimulation::new(config.clone(), seed, shards);
+    seed_from_digraph(&mut sim, config.view_size(), graph);
     sim
 }
 
@@ -173,19 +148,18 @@ pub fn from_digraph_sharded(
 /// shard counts start from the *identical* overlay (the cycle dynamics then
 /// diverge per the sharding contract, like a seed change would).
 ///
-/// Construction is **worker-parallel** via
-/// [`ShardedSimulation::add_nodes_bulk`]: node RNG seeds are `(seed, id)`-
-/// pure, so the built population is bit-identical at any worker count.
-/// (Bulk seeds differ from the control-RNG seeds serial `add_node` draws —
-/// switching this constructor over reseeded its trajectories once, see the
-/// pinned-digest test.)
+/// Construction is **worker-parallel** via [`Sharded::add_nodes_bulk`]:
+/// node RNG seeds are `(seed, id)`-pure, so the built population is
+/// bit-identical at any worker count. (Bulk seeds differ from the
+/// control-RNG seeds serial `add_node` draws — switching this constructor
+/// over reseeded its trajectories once, see the pinned-digest test.)
 pub fn random_overlay_sharded(
     config: &ProtocolConfig,
     n: usize,
     seed: u64,
     shards: usize,
 ) -> ShardedSimulation<PeerSamplingNode> {
-    let mut sim = ShardedSimulation::typed(config.clone(), seed, shards);
+    let mut sim = ShardedSimulation::new(config.clone(), seed, shards);
     let want = config.view_size().min(n.saturating_sub(1));
     sim.add_nodes_bulk(n, move |id| random_view_for(seed, n, want, id.as_index()));
     sim
@@ -215,13 +189,12 @@ fn random_view_for(
     })
 }
 
-/// The random scenario on the **sharded event engine**: the same
-/// `(seed, id)`-pure per-node views as [`random_overlay_sharded`] (so event
-/// and cycle runs at equal `(seed, n, c)` start from the identical
-/// overlay), built **worker-parallel** via
-/// [`ShardedEventSimulation::add_nodes_bulk`] — node seeds and timer
-/// phases are pure in `(seed, id)` too, making the constructed simulation
-/// bit-identical at any worker count.
+/// The random scenario on the **event engine**: the same `(seed, id)`-pure
+/// per-node views as [`random_overlay_sharded`] (so event and cycle runs at
+/// equal `(seed, n, c)` start from the identical overlay), built
+/// **worker-parallel** via [`Sharded::add_nodes_bulk`] — node seeds and
+/// timer phases are pure in `(seed, id)` too, making the constructed
+/// simulation bit-identical at any worker count.
 ///
 /// # Errors
 ///
@@ -235,18 +208,16 @@ pub fn event_random_overlay_sharded(
     seed: u64,
     shards: usize,
 ) -> Result<ShardedEventSimulation<PeerSamplingNode>, EventConfigError> {
-    let mut sim = ShardedEventSimulation::typed(config.clone(), event, seed, shards)?;
+    let mut sim = ShardedEventSimulation::new(config.clone(), event, seed, shards)?;
     let want = config.view_size().min(n.saturating_sub(1));
     sim.add_nodes_bulk(n, move |id| random_view_for(seed, n, want, id.as_index()));
     Ok(sim)
 }
 
 /// Seeds an empty [`ShardedEventSimulation`] from a directed graph, exactly
-/// like [`from_digraph`] does for the cycle engine: node `i`'s view holds a
-/// fresh descriptor per out-neighbor of `i`, and node seeds/phases come
-/// from the control RNG in join order — so a 1-shard instance is the
-/// [`crate::EventSimulation`] built by the same adds (the differential
-/// tests pin this).
+/// like [`from_digraph_sharded`] does for the cycle engine: node `i`'s view
+/// holds a fresh descriptor per out-neighbor of `i`, and node seeds/phases
+/// come from the control RNG in join order.
 ///
 /// # Errors
 ///
@@ -262,21 +233,8 @@ pub fn event_from_digraph_sharded(
     seed: u64,
     shards: usize,
 ) -> Result<ShardedEventSimulation<PeerSamplingNode>, EventConfigError> {
-    let mut sim = ShardedEventSimulation::typed(config.clone(), event, seed, shards)?;
-    sim.plan_capacity(graph.node_count());
-    for v in 0..graph.node_count() as u32 {
-        let out = graph.out_neighbors(v);
-        assert!(
-            out.len() <= config.view_size(),
-            "initial out-degree {} exceeds view size {}",
-            out.len(),
-            config.view_size()
-        );
-        sim.add_node(
-            out.iter()
-                .map(|&t| NodeDescriptor::fresh(NodeId::new(t as u64))),
-        );
-    }
+    let mut sim = ShardedEventSimulation::new(config.clone(), event, seed, shards)?;
+    seed_from_digraph(&mut sim, config.view_size(), graph);
     Ok(sim)
 }
 

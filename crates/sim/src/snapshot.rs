@@ -8,7 +8,7 @@ use pss_graph::{DiGraph, UGraph};
 /// *live* nodes, with compact indices, plus the index ↔ id mapping.
 ///
 /// Edges to dead nodes are excluded (they are *dead links*, counted
-/// separately by [`crate::Simulation::dead_link_count`]).
+/// separately by [`crate::ShardedSimulation::dead_link_count`]).
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     directed: DiGraph,

@@ -16,6 +16,7 @@ use pss_telemetry::{flight, Counter, EventKind, Histogram};
 
 use crate::exec;
 use crate::pool::WorkerPool;
+use crate::shard::Shard;
 
 /// Telemetry handles for one engine instance. Handles are shared cells:
 /// every `ShardedSimulation` in the process accumulates into the same
@@ -81,18 +82,17 @@ impl EngineTele {
     /// max/mean ratio into the imbalance histogram, and — when `trail` is
     /// `Some(tick)` — phase start/end events into the flight recorder
     /// (`tick` is the cycle or bucket index carried on those events).
-    pub(crate) fn run_phase<S, F, I>(
+    pub(crate) fn run_phase<N, S, F>(
         &self,
         phase: usize,
         trail: Option<u64>,
-        shards: &mut [S],
+        shards: &mut [Shard<N, S>],
         pool: &WorkerPool,
-        index: I,
         f: F,
     ) where
+        N: Send,
         S: Send,
-        F: Fn(&mut S) + Sync,
-        I: Fn(&S) -> usize + Sync,
+        F: Fn(&mut Shard<N, S>) + Sync,
     {
         if !pss_telemetry::enabled() {
             exec::run_phase(shards, pool, f);
@@ -106,7 +106,7 @@ impl EngineTele {
         exec::run_phase(shards, pool, |shard| {
             let t = Instant::now();
             f(shard);
-            self.shard_ns[index(shard)].store(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            self.shard_ns[shard.index].store(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
         });
         let elapsed = started.elapsed().as_nanos() as u64;
         phase_hist.record(elapsed);

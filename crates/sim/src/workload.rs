@@ -1408,7 +1408,7 @@ pub fn run_workload_observed<T: WorkloadTarget>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{scenario, Simulation};
+    use crate::{scenario, ShardedSimulation};
     use pss_core::{PolicyTriple, ProtocolConfig};
 
     fn acceptance() -> Workload {
@@ -1830,7 +1830,7 @@ mod tests {
     #[test]
     fn simulation_satisfies_workload_target() {
         let config = ProtocolConfig::new(PolicyTriple::newscast(), 5).unwrap();
-        let mut sim = Simulation::new(config, 3);
+        let mut sim = ShardedSimulation::new(config, 3, 1);
         sim.add_node([]);
         sim.add_node([pss_core::NodeDescriptor::fresh(NodeId::new(0))]);
         WorkloadTarget::join(&mut sim, NodeId::new(2), &[NodeId::new(0)]);
@@ -1848,7 +1848,7 @@ mod tests {
     #[should_panic(expected = "workload compiled id")]
     fn join_id_mismatch_is_detected() {
         let config = ProtocolConfig::new(PolicyTriple::newscast(), 5).unwrap();
-        let mut sim = Simulation::new(config, 3);
+        let mut sim = ShardedSimulation::new(config, 3, 1);
         sim.add_node([]);
         WorkloadTarget::join(&mut sim, NodeId::new(5), &[NodeId::new(0)]);
     }

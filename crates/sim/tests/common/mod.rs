@@ -8,8 +8,8 @@
 // Each integration-test target compiles its own copy and uses a subset.
 #![allow(dead_code)]
 
-use pss_core::{NodeId, View};
-use pss_sim::{CycleReport, EventReport};
+use pss_core::{NodeId, PeerSamplingNode, ProtocolConfig, View};
+use pss_sim::{BoxedNode, CycleReport, EventReport};
 
 /// The FNV-1a offset basis: the canonical digest seed.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -35,6 +35,15 @@ pub fn view_digest(for_each: impl Fn(&mut dyn FnMut(NodeId, &View))) -> u64 {
         }
     });
     digest
+}
+
+/// A `with_factory` factory building the population `new` builds, but
+/// boxed (virtual dispatch per protocol call): the other side of the
+/// boxed ≡ monomorphized differentials.
+pub fn boxed_factory(
+    config: ProtocolConfig,
+) -> impl Fn(NodeId, u64) -> BoxedNode + Send + Sync + 'static {
+    move |id, seed| Box::new(PeerSamplingNode::with_seed(id, config.clone(), seed)) as BoxedNode
 }
 
 /// Folds a cycle report into the digest.

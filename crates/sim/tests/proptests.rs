@@ -7,8 +7,8 @@ use proptest::prelude::*;
 use pss_core::{NodeDescriptor, NodeId, PolicyTriple, ProtocolConfig};
 use pss_sim::workload::{Partition, PhaseSpec, Workload};
 use pss_sim::{
-    scenario, ChurnProcess, EventConfig, EventSimulation, FailureMode, LatencyModel,
-    RateAccumulator, TickQueue,
+    scenario, ChurnProcess, EventConfig, FailureMode, LatencyModel, RateAccumulator,
+    ShardedEventSimulation, TickQueue,
 };
 
 /// Builds one grammar-expressible phase from raw draws. Rates and losses
@@ -178,7 +178,7 @@ proptest! {
     ) {
         let run = || {
             let config = ProtocolConfig::new(PolicyTriple::newscast(), 6).unwrap();
-            let mut sim = EventSimulation::new(config, EventConfig::default(), seed)
+            let mut sim = ShardedEventSimulation::new(config, EventConfig::default(), seed, 1)
                 .expect("valid config");
             sim.add_node([]);
             for i in 1..n as u64 {
@@ -198,7 +198,7 @@ proptest! {
         seed in 0u64..100,
     ) {
         let config = ProtocolConfig::new(PolicyTriple::newscast(), 6).unwrap();
-        let mut sim = EventSimulation::new(
+        let mut sim = ShardedEventSimulation::new(
             config,
             EventConfig {
                 period: 500,
@@ -207,6 +207,7 @@ proptest! {
                 loss_probability: 0.1,
             },
             seed,
+            1,
         )
         .expect("valid config");
         sim.add_connected_nodes(10);

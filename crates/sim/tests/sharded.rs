@@ -9,14 +9,15 @@
 //!    *any* accidental change to cross-shard ordering, RNG streams, or
 //!    mailbox draining fails loudly (update the constant only for an
 //!    intentional engine change, and say so in the commit).
-//! 3. **1-shard equivalence** — `ShardedSimulation` with one shard is the
-//!    sequential `Simulation`: identical `CycleReport`s and final views for
-//!    all three headline policies.
+//! 3. **Boxed ≡ monomorphized** — a 1-shard `with_factory` engine of boxed
+//!    nodes and the `new` engine the scenarios build produce identical
+//!    `CycleReport`s and final views for all three headline policies; the
+//!    1-shard serial path itself is pinned by its own digest.
 
 mod common;
 
-use common::{digest_report, fnv1a, FNV_OFFSET};
-use pss_core::{GossipNode, NodeId, PolicyTriple, ProtocolConfig};
+use common::{boxed_factory, digest_report, fnv1a, FNV_OFFSET};
+use pss_core::{GossipNode, NodeDescriptor, NodeId, PolicyTriple, ProtocolConfig};
 use pss_graph::gen;
 use pss_sim::{scenario, ChurnProcess, FailureMode, ShardedSimulation};
 use rand::rngs::SmallRng;
@@ -111,6 +112,25 @@ fn pinned_digest_at_tiny_scale() {
 /// See [`pinned_digest_at_tiny_scale`].
 const PINNED_TINY_DIGEST: u64 = 17857917930071933123;
 
+/// The 1-shard **serial** path — inline exchanges, no mailbox, node seeds
+/// drawn from the control RNG in join order — that every
+/// `scenario::random_overlay` caller (Figures 2–7, Tables 1–2) rides on:
+/// same `Scale::tiny()` parameters as [`pinned_digest_at_tiny_scale`].
+#[test]
+fn pinned_serial_one_shard_digest_at_tiny_scale() {
+    let config = ProtocolConfig::new(PolicyTriple::newscast(), 15).expect("valid");
+    let mut sim = scenario::random_overlay(&config, 300, 20040601);
+    let mut digest = FNV_OFFSET;
+    for _ in 0..60 {
+        digest_report(&mut digest, &sim.run_cycle());
+    }
+    fnv1a(&mut digest, view_digest(&sim));
+    assert_eq!(digest, PINNED_TINY_SERIAL_DIGEST);
+}
+
+/// See [`pinned_serial_one_shard_digest_at_tiny_scale`].
+const PINNED_TINY_SERIAL_DIGEST: u64 = 17721418516760720196;
+
 /// The timestamp freshness axis obeys the same determinism contract as the
 /// default hop-count mode: for a fixed `(seed, shard_count)` the digest is
 /// identical at every worker count. (The hop-count digest above pins that
@@ -156,32 +176,32 @@ fn one_shard_matches_sequential_for_headline_policies() {
         let mut topo = SmallRng::seed_from_u64(99);
         let graph = gen::uniform_view_digraph(150, 10, &mut topo);
 
-        let mut sequential = scenario::from_digraph(&config, &graph, 31);
-        let mut sharded = scenario::from_digraph_sharded(&config, &graph, 31, 1);
+        // A heterogeneous-capable boxed population, built by the same
+        // serial joins...
+        let mut boxed = ShardedSimulation::with_factory(31, 1, boxed_factory(config.clone()));
+        for v in 0..graph.node_count() as u32 {
+            boxed.add_node(
+                graph
+                    .out_neighbors(v)
+                    .iter()
+                    .map(|&t| NodeDescriptor::fresh(NodeId::new(t as u64))),
+            );
+        }
+        // ...vs the monomorphized engine the scenario constructor builds.
+        let mut typed = scenario::from_digraph(&config, &graph, 31);
 
         for cycle in 0..10 {
-            let seq_report = sequential.run_cycle();
-            let sharded_report = sharded.run_cycle();
             assert_eq!(
-                seq_report, sharded_report,
+                boxed.run_cycle(),
+                typed.run_cycle(),
                 "{name}: cycle {cycle} reports diverged"
             );
         }
-        for id in sequential.alive_ids() {
-            let seq_view: Vec<(u64, u32)> = sequential
-                .view_of(id)
-                .expect("alive")
-                .iter()
-                .map(|d| (d.id().as_u64(), d.hop_count()))
-                .collect();
-            let sharded_view: Vec<(u64, u32)> = sharded
-                .view_of(id)
-                .expect("alive")
-                .iter()
-                .map(|d| (d.id().as_u64(), d.hop_count()))
-                .collect();
-            assert_eq!(seq_view, sharded_view, "{name}: view of {id} diverged");
-        }
+        assert_eq!(
+            view_digest(&boxed),
+            view_digest(&typed),
+            "{name}: views diverged"
+        );
     }
 }
 

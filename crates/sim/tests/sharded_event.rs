@@ -3,10 +3,12 @@
 //!
 //! Contracts pinned here:
 //!
-//! 1. **1-shard equivalence** — `ShardedEventSimulation` with one shard is
-//!    the sequential `EventSimulation`: identical per-event delivery order,
-//!    final views, and event statistics for all three headline policies,
-//!    regardless of how the run is chunked into `run_until` calls.
+//! 1. **Boxed ≡ monomorphized, chunked ≡ unchunked** — a 1-shard
+//!    `with_factory` engine of boxed nodes and the `new` engine the
+//!    scenarios build produce identical per-event delivery order, final
+//!    views, and event statistics for all three headline policies,
+//!    regardless of how the run is chunked into `run_until` calls; the
+//!    1-shard serial path itself is pinned by its own digest.
 //! 2. **Worker invariance** — for a fixed `(seed, shard_count)`, the full
 //!    per-period digest stream is bit-identical at 1, 2, or 4 workers,
 //!    under timer jitter, message latency, message loss, and churn.
@@ -21,12 +23,12 @@
 
 mod common;
 
-use common::{digest_event_report, fnv1a, view_digest, FNV_OFFSET};
+use common::{boxed_factory, digest_event_report, fnv1a, view_digest, FNV_OFFSET};
 use pss_core::{NodeDescriptor, NodeId, PolicyTriple, ProtocolConfig};
 use pss_graph::gen;
 use pss_sim::{
-    scenario, ChurnProcess, Engine, EventConfig, EventSimulation, LatencyModel,
-    ShardedEventSimulation, ShardedSimulation,
+    scenario, ChurnProcess, Engine, EventConfig, LatencyModel, ShardedEventSimulation,
+    ShardedSimulation,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -76,51 +78,46 @@ fn one_shard_matches_sequential_for_headline_policies() {
         let mut topo = SmallRng::seed_from_u64(99);
         let graph = gen::uniform_view_digraph(120, 10, &mut topo);
 
-        // The sequential engine, built through its own API...
-        let mut sequential = EventSimulation::new(config.clone(), event, 31).expect("valid");
+        // A heterogeneous-capable boxed population, built by serial
+        // joins...
+        let mut boxed =
+            ShardedEventSimulation::with_factory(event, 31, 1, boxed_factory(config.clone()))
+                .expect("valid");
         for v in 0..graph.node_count() as u32 {
-            sequential.add_node(
+            boxed.add_node(
                 graph
                     .out_neighbors(v)
                     .iter()
                     .map(|&t| NodeDescriptor::fresh(NodeId::new(t as u64))),
             );
         }
-        // ...vs the 1-shard sharded engine built by the scenario
-        // constructor, run in a different chunking.
-        let mut sharded =
+        // ...vs the monomorphized engine the scenario constructor builds,
+        // run in a different chunking.
+        let mut typed =
             scenario::event_from_digraph_sharded(&config, event, &graph, 31, 1).expect("valid");
 
-        sequential.as_sharded_mut().set_record_deliveries(true);
-        sharded.set_record_deliveries(true);
+        boxed.set_record_deliveries(true);
+        typed.set_record_deliveries(true);
 
-        sequential.run_for(4000);
+        boxed.run_for(4000);
         let mut at = 0u64;
         for chunk in [137u64, 600, 263, 1500, 1500] {
             at += chunk;
-            sharded.run_until(at);
+            typed.run_until(at);
         }
         assert_eq!(at, 4000);
 
         // Per-event delivery order, bit for bit.
-        let seq_log = sequential.as_sharded_mut().take_deliveries();
-        let sharded_log = sharded.take_deliveries();
-        assert_eq!(seq_log, sharded_log, "{name}: delivery order diverged");
-        assert!(!sharded_log.is_empty(), "{name}: no deliveries recorded");
+        let boxed_log = boxed.take_deliveries();
+        let typed_log = typed.take_deliveries();
+        assert_eq!(boxed_log, typed_log, "{name}: delivery order diverged");
+        assert!(!typed_log.is_empty(), "{name}: no deliveries recorded");
 
         // CycleReport-equivalent statistics.
-        assert_eq!(
-            sequential.report(),
-            sharded.report(),
-            "{name}: reports diverged"
-        );
+        assert_eq!(boxed.report(), typed.report(), "{name}: reports diverged");
 
         // Final views.
-        assert_eq!(
-            views_of(sequential.as_sharded()),
-            views_of(&sharded),
-            "{name}: views diverged"
-        );
+        assert_eq!(views_of(&boxed), views_of(&typed), "{name}: views diverged");
     }
 }
 
@@ -199,6 +196,32 @@ fn pinned_digest_at_tiny_scale() {
 
 /// See [`pinned_digest_at_tiny_scale`].
 const PINNED_TINY_EVENT_DIGEST: u64 = 3724866096535109322;
+
+/// The 1-shard **serial** path — one queue pair, no mailbox, node seeds and
+/// timer phases drawn from the control RNG in join order — built by
+/// `add_node` from the digraph `scenario::random_overlay` seeds the cycle
+/// engine with: same parameters as [`pinned_digest_at_tiny_scale`].
+#[test]
+fn pinned_serial_one_shard_digest_at_tiny_scale() {
+    let seed = 20040601;
+    let config = ProtocolConfig::new(PolicyTriple::newscast(), 15).expect("valid");
+    // `scenario::random_overlay`'s topology stream.
+    let mut topo = SmallRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
+    let graph = gen::uniform_view_digraph(300, 15, &mut topo);
+    let mut sim =
+        scenario::event_from_digraph_sharded(&config, EventConfig::default(), &graph, seed, 1)
+            .expect("valid");
+    let mut digest = FNV_OFFSET;
+    for _ in 0..20 {
+        sim.run_for(1000);
+        digest_event_report(&mut digest, &sim.report());
+    }
+    fnv1a(&mut digest, view_digest(|f| sim.for_each_live_view(f)));
+    assert_eq!(digest, PINNED_TINY_SERIAL_EVENT_DIGEST);
+}
+
+/// See [`pinned_serial_one_shard_digest_at_tiny_scale`].
+const PINNED_TINY_SERIAL_EVENT_DIGEST: u64 = 2809468924367393821;
 
 /// The timestamp freshness axis obeys the same determinism contract as the
 /// default hop-count mode on the event engine: fixed `(seed, shard_count)`
@@ -292,7 +315,7 @@ fn bulk_construction_is_worker_invariant_on_both_engines() {
     let build_event = |workers: usize| {
         let config = ProtocolConfig::new(PolicyTriple::newscast(), 10).expect("valid");
         let mut sim =
-            ShardedEventSimulation::typed(config, EventConfig::default(), 5, 4).expect("valid");
+            ShardedEventSimulation::new(config, EventConfig::default(), 5, 4).expect("valid");
         sim.set_workers(workers);
         sim.add_nodes_bulk(200, |id| {
             [NodeDescriptor::fresh(NodeId::new((id.as_u64() + 1) % 200))]
@@ -308,7 +331,7 @@ fn bulk_construction_is_worker_invariant_on_both_engines() {
     // Cycle engine: same bulk path, same invariance.
     let build_cycle = |workers: usize| {
         let config = ProtocolConfig::new(PolicyTriple::newscast(), 10).expect("valid");
-        let mut sim = ShardedSimulation::typed(config, 5, 4);
+        let mut sim = ShardedSimulation::new(config, 5, 4);
         sim.set_workers(workers);
         sim.add_nodes_bulk(200, |id| {
             [NodeDescriptor::fresh(NodeId::new((id.as_u64() + 1) % 200))]
@@ -333,7 +356,7 @@ fn joins_after_a_frozen_bucket_respect_the_lookahead() {
         latency: LatencyModel::Uniform { min: 10, max: 10 },
         loss_probability: 0.0,
     };
-    let mut sim = ShardedEventSimulation::typed(config, event, 40, 2).expect("valid");
+    let mut sim = ShardedEventSimulation::new(config, event, 40, 2).expect("valid");
     sim.add_connected_nodes(10);
     sim.run_until(9); // frontier lands exactly on the bucket boundary (10)
     for _ in 0..200 {
@@ -358,7 +381,7 @@ fn run_to_exhaustion_near_u64_max_does_not_overflow() {
         latency: LatencyModel::Uniform { min: 7, max: 13 },
         loss_probability: 0.0,
     };
-    let mut sim = ShardedEventSimulation::typed(config, event, 3, 2).expect("valid");
+    let mut sim = ShardedEventSimulation::new(config, event, 3, 2).expect("valid");
     assert_eq!(sim.run_until(u64::MAX), 0);
     assert_eq!(sim.now(), u64::MAX);
     assert_eq!(sim.run_for(1000), 0);

@@ -9,10 +9,10 @@
 
 mod common;
 
-use common::view_digest;
-use pss_core::{NodeDescriptor, NodeId, PolicyTriple, ProtocolConfig};
+use common::{boxed_factory, view_digest};
+use pss_core::{NodeDescriptor, NodeId, PeerSamplingNode, PolicyTriple, ProtocolConfig};
 use pss_sim::workload::{run_workload, PeriodRecord, Workload};
-use pss_sim::{EventConfig, LatencyModel, ShardedEventSimulation, ShardedSimulation, Simulation};
+use pss_sim::{EventConfig, LatencyModel, ShardedEventSimulation, ShardedSimulation};
 
 const N: usize = 200;
 const C: usize = 15;
@@ -61,7 +61,11 @@ fn event_config() -> EventConfig {
 }
 
 /// Tree-bootstrapped sharded event engine (node `i` knows node `i / 2`).
-fn event_sim(policy: PolicyTriple, seed: u64, shards: usize) -> ShardedEventSimulation {
+fn event_sim(
+    policy: PolicyTriple,
+    seed: u64,
+    shards: usize,
+) -> ShardedEventSimulation<PeerSamplingNode> {
     let protocol = ProtocolConfig::new(policy, C).expect("valid");
     let mut sim =
         ShardedEventSimulation::new(protocol, event_config(), seed, shards).expect("valid");
@@ -77,7 +81,11 @@ fn event_sim(policy: PolicyTriple, seed: u64, shards: usize) -> ShardedEventSimu
 }
 
 /// Tree-bootstrapped sharded cycle engine.
-fn cycle_sim(policy: PolicyTriple, seed: u64, shards: usize) -> ShardedSimulation {
+fn cycle_sim(
+    policy: PolicyTriple,
+    seed: u64,
+    shards: usize,
+) -> ShardedSimulation<PeerSamplingNode> {
     let protocol = ProtocolConfig::new(policy, C).expect("valid");
     let mut sim = ShardedSimulation::new(protocol, seed, shards);
     for i in 0..N as u64 {
@@ -142,32 +150,32 @@ fn every_schedule_is_bit_deterministic_across_worker_counts() {
     }
 }
 
-/// The sequential wrapper stays the literal 1-shard special case under
-/// workload driving: `Simulation` and 1-shard `ShardedSimulation` produce
-/// identical trajectories for the same schedule.
+/// Boxed and monomorphized populations stay interchangeable under workload
+/// driving (kills, churn joins): a `with_factory` engine of boxed nodes and
+/// the `new` engine produce identical trajectories for the same schedule.
 #[test]
-fn sequential_wrapper_matches_one_shard_under_workloads() {
+fn boxed_population_matches_monomorphized_under_workloads() {
     let compiled = Workload::parse("quiet:4,kill:0.3,churn:0.02x6", 3)
         .unwrap()
         .compile(N);
     let protocol = ProtocolConfig::new(PolicyTriple::newscast(), C).expect("valid");
-    let mut wrapper = Simulation::new(protocol.clone(), 5);
-    let mut sharded = ShardedSimulation::new(protocol, 5, 1);
+    let mut boxed = ShardedSimulation::with_factory(5, 1, boxed_factory(protocol.clone()));
+    let mut typed = ShardedSimulation::new(protocol, 5, 1);
     for sim_adds in 0..N as u64 {
         let seeds: Vec<NodeDescriptor> = if sim_adds == 0 {
             Vec::new()
         } else {
             vec![NodeDescriptor::fresh(NodeId::new(sim_adds / 2))]
         };
-        wrapper.add_node(seeds.clone());
-        sharded.add_node(seeds);
+        boxed.add_node(seeds.clone());
+        typed.add_node(seeds);
     }
-    let a = run_workload(&mut wrapper, &compiled, C);
-    let b = run_workload(&mut sharded, &compiled, C);
+    let a = run_workload(&mut boxed, &compiled, C);
+    let b = run_workload(&mut typed, &compiled, C);
     assert_eq!(a, b);
     assert_eq!(
-        view_digest(|f| wrapper.as_sharded().for_each_live_view(f)),
-        view_digest(|f| sharded.for_each_live_view(f))
+        view_digest(|f| boxed.for_each_live_view(f)),
+        view_digest(|f| typed.for_each_live_view(f))
     );
 }
 

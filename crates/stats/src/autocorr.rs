@@ -6,7 +6,6 @@
 /// Produced by [`autocorrelation`]; `values[k]` is the autocorrelation at lag
 /// `k` (so `values[0]` is always 1 for a non-constant series).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Autocorrelation {
     values: Vec<f64>,
     series_len: usize,

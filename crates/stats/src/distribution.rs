@@ -21,7 +21,6 @@ use crate::Summary;
 /// assert_eq!(d.mode(), Some(3));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CountDistribution {
     counts: BTreeMap<u64, u64>,
     total: u64,

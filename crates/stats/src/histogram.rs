@@ -49,7 +49,6 @@ impl std::error::Error for HistogramError {}
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Histogram {
     lo: f64,
     hi: f64,
@@ -155,7 +154,6 @@ impl Histogram {
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LogHistogram {
     log_lo: f64,
     log_hi: f64,

@@ -21,7 +21,6 @@ use crate::{autocorrelation, Autocorrelation, Summary};
 /// assert_eq!(ts.value_at(1), Some(31.5));
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TimeSeries {
     name: String,
     cycles: Vec<u64>,

@@ -21,7 +21,6 @@ use core::fmt;
 /// assert_eq!(s.sample_variance(), 1.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Summary {
     count: u64,
     mean: f64,

@@ -11,7 +11,7 @@
 
 use peer_sampling::sim::LatencyModel;
 use peer_sampling::{
-    EventConfig, EventSimulation, NodeDescriptor, NodeId, PolicyTriple, ProtocolConfig,
+    EventConfig, NodeDescriptor, NodeId, PolicyTriple, ProtocolConfig, ShardedEventSimulation,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
 
     for (jitter, latency, loss) in settings {
-        let mut sim = EventSimulation::new(
+        let mut sim = ShardedEventSimulation::new(
             protocol.clone(),
             EventConfig {
                 period: PERIOD,
@@ -42,6 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 loss_probability: loss,
             },
             2026,
+            1,
         )
         .expect("valid event config");
         // Tree bootstrap: every joiner knows an introducer.

@@ -59,6 +59,5 @@ pub use pss_core::{
     PeerSelection, PolicyTriple, ProtocolConfig, View, ViewPropagation, ViewSelection,
 };
 pub use pss_sim::{
-    scenario, EventConfig, EventSimulation, ShardedEventSimulation, ShardedSimulation, Simulation,
-    Snapshot, Workload,
+    scenario, EventConfig, ShardedEventSimulation, ShardedSimulation, Snapshot, Workload,
 };

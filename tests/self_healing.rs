@@ -12,7 +12,10 @@ use pss_graph::components::connected_components;
 const N: usize = 800;
 const C: usize = 20;
 
-fn converged(policy: &str, seed: u64) -> peer_sampling::Simulation {
+fn converged(
+    policy: &str,
+    seed: u64,
+) -> peer_sampling::ShardedSimulation<peer_sampling::PeerSamplingNode> {
     let policy: PolicyTriple = policy.parse().expect("valid");
     let config = ProtocolConfig::new(policy, C).expect("valid");
     let mut sim = scenario::random_overlay(&config, N, seed);

@@ -6,7 +6,7 @@ use peer_sampling::{
     ProtocolConfig,
 };
 use pss_core::hs::{HsConfig, HsNode, HsPeerSelection};
-use pss_sim::{scenario, Simulation};
+use pss_sim::{scenario, ShardedSimulation};
 use std::collections::HashSet;
 
 #[test]
@@ -63,7 +63,7 @@ fn oracle_and_gossip_samplers_are_interchangeable() {
 fn hs_nodes_run_under_the_standard_simulator() {
     // The healer/swapper extension plugs into the same driver.
     let hs = HsConfig::new(20, 3, 2, HsPeerSelection::Rand).expect("valid");
-    let mut sim = Simulation::with_factory(7, move |id, seed| {
+    let mut sim = ShardedSimulation::with_factory(7, 1, move |id, seed| {
         Box::new(HsNode::with_seed(id, hs, seed)) as pss_sim::BoxedNode
     });
     let first = sim.add_node([]);
@@ -96,7 +96,7 @@ fn mixed_node_types_interoperate() {
     // one connected overlay: the wire format is shared.
     let base = ProtocolConfig::new(PolicyTriple::newscast(), 16).expect("valid");
     let hs = HsConfig::new(16, 2, 2, HsPeerSelection::Rand).expect("valid");
-    let mut sim = Simulation::with_factory(9, move |id, seed| {
+    let mut sim = ShardedSimulation::with_factory(9, 1, move |id, seed| {
         if id.as_u64() % 2 == 0 {
             Box::new(PeerSamplingNode::with_seed(id, base.clone(), seed)) as pss_sim::BoxedNode
         } else {
