@@ -430,4 +430,46 @@ mod tests {
         let table = result.table();
         assert_eq!(table.len(), 3);
     }
+
+    /// `run_sharded` switches to `measure_csr` at
+    /// `SAMPLED_METRICS_THRESHOLD` nodes, a size no test reaches: check the
+    /// sampled path against the exact one on the same converged overlay.
+    #[test]
+    fn sampled_csr_metrics_agree_with_the_full_graph() {
+        let scale = Scale {
+            nodes: 400,
+            cycles: 30,
+            view_size: 12,
+            seed: 71,
+        };
+        let config = AsyncConfig::at_scale(scale);
+        let event = config.event_config(0.0);
+        let protocol = scale.protocol(PolicyTriple::newscast());
+        let mut sim =
+            scenario::event_random_overlay_sharded(&protocol, event, scale.nodes, scale.seed, 2)
+                .expect("validated event config");
+        sim.run_for(scale.cycles * event.period);
+
+        let sampled = measure_csr(&sim.csr_snapshot(), scale.seed);
+        let exact = measure_graph(&sim.snapshot().undirected(), scale.seed);
+        assert_eq!(sampled.connected, None);
+        assert_eq!(exact.connected, Some(true));
+        // Every view is full, so in-degrees sum to N × c (the streaming mean
+        // rounds in the last place).
+        assert!((sampled.average_degree - scale.view_size as f64).abs() < 1e-9);
+        // 16 BFS sources and 256 clustering samples against 50 and all 400.
+        let rel = |a: f64, b: f64| (a - b).abs() / b;
+        assert!(
+            rel(sampled.path_length, exact.path_length) < 0.02,
+            "path length {} vs {}",
+            sampled.path_length,
+            exact.path_length
+        );
+        assert!(
+            rel(sampled.clustering, exact.clustering) < 0.05,
+            "clustering {} vs {}",
+            sampled.clustering,
+            exact.clustering
+        );
+    }
 }

@@ -2,8 +2,8 @@
 //! paper (Jelasity et al., Middleware 2004), plus extension experiments.
 //!
 //! Each experiment is a plain function from a configuration to a typed
-//! result; the `experiments` binary wraps them in a CLI, and the bench crate
-//! calls the same functions at reduced scale. The mapping to the paper:
+//! result; the `experiments` binary wraps them in a CLI. The mapping to the
+//! paper:
 //!
 //! | module       | paper artifact | content |
 //! |--------------|----------------|---------|

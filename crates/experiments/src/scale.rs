@@ -6,7 +6,7 @@ use pss_core::{PolicyTriple, ProtocolConfig};
 ///
 /// [`Scale::paper`] reproduces the published setup (N = 10⁴, c = 30,
 /// 300 cycles). Smaller presets keep the same shape at lower cost for
-/// benches and CI.
+/// tests and CI.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Scale {
     /// Number of nodes N.
@@ -42,7 +42,7 @@ impl Scale {
         }
     }
 
-    /// A smoke-test scale for CI and benches: N = 300, 60 cycles, c = 15.
+    /// A smoke-test scale for tests and CI: N = 300, 60 cycles, c = 15.
     pub fn tiny() -> Self {
         Scale {
             nodes: 300,
@@ -56,27 +56,14 @@ impl Scale {
     /// 20 cycles — two orders of magnitude beyond the paper's populations,
     /// enough cycles for the in-degree distribution to converge from the
     /// random start (the paper's random-start runs converge within ~20
-    /// cycles at every N it studied). Used by the `scaling` experiment and
-    /// the `sharded_throughput` bench.
+    /// cycles at every N it studied). Used by the `scaling` and `async`
+    /// experiments.
     pub fn million() -> Self {
         Scale {
             nodes: 1_000_000,
             cycles: 20,
             view_size: 30,
             seed: 20040601,
-        }
-    }
-
-    /// The throughput-benchmark scale: the paper's population and view size
-    /// (N = 10⁴, c = 30) with a short cycle budget, for measuring
-    /// steady-state cycles/second (see `pss-bench`'s `throughput` bench and
-    /// `BENCH_throughput.json`).
-    pub fn throughput_bench() -> Self {
-        Scale {
-            nodes: 10_000,
-            cycles: 5,
-            view_size: 30,
-            seed: 42,
         }
     }
 

@@ -5,8 +5,9 @@
 //! newscast workload at arbitrary N (the [`Scale::million`] preset is the
 //! headline configuration) across a sweep of shard counts, reporting:
 //!
-//! * **node-cycles per second** — the throughput metric tracked since PR 1
-//!   (`BENCH_throughput.json`), now as a function of parallelism, and
+//! * **node-cycles per second** as a function of parallelism (the perf
+//!   ledger's `cycle_steady` workload times the same engine at one fixed
+//!   N), and
 //! * the **converged in-degree distribution** (mean/σ/min/max) plus sampled
 //!   path-length and clustering estimates from the CSR snapshot — evidence
 //!   the parallel runs still produce the paper's overlay, not just a fast
@@ -34,7 +35,7 @@ pub struct ScalingConfig {
     pub scale: Scale,
     /// Shard counts to sweep.
     pub shard_counts: Vec<usize>,
-    /// Protocol under test (newscast, as in the throughput bench).
+    /// Protocol under test (newscast, as in the ledger's `cycle_steady`).
     pub policy: PolicyTriple,
     /// BFS sources / clustering samples for the sampled overlay metrics
     /// (0 disables the estimates — they cost a few BFS sweeps each).

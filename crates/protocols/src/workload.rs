@@ -34,7 +34,7 @@ pub enum Sampler {
 }
 
 impl Sampler {
-    /// Lower-case label for tables and bench ids.
+    /// Lower-case label for tables.
     pub fn label(self) -> &'static str {
         match self {
             Sampler::Overlay => "overlay",

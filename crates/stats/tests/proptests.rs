@@ -2,8 +2,7 @@
 
 use proptest::prelude::*;
 use pss_stats::{
-    autocorrelation, median, quantile, white_noise_band, CountDistribution, Histogram,
-    Log2Histogram, LogHistogram, Summary,
+    autocorrelation, median, quantile, white_noise_band, CountDistribution, Log2Histogram, Summary,
 };
 
 fn finite_vec(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -55,24 +54,6 @@ proptest! {
         let large = white_noise_band(n * 4, 0.99);
         // Quadrupling the sample size halves the band.
         prop_assert!((large - small / 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_conserves_mass(data in finite_vec(300)) {
-        let mut h = Histogram::new(-100.0, 100.0, 17).unwrap();
-        for &x in &data {
-            h.record(x);
-        }
-        prop_assert_eq!(h.total(), data.len() as u64);
-    }
-
-    #[test]
-    fn log_histogram_conserves_mass(data in prop::collection::vec(1e-3f64..1e6, 0..300)) {
-        let mut h = LogHistogram::new(0.1, 1e5, 25).unwrap();
-        for &x in &data {
-            h.record(x);
-        }
-        prop_assert_eq!(h.total(), data.len() as u64);
     }
 
     #[test]

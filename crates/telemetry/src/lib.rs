@@ -34,9 +34,8 @@
 //!
 //! [`Registry::render_prometheus`] emits the Prometheus text format
 //! (histograms as cumulative `_bucket{le="..."}` series);
-//! [`Registry::render_json`] emits the same flat JSON-array shape the
-//! bench harness's `--bench-json` files use. `experiments metrics` wires
-//! both to the command line.
+//! [`Registry::render_json`] emits one flat JSON array, an object per
+//! series. `experiments metrics` wires both to the command line.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -300,10 +300,9 @@ impl Registry {
         out
     }
 
-    /// JSON exposition in the flat-array shape of the bench harness's
-    /// `--bench-json` files: one object per series with `name`, `labels`,
-    /// `kind`, and either `value` or the histogram summary plus its
-    /// `[floor, ceil, count]` bucket triples.
+    /// JSON exposition as one flat array: an object per series with
+    /// `name`, `labels`, `kind`, and either `value` or the histogram
+    /// summary plus its `[floor, ceil, count]` bucket triples.
     #[must_use]
     pub fn render_json(&self) -> String {
         let rows = self.rows();
