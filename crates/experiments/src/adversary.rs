@@ -18,11 +18,11 @@
 //! `tests/adversary_conformance.rs`.
 
 use pss_core::hs::{HsConfig, HsPeerSelection};
-use pss_core::{NodeDescriptor, NodeId, PolicyTriple, ProtocolConfig};
+use pss_core::{NodeId, PolicyTriple, ProtocolConfig};
 use pss_sim::audit::{audit_rows, role_factory, AttackRecord, HonestPolicy, SampleAudit};
 use pss_sim::workload::{run_workload_observed, Workload};
-use pss_sim::{BoxedNode, EventConfig, LatencyModel, ShardedEventSimulation, ShardedSimulation};
 
+use crate::engines::on_both_engines;
 use crate::report::{fmt_f64, fmt_percent, Table};
 use crate::Scale;
 
@@ -181,15 +181,15 @@ fn policy_corners(c: usize) -> Result<Vec<(String, HonestPolicy)>, String> {
     ])
 }
 
-/// Runs the schedule for one policy on one engine, auditing every period
-/// and feeding every honest node's per-period view into the sample audit.
-fn run_one(
+/// Runs the schedule for one policy on both engines, cycle first,
+/// auditing every period and feeding every honest node's per-period view
+/// into the sample audit.
+fn run_pair(
     policy: &HonestPolicy,
-    engine: &'static str,
     label: &str,
     workload: &Workload,
     config: &AdversaryConfig,
-) -> Result<PolicyOutcome, String> {
+) -> Result<[PolicyOutcome; 2], String> {
     let nodes = config.scale.nodes;
     let compiled = workload.compile(nodes);
     let roles = compiled.adversary.ok_or_else(|| {
@@ -199,79 +199,44 @@ fn run_one(
         )
     })?;
     let c = policy.view_size();
-    let seeds = |i: u64| -> Vec<NodeDescriptor> {
-        if i == 0 {
-            Vec::new()
-        } else {
-            vec![NodeDescriptor::fresh(NodeId::new(i / 2))]
-        }
-    };
 
-    let factory = role_factory(policy.clone(), Some(roles));
-    let mut final_record = None;
-    let mut audit = SampleAudit::new(config.scale.seed ^ 0xa0d1);
-    let mut observe =
-        |period: u64, rows: &[(NodeId, Vec<NodeId>)], _is_live: &dyn Fn(NodeId) -> bool| {
-            for (id, targets) in rows {
-                if !roles.is_attacker(*id) {
-                    audit.observe(targets);
+    let [cycle, event] = on_both_engines(
+        role_factory(policy.clone(), Some(roles)),
+        nodes,
+        config.scale.seed,
+        config.shards,
+        config.workers,
+        |engine, target| -> Result<PolicyOutcome, String> {
+            let mut final_record = None;
+            let mut audit = SampleAudit::new(config.scale.seed ^ 0xa0d1);
+            run_workload_observed(target, &compiled, c, &mut |period, rows, _is_live| {
+                for (id, targets) in rows {
+                    if !roles.is_attacker(*id) {
+                        audit.observe(targets);
+                    }
                 }
-            }
-            final_record = Some(audit_rows(&roles, compiled.id_space, rows, period));
-        };
+                final_record = Some(audit_rows(&roles, compiled.id_space, rows, period));
+            });
 
-    match engine {
-        "cycle" => {
-            let mut sim =
-                ShardedSimulation::with_factory(config.scale.seed, config.shards, factory);
-            for i in 0..nodes as u64 {
-                sim.add_node(seeds(i));
-            }
-            if let Some(w) = config.workers {
-                sim.set_workers(w);
-            }
-            run_workload_observed(&mut sim, &compiled, c, &mut observe);
-        }
-        _ => {
-            let event_config = EventConfig {
-                period: 1000,
-                jitter: 200,
-                latency: LatencyModel::Uniform { min: 10, max: 200 },
-                loss_probability: 0.01,
+            let final_record = final_record.ok_or("schedule ran zero periods")?;
+            let attacker_sample_share = if audit.samples() == 0 {
+                0.0
+            } else {
+                audit.samples_matching(|id| roles.is_attacker(id)) as f64 / audit.samples() as f64
             };
-            let mut sim: ShardedEventSimulation<BoxedNode> = ShardedEventSimulation::with_factory(
-                event_config,
-                config.scale.seed,
-                config.shards,
-                factory,
-            )
-            .map_err(|e| e.to_string())?;
-            for i in 0..nodes as u64 {
-                sim.add_node(seeds(i));
-            }
-            if let Some(w) = config.workers {
-                sim.set_workers(w);
-            }
-            run_workload_observed(&mut sim, &compiled, c, &mut observe);
-        }
-    }
-
-    let final_record = final_record.ok_or("schedule ran zero periods")?;
-    let attacker_sample_share = if audit.samples() == 0 {
-        0.0
-    } else {
-        audit.samples_matching(|id| roles.is_attacker(id)) as f64 / audit.samples() as f64
-    };
-    let uniformity_p = audit
-        .chi_square((0..nodes as u64).map(NodeId::new))
-        .map(|v| v.p_value);
-    Ok(PolicyOutcome {
-        policy: label.to_owned(),
-        engine,
-        final_record,
-        attacker_sample_share,
-        uniformity_p,
-    })
+            let uniformity_p = audit
+                .chi_square((0..nodes as u64).map(NodeId::new))
+                .map(|v| v.p_value);
+            Ok(PolicyOutcome {
+                policy: label.to_owned(),
+                engine,
+                final_record,
+                attacker_sample_share,
+                uniformity_p,
+            })
+        },
+    )?;
+    Ok([cycle?, event?])
 }
 
 /// Runs the sweep: every policy corner on both engines.
@@ -287,9 +252,7 @@ pub fn run(config: &AdversaryConfig) -> Result<AdversaryResult, String> {
     let corners = policy_corners(config.scale.view_size)?;
     let mut outcomes = Vec::with_capacity(corners.len() * 2);
     for (label, policy) in &corners {
-        for engine in ["cycle", "event"] {
-            outcomes.push(run_one(policy, engine, label, &workload, config)?);
-        }
+        outcomes.extend(run_pair(policy, label, &workload, config)?);
     }
     Ok(AdversaryResult {
         workload,

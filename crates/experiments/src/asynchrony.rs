@@ -5,23 +5,22 @@
 //! timer jitter, message latency, message loss — and compares the converged
 //! overlay properties against the cycle-driven run at the same scale.
 //!
-//! With `shard_counts` set (the CLI's `--shards`), the event rows run on
-//! the **sharded** event engine ([`pss_sim::ShardedEventSimulation`],
-//! conservative lookahead = minimum latency) across the requested shard
-//! counts, reporting node-cycles/s per row — which opens the asynchrony
-//! comparison at `Scale::million()`: beyond ~10⁵ nodes the overlay metrics
-//! switch to the sampled CSR estimators (exact connectivity is skipped),
-//! the same large-N path the `scaling` experiment uses.
+//! The event rows run on [`pss_sim::ShardedEventSimulation`] (conservative
+//! lookahead = minimum latency) once per entry of `shard_counts` (the CLI's
+//! `--shards`, default one shard), reporting node-cycles/s per row — which
+//! opens the asynchrony comparison at `Scale::million()`: beyond ~10⁵ nodes
+//! the overlay metrics switch to the sampled CSR estimators (exact
+//! connectivity is skipped), the same large-N path the `scaling` experiment
+//! uses.
 
 use std::time::Instant;
 
-use pss_core::PolicyTriple;
+use pss_core::{GossipNode, PolicyTriple};
 use pss_graph::{GraphMetrics, MetricsConfig};
-use pss_sim::{scenario, EventConfig, LatencyModel};
+use pss_sim::{scenario, EventConfig, LatencyModel, Mode, Sharded};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::parallel::parallel_map;
 use crate::report::{fmt_f64, Table};
 use crate::Scale;
 
@@ -43,11 +42,9 @@ pub struct AsyncConfig {
     /// Protocols to test (default: one per view-selection × propagation
     /// corner).
     pub protocols: Vec<PolicyTriple>,
-    /// Shard counts for the event rows: `None` runs the 1-shard engine on
-    /// the serially built (`add_node`) bootstrap; `Some(list)` runs the
-    /// bulk-built engine once per count (and the cycle baseline on the
-    /// cycle engine at the largest count).
-    pub shard_counts: Option<Vec<usize>>,
+    /// Shard counts for the event rows, one run per count; the cycle
+    /// baseline runs on the cycle engine at the largest count.
+    pub shard_counts: Vec<usize>,
     /// Worker-thread override for sharded rows (`None` = available
     /// parallelism). Affects wall-clock only, never results.
     pub workers: Option<usize>,
@@ -66,7 +63,7 @@ impl AsyncConfig {
                 "(rand,rand,pushpull)".parse().expect("valid"),
                 PolicyTriple::lpbcast(),
             ],
-            shard_counts: None,
+            shard_counts: vec![1],
             workers: None,
         }
     }
@@ -178,11 +175,6 @@ impl AsyncResult {
     }
 }
 
-enum Job {
-    Cycle(PolicyTriple),
-    Event(PolicyTriple, f64),
-}
-
 /// Exact(ish) metrics on the full undirected graph: the small-N path.
 fn measure_graph(graph: &pss_graph::UGraph, seed: u64) -> OverlayStats {
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -215,109 +207,30 @@ fn measure_csr(snapshot: &pss_sim::CsrSnapshot, seed: u64) -> OverlayStats {
     }
 }
 
-/// Runs the asynchrony experiment.
+/// Runs the asynchrony experiment: per protocol, the cycle baseline on the
+/// sharded cycle engine at the largest shard count, then the event rows on
+/// [`pss_sim::ShardedEventSimulation`] per loss level and shard count. Rows
+/// run one after another — each run parallelizes internally across its
+/// worker threads.
 pub fn run(config: &AsyncConfig) -> AsyncResult {
-    match &config.shard_counts {
-        None => run_sequential(config),
-        Some(shards) => run_sharded(config, shards),
-    }
-}
-
-/// The historical path: sequential engines, one thread per job.
-fn run_sequential(config: &AsyncConfig) -> AsyncResult {
     let scale = config.scale;
-
-    let mut jobs: Vec<Job> = Vec::new();
-    for &policy in &config.protocols {
-        jobs.push(Job::Cycle(policy));
-        for &loss in &config.loss_levels {
-            jobs.push(Job::Event(policy, loss));
-        }
-    }
-
-    let rows = parallel_map(jobs, move |job| match job {
-        Job::Cycle(policy) => {
-            let protocol = scale.protocol(policy);
-            let mut sim = scenario::random_overlay(&protocol, scale.nodes, scale.seed ^ 0xa51);
-            let started = Instant::now();
-            sim.run_cycles(scale.cycles);
-            let seconds = started.elapsed().as_secs_f64();
-            let graph = sim.snapshot().undirected();
-            EngineComparison {
-                policy,
-                engine: "cycle",
-                shards: 1,
-                loss: 0.0,
-                node_cycles_per_sec: throughput(scale, seconds),
-                stats: measure_graph(&graph, scale.seed),
-            }
-        }
-        Job::Event(policy, loss) => {
-            let protocol = scale.protocol(policy);
-            let event = config.event_config(loss);
-            // Same kind of random bootstrap graph as the cycle scenario.
-            let mut topo_rng = SmallRng::seed_from_u64(scale.seed ^ 0xa53);
-            let digraph =
-                pss_graph::gen::uniform_view_digraph(scale.nodes, scale.view_size, &mut topo_rng);
-            let mut sim = scenario::event_from_digraph_sharded(
-                &protocol,
-                event,
-                &digraph,
-                scale.seed ^ 0xa52,
-                1,
-            )
-            .expect("asynchrony sweep uses a validated event config");
-            let started = Instant::now();
-            sim.run_for(scale.cycles * event.period);
-            let seconds = started.elapsed().as_secs_f64();
-            let graph = sim.snapshot().undirected();
-            EngineComparison {
-                policy,
-                engine: "event",
-                shards: 1,
-                loss,
-                node_cycles_per_sec: throughput(scale, seconds),
-                stats: measure_graph(&graph, scale.seed ^ 1),
-            }
-        }
-    });
-
-    AsyncResult { rows }
-}
-
-/// The sharded path: event rows on [`pss_sim::ShardedEventSimulation`] per
-/// shard count, the cycle baseline on the sharded cycle engine at the
-/// largest count. Rows run one after another — each run parallelizes
-/// internally across its worker threads.
-fn run_sharded(config: &AsyncConfig, shard_counts: &[usize]) -> AsyncResult {
-    let scale = config.scale;
-    let sampled = scale.nodes >= SAMPLED_METRICS_THRESHOLD;
-    let cycle_shards = shard_counts.iter().copied().max().unwrap_or(1);
+    let cycle_shards = config.shard_counts.iter().copied().max().unwrap_or(1);
     let mut rows = Vec::new();
 
     for &policy in &config.protocols {
         let protocol = scale.protocol(policy);
 
         // Cycle baseline.
-        let mut sim =
+        let sim =
             scenario::random_overlay_sharded(&protocol, scale.nodes, scale.seed, cycle_shards);
-        if let Some(w) = config.workers {
-            sim.set_workers(w);
-        }
-        let started = Instant::now();
-        sim.run_cycles(scale.cycles);
-        let seconds = started.elapsed().as_secs_f64();
-        let stats = if sampled {
-            measure_csr(&sim.csr_snapshot(), scale.seed)
-        } else {
-            measure_graph(&sim.snapshot().undirected(), scale.seed)
-        };
+        let (node_cycles_per_sec, stats) =
+            timed(config, sim, scale.seed, |sim| sim.run_cycles(scale.cycles));
         rows.push(EngineComparison {
             policy,
             engine: "cycle",
             shards: cycle_shards,
             loss: 0.0,
-            node_cycles_per_sec: throughput(scale, seconds),
+            node_cycles_per_sec,
             stats,
         });
 
@@ -325,8 +238,8 @@ fn run_sharded(config: &AsyncConfig, shard_counts: &[usize]) -> AsyncResult {
         // per (seed, N, c) across all of them.
         for &loss in &config.loss_levels {
             let event = config.event_config(loss);
-            for &shards in shard_counts {
-                let mut sim = scenario::event_random_overlay_sharded(
+            for &shards in &config.shard_counts {
+                let sim = scenario::event_random_overlay_sharded(
                     &protocol,
                     event,
                     scale.nodes,
@@ -334,23 +247,15 @@ fn run_sharded(config: &AsyncConfig, shard_counts: &[usize]) -> AsyncResult {
                     shards,
                 )
                 .expect("asynchrony sweep uses a validated event config");
-                if let Some(w) = config.workers {
-                    sim.set_workers(w);
-                }
-                let started = Instant::now();
-                sim.run_for(scale.cycles * event.period);
-                let seconds = started.elapsed().as_secs_f64();
-                let stats = if sampled {
-                    measure_csr(&sim.csr_snapshot(), scale.seed ^ 1)
-                } else {
-                    measure_graph(&sim.snapshot().undirected(), scale.seed ^ 1)
-                };
+                let (node_cycles_per_sec, stats) = timed(config, sim, scale.seed ^ 1, |sim| {
+                    sim.run_for(scale.cycles * event.period);
+                });
                 rows.push(EngineComparison {
                     policy,
                     engine: "event",
                     shards,
                     loss,
-                    node_cycles_per_sec: throughput(scale, seconds),
+                    node_cycles_per_sec,
                     stats,
                 });
             }
@@ -360,12 +265,33 @@ fn run_sharded(config: &AsyncConfig, shard_counts: &[usize]) -> AsyncResult {
     AsyncResult { rows }
 }
 
-fn throughput(scale: Scale, seconds: f64) -> f64 {
-    if seconds > 0.0 {
-        scale.nodes as f64 * scale.cycles as f64 / seconds
+/// What a row of either engine shares: times `advance` on `sim` at the
+/// configured worker count and measures the overlay it leaves. Returns
+/// node-cycles/s and the overlay statistics.
+fn timed<N: GossipNode + Send, M: Mode>(
+    config: &AsyncConfig,
+    mut sim: Sharded<N, M>,
+    metrics_seed: u64,
+    advance: impl FnOnce(&mut Sharded<N, M>),
+) -> (f64, OverlayStats) {
+    if let Some(w) = config.workers {
+        sim.set_workers(w);
+    }
+    let started = Instant::now();
+    advance(&mut sim);
+    let seconds = started.elapsed().as_secs_f64();
+    let stats = if config.scale.nodes >= SAMPLED_METRICS_THRESHOLD {
+        measure_csr(&sim.csr_snapshot(), metrics_seed)
+    } else {
+        measure_graph(&sim.snapshot().undirected(), metrics_seed)
+    };
+    let node_cycles = config.scale.nodes as f64 * config.scale.cycles as f64;
+    let throughput = if seconds > 0.0 {
+        node_cycles / seconds
     } else {
         f64::INFINITY
-    }
+    };
+    (throughput, stats)
 }
 
 #[cfg(test)]
@@ -408,7 +334,7 @@ mod tests {
         let mut config = AsyncConfig::at_scale(scale);
         config.loss_levels = vec![0.05];
         config.protocols = vec![PolicyTriple::newscast()];
-        config.shard_counts = Some(vec![1, 2]);
+        config.shard_counts = vec![1, 2];
         config.workers = Some(2);
         let result = run(&config);
         // One cycle baseline + one event row per shard count.
@@ -431,7 +357,7 @@ mod tests {
         assert_eq!(table.len(), 3);
     }
 
-    /// `run_sharded` switches to `measure_csr` at
+    /// `run` switches to `measure_csr` at
     /// `SAMPLED_METRICS_THRESHOLD` nodes, a size no test reaches: check the
     /// sampled path against the exact one on the same converged overlay.
     #[test]

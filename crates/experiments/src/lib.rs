@@ -51,6 +51,7 @@ pub mod table1;
 pub mod table2;
 pub mod workload;
 
+mod engines;
 mod parallel;
 mod scale;
 

@@ -14,7 +14,8 @@
 //!   fig7     self-healing after 50% node failure
 //!   policies sweep of all 27 policy combinations (Section 4.3)
 //!   async    event-driven engine comparison (extension; --shards runs the
-//!            sharded event engine per shard count, enabling --scale million)
+//!            event rows once per shard count, default 1; scales to
+//!            --scale million)
 //!   apps     broadcast/aggregation sampling-quality comparison (extension)
 //!   hs       healer/swapper (H,S) ablation (extension)
 //!   scaling  sharded-engine throughput vs shard count (extension)
@@ -51,8 +52,7 @@
 //!   --shards LIST              comma-separated shard counts (scaling, async;
 //!                              workload uses the first entry)
 //!   --workers N                worker-pool width override (scaling, async,
-//!                              workload); set PSS_PIN_WORKERS=1 to pin pool
-//!                              threads to cores
+//!                              workload)
 //!   --schedule S               workload schedule string (workload)
 //!   --freshness hop|timestamp|both  descriptor-age mode (workload)
 //!   --seed S                   override master seed
@@ -234,6 +234,19 @@ fn gate(name: &'static str, pass: bool) -> bool {
     pass
 }
 
+/// Caps the population a many-run command measures, and says so rather
+/// than silently measuring a different N.
+fn cap_nodes(command: &str, mut scale: Scale, cap: usize) -> Scale {
+    if scale.nodes > cap {
+        eprintln!(
+            "   note: {command} caps the population at {cap} nodes ({} requested)",
+            scale.nodes
+        );
+        scale.nodes = cap;
+    }
+    scale
+}
+
 fn run_command(opts: &Options, command: &str) -> Result<(), String> {
     let scale = opts.scale;
     let started = Instant::now();
@@ -286,8 +299,7 @@ fn run_command(opts: &Options, command: &str) -> Result<(), String> {
         }
         "policies" => {
             // The sweep runs 27 simulations; cap the default cost.
-            let mut sweep_scale = scale;
-            sweep_scale.nodes = sweep_scale.nodes.min(1000);
+            let mut sweep_scale = cap_nodes("policies", scale, 1000);
             sweep_scale.cycles = sweep_scale.cycles.min(100);
             let config = policies::PoliciesConfig::at_scale(sweep_scale);
             let result = policies::run(&config);
@@ -295,29 +307,24 @@ fn run_command(opts: &Options, command: &str) -> Result<(), String> {
         }
         "async" => {
             let mut async_scale = scale;
-            if opts.shards.is_none() {
-                // The sequential event engine caps out around here; the
-                // sharded path (--shards) is the large-N route.
-                async_scale.nodes = async_scale.nodes.min(2000);
-            }
             async_scale.cycles = async_scale.cycles.min(100);
             let mut config = asynchrony::AsyncConfig::at_scale(async_scale);
-            config.shard_counts = opts.shards.clone();
+            if let Some(shards) = &opts.shards {
+                config.shard_counts = shards.clone();
+            }
             config.workers = opts.workers;
             let result = asynchrony::run(&config);
             emit(opts, "async", &result.table(), None);
         }
         "apps" => {
-            let mut apps_scale = scale;
-            apps_scale.nodes = apps_scale.nodes.min(2000);
+            let mut apps_scale = cap_nodes("apps", scale, 2000);
             apps_scale.cycles = apps_scale.cycles.min(100);
             let config = apps::AppsConfig::at_scale(apps_scale);
             let result = apps::run(&config);
             emit(opts, "apps", &result.table(), None);
         }
         "hs" => {
-            let mut hs_scale = scale;
-            hs_scale.nodes = hs_scale.nodes.min(2000);
+            let mut hs_scale = cap_nodes("hs", scale, 2000);
             hs_scale.cycles = hs_scale.cycles.min(100);
             let config = hs_ablation::HsAblationConfig::at_scale(hs_scale);
             let result = hs_ablation::run(&config);
@@ -358,16 +365,8 @@ fn run_command(opts: &Options, command: &str) -> Result<(), String> {
             }
         }
         "workload" => {
-            let mut wl_scale = scale;
-            // Two engines × full per-period metrics: cap the population
-            // and say so, rather than silently measuring a different N.
-            wl_scale.nodes = wl_scale.nodes.min(20_000);
-            if wl_scale.nodes < scale.nodes {
-                eprintln!(
-                    "   note: workload caps the population at {} nodes ({} requested)",
-                    wl_scale.nodes, scale.nodes
-                );
-            }
+            // Two engines × full per-period metrics.
+            let wl_scale = cap_nodes("workload", scale, 20_000);
             let mut config = workload::WorkloadConfig::at_scale(wl_scale);
             if let Some(schedule) = &opts.schedule {
                 config.schedule = schedule.clone();
@@ -408,15 +407,8 @@ fn run_command(opts: &Options, command: &str) -> Result<(), String> {
             }
         }
         "matrix" => {
-            let mut mx_scale = scale;
-            // Sixteen cross-engine runs: cap the population and say so.
-            mx_scale.nodes = mx_scale.nodes.min(2_000);
-            if mx_scale.nodes < scale.nodes {
-                eprintln!(
-                    "   note: matrix caps the population at {} nodes ({} requested)",
-                    mx_scale.nodes, scale.nodes
-                );
-            }
+            // Sixteen cross-engine runs.
+            let mx_scale = cap_nodes("matrix", scale, 2_000);
             let mut config = workload::MatrixConfig::at_scale(mx_scale);
             if let Some(shards) = &opts.shards {
                 config.shards = shards[0];
@@ -436,16 +428,8 @@ fn run_command(opts: &Options, command: &str) -> Result<(), String> {
             }
         }
         "adversary" => {
-            let mut adv_scale = scale;
-            // Four policy corners × two engines with full per-period
-            // audits: cap the population and say so.
-            adv_scale.nodes = adv_scale.nodes.min(10_000);
-            if adv_scale.nodes < scale.nodes {
-                eprintln!(
-                    "   note: adversary caps the population at {} nodes ({} requested)",
-                    adv_scale.nodes, scale.nodes
-                );
-            }
+            // Four policy corners × two engines with full per-period audits.
+            let adv_scale = cap_nodes("adversary", scale, 10_000);
             let mut config = adversary::AdversaryConfig::at_scale(adv_scale);
             if let Some(schedule) = &opts.schedule {
                 config.schedule = schedule.clone();
@@ -470,16 +454,8 @@ fn run_command(opts: &Options, command: &str) -> Result<(), String> {
             }
         }
         "protocols" => {
-            let mut app_scale = scale;
-            // Sixteen runs × two protocols per run: cap the population
-            // and say so, the workload/adversary convention.
-            app_scale.nodes = app_scale.nodes.min(10_000);
-            if app_scale.nodes < scale.nodes {
-                eprintln!(
-                    "   note: protocols caps the population at {} nodes ({} requested)",
-                    app_scale.nodes, scale.nodes
-                );
-            }
+            // Sixteen runs × two protocols per run.
+            let app_scale = cap_nodes("protocols", scale, 10_000);
             let mut config = protocols::ProtocolsConfig::at_scale(app_scale);
             if let Some(schedule) = &opts.schedule {
                 config.schedules = vec![("custom".into(), schedule.clone())];

@@ -15,11 +15,11 @@
 //! application rows show coverage stalling at the cut (blocked messages
 //! counted) and re-flooding after the heal.
 
-use pss_core::{NodeDescriptor, NodeId, PolicyTriple, ProtocolConfig};
+use pss_core::{PolicyTriple, ProtocolConfig};
 use pss_protocols::{run_under_workload, AppConfig, AppReport, Sampler};
-use pss_sim::workload::{PeriodRecord, Workload};
-use pss_sim::{EventConfig, LatencyModel, ShardedEventSimulation, ShardedSimulation};
+use pss_sim::workload::{CompiledWorkload, PeriodRecord, Workload};
 
+use crate::engines::{on_both_engines, sampling_nodes};
 use crate::parallel::parallel_map;
 use crate::report::{fmt_f64, fmt_percent, Table};
 use crate::Scale;
@@ -190,105 +190,71 @@ impl ProtocolsResult {
 ///
 /// Returns schedule-parse or configuration error text verbatim.
 pub fn run(config: &ProtocolsConfig) -> Result<ProtocolsResult, String> {
-    // Validate every schedule up front so a typo fails fast, not after
+    // Compile every schedule up front so a typo fails fast, not after
     // half the sweep has run.
+    let mut compiled = Vec::with_capacity(config.schedules.len());
     for (label, schedule) in &config.schedules {
-        Workload::parse(schedule, config.scale.seed)
+        let workload = Workload::parse(schedule, config.scale.seed)
             .map_err(|e| format!("schedule `{label}`: {e}"))?;
+        compiled.push((label.as_str(), workload.compile(config.scale.nodes)));
     }
-    let mut jobs: Vec<(String, String, PolicyTriple, Sampler, &'static str)> = Vec::new();
-    for (label, schedule) in &config.schedules {
+    let mut jobs = Vec::new();
+    for (label, compiled) in &compiled {
         for &policy in &config.policies {
             for sampler in [Sampler::Overlay, Sampler::Oracle] {
-                for engine in ["cycle", "event"] {
-                    jobs.push((label.clone(), schedule.clone(), policy, sampler, engine));
-                }
+                jobs.push((*label, compiled, policy, sampler));
             }
         }
     }
 
-    let scale = config.scale;
-    let shards = config.shards;
-    let workers = config.workers;
-    let fanout = config.fanout;
-    let runs = parallel_map(jobs, move |(label, schedule, policy, sampler, engine)| {
-        run_one(
-            scale, &schedule, policy, sampler, engine, shards, workers, fanout,
-        )
-        .map(|(records, report)| ProtocolRun {
-            schedule: label,
-            engine,
-            policy,
-            sampler,
-            records,
-            report,
-        })
+    let pairs = parallel_map(jobs, |(label, compiled, policy, sampler)| {
+        run_pair(config, label, compiled, policy, sampler)
     });
-    let runs = runs.into_iter().collect::<Result<Vec<_>, String>>()?;
+    let mut runs = Vec::with_capacity(2 * pairs.len());
+    for pair in pairs {
+        runs.extend(pair?);
+    }
     Ok(ProtocolsResult {
         runs,
         nodes: config.scale.nodes,
     })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_one(
-    scale: Scale,
-    schedule: &str,
+/// One (schedule, policy, sampler) cell on both engines, cycle first.
+fn run_pair(
+    config: &ProtocolsConfig,
+    label: &str,
+    compiled: &CompiledWorkload,
     policy: PolicyTriple,
     sampler: Sampler,
-    engine: &'static str,
-    shards: usize,
-    workers: Option<usize>,
-    fanout: usize,
-) -> Result<(Vec<PeriodRecord>, AppReport), String> {
-    let compiled = Workload::parse(schedule, scale.seed)
-        .map_err(|e| e.to_string())?
-        .compile(scale.nodes);
+) -> Result<[ProtocolRun; 2], String> {
+    let scale = config.scale;
     let c = scale.view_size;
     let protocol = ProtocolConfig::new(policy, c).map_err(|e| e.to_string())?;
     let app = AppConfig {
-        fanout,
+        fanout: config.fanout,
         sampler,
         seed: scale.seed ^ 0x0a99_5eed,
         ..AppConfig::default()
     };
-    let seeds = |i: u64| -> Vec<NodeDescriptor> {
-        if i == 0 {
-            Vec::new()
-        } else {
-            vec![NodeDescriptor::fresh(NodeId::new(i / 2))]
-        }
-    };
-    Ok(match engine {
-        "cycle" => {
-            let mut sim = ShardedSimulation::new(protocol, scale.seed, shards);
-            for i in 0..scale.nodes as u64 {
-                sim.add_node(seeds(i));
+    on_both_engines(
+        sampling_nodes(protocol),
+        scale.nodes,
+        scale.seed,
+        config.shards,
+        config.workers,
+        |engine, target| {
+            let (records, report) = run_under_workload(target, compiled, c, &app);
+            ProtocolRun {
+                schedule: label.to_owned(),
+                engine,
+                policy,
+                sampler,
+                records,
+                report,
             }
-            if let Some(w) = workers {
-                sim.set_workers(w);
-            }
-            run_under_workload(&mut sim, &compiled, c, &app)
-        }
-        _ => {
-            let event_config = EventConfig {
-                period: 1000,
-                jitter: 200,
-                latency: LatencyModel::Uniform { min: 10, max: 200 },
-                loss_probability: 0.01,
-            };
-            let mut sim = ShardedEventSimulation::new(protocol, event_config, scale.seed, shards)
-                .map_err(|e| e.to_string())?;
-            for i in 0..scale.nodes as u64 {
-                sim.add_node(seeds(i));
-            }
-            if let Some(w) = workers {
-                sim.set_workers(w);
-            }
-            run_under_workload(&mut sim, &compiled, c, &app)
-        }
-    })
+        },
+    )
 }
 
 #[cfg(test)]

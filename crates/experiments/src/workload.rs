@@ -27,10 +27,10 @@
 //! `tests/workload_conformance.rs` and the `pss-net` loopback harness pin
 //! are explorable at any scale with `--schedule`.
 
-use pss_core::{Freshness, NodeDescriptor, NodeId, PolicyTriple, ProtocolConfig};
+use pss_core::{Freshness, PolicyTriple, ProtocolConfig};
 use pss_sim::workload::{run_workload, PeriodRecord, PhaseSpec, Workload};
-use pss_sim::{EventConfig, LatencyModel, ShardedEventSimulation, ShardedSimulation};
 
+use crate::engines::{on_both_engines, sampling_nodes};
 use crate::report::{fmt_f64, fmt_percent, Table};
 use crate::Scale;
 
@@ -170,29 +170,28 @@ impl WorkloadResult {
         }
     }
 
+    /// The last period's record on each engine that ran one.
+    fn ends(&self) -> impl Iterator<Item = &PeriodRecord> {
+        [self.cycle.last(), self.event.last()].into_iter().flatten()
+    }
+
     /// True when both engines end healthy: largest component ≥ 95% of the
     /// live population and dead links ≤ 10% of view entries.
     pub fn healthy(&self) -> bool {
-        [self.cycle.last(), self.event.last()]
-            .into_iter()
-            .flatten()
+        self.ends()
             .all(|r| r.component_fraction() >= 0.95 && r.dead_link_fraction() <= 0.10)
     }
 
     /// Worst end-of-run largest-component fraction across the two engines.
     fn end_component(&self) -> f64 {
-        [self.cycle.last(), self.event.last()]
-            .into_iter()
-            .flatten()
+        self.ends()
             .map(|r| r.component_fraction())
             .fold(1.0, f64::min)
     }
 
     /// Worst end-of-run dead-link fraction across the two engines.
     fn end_dead(&self) -> f64 {
-        [self.cycle.last(), self.event.last()]
-            .into_iter()
-            .flatten()
+        self.ends()
             .map(|r| r.dead_link_fraction())
             .fold(0.0, f64::max)
     }
@@ -302,45 +301,20 @@ fn run_mode(
     let protocol = ProtocolConfig::new(PolicyTriple::newscast(), c)
         .map_err(|e| e.to_string())?
         .with_freshness(freshness);
-    let seeds = |i: u64| -> Vec<NodeDescriptor> {
-        if i == 0 {
-            Vec::new()
-        } else {
-            vec![NodeDescriptor::fresh(NodeId::new(i / 2))]
-        }
-    };
-
-    let mut cycle = ShardedSimulation::new(protocol.clone(), config.scale.seed, config.shards);
-    for i in 0..config.scale.nodes as u64 {
-        cycle.add_node(seeds(i));
-    }
-    if let Some(w) = config.workers {
-        cycle.set_workers(w);
-    }
-    let cycle_records = run_workload(&mut cycle, &compiled, c);
-
-    let event_config = EventConfig {
-        period: 1000,
-        jitter: 200,
-        latency: LatencyModel::Uniform { min: 10, max: 200 },
-        loss_probability: 0.01,
-    };
-    let mut event =
-        ShardedEventSimulation::new(protocol, event_config, config.scale.seed, config.shards)
-            .map_err(|e| e.to_string())?;
-    for i in 0..config.scale.nodes as u64 {
-        event.add_node(seeds(i));
-    }
-    if let Some(w) = config.workers {
-        event.set_workers(w);
-    }
-    let event_records = run_workload(&mut event, &compiled, c);
+    let [cycle, event] = on_both_engines(
+        sampling_nodes(protocol),
+        config.scale.nodes,
+        config.scale.seed,
+        config.shards,
+        config.workers,
+        |_, target| run_workload(target, &compiled, c),
+    )?;
 
     Ok(WorkloadResult {
         workload: workload.clone(),
         freshness,
-        cycle: cycle_records,
-        event: event_records,
+        cycle,
+        event,
         nodes: config.scale.nodes,
     })
 }
@@ -533,18 +507,26 @@ pub fn matrix(config: &MatrixConfig) -> Result<MatrixResult, String> {
     let n = config.scale.nodes;
     let herd = (n / 2).max(1);
     let herd_schedule = format!("quiet:6,flash:{herd}[herd],quiet:12");
-    // (family, schedule, workload seed, population, view size,
-    //  engine seed, shards)
-    type Family<'a> = (&'static str, &'a str, u64, usize, usize, u64, usize);
-    let families: [Family; 4] = [
+    // The partition family's pinned demonstration regime (see the
+    // function docs): its own population, view size, engine seed and
+    // shard count, and workload seed 9.
+    let pinned = MatrixConfig {
+        scale: Scale {
+            nodes: 200,
+            view_size: 15,
+            seed: 7,
+            ..config.scale
+        },
+        shards: 2,
+        workers: config.workers,
+    };
+    // (family, schedule, workload seed, where it runs)
+    let families = [
         (
             "churn",
             "quiet:6,(churn:0.02x5)x3",
             config.scale.seed,
-            n,
-            config.scale.view_size,
-            config.scale.seed,
-            config.shards,
+            config,
         ),
         // Churned recovery after the kill: the paper's self-healing result
         // needs membership turnover to flush the dead half from views.
@@ -552,30 +534,10 @@ pub fn matrix(config: &MatrixConfig) -> Result<MatrixResult, String> {
             "catastrophe",
             "quiet:6,kill:0.5,churn:0.01x12",
             config.scale.seed,
-            n,
-            config.scale.view_size,
-            config.scale.seed,
-            config.shards,
+            config,
         ),
-        (
-            "herd",
-            &herd_schedule,
-            config.scale.seed,
-            n,
-            config.scale.view_size,
-            config.scale.seed,
-            config.shards,
-        ),
-        // The pinned demonstration regime (see the function docs).
-        (
-            "partition",
-            "quiet:6,part:2x20@0.65,quiet:15",
-            9,
-            200,
-            15,
-            7,
-            2,
-        ),
+        ("herd", &herd_schedule, config.scale.seed, config),
+        ("partition", "quiet:6,part:2x20@0.65,quiet:15", 9, &pinned),
     ];
     let policies = [
         PolicyTriple::newscast(),
@@ -585,7 +547,8 @@ pub fn matrix(config: &MatrixConfig) -> Result<MatrixResult, String> {
     ];
 
     let mut cells = Vec::new();
-    for (family, schedule, wl_seed, n, c, engine_seed, shards) in families {
+    for (family, schedule, wl_seed, at) in families {
+        let (n, c) = (at.scale.nodes, at.scale.view_size);
         let workload = Workload::parse(schedule, wl_seed).map_err(|e| e.to_string())?;
         let compiled = workload.compile(n);
         for policy in policies {
@@ -593,40 +556,14 @@ pub fn matrix(config: &MatrixConfig) -> Result<MatrixResult, String> {
                 let protocol = ProtocolConfig::new(policy, c)
                     .map_err(|e| e.to_string())?
                     .with_freshness(freshness);
-                let seeds = |i: u64| -> Vec<NodeDescriptor> {
-                    if i == 0 {
-                        Vec::new()
-                    } else {
-                        vec![NodeDescriptor::fresh(NodeId::new(i / 2))]
-                    }
-                };
-
-                let mut cycle = ShardedSimulation::new(protocol.clone(), engine_seed, shards);
-                for i in 0..n as u64 {
-                    cycle.add_node(seeds(i));
-                }
-                if let Some(w) = config.workers {
-                    cycle.set_workers(w);
-                }
-                let cycle_records = run_workload(&mut cycle, &compiled, c);
-
-                let event_config = EventConfig {
-                    period: 1000,
-                    jitter: 200,
-                    latency: LatencyModel::Uniform { min: 10, max: 200 },
-                    loss_probability: 0.01,
-                };
-                let mut event =
-                    ShardedEventSimulation::new(protocol, event_config, engine_seed, shards)
-                        .map_err(|e| e.to_string())?;
-                for i in 0..n as u64 {
-                    event.add_node(seeds(i));
-                }
-                if let Some(w) = config.workers {
-                    event.set_workers(w);
-                }
-                let event_records = run_workload(&mut event, &compiled, c);
-
+                let [cycle_records, event_records] = on_both_engines(
+                    sampling_nodes(protocol),
+                    n,
+                    at.scale.seed,
+                    at.shards,
+                    at.workers,
+                    |_, target| run_workload(target, &compiled, c),
+                )?;
                 cells.push(MatrixCell {
                     family,
                     policy,

@@ -12,11 +12,11 @@
 //! under load (zero decode failures, bounded timeouts) and the address
 //! book drops departed ids and learns arrived ones.
 
-use pss_core::{NodeDescriptor, NodeId, PeerSamplingNode, PolicyTriple, ProtocolConfig};
+use pss_core::{NodeId, PeerSamplingNode, PolicyTriple, ProtocolConfig};
 use pss_net::cluster::{self, ClusterConfig};
 use pss_net::{MemNetwork, MemTransport, NetConfig, NetRuntime};
 use pss_sim::workload::{run_workload, Workload};
-use pss_sim::{EventConfig, LatencyModel, ShardedEventSimulation};
+use pss_sim::{scenario, EventConfig, LatencyModel, ShardedEventSimulation};
 
 const N: usize = 128;
 const C: usize = 15;
@@ -42,14 +42,7 @@ fn acceptance_schedule_agrees_between_event_engine_and_udp_cluster() {
     };
     let mut sim =
         ShardedEventSimulation::new(protocol.clone(), event_config, 11, 2).expect("valid");
-    for i in 0..N as u64 {
-        let seeds: Vec<NodeDescriptor> = if i == 0 {
-            Vec::new()
-        } else {
-            vec![NodeDescriptor::fresh(NodeId::new(i / 2))]
-        };
-        sim.add_node(seeds);
-    }
+    scenario::seed_tree(&mut sim, N);
     let event_records = run_workload(&mut sim, &compiled, C);
 
     // Loopback UDP cluster: the same compiled schedule, wall-clock driven.

@@ -156,7 +156,7 @@ mod tests {
     use super::*;
     use crate::{EngineSampleSource, OracleSource, SimSampleSource};
     use pss_core::{PolicyTriple, ProtocolConfig};
-    use pss_sim::{scenario, Engine};
+    use pss_sim::scenario;
 
     #[test]
     fn averaging_conserves_mass() {
@@ -226,7 +226,7 @@ mod tests {
         let config = ProtocolConfig::new(PolicyTriple::newscast(), 15).unwrap();
         let mut sim = scenario::random_overlay(&config, 120, 4);
         sim.run_cycles(10);
-        Engine::kill_random(&mut sim, 60);
+        sim.kill_random(60);
         let live: Vec<usize> = sim.alive_ids().iter().map(|id| id.as_index()).collect();
         let mut values: Vec<f64> = (0..120).map(|i| i as f64).collect();
         let live_sum: f64 = live.iter().map(|&i| values[i]).sum();

@@ -223,7 +223,7 @@ mod tests {
     use super::*;
     use crate::{EngineSampleSource, OracleSource, SimSampleSource};
     use pss_core::{PolicyTriple, ProtocolConfig};
-    use pss_sim::{scenario, Engine};
+    use pss_sim::scenario;
 
     #[test]
     fn oracle_broadcast_reaches_everyone() {
@@ -267,7 +267,7 @@ mod tests {
         let config = ProtocolConfig::new(PolicyTriple::newscast(), 15).unwrap();
         let mut sim = scenario::random_overlay(&config, 240, 6);
         sim.run_cycles(10);
-        Engine::kill_random(&mut sim, 80);
+        sim.kill_random(80);
         sim.run_cycles(5); // let views heal a little
         let mut src = EngineSampleSource::new(&mut sim, 3);
         let origin = src.live_ids().unwrap()[0];
@@ -293,7 +293,7 @@ mod tests {
         let config = ProtocolConfig::new(PolicyTriple::newscast(), 15).unwrap();
         let mut sim = scenario::random_overlay(&config, 200, 8);
         sim.run_cycles(10);
-        Engine::kill_random(&mut sim, 100);
+        sim.kill_random(100);
         let origin = sim.alive_ids()[0];
         let mut src = SimSampleSource::new(&mut sim);
         let report = run(&mut src, 200, origin, &BroadcastConfig::default());

@@ -6,9 +6,9 @@
 //! [`broadcast`] (SIR-style rumor spreading) and [`aggregation`] (push-pull
 //! averaging) — as *liveness-aware* clients of any sampler:
 //!
-//! - [`EngineSampleSource`] runs them on any [`pss_sim::Engine`] — the
-//!   cycle engine or the event engine, at any shard count — sampling only
-//!   live peers from each node's view.
+//! - [`EngineSampleSource`] runs them on either engine ([`pss_sim::Sharded`]
+//!   under the cycle or the event [`pss_sim::Mode`], at any shard count),
+//!   sampling only live peers from each node's view.
 //! - [`SimSampleSource`] hands out raw view entries of the cycle engine,
 //!   dead links included, so the cost of stale views is visible as
 //!   `wasted` deliveries.
@@ -51,12 +51,12 @@
 //! ```
 //! use pss_core::{PolicyTriple, ProtocolConfig};
 //! use pss_protocols::{broadcast, EngineSampleSource};
-//! use pss_sim::{scenario, Engine};
+//! use pss_sim::scenario;
 //!
 //! let config = ProtocolConfig::new(PolicyTriple::newscast(), 15)?;
 //! let mut sim = scenario::random_overlay(&config, 200, 9);
 //! sim.run_cycles(10);
-//! Engine::kill_random(&mut sim, 50);
+//! sim.kill_random(50);
 //!
 //! let origin = sim.alive_ids()[0];
 //! let mut source = EngineSampleSource::new(&mut sim, 7);

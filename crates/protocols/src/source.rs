@@ -1,8 +1,7 @@
 //! Peer sources: where applications get their gossip partners from.
 
-use pss_core::NodeId;
-use pss_core::PeerSamplingNode;
-use pss_sim::{Engine, ShardedSimulation};
+use pss_core::{GossipNode, NodeId, PeerSamplingNode};
+use pss_sim::{Mode, Sharded, ShardedSimulation};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -74,8 +73,8 @@ impl SampleSource for SimSampleSource<'_> {
     }
 }
 
-/// The peer sampling service over any [`Engine`] — the sequential cycle
-/// simulator, the sharded cycle engine, or the sharded event engine.
+/// The peer sampling service over either engine — [`Sharded`] under the
+/// cycle-driven or the event-driven [`Mode`], at any shard count.
 ///
 /// Sampling filters each node's view down to currently-live peers (the
 /// service-level contract: a sample is a node you can actually gossip with)
@@ -83,16 +82,16 @@ impl SampleSource for SimSampleSource<'_> {
 /// attaching an application never perturbs the engine's deterministic
 /// digest. [`advance_round`](SampleSource::advance_round) runs one engine
 /// cycle / period.
-pub struct EngineSampleSource<'a, E: Engine> {
-    engine: &'a mut E,
+pub struct EngineSampleSource<'a, N: GossipNode + Send, M: Mode> {
+    engine: &'a mut Sharded<N, M>,
     rng: SmallRng,
     scratch: Vec<NodeId>,
 }
 
-impl<'a, E: Engine> EngineSampleSource<'a, E> {
+impl<'a, N: GossipNode + Send, M: Mode> EngineSampleSource<'a, N, M> {
     /// Wraps an engine; `seed` drives only the sampling choices, never the
     /// engine's own RNG streams.
-    pub fn new(engine: &'a mut E, seed: u64) -> Self {
+    pub fn new(engine: &'a mut Sharded<N, M>, seed: u64) -> Self {
         EngineSampleSource {
             engine,
             rng: SmallRng::seed_from_u64(seed ^ 0x005a_17ab_1e0f_f00d),
@@ -101,12 +100,12 @@ impl<'a, E: Engine> EngineSampleSource<'a, E> {
     }
 
     /// The wrapped engine.
-    pub fn engine(&self) -> &E {
+    pub fn engine(&self) -> &Sharded<N, M> {
         self.engine
     }
 }
 
-impl<E: Engine> SampleSource for EngineSampleSource<'_, E> {
+impl<N: GossipNode + Send, M: Mode> SampleSource for EngineSampleSource<'_, N, M> {
     fn sample_for(&mut self, node: NodeId) -> Option<NodeId> {
         let view = self.engine.view_of(node)?;
         self.scratch.clear();
@@ -247,7 +246,7 @@ mod tests {
         sim.run_cycles(5);
         // Kill a third of the population; raw views now hold dead links,
         // but the engine source must never hand one out.
-        let killed = pss_sim::Engine::kill_random(&mut sim, 13);
+        let killed = sim.kill_random(13);
         let dead: std::collections::HashSet<NodeId> = killed.into_iter().collect();
         let mut src = EngineSampleSource::new(&mut sim, 42);
         let live = src.live_ids().unwrap();
@@ -272,8 +271,8 @@ mod tests {
         let mut sim = ShardedSimulation::new(config, 11, 2);
         sim.add_node([]);
         sim.add_node([pss_core::NodeDescriptor::fresh(NodeId::new(0))]);
-        pss_sim::Engine::add_nodes_with_random_contacts(&mut sim, 30, 3);
-        let before = pss_sim::Engine::cycle(&sim);
+        sim.add_nodes_with_random_contacts(30, 3);
+        let before = sim.cycle();
         let mut src = EngineSampleSource::new(&mut sim, 1);
         for _ in 0..5 {
             src.advance_round();
@@ -285,6 +284,6 @@ mod tests {
             .find_map(|&id| src.sample_for(id))
             .expect("some converged node can sample");
         assert!(src.is_live(p));
-        assert_eq!(pss_sim::Engine::cycle(src.engine()), before + 5);
+        assert_eq!(src.engine().cycle(), before + 5);
     }
 }

@@ -185,7 +185,7 @@ impl AppReport {
 /// averaging run ride every period, returning the overlay records and the
 /// application rows side by side. See the [module docs](self) for the
 /// execution model and determinism contract.
-pub fn run_under_workload<T: WorkloadTarget>(
+pub fn run_under_workload<T: WorkloadTarget + ?Sized>(
     target: &mut T,
     compiled: &CompiledWorkload,
     view_size: usize,
@@ -377,8 +377,11 @@ pub fn run_under_workload<T: WorkloadTarget>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pss_core::{NodeDescriptor, PolicyTriple, ProtocolConfig};
-    use pss_sim::{EventConfig, LatencyModel, ShardedEventSimulation, ShardedSimulation, Workload};
+    use pss_core::{PolicyTriple, ProtocolConfig};
+    use pss_sim::{
+        scenario, EventConfig, LatencyModel, Mode, Sharded, ShardedEventSimulation,
+        ShardedSimulation, Workload,
+    };
 
     const VIEW: usize = 10;
     const NODES: usize = 96;
@@ -387,19 +390,9 @@ mod tests {
         ProtocolConfig::new(PolicyTriple::newscast(), VIEW).unwrap()
     }
 
-    fn seeds(i: u64) -> Vec<NodeDescriptor> {
-        if i == 0 {
-            Vec::new()
-        } else {
-            vec![NodeDescriptor::fresh(NodeId::new(i / 2))]
-        }
-    }
-
     fn cycle_engine(workers: usize) -> ShardedSimulation<pss_core::PeerSamplingNode> {
         let mut sim = ShardedSimulation::new(protocol(), 11, 2);
-        for i in 0..NODES as u64 {
-            sim.add_node(seeds(i));
-        }
+        scenario::seed_tree(&mut sim, NODES);
         sim.set_workers(workers);
         sim
     }
@@ -412,9 +405,7 @@ mod tests {
             loss_probability: 0.01,
         };
         let mut sim = ShardedEventSimulation::new(protocol(), event_config, 11, 2).unwrap();
-        for i in 0..NODES as u64 {
-            sim.add_node(seeds(i));
-        }
+        scenario::seed_tree(&mut sim, NODES);
         sim.set_workers(workers);
         sim
     }
@@ -427,27 +418,21 @@ mod tests {
 
     #[test]
     fn app_rows_bit_identical_across_worker_counts() {
-        let compiled = acceptance();
-        let app = AppConfig::default();
-        let mut baseline = None;
-        for workers in [1usize, 2, 4] {
-            let mut sim = cycle_engine(workers);
-            let (records, report) = run_under_workload(&mut sim, &compiled, VIEW, &app);
-            assert_eq!(records.len(), compiled.steps.len());
-            match &baseline {
-                None => baseline = Some(report),
-                Some(b) => assert_eq!(b, &report, "cycle rows diverged at {workers} workers"),
+        fn check<M: Mode>(build: fn(usize) -> Sharded<pss_core::PeerSamplingNode, M>) {
+            let compiled = acceptance();
+            let run = |workers: usize| {
+                let (records, report) =
+                    run_under_workload(&mut build(workers), &compiled, VIEW, &AppConfig::default());
+                assert_eq!(records.len(), compiled.steps.len());
+                report
+            };
+            let baseline = run(1);
+            for workers in [2usize, 4] {
+                assert_eq!(baseline, run(workers), "rows diverged at {workers} workers");
             }
         }
-        let mut baseline = None;
-        for workers in [1usize, 2, 4] {
-            let mut sim = event_engine(workers);
-            let (_, report) = run_under_workload(&mut sim, &compiled, VIEW, &app);
-            match &baseline {
-                None => baseline = Some(report),
-                Some(b) => assert_eq!(b, &report, "event rows diverged at {workers} workers"),
-            }
-        }
+        check(cycle_engine);
+        check(event_engine);
     }
 
     #[test]

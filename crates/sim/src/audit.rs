@@ -85,7 +85,7 @@ impl HonestPolicy {
 pub fn role_factory(
     policy: HonestPolicy,
     roles: Option<AdversaryRoles>,
-) -> impl Fn(NodeId, u64) -> BoxedNode + Send + Sync + 'static {
+) -> impl Fn(NodeId, u64) -> BoxedNode + Clone + Send + Sync + 'static {
     let attacker_config = policy.attacker_config();
     move |id, seed| match &roles {
         Some(r) if r.is_attacker(id) => r.build_attacker(id, &attacker_config, seed),
@@ -283,7 +283,7 @@ impl AttackAudit {
 ///
 /// Panics if `compiled.adversary` is `None` — auditing a clean run is a
 /// harness bug, not a measurement.
-pub fn run_attacked<T: WorkloadTarget>(
+pub fn run_attacked<T: WorkloadTarget + ?Sized>(
     target: &mut T,
     compiled: &CompiledWorkload,
     view_size: usize,

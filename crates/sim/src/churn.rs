@@ -6,7 +6,9 @@
 //! random nodes crash and fresh nodes join via random live contacts — so
 //! the steady-state quality of the overlay under turnover can be measured.
 
-use crate::Engine;
+use pss_core::GossipNode;
+
+use crate::{Mode, Sharded};
 
 /// Deterministic fractional-rate rounding: converts a stream of expected
 /// per-step counts into integers by carrying the fractional remainder
@@ -134,11 +136,14 @@ impl ChurnProcess {
     }
 
     /// Applies one churn step: kills and joins according to the rates.
-    /// Returns `(killed, joined)` counts. Works on any [`Engine`] — the
-    /// cycle simulators or the event-driven ones.
+    /// Returns `(killed, joined)` counts. Works on either engine — the
+    /// cycle-driven or the event-driven one.
     ///
-    /// Call once per cycle, before or after [`Engine::run_cycle`].
-    pub fn step<E: Engine>(&mut self, sim: &mut E) -> (usize, usize) {
+    /// Call once per cycle, before or after [`Sharded::run_cycle`].
+    pub fn step<N: GossipNode + Send, M: Mode>(
+        &mut self,
+        sim: &mut Sharded<N, M>,
+    ) -> (usize, usize) {
         let live = sim.alive_count() as f64;
         let kills = self.leaves.step(live * self.leave_rate);
         let joins = self.joins.step(live * self.join_rate);

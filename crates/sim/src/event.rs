@@ -270,8 +270,8 @@ impl EventReport {
         }
     }
 
-    /// Projects the totals onto the cycle engine's report shape, so generic
-    /// drivers ([`crate::Engine`]) can aggregate either engine: completed
+    /// Projects the totals onto the cycle engine's report shape, so drivers
+    /// generic over [`Mode`] can aggregate either engine: completed
     /// exchanges, dead deliveries as failed peers, empty views, losses.
     pub fn as_cycle_report(&self) -> CycleReport {
         CycleReport {
@@ -1137,10 +1137,7 @@ mod tests {
         // Tree bootstrap (every joiner knows an introducer): a bare chain
         // can genuinely be cut into two self-reinforcing communities under
         // concurrent exchanges.
-        s.add_node([]);
-        for i in 1..80u64 {
-            s.add_node([NodeDescriptor::fresh(NodeId::new(i / 2))]);
-        }
+        crate::scenario::seed_tree(&mut s, 80);
         s.run_for(30_000);
         let g = s.snapshot().undirected();
         assert!(pss_graph::components::is_connected(&g));

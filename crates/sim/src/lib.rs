@@ -1,10 +1,11 @@
 //! Simulators for gossip-based peer sampling protocols.
 //!
 //! Two engines over one sharded node population ([`ShardedSimulation`] and
-//! [`ShardedEventSimulation`] are the same struct under two execution
-//! models, so joins, kills, views and snapshots are one API), with the
-//! **shard count** as the one parameter that picks between sequential and
-//! parallel execution:
+//! [`ShardedEventSimulation`] are the same struct, [`Sharded`], under two
+//! execution [`Mode`]s, so joins, kills, views and snapshots are one API
+//! and a function generic over the mode drives either), with the **shard
+//! count** as the one parameter that picks between sequential and parallel
+//! execution:
 //!
 //! * [`ShardedSimulation`] — the **cycle-driven** model the paper's
 //!   experiments use: in every cycle each live node initiates exactly one
@@ -31,7 +32,8 @@
 //! [`workload`] declares seed-deterministic membership-dynamics schedules
 //! (churn, catastrophic failure, flash crowds, partition/heal, Byzantine
 //! adversary placement) that compile to concrete per-period operations and
-//! run identically on every engine and on the deployed `pss-net` runtime;
+//! run identically on every engine and on the deployed `pss-net` runtime —
+//! whatever implements [`WorkloadTarget`], the one trait a driver sees;
 //! [`audit`] layers attack observables (in-degree capture, victim
 //! isolation, chi-square randomness) on attacked runs.
 //!
@@ -59,7 +61,6 @@
 
 mod churn;
 mod cycle;
-mod engine;
 mod event;
 mod exec;
 mod pool;
@@ -76,12 +77,11 @@ pub mod workload;
 
 pub use churn::{ChurnProcess, RateAccumulator};
 pub use cycle::{CycleReport, FailureMode, GrowthPlan, ShardedSimulation};
-pub use engine::Engine;
 pub use event::{
     Delivery, EventConfig, EventConfigError, EventReport, LatencyModel, ShardedEventSimulation,
 };
 pub use population::BoxedNode;
 pub use queue::TickQueue;
-pub use shard::Sharded;
+pub use shard::{Mode, Sharded};
 pub use snapshot::{CsrSnapshot, Snapshot, StreamingMetrics};
 pub use workload::{Partition, Workload, WorkloadTarget};

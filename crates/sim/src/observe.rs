@@ -1,27 +1,28 @@
 //! Per-cycle observation: recorders for the published metrics.
 //!
 //! The experiment harness runs a simulation under a set of observers; after
-//! every cycle each observer sees the same [`CycleContext`] (simulation,
-//! directed snapshot, undirected graph), so expensive snapshots are built
-//! once per cycle regardless of how many metrics are recorded.
+//! every cycle each observer sees the same [`CycleContext`] (directed
+//! snapshot, undirected graph, dead-link counter), so expensive snapshots
+//! are built once per cycle regardless of how many metrics are recorded.
 
-use pss_core::NodeId;
+use pss_core::{GossipNode, NodeId};
 use pss_graph::{GraphMetrics, MetricsConfig, UGraph};
 use pss_stats::TimeSeries;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::{Engine, Snapshot};
+use crate::{Mode, Sharded, Snapshot};
 
-/// Everything an observer may look at after a cycle.
-///
-/// Generic over the engine, so observers work unchanged on the cycle and
-/// the event engine at any shard count.
-pub struct CycleContext<'a, E: Engine> {
+/// Everything an observer may look at after a cycle. Nothing in it names
+/// the engine, so observers work unchanged on the cycle and the event
+/// engine at any shard count.
+pub struct CycleContext<'a> {
     /// The cycle that just completed.
     pub cycle: u64,
-    /// The simulation (read-only).
-    pub sim: &'a E,
+    /// Counts the descriptors in live views that point to dead nodes
+    /// ([`Sharded::dead_link_count`]): a sweep over every view, run only
+    /// when an observer asks.
+    pub dead_links: &'a dyn Fn() -> usize,
     /// Directed snapshot over live nodes.
     pub snapshot: &'a Snapshot,
     /// Undirected communication graph of the snapshot.
@@ -29,23 +30,27 @@ pub struct CycleContext<'a, E: Engine> {
 }
 
 /// A per-cycle metric recorder.
-pub trait Observer<E: Engine> {
+pub trait Observer {
     /// Called once after every completed cycle.
-    fn observe(&mut self, ctx: &CycleContext<'_, E>);
+    fn observe(&mut self, ctx: &CycleContext<'_>);
 }
 
 /// Runs `cycles` cycles of `sim`, invoking every observer after each cycle.
 ///
 /// Observation order follows the slice order. The snapshot/undirected graph
 /// are rebuilt once per cycle and shared.
-pub fn run_observed<E: Engine>(sim: &mut E, cycles: u64, observers: &mut [&mut dyn Observer<E>]) {
+pub fn run_observed<N: GossipNode + Send, M: Mode>(
+    sim: &mut Sharded<N, M>,
+    cycles: u64,
+    observers: &mut [&mut dyn Observer],
+) {
     for _ in 0..cycles {
         sim.run_cycle();
         let snapshot = sim.snapshot();
         let graph = snapshot.undirected();
         let ctx = CycleContext {
             cycle: sim.cycle(),
-            sim,
+            dead_links: &|| sim.dead_link_count(),
             snapshot: &snapshot,
             graph: &graph,
         };
@@ -101,8 +106,8 @@ impl MetricsRecorder {
     }
 }
 
-impl<E: Engine> Observer<E> for MetricsRecorder {
-    fn observe(&mut self, ctx: &CycleContext<'_, E>) {
+impl Observer for MetricsRecorder {
+    fn observe(&mut self, ctx: &CycleContext<'_>) {
         let m = GraphMetrics::measure(ctx.graph, &self.config, &mut self.rng);
         self.clustering.push(ctx.cycle, m.clustering_coefficient);
         self.average_degree.push(ctx.cycle, m.average_degree);
@@ -150,8 +155,8 @@ impl DegreeTracer {
     }
 }
 
-impl<E: Engine> Observer<E> for DegreeTracer {
-    fn observe(&mut self, ctx: &CycleContext<'_, E>) {
+impl Observer for DegreeTracer {
+    fn observe(&mut self, ctx: &CycleContext<'_>) {
         for (id, series) in self.traced.iter().zip(&mut self.series) {
             if let Some(idx) = ctx.snapshot.index_of(*id) {
                 series.push(ctx.cycle, ctx.graph.degree(idx) as f64);
@@ -187,10 +192,9 @@ impl Default for DeadLinkCounter {
     }
 }
 
-impl<E: Engine> Observer<E> for DeadLinkCounter {
-    fn observe(&mut self, ctx: &CycleContext<'_, E>) {
-        self.series
-            .push(ctx.cycle, ctx.sim.dead_link_count() as f64);
+impl Observer for DeadLinkCounter {
+    fn observe(&mut self, ctx: &CycleContext<'_>) {
+        self.series.push(ctx.cycle, (ctx.dead_links)() as f64);
     }
 }
 

@@ -16,19 +16,14 @@
 //!
 //! # Safety
 //!
-//! This is the one module in the crate that needs `unsafe`, in two places:
-//!
-//! * **Lifetime erasure of the job closure.** [`WorkerPool::run`] borrows
-//!   the job as `&(dyn Fn(usize) + Sync)` and stores a raw pointer to it in
-//!   the shared state so worker threads can call it. The pointer only
-//!   outlives the borrow in the type system: `run` blocks on the `done`
-//!   condvar until every worker has acknowledged completion, and workers
-//!   never touch the job pointer outside the epoch it was published in, so
-//!   the closure is provably alive for every dereference.
-//! * **The `sched_setaffinity` syscall** for optional core pinning
-//!   (Linux/x86_64 only, opt-in via `PSS_PIN_WORKERS`). It passes a
-//!   stack-local cpu mask to the kernel and ignores failure; no memory is
-//!   retained past the call.
+//! This is the one module in the crate that needs `unsafe`, for the
+//! **lifetime erasure of the job closure**: [`WorkerPool::run`] borrows the
+//! job as `&(dyn Fn(usize) + Sync)` and stores a raw pointer to it in the
+//! shared state so worker threads can call it. The pointer only outlives
+//! the borrow in the type system: `run` blocks on the `done` condvar until
+//! every worker has acknowledged completion, and workers never touch the
+//! job pointer outside the epoch it was published in, so the closure is
+//! provably alive for every dereference.
 //!
 //! Worker panics are caught with `catch_unwind`: the panicking worker still
 //! decrements the completion counter (no barrier deadlock), a flag is set,
@@ -101,11 +96,6 @@ impl std::fmt::Debug for WorkerPool {
 impl WorkerPool {
     /// Creates a pool of `workers` threads (none for `workers <= 1`).
     /// Threads are created here, once, and live until the pool is dropped.
-    ///
-    /// If the environment variable `PSS_PIN_WORKERS` is set (to anything
-    /// but `0`), each worker pins itself to core `index % cores`
-    /// (Linux/x86_64; elsewhere the flag is ignored). Pinning is
-    /// best-effort and can never affect results — only locality.
     pub(crate) fn new(workers: usize) -> Self {
         let workers = workers.max(1);
         let shared = Arc::new(Shared {
@@ -119,7 +109,6 @@ impl WorkerPool {
             go: Condvar::new(),
             done: Condvar::new(),
         });
-        let pin = pin_requested();
         let handles = if workers <= 1 {
             Vec::new()
         } else {
@@ -128,7 +117,7 @@ impl WorkerPool {
                     let shared = Arc::clone(&shared);
                     std::thread::Builder::new()
                         .name(format!("pss-worker-{index}"))
-                        .spawn(move || worker_loop(&shared, index, pin))
+                        .spawn(move || worker_loop(&shared, index))
                         .expect("spawn pool worker")
                 })
                 .collect()
@@ -212,10 +201,7 @@ impl Drop for WorkerPool {
     }
 }
 
-fn worker_loop(shared: &Shared, index: usize, pin: bool) {
-    if pin {
-        pin_to_core(index);
-    }
+fn worker_loop(shared: &Shared, index: usize) {
     let mut seen_epoch = 0u64;
     loop {
         let (f, workers) = {
@@ -255,41 +241,6 @@ fn worker_loop(shared: &Shared, index: usize, pin: bool) {
         }
     }
 }
-
-/// True if the user asked for core pinning via `PSS_PIN_WORKERS`.
-fn pin_requested() -> bool {
-    std::env::var_os("PSS_PIN_WORKERS").is_some_and(|v| v != "0")
-}
-
-/// Pins the calling thread to core `index % cores`, best-effort.
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-fn pin_to_core(index: usize) {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let core = index % cores.min(16 * 64);
-    let mut mask = [0u64; 16];
-    mask[core / 64] = 1 << (core % 64);
-    // SAFETY: raw `sched_setaffinity(2)` (x86_64 syscall 203) on a
-    // stack-local mask; the kernel copies the mask during the call and
-    // retains nothing. Failure (ret < 0) is ignored — pinning is a hint.
-    #[allow(unsafe_code)]
-    unsafe {
-        let ret: i64;
-        core::arch::asm!(
-            "syscall",
-            inlateout("rax") 203i64 => ret,
-            in("rdi") 0,
-            in("rsi") mask.len() * core::mem::size_of::<u64>(),
-            in("rdx") mask.as_ptr(),
-            lateout("rcx") _,
-            lateout("r11") _,
-            options(nostack),
-        );
-        let _ = ret;
-    }
-}
-
-#[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-fn pin_to_core(_index: usize) {}
 
 #[cfg(test)]
 mod tests {

@@ -11,7 +11,7 @@
 //! * **random** ([`random_overlay`]) — views are uniform random samples
 //!   (the baseline topology itself).
 
-use pss_core::{NodeDescriptor, NodeId, PeerSamplingNode, ProtocolConfig};
+use pss_core::{GossipNode, NodeDescriptor, NodeId, PeerSamplingNode, ProtocolConfig};
 use pss_graph::{gen, DiGraph};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -48,6 +48,18 @@ fn seed_from_digraph<M: Mode>(
             out.iter()
                 .map(|&t| NodeDescriptor::fresh(NodeId::new(t as u64))),
         );
+    }
+}
+
+/// Seeds an empty engine with `n` nodes in a binary tree: node 0 knows
+/// nobody, node `i` knows node `i / 2` — the minimal connected bootstrap
+/// the workload, adversary and application runs converge from, on both
+/// engines. Serial like [`from_digraph_sharded`], for the same reason: the
+/// trajectories pinned on those runs ride on `add_node`'s control-RNG
+/// draws in id order.
+pub fn seed_tree<N: GossipNode + Send, M: Mode>(sim: &mut Sharded<N, M>, n: usize) {
+    for i in 0..n as u64 {
+        sim.add_node((i > 0).then(|| NodeDescriptor::fresh(NodeId::new(i / 2))));
     }
 }
 
@@ -248,15 +260,23 @@ mod tests {
         ProtocolConfig::new(PolicyTriple::newscast(), c).unwrap()
     }
 
-    #[test]
-    fn from_digraph_replicates_views() {
-        let g = DiGraph::from_views(3, vec![vec![1, 2], vec![2], vec![]]).unwrap();
-        let sim = from_digraph(&config(5), &g, 1);
+    fn three_nodes() -> DiGraph {
+        DiGraph::from_views(3, vec![vec![1, 2], vec![2], vec![]]).unwrap()
+    }
+
+    /// The views of [`three_nodes`], on either engine.
+    fn assert_replicates<M: Mode>(sim: &Sharded<PeerSamplingNode, M>) {
         assert_eq!(sim.node_count(), 3);
         let v0 = sim.view_of(NodeId::new(0)).unwrap();
         assert!(v0.contains(NodeId::new(1)));
         assert!(v0.contains(NodeId::new(2)));
         assert!(sim.view_of(NodeId::new(2)).unwrap().is_empty());
+    }
+
+    #[test]
+    fn from_digraph_replicates_views() {
+        let sim = from_digraph(&config(5), &three_nodes(), 1);
+        assert_replicates(&sim);
     }
 
     #[test]
@@ -343,13 +363,8 @@ mod tests {
 
     #[test]
     fn sharded_from_digraph_replicates_views() {
-        let g = DiGraph::from_views(3, vec![vec![1, 2], vec![2], vec![]]).unwrap();
-        let sim = from_digraph_sharded(&config(5), &g, 1, 2);
-        assert_eq!(sim.node_count(), 3);
-        let v0 = sim.view_of(NodeId::new(0)).unwrap();
-        assert!(v0.contains(NodeId::new(1)));
-        assert!(v0.contains(NodeId::new(2)));
-        assert!(sim.view_of(NodeId::new(2)).unwrap().is_empty());
+        let sim = from_digraph_sharded(&config(5), &three_nodes(), 1, 2);
+        assert_replicates(&sim);
     }
 
     #[test]
@@ -376,13 +391,10 @@ mod tests {
 
     #[test]
     fn event_from_digraph_replicates_views() {
-        let g = DiGraph::from_views(3, vec![vec![1, 2], vec![2], vec![]]).unwrap();
-        let sim = event_from_digraph_sharded(&config(5), EventConfig::default(), &g, 1, 2).unwrap();
-        assert_eq!(sim.node_count(), 3);
-        let v0 = sim.view_of(NodeId::new(0)).unwrap();
-        assert!(v0.contains(NodeId::new(1)));
-        assert!(v0.contains(NodeId::new(2)));
-        assert!(sim.view_of(NodeId::new(2)).unwrap().is_empty());
+        let sim =
+            event_from_digraph_sharded(&config(5), EventConfig::default(), &three_nodes(), 1, 2)
+                .unwrap();
+        assert_replicates(&sim);
     }
 
     #[test]

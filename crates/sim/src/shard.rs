@@ -290,8 +290,8 @@ impl<N: GossipNode + Send, M: Mode> Sharded<N, M> {
     }
 
     /// Runs one full cycle — on the event engine, one gossip period, its
-    /// notion of a cycle for generic drivers ([`crate::Engine`]) — and
-    /// reports what happened during it.
+    /// notion of a cycle for drivers generic over [`Mode`] — and reports
+    /// what happened during it.
     pub fn run_cycle(&mut self) -> CycleReport {
         M::run_cycle(self)
     }
@@ -440,5 +440,58 @@ impl<N: GossipNode + Send, M: Mode> Sharded<N, M> {
     /// at very large N (see [`StreamingMetrics`]).
     pub fn streaming_metrics(&self) -> StreamingMetrics {
         StreamingMetrics::from_views(self.dir.len(), |f| self.for_each_live_view(f))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{EventConfig, ShardedEventSimulation, ShardedSimulation};
+    use pss_core::{PolicyTriple, ProtocolConfig};
+
+    fn config() -> ProtocolConfig {
+        ProtocolConfig::new(PolicyTriple::newscast(), 5).unwrap()
+    }
+
+    /// A driver generic over the mode touching the membership and
+    /// observation API, instantiated with both engines. Returns the first
+    /// cycle's report.
+    fn exercise<N: GossipNode + Send, M: Mode>(sim: &mut Sharded<N, M>) -> CycleReport {
+        sim.add_node([]);
+        sim.add_node([NodeDescriptor::fresh(NodeId::new(0))]);
+        sim.add_nodes_with_random_contacts(18, 2);
+        let report = sim.run_cycle();
+        assert_eq!(sim.cycle(), 1);
+        assert!(sim.node_count() >= sim.alive_count());
+        let ids = sim.alive_ids();
+        assert!(sim.is_alive(ids[0]));
+        assert!(sim.view_of(ids[0]).is_some());
+        let _ = sim.snapshot();
+        let killed = sim.kill_random(2);
+        assert_eq!(killed.len(), 2);
+        assert!(sim.kill(ids.iter().copied().find(|i| sim.is_alive(*i)).unwrap()));
+        assert!(sim.dead_link_count() > 0);
+        let joined = sim.add_nodes_with_random_contacts(3, 2);
+        assert_eq!(joined.len(), 3);
+        let live = sim.alive_ids()[0];
+        let seeded = sim.add_node([NodeDescriptor::fresh(live)]);
+        assert!(sim.is_alive(seeded));
+        sim.set_partition(Some(Partition::new(2)));
+        sim.run_cycle();
+        sim.set_partition(None);
+        sim.run_cycle();
+        report
+    }
+
+    #[test]
+    fn both_engines_drive_generically() {
+        let mut cycle = ShardedSimulation::new(config(), 11, 3);
+        // In the cycle model every live node initiates exactly once.
+        assert_eq!(exercise(&mut cycle).initiated(), 20);
+
+        let mut event =
+            ShardedEventSimulation::new(config(), EventConfig::default(), 11, 3).expect("valid");
+        // A period's exchanges may still be in flight when it ends.
+        assert!(exercise(&mut event).completed > 0);
     }
 }

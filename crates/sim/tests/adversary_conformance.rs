@@ -9,12 +9,12 @@
 
 mod common;
 
-use common::view_digest;
+use common::{event_config, view_digest};
 use pss_core::hs::{HsConfig, HsPeerSelection};
-use pss_core::{NodeDescriptor, NodeId, PolicyTriple, ProtocolConfig};
+use pss_core::{NodeId, PolicyTriple, ProtocolConfig};
 use pss_sim::audit::{role_factory, run_attacked, AttackAudit, HonestPolicy, SampleAudit};
 use pss_sim::workload::{run_workload_observed, PeriodRecord, Workload};
-use pss_sim::{BoxedNode, EventConfig, LatencyModel, ShardedEventSimulation, ShardedSimulation};
+use pss_sim::{scenario, BoxedNode, Mode, Sharded, ShardedEventSimulation, ShardedSimulation};
 
 const N: usize = 200;
 const C: usize = 15;
@@ -25,23 +25,6 @@ fn newscast() -> HonestPolicy {
 
 fn swapper() -> HonestPolicy {
     HonestPolicy::Hs(HsConfig::new(C, 0, C / 2, HsPeerSelection::Rand).expect("valid"))
-}
-
-fn event_config() -> EventConfig {
-    EventConfig {
-        period: 100,
-        jitter: 20,
-        latency: LatencyModel::Uniform { min: 1, max: 20 },
-        loss_probability: 0.02,
-    }
-}
-
-fn tree_seeds(i: u64) -> Vec<NodeDescriptor> {
-    if i == 0 {
-        Vec::new()
-    } else {
-        vec![NodeDescriptor::fresh(NodeId::new(i / 2))]
-    }
 }
 
 /// Tree-bootstrapped sharded cycle engine over a role-dispatched
@@ -55,9 +38,7 @@ fn cycle_sim(
     let roles = workload.compile(N).adversary;
     let mut sim =
         ShardedSimulation::with_factory(seed, shards, role_factory(policy.clone(), roles));
-    for i in 0..N as u64 {
-        sim.add_node(tree_seeds(i));
-    }
+    scenario::seed_tree(&mut sim, N);
     sim
 }
 
@@ -77,9 +58,7 @@ fn event_sim(
         role_factory(policy.clone(), roles),
     )
     .expect("valid event config");
-    for i in 0..N as u64 {
-        sim.add_node(tree_seeds(i));
-    }
+    scenario::seed_tree(&mut sim, N);
     sim
 }
 
@@ -109,32 +88,24 @@ fn attack_schedules() -> Vec<(&'static str, Workload)> {
 /// worker count — for every attack kind, on both sharded engines.
 #[test]
 fn attacked_runs_are_bit_deterministic_across_worker_counts() {
-    for (name, workload) in attack_schedules() {
+    fn check<M: Mode>(build: impl Fn() -> Sharded<BoxedNode, M>, workload: &Workload, what: &str) {
         let compiled = workload.compile(N);
-
-        let run_cycle = |workers: usize| {
-            let mut sim = cycle_sim(&newscast(), &workload, 7, 2);
+        let run = |workers: usize| {
+            let mut sim = build();
             sim.set_workers(workers);
             let (records, audit) = run_attacked(&mut sim, &compiled, C);
-            (records, audit, view_digest(|f| sim.for_each_live_view(f)))
+            (records, audit, view_digest(&sim))
         };
-        let (records1, audit1, digest1) = run_cycle(1);
-        let (records2, audit2, digest2) = run_cycle(2);
-        assert_eq!(records1, records2, "cycle records diverged ({name})");
-        assert_eq!(audit1, audit2, "cycle attack audit diverged ({name})");
-        assert_eq!(digest1, digest2, "cycle overlay diverged ({name})");
-
-        let run_event = |workers: usize| {
-            let mut sim = event_sim(&newscast(), &workload, 7, 2);
-            sim.set_workers(workers);
-            let (records, audit) = run_attacked(&mut sim, &compiled, C);
-            (records, audit, view_digest(|f| sim.for_each_live_view(f)))
-        };
-        let (records1, audit1, digest1) = run_event(1);
-        let (records2, audit2, digest2) = run_event(2);
-        assert_eq!(records1, records2, "event records diverged ({name})");
-        assert_eq!(audit1, audit2, "event attack audit diverged ({name})");
-        assert_eq!(digest1, digest2, "event overlay diverged ({name})");
+        let (records1, audit1, digest1) = run(1);
+        let (records2, audit2, digest2) = run(2);
+        let engine = std::any::type_name::<M>();
+        assert_eq!(records1, records2, "{engine} records diverged ({what})");
+        assert_eq!(audit1, audit2, "{engine} attack audit diverged ({what})");
+        assert_eq!(digest1, digest2, "{engine} overlay diverged ({what})");
+    }
+    for (name, workload) in attack_schedules() {
+        check(|| cycle_sim(&newscast(), &workload, 7, 2), &workload, name);
+        check(|| event_sim(&newscast(), &workload, 7, 2), &workload, name);
     }
 }
 

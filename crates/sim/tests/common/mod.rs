@@ -8,8 +8,8 @@
 // Each integration-test target compiles its own copy and uses a subset.
 #![allow(dead_code)]
 
-use pss_core::{NodeId, PeerSamplingNode, ProtocolConfig, View};
-use pss_sim::{BoxedNode, CycleReport, EventReport};
+use pss_core::{GossipNode, NodeId, PeerSamplingNode, ProtocolConfig};
+use pss_sim::{BoxedNode, CycleReport, EventConfig, EventReport, LatencyModel, Mode, Sharded};
 
 /// The FNV-1a offset basis: the canonical digest seed.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -22,12 +22,11 @@ pub fn fnv1a(digest: &mut u64, value: u64) {
     }
 }
 
-/// Digest of the full overlay state: every live node's id and exact view
-/// contents (ids and hop counts, in stored order). `for_each` adapts an
-/// engine's `for_each_live_view` — pass `|f| sim.for_each_live_view(f)`.
-pub fn view_digest(for_each: impl Fn(&mut dyn FnMut(NodeId, &View))) -> u64 {
+/// Digest of the full overlay state of either engine: every live node's
+/// id and exact view contents (ids and hop counts, in stored order).
+pub fn view_digest<N: GossipNode + Send, M: Mode>(sim: &Sharded<N, M>) -> u64 {
     let mut digest = FNV_OFFSET;
-    for_each(&mut |id, view| {
+    sim.for_each_live_view(|id, view| {
         fnv1a(&mut digest, id.as_u64());
         for d in view.iter() {
             fnv1a(&mut digest, d.id().as_u64());
@@ -35,6 +34,58 @@ pub fn view_digest(for_each: impl Fn(&mut dyn FnMut(NodeId, &View))) -> u64 {
         }
     });
     digest
+}
+
+/// The flat CSR snapshot must hold exactly the rows of the `Vec`-based
+/// one (both sort out-neighbors and drop dead targets), on either engine.
+pub fn assert_csr_matches_snapshot<N: GossipNode + Send, M: Mode>(sim: &Sharded<N, M>) {
+    let snap = sim.snapshot();
+    let csr = sim.csr_snapshot();
+    assert_eq!(snap.node_count(), csr.node_count());
+    assert_eq!(snap.node_ids(), csr.node_ids());
+    for v in 0..snap.node_count() as u32 {
+        assert_eq!(
+            snap.directed().out_neighbors(v),
+            csr.graph().out_neighbors(v),
+            "row {v} diverged"
+        );
+    }
+    assert_eq!(csr.index_of(csr.node_id(0)), Some(0));
+    assert_eq!(csr.index_of(NodeId::new(u64::MAX >> 1)), None);
+}
+
+/// The streaming estimator must agree with the materialized CSR path —
+/// same component size, same in-degree histogram, same edge count, without
+/// ever building the edge array — on either engine.
+pub fn assert_streaming_matches_csr<N: GossipNode + Send, M: Mode>(sim: &Sharded<N, M>) {
+    let streamed = sim.streaming_metrics();
+    let csr = sim.csr_snapshot();
+    assert_eq!(streamed.live_nodes, csr.node_count());
+    assert_eq!(streamed.edge_count, csr.graph().edge_count() as u64);
+    assert_eq!(
+        streamed.largest_component,
+        pss_graph::components::largest_weak_component(csr.graph())
+    );
+    let mut histogram = Vec::new();
+    for d in csr.graph().in_degrees() {
+        let d = d as usize;
+        if d >= histogram.len() {
+            histogram.resize(d + 1, 0u64);
+        }
+        histogram[d] += 1;
+    }
+    assert_eq!(streamed.in_degree_histogram, histogram);
+}
+
+/// The event engine of the conformance suites: a 100-tick period with 20 %
+/// jitter, 1–20 % latency and 2 % loss.
+pub fn event_config() -> EventConfig {
+    EventConfig {
+        period: 100,
+        jitter: 20,
+        latency: LatencyModel::Uniform { min: 1, max: 20 },
+        loss_probability: 0.02,
+    }
 }
 
 /// A `with_factory` factory building the population `new` builds, but

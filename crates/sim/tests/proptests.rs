@@ -4,7 +4,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use proptest::prelude::*;
-use pss_core::{NodeDescriptor, NodeId, PolicyTriple, ProtocolConfig};
+use pss_core::{PolicyTriple, ProtocolConfig};
 use pss_sim::workload::{Partition, PhaseSpec, Workload};
 use pss_sim::{
     scenario, ChurnProcess, EventConfig, FailureMode, LatencyModel, RateAccumulator,
@@ -180,10 +180,7 @@ proptest! {
             let config = ProtocolConfig::new(PolicyTriple::newscast(), 6).unwrap();
             let mut sim = ShardedEventSimulation::new(config, EventConfig::default(), seed, 1)
                 .expect("valid config");
-            sim.add_node([]);
-            for i in 1..n as u64 {
-                sim.add_node([NodeDescriptor::fresh(NodeId::new(i / 2))]);
-            }
+            scenario::seed_tree(&mut sim, n);
             sim.run_for(duration);
             let snap = sim.snapshot();
             let g = snap.undirected();

@@ -16,17 +16,15 @@
 
 mod common;
 
-use common::{boxed_factory, digest_report, fnv1a, FNV_OFFSET};
-use pss_core::{GossipNode, NodeDescriptor, NodeId, PolicyTriple, ProtocolConfig};
+use common::{
+    assert_csr_matches_snapshot, assert_streaming_matches_csr, boxed_factory, digest_report, fnv1a,
+    view_digest, FNV_OFFSET,
+};
+use pss_core::{NodeDescriptor, NodeId, PolicyTriple, ProtocolConfig};
 use pss_graph::gen;
 use pss_sim::{scenario, ChurnProcess, FailureMode, ShardedSimulation};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-
-/// Digest of the full overlay state (see [`common::view_digest`]).
-fn view_digest<N: GossipNode + Send>(sim: &ShardedSimulation<N>) -> u64 {
-    common::view_digest(|f| sim.for_each_live_view(f))
-}
 
 /// Runs a 4-shard simulation under loss + churn and digests every cycle's
 /// report and snapshot stream.
@@ -249,47 +247,15 @@ fn csr_snapshot_matches_vec_snapshot() {
     let mut sim = scenario::random_overlay_sharded(&config, 70, 3, 2);
     sim.run_cycles(4);
     sim.kill_random_fraction(0.2); // dead targets must be dropped by both
-    let snap = sim.snapshot();
-    let csr = sim.csr_snapshot();
-    assert_eq!(snap.node_count(), csr.node_count());
-    assert_eq!(snap.node_ids(), csr.node_ids());
-    for v in 0..snap.node_count() as u32 {
-        // DiGraph sorts out-neighbors, CSR sorts too: directly comparable.
-        assert_eq!(
-            snap.directed().out_neighbors(v),
-            csr.graph().out_neighbors(v),
-            "row {v} diverged"
-        );
-    }
-    assert_eq!(csr.index_of(csr.node_id(0)), Some(0));
-    assert_eq!(csr.index_of(NodeId::new(u64::MAX >> 1)), None);
+    assert_csr_matches_snapshot(&sim);
 }
 
-/// The streaming estimator must agree with the materialized CSR path on a
-/// mid-size overlay with dead links in play — same component size, same
-/// in-degree histogram, same edge count, without ever building the edge
-/// array.
+/// On a mid-size overlay with dead links in play.
 #[test]
 fn streaming_metrics_match_materialized_snapshot() {
     let config = ProtocolConfig::new(PolicyTriple::newscast(), 12).expect("valid");
     let mut sim = scenario::random_overlay_sharded(&config, 800, 97, 4);
     sim.run_cycles(8);
     sim.kill_random_fraction(0.15); // dead targets must be dropped by both
-    let streamed = sim.streaming_metrics();
-    let csr = sim.csr_snapshot();
-    assert_eq!(streamed.live_nodes, csr.node_count());
-    assert_eq!(streamed.edge_count, csr.graph().edge_count() as u64);
-    assert_eq!(
-        streamed.largest_component,
-        pss_graph::components::largest_weak_component(csr.graph())
-    );
-    let mut histogram = Vec::new();
-    for d in csr.graph().in_degrees() {
-        let d = d as usize;
-        if d >= histogram.len() {
-            histogram.resize(d + 1, 0u64);
-        }
-        histogram[d] += 1;
-    }
-    assert_eq!(streamed.in_degree_histogram, histogram);
+    assert_streaming_matches_csr(&sim);
 }

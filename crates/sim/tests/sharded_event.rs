@@ -23,12 +23,14 @@
 
 mod common;
 
-use common::{boxed_factory, digest_event_report, fnv1a, view_digest, FNV_OFFSET};
+use common::{
+    assert_csr_matches_snapshot, assert_streaming_matches_csr, boxed_factory, digest_event_report,
+    fnv1a, view_digest, FNV_OFFSET,
+};
 use pss_core::{NodeDescriptor, NodeId, PolicyTriple, ProtocolConfig};
 use pss_graph::gen;
 use pss_sim::{
-    scenario, ChurnProcess, Engine, EventConfig, LatencyModel, ShardedEventSimulation,
-    ShardedSimulation,
+    scenario, ChurnProcess, EventConfig, LatencyModel, ShardedEventSimulation, ShardedSimulation,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -134,13 +136,13 @@ fn stressed_run(workers: usize) -> u64 {
         let (killed, joined) = churn.step(&mut sim);
         fnv1a(&mut digest, killed as u64);
         fnv1a(&mut digest, joined as u64);
-        // Engine-generic drive: one gossip period per cycle.
-        let report = Engine::run_cycle(&mut sim);
+        // One gossip period per cycle.
+        let report = sim.run_cycle();
         fnv1a(&mut digest, report.completed);
         fnv1a(&mut digest, report.failed_dead_peer);
         fnv1a(&mut digest, report.empty_view);
         fnv1a(&mut digest, report.dropped_messages);
-        fnv1a(&mut digest, view_digest(|f| sim.for_each_live_view(f)));
+        fnv1a(&mut digest, view_digest(&sim));
         if period == 5 {
             // Mid-run mass failure exercises the dead-delivery paths.
             sim.kill_random_fraction(0.2);
@@ -186,7 +188,7 @@ fn pinned_digest_at_tiny_scale() {
             sim.run_for(1000);
             digest_event_report(&mut digest, &sim.report());
         }
-        fnv1a(&mut digest, view_digest(|f| sim.for_each_live_view(f)));
+        fnv1a(&mut digest, view_digest(&sim));
         assert_eq!(
             digest, PINNED_TINY_EVENT_DIGEST,
             "tiny-scale 2-shard event digest changed at {workers} workers: engine semantics moved"
@@ -216,7 +218,7 @@ fn pinned_serial_one_shard_digest_at_tiny_scale() {
         sim.run_for(1000);
         digest_event_report(&mut digest, &sim.report());
     }
-    fnv1a(&mut digest, view_digest(|f| sim.for_each_live_view(f)));
+    fnv1a(&mut digest, view_digest(&sim));
     assert_eq!(digest, PINNED_TINY_SERIAL_EVENT_DIGEST);
 }
 
@@ -248,7 +250,7 @@ fn timestamp_freshness_is_worker_invariant() {
             sim.run_for(1000);
             digest_event_report(&mut digest, &sim.report());
         }
-        fnv1a(&mut digest, view_digest(|f| sim.for_each_live_view(f)));
+        fnv1a(&mut digest, view_digest(&sim));
         digest
     };
     let one = run(1);
@@ -284,7 +286,7 @@ fn chunked_runs_are_bit_identical() {
             fnv1a(&mut digest, d.sent_seq);
         }
         digest_event_report(&mut digest, &sim.report());
-        fnv1a(&mut digest, view_digest(|f| sim.for_each_live_view(f)));
+        fnv1a(&mut digest, view_digest(&sim));
         digest
     };
     let whole = run(&[3000]);
@@ -304,25 +306,25 @@ fn shard_count_is_part_of_the_result_contract() {
             scenario::event_random_overlay_sharded(&config, EventConfig::default(), 100, 7, shards)
                 .expect("valid");
         sim.run_for(5000);
-        view_digest(|f| sim.for_each_live_view(f))
+        view_digest(&sim)
     };
     assert_ne!(run(1), run(4));
 }
 
 #[test]
 fn bulk_construction_is_worker_invariant_on_both_engines() {
+    let config = || ProtocolConfig::new(PolicyTriple::newscast(), 10).expect("valid");
+    let ring = |id: NodeId| [NodeDescriptor::fresh(NodeId::new((id.as_u64() + 1) % 200))];
+
     // Event engine: population, views, and the initial event schedule.
     let build_event = |workers: usize| {
-        let config = ProtocolConfig::new(PolicyTriple::newscast(), 10).expect("valid");
         let mut sim =
-            ShardedEventSimulation::new(config, EventConfig::default(), 5, 4).expect("valid");
+            ShardedEventSimulation::new(config(), EventConfig::default(), 5, 4).expect("valid");
         sim.set_workers(workers);
-        sim.add_nodes_bulk(200, |id| {
-            [NodeDescriptor::fresh(NodeId::new((id.as_u64() + 1) % 200))]
-        });
+        sim.add_nodes_bulk(200, ring);
         // Run a little so timer phases influence state.
         sim.run_for(2500);
-        let mut digest = view_digest(|f| sim.for_each_live_view(f));
+        let mut digest = view_digest(&sim);
         digest_event_report(&mut digest, &sim.report());
         digest
     };
@@ -330,14 +332,11 @@ fn bulk_construction_is_worker_invariant_on_both_engines() {
 
     // Cycle engine: same bulk path, same invariance.
     let build_cycle = |workers: usize| {
-        let config = ProtocolConfig::new(PolicyTriple::newscast(), 10).expect("valid");
-        let mut sim = ShardedSimulation::new(config, 5, 4);
+        let mut sim = ShardedSimulation::new(config(), 5, 4);
         sim.set_workers(workers);
-        sim.add_nodes_bulk(200, |id| {
-            [NodeDescriptor::fresh(NodeId::new((id.as_u64() + 1) % 200))]
-        });
+        sim.add_nodes_bulk(200, ring);
         sim.run_cycles(5);
-        view_digest(|f| sim.for_each_live_view(f))
+        view_digest(&sim)
     };
     assert_eq!(build_cycle(1), build_cycle(4));
 }
@@ -395,17 +394,7 @@ fn event_csr_snapshot_matches_vec_snapshot() {
         .expect("valid");
     sim.run_for(4000);
     sim.kill_random_fraction(0.2); // dead targets must be dropped by both
-    let snap = sim.snapshot();
-    let csr = sim.csr_snapshot();
-    assert_eq!(snap.node_count(), csr.node_count());
-    assert_eq!(snap.node_ids(), csr.node_ids());
-    for v in 0..snap.node_count() as u32 {
-        assert_eq!(
-            snap.directed().out_neighbors(v),
-            csr.graph().out_neighbors(v),
-            "row {v} diverged"
-        );
-    }
+    assert_csr_matches_snapshot(&sim);
 }
 
 /// See the cycle engine's `streaming_metrics_match_materialized_snapshot`:
@@ -419,31 +408,15 @@ fn event_streaming_metrics_match_materialized_snapshot() {
             .expect("valid");
     sim.run_for(8000);
     sim.kill_random_fraction(0.15);
-    let streamed = sim.streaming_metrics();
-    let csr = sim.csr_snapshot();
-    assert_eq!(streamed.live_nodes, csr.node_count());
-    assert_eq!(streamed.edge_count, csr.graph().edge_count() as u64);
-    assert_eq!(
-        streamed.largest_component,
-        pss_graph::components::largest_weak_component(csr.graph())
-    );
-    let mut histogram = Vec::new();
-    for d in csr.graph().in_degrees() {
-        let d = d as usize;
-        if d >= histogram.len() {
-            histogram.resize(d + 1, 0u64);
-        }
-        histogram[d] += 1;
-    }
-    assert_eq!(streamed.in_degree_histogram, histogram);
+    assert_streaming_matches_csr(&sim);
 }
 
 #[test]
 fn churn_and_observers_drive_the_event_engine() {
-    // The Engine impl: observers and churn processes run unchanged.
+    // Observers and churn processes run unchanged on the event engine.
     struct DegreeLog(Vec<f64>);
-    impl<E: Engine> pss_sim::observe::Observer<E> for DegreeLog {
-        fn observe(&mut self, ctx: &pss_sim::observe::CycleContext<'_, E>) {
+    impl pss_sim::observe::Observer for DegreeLog {
+        fn observe(&mut self, ctx: &pss_sim::observe::CycleContext<'_>) {
             self.0.push(ctx.graph.average_degree());
         }
     }

@@ -9,10 +9,10 @@
 
 mod common;
 
-use common::{boxed_factory, view_digest};
-use pss_core::{NodeDescriptor, NodeId, PeerSamplingNode, PolicyTriple, ProtocolConfig};
+use common::{boxed_factory, event_config, view_digest};
+use pss_core::{PeerSamplingNode, PolicyTriple, ProtocolConfig};
 use pss_sim::workload::{run_workload, PeriodRecord, Workload};
-use pss_sim::{EventConfig, LatencyModel, ShardedEventSimulation, ShardedSimulation};
+use pss_sim::{scenario, Mode, Sharded, ShardedEventSimulation, ShardedSimulation, WorkloadTarget};
 
 const N: usize = 200;
 const C: usize = 15;
@@ -51,51 +51,30 @@ fn schedule_family() -> Vec<(&'static str, Workload)> {
     ]
 }
 
-fn event_config() -> EventConfig {
-    EventConfig {
-        period: 100,
-        jitter: 20,
-        latency: LatencyModel::Uniform { min: 1, max: 20 },
-        loss_probability: 0.02,
-    }
+fn protocol(policy: PolicyTriple) -> ProtocolConfig {
+    ProtocolConfig::new(policy, C).expect("valid")
 }
 
-/// Tree-bootstrapped sharded event engine (node `i` knows node `i / 2`).
+/// Tree-bootstrapped sharded event engine.
 fn event_sim(
-    policy: PolicyTriple,
+    protocol: ProtocolConfig,
     seed: u64,
     shards: usize,
 ) -> ShardedEventSimulation<PeerSamplingNode> {
-    let protocol = ProtocolConfig::new(policy, C).expect("valid");
     let mut sim =
         ShardedEventSimulation::new(protocol, event_config(), seed, shards).expect("valid");
-    for i in 0..N as u64 {
-        let seeds: Vec<NodeDescriptor> = if i == 0 {
-            Vec::new()
-        } else {
-            vec![NodeDescriptor::fresh(NodeId::new(i / 2))]
-        };
-        sim.add_node(seeds);
-    }
+    scenario::seed_tree(&mut sim, N);
     sim
 }
 
 /// Tree-bootstrapped sharded cycle engine.
 fn cycle_sim(
-    policy: PolicyTriple,
+    protocol: ProtocolConfig,
     seed: u64,
     shards: usize,
 ) -> ShardedSimulation<PeerSamplingNode> {
-    let protocol = ProtocolConfig::new(policy, C).expect("valid");
     let mut sim = ShardedSimulation::new(protocol, seed, shards);
-    for i in 0..N as u64 {
-        let seeds: Vec<NodeDescriptor> = if i == 0 {
-            Vec::new()
-        } else {
-            vec![NodeDescriptor::fresh(NodeId::new(i / 2))]
-        };
-        sim.add_node(seeds);
-    }
+    scenario::seed_tree(&mut sim, N);
     sim
 }
 
@@ -105,47 +84,29 @@ fn cycle_sim(
 /// both sharded engines.
 #[test]
 fn every_schedule_is_bit_deterministic_across_worker_counts() {
+    fn check<M: Mode>(
+        build: impl Fn() -> Sharded<PeerSamplingNode, M>,
+        workload: &Workload,
+        what: &str,
+    ) {
+        let compiled = workload.compile(N);
+        let run = |workers: usize| {
+            let mut sim = build();
+            sim.set_workers(workers);
+            let records = run_workload(&mut sim, &compiled, C);
+            (records, view_digest(&sim))
+        };
+        let (records1, digest1) = run(1);
+        let (records2, digest2) = run(2);
+        let engine = std::any::type_name::<M>();
+        assert_eq!(records1, records2, "{engine} records diverged ({what})");
+        assert_eq!(digest1, digest2, "{engine} overlays diverged ({what})");
+    }
     for (policy_name, policy) in headline_policies() {
         for (schedule_name, workload) in schedule_family() {
-            let compiled = workload.compile(N);
-
-            let run_event = |workers: usize| {
-                let mut sim = event_sim(policy, 7, 2);
-                sim.set_workers(workers);
-                let records = run_workload(&mut sim, &compiled, C);
-                (records, view_digest(|f| sim.for_each_live_view(f)))
-            };
-            let (records1, digest1) = run_event(1);
-            let (records2, digest2) = run_event(2);
-            assert_eq!(
-                records1, records2,
-                "event-engine records diverged across worker counts \
-                 ({policy_name}, {schedule_name})"
-            );
-            assert_eq!(
-                digest1, digest2,
-                "event-engine overlays diverged across worker counts \
-                 ({policy_name}, {schedule_name})"
-            );
-
-            let run_cycle = |workers: usize| {
-                let mut sim = cycle_sim(policy, 7, 2);
-                sim.set_workers(workers);
-                let records = run_workload(&mut sim, &compiled, C);
-                (records, view_digest(|f| sim.for_each_live_view(f)))
-            };
-            let (records1, digest1) = run_cycle(1);
-            let (records2, digest2) = run_cycle(2);
-            assert_eq!(
-                records1, records2,
-                "cycle-engine records diverged across worker counts \
-                 ({policy_name}, {schedule_name})"
-            );
-            assert_eq!(
-                digest1, digest2,
-                "cycle-engine overlays diverged across worker counts \
-                 ({policy_name}, {schedule_name})"
-            );
+            let what = format!("{policy_name}, {schedule_name}");
+            check(|| event_sim(protocol(policy), 7, 2), &workload, &what);
+            check(|| cycle_sim(protocol(policy), 7, 2), &workload, &what);
         }
     }
 }
@@ -158,25 +119,38 @@ fn boxed_population_matches_monomorphized_under_workloads() {
     let compiled = Workload::parse("quiet:4,kill:0.3,churn:0.02x6", 3)
         .unwrap()
         .compile(N);
-    let protocol = ProtocolConfig::new(PolicyTriple::newscast(), C).expect("valid");
+    let protocol = protocol(PolicyTriple::newscast());
     let mut boxed = ShardedSimulation::with_factory(5, 1, boxed_factory(protocol.clone()));
-    let mut typed = ShardedSimulation::new(protocol, 5, 1);
-    for sim_adds in 0..N as u64 {
-        let seeds: Vec<NodeDescriptor> = if sim_adds == 0 {
-            Vec::new()
-        } else {
-            vec![NodeDescriptor::fresh(NodeId::new(sim_adds / 2))]
-        };
-        boxed.add_node(seeds.clone());
-        typed.add_node(seeds);
-    }
+    scenario::seed_tree(&mut boxed, N);
+    let mut typed = cycle_sim(protocol, 5, 1);
     let a = run_workload(&mut boxed, &compiled, C);
     let b = run_workload(&mut typed, &compiled, C);
     assert_eq!(a, b);
-    assert_eq!(
-        view_digest(|f| boxed.for_each_live_view(f)),
-        view_digest(|f| typed.for_each_live_view(f))
-    );
+    assert_eq!(view_digest(&boxed), view_digest(&typed));
+}
+
+/// Type erasure changes nothing: one schedule driven through
+/// `&mut dyn WorkloadTarget` — how the cross-engine experiment commands
+/// hold their engine pair — yields the records and the overlay the concrete
+/// engine type yields, on both engines.
+#[test]
+fn dyn_target_matches_the_concrete_type() {
+    fn check<M: Mode>(build: impl Fn() -> Sharded<PeerSamplingNode, M>) {
+        let compiled =
+            Workload::parse("quiet:3,kill:0.3,churn:0.02x4,flash:20,part:2x2,quiet:2", 5)
+                .unwrap()
+                .compile(N);
+        let mut concrete = build();
+        let mut erased = build();
+        let target: &mut dyn WorkloadTarget = &mut erased;
+        assert_eq!(
+            run_workload(&mut concrete, &compiled, C),
+            run_workload(target, &compiled, C)
+        );
+        assert_eq!(view_digest(&concrete), view_digest(&erased));
+    }
+    check(|| cycle_sim(protocol(PolicyTriple::newscast()), 17, 2));
+    check(|| event_sim(protocol(PolicyTriple::newscast()), 17, 2));
 }
 
 /// (b) Cross-engine statistical agreement on the acceptance schedule
@@ -189,9 +163,9 @@ fn cycle_and_event_recovery_trajectories_agree() {
     let workload = Workload::parse("quiet:10,kill:0.5,churn:0.01x20", 42).unwrap();
     let compiled = workload.compile(N);
 
-    let mut cycle = cycle_sim(PolicyTriple::newscast(), 11, 2);
+    let mut cycle = cycle_sim(protocol(PolicyTriple::newscast()), 11, 2);
     let cycle_records = run_workload(&mut cycle, &compiled, C);
-    let mut event = event_sim(PolicyTriple::newscast(), 11, 2);
+    let mut event = event_sim(protocol(PolicyTriple::newscast()), 11, 2);
     let event_records = run_workload(&mut event, &compiled, C);
 
     // Pinned recovery period: 14 periods after the kill at period 11.
@@ -242,7 +216,7 @@ fn self_healing_bounds_hold_for_every_schedule() {
 
     for (name, workload) in schedule_family() {
         let compiled = workload.compile(N);
-        let mut sim = event_sim(PolicyTriple::newscast(), 23, 2);
+        let mut sim = event_sim(protocol(PolicyTriple::newscast()), 23, 2);
         let records = run_workload(&mut sim, &compiled, C);
         check(&records, name);
 
@@ -292,7 +266,7 @@ fn self_healing_bounds_hold_for_every_schedule() {
 fn short_partition_blocks_traffic_then_remerges() {
     let workload = Workload::parse("quiet:6,part:2x3,quiet:8", 9).unwrap();
     let compiled = workload.compile(N);
-    let mut sim = event_sim(PolicyTriple::newscast(), 31, 2);
+    let mut sim = event_sim(protocol(PolicyTriple::newscast()), 31, 2);
 
     let records = run_workload(&mut sim, &compiled, C);
     let report = sim.report();
@@ -325,7 +299,7 @@ fn short_partition_blocks_traffic_then_remerges() {
 fn long_partition_splits_the_overlay() {
     let workload = Workload::parse("quiet:6,part:2x20,quiet:6", 9).unwrap();
     let compiled = workload.compile(N);
-    let mut sim = event_sim(PolicyTriple::newscast(), 13, 2);
+    let mut sim = event_sim(protocol(PolicyTriple::newscast()), 13, 2);
     let records = run_workload(&mut sim, &compiled, C);
 
     // Hop-count freshness decays cross-group entries slowly (they only
@@ -372,53 +346,12 @@ fn timestamp_freshness_heals_the_lossy_long_partition() {
     use pss_core::Freshness;
     let workload = Workload::parse("quiet:6,part:2x20@0.65,quiet:15", 9).unwrap();
     let compiled = workload.compile(N);
-    let engine_seed = 7;
 
-    let with_freshness =
-        |sim_protocol: ProtocolConfig, f: Freshness| sim_protocol.with_freshness(f);
-    let build_event = |f: Freshness| {
-        let protocol = with_freshness(
-            ProtocolConfig::new(PolicyTriple::newscast(), C).expect("valid"),
-            f,
-        );
-        let mut sim =
-            ShardedEventSimulation::new(protocol, event_config(), engine_seed, 2).expect("valid");
-        for i in 0..N as u64 {
-            let seeds: Vec<NodeDescriptor> = if i == 0 {
-                Vec::new()
-            } else {
-                vec![NodeDescriptor::fresh(NodeId::new(i / 2))]
-            };
-            sim.add_node(seeds);
-        }
-        sim
-    };
-    let build_cycle = |f: Freshness| {
-        let protocol = with_freshness(
-            ProtocolConfig::new(PolicyTriple::newscast(), C).expect("valid"),
-            f,
-        );
-        let mut sim = ShardedSimulation::new(protocol, engine_seed, 2);
-        for i in 0..N as u64 {
-            let seeds: Vec<NodeDescriptor> = if i == 0 {
-                Vec::new()
-            } else {
-                vec![NodeDescriptor::fresh(NodeId::new(i / 2))]
-            };
-            sim.add_node(seeds);
-        }
-        sim
-    };
-
-    for engine in ["event", "cycle"] {
-        let run = |f: Freshness| -> Vec<PeriodRecord> {
-            if engine == "event" {
-                run_workload(&mut build_event(f), &compiled, C)
-            } else {
-                run_workload(&mut build_cycle(f), &compiled, C)
-            }
-        };
-
+    let newscast = |f: Freshness| protocol(PolicyTriple::newscast()).with_freshness(f);
+    let run_event = |f: Freshness| run_workload(&mut event_sim(newscast(f), 7, 2), &compiled, C);
+    let run_cycle = |f: Freshness| run_workload(&mut cycle_sim(newscast(f), 7, 2), &compiled, C);
+    type Run<'a> = &'a dyn Fn(Freshness) -> Vec<PeriodRecord>;
+    for (engine, run) in [("event", &run_event as Run), ("cycle", &run_cycle as Run)] {
         // Hop-count mode: marooned, same as the total-block pin.
         let hop = run(Freshness::HopCount);
         let hop_last = hop.last().unwrap();

@@ -10,12 +10,10 @@
 //! ```
 
 use peer_sampling::sim::LatencyModel;
-use peer_sampling::{
-    EventConfig, NodeDescriptor, NodeId, PolicyTriple, ProtocolConfig, ShardedEventSimulation,
-};
+use peer_sampling::{scenario, EventConfig, PolicyTriple, ProtocolConfig, ShardedEventSimulation};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    const N: u64 = 1000;
+    const N: usize = 1000;
     const PERIOD: u64 = 1000; // abstract ticks per gossip period
 
     let protocol = ProtocolConfig::new(PolicyTriple::newscast(), 30)?;
@@ -46,10 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         )
         .expect("valid event config");
         // Tree bootstrap: every joiner knows an introducer.
-        sim.add_node([]);
-        for i in 1..N {
-            sim.add_node([NodeDescriptor::fresh(NodeId::new(i / 2))]);
-        }
+        scenario::seed_tree(&mut sim, N);
         sim.run_for(60 * PERIOD);
 
         let graph = sim.snapshot().undirected();

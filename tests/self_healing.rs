@@ -2,11 +2,8 @@
 //! scale — head view selection heals exponentially, rand barely heals, and
 //! converged overlays survive massive removal (Figure 6).
 
-use peer_sampling::sim::{Engine, LatencyModel};
-use peer_sampling::{
-    scenario, EventConfig, NodeDescriptor, NodeId, PolicyTriple, ProtocolConfig,
-    ShardedEventSimulation,
-};
+use peer_sampling::sim::LatencyModel;
+use peer_sampling::{scenario, EventConfig, PolicyTriple, ProtocolConfig, ShardedEventSimulation};
 use pss_graph::components::connected_components;
 
 const N: usize = 800;
@@ -109,23 +106,6 @@ fn massive_removal_keeps_one_dominant_cluster() {
     }
 }
 
-/// The Section 7 catastrophe driven generically through the [`Engine`]
-/// trait — the same path workload schedules use.
-fn engine_catastrophe_heals<E: Engine>(sim: &mut E, recovery: u64, divisor: usize) {
-    let victims = sim.kill_random(sim.alive_count() / 2);
-    assert_eq!(victims.len(), N / 2);
-    let initial = sim.dead_link_count();
-    assert!(initial > N, "expected substantial damage, got {initial}");
-    for _ in 0..recovery {
-        sim.run_cycle();
-    }
-    let remaining = sim.dead_link_count();
-    assert!(
-        remaining <= initial / divisor,
-        "head selection should heal fast: {remaining} of {initial} left after {recovery} cycles"
-    );
-}
-
 #[test]
 fn head_view_selection_heals_on_the_event_engine() {
     // The same catastrophe bounds on the event engine — jitter, latency
@@ -142,27 +122,18 @@ fn head_view_selection_heals_on_the_event_engine() {
         loss_probability: 0.05,
     };
     let mut sim = ShardedEventSimulation::new(config, event, 61, 2).expect("valid");
-    for i in 0..N as u64 {
-        let seeds: Vec<NodeDescriptor> = if i == 0 {
-            Vec::new()
-        } else {
-            vec![NodeDescriptor::fresh(NodeId::new(i / 2))]
-        };
-        sim.add_node(seeds);
-    }
-    for _ in 0..30 {
-        sim.run_cycle();
-    }
-    engine_catastrophe_heals(&mut sim, 30, 20);
-}
-
-#[test]
-fn head_view_selection_heals_via_the_engine_trait_on_the_cycle_engine() {
-    // The cycle-engine instance of the same generic body, pinning that the
-    // trait path matches the direct API the older tests use (SkipDead
-    // heals within 15 cycles to 1/50th).
-    let mut sim = converged("(rand,head,pushpull)", 21);
-    engine_catastrophe_heals(&mut sim, 15, 50);
+    scenario::seed_tree(&mut sim, N);
+    sim.run_cycles(30);
+    let victims = sim.kill_random(sim.alive_count() / 2);
+    assert_eq!(victims.len(), N / 2);
+    let initial = sim.dead_link_count();
+    assert!(initial > N, "expected substantial damage, got {initial}");
+    sim.run_cycles(30);
+    let remaining = sim.dead_link_count();
+    assert!(
+        remaining <= initial / 20,
+        "head selection should heal fast: {remaining} of {initial} left after 30 periods"
+    );
 }
 
 #[test]

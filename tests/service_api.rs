@@ -103,10 +103,7 @@ fn mixed_node_types_interoperate() {
             Box::new(HsNode::with_seed(id, hs, seed)) as pss_sim::BoxedNode
         }
     });
-    sim.add_node([]);
-    for i in 1..200u64 {
-        sim.add_node([NodeDescriptor::fresh(NodeId::new(i / 2))]);
-    }
+    scenario::seed_tree(&mut sim, 200);
     sim.run_cycles(40);
     let g = sim.snapshot().undirected();
     assert!(pss_graph::components::is_connected(&g));
