@@ -31,8 +31,8 @@
 //! offset  size  field
 //! 0       4     payload length: bytes after this field (u32 LE)
 //! 4       4     magic "PSSW"
-//! 8       1     version (currently 2; decoders accept 1..=2)
-//! 9       1     kind: 1 = request, 2 = reply, 3 = app (version ≥ 2)
+//! 8       1     version (2; decoders accept exactly this)
+//! 9       1     kind: 1 = request, 2 = reply, 3 = app
 //! 10      1     flags: bit 0 = wants_reply (requests only; else 0)
 //! 11      1     reserved (0)
 //! 12      8     source node id (u64 LE)
@@ -51,12 +51,10 @@
 //! 12      19    address
 //! ```
 //!
-//! The age field's *semantics* are version-gated: version-1 senders always
-//! wrote hop counts; version-2 frames carry whatever age dimension the
-//! deployment runs ([`crate::Freshness`] — hop counts by default,
-//! clock-derived timestamp ages under [`crate::Freshness::Timestamp`]).
-//! The bytes are identical either way; see [`Frame::version`] for the
-//! receiver-side rule.
+//! The age field carries whatever age dimension the deployment runs
+//! ([`crate::Freshness`] — hop counts by default, clock-derived timestamp
+//! ages under [`crate::Freshness::Timestamp`]); the bytes are identical
+//! either way.
 //!
 //! One address (19 bytes): a tag byte, 16 address bytes, and a port:
 //!
@@ -79,13 +77,9 @@ use crate::{NodeDescriptor, NodeId};
 /// Frame magic: the first four payload bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"PSSW";
 
-/// Current codec version. Version 2 added the [`FrameKind::App`]
-/// application frame; headers are otherwise unchanged, so version-1 frames
-/// remain decodable ([`MIN_VERSION`]).
+/// Codec version: the only one encoders emit and decoders accept. Version
+/// 2 added the [`FrameKind::App`] application frame.
 pub const VERSION: u8 = 2;
-
-/// Oldest codec version decoders still accept.
-pub const MIN_VERSION: u8 = 1;
 
 /// Encoded size of a [`NetAddr`].
 pub const ADDR_LEN: usize = 19;
@@ -144,7 +138,7 @@ pub enum FrameKind {
     Request,
     /// A passive-thread reply ([`crate::Reply`]).
     Reply,
-    /// An application payload riding the gossip wire (codec version ≥ 2):
+    /// An application payload riding the gossip wire:
     /// same length-prefixed header, and the descriptor region is free for
     /// app use (the broadcast storm sends it empty — the frame itself is
     /// the rumor). App frames never want a reply and carry zero flags.
@@ -267,17 +261,6 @@ impl std::error::Error for DecodeError {}
 /// [`read_descriptors`], which is the copying step.
 #[derive(Debug, Clone, Copy)]
 pub struct Frame<'a> {
-    /// Codec version the sender encoded with (`MIN_VERSION..=VERSION`).
-    ///
-    /// Version gates the *semantics* of the descriptor age field: a
-    /// version-1 sender can only have produced hop counts, while version-2
-    /// frames carry whatever the deployment's [`crate::Freshness`] mode
-    /// defines (hop counts by default, clock-derived timestamp ages under
-    /// [`crate::Freshness::Timestamp`]). Receivers running timestamp
-    /// freshness must therefore refuse version-1 protocol frames — mixing
-    /// hop counts into a timestamp-ordered view would corrupt its eviction
-    /// order silently.
-    pub version: u8,
     /// Request or reply.
     pub kind: FrameKind,
     /// For requests: must the receiver answer with its own view?
@@ -450,16 +433,13 @@ pub fn decode(bytes: &[u8]) -> Result<Frame<'_>, DecodeError> {
     if magic != MAGIC {
         return Err(DecodeError::BadMagic(magic));
     }
-    let version = bytes[8];
-    if !(MIN_VERSION..=VERSION).contains(&version) {
-        return Err(DecodeError::BadVersion(version));
+    if bytes[8] != VERSION {
+        return Err(DecodeError::BadVersion(bytes[8]));
     }
     let kind = match bytes[9] {
         KIND_REQUEST => FrameKind::Request,
         KIND_REPLY => FrameKind::Reply,
-        // App frames entered the codec in version 2; a version-1 sender
-        // cannot legally have produced one.
-        KIND_APP if version >= 2 => FrameKind::App,
+        KIND_APP => FrameKind::App,
         k => return Err(DecodeError::BadKind(k)),
     };
     let flags = bytes[10];
@@ -481,7 +461,6 @@ pub fn decode(bytes: &[u8]) -> Result<Frame<'_>, DecodeError> {
         });
     }
     Ok(Frame {
-        version,
         kind,
         wants_reply: flags & FLAG_WANTS_REPLY != 0,
         src,
@@ -700,10 +679,10 @@ mod tests {
         assert!(!frame.wants_reply);
         assert_eq!(frame.count, 0);
 
-        // A version-1 frame cannot carry the app kind…
+        // A version-1 frame is refused before its kind is read…
         let mut v1 = buf.clone();
         v1[8] = 1;
-        assert_eq!(decode(&v1).unwrap_err(), DecodeError::BadKind(KIND_APP));
+        assert_eq!(decode(&v1).unwrap_err(), DecodeError::BadVersion(1));
         // …and app flags must be zero.
         let mut flagged = buf.clone();
         flagged[10] = FLAG_WANTS_REPLY;
@@ -711,22 +690,14 @@ mod tests {
     }
 
     #[test]
-    fn version_1_request_frames_still_decode() {
-        let buf2 = sample_frame(&[NodeDescriptor::new(NodeId::new(1), 2)]);
-        assert_eq!(decode(&buf2).unwrap().version, VERSION);
-        let mut buf = buf2;
-        buf[8] = 1;
-        let frame = decode(&buf).expect("v1 frames stay decodable");
-        assert_eq!(frame.kind, FrameKind::Request);
-        // The sender's version is surfaced: receivers running timestamp
-        // freshness gate the age-field semantics on it.
-        assert_eq!(frame.version, 1);
-        assert!(decode(&{
-            let mut b = buf.clone();
-            b[8] = 0;
-            b
-        })
-        .is_err());
+    fn version_1_frames_are_bad_version() {
+        // No encoder emits version 1 any more, so its frames — whose age
+        // fields could only be hop counts — are refused outright.
+        let mut buf = sample_frame(&[NodeDescriptor::new(NodeId::new(1), 2)]);
+        for version in [0, 1, VERSION + 1] {
+            buf[8] = version;
+            assert_eq!(decode(&buf).unwrap_err(), DecodeError::BadVersion(version));
+        }
     }
 
     #[test]

@@ -2,14 +2,16 @@
 //!
 //! The paper's motivation: gossip applications assume uniform sampling.
 //! This experiment runs the two canonical consumers — epidemic broadcast
-//! and push-pull averaging — over (a) the ideal uniform oracle and (b)
-//! gossip overlays maintained by representative protocols, and compares
-//! dissemination speed and aggregation convergence.
+//! and push-pull averaging — through [`run_under_workload`] on a `quiet:`
+//! schedule over a converged overlay, fed by (a) the ideal uniform oracle
+//! and (b) the views of gossip overlays maintained by representative
+//! protocols, and compares dissemination speed and aggregation
+//! convergence. The `protocols` experiment runs the same application layer
+//! under churn and partitions.
 
-use pss_core::{NodeId, PolicyTriple};
-use pss_protocols::broadcast::{self, BroadcastConfig};
-use pss_protocols::{aggregation, OracleSource, SimSampleSource};
-use pss_sim::scenario;
+use pss_core::PolicyTriple;
+use pss_protocols::{run_under_workload, AppConfig, Sampler};
+use pss_sim::{scenario, Workload};
 
 use crate::parallel::parallel_map;
 use crate::report::{fmt_f64, Table};
@@ -23,8 +25,8 @@ pub struct AppsConfig {
     pub scale: Scale,
     /// Broadcast fanout.
     pub fanout: usize,
-    /// Aggregation rounds.
-    pub aggregation_rounds: usize,
+    /// Length of the `quiet:` schedule both applications run over.
+    pub rounds: u64,
     /// Gossip protocols to compare against the oracle.
     pub protocols: Vec<PolicyTriple>,
 }
@@ -35,7 +37,7 @@ impl AppsConfig {
         AppsConfig {
             scale,
             fanout: 2,
-            aggregation_rounds: 30,
+            rounds: 30,
             protocols: vec![
                 PolicyTriple::newscast(),
                 "(rand,rand,pushpull)".parse().expect("valid"),
@@ -48,13 +50,13 @@ impl AppsConfig {
 /// Application-level quality metrics of one sampler.
 #[derive(Debug, Clone)]
 pub struct SamplerQuality {
-    /// Sampler label (`oracle` or the protocol triple).
+    /// Sampler label (`uniform oracle` or the protocol triple).
     pub sampler: String,
     /// Broadcast coverage in `[0, 1]`.
     pub coverage: f64,
-    /// Rounds to inform 99 % of the population, if reached.
-    pub rounds_to_99: Option<usize>,
-    /// Aggregation variance decay factor per round (lower = faster;
+    /// Periods to inform 99 % of the population, if reached.
+    pub rounds_to_99: Option<u64>,
+    /// Aggregation variance decay factor per period (lower = faster;
     /// uniform sampling theory gives ≈ 0.303).
     pub aggregation_decay: f64,
 }
@@ -87,61 +89,37 @@ impl AppsResult {
     }
 }
 
-fn initial_values(n: usize) -> Vec<f64> {
-    // A bimodal load: half the nodes at 0, half at 100 — variance 2500.
-    (0..n)
-        .map(|i| if i % 2 == 0 { 0.0 } else { 100.0 })
-        .collect()
-}
-
 /// Runs the applications experiment.
 pub fn run(config: &AppsConfig) -> AppsResult {
     let scale = config.scale;
-    let fanout = config.fanout;
-    let rounds = config.aggregation_rounds;
-    let broadcast_config = BroadcastConfig {
-        fanout,
-        max_rounds: 200,
-        stop_when_quiescent: true,
-    };
+    let quiet = Workload::new(scale.seed)
+        .quiet(config.rounds)
+        .compile(scale.nodes);
 
-    // Jobs: None = oracle, Some(policy) = gossip overlay.
-    let mut jobs: Vec<Option<PolicyTriple>> = vec![None];
-    jobs.extend(config.protocols.iter().copied().map(Some));
+    // The oracle ignores the views it rides on, so any converged overlay
+    // hosts it; newscast is the cheapest to converge.
+    let mut jobs = vec![(PolicyTriple::newscast(), Sampler::Oracle)];
+    jobs.extend(config.protocols.iter().map(|&p| (p, Sampler::Overlay)));
 
-    let rows = parallel_map(jobs, move |job| match job {
-        None => {
-            let mut oracle = OracleSource::new(scale.nodes, scale.seed ^ 0xa991);
-            let report =
-                broadcast::run(&mut oracle, scale.nodes, NodeId::new(0), &broadcast_config);
-            let mut values = initial_values(scale.nodes);
-            let mut oracle2 = OracleSource::new(scale.nodes, scale.seed ^ 0xa992);
-            let agg = aggregation::run(&mut oracle2, &mut values, rounds);
-            SamplerQuality {
-                sampler: "uniform oracle".into(),
-                coverage: report.coverage(),
-                rounds_to_99: report.rounds_to_reach(0.99),
-                aggregation_decay: agg.decay_factor(),
-            }
-        }
-        Some(policy) => {
-            let protocol = scale.protocol(policy);
-            let mut sim = scenario::random_overlay(&protocol, scale.nodes, scale.seed ^ 0xa993);
-            sim.run_cycles(scale.cycles);
-            let report = broadcast::run(
-                &mut SimSampleSource::new(&mut sim),
-                scale.nodes,
-                NodeId::new(0),
-                &broadcast_config,
-            );
-            let mut values = initial_values(scale.nodes);
-            let agg = aggregation::run(&mut SimSampleSource::new(&mut sim), &mut values, rounds);
-            SamplerQuality {
-                sampler: policy.to_string(),
-                coverage: report.coverage(),
-                rounds_to_99: report.rounds_to_reach(0.99),
-                aggregation_decay: agg.decay_factor(),
-            }
+    let rows = parallel_map(jobs, |(policy, sampler)| {
+        let protocol = scale.protocol(policy);
+        let mut sim = scenario::random_overlay(&protocol, scale.nodes, scale.seed ^ 0xa993);
+        sim.run_cycles(scale.cycles);
+        let app = AppConfig {
+            fanout: config.fanout,
+            seed: scale.seed ^ 0xa991,
+            sampler,
+            ..AppConfig::default()
+        };
+        let (_, report) = run_under_workload(&mut sim, &quiet, scale.view_size, &app);
+        SamplerQuality {
+            sampler: match sampler {
+                Sampler::Oracle => "uniform oracle".into(),
+                Sampler::Overlay => policy.to_string(),
+            },
+            coverage: report.delivery_ratio(),
+            rounds_to_99: report.rounds_to_99(),
+            aggregation_decay: report.decay_factor(),
         }
     });
 
@@ -163,7 +141,7 @@ mod tests {
         let config = AppsConfig {
             scale,
             fanout: 2,
-            aggregation_rounds: 25,
+            rounds: 25,
             protocols: vec![PolicyTriple::newscast()],
         };
         let result = run(&config);

@@ -335,9 +335,6 @@ pub fn run(config: &ClusterConfig) -> std::io::Result<ClusterReport> {
     for (r, transport) in transports.into_iter().enumerate() {
         let mut rt = NetRuntime::new(transport, net_config, mix(config.seed ^ (r as u64 + 1)))
             .expect("validated above");
-        // The runtime enforces the age-semantics version gate for the
-        // freshness mode the cluster's protocol declares.
-        rt.set_freshness(config.protocol.freshness());
         let (start, end) = range_of(config.nodes, config.runtimes, r);
         for i in start..end {
             // The same (seed, id)-pure node seed workload joiners get, so
@@ -628,9 +625,6 @@ mod tests {
             "dead links {:.3}",
             last.dead_link_fraction()
         );
-        // Every frame on the wire is v2, so the timestamp-mode age gate
-        // never fires against our own traffic.
-        assert_eq!(report.stats.v1_ages_rejected, 0, "{:?}", report.stats);
         assert_eq!(report.stats.decode_failures(), 0, "{:?}", report.stats);
     }
 

@@ -58,8 +58,7 @@ use std::collections::HashMap;
 
 use pss_core::wire::{self, DecodeScratch, EncodeError, FrameKind, NetAddr};
 use pss_core::{
-    Arena, Exchange, Freshness, GossipNode, IdHashBuilder, NodeDescriptor, NodeId, Reply, Request,
-    View,
+    Arena, Exchange, GossipNode, IdHashBuilder, NodeDescriptor, NodeId, Reply, Request, View,
 };
 use pss_sim::{workload::Partition, EventConfig, EventConfigError, TickQueue};
 use rand::rngs::SmallRng;
@@ -204,12 +203,6 @@ pub struct RuntimeStats {
     pub empty_view: u64,
     /// Summed [`NodeCounters::backoffs`].
     pub backoffs: u64,
-    /// Protocol frames from version-1 senders refused because this runtime
-    /// runs [`Freshness::Timestamp`]: a v1 age field is a hop count by
-    /// definition, and mixing hop counts into a timestamp-ordered view
-    /// would silently corrupt its eviction order
-    /// ([`NetRuntime::set_freshness`]).
-    pub v1_ages_rejected: u64,
     /// Receive-ring refills that had to allocate because the transport's
     /// spent ring was dry ([`crate::transport::Transport::recv_ring_empty`]).
     /// Zero in steady state on ring-backed transports; growth means the
@@ -263,7 +256,6 @@ impl RuntimeStats {
             timeouts,
             empty_view,
             backoffs,
-            v1_ages_rejected,
             recv_ring_empty,
             app_delivered,
             app_redundant,
@@ -288,7 +280,6 @@ impl RuntimeStats {
         self.timeouts += timeouts;
         self.empty_view += empty_view;
         self.backoffs += backoffs;
-        self.v1_ages_rejected += v1_ages_rejected;
         self.recv_ring_empty += recv_ring_empty;
         self.app_delivered += app_delivered;
         self.app_redundant += app_redundant;
@@ -392,9 +383,6 @@ pub struct NetRuntime<T: Transport, N: GossipNode = pss_core::PeerSamplingNode> 
     now: u64,
     /// Installed partition loss matrix, if any (egress-side blocking).
     partition: Option<Partition>,
-    /// Age semantics of the hosted nodes ([`NetRuntime::set_freshness`]).
-    freshness: Freshness,
-    v1_ages_rejected: u64,
     /// Recycled message buffers for the decode → node → encode path.
     arena: Arena,
     // Reused buffers: the steady-state-allocation-free receive/send path.
@@ -462,8 +450,6 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
             rng: SmallRng::seed_from_u64(seed),
             now: 0,
             partition: None,
-            freshness: Freshness::HopCount,
-            v1_ages_rejected: 0,
             arena: Arena::new(),
             recv_buf: Vec::new(),
             encode_buf: Vec::new(),
@@ -576,21 +562,6 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
         }
     }
 
-    /// Declares the age semantics the hosted nodes run (their
-    /// [`pss_core::ProtocolConfig`]'s [`Freshness`] — the runtime cannot
-    /// see it through the [`GossipNode`] trait, so the builder states it).
-    ///
-    /// Under [`Freshness::Timestamp`], incoming *protocol* frames from
-    /// version-1 senders are refused and counted
-    /// ([`RuntimeStats::v1_ages_rejected`]): a v1 age field carries hop
-    /// counts by definition, and absorbing hop counts into a
-    /// timestamp-ordered view would silently corrupt its eviction order.
-    /// Version-2 frames carry the deployment's age dimension verbatim —
-    /// the encoder never rewrites ages, so the gate is purely receive-side.
-    pub fn set_freshness(&mut self, freshness: Freshness) {
-        self.freshness = freshness;
-    }
-
     /// Installs (`Some`) or lifts (`None`) a partition loss matrix
     /// ([`Partition`]): frames whose source and destination node sit in
     /// different groups are suppressed before encoding, counted as
@@ -601,7 +572,7 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
         self.partition = partition;
     }
 
-    /// Enables the SIR push-broadcast app: every period, each live hosted
+    /// Enables the SI push-broadcast app: every period, each live hosted
     /// node holding the rumor pushes it to `fanout` peers drawn from its
     /// current view as [`FrameKind::App`] frames. The rumor is the frame
     /// itself — app frames carry no descriptors and never teach the
@@ -683,7 +654,6 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
             requests_in: self.requests_in,
             replies_in: self.replies_in,
             exchanges_completed: self.exchanges_completed,
-            v1_ages_rejected: self.v1_ages_rejected,
             recv_ring_empty: self.transport.recv_ring_empty(),
             app_delivered: self.app_delivered,
             app_redundant: self.app_redundant,
@@ -758,16 +728,6 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
                     self.addr_rebinds_rejected += 1;
                 }
             }
-        }
-        // Version gate on age semantics: a timestamp-mode runtime must not
-        // absorb v1 protocol content — those ages are hop counts. App
-        // frames carry no ages and pass (they are v2-only anyway).
-        if self.freshness == Freshness::Timestamp
-            && frame.version < 2
-            && frame.kind != FrameKind::App
-        {
-            self.v1_ages_rejected += 1;
-            return;
         }
         let Some(&slot_idx) = self.index.get(&frame.dst) else {
             self.unknown_destination += 1;
@@ -1119,7 +1079,7 @@ mod tests {
     use super::*;
     use crate::mem::MemNetwork;
     use crate::MemTransport;
-    use pss_core::{PeerSamplingNode, PolicyTriple, ProtocolConfig};
+    use pss_core::{Freshness, PeerSamplingNode, PolicyTriple, ProtocolConfig};
     use pss_sim::LatencyModel;
 
     fn protocol(c: usize) -> ProtocolConfig {
@@ -1455,52 +1415,47 @@ mod tests {
 
     #[test]
     fn timestamp_mode_rejects_version_1_protocol_frames() {
-        let net = MemNetwork::new(3, LatencyModel::Zero, 0.0).expect("valid");
-        let mut raw = net.endpoint();
-        let transport = net.endpoint();
-        let addr = transport.net_addr();
-        let mut rt: NetRuntime<MemTransport> =
-            NetRuntime::new(transport, config(), 8).expect("valid");
-        rt.set_freshness(pss_core::Freshness::Timestamp);
-        rt.add_node(node(0, 8), &[]);
-        let mut buf = Vec::new();
-        wire::encode(
-            &mut buf,
-            FrameKind::Request,
-            false,
-            NodeId::new(9),
-            NodeId::new(0),
-            NetAddr::Virtual(0),
-            &[NodeDescriptor::new(NodeId::new(9), 3)],
-            |_| Some(NetAddr::Virtual(0)),
-        )
-        .unwrap();
-        // The same content as a v1 frame: its age field is a hop count by
-        // definition, so a timestamp-mode runtime must refuse it.
-        let mut v1 = buf.clone();
-        v1[8] = 1;
-        raw.send(addr, &v1);
-        raw.send(addr, &buf);
-        rt.run_until(5);
-        let stats = rt.stats();
-        assert_eq!(stats.v1_ages_rejected, 1, "{stats:?}");
-        assert_eq!(stats.requests_in, 1, "the v2 twin is absorbed");
-        assert!(rt.view_of(NodeId::new(0)).unwrap().contains(NodeId::new(9)));
-
-        // A hop-count runtime absorbs both: v1 ages *are* hop counts.
-        let net = MemNetwork::new(3, LatencyModel::Zero, 0.0).expect("valid");
-        let transport = net.endpoint();
-        let addr = transport.net_addr();
-        let mut raw = net.endpoint();
-        let mut hop_rt: NetRuntime<MemTransport> =
-            NetRuntime::new(transport, config(), 8).expect("valid");
-        hop_rt.add_node(node(0, 8), &[]);
-        raw.send(addr, &v1);
-        raw.send(addr, &buf);
-        hop_rt.run_until(5);
-        let stats = hop_rt.stats();
-        assert_eq!(stats.v1_ages_rejected, 0, "{stats:?}");
-        assert_eq!(stats.requests_in, 2, "{stats:?}");
+        // A v1 frame's age field could only be a hop count; the codec
+        // refuses the version outright, so a runtime hosting nodes of
+        // either freshness counts it as a header failure and absorbs only
+        // the v2 twin.
+        for freshness in [Freshness::HopCount, Freshness::Timestamp] {
+            let net = MemNetwork::new(3, LatencyModel::Zero, 0.0).expect("valid");
+            let mut raw = net.endpoint();
+            let transport = net.endpoint();
+            let addr = transport.net_addr();
+            let mut rt: NetRuntime<MemTransport> =
+                NetRuntime::new(transport, config(), 8).expect("valid");
+            let protocol = protocol(8).with_freshness(freshness);
+            rt.add_node(
+                PeerSamplingNode::with_seed(NodeId::new(0), protocol, 5),
+                &[],
+            );
+            let mut buf = Vec::new();
+            wire::encode(
+                &mut buf,
+                FrameKind::Request,
+                false,
+                NodeId::new(9),
+                NodeId::new(0),
+                NetAddr::Virtual(0),
+                &[NodeDescriptor::new(NodeId::new(9), 3)],
+                |_| Some(NetAddr::Virtual(0)),
+            )
+            .unwrap();
+            let mut v1 = buf.clone();
+            v1[8] = 1;
+            raw.send(addr, &v1);
+            raw.send(addr, &buf);
+            rt.run_until(5);
+            let stats = rt.stats();
+            assert_eq!(stats.header_decode_failures, 1, "{freshness:?}: {stats:?}");
+            assert_eq!(
+                stats.requests_in, 1,
+                "{freshness:?}: the v2 twin is absorbed"
+            );
+            assert!(rt.view_of(NodeId::new(0)).unwrap().contains(NodeId::new(9)));
+        }
     }
 
     #[test]
@@ -1572,7 +1527,6 @@ mod tests {
             timeouts: 16,
             empty_view: 17,
             backoffs: 22,
-            v1_ages_rejected: 23,
             recv_ring_empty: 18,
             app_delivered: 19,
             app_redundant: 20,
@@ -1598,7 +1552,6 @@ mod tests {
             timeouts: 1600,
             empty_view: 1700,
             backoffs: 2200,
-            v1_ages_rejected: 2300,
             recv_ring_empty: 1800,
             app_delivered: 1900,
             app_redundant: 2000,
@@ -1626,7 +1579,6 @@ mod tests {
             timeouts,
             empty_view,
             backoffs,
-            v1_ages_rejected,
             recv_ring_empty,
             app_delivered,
             app_redundant,
@@ -1651,7 +1603,6 @@ mod tests {
         assert_eq!(timeouts, 1616);
         assert_eq!(empty_view, 1717);
         assert_eq!(backoffs, 2222);
-        assert_eq!(v1_ages_rejected, 2323);
         assert_eq!(recv_ring_empty, 1818);
         assert_eq!(app_delivered, 1919);
         assert_eq!(app_redundant, 2020);
