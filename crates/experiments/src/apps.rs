@@ -92,8 +92,8 @@ impl AppsResult {
 /// Runs the applications experiment.
 pub fn run(config: &AppsConfig) -> AppsResult {
     let scale = config.scale;
-    let quiet = Workload::new(scale.seed)
-        .quiet(config.rounds)
+    let quiet = Workload::parse(&format!("quiet:{}", config.rounds), scale.seed)
+        .expect("a quiet schedule parses")
         .compile(scale.nodes);
 
     // The oracle ignores the views it rides on, so any converged overlay

@@ -20,7 +20,9 @@
 //!   hs       healer/swapper (H,S) ablation (extension)
 //!   scaling  sharded-engine throughput vs shard count (extension)
 //!   net      live loopback UDP cluster: convergence + throughput through
-//!            the wire codec (--workers sets the runtime-thread count)
+//!            the wire codec (--workers sets the runtime-thread count;
+//!            --schedule runs a workload schedule on the cluster and gates
+//!            on recovery instead of convergence)
 //!   workload membership-dynamics schedule on the cycle AND event engines
 //!            (--schedule "quiet:10,kill:0.5,churn:0.01x20"; the grammar
 //!            also has flash:N[herd], part:GxP@L lossy partitions, (…)xR
@@ -53,7 +55,8 @@
 //!                              workload uses the first entry)
 //!   --workers N                worker-pool width override (scaling, async,
 //!                              workload)
-//!   --schedule S               workload schedule string (workload)
+//!   --schedule S               workload schedule string (workload, net,
+//!                              adversary, protocols)
 //!   --freshness hop|timestamp|both  descriptor-age mode (workload)
 //!   --seed S                   override master seed
 //!   --out DIR                  also write CSV series under DIR
@@ -350,7 +353,8 @@ fn run_command(opts: &Options, command: &str) -> Result<(), String> {
             if let Some(workers) = opts.workers {
                 config.runtimes = workers;
             }
-            let result = net::run(&config);
+            config.schedule = opts.schedule.clone();
+            let result = net::run(&config)?;
             emit(opts, "net", &result.table(), None);
             eprintln!(
                 "   {} nodes on {} runtimes: {} frames/s, {} exchanges/s, healthy = {}",
@@ -361,7 +365,7 @@ fn run_command(opts: &Options, command: &str) -> Result<(), String> {
                 result.healthy()
             );
             if !gate("net", result.healthy()) {
-                return Err("loopback cluster failed to converge cleanly".into());
+                return Err("loopback cluster failed to converge or recover cleanly".into());
             }
         }
         "workload" => {

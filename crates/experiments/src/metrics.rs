@@ -177,7 +177,7 @@ pub fn run(config: &MetricsConfig) -> Result<MetricsResult, String> {
     cluster.runtimes = 2;
     cluster.period_ms = 40;
     cluster.jitter_ms = 10;
-    net::run(&cluster);
+    net::run(&cluster)?;
 
     let registry = pss_telemetry::global();
     Ok(MetricsResult {

@@ -7,7 +7,9 @@
 //! ([`pss_net::cluster`]). It reports the convergence trajectory (full-view
 //! fraction and in-degree statistics per gossip period, from the same CSR
 //! metrics the simulators use) plus live throughput — and the codec error
-//! count, which must be zero.
+//! count, which must be zero. With a schedule (`--schedule`, the
+//! [`pss_sim::workload`] grammar) the cluster runs it through the same
+//! workload driver as the simulators, and the gate becomes a recovery gate.
 //!
 //! Unlike the simulators this measures wall-clock behavior: results vary
 //! with machine load, and only the overlay statistics (not exact frame
@@ -15,6 +17,7 @@
 
 use pss_core::{PolicyTriple, ProtocolConfig};
 use pss_net::cluster::{self, ClusterConfig, ClusterReport};
+use pss_sim::Workload;
 
 use crate::report::{fmt_f64, fmt_percent, Table};
 use crate::Scale;
@@ -32,6 +35,9 @@ pub struct NetConfig {
     pub jitter_ms: u64,
     /// Bootstrap introducers per node.
     pub introducers: usize,
+    /// Optional membership schedule, compiled against `scale.nodes` with
+    /// `scale.seed`; its period count overrides `scale.cycles`.
+    pub schedule: Option<String>,
 }
 
 impl NetConfig {
@@ -48,6 +54,7 @@ impl NetConfig {
             period_ms: 100,
             jitter_ms: 20,
             introducers: 3,
+            schedule: None,
         }
     }
 }
@@ -63,6 +70,8 @@ pub struct NetResult {
     pub runtimes: usize,
     /// The view size (for the in-degree ≈ c check).
     pub view_size: usize,
+    /// Whether a schedule drove the run (selects the recovery gate).
+    scheduled: bool,
 }
 
 impl NetResult {
@@ -73,13 +82,19 @@ impl NetResult {
             "full views",
             "in-degree mean",
             "in-degree sd",
+            "live",
+            "dead links",
+            "largest component",
         ]);
-        for p in &self.report.periods {
+        for r in &self.report.records {
             table.row(vec![
-                p.period.to_string(),
-                fmt_percent(p.full_fraction()),
-                fmt_f64(p.in_degree_mean, 2),
-                fmt_f64(p.in_degree_sd, 2),
+                r.period.to_string(),
+                fmt_percent(r.full_fraction()),
+                fmt_f64(r.in_degree_mean, 2),
+                fmt_f64(r.in_degree_sd, 2),
+                r.live.to_string(),
+                fmt_percent(r.dead_link_fraction()),
+                fmt_percent(r.component_fraction()),
             ]);
         }
         let stats = &self.report.stats;
@@ -104,26 +119,44 @@ impl NetResult {
         table
     }
 
-    /// True when the final period has ≥ 99% full views, the in-degree mean
-    /// is within half a link of `c`, and no codec error occurred — the
-    /// acceptance gate the CI smoke checks.
+    /// The acceptance gate the CI smokes check: no codec error, and in the
+    /// final period either ≥ 99% full views with the in-degree mean within
+    /// half a link of `c`, or — after a schedule, whose damage must have
+    /// healed — ≥ 95% full views, ≥ 95% of live nodes in the largest
+    /// component and ≤ 10% dead links.
     pub fn healthy(&self) -> bool {
-        let Some(last) = self.report.periods.last() else {
+        let Some(last) = self.report.records.last() else {
             return false;
         };
-        last.full_fraction() >= 0.99
-            && (last.in_degree_mean - self.view_size as f64).abs() <= 0.5
-            && self.report.stats.decode_failures() == 0
+        let overlay = if self.scheduled {
+            last.full_fraction() >= 0.95
+                && last.component_fraction() >= 0.95
+                && last.dead_link_fraction() <= 0.10
+        } else {
+            last.full_fraction() >= 0.99
+                && (last.in_degree_mean - self.view_size as f64).abs() <= 0.5
+        };
+        overlay && self.report.stats.decode_failures() == 0
     }
 }
 
 /// Runs the loopback cluster experiment.
 ///
+/// # Errors
+///
+/// A malformed schedule string.
+///
 /// # Panics
 ///
 /// Panics if the loopback sockets cannot be bound (no loopback interface —
 /// not a scenario the experiment supports degrading through).
-pub fn run(config: &NetConfig) -> NetResult {
+pub fn run(config: &NetConfig) -> Result<NetResult, String> {
+    let workload = config
+        .schedule
+        .as_deref()
+        .map(|s| Workload::parse(s, config.scale.seed))
+        .transpose()
+        .map_err(|e| e.to_string())?;
     let protocol =
         ProtocolConfig::new(PolicyTriple::newscast(), config.scale.view_size).expect("valid scale");
     let cluster_config = ClusterConfig {
@@ -135,17 +168,18 @@ pub fn run(config: &NetConfig) -> NetResult {
         periods: config.scale.cycles,
         introducers: config.introducers,
         seed: config.scale.seed,
-        workload: None,
+        workload,
         honest_policy: None,
         broadcast: None,
     };
     let report = cluster::run(&cluster_config).expect("loopback sockets available");
-    NetResult {
+    Ok(NetResult {
         report,
         nodes: config.scale.nodes,
         runtimes: cluster_config.runtimes,
         view_size: config.scale.view_size,
-    }
+        scheduled: config.schedule.is_some(),
+    })
 }
 
 #[cfg(test)]
@@ -159,10 +193,17 @@ mod tests {
         scale.cycles = 12;
         let mut config = NetConfig::at_scale(scale);
         config.runtimes = 2;
-        let result = run(&config);
+        let result = run(&config).unwrap();
         assert_eq!(result.report.periods.len(), 12);
         assert!(result.healthy(), "{:?}", result.report);
         // Table has one row per period plus two summary rows.
         assert_eq!(result.table().len(), 14);
+    }
+
+    #[test]
+    fn malformed_schedule_is_an_error() {
+        let mut config = NetConfig::at_scale(Scale::tiny());
+        config.schedule = Some("quiet:0".into());
+        assert!(run(&config).is_err());
     }
 }

@@ -6,37 +6,41 @@
 //! extra introducers, the join pattern of the simulators' churn scenarios),
 //! and drives all runtimes against the shared wall clock — 1 tick = 1 ms.
 //!
-//! At every period boundary each runtime thread snapshots its nodes' views
-//! and sends them to the driver, which assembles the global overlay into a
-//! [`pss_sim::CsrSnapshot`] — the same CSR metrics path the simulators use
-//! — and records in-degree statistics plus the full-view fraction. Threads
-//! realign on a barrier per period so snapshot skew stays bounded by the
-//! slowest runtime, not the full run.
+//! The K runtimes are one more [`WorkloadTarget`], driven by the same
+//! [`run_workload`] that steps the engines and [`crate::RuntimeWorkload`]
+//! (or, when the schedule places adversaries, by [`audit::run_attacked`]).
+//! So the cluster's [`PeriodRecord`]s and [`AttackRecord`]s come out of
+//! the same function, through the same CSR metrics, as on every other
+//! stack. Between periods every runtime thread is parked at the boundary:
+//! the driver sends each thread the membership ops it hosts as the schedule
+//! applies them, then the rumor plant if due, then the instant on the
+//! shared clock to pace to, and waits for one view snapshot per thread — so
+//! a period ends when its slowest runtime reaches the boundary. A run
+//! without a schedule is the bootstrap-only schedule of
+//! [`ClusterConfig::periods`] empty steps.
 //!
 //! # Workload schedules
 //!
 //! A [`ClusterConfig::workload`] compiles a
-//! [`pss_sim::workload::Workload`] against the initial population and
-//! executes every membership event at the matching period boundary:
-//! kills become [`NetRuntime::leave`] on the hosting runtime, joins become
+//! [`pss_sim::workload::Workload`] against the initial population.
+//! Kills become [`NetRuntime::leave`] on the hosting runtime, joins become
 //! late [`NetRuntime::add_node`] calls with resolved introducer addresses
 //! (initial ids stay on their contiguous range; joined ids land on runtime
 //! `id mod K`), and partition ops install the same loss matrix on *every*
-//! runtime. The driver reduces each period's assembled rows to the same
-//! [`pss_sim::workload::PeriodRecord`]s the simulators report, so one
-//! schedule yields directly comparable recovery trajectories on the
-//! simulated and the deployed stack — the conformance suite pins exactly
-//! that.
+//! runtime. One schedule therefore yields directly comparable recovery
+//! trajectories on the simulated and the deployed stack — the conformance
+//! suite pins exactly that.
 
 use std::sync::mpsc;
-use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use pss_core::adversary::AdversaryKind;
 use pss_core::wire::NetAddr;
 use pss_core::{NodeId, ProtocolConfig};
-use pss_sim::audit::{audit_rows, role_factory, AttackRecord, HonestPolicy};
-use pss_sim::workload::{self, CompiledWorkload, Op, Partition, PeriodRecord, Workload};
+use pss_sim::audit::{self, role_factory, AttackRecord, HonestPolicy};
+use pss_sim::workload::{
+    run_workload, CompiledWorkload, Partition, PeriodRecord, Step, Workload, WorkloadTarget,
+};
 use pss_sim::BoxedNode;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -125,8 +129,8 @@ pub struct PeriodStats {
     pub in_degree_mean: f64,
     /// Standard deviation of the in-degree.
     pub in_degree_sd: f64,
-    /// Wall-clock milliseconds since cluster start when this period's
-    /// snapshots were fully assembled — the timing row of the period.
+    /// Wall-clock milliseconds since cluster start when the last runtime's
+    /// snapshot of this period arrived — the timing row of the period.
     pub wall_ms: u64,
 }
 
@@ -206,29 +210,215 @@ fn range_of(n: usize, k: usize, r: usize) -> (usize, usize) {
     (start, end.min(n))
 }
 
-fn runtime_of(n: usize, k: usize, id: usize) -> usize {
-    (id * k) / n
+/// The runtime of `k` hosting `id` under `n` initial nodes: initial ids
+/// keep their [`range_of`] range, workload joiners land on runtime
+/// `id mod k`.
+fn host_of(n: usize, k: usize, id: usize) -> usize {
+    if id < n {
+        (id * k) / n
+    } else {
+        id % k
+    }
 }
 
-/// One runtime thread's per-period message to the driver.
-struct PeriodSnapshot {
-    runtime: usize,
-    period: u64,
-    rows: Vec<(NodeId, Vec<NodeId>)>,
-    /// Live hosted nodes holding the rumor (empty when the app is off).
-    informed: Vec<NodeId>,
-    stats: RuntimeStats,
-}
-
-/// A compiled workload op routed to one runtime thread, with introducer
-/// addresses already resolved on the driver.
-enum RtOp {
+/// A driver → runtime-thread message. Between periods a thread is parked
+/// at the boundary, so membership ops and the rumor plant take effect
+/// there, before the period's gossip — the workload driver's semantics.
+enum Command {
     Leave(NodeId),
+    /// A workload joiner, with introducer addresses resolved on the driver.
     Join {
         id: NodeId,
         introducers: Vec<(NodeId, NetAddr)>,
     },
     SetPartition(Option<Partition>),
+    /// Plants the rumor at a hosted node (after the boundary's membership
+    /// ops, so a killed origin stays uninformed).
+    Plant(NodeId),
+    /// Runs the period: pace to this many milliseconds after the shared
+    /// start, then reply with a [`Snapshot`].
+    EndPeriod {
+        until_ms: u64,
+    },
+}
+
+/// A runtime thread's reply at the end of a period.
+struct Snapshot {
+    rows: Vec<(NodeId, Vec<NodeId>)>,
+    /// Live hosted nodes holding the rumor.
+    informed: usize,
+}
+
+/// One runtime thread: executes the driver's commands in order against the
+/// shared wall clock. Returns the runtime's final statistics once the
+/// driver closes the channel.
+fn serve(
+    mut rt: NetRuntime<UdpTransport, BoxedNode>,
+    commands: mpsc::Receiver<Command>,
+    snapshots: mpsc::Sender<Snapshot>,
+    started: Instant,
+    build: impl Fn(NodeId) -> BoxedNode,
+) -> RuntimeStats {
+    for command in commands {
+        match command {
+            Command::Leave(id) => {
+                // The driver's liveness vector admitted this leave; a no-op
+                // means the two diverged.
+                let left = rt.leave(id);
+                debug_assert!(left, "leave of live node {id} was a no-op");
+            }
+            Command::Join { id, introducers } => {
+                rt.add_node(build(id), &introducers);
+            }
+            Command::SetPartition(partition) => rt.set_partition(partition),
+            Command::Plant(origin) => {
+                rt.seed_rumor(origin);
+            }
+            Command::EndPeriod { until_ms } => {
+                loop {
+                    let elapsed = started.elapsed().as_millis() as u64;
+                    rt.run_until(elapsed.min(until_ms));
+                    if elapsed >= until_ms {
+                        break;
+                    }
+                    std::thread::sleep(Duration::from_micros(500));
+                }
+                let mut rows = Vec::with_capacity(rt.node_count());
+                rt.for_each_live_view(|id, view| rows.push((id, view.ids().collect())));
+                let mut informed = 0;
+                rt.for_each_informed(|_| informed += 1);
+                if snapshots.send(Snapshot { rows, informed }).is_err() {
+                    break;
+                }
+            }
+        }
+    }
+    rt.stats()
+}
+
+/// K runtime threads driven as one [`WorkloadTarget`]; see the [module
+/// docs](self).
+struct UdpCluster {
+    /// The initial population size, for [`host_of`].
+    nodes: usize,
+    /// One socket address per runtime.
+    addrs: Vec<NetAddr>,
+    /// Liveness by id, kept on the driver so `kill` answers without a
+    /// round trip to the runtime threads.
+    live: Vec<bool>,
+    /// Per runtime thread: its command channel and its snapshot channel.
+    /// A thread that panics drops its sender, so the driver fails instead
+    /// of waiting forever.
+    links: Vec<(mpsc::Sender<Command>, mpsc::Receiver<Snapshot>)>,
+    /// The last period's live rows of every runtime, sorted by id.
+    rows: Vec<(NodeId, Vec<NodeId>)>,
+    period_ms: u64,
+    started: Instant,
+    broadcast: Option<ClusterBroadcast>,
+    /// Per period: when its last snapshot arrived (ms after `started`).
+    wall_ms: Vec<u64>,
+    /// Per period: live nodes holding the rumor.
+    informed: Vec<usize>,
+    period_ms_hist: pss_telemetry::Histogram,
+}
+
+impl UdpCluster {
+    fn new(
+        config: &ClusterConfig,
+        addrs: Vec<NetAddr>,
+        started: Instant,
+        links: Vec<(mpsc::Sender<Command>, mpsc::Receiver<Snapshot>)>,
+    ) -> Self {
+        UdpCluster {
+            nodes: config.nodes,
+            addrs,
+            live: vec![true; config.nodes],
+            links,
+            rows: Vec::new(),
+            period_ms: config.period_ms,
+            started,
+            broadcast: config.broadcast,
+            wall_ms: Vec::new(),
+            informed: Vec::new(),
+            period_ms_hist: pss_telemetry::global().histogram(
+                "pss_cluster_period_ms",
+                "Wall time between consecutive assembled cluster periods, milliseconds",
+            ),
+        }
+    }
+
+    fn host(&self, id: NodeId) -> usize {
+        host_of(self.nodes, self.addrs.len(), id.as_index())
+    }
+
+    fn send(&self, runtime: usize, command: Command) {
+        self.links[runtime]
+            .0
+            .send(command)
+            .expect("runtime thread alive");
+    }
+}
+
+impl WorkloadTarget for UdpCluster {
+    fn kill(&mut self, id: NodeId) -> bool {
+        match self.live.get_mut(id.as_index()) {
+            Some(live) if *live => {
+                *live = false;
+                self.send(self.host(id), Command::Leave(id));
+                true
+            }
+            _ => false,
+        }
+    }
+
+    fn join(&mut self, id: NodeId, contacts: &[NodeId]) {
+        assert_eq!(
+            id.as_index(),
+            self.live.len(),
+            "cluster expected the next sequential id, workload compiled id {id}"
+        );
+        self.live.push(true);
+        let introducers = contacts
+            .iter()
+            .map(|&c| (c, self.addrs[self.host(c)]))
+            .collect();
+        self.send(self.host(id), Command::Join { id, introducers });
+    }
+
+    fn set_partition(&mut self, partition: Option<Partition>) {
+        for r in 0..self.links.len() {
+            self.send(r, Command::SetPartition(partition));
+        }
+    }
+
+    fn run_period(&mut self) {
+        let period = self.wall_ms.len() as u64 + 1;
+        if let Some(b) = self.broadcast.filter(|b| b.start_period == period) {
+            self.send(self.host(b.origin), Command::Plant(b.origin));
+        }
+        let until_ms = period * self.period_ms;
+        for r in 0..self.links.len() {
+            self.send(r, Command::EndPeriod { until_ms });
+        }
+        self.rows.clear();
+        let mut informed = 0;
+        for (_, snapshots) in &self.links {
+            let snapshot = snapshots.recv().expect("runtime thread alive");
+            self.rows.extend(snapshot.rows);
+            informed += snapshot.informed;
+        }
+        // Joined ids land out of range order; sort globally.
+        self.rows.sort_unstable_by_key(|(id, _)| *id);
+        let wall_ms = self.started.elapsed().as_millis() as u64;
+        self.period_ms_hist
+            .record(wall_ms - self.wall_ms.last().copied().unwrap_or(0));
+        self.wall_ms.push(wall_ms);
+        self.informed.push(informed);
+    }
+
+    fn collect_rows(&self, rows: &mut Vec<(NodeId, Vec<NodeId>)>) {
+        rows.extend_from_slice(&self.rows);
+    }
 }
 
 /// Runs a loopback UDP cluster; see the [module docs](self).
@@ -258,18 +448,14 @@ pub fn run(config: &ClusterConfig) -> std::io::Result<ClusterReport> {
 
     // A workload fixes the membership trajectory (and the run length) up
     // front; without one the run is the bootstrap-only schedule.
-    let compiled: Option<CompiledWorkload> =
-        config.workload.as_ref().map(|w| w.compile(config.nodes));
-    let periods = compiled.as_ref().map_or(config.periods, |c| c.periods());
-    let id_space = compiled.as_ref().map_or(config.nodes, |c| c.id_space);
-    // Initial ids keep their contiguous range; workload joiners land on
-    // runtime `id mod K`.
-    let placement = |id: usize| {
-        if id < config.nodes {
-            runtime_of(config.nodes, config.runtimes, id)
-        } else {
-            id % config.runtimes
-        }
+    let compiled = match &config.workload {
+        Some(workload) => workload.compile(config.nodes),
+        None => CompiledWorkload {
+            initial_nodes: config.nodes,
+            id_space: config.nodes,
+            steps: vec![Step::default(); config.periods as usize],
+            adversary: None,
+        },
     };
 
     // Bind every runtime's socket first so the full id → address map is
@@ -278,49 +464,17 @@ pub fn run(config: &ClusterConfig) -> std::io::Result<ClusterReport> {
         .map(|_| UdpTransport::bind("127.0.0.1:0"))
         .collect::<std::io::Result<_>>()?;
     let addrs: Vec<NetAddr> = transports.iter().map(UdpTransport::net_addr).collect();
-    let addr_of = |id: usize| addrs[placement(id)];
-
-    // Route every compiled op to the runtime that must execute it, with
-    // introducer addresses resolved: one op list per (runtime, period).
-    let mut schedules: Vec<Vec<Vec<RtOp>>> = (0..config.runtimes)
-        .map(|_| (0..periods as usize).map(|_| Vec::new()).collect())
-        .collect();
-    if let Some(compiled) = &compiled {
-        for (p, step) in compiled.steps.iter().enumerate() {
-            for op in &step.ops {
-                match op {
-                    Op::Kill(id) => {
-                        schedules[placement(id.as_index())][p].push(RtOp::Leave(*id));
-                    }
-                    Op::Join { id, contacts } => {
-                        let introducers = contacts
-                            .iter()
-                            .map(|&c| (c, addr_of(c.as_index())))
-                            .collect();
-                        schedules[placement(id.as_index())][p].push(RtOp::Join {
-                            id: *id,
-                            introducers,
-                        });
-                    }
-                    Op::SetPartition(partition) => {
-                        for schedule in schedules.iter_mut() {
-                            schedule[p].push(RtOp::SetPartition(*partition));
-                        }
-                    }
-                }
-            }
-        }
-    }
+    let addr_of = |id: usize| addrs[host_of(config.nodes, config.runtimes, id)];
 
     // Mixed honest/adversarial population: the same role dispatch as the
     // simulators' engine factories, shared across runtime threads.
-    let roles = compiled.as_ref().and_then(|c| c.adversary);
+    let roles = compiled.adversary;
     let policy = config
         .honest_policy
         .clone()
         .unwrap_or_else(|| HonestPolicy::Sampling(config.protocol.clone()));
-    let build: Arc<dyn Fn(NodeId, u64) -> BoxedNode + Send + Sync> =
-        Arc::new(role_factory(policy.clone(), roles));
+    let view_size = policy.view_size();
+    let build = role_factory(policy, roles);
     // Eclipse attackers address their victims directly, so their hosting
     // runtime's book must resolve the victim ids up front.
     let victim_intros: Vec<(NodeId, NetAddr)> = roles
@@ -364,180 +518,84 @@ pub fn run(config: &ClusterConfig) -> std::io::Result<ClusterReport> {
         runtimes.push(rt);
     }
 
-    // Drive: every thread follows the shared wall clock (1 tick = 1 ms),
-    // applies its workload ops at period boundaries, snapshots, and
-    // realigns on the barrier.
+    // Drive: one thread per runtime follows the shared wall clock (1 tick =
+    // 1 ms) period by period, on the driver's commands.
     let started = Instant::now();
-    let barrier = Arc::new(Barrier::new(config.runtimes));
-    let (tx, rx) = mpsc::channel::<PeriodSnapshot>();
-    let period_ms = config.period_ms;
-    let view_size = policy.view_size();
-    let seed = config.seed;
-    let broadcast = config.broadcast;
-    let origin_runtime = broadcast.map(|b| placement(b.origin.as_index()));
-
-    std::thread::scope(|scope| {
-        for ((runtime_idx, mut rt), mut schedule) in
-            runtimes.drain(..).enumerate().zip(schedules.drain(..))
-        {
-            let tx = tx.clone();
-            let barrier = Arc::clone(&barrier);
-            let build = Arc::clone(&build);
-            scope.spawn(move || {
-                for p in 1..=periods {
-                    // Membership events fire at the boundary, before the
-                    // period's gossip — the workload runner's semantics.
-                    for op in schedule[p as usize - 1].drain(..) {
-                        match op {
-                            RtOp::Leave(id) => {
-                                // Routing guarantees this runtime hosts a
-                                // live `id`; a no-op leave means the
-                                // placement map diverged from the schedule.
-                                let left = rt.leave(id);
-                                debug_assert!(left, "leave of live node {id} was a no-op");
-                            }
-                            RtOp::Join { id, introducers } => {
-                                let node = build(id, node_seed(seed, id.as_u64()));
-                                rt.add_node(node, &introducers);
-                            }
-                            RtOp::SetPartition(partition) => rt.set_partition(partition),
-                        }
-                    }
-                    // The rumor is planted after the boundary's membership
-                    // events, so a killed origin stays uninformed.
-                    if let Some(bcast) = broadcast {
-                        if p == bcast.start_period && origin_runtime == Some(runtime_idx) {
-                            rt.seed_rumor(bcast.origin);
-                        }
-                    }
-                    let target = p * period_ms;
-                    loop {
-                        let elapsed = started.elapsed().as_millis() as u64;
-                        rt.run_until(elapsed.min(target));
-                        if elapsed >= target {
-                            break;
-                        }
-                        std::thread::sleep(Duration::from_micros(500));
-                    }
-                    let mut rows = Vec::with_capacity(rt.node_count());
-                    rt.for_each_live_view(|id, view| {
-                        rows.push((id, view.ids().collect::<Vec<NodeId>>()));
-                    });
-                    let mut informed = Vec::new();
-                    if broadcast.is_some() {
-                        rt.for_each_informed(|id| informed.push(id));
-                    }
-                    let snapshot = PeriodSnapshot {
-                        runtime: runtime_idx,
-                        period: p,
-                        rows,
-                        informed,
-                        stats: rt.stats(),
-                    };
-                    if tx.send(snapshot).is_err() {
-                        return;
-                    }
-                    barrier.wait();
-                }
-            });
-        }
-        drop(tx);
-
-        // Driver side: assemble K snapshots per period into the CSR
-        // metrics while the threads run the next period. The end-of-period
-        // barrier guarantees periods complete in order, so the workload's
-        // dead set can advance step by step.
-        let period_ms_hist = pss_telemetry::global().histogram(
-            "pss_cluster_period_ms",
-            "Wall time between consecutive assembled cluster periods, milliseconds",
-        );
-        let mut period_stats: Vec<PeriodStats> = Vec::with_capacity(periods as usize);
-        let mut records: Vec<PeriodRecord> = Vec::with_capacity(periods as usize);
-        let mut attack_records: Vec<AttackRecord> = Vec::new();
-        let mut broadcast_trace: Vec<BroadcastPeriod> = Vec::new();
-        let mut latest_stats: Vec<RuntimeStats> = vec![RuntimeStats::default(); config.runtimes];
-        let mut pending: Vec<Vec<PeriodSnapshot>> = (0..periods).map(|_| Vec::new()).collect();
-        let mut dead = vec![false; id_space];
-        let mut partitioned = false;
-        for snapshot in rx.iter() {
-            latest_stats[snapshot.runtime] = snapshot.stats;
-            let p = snapshot.period as usize - 1;
-            pending[p].push(snapshot);
-            if pending[p].len() == config.runtimes {
-                assert_eq!(
-                    records.len(),
-                    p,
-                    "period snapshots must complete in order (barrier contract)"
-                );
-                let batch = std::mem::take(&mut pending[p]);
-                let informed: usize = batch.iter().map(|s| s.informed.len()).sum();
-                let mut rows: Vec<(NodeId, Vec<NodeId>)> =
-                    batch.into_iter().flat_map(|s| s.rows).collect();
-                // Joined ids land out of range order; sort globally.
-                rows.sort_by_key(|(id, _)| *id);
-                let mut killed = 0;
-                let mut joined = 0;
-                if let Some(compiled) = &compiled {
-                    for op in &compiled.steps[p].ops {
-                        match op {
-                            Op::Kill(id) => {
-                                dead[id.as_index()] = true;
-                                killed += 1;
-                            }
-                            Op::Join { .. } => joined += 1,
-                            Op::SetPartition(partition) => partitioned = partition.is_some(),
-                        }
-                    }
-                }
-                let mut record =
-                    workload::measure_rows(id_space, &rows, |id| !dead[id.as_index()], view_size);
-                record.period = p as u64 + 1;
-                record.killed = killed;
-                record.joined = joined;
-                record.partitioned = partitioned;
-                if let Some(roles) = &roles {
-                    attack_records.push(audit_rows(roles, id_space, &rows, record.period));
-                }
-                let wall_ms = started.elapsed().as_millis() as u64;
-                let prev_wall = period_stats.last().map_or(0, |s: &PeriodStats| s.wall_ms);
-                period_ms_hist.record(wall_ms.saturating_sub(prev_wall));
-                period_stats.push(PeriodStats {
-                    period: record.period,
-                    full_views: record.full_views,
-                    nodes: record.live,
-                    in_degree_mean: record.in_degree_mean,
-                    in_degree_sd: record.in_degree_sd,
-                    wall_ms,
-                });
-                if broadcast.is_some() {
-                    broadcast_trace.push(BroadcastPeriod {
-                        period: record.period,
-                        live: record.live,
-                        informed,
-                    });
-                }
-                records.push(record);
-            }
-        }
-
-        let elapsed = started.elapsed();
+    let (records, attack_records, wall_ms, informed, stats) = std::thread::scope(|scope| {
+        let mut threads = Vec::with_capacity(config.runtimes);
+        let links = runtimes
+            .into_iter()
+            .map(|rt| {
+                let (command_tx, commands) = mpsc::channel();
+                let (snapshot_tx, snapshots) = mpsc::channel();
+                // The (seed, id)-pure node seed the initial population got.
+                let joiner = |id: NodeId| build(id, node_seed(config.seed, id.as_u64()));
+                threads
+                    .push(scope.spawn(move || serve(rt, commands, snapshot_tx, started, joiner)));
+                (command_tx, snapshots)
+            })
+            .collect();
+        let mut cluster = UdpCluster::new(config, addrs, started, links);
+        let (records, attack_records) = if roles.is_some() {
+            let (records, audit) = audit::run_attacked(&mut cluster, &compiled, view_size);
+            (records, audit.records)
+        } else {
+            (run_workload(&mut cluster, &compiled, view_size), Vec::new())
+        };
+        // Closing the command channels stops the runtime threads.
+        let UdpCluster {
+            links,
+            wall_ms,
+            informed,
+            ..
+        } = cluster;
+        drop(links);
         let mut stats = RuntimeStats::default();
-        for s in &latest_stats {
-            stats.merge(s);
+        for thread in threads {
+            stats.merge(&thread.join().expect("runtime thread panicked"));
         }
-        let converged_at = period_stats
-            .iter()
-            .find(|s| s.full_fraction() >= 0.99)
-            .map(|s| s.period);
-        Ok(ClusterReport {
-            periods: period_stats,
-            records,
-            attack_records,
-            broadcast: broadcast_trace,
-            converged_at,
-            stats,
-            elapsed,
+        (records, attack_records, wall_ms, informed, stats)
+    });
+    // Taken once every runtime thread has stopped, from the same instant
+    // as the per-period wall times.
+    let elapsed = started.elapsed();
+
+    let periods: Vec<PeriodStats> = records
+        .iter()
+        .zip(wall_ms)
+        .map(|(r, wall_ms)| PeriodStats {
+            period: r.period,
+            full_views: r.full_views,
+            nodes: r.live,
+            in_degree_mean: r.in_degree_mean,
+            in_degree_sd: r.in_degree_sd,
+            wall_ms,
         })
+        .collect();
+    let broadcast = match config.broadcast {
+        Some(_) => records
+            .iter()
+            .zip(informed)
+            .map(|(r, informed)| BroadcastPeriod {
+                period: r.period,
+                live: r.live,
+                informed,
+            })
+            .collect(),
+        None => Vec::new(),
+    };
+    let converged_at = periods
+        .iter()
+        .find(|s| s.full_fraction() >= 0.99)
+        .map(|s| s.period);
+    Ok(ClusterReport {
+        periods,
+        records,
+        attack_records,
+        broadcast,
+        converged_at,
+        stats,
+        elapsed,
     })
 }
 
@@ -545,6 +603,7 @@ pub fn run(config: &ClusterConfig) -> std::io::Result<ClusterReport> {
 mod tests {
     use super::*;
     use pss_core::{Freshness, PolicyTriple};
+    use pss_sim::workload::Op;
 
     #[test]
     fn range_partition_covers_all_ids_in_order() {
@@ -554,12 +613,89 @@ mod tests {
                 let (start, end) = range_of(n, k, r);
                 assert_eq!(start, seen, "gap at runtime {r} for ({n}, {k})");
                 for id in start..end {
-                    assert_eq!(runtime_of(n, k, id), r, "id {id} misrouted");
+                    assert_eq!(host_of(n, k, id), r, "id {id} misrouted");
                 }
                 seen = end;
             }
             assert_eq!(seen, n);
         }
+    }
+
+    #[test]
+    fn a_second_kill_of_the_same_id_is_refused() {
+        let protocol = ProtocolConfig::new(PolicyTriple::newscast(), 4).unwrap();
+        let mut config = ClusterConfig::small(protocol);
+        config.nodes = 4;
+        let addrs = vec![NetAddr::Virtual(0), NetAddr::Virtual(1)];
+        let (links, commands): (Vec<_>, Vec<_>) = addrs
+            .iter()
+            .map(|_| {
+                let (command_tx, commands) = mpsc::channel();
+                ((command_tx, mpsc::channel().1), commands)
+            })
+            .unzip();
+        let mut cluster = UdpCluster::new(&config, addrs, Instant::now(), links);
+        assert!(cluster.kill(NodeId::new(3)));
+        assert!(!cluster.kill(NodeId::new(3)), "a departed node is not live");
+        assert!(!cluster.kill(NodeId::new(9)), "an unknown id is not live");
+        // Only the first kill reaches a runtime: id 3's host.
+        assert!(commands[0].try_recv().is_err());
+        assert!(matches!(commands[1].try_recv(), Ok(Command::Leave(id)) if id == NodeId::new(3)));
+        assert!(commands[1].try_recv().is_err());
+    }
+
+    /// The report's rows are period-aligned and timed against the shared
+    /// clock (the perf ledger's lag and `setup_s` rows read exactly these),
+    /// and the membership columns replay the compiled schedule exactly.
+    #[test]
+    fn report_is_period_aligned_and_follows_the_schedule() {
+        let protocol = ProtocolConfig::new(PolicyTriple::newscast(), 8).unwrap();
+        let mut config = ClusterConfig::small(protocol);
+        config.nodes = 48;
+        config.period_ms = 40;
+        config.jitter_ms = 8;
+        let workload = Workload::parse("quiet:2,kill:0.25,flash:8,part:2x2,quiet:2", 3).unwrap();
+        let compiled = workload.compile(config.nodes);
+        config.workload = Some(workload);
+        let report = run(&config).expect("cluster runs");
+        assert_eq!(report.periods.len(), compiled.steps.len());
+        assert_eq!(report.records.len(), compiled.steps.len());
+
+        let mut previous = 0;
+        for (i, (stats, record)) in report.periods.iter().zip(&report.records).enumerate() {
+            let period = i as u64 + 1;
+            assert_eq!((stats.period, record.period), (period, period));
+            assert!(stats.wall_ms >= previous, "{stats:?}");
+            assert!(stats.wall_ms >= period * config.period_ms, "{stats:?}");
+            previous = stats.wall_ms;
+        }
+        assert!(report.elapsed.as_millis() as u64 >= previous);
+
+        let (mut live, mut partitioned) = (config.nodes, false);
+        for (step, record) in compiled.steps.iter().zip(&report.records) {
+            let (mut killed, mut joined) = (0, 0);
+            for op in &step.ops {
+                match op {
+                    Op::Kill(_) => killed += 1,
+                    Op::Join { .. } => joined += 1,
+                    Op::SetPartition(p) => partitioned = p.is_some(),
+                }
+            }
+            live = live + joined - killed;
+            assert_eq!(
+                (
+                    record.live,
+                    record.killed,
+                    record.joined,
+                    record.partitioned
+                ),
+                (live, killed, joined, partitioned),
+                "period {}",
+                record.period
+            );
+        }
+        assert!(report.records.iter().any(|r| r.partitioned));
+        assert!(report.records.iter().any(|r| r.killed > 0 && r.joined > 0));
     }
 
     #[test]

@@ -25,14 +25,14 @@
 //!   descriptor; keyed cheap hashing, written only when an address
 //!   changes), and per-node counters track messages, decode failures and
 //!   reply timeouts.
-//! * [`cluster`] — a loopback harness: N nodes across K runtime threads on
-//!   UDP, with per-period overlay snapshots flowing into the simulators'
-//!   CSR metrics, and optional [`pss_sim::workload`] schedule execution
-//!   (churn, catastrophe, flash crowds, partition/heal) at period
-//!   boundaries.
 //! * [`workload`] — [`RuntimeWorkload`], a single-runtime
 //!   [`pss_sim::workload::WorkloadTarget`] so the simulators' membership
 //!   schedules drive the deployed stack unchanged.
+//! * [`cluster`] — a loopback harness: N nodes across K runtime threads on
+//!   UDP, driven as one more `WorkloadTarget` by the simulators' workload
+//!   driver — a bootstrap-only run or any [`pss_sim::workload`] schedule
+//!   (churn, catastrophe, flash crowds, partition/heal, adversaries) — so
+//!   its per-period records come from the same CSR metrics.
 //!
 //! # Quickstart
 //!

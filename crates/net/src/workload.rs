@@ -9,8 +9,7 @@
 //! in-memory mesh ([`crate::MemNetwork`]) the whole trajectory is
 //! bit-reproducible per seed; the conformance tests pin it statistically
 //! against the event engine. For the multi-runtime loopback UDP version
-//! see [`crate::cluster`], which executes compiled steps across runtime
-//! threads.
+//! see [`crate::cluster`], the same trait over K runtime threads.
 
 use pss_core::wire::NetAddr;
 use pss_core::{GossipNode, NodeId, PeerSamplingNode, ProtocolConfig};
@@ -169,10 +168,8 @@ mod tests {
     #[test]
     fn workload_runs_on_the_mem_runtime() {
         let mut target = harness(60, 9);
-        let compiled = Workload::new(5)
-            .quiet(8)
-            .catastrophe(0.5)
-            .churn(0.02, 8)
+        let compiled = Workload::parse("quiet:8,kill:0.5,churn:0.02x8", 5)
+            .unwrap()
             .compile(60);
         let records = run_workload(&mut target, &compiled, 8);
         assert_eq!(records.len(), 16);
@@ -191,10 +188,8 @@ mod tests {
     fn workload_trajectory_is_deterministic_per_seed() {
         let run = || {
             let mut target = harness(40, 3);
-            let compiled = Workload::new(2)
-                .quiet(4)
-                .partition(2, 3)
-                .quiet(3)
+            let compiled = Workload::parse("quiet:4,part:2x3,quiet:3", 2)
+                .unwrap()
                 .compile(40);
             let records = run_workload(&mut target, &compiled, 8);
             let stats = target.runtime().stats();

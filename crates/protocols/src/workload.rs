@@ -455,7 +455,7 @@ mod tests {
         // push-pull averaging over uniform pairs shrinks the variance by
         // E[var_{t+1}] / var_t = 1/(2√e) ≈ 0.303 per period.
         const N: usize = 2000;
-        let compiled = Workload::new(3).quiet(20).compile(N);
+        let compiled = Workload::parse("quiet:20", 3).unwrap().compile(N);
         let (_, report) = run_under_workload(&mut tree_overlay(N), &compiled, VIEW, &oracle());
         assert_eq!(report.delivery_ratio(), 1.0);
         let rounds = report.rounds_to_99().expect("the oracle floods");
@@ -473,7 +473,7 @@ mod tests {
     fn exact_convergence_reports_zero_decay() {
         // One push-pull exchange leaves both nodes at the mean: variance
         // is exactly zero, the best possible outcome, so decay reads 0.0.
-        let compiled = Workload::new(1).quiet(1).compile(2);
+        let compiled = Workload::parse("quiet:1", 1).unwrap().compile(2);
         let (_, report) = run_under_workload(&mut tree_overlay(2), &compiled, VIEW, &oracle());
         let row = report.rows()[0];
         assert_eq!((row.mean, row.variance), (50.0, 0.0));
@@ -482,7 +482,7 @@ mod tests {
 
     #[test]
     fn empty_schedule_reports_undefined_metrics() {
-        let compiled = Workload::new(1).compile(NODES);
+        let compiled = Workload::parse("", 1).unwrap().compile(NODES);
         let (records, report) =
             run_under_workload(&mut cycle_engine(1), &compiled, VIEW, &oracle());
         assert!(records.is_empty() && report.rows().is_empty());
@@ -493,7 +493,7 @@ mod tests {
 
     #[test]
     fn zero_fanout_never_spreads() {
-        let compiled = Workload::new(1).quiet(5).compile(NODES);
+        let compiled = Workload::parse("quiet:5", 1).unwrap().compile(NODES);
         let app = AppConfig {
             fanout: 0,
             ..oracle()

@@ -59,7 +59,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-mod churn;
 mod cycle;
 mod event;
 mod exec;
@@ -75,7 +74,6 @@ pub mod observe;
 pub mod scenario;
 pub mod workload;
 
-pub use churn::{ChurnProcess, RateAccumulator};
 pub use cycle::{CycleReport, FailureMode, GrowthPlan, ShardedSimulation};
 pub use event::{
     Delivery, EventConfig, EventConfigError, EventReport, LatencyModel, ShardedEventSimulation,
@@ -84,4 +82,4 @@ pub use population::BoxedNode;
 pub use queue::TickQueue;
 pub use shard::{Mode, Sharded};
 pub use snapshot::{CsrSnapshot, Snapshot, StreamingMetrics};
-pub use workload::{Partition, Workload, WorkloadTarget};
+pub use workload::{Partition, RateAccumulator, Workload, WorkloadTarget};

@@ -103,8 +103,8 @@ impl CsrSnapshot {
     }
 
     /// Builds a CSR snapshot from raw `(id, view-target ids)` rows — the
-    /// entry point for drivers outside this crate (the `pss-net` cluster
-    /// harness gathers rows from runtime threads and feeds them here, so
+    /// entry point for rows gathered outside an engine (the workload
+    /// driver's `collect_rows` on the `pss-net` runtimes lands here, so
     /// live-network overlays flow into the same CSR metrics the simulators
     /// use). Rows must be in increasing id order with every id below
     /// `id_space`; targets without a row (dead or remote-unknown nodes) are

@@ -23,7 +23,7 @@
 //!
 //! Compilation draws victims and join contacts from its own seeded RNG and
 //! rounds fractional churn rates through the carry accumulator
-//! ([`crate::RateAccumulator`]) — no stochastic rounding, no dependence on
+//! ([`RateAccumulator`]) — no stochastic rounding, no dependence on
 //! the target's RNG streams. Running a compiled workload on a sharded
 //! engine therefore inherits the engine's own contract: bit-identical
 //! results per `(seed, shard_count)` at any worker count.
@@ -86,7 +86,6 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::churn::RateAccumulator;
 use crate::{CsrSnapshot, Mode, Sharded};
 
 /// A group-pair loss matrix over the id space: node `i` belongs to group
@@ -269,7 +268,7 @@ pub enum PhaseSpec {
     /// Instantaneous catastrophic kill of `fraction` of the live
     /// population, at the next period boundary.
     Catastrophe {
-        /// Fraction of live nodes killed, clamped to `[0, 1]`.
+        /// Fraction of live nodes killed, within `[0, 1]`.
         fraction: f64,
     },
     /// Instantaneous flash crowd: `joins` nodes join at the next period
@@ -343,134 +342,74 @@ impl std::fmt::Display for ScheduleParseError {
 
 impl std::error::Error for ScheduleParseError {}
 
+/// Deterministic fractional-rate rounding: converts a stream of expected
+/// per-step counts into integers by carrying the fractional remainder
+/// forward.
+///
+/// After any number of steps the emitted total differs from the exact sum
+/// of expectations by strictly less than one (the outstanding carry), so
+/// `k` steps at a constant expectation `r·N` emit `⌊r·N·k⌋` or `⌈r·N·k⌉`
+/// events — never drifting, never random. [`Workload::compile`] rounds
+/// every churn phase through one accumulator per direction, which is what
+/// makes the membership trajectory identical across engines and the
+/// deployed runtime.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct RateAccumulator {
+    carry: f64,
+}
+
+impl RateAccumulator {
+    /// A fresh accumulator with zero carry.
+    pub fn new() -> Self {
+        RateAccumulator::default()
+    }
+
+    /// Adds `expected` events to the accumulator and returns the integer
+    /// count due now; the fractional remainder carries to the next step.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `expected` is negative or not finite.
+    pub fn step(&mut self, expected: f64) -> usize {
+        assert!(
+            expected >= 0.0 && expected.is_finite(),
+            "expected count must be a non-negative finite number"
+        );
+        self.carry += expected;
+        let due = self.carry.floor();
+        self.carry -= due;
+        due as usize
+    }
+
+    /// The outstanding fractional carry, always in `[0, 1)`.
+    pub fn carry(&self) -> f64 {
+        self.carry
+    }
+}
+
+/// How many random live contacts each joiner bootstraps off, unless the
+/// phase overrides it (`[contacts=K]`).
+const CONTACTS_PER_JOIN: usize = 3;
+
 /// A declarative membership-dynamics schedule; see the [module
-/// docs](self). Build with the phase methods or [`Workload::parse`], then
-/// [`Workload::compile`] against an initial population size.
+/// docs](self). Build with [`Workload::parse`] — the grammar is the only
+/// constructor — then [`Workload::compile`] against an initial population
+/// size.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     seed: u64,
-    contacts_per_join: usize,
     phases: Vec<PhaseSpec>,
     adversary: Option<AdversarySpec>,
 }
 
 impl Workload {
     /// An empty workload; all compilation randomness derives from `seed`.
-    pub fn new(seed: u64) -> Self {
+    fn new(seed: u64) -> Self {
         Workload {
             seed,
-            contacts_per_join: 3,
             phases: Vec::new(),
             adversary: None,
         }
-    }
-
-    /// Sets how many random live contacts each joiner bootstraps off
-    /// (default 3).
-    pub fn contacts_per_join(mut self, contacts: usize) -> Self {
-        self.contacts_per_join = contacts;
-        self
-    }
-
-    /// Appends `periods` quiet periods.
-    pub fn quiet(mut self, periods: u64) -> Self {
-        self.phases.push(PhaseSpec::Quiet { periods });
-        self
-    }
-
-    /// Appends an arbitrary phase spec verbatim.
-    pub fn phase(mut self, spec: PhaseSpec) -> Self {
-        self.phases.push(spec);
-        self
-    }
-
-    /// Appends a balanced churn phase (equal leave and join rates).
-    pub fn churn(self, rate: f64, periods: u64) -> Self {
-        self.churn_rates(rate, rate, periods)
-    }
-
-    /// Appends a churn phase with independent leave and join rates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either rate is negative or not finite.
-    pub fn churn_rates(mut self, leave_rate: f64, join_rate: f64, periods: u64) -> Self {
-        assert!(
-            leave_rate >= 0.0 && leave_rate.is_finite(),
-            "leave rate must be a non-negative finite number"
-        );
-        assert!(
-            join_rate >= 0.0 && join_rate.is_finite(),
-            "join rate must be a non-negative finite number"
-        );
-        self.phases.push(PhaseSpec::Churn {
-            periods,
-            leave_rate,
-            join_rate,
-            contacts: None,
-        });
-        self
-    }
-
-    /// Appends an instantaneous catastrophic kill of `fraction` of the
-    /// live population.
-    pub fn catastrophe(mut self, fraction: f64) -> Self {
-        self.phases.push(PhaseSpec::Catastrophe {
-            fraction: fraction.clamp(0.0, 1.0),
-        });
-        self
-    }
-
-    /// Appends an instantaneous flash crowd of `joins` joins.
-    pub fn flash_crowd(mut self, joins: usize) -> Self {
-        self.phases.push(PhaseSpec::FlashCrowd {
-            joins,
-            contacts: None,
-            herd: false,
-        });
-        self
-    }
-
-    /// Appends a thundering-herd flash crowd: `joins` simultaneous joins
-    /// that all bootstrap off the *same* single introducer (picked once,
-    /// deterministically, from the live population at compile time).
-    pub fn flash_herd(mut self, joins: usize) -> Self {
-        self.phases.push(PhaseSpec::FlashCrowd {
-            joins,
-            contacts: None,
-            herd: true,
-        });
-        self
-    }
-
-    /// Appends a total partition into `groups` groups for `periods`
-    /// periods, healed afterwards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `groups < 2`.
-    pub fn partition(mut self, groups: u32, periods: u64) -> Self {
-        self.phases.push(PhaseSpec::Partition {
-            partition: Partition::new(groups),
-            periods,
-        });
-        self
-    }
-
-    /// Appends an arbitrary partition loss matrix for `periods` periods,
-    /// healed afterwards.
-    pub fn partition_matrix(mut self, partition: Partition, periods: u64) -> Self {
-        self.phases
-            .push(PhaseSpec::Partition { partition, periods });
-        self
-    }
-
-    /// Declares an adversary placement: the spec's fraction of the initial
-    /// ids run the attack for the whole schedule. At most one placement;
-    /// a second call replaces the first.
-    pub fn adversary(mut self, spec: AdversarySpec) -> Self {
-        self.adversary = Some(spec);
-        self
     }
 
     /// The declared adversary placement, if any.
@@ -613,7 +552,7 @@ impl Workload {
                     join_rate,
                     contacts,
                 } => {
-                    let contacts = contacts.unwrap_or(self.contacts_per_join);
+                    let contacts = contacts.unwrap_or(CONTACTS_PER_JOIN);
                     let mut leaves = RateAccumulator::new();
                     let mut joins = RateAccumulator::new();
                     for _ in 0..periods {
@@ -660,7 +599,7 @@ impl Workload {
                             &mut live,
                             &mut next_id,
                             joins,
-                            contacts.unwrap_or(self.contacts_per_join),
+                            contacts.unwrap_or(CONTACTS_PER_JOIN),
                             &mut rng,
                         );
                     }
@@ -1136,8 +1075,8 @@ impl CompiledWorkload {
 }
 
 /// What a workload drives: either engine ([`Sharded`] under any
-/// [`Mode`]) or the deployed network stack (`pss-net` implements it for the
-/// runtime and executes compiled steps inside the UDP cluster harness).
+/// [`Mode`]) or the deployed network stack (`pss-net` implements it for one
+/// runtime and for the K-runtime loopback UDP cluster).
 pub trait WorkloadTarget {
     /// Kills (crash-stops or gracefully leaves) one node.
     fn kill(&mut self, id: NodeId) -> bool;
@@ -1413,7 +1352,11 @@ mod tests {
     use pss_core::{PolicyTriple, ProtocolConfig};
 
     fn acceptance() -> Workload {
-        Workload::new(7).quiet(10).catastrophe(0.5).churn(0.01, 20)
+        Workload::parse("quiet:10,kill:0.5,churn:0.01x20", 7).unwrap()
+    }
+
+    fn compile(schedule: &str, seed: u64, nodes: usize) -> CompiledWorkload {
+        Workload::parse(schedule, seed).unwrap().compile(nodes)
     }
 
     #[test]
@@ -1434,8 +1377,20 @@ mod tests {
 
     #[test]
     fn parse_round_trips_the_builder() {
-        let parsed = Workload::parse("quiet:10,kill:0.5,churn:0.01x20", 7).unwrap();
-        assert_eq!(parsed, acceptance());
+        assert_eq!(
+            acceptance().phases(),
+            &[
+                PhaseSpec::Quiet { periods: 10 },
+                PhaseSpec::Catastrophe { fraction: 0.5 },
+                PhaseSpec::Churn {
+                    periods: 20,
+                    leave_rate: 0.01,
+                    join_rate: 0.01,
+                    contacts: None,
+                },
+            ]
+        );
+        assert_eq!(acceptance().seed(), 7);
         let full = Workload::parse("churn:0.02/0.03x5,flash:40,part:2x3,quiet:1", 1).unwrap();
         assert_eq!(
             full.phases(),
@@ -1547,7 +1502,7 @@ mod tests {
 
     #[test]
     fn herd_flash_shares_one_introducer() {
-        let compiled = Workload::new(5).flash_herd(20).compile(50);
+        let compiled = compile("flash:20[herd]", 5, 50);
         let mut introducers: Vec<NodeId> = compiled.steps[0]
             .ops
             .iter()
@@ -1604,6 +1559,7 @@ mod tests {
             ("part:1x5", ScheduleErrorKind::OutOfRange),
             ("part:2x5@1.5", ScheduleErrorKind::OutOfRange),
             ("churn:-0.1x5", ScheduleErrorKind::OutOfRange),
+            ("churn:0.01/NaNx5", ScheduleErrorKind::OutOfRange),
             ("bogus:1", ScheduleErrorKind::UnknownKind),
             ("adv:gremlin@0.1", ScheduleErrorKind::UnknownKind),
             ("adv:hub@0.9", ScheduleErrorKind::Adversary),
@@ -1695,8 +1651,7 @@ mod tests {
         let a = w.compile(200);
         let b = w.compile(200);
         assert_eq!(a, b);
-        let c = Workload::new(8).quiet(10).catastrophe(0.5).churn(0.01, 20);
-        assert_ne!(a, c.compile(200));
+        assert_ne!(a, compile("quiet:10,kill:0.5,churn:0.01x20", 8, 200));
     }
 
     #[test]
@@ -1731,7 +1686,7 @@ mod tests {
     #[test]
     fn churn_counts_follow_the_carry_accumulator() {
         // 1% of 100 live = 1 kill + 1 join every period, exactly.
-        let compiled = Workload::new(3).churn(0.01, 10).compile(100);
+        let compiled = compile("churn:0.01x10", 3, 100);
         for step in &compiled.steps {
             let kills = step.ops.iter().filter(|o| matches!(o, Op::Kill(_))).count();
             let joins = step
@@ -1746,8 +1701,17 @@ mod tests {
     }
 
     #[test]
+    fn accumulator_rounding_matches_expectation_exactly() {
+        let mut acc = RateAccumulator::new();
+        let total: usize = (0..2000).map(|_| acc.step(0.25)).sum();
+        // 2000 × 0.25 = 500 exactly; the carry bound allows at most ±1.
+        assert_eq!(total, 500);
+        assert!(acc.carry() < 1.0);
+    }
+
+    #[test]
     fn joins_get_sequential_ids_and_live_contacts() {
-        let compiled = Workload::new(5).flash_crowd(20).compile(50);
+        let compiled = compile("flash:20", 5, 50);
         // Trailing instantaneous phase gets its own observation period.
         assert_eq!(compiled.periods(), 1);
         for (expected, op) in (50u64..).zip(compiled.steps[0].ops.iter()) {
@@ -1765,11 +1729,7 @@ mod tests {
 
     #[test]
     fn partition_heals_on_the_following_period() {
-        let compiled = Workload::new(1)
-            .quiet(2)
-            .partition(2, 3)
-            .quiet(2)
-            .compile(10);
+        let compiled = compile("quiet:2,part:2x3,quiet:2", 1, 10);
         assert_eq!(compiled.periods(), 7);
         assert_eq!(
             compiled.steps[2].ops,
@@ -1777,16 +1737,31 @@ mod tests {
         );
         assert_eq!(compiled.steps[5].ops, vec![Op::SetPartition(None)]);
         // Trailing partition gets a synthetic heal step.
-        let tail = Workload::new(1).partition(2, 2).compile(10);
+        let tail = compile("part:2x2", 1, 10);
         assert_eq!(tail.periods(), 3);
         assert_eq!(tail.steps[2].ops, vec![Op::SetPartition(None)]);
     }
 
     #[test]
     fn zero_rate_churn_never_mutates_membership() {
-        let compiled = Workload::new(9).churn(0.0, 25).compile(64);
-        assert!(compiled.steps.iter().all(|s| s.ops.is_empty()));
-        assert_eq!(compiled.id_space, 64);
+        // A zero direction never fires: joins only, or kills only...
+        let joins_only = compile("churn:0/0.05x25", 9, 64);
+        assert!(joins_only
+            .steps
+            .iter()
+            .flat_map(|s| &s.ops)
+            .all(|op| matches!(op, Op::Join { .. })));
+        assert!(joins_only.total_joins() > 0);
+        let kills_only = compile("churn:0.05/0x25", 9, 64);
+        assert!(kills_only
+            .steps
+            .iter()
+            .flat_map(|s| &s.ops)
+            .all(|op| matches!(op, Op::Kill(_))));
+        assert_eq!(kills_only.id_space, 64);
+        // ...and with both zero there is no phase to compile at all.
+        let err = Workload::parse("churn:0x25", 9).unwrap_err();
+        assert_eq!(err.kind, ScheduleErrorKind::ZeroRate);
     }
 
     #[test]
@@ -1794,11 +1769,7 @@ mod tests {
         let config = ProtocolConfig::new(PolicyTriple::newscast(), 10).unwrap();
         let mut sim = scenario::random_overlay(&config, 120, 11);
         sim.run_cycles(15);
-        let compiled = Workload::new(2)
-            .quiet(2)
-            .catastrophe(0.5)
-            .churn(0.02, 8)
-            .compile(120);
+        let compiled = compile("quiet:2,kill:0.5,churn:0.02x8", 2, 120);
         let records = run_workload(&mut sim, &compiled, 10);
         // 2 quiet + 8 churn periods; the catastrophe merges into period 3.
         assert_eq!(records.len(), 10);

@@ -9,7 +9,10 @@
 #![allow(dead_code)]
 
 use pss_core::{GossipNode, NodeId, PeerSamplingNode, ProtocolConfig};
-use pss_sim::{BoxedNode, CycleReport, EventConfig, EventReport, LatencyModel, Mode, Sharded};
+use pss_sim::workload::{Op, Step};
+use pss_sim::{
+    BoxedNode, CycleReport, EventConfig, EventReport, LatencyModel, Mode, Sharded, WorkloadTarget,
+};
 
 /// The FNV-1a offset basis: the canonical digest seed.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -114,4 +117,31 @@ pub fn digest_event_report(digest: &mut u64, report: &EventReport) {
     fnv1a(digest, report.exchanges_completed);
     fnv1a(digest, report.dead_deliveries);
     fnv1a(digest, report.dropped_messages);
+}
+
+/// Applies one compiled step's membership ops to `sim` and folds the
+/// kill and join counts into the digest — the digest suites step the
+/// engine themselves because they fold each period's engine report, which
+/// `run_workload` does not surface.
+pub fn apply_step<N: GossipNode + Send, M: Mode>(
+    digest: &mut u64,
+    sim: &mut Sharded<N, M>,
+    step: &Step,
+) {
+    let (mut killed, mut joined) = (0, 0);
+    for op in &step.ops {
+        match op {
+            Op::Kill(id) => {
+                assert!(sim.kill(*id), "kill of live node {id} was a no-op");
+                killed += 1;
+            }
+            Op::Join { id, contacts } => {
+                WorkloadTarget::join(sim, *id, contacts);
+                joined += 1;
+            }
+            Op::SetPartition(partition) => sim.set_partition(*partition),
+        }
+    }
+    fnv1a(digest, killed);
+    fnv1a(digest, joined);
 }

@@ -5,10 +5,10 @@ use std::collections::BinaryHeap;
 
 use proptest::prelude::*;
 use pss_core::{PolicyTriple, ProtocolConfig};
-use pss_sim::workload::{Partition, PhaseSpec, Workload};
+use pss_sim::workload::{Op, Partition, PhaseSpec, ScheduleErrorKind, Workload};
 use pss_sim::{
-    scenario, ChurnProcess, EventConfig, FailureMode, LatencyModel, RateAccumulator,
-    ShardedEventSimulation, TickQueue,
+    scenario, EventConfig, FailureMode, LatencyModel, RateAccumulator, ShardedEventSimulation,
+    TickQueue,
 };
 
 /// Builds one grammar-expressible phase from raw draws. Rates and losses
@@ -338,29 +338,31 @@ proptest! {
         k in 1u64..25,
         seed in 0u64..1_000,
     ) {
-        // Over k cycles, total kills (joins) must equal the summed
-        // per-cycle expectations rate·live within the accumulator's carry
+        // Over k periods, total kills (joins) must equal the summed
+        // per-period expectations rate·live within the accumulator's carry
         // bound — for a constant population that is rate·N·k ± 1, with no
-        // stochastic drift.
-        let config = ProtocolConfig::new(PolicyTriple::newscast(), 6).unwrap();
-        let mut sim = scenario::random_overlay(&config, n, seed);
-        let mut churn = ChurnProcess::new(leave, join, 2);
+        // stochastic drift. Compilation alone fixes the counts.
+        prop_assume!(leave > 0.0 || join > 0.0);
+        let schedule = format!("churn:{leave}/{join}x{k}");
+        let compiled = Workload::parse(&schedule, seed).unwrap().compile(n);
+        prop_assert_eq!(compiled.periods(), k);
         let (mut expect_leave, mut expect_join) = (0.0f64, 0.0f64);
-        let (mut killed, mut joined) = (0usize, 0usize);
-        for _ in 0..k {
-            let live = sim.alive_count() as f64;
-            expect_leave += live * leave;
-            expect_join += live * join;
-            let (kd, jd) = churn.step(&mut sim);
+        let (mut killed, mut joined, mut live) = (0usize, 0usize, n);
+        for step in &compiled.steps {
+            expect_leave += live as f64 * leave;
+            expect_join += live as f64 * join;
+            // A churn step holds only kills and joins.
+            let kd = step.ops.iter().filter(|op| matches!(op, Op::Kill(_))).count();
+            let jd = step.ops.len() - kd;
             killed += kd;
             joined += jd;
-            sim.run_cycle();
+            live = live + jd - kd;
         }
         prop_assert!((killed as f64 - expect_leave).abs() < 1.0,
             "killed {killed} vs expected {expect_leave}");
         prop_assert!((joined as f64 - expect_join).abs() < 1.0,
             "joined {joined} vs expected {expect_join}");
-        prop_assert_eq!(sim.alive_count(), n + joined - killed);
+        prop_assert_eq!(compiled.id_space, n + joined);
     }
 
     #[test]
@@ -369,15 +371,18 @@ proptest! {
         k in 1u64..20,
         seed in 0u64..1_000,
     ) {
-        let config = ProtocolConfig::new(PolicyTriple::newscast(), 6).unwrap();
-        let mut sim = scenario::random_overlay(&config, n, seed);
-        let mut churn = ChurnProcess::new(0.0, 0.0, 3);
-        for _ in 0..k {
-            let (killed, joined) = churn.step(&mut sim);
-            prop_assert_eq!((killed, joined), (0, 0));
+        // Zero-rate churn cannot be scheduled, so it never compiles to a
+        // membership op: both spellings are typed errors at any length.
+        for schedule in [format!("churn:0x{k}"), format!("churn:0/0x{k}")] {
+            let err = Workload::parse(&schedule, seed).unwrap_err();
+            prop_assert_eq!(err.kind, ScheduleErrorKind::ZeroRate);
         }
-        prop_assert_eq!(sim.alive_count(), n);
-        prop_assert_eq!(sim.node_count(), n);
+        // A zero leave rate never kills.
+        let compiled = Workload::parse(&format!("churn:0/0.02x{k}"), seed)
+            .unwrap()
+            .compile(n);
+        let mut ops = compiled.steps.iter().flat_map(|s| &s.ops);
+        prop_assert!(ops.all(|op| !matches!(op, Op::Kill(_))));
     }
 
     #[test]
@@ -406,14 +411,22 @@ proptest! {
         ),
         seed in 0u64..1_000,
     ) {
-        let mut workload = Workload::new(seed);
-        for (kind, periods, a, b, k) in phases {
-            workload = workload.phase(build_phase(kind, periods, a, b, k));
-        }
-        let shown = workload.to_string();
-        let reparsed = Workload::parse(&shown, seed);
-        prop_assert!(reparsed.is_ok(), "display output `{}` failed to reparse: {:?}", shown, reparsed);
-        prop_assert_eq!(workload, reparsed.unwrap(), "via `{}`", shown);
+        let phases: Vec<PhaseSpec> = phases
+            .into_iter()
+            .map(|(kind, periods, a, b, k)| build_phase(kind, periods, a, b, k))
+            .collect();
+        let schedule = phases
+            .iter()
+            .map(PhaseSpec::to_string)
+            .collect::<Vec<_>>()
+            .join(",");
+        let parsed = Workload::parse(&schedule, seed);
+        prop_assert!(parsed.is_ok(), "display output `{}` failed to parse: {:?}",
+            schedule, parsed);
+        let parsed = parsed.unwrap();
+        prop_assert_eq!(parsed.phases(), &phases[..], "via `{}`", schedule);
+        let shown = parsed.to_string();
+        prop_assert_eq!(Workload::parse(&shown, seed).unwrap(), parsed, "via `{}`", shown);
     }
 
     #[test]

@@ -17,36 +17,33 @@
 mod common;
 
 use common::{
-    assert_csr_matches_snapshot, assert_streaming_matches_csr, boxed_factory, digest_report, fnv1a,
-    view_digest, FNV_OFFSET,
+    apply_step, assert_csr_matches_snapshot, assert_streaming_matches_csr, boxed_factory,
+    digest_report, fnv1a, view_digest, FNV_OFFSET,
 };
 use pss_core::{NodeDescriptor, NodeId, PolicyTriple, ProtocolConfig};
 use pss_graph::gen;
-use pss_sim::{scenario, ChurnProcess, FailureMode, ShardedSimulation};
+use pss_sim::workload::{run_workload, Workload};
+use pss_sim::{scenario, FailureMode, ShardedSimulation};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-/// Runs a 4-shard simulation under loss + churn and digests every cycle's
+/// Runs a 4-shard simulation under loss + churn — with a mid-run mass
+/// failure that exercises the dead-peer paths — and digests every cycle's
 /// report and snapshot stream.
 fn stressed_run(workers: usize) -> u64 {
     let config = ProtocolConfig::new(PolicyTriple::newscast(), 8).expect("valid");
     let mut sim = scenario::random_overlay_sharded(&config, 120, 77, 4);
     sim.set_workers(workers);
     sim.set_message_loss(0.05);
-    let mut churn = ChurnProcess::balanced(0.03, 2);
+    let compiled = Workload::parse("churn:0.03x7,kill:0.2,churn:0.03x5", 77)
+        .expect("valid schedule")
+        .compile(120);
     let mut digest = FNV_OFFSET;
-    for cycle in 0..12 {
-        let (killed, joined) = churn.step(&mut sim);
-        fnv1a(&mut digest, killed as u64);
-        fnv1a(&mut digest, joined as u64);
-        let report = sim.run_cycle();
-        digest_report(&mut digest, &report);
+    for step in &compiled.steps {
+        apply_step(&mut digest, &mut sim, step);
+        digest_report(&mut digest, &sim.run_cycle());
         fnv1a(&mut digest, view_digest(&sim));
-        if cycle == 6 {
-            // Mid-run mass failure exercises the dead-peer paths.
-            sim.kill_random_fraction(0.2);
-            fnv1a(&mut digest, sim.alive_count() as u64);
-        }
+        fnv1a(&mut digest, sim.alive_count() as u64);
     }
     fnv1a(&mut digest, sim.dead_link_count() as u64);
     digest
@@ -222,11 +219,12 @@ fn shard_count_is_part_of_the_result_contract() {
 fn multi_shard_population_and_view_invariants_hold_under_churn() {
     let config = ProtocolConfig::new(PolicyTriple::newscast(), 9).expect("valid");
     let mut sim = scenario::random_overlay_sharded(&config, 90, 13, 3);
-    let mut churn = ChurnProcess::balanced(0.05, 2);
-    for _ in 0..15 {
-        churn.step(&mut sim);
-        sim.run_cycle();
-    }
+    let compiled = Workload::parse("churn:0.05x15", 13)
+        .expect("valid schedule")
+        .compile(90);
+    let records = run_workload(&mut sim, &compiled, 9);
+    assert_eq!(records.len(), 15);
+    assert!(records.iter().all(|r| r.killed > 0 && r.joined > 0));
     let alive = sim.alive_ids();
     assert_eq!(alive.len(), sim.alive_count());
     assert!(alive.windows(2).all(|w| w[0] < w[1]), "ids must be sorted");

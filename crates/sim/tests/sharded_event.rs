@@ -24,14 +24,13 @@
 mod common;
 
 use common::{
-    assert_csr_matches_snapshot, assert_streaming_matches_csr, boxed_factory, digest_event_report,
-    fnv1a, view_digest, FNV_OFFSET,
+    apply_step, assert_csr_matches_snapshot, assert_streaming_matches_csr, boxed_factory,
+    digest_event_report, fnv1a, view_digest, FNV_OFFSET,
 };
 use pss_core::{NodeDescriptor, NodeId, PolicyTriple, ProtocolConfig};
 use pss_graph::gen;
-use pss_sim::{
-    scenario, ChurnProcess, EventConfig, LatencyModel, ShardedEventSimulation, ShardedSimulation,
-};
+use pss_sim::workload::{run_workload, Workload};
+use pss_sim::{scenario, EventConfig, LatencyModel, ShardedEventSimulation, ShardedSimulation};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -124,18 +123,19 @@ fn one_shard_matches_sequential_for_headline_policies() {
 }
 
 /// Runs a 4-shard event simulation under jitter + latency + loss + churn
+/// — with a mid-run mass failure that exercises the dead-delivery paths —
 /// and digests every period's report and overlay stream.
 fn stressed_run(workers: usize) -> u64 {
     let config = ProtocolConfig::new(PolicyTriple::newscast(), 8).expect("valid");
     let mut sim = scenario::event_random_overlay_sharded(&config, stressed_config(), 120, 77, 4)
         .expect("valid");
     sim.set_workers(workers);
-    let mut churn = ChurnProcess::balanced(0.03, 2);
+    let compiled = Workload::parse("churn:0.03x6,kill:0.2,churn:0.03x4", 77)
+        .expect("valid schedule")
+        .compile(120);
     let mut digest = FNV_OFFSET;
-    for period in 0..10 {
-        let (killed, joined) = churn.step(&mut sim);
-        fnv1a(&mut digest, killed as u64);
-        fnv1a(&mut digest, joined as u64);
+    for step in &compiled.steps {
+        apply_step(&mut digest, &mut sim, step);
         // One gossip period per cycle.
         let report = sim.run_cycle();
         fnv1a(&mut digest, report.completed);
@@ -143,11 +143,7 @@ fn stressed_run(workers: usize) -> u64 {
         fnv1a(&mut digest, report.empty_view);
         fnv1a(&mut digest, report.dropped_messages);
         fnv1a(&mut digest, view_digest(&sim));
-        if period == 5 {
-            // Mid-run mass failure exercises the dead-delivery paths.
-            sim.kill_random_fraction(0.2);
-            fnv1a(&mut digest, sim.alive_count() as u64);
-        }
+        fnv1a(&mut digest, sim.alive_count() as u64);
     }
     digest_event_report(&mut digest, &sim.report());
     fnv1a(&mut digest, sim.dead_link_count() as u64);
@@ -413,7 +409,8 @@ fn event_streaming_metrics_match_materialized_snapshot() {
 
 #[test]
 fn churn_and_observers_drive_the_event_engine() {
-    // Observers and churn processes run unchanged on the event engine.
+    // Observers and compiled churn schedules run unchanged on the event
+    // engine.
     struct DegreeLog(Vec<f64>);
     impl pss_sim::observe::Observer for DegreeLog {
         fn observe(&mut self, ctx: &pss_sim::observe::CycleContext<'_>) {
@@ -431,12 +428,11 @@ fn churn_and_observers_drive_the_event_engine() {
     assert_eq!(sim.now(), 6000);
     assert!(log.0.iter().all(|&d| d > 11.0));
 
-    let mut churn = ChurnProcess::balanced(0.05, 2);
     let before = sim.node_count();
-    for _ in 0..5 {
-        churn.step(&mut sim);
-        sim.run_cycle();
-    }
+    let compiled = Workload::parse("churn:0.05x5", 21)
+        .expect("valid schedule")
+        .compile(before);
+    assert_eq!(run_workload(&mut sim, &compiled, 12).len(), 5);
     assert!(sim.node_count() > before, "churn joins must happen");
     assert!(sim.alive_count() > 100);
 }
