@@ -191,7 +191,7 @@ impl HsNode {
             chosen.extend(old.into_iter().take(want - chosen.len()));
         }
         self.sent = chosen.iter().map(|d| d.id()).collect();
-        let mut buffer = arena.pool_take();
+        let mut buffer = arena.take_buffer();
         buffer.reserve(chosen.len() + 1);
         buffer.push(NodeDescriptor::fresh(self.id));
         buffer.extend(chosen);
@@ -206,7 +206,7 @@ impl HsNode {
         self.view
             .merge_from(&arena.rx_view, Some(self.id), &mut arena.scratch);
         // Recycle the spent wire buffer for future outgoing messages.
-        arena.pool_put(received);
+        arena.put_buffer(received);
         let merged = &mut self.view;
         let c = self.config.view_size();
 

@@ -191,7 +191,7 @@ impl PeerSamplingNode {
     fn outgoing_descriptors(&self, arena: &mut Arena) -> Vec<NodeDescriptor> {
         let entries = self.view.descriptors();
         let at = entries.partition_point(|d| d.hop_count() == 0);
-        let mut buffer = arena.pool_take();
+        let mut buffer = arena.take_buffer();
         buffer.reserve(entries.len() + 1);
         buffer.extend_from_slice(&entries[..at]);
         buffer.push(NodeDescriptor::fresh(self.id));
@@ -241,7 +241,7 @@ impl PeerSamplingNode {
             );
         }
         // Recycle the spent message buffer for future outgoing messages.
-        arena.pool_put(descriptors);
+        arena.put_buffer(descriptors);
         debug_assert!(self.view.invariants_hold());
     }
 

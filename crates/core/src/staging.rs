@@ -113,16 +113,6 @@ impl Arena {
             self.pool.push(buffer);
         }
     }
-
-    /// Legacy internal alias of [`Arena::take_buffer`].
-    pub(crate) fn pool_take(&mut self) -> Vec<NodeDescriptor> {
-        self.take_buffer()
-    }
-
-    /// Legacy internal alias of [`Arena::put_buffer`].
-    pub(crate) fn pool_put(&mut self, buffer: Vec<NodeDescriptor>) {
-        self.put_buffer(buffer);
-    }
 }
 
 #[cfg(test)]

@@ -31,16 +31,15 @@ use crate::{NodeDescriptor, NodeId, ViewSelection};
 ///
 /// # Performance
 ///
-/// Alongside the hop-ordered entry list the view keeps an id-sorted
-/// `(id, entry position)` index, materialized lazily, that makes
-/// [`View::contains`] / [`View::hop_count_of`] `O(log c)`. Merging never
-/// searches: duplicates are resolved in one linear pass through an
-/// epoch-stamped hash table kept in [`MergeScratch`], and the simulation
-/// hot path ([`View::merge_select_from_slice`]) absorbs a received
-/// descriptor buffer with a single sort-free pass, no steady-state
-/// allocation, and no virtual calls. The original quadratic algorithms are
-/// retained verbatim in [`reference`] and property tests assert
-/// byte-identical behavior.
+/// The view is its hop-ordered entry list and nothing else. Lookups
+/// ([`View::contains`], [`View::hop_count_of`]) scan the at most `c`
+/// entries. Merging never searches: duplicates are resolved in one linear
+/// pass through an epoch-stamped hash table kept in [`MergeScratch`], and
+/// the simulation hot path ([`View::merge_select_from_slice`]) absorbs a
+/// received descriptor buffer with a single sort-free pass, no
+/// steady-state allocation, and no virtual calls. The original quadratic
+/// algorithms are retained verbatim in [`reference`] and property tests
+/// assert byte-identical behavior.
 ///
 /// # Examples
 ///
@@ -57,16 +56,10 @@ use crate::{NodeDescriptor, NodeId, ViewSelection};
 /// assert_eq!(view.hop_count_of(NodeId::new(5)), Some(1));
 /// assert_eq!(view.len(), 2);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct View {
     /// Sorted by hop count; ties keep insertion order.
     entries: Vec<NodeDescriptor>,
-    /// Sorted by id: `(id, position in entries)`. Kept in sync with
-    /// `entries` by every mutation (hop counts live only in the entries,
-    /// so aging never touches the index). Pure derived acceleration:
-    /// excluded from serialization and rebuilt lazily, so untrusted input
-    /// can never smuggle in an inconsistent index.
-    index: Vec<(u64, u32)>,
 }
 
 /// Reusable buffers for the allocation-free merge path; see
@@ -152,9 +145,9 @@ impl View {
     ///
     /// Fast path: protocol messages carry well-formed view content
     /// (hop-sorted, one descriptor per node), for which construction is a
-    /// straight copy plus one index sort. Detected optimistically: hop
-    /// order is checked on ingest, id uniqueness after the index sort; any
-    /// violation falls back to the general dedup path.
+    /// straight copy plus one id sort. Detected optimistically: hop order
+    /// is checked on ingest, id uniqueness after the id sort; any violation
+    /// falls back to the general dedup path.
     fn rebuild(
         &mut self,
         descriptors: impl IntoIterator<Item = NodeDescriptor>,
@@ -175,14 +168,12 @@ impl View {
             self.entries.extend(keyed.iter().map(|&(id, hop, _)| {
                 NodeDescriptor::new(NodeId::new(id), hop.saturating_add(extra_hops))
             }));
-            self.index.clear();
-            self.index
-                .extend(keyed.iter().map(|&(id, _, pos)| (id, pos)));
-            self.index.sort_unstable_by_key(|&(id, _)| id);
-            if self.index.windows(2).all(|w| w[0].0 < w[1].0) {
+            keyed.sort_unstable_by_key(|&(id, _, _)| id);
+            if keyed.windows(2).all(|w| w[0].0 < w[1].0) {
                 return;
             }
-            // Duplicate ids: fall through to the general path.
+            // Duplicate ids: fall through to the general path, which
+            // orders by arrival rank, not by the order `keyed` is in now.
         }
         // Winner per id = lowest hop count, earliest arrival among equals —
         // exactly what sequential insertion keeps. Dedup and order use the
@@ -197,14 +188,6 @@ impl View {
         self.entries.extend(keyed.iter().map(|&(id, hop, _)| {
             NodeDescriptor::new(NodeId::new(id), hop.saturating_add(extra_hops))
         }));
-        self.index.clear();
-        self.index.extend(
-            keyed
-                .iter()
-                .enumerate()
-                .map(|(pos, &(id, _, _))| (id, pos as u32)),
-        );
-        self.index.sort_unstable_by_key(|&(id, _)| id);
     }
 
     /// Number of descriptors.
@@ -242,119 +225,47 @@ impl View {
         self.entries.last()
     }
 
-    /// True if the view holds a descriptor for `id`: `O(log c)` when the
-    /// id index is materialized, a linear scan otherwise (see
-    /// [`View::merge_select_from_slice`]).
+    /// Position of the descriptor for `id`, if present: a scan over at
+    /// most `c` entries.
+    fn position(&self, id: NodeId) -> Option<usize> {
+        self.entries.iter().position(|d| d.id() == id)
+    }
+
+    /// True if the view holds a descriptor for `id`.
     pub fn contains(&self, id: NodeId) -> bool {
-        if self.is_indexed() {
-            self.index_of(id).is_ok()
-        } else {
-            self.entries.iter().any(|d| d.id() == id)
-        }
+        self.position(id).is_some()
     }
 
-    /// Hop count of the descriptor for `id`, if present. Same cost model
-    /// as [`View::contains`].
+    /// Hop count of the descriptor for `id`, if present.
     pub fn hop_count_of(&self, id: NodeId) -> Option<u32> {
-        if self.is_indexed() {
-            self.index_of(id)
-                .ok()
-                .map(|i| self.entries[self.index[i].1 as usize].hop_count())
-        } else {
-            self.entries
-                .iter()
-                .find(|d| d.id() == id)
-                .map(|d| d.hop_count())
-        }
-    }
-
-    /// True when the id index mirrors the entries. The absorb fast path
-    /// leaves views unindexed (the index is pure lookup acceleration);
-    /// mutating operations materialize it on demand.
-    fn is_indexed(&self) -> bool {
-        self.index.len() == self.entries.len()
-    }
-
-    /// Materializes the id index if it is currently stale.
-    fn ensure_index(&mut self) {
-        if !self.is_indexed() {
-            self.rebuild_index();
-        }
-    }
-
-    /// Binary search in the id index (requires `is_indexed`).
-    fn index_of(&self, id: NodeId) -> Result<usize, usize> {
-        debug_assert!(self.is_indexed());
-        self.index.binary_search_by_key(&id.as_u64(), |&(i, _)| i)
+        self.position(id).map(|pos| self.entries[pos].hop_count())
     }
 
     /// Inserts `d`, keeping the lower hop count if a descriptor for the same
     /// node already exists. New entries go after existing ones with the
     /// same hop count (stable).
     pub fn insert(&mut self, d: NodeDescriptor) {
-        self.ensure_index();
-        match self.index_of(d.id()) {
-            Ok(i) => {
-                let (_, old_pos) = self.index[i];
-                if self.entries[old_pos as usize].hop_count() <= d.hop_count() {
-                    return;
-                }
-                self.entries.remove(old_pos as usize);
-                self.shift_positions_above(old_pos, -1);
-                let at = self
-                    .entries
-                    .partition_point(|e| e.hop_count() <= d.hop_count());
-                self.entries.insert(at, d);
-                self.shift_positions_above(at as u32, 1);
-                self.index[i] = (d.id().as_u64(), at as u32);
+        if let Some(old) = self.position(d.id()) {
+            if self.entries[old].hop_count() <= d.hop_count() {
+                return;
             }
-            Err(i) => {
-                let at = self
-                    .entries
-                    .partition_point(|e| e.hop_count() <= d.hop_count());
-                self.entries.insert(at, d);
-                self.shift_positions_above(at as u32, 1);
-                self.index.insert(i, (d.id().as_u64(), at as u32));
-            }
+            self.entries.remove(old);
         }
+        let at = self
+            .entries
+            .partition_point(|e| e.hop_count() <= d.hop_count());
+        self.entries.insert(at, d);
     }
 
     /// Removes and returns the descriptor for `id`, if present.
     pub fn remove(&mut self, id: NodeId) -> Option<NodeDescriptor> {
-        self.ensure_index();
-        let i = self.index_of(id).ok()?;
-        let (_, pos) = self.index.remove(i);
-        let removed = self.entries.remove(pos as usize);
-        self.shift_positions_above(pos, -1);
-        Some(removed)
-    }
-
-    /// Adds `delta` to every index position at or above `from` (after an
-    /// entry insertion/removal at that position).
-    fn shift_positions_above(&mut self, from: u32, delta: i32) {
-        for (_, pos) in &mut self.index {
-            if *pos >= from {
-                *pos = pos.wrapping_add(delta as u32);
-            }
-        }
+        let pos = self.position(id)?;
+        Some(self.entries.remove(pos))
     }
 
     /// Keeps only descriptors matching the predicate.
     pub fn retain(&mut self, f: impl FnMut(&NodeDescriptor) -> bool) {
         self.entries.retain(f);
-        self.index.clear(); // materialized lazily on demand
-    }
-
-    /// Reconstructs the id index from the entries.
-    fn rebuild_index(&mut self) {
-        self.index.clear();
-        self.index.extend(
-            self.entries
-                .iter()
-                .enumerate()
-                .map(|(pos, d)| (d.id().as_u64(), pos as u32)),
-        );
-        self.index.sort_unstable_by_key(|&(id, _)| id);
     }
 
     /// Increments every descriptor's hop count (saturating), as
@@ -363,9 +274,6 @@ impl View {
         for d in &mut self.entries {
             *d = d.aged();
         }
-        // The index stores no hop counts, so aging leaves it untouched.
-        // Saturation at u32::MAX could merge previously distinct keys but
-        // never breaks the (hop, id) order.
     }
 
     /// The paper's `merge(view1, view2)`: the union of both views, with the
@@ -376,15 +284,13 @@ impl View {
     /// Descriptors of `excluded` (the merging node itself) are dropped — a
     /// node never stores its own descriptor in its own view.
     ///
-    /// Allocates the result (backed by a thread-local scratch) with its id
-    /// index left for lazy materialization; the simulation hot path uses
-    /// [`View::merge_select_from_slice`] with an explicit [`MergeScratch`]
-    /// instead.
+    /// Allocates the result (backed by a thread-local scratch); the
+    /// simulation hot path uses [`View::merge_select_from_slice`] with an
+    /// explicit [`MergeScratch`] instead.
     #[must_use]
     pub fn merge(&self, other: &View, excluded: Option<NodeId>) -> View {
         let mut out = View {
             entries: Vec::with_capacity(self.len() + other.len()),
-            index: Vec::new(),
         };
         MERGE_SCRATCH.with(|scratch| {
             self.merge_into(other, excluded, &mut out, &mut scratch.borrow_mut());
@@ -412,9 +318,8 @@ impl View {
     /// Fused `view ← selectView(merge(received, view))`: the absorption +
     /// truncation step of the protocol skeleton in one pass, bit-identical
     /// to [`View::merge_from`] followed by [`View::select`] (including the
-    /// RNG draws of `rand` view selection) but cheaper: the output index is
-    /// built once, over the `c` surviving entries only, and `head`
-    /// selection stops merging as soon as `c` entries are emitted.
+    /// RNG draws of `rand` view selection) but cheaper: `head` selection
+    /// stops merging as soon as `c` entries are emitted.
     pub fn merge_select_from(
         &mut self,
         received: &View,
@@ -466,15 +371,13 @@ impl View {
             rng,
             out,
         );
-        out.index.clear(); // materialized lazily on demand
     }
 
     /// Fused absorb for wire-format descriptor buffers: semantically
     /// `self ← selectView(merge(View::from(received), self))` with
     /// `received` taking tie precedence, but without constructing a `View`
     /// for the received side at all — duplicate resolution runs through an
-    /// O(1)-cleared hash table in `scratch`, so the whole absorb performs
-    /// exactly one sort (the output id index).
+    /// O(1)-cleared hash table in `scratch`, so the absorb sorts nothing.
     ///
     /// `received` must be *well-formed view content* — hop-count-sorted with
     /// at most one descriptor per node, which is what every protocol message
@@ -482,11 +385,6 @@ impl View {
     /// `self` (or the RNG) if the buffer is malformed; callers then fall
     /// back to the general path ([`View::assign_aged`] +
     /// [`View::merge_select_from`]).
-    ///
-    /// The resulting view is left *unindexed*: the id index is pure lookup
-    /// acceleration, rebuilt on demand by the operations that need it, and
-    /// the absorb hot path (whose next merge resolves through the hash
-    /// table, not the index) would only throw the sort away.
     #[allow(clippy::too_many_arguments)]
     pub fn merge_select_from_slice(
         &mut self,
@@ -530,7 +428,6 @@ impl View {
             rng,
             &mut out,
         );
-        out.index.clear(); // left unindexed, see above
         core::mem::swap(self, &mut out);
         scratch.out = out;
         true
@@ -569,7 +466,6 @@ impl View {
             0,
             out,
         );
-        out.index.clear(); // materialized lazily on demand
     }
 
     /// The paper's `selectView`: truncates to at most `c` descriptors
@@ -593,7 +489,6 @@ impl View {
                 self.entries.truncate(c);
             }
         }
-        self.index.clear(); // materialized lazily on demand
     }
 
     /// Uniform random entry among those for which `eligible` returns true,
@@ -646,21 +541,7 @@ impl View {
             .iter()
             .enumerate()
             .all(|(i, a)| self.entries[i + 1..].iter().all(|b| a.id() != b.id()));
-        // The id index either mirrors the entries exactly or is absent
-        // (views produced by the absorb fast path stay unindexed until an
-        // operation materializes the index).
-        let index_ok = if self.index.is_empty() {
-            true
-        } else {
-            self.index.windows(2).all(|w| w[0].0 < w[1].0)
-                && self.index.len() == self.entries.len()
-                && self.index.iter().all(|&(id, pos)| {
-                    self.entries
-                        .get(pos as usize)
-                        .is_some_and(|d| d.id().as_u64() == id)
-                })
-        };
-        sorted && unique && index_ok
+        sorted && unique
     }
 }
 
@@ -767,7 +648,7 @@ fn resolve_with_table(
 /// Two-way merge ordered by `(hop, anchor)` of the resolved tie-precedent
 /// sequence (which wins ties) against the surviving `rest` entries, writing
 /// at most `emit_limit` merged entries and dropping the first `skip_first`
-/// of them. Touches only `out.entries`; index handling is the caller's.
+/// of them into `out`.
 fn emit_merge(
     resolved: &[(NodeDescriptor, u32)],
     rest: &[NodeDescriptor],
@@ -898,14 +779,6 @@ fn build_resolved(
     }
 }
 
-impl PartialEq for View {
-    fn eq(&self, other: &Self) -> bool {
-        self.entries == other.entries
-    }
-}
-
-impl Eq for View {}
-
 impl fmt::Display for View {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[")?;
@@ -936,7 +809,7 @@ impl<'a> IntoIterator for &'a View {
 
 /// The original (pre-optimization) view algorithms, retained verbatim as
 /// executable specifications: the differential property tests assert the
-/// optimized index-based implementations above produce byte-identical
+/// optimized implementations above produce byte-identical
 /// results. Not part of the public API.
 #[doc(hidden)]
 pub mod reference {

@@ -206,8 +206,8 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Differential properties: the optimized view algebra (id-indexed views,
-// hash-table duplicate resolution, fused merge+select, bulk construction)
+// Differential properties: the optimized view algebra (hash-table
+// duplicate resolution, fused merge+select, bulk construction)
 // must be byte-identical to the retained naive reference implementation
 // (`pss_core::view::reference`) — the seed's quadratic algorithms kept as an
 // executable specification.
@@ -346,26 +346,29 @@ proptest! {
     }
 
     #[test]
-    fn lazy_index_lookups_match_entries(
+    fn lookups_match_a_linear_scan(
         own in descriptors(40),
         incoming in descriptors(40),
         probe in 0u64..60,
+        inserted in descriptors(4),
     ) {
-        // Views produced by the absorb fast path are unindexed; lookups
-        // must behave identically before and after the index materializes.
+        // `contains` and `hop_count_of` agree with a scan of the entries,
+        // on a merged view and again after `insert` changed it.
+        let scan = |v: &View, id: NodeId| {
+            v.iter().find(|d| d.id() == id).map(|d| d.hop_count())
+        };
         let mut v = View::from_descriptors(own);
         let rx = View::from_descriptors(incoming);
         let mut scratch = MergeScratch::default();
         v.merge_from(&rx, Some(NodeId::new(0)), &mut scratch);
         let id = NodeId::new(probe);
-        let lazy_contains = v.contains(id);
-        let lazy_hops = v.hop_count_of(id);
-        prop_assert_eq!(lazy_contains, v.iter().any(|d| d.id() == id));
-        // `insert` materializes the index (id 10^6 never collides with
-        // generated ids); lookups must not change.
-        v.insert(NodeDescriptor::new(NodeId::new(1_000_000), 99));
-        prop_assert_eq!(v.contains(id), lazy_contains);
-        prop_assert_eq!(v.hop_count_of(id), lazy_hops);
+        prop_assert_eq!(v.hop_count_of(id), scan(&v, id));
+        prop_assert_eq!(v.contains(id), scan(&v, id).is_some());
+        for d in inserted {
+            v.insert(d);
+        }
+        prop_assert_eq!(v.hop_count_of(id), scan(&v, id));
+        prop_assert_eq!(v.contains(id), scan(&v, id).is_some());
         prop_assert!(v.invariants_hold());
     }
 }

@@ -14,8 +14,9 @@
 //!   fig7     self-healing after 50% node failure
 //!   policies sweep of all 27 policy combinations (Section 4.3)
 //!   async    event-driven engine comparison (extension; --shards runs the
-//!            event rows once per shard count, default 1; scales to
-//!            --scale million)
+//!            event rows once per shard count, default 1). --scale million
+//!            runs, but took ≈ 30 min and 8.3 GB peak RSS on 2 vCPUs; on a
+//!            shared host add --nodes 200000
 //!   apps     broadcast/aggregation sampling-quality comparison (extension)
 //!   hs       healer/swapper (H,S) ablation (extension)
 //!   scaling  sharded-engine throughput vs shard count (extension)

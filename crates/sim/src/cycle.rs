@@ -376,7 +376,8 @@ fn phase_initiate<N: GossipNode + Send>(shard: &mut Shard<N, CycleShard>, ctx: &
     order.clear();
     order.extend(pop.alive_slots());
     order.shuffle(rng);
-    for &slot in order.iter() {
+    for (i, &slot) in order.iter().enumerate() {
+        pop.prefetch(order[i + 1..].iter().copied());
         // Nodes cannot die mid-cycle, but guard anyway.
         if !pop.slot(slot).alive {
             continue;
@@ -462,7 +463,9 @@ fn phase_respond<N: GossipNode + Send>(shard: &mut Shard<N, CycleShard>, ctx: &C
     // Inbox lane = sender shard: draining in lane order is sender-shard
     // order, the fixed ordering the determinism contract relies on.
     for inbox in requests.inbox.iter_mut() {
-        for queued in inbox.drain(..) {
+        let mut due = inbox.drain(..);
+        while let Some(queued) = due.next() {
+            pop.prefetch(due.as_slice().iter().map(|q| q.to_slot));
             let responder = pop.slot_mut(queued.to_slot);
             let responder_id = responder.node.id();
             let reply = responder
@@ -505,7 +508,9 @@ fn phase_absorb<N: GossipNode + Send>(shard: &mut Shard<N, CycleShard>) {
         replies, report, ..
     } = state;
     for inbox in replies.inbox.iter_mut() {
-        for queued in inbox.drain(..) {
+        let mut due = inbox.drain(..);
+        while let Some(queued) = due.next() {
+            pop.prefetch(due.as_slice().iter().map(|q| q.to_slot));
             pop.slot_mut(queued.to_slot)
                 .node
                 .handle_reply(arena, queued.from, queued.reply);

@@ -783,6 +783,8 @@ fn merge_inbox(shard: &mut EventShard, horizon: u64) {
 /// by `seq`. New local events (timers, same-shard messages) go back into
 /// the queues — a zero-latency message onto the tick being drained, which
 /// then comes round again; cross-shard messages park in the out-mailboxes.
+/// Before each event the nodes of the next two are prefetched
+/// ([`Population::prefetch`](crate::population::Population::prefetch)).
 fn process_until<N: GossipNode + Send>(
     shard: &mut Shard<N, EventShard>,
     limit: u64,
@@ -794,20 +796,20 @@ fn process_until<N: GossipNode + Send>(
         shard.state.timers.take_tick(now, &mut timers);
         shard.state.messages.take_tick(now, &mut messages);
         shard.state.processed += (timers.len() + messages.len()) as u64;
-        let mut due_timers = timers.drain(..).peekable();
-        let mut due_messages = messages.drain(..).peekable();
+        let mut due_timers = timers.drain(..);
+        let mut due_messages = messages.drain(..);
         loop {
-            let timer_first = match (due_timers.peek(), due_messages.peek()) {
-                (Some(&(seq, _)), Some(arrival)) => seq < arrival.seq,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
+            let (t, m) = (due_timers.as_slice(), due_messages.as_slice());
+            let Some(timer_first) = timer_next(t, m) else {
+                break;
             };
             if timer_first {
-                let (_, slot) = due_timers.next().expect("peeked");
+                shard.pop.prefetch(merged_slots(&t[1..], m));
+                let (_, slot) = due_timers.next().expect("non-empty");
                 fire_timer(shard, slot, now, ctx);
             } else {
-                deliver(shard, due_messages.next().expect("peeked"), now, ctx);
+                shard.pop.prefetch(merged_slots(t, &m[1..]));
+                deliver(shard, due_messages.next().expect("non-empty"), now, ctx);
             }
         }
     }
@@ -819,6 +821,37 @@ fn process_until<N: GossipNode + Send>(
     debug_assert!(closed.is_none());
     shard.state.timer_batch = timers;
     shard.state.message_batch = messages;
+}
+
+/// Which of a tick's two batches holds its next event in `seq` order:
+/// `Some(true)` the timers, `Some(false)` the messages, `None` if both are
+/// drained.
+fn timer_next(timers: &[(u64, u32)], messages: &[Arrival]) -> Option<bool> {
+    match (timers.first(), messages.first()) {
+        (Some(&(seq, _)), Some(arrival)) => Some(seq < arrival.seq),
+        (Some(_), None) => Some(true),
+        (None, Some(_)) => Some(false),
+        (None, None) => None,
+    }
+}
+
+/// The destination slots of a tick's remaining events, in the `seq` order
+/// [`process_until`] processes them.
+fn merged_slots<'a>(
+    mut timers: &'a [(u64, u32)],
+    mut messages: &'a [Arrival],
+) -> impl Iterator<Item = u32> + 'a {
+    core::iter::from_fn(move || {
+        if timer_next(timers, messages)? {
+            let (&(_, slot), rest) = timers.split_first()?;
+            timers = rest;
+            Some(slot)
+        } else {
+            let (arrival, rest) = messages.split_first()?;
+            messages = rest;
+            Some(arrival.wire.to_slot)
+        }
+    })
 }
 
 /// The gossip timer of local slot `slot` fires at `now`.

@@ -54,8 +54,10 @@
 //! # Ok::<(), pss_core::ConfigError>(())
 //! ```
 
-// `deny` (not `forbid`) so the one module that needs `unsafe` — the
-// persistent worker pool — can opt in locally with documented invariants.
+// `deny` (not `forbid`) so the two places that need `unsafe` can opt in
+// locally with documented invariants: the persistent worker pool
+// (`pool.rs`) and the cache-prefetch hint (`exec::prefetch`). A CI step
+// fails on an opt-in anywhere else.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

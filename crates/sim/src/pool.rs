@@ -16,8 +16,9 @@
 //!
 //! # Safety
 //!
-//! This is the one module in the crate that needs `unsafe`, for the
-//! **lifetime erasure of the job closure**: [`WorkerPool::run`] borrows the
+//! One of the crate's two `unsafe` sites — the other is the prefetch hint
+//! [`crate::exec::prefetch`] — this module needs it for the **lifetime
+//! erasure of the job closure**: [`WorkerPool::run`] borrows the
 //! job as `&(dyn Fn(usize) + Sync)` and stores a raw pointer to it in the
 //! shared state so worker threads can call it. The pointer only outlives
 //! the borrow in the type system: `run` blocks on the `done` condvar until

@@ -10,6 +10,8 @@
 
 use pss_core::{GossipNode, NodeId};
 
+use crate::exec;
+
 /// A heap-allocated protocol node usable by the simulators.
 ///
 /// Any [`GossipNode`] implementation works: the paper's
@@ -114,6 +116,30 @@ impl<N: GossipNode> Population<N> {
     /// Panics if `slot` is out of range.
     pub(crate) fn slot_mut(&mut self, slot: u32) -> &mut Entry<N> {
         &mut self.entries[slot as usize]
+    }
+
+    /// The lookahead of a per-node loop, called once per item with the
+    /// slots the loop reaches after the current one. Of the first two, it
+    /// starts loading the second one's entry and — the first one's entry
+    /// having been requested one item earlier, so reading it now costs
+    /// little — the first one's view descriptors. Every node's memory is
+    /// thus on its way two items before the loop touches it. Only a cache
+    /// hint ([`exec::prefetch`]): no order, draw or result depends on it.
+    #[inline(always)]
+    pub(crate) fn prefetch(&self, upcoming: impl IntoIterator<Item = u32>) {
+        let mut upcoming = upcoming.into_iter();
+        let next = upcoming
+            .next()
+            .and_then(|slot| self.entries.get(slot as usize));
+        if let Some(after) = upcoming
+            .next()
+            .and_then(|slot| self.entries.get(slot as usize))
+        {
+            exec::prefetch(core::slice::from_ref(after));
+        }
+        if let Some(next) = next {
+            exec::prefetch(next.node.view().descriptors());
+        }
     }
 
     /// Live slots in increasing slot order.

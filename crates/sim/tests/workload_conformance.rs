@@ -12,7 +12,9 @@ mod common;
 use common::{boxed_factory, event_config, view_digest};
 use pss_core::{PeerSamplingNode, PolicyTriple, ProtocolConfig};
 use pss_sim::workload::{run_workload, PeriodRecord, Workload};
-use pss_sim::{scenario, Mode, Sharded, ShardedEventSimulation, ShardedSimulation, WorkloadTarget};
+use pss_sim::{
+    scenario, BoxedNode, Mode, Sharded, ShardedEventSimulation, ShardedSimulation, WorkloadTarget,
+};
 
 const N: usize = 200;
 const C: usize = 15;
@@ -113,20 +115,33 @@ fn every_schedule_is_bit_deterministic_across_worker_counts() {
 
 /// Boxed and monomorphized populations stay interchangeable under workload
 /// driving (kills, churn joins): a `with_factory` engine of boxed nodes and
-/// the `new` engine produce identical trajectories for the same schedule.
+/// the `new` engine produce identical trajectories for the same schedule —
+/// on both engines at two shards, so the cycle engine's mailbox phases and
+/// the event engine's tick loop run their lookahead over boxed nodes too.
 #[test]
 fn boxed_population_matches_monomorphized_under_workloads() {
-    let compiled = Workload::parse("quiet:4,kill:0.3,churn:0.02x6", 3)
-        .unwrap()
-        .compile(N);
+    fn check<M: Mode>(mut boxed: Sharded<BoxedNode, M>, mut typed: Sharded<PeerSamplingNode, M>) {
+        let compiled = Workload::parse("quiet:4,kill:0.3,churn:0.02x6", 3)
+            .unwrap()
+            .compile(N);
+        scenario::seed_tree(&mut boxed, N);
+        scenario::seed_tree(&mut typed, N);
+        let a = run_workload(&mut boxed, &compiled, C);
+        let b = run_workload(&mut typed, &compiled, C);
+        let engine = std::any::type_name::<M>();
+        assert_eq!(a, b, "{engine} records diverged");
+        assert_eq!(view_digest(&boxed), view_digest(&typed), "{engine}");
+    }
     let protocol = protocol(PolicyTriple::newscast());
-    let mut boxed = ShardedSimulation::with_factory(5, 1, boxed_factory(protocol.clone()));
-    scenario::seed_tree(&mut boxed, N);
-    let mut typed = cycle_sim(protocol, 5, 1);
-    let a = run_workload(&mut boxed, &compiled, C);
-    let b = run_workload(&mut typed, &compiled, C);
-    assert_eq!(a, b);
-    assert_eq!(view_digest(&boxed), view_digest(&typed));
+    check(
+        ShardedSimulation::with_factory(5, 2, boxed_factory(protocol.clone())),
+        ShardedSimulation::new(protocol.clone(), 5, 2),
+    );
+    check(
+        ShardedEventSimulation::with_factory(event_config(), 5, 2, boxed_factory(protocol.clone()))
+            .expect("valid"),
+        ShardedEventSimulation::new(protocol, event_config(), 5, 2).expect("valid"),
+    );
 }
 
 /// Type erasure changes nothing: one schedule driven through
