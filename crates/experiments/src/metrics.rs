@@ -3,12 +3,12 @@
 //! Every stack in this workspace records into the global
 //! [`pss_telemetry`] registry: the sharded cycle engine and the sharded
 //! event engine time their phases and shard imbalance, the workload
-//! driver stamps per-period wall time and membership ops, the UDP
-//! runtime histograms exchange RTTs, timer-wheel lag and per-frame-kind
-//! decode latency, the cluster harness times periods, and the
-//! application layer times its rounds. This experiment exercises all of
-//! them in one deterministic pass — a churned workload on both
-//! simulation engines, a broadcast/aggregation run on top, and a tiny
+//! driver stamps per-period wall time, per-period measurement time and
+//! membership ops, the UDP runtime histograms exchange RTTs, timer-wheel
+//! lag and per-frame-kind decode latency, the cluster harness times
+//! periods, and the application layer times its rounds. This experiment
+//! exercises all of them in one deterministic pass — a churned workload on
+//! both simulation engines, a broadcast/aggregation run on top, and a tiny
 //! loopback UDP cluster — then reports the registry: one row per metric
 //! series with count, p50/p99 and max from the log2 histograms, plus
 //! the full Prometheus text exposition.
@@ -32,6 +32,7 @@ pub const REQUIRED_FAMILIES: &[&str] = &[
     "pss_cycles_total",
     "pss_shard_work_ns",
     "pss_workload_period_ns",
+    "pss_workload_measure_ns",
     "pss_workload_ops_total",
     "pss_app_round_ns",
     "pss_net_rtt_ticks",

@@ -3,8 +3,9 @@
 //! [`run_workload`](crate::workload::run_workload) measures *benign* health
 //! (convergence, dead links, components). When a schedule places
 //! adversaries ([`pss_core::adversary`]), this module layers the attack
-//! observables on top, through the same CSR path every stack already
-//! feeds:
+//! observables on top, through the same streaming pass over the view rows
+//! that measures every period
+//! ([`measure_rows`](crate::workload::measure_rows)):
 //!
 //! * **in-degree capture** — mean in-degree of attacker ids vs honest ids
 //!   ([`AttackRecord::skew`]), plus the Gini coefficient of the whole
@@ -32,8 +33,9 @@ use pss_stats::{chi_square_uniform, ChiSquare};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use crate::snapshot::RowPass;
 use crate::workload::{run_workload_observed, CompiledWorkload, PeriodRecord, WorkloadTarget};
-use crate::{BoxedNode, CsrSnapshot};
+use crate::BoxedNode;
 
 /// The honest node implementation of an attacked population — the policy
 /// dimension the adversary experiments sweep.
@@ -172,17 +174,15 @@ pub fn audit_rows(
     rows: &[(NodeId, Vec<NodeId>)],
     period: u64,
 ) -> AttackRecord {
-    let csr = CsrSnapshot::from_rows(id_space, rows);
-    let in_degrees = csr.graph().in_degrees();
+    let pass = RowPass::from_rows(id_space, rows, |_| true);
 
     let mut attacker_degrees = 0.0;
     let mut honest_degrees = 0.0;
     let mut attackers_live = 0usize;
-    let mut all: Vec<f64> = Vec::with_capacity(in_degrees.len());
-    for (i, &d) in in_degrees.iter().enumerate() {
-        let id = csr.node_id(i as u32);
+    let mut all: Vec<f64> = Vec::with_capacity(rows.len());
+    for ((id, _), d) in rows.iter().zip(pass.in_degrees()) {
         all.push(f64::from(d));
-        if roles.is_attacker(id) {
+        if roles.is_attacker(*id) {
             attackers_live += 1;
             attacker_degrees += f64::from(d);
         } else {
@@ -206,24 +206,10 @@ pub fn audit_rows(
         }
     }
 
-    // The attacker-free overlay: honest rows, honest targets only.
-    let honest_rows: Vec<(NodeId, Vec<NodeId>)> = rows
-        .iter()
-        .filter(|(id, _)| !roles.is_attacker(*id))
-        .map(|(id, targets)| {
-            (
-                *id,
-                targets
-                    .iter()
-                    .copied()
-                    .filter(|&t| !roles.is_attacker(t))
-                    .collect(),
-            )
-        })
-        .collect();
-    let honest_csr = CsrSnapshot::from_rows(id_space, &honest_rows);
+    // The attacker-free overlay: only honest ids have rows, so edges to
+    // attackers drop like dead links.
     let largest_honest_component =
-        pss_graph::components::largest_weak_component(honest_csr.graph());
+        RowPass::from_rows(id_space, rows, |id| !roles.is_attacker(id)).largest_component();
 
     AttackRecord {
         period,

@@ -102,13 +102,13 @@ impl CsrSnapshot {
         CsrSnapshot { graph, ids }
     }
 
-    /// Builds a CSR snapshot from raw `(id, view-target ids)` rows — the
-    /// entry point for rows gathered outside an engine (the workload
-    /// driver's `collect_rows` on the `pss-net` runtimes lands here, so
-    /// live-network overlays flow into the same CSR metrics the simulators
-    /// use). Rows must be in increasing id order with every id below
-    /// `id_space`; targets without a row (dead or remote-unknown nodes) are
-    /// dropped, exactly as in the engine-built snapshots.
+    /// Builds a CSR snapshot from raw `(id, view-target ids)` rows, as
+    /// [`WorkloadTarget::collect_rows`](crate::WorkloadTarget::collect_rows)
+    /// gathers them on any stack — the reference the streaming
+    /// [`measure_rows`](crate::workload::measure_rows) is tested against.
+    /// Rows must be in increasing id order with every id below `id_space`;
+    /// targets without a row (dead or remote-unknown nodes) are dropped,
+    /// exactly as in the engine-built snapshots.
     ///
     /// # Panics
     ///
@@ -168,6 +168,128 @@ impl CsrSnapshot {
     }
 }
 
+/// The one streaming pass behind [`StreamingMetrics`],
+/// [`crate::workload::measure_rows`] and [`crate::audit::audit_rows`]: one
+/// 16-byte slot per raw id holds its in-degree counter and its union–find
+/// parent and size, so no edge array and no compact index are built. Rows
+/// are marked first, then streamed once. An edge counts iff its target has
+/// a row, is not the source and is not a repeat within the row — exactly
+/// the edges [`CsrSnapshot::from_rows`] keeps.
+pub(crate) struct RowPass {
+    slots: Vec<Slot>,
+    largest_component: usize,
+}
+
+/// `stamp` is 0 for an id without a row, else 1 + the last row that
+/// counted an edge into it (its own row stamps it first, so a self-loop
+/// never counts). `size` is meaningful at union–find roots.
+#[derive(Clone, Copy, Default)]
+struct Slot {
+    stamp: u32,
+    in_degree: u32,
+    parent: u32,
+    size: u32,
+}
+
+impl RowPass {
+    fn new(id_space: usize) -> Self {
+        RowPass {
+            slots: vec![Slot::default(); id_space],
+            largest_component: 0,
+        }
+    }
+
+    /// Streams the `(id, view targets)` rows whose id passes `keep`; targets
+    /// outside the kept rows are dropped. Panics if `rows` is not sorted by
+    /// strictly increasing id, or a row id is at or above `id_space`.
+    pub(crate) fn from_rows(
+        id_space: usize,
+        rows: &[(NodeId, Vec<NodeId>)],
+        keep: impl Fn(NodeId) -> bool,
+    ) -> Self {
+        let mut pass = RowPass::new(id_space);
+        for (i, (id, _)) in rows.iter().enumerate() {
+            assert!(
+                i == 0 || rows[i - 1].0 < *id,
+                "rows must be sorted by increasing id"
+            );
+            if keep(*id) {
+                pass.mark(*id);
+            }
+        }
+        for (id, targets) in rows.iter().filter(|(id, _)| keep(*id)) {
+            pass.add_row(*id, targets.iter().copied());
+        }
+        pass
+    }
+
+    /// Declares that `id` has a row; panics if `id` is outside the id space.
+    fn mark(&mut self, id: NodeId) {
+        let v = id.as_index() as u32;
+        self.slots[id.as_index()] = Slot {
+            stamp: v + 1,
+            in_degree: 0,
+            parent: v,
+            size: 1,
+        };
+        self.largest_component = self.largest_component.max(1);
+    }
+
+    /// Streams the row of a marked `id`; returns the edges it counted.
+    fn add_row(&mut self, id: NodeId, targets: impl IntoIterator<Item = NodeId>) -> u64 {
+        let stamp = id.as_index() as u32 + 1;
+        self.slots[id.as_index()].stamp = stamp;
+        let mut root = self.find(id.as_index() as u32);
+        let mut edges = 0;
+        for target in targets {
+            let Some(slot) = self.slots.get_mut(target.as_index()) else {
+                continue; // outside the id space: no row
+            };
+            if slot.stamp == 0 || slot.stamp == stamp {
+                continue; // no row, self-loop or repeat
+            }
+            slot.stamp = stamp;
+            slot.in_degree += 1;
+            edges += 1;
+            let mut other = self.find(target.as_index() as u32);
+            if other != root {
+                // Union by size: the bigger root stays.
+                if self.slots[root as usize].size < self.slots[other as usize].size {
+                    std::mem::swap(&mut root, &mut other);
+                }
+                self.slots[other as usize].parent = root;
+                self.slots[root as usize].size += self.slots[other as usize].size;
+                let size = self.slots[root as usize].size as usize;
+                self.largest_component = self.largest_component.max(size);
+            }
+        }
+        edges
+    }
+
+    /// In-degrees of the marked ids, in increasing id order.
+    pub(crate) fn in_degrees(&self) -> impl Iterator<Item = u32> + '_ {
+        self.slots
+            .iter()
+            .filter(|slot| slot.stamp != 0)
+            .map(|slot| slot.in_degree)
+    }
+
+    /// Largest weakly-connected component over the marked ids.
+    pub(crate) fn largest_component(&self) -> usize {
+        self.largest_component
+    }
+
+    /// Path-halving find.
+    fn find(&mut self, mut v: u32) -> u32 {
+        while self.slots[v as usize].parent != v {
+            let grandparent = self.slots[self.slots[v as usize].parent as usize].parent;
+            self.slots[v as usize].parent = grandparent;
+            v = grandparent;
+        }
+        v
+    }
+}
+
 /// Overlay health estimated **by streaming** view rows — no edge array.
 ///
 /// [`CsrSnapshot`] materializes every directed edge (~120 MB at N = 10⁶,
@@ -175,10 +297,12 @@ impl CsrSnapshot {
 /// large-scale drivers actually watch — is the overlay in one piece, how
 /// skewed is the in-degree distribution — that is pure overhead: both are
 /// computable in O(id-space) memory from a single-visit stream of
-/// `(id, view)` rows. This does exactly that: weak connectivity through a
-/// union–find keyed by raw node id, in-degrees through one counter per id.
-/// Per-edge state is never stored, so memory is ~13 MB at N = 10⁶
-/// regardless of `c`.
+/// `(id, view)` rows. This is that stream, through the same pass that
+/// measures every workload period
+/// ([`measure_rows`](crate::workload::measure_rows)): weak connectivity
+/// through a union–find keyed by raw node id, in-degrees through one
+/// counter per id. Per-edge state is never stored, so memory is ~16 MB at
+/// N = 10⁶ regardless of `c`.
 ///
 /// Semantics match the materialized path bit for bit (pinned by tests
 /// against [`CsrSnapshot`]): rows are live nodes, view targets without a
@@ -205,60 +329,18 @@ impl StreamingMetrics {
     /// once to walk edges (the same contract as the engines'
     /// `for_each_live_view`).
     pub fn from_views(id_space: usize, for_each: impl Fn(&mut dyn FnMut(NodeId, &View))) -> Self {
-        let mut live = vec![false; id_space];
+        let mut pass = RowPass::new(id_space);
         let mut live_nodes = 0usize;
         for_each(&mut |id, _| {
-            live[id.as_index()] = true;
+            pass.mark(id);
             live_nodes += 1;
         });
-
-        // Union–find over raw ids, path-halving find + union by size, so
-        // component sizes fall out of the roots at the end.
-        let mut parent: Vec<u32> = (0..id_space as u32).collect();
-        let mut size: Vec<u32> = vec![1; id_space];
-        fn find(parent: &mut [u32], mut v: u32) -> u32 {
-            while parent[v as usize] != v {
-                parent[v as usize] = parent[parent[v as usize] as usize];
-                v = parent[v as usize];
-            }
-            v
-        }
-
-        let mut in_degrees: Vec<u32> = vec![0; id_space];
         let mut edge_count = 0u64;
-        for_each(&mut |id, view| {
-            for target in view.ids() {
-                let t = target.as_index();
-                if !live.get(t).copied().unwrap_or(false) {
-                    continue; // dead link: dropped, as in the CSR path
-                }
-                edge_count += 1;
-                in_degrees[t] += 1;
-                let a = find(&mut parent, id.as_index() as u32);
-                let b = find(&mut parent, t as u32);
-                if a != b {
-                    let (big, small) = if size[a as usize] >= size[b as usize] {
-                        (a, b)
-                    } else {
-                        (b, a)
-                    };
-                    parent[small as usize] = big;
-                    size[big as usize] += size[small as usize];
-                }
-            }
-        });
+        for_each(&mut |id, view| edge_count += pass.add_row(id, view.ids()));
 
-        let mut largest_component = 0usize;
         let mut in_degree_histogram = Vec::new();
-        for id in 0..id_space {
-            if !live[id] {
-                continue;
-            }
-            let root = find(&mut parent, id as u32);
-            if root == id as u32 {
-                largest_component = largest_component.max(size[id] as usize);
-            }
-            let d = in_degrees[id] as usize;
+        for d in pass.in_degrees() {
+            let d = d as usize;
             if d >= in_degree_histogram.len() {
                 in_degree_histogram.resize(d + 1, 0);
             }
@@ -268,7 +350,7 @@ impl StreamingMetrics {
         StreamingMetrics {
             live_nodes,
             edge_count,
-            largest_component,
+            largest_component: pass.largest_component(),
             in_degree_histogram,
         }
     }

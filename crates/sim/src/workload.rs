@@ -14,10 +14,12 @@
 //! front, the same [`CompiledWorkload`] drives the cycle engines, the
 //! event engines and the loopback UDP cluster through the same sequence of
 //! joins, failures and partitions — anything that executes the small
-//! [`WorkloadTarget`] trait. Per-period snapshots flow into the same CSR
-//! metrics on every stack ([`measure_rows`]), so recovery trajectories are
-//! directly comparable: the conformance suite pins the simulated and
-//! deployed stacks against each other on exactly this path.
+//! [`WorkloadTarget`] trait. Every stack's per-period view rows are reduced
+//! by the same function, [`measure_rows`]: one streaming pass over the rows
+//! (the pass behind [`StreamingMetrics`](crate::StreamingMetrics)), with no
+//! graph built. So recovery trajectories are directly comparable: the
+//! conformance suite pins the simulated and deployed stacks against each
+//! other on exactly this path.
 //!
 //! # Determinism
 //!
@@ -78,15 +80,14 @@
 //! quiet:10,kill:0.5,churn:0.01x20
 //! ```
 
-use std::collections::HashSet;
-
 use pss_core::adversary::{AdversaryKind, AdversaryRoles, AdversarySpec};
 use pss_core::{GossipNode, NodeDescriptor, NodeId};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::{CsrSnapshot, Mode, Sharded};
+use crate::snapshot::RowPass;
+use crate::{Mode, Sharded};
 
 /// A group-pair loss matrix over the id space: node `i` belongs to group
 /// `i mod groups`, and while the partition is installed, cross-group
@@ -1187,24 +1188,34 @@ impl PeriodRecord {
     }
 }
 
-/// Reduces one period's live view rows to a [`PeriodRecord`] through the
-/// CSR metrics path shared with the simulators and the cluster harness.
-/// `rows` must be sorted by increasing id below `id_space`; `is_live`
-/// classifies view targets (dead targets count as dead links and are
-/// excluded from the in-degree graph and components).
+/// Reduces one period's live view rows to a [`PeriodRecord`] in one
+/// streaming pass over the rows — the same pass as
+/// [`StreamingMetrics`](crate::StreamingMetrics), with one in-degree
+/// counter and one union–find slot per id and no edge array.
+///
+/// `rows` must be sorted by increasing id below `id_space`. An edge of the
+/// in-degree graph and the components counts iff its target has a row (as
+/// in a CSR graph, a self-loop never counts and a repeat within a row
+/// counts once); a view entry is a dead link iff `!is_live(target)`. The
+/// in-degree mean and σ are summed in increasing id order.
+///
+/// # Panics
+///
+/// Panics if `rows` is not sorted by strictly increasing id, or a row id
+/// is at or above `id_space`.
 pub fn measure_rows(
     id_space: usize,
     rows: &[(NodeId, Vec<NodeId>)],
     is_live: impl Fn(NodeId) -> bool,
     view_size: usize,
 ) -> PeriodRecord {
-    let csr = CsrSnapshot::from_rows(id_space, rows);
-    let in_degrees = csr.graph().in_degrees();
-    let n = in_degrees.len().max(1) as f64;
-    let mean = in_degrees.iter().map(|&d| f64::from(d)).sum::<f64>() / n;
-    let var = in_degrees
-        .iter()
-        .map(|&d| {
+    let pass = RowPass::from_rows(id_space, rows, |_| true);
+
+    let n = rows.len().max(1) as f64;
+    let mean = pass.in_degrees().map(f64::from).sum::<f64>() / n;
+    let var = pass
+        .in_degrees()
+        .map(|d| {
             let diff = f64::from(d) - mean;
             diff * diff
         })
@@ -1213,29 +1224,24 @@ pub fn measure_rows(
 
     let mut dead_links = 0;
     let mut total_links = 0;
+    let mut full_views = 0;
     for (_, targets) in rows {
         total_links += targets.len();
         dead_links += targets.iter().filter(|&&t| !is_live(t)).count();
+        full_views += usize::from(targets.len() == view_size);
     }
-
-    // Components over the same live-to-live graph, directed edges treated
-    // as undirected, straight over the CSR.
-    let largest_component = pss_graph::components::largest_weak_component(csr.graph());
 
     PeriodRecord {
         period: 0,
         live: rows.len(),
         killed: 0,
         joined: 0,
-        full_views: rows
-            .iter()
-            .filter(|(_, targets)| targets.len() == view_size)
-            .count(),
+        full_views,
         in_degree_mean: mean,
         in_degree_sd: var.sqrt(),
         dead_links,
         total_links,
-        largest_component,
+        largest_component: pass.largest_component(),
         partitioned: false,
     }
 }
@@ -1270,13 +1276,18 @@ pub fn run_workload_observed<T: WorkloadTarget + ?Sized>(
     view_size: usize,
     observe: &mut PeriodObserver<'_>,
 ) -> Vec<PeriodRecord> {
-    let mut dead: HashSet<NodeId> = HashSet::new();
+    // Killed ids, dense over the compiled id space.
+    let mut dead = vec![false; compiled.id_space];
     let mut partitioned = false;
     let mut rows: Vec<(NodeId, Vec<NodeId>)> = Vec::new();
     let mut records = Vec::with_capacity(compiled.steps.len());
     let period_ns = pss_telemetry::global().histogram(
         "pss_workload_period_ns",
         "Wall time of one workload-driver period (ops + run + snapshot), nanoseconds",
+    );
+    let measure_ns = pss_telemetry::global().histogram(
+        "pss_workload_measure_ns",
+        "Wall time of one workload-driver snapshot (collect_rows + measure_rows), nanoseconds",
     );
     let ops_applied = pss_telemetry::global().counter(
         "pss_workload_ops_total",
@@ -1310,7 +1321,7 @@ pub fn run_workload_observed<T: WorkloadTarget + ?Sized>(
                     // which would otherwise only surface as a distant
                     // statistical assertion.
                     assert!(target.kill(*id), "kill of live node {id} was a no-op");
-                    dead.insert(*id);
+                    dead[id.as_index()] = true;
                     killed += 1;
                 }
                 Op::Join { id, contacts } => {
@@ -1324,19 +1335,20 @@ pub fn run_workload_observed<T: WorkloadTarget + ?Sized>(
             }
         }
         target.run_period();
+        let measure_started = pss_telemetry::enabled().then(std::time::Instant::now);
         rows.clear();
         target.collect_rows(&mut rows);
-        let mut record = measure_rows(
-            compiled.id_space,
-            &rows,
-            |id| !dead.contains(&id),
-            view_size,
-        );
-        record.period = i as u64 + 1;
+        // Ids outside the compiled id space are live.
+        let is_live = |id: NodeId| !dead.get(id.as_index()).copied().unwrap_or(false);
+        let mut record = measure_rows(compiled.id_space, &rows, is_live, view_size);
+        if let Some(started) = measure_started {
+            measure_ns.record(started.elapsed().as_nanos() as u64);
+        }
+        record.period = period;
         record.killed = killed;
         record.joined = joined;
         record.partitioned = partitioned;
-        observe(record.period, &rows, &|id| !dead.contains(&id));
+        observe(period, &rows, &is_live);
         records.push(record);
         if pss_telemetry::enabled() {
             period_ns.record(period_started.elapsed().as_nanos() as u64);
@@ -1797,6 +1809,13 @@ mod tests {
         assert_eq!(r.full_views, 1);
         assert_eq!(r.largest_component, 2);
         assert!((r.in_degree_mean - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    #[should_panic(expected = "sorted")]
+    fn measure_rows_rejects_unsorted_rows() {
+        let rows = vec![(NodeId::new(2), vec![]), (NodeId::new(0), vec![])];
+        let _ = measure_rows(3, &rows, |_| true, 1);
     }
 
     #[test]

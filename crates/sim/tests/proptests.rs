@@ -4,11 +4,14 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use proptest::prelude::*;
-use pss_core::{PolicyTriple, ProtocolConfig};
-use pss_sim::workload::{Op, Partition, PhaseSpec, ScheduleErrorKind, Workload};
+use pss_core::{NodeId, PolicyTriple, ProtocolConfig};
+use pss_graph::components::largest_weak_component;
+use pss_sim::workload::{
+    measure_rows, Op, Partition, PeriodRecord, PhaseSpec, ScheduleErrorKind, Workload,
+};
 use pss_sim::{
-    scenario, EventConfig, FailureMode, LatencyModel, RateAccumulator, ShardedEventSimulation,
-    TickQueue,
+    scenario, CsrSnapshot, EventConfig, FailureMode, LatencyModel, RateAccumulator,
+    ShardedEventSimulation, TickQueue,
 };
 
 /// Builds one grammar-expressible phase from raw draws. Rates and losses
@@ -529,5 +532,80 @@ proptest! {
             floor = limit;
         }
         prop_assert!(queue.is_empty());
+    }
+}
+
+/// The CSR path `measure_rows` replaced, kept as its reference: compact
+/// CSR, its `in_degrees`, the two-pass mean/σ, `largest_weak_component`.
+fn measure_rows_by_csr(
+    id_space: usize,
+    rows: &[(NodeId, Vec<NodeId>)],
+    is_live: impl Fn(NodeId) -> bool,
+    view_size: usize,
+) -> PeriodRecord {
+    let csr = CsrSnapshot::from_rows(id_space, rows);
+    let in_degrees = csr.graph().in_degrees();
+    let n = in_degrees.len().max(1) as f64;
+    let mean = in_degrees.iter().map(|&d| f64::from(d)).sum::<f64>() / n;
+    let var = in_degrees
+        .iter()
+        .map(|&d| {
+            let diff = f64::from(d) - mean;
+            diff * diff
+        })
+        .sum::<f64>()
+        / n;
+    PeriodRecord {
+        period: 0,
+        live: rows.len(),
+        killed: 0,
+        joined: 0,
+        full_views: rows.iter().filter(|(_, t)| t.len() == view_size).count(),
+        in_degree_mean: mean,
+        in_degree_sd: var.sqrt(),
+        dead_links: rows
+            .iter()
+            .flat_map(|(_, t)| t)
+            .filter(|&&t| !is_live(t))
+            .count(),
+        total_links: rows.iter().map(|(_, t)| t.len()).sum(),
+        largest_component: largest_weak_component(csr.graph()),
+        partitioned: false,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Per id a draw `(row, dead, targets)`: about one id in four has no
+    /// row, one in three is dead (rows included), and targets range past
+    /// `id_space`, so dead targets, targets without a row, out-of-space
+    /// ids, self-loops, repeats, empty views and isolated nodes all occur.
+    /// Every field must equal the reference, `f64`s by bits.
+    #[test]
+    fn measure_rows_matches_the_csr_reference(
+        id_space in 1usize..48,
+        draws in prop::collection::vec(
+            (0u32..4, 0u32..3, prop::collection::vec(0u64..56, 0..10)),
+            48,
+        ),
+        view_size in 1usize..8,
+    ) {
+        let rows: Vec<(NodeId, Vec<NodeId>)> = draws[..id_space]
+            .iter()
+            .enumerate()
+            .filter(|(_, (row, _, _))| *row != 0)
+            .map(|(id, (_, _, targets))| {
+                let span = id_space as u64 + 8;
+                (NodeId::new(id as u64), targets.iter().map(|&t| NodeId::new(t % span)).collect())
+            })
+            .collect();
+        let is_live = |id: NodeId| draws.get(id.as_index()).is_none_or(|(_, dead, _)| *dead != 0);
+
+        let got = measure_rows(id_space, &rows, is_live, view_size);
+        let expected = measure_rows_by_csr(id_space, &rows, is_live, view_size);
+        prop_assert_eq!(got.in_degree_mean.to_bits(), expected.in_degree_mean.to_bits());
+        prop_assert_eq!(got.in_degree_sd.to_bits(), expected.in_degree_sd.to_bits());
+        prop_assert_eq!(got, expected);
     }
 }
