@@ -641,6 +641,75 @@ mod tests {
         }
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The exact bytes of one frame of each kind, every address family
+    /// included. A round trip cannot see a change made to both encoder and
+    /// decoder; this can.
+    #[test]
+    fn encode_emits_the_recorded_bytes() {
+        let v6 = NetAddr::Sock(SocketAddr::new(
+            IpAddr::V6(Ipv6Addr::new(0x2001, 0xdb8, 0, 0, 0, 0, 0xa, 0xbc)),
+            0x1f90,
+        ));
+        let src = NetAddr::Sock(SocketAddr::new(
+            IpAddr::V4(Ipv4Addr::new(192, 168, 7, 21)),
+            0x2345,
+        ));
+        let ds = [
+            NodeDescriptor::new(NodeId::new(0x0102_0304_0506_0708), 3),
+            NodeDescriptor::new(NodeId::new(0x11), 0x0a0b_0c0d),
+            NodeDescriptor::new(NodeId::new(0xfeed), 0),
+        ];
+        let addr_of = |id: NodeId| {
+            Some(match id.as_u64() {
+                0x11 => v6,
+                0xfeed => NetAddr::Virtual(0xdead_beef_0042),
+                _ => v4(4100),
+            })
+        };
+        let mut buf = Vec::new();
+        let mut frame = |kind, wants_reply, ds: &[NodeDescriptor]| {
+            encode(
+                &mut buf,
+                kind,
+                wants_reply,
+                NodeId::new(0x77),
+                NodeId::new(0x0bad_cafe),
+                src,
+                ds,
+                addr_of,
+            )
+            .expect("encodes");
+            hex(&buf)
+        };
+        // Length, magic, version, kind, flags, reserved, source and
+        // destination ids, the IPv4 source address, descriptor count.
+        let header = |len: &str, kind: &str, flags: &str, count: &str| {
+            let ids = "7700000000000000fecaad0b00000000";
+            let src = "04c0a807150000000000000000000000004523";
+            [len, "50535357", "02", kind, flags, "00", ids, src, count].concat()
+        };
+        // Descriptors: id, age, address — IPv4, IPv6, virtual.
+        let d_v4 = "080706050403020103000000047f0000010000000000000000000000000410";
+        let d_v6 = "11000000000000000d0c0b0a0620010db80000000000000000000a00bc901f";
+        let d_virtual = "edfe00000000000000000000004200efbeadde000000000000000000000000";
+        assert_eq!(
+            frame(FrameKind::Request, true, &ds),
+            header("8a000000", "01", "01", "0300") + d_v4 + d_v6 + d_virtual
+        );
+        assert_eq!(
+            frame(FrameKind::Reply, false, &ds[1..]),
+            header("6b000000", "02", "00", "0200") + d_v6 + d_virtual
+        );
+        assert_eq!(
+            frame(FrameKind::App, false, &[]),
+            header("2d000000", "03", "00", "0000")
+        );
+    }
+
     #[test]
     fn reply_flags_must_be_zero() {
         let mut buf = Vec::new();

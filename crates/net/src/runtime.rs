@@ -1281,6 +1281,55 @@ mod tests {
         assert_eq!(digest(), digest());
     }
 
+    /// Two runtimes on one zero-latency mesh, driven alternately one tick
+    /// each: whatever the first sends during a tick lands in the second's
+    /// inbox before the second drains that same tick. The digest pins the
+    /// resulting frame order, views and counters.
+    #[test]
+    fn two_runtimes_on_a_zero_latency_mesh_match_the_recorded_digest() {
+        let net = MemNetwork::new(41, LatencyModel::Zero, 0.05).expect("valid");
+        let mut runtimes: Vec<NetRuntime<MemTransport>> = (0..2u64)
+            .map(|k| NetRuntime::new(net.endpoint(), config(), 90 + k).expect("valid"))
+            .collect();
+        let addrs = [runtimes[0].local_addr(), runtimes[1].local_addr()];
+        // Node i lives on runtime i % 2 and is introduced to node i - 1,
+        // which lives on the other one.
+        for i in 0..24u64 {
+            let introducers: Vec<(NodeId, NetAddr)> = if i == 0 {
+                Vec::new()
+            } else {
+                vec![(NodeId::new(i - 1), addrs[(i as usize - 1) % 2])]
+            };
+            runtimes[i as usize % 2].add_node(node(i, 8), &introducers);
+        }
+        for tick in 1..=20 * config().period {
+            for rt in &mut runtimes {
+                rt.run_until(tick);
+            }
+        }
+        let mut acc: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut fold = |x: u64| {
+            acc ^= x;
+            acc = acc.wrapping_mul(0x1000_0000_01b3);
+        };
+        for rt in &runtimes {
+            rt.for_each_live_view(|id, view| {
+                for d in view.iter() {
+                    fold(id.as_u64() ^ d.id().as_u64().rotate_left(17));
+                    fold(d.hop_count() as u64);
+                }
+            });
+            let stats = rt.stats();
+            fold(stats.frames_in);
+            fold(stats.frames_out);
+            fold(stats.exchanges_completed);
+            fold(stats.timeouts);
+        }
+        let stats: Vec<RuntimeStats> = runtimes.iter().map(NetRuntime::stats).collect();
+        assert!(stats.iter().all(|s| s.exchanges_completed > 0), "{stats:?}");
+        assert_eq!(acc, 0xe616_0200_dad4_bbfe, "{stats:?}");
+    }
+
     #[test]
     fn malformed_frames_are_counted_not_fatal() {
         let net = MemNetwork::new(3, LatencyModel::Zero, 0.0).expect("valid");
