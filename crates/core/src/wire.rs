@@ -277,18 +277,6 @@ pub struct Frame<'a> {
     body: &'a [u8],
 }
 
-fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
 fn get_u16(b: &[u8]) -> u16 {
     u16::from_le_bytes([b[0], b[1]])
 }
@@ -301,26 +289,26 @@ fn get_u64(b: &[u8]) -> u64 {
     u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
 }
 
-fn put_addr(buf: &mut Vec<u8>, addr: NetAddr) {
+/// The encoded form of `addr`: tag, address bytes, port, zero-padded.
+fn addr_bytes(addr: NetAddr) -> [u8; ADDR_LEN] {
+    let mut b = [0u8; ADDR_LEN];
     match addr {
         NetAddr::Sock(SocketAddr::V4(s)) => {
-            buf.push(TAG_V4);
-            buf.extend_from_slice(&s.ip().octets());
-            buf.extend_from_slice(&[0u8; 12]);
-            put_u16(buf, s.port());
+            b[0] = TAG_V4;
+            b[1..5].copy_from_slice(&s.ip().octets());
+            b[17..19].copy_from_slice(&s.port().to_le_bytes());
         }
         NetAddr::Sock(SocketAddr::V6(s)) => {
-            buf.push(TAG_V6);
-            buf.extend_from_slice(&s.ip().octets());
-            put_u16(buf, s.port());
+            b[0] = TAG_V6;
+            b[1..17].copy_from_slice(&s.ip().octets());
+            b[17..19].copy_from_slice(&s.port().to_le_bytes());
         }
         NetAddr::Virtual(v) => {
-            buf.push(TAG_VIRTUAL);
-            put_u64(buf, v);
-            buf.extend_from_slice(&[0u8; 8]);
-            put_u16(buf, 0);
+            b[0] = TAG_VIRTUAL;
+            b[1..9].copy_from_slice(&v.to_le_bytes());
         }
     }
+    b
 }
 
 fn get_addr(b: &[u8]) -> Result<NetAddr, DecodeError> {
@@ -375,32 +363,46 @@ pub fn encode(
     buf.clear();
     buf.reserve(HEADER_LEN + descriptors.len() * DESCRIPTOR_LEN);
     let payload = (HEADER_LEN - 4) + descriptors.len() * DESCRIPTOR_LEN;
-    put_u32(buf, payload as u32);
-    buf.extend_from_slice(&MAGIC);
-    buf.push(VERSION);
-    buf.push(match kind {
+    // Header and descriptors are each built as one fixed-size record and
+    // appended whole: one capacity check per record, not one per field.
+    let mut header = [0u8; HEADER_LEN];
+    header[0..4].copy_from_slice(&(payload as u32).to_le_bytes());
+    header[4..8].copy_from_slice(&MAGIC);
+    header[8] = VERSION;
+    header[9] = match kind {
         FrameKind::Request => KIND_REQUEST,
         FrameKind::Reply => KIND_REPLY,
         FrameKind::App => KIND_APP,
-    });
-    buf.push(if wants_reply && kind == FrameKind::Request {
-        FLAG_WANTS_REPLY
-    } else {
-        0
-    });
-    buf.push(0); // reserved
-    put_u64(buf, src.as_u64());
-    put_u64(buf, dst.as_u64());
-    put_addr(buf, src_addr);
-    put_u16(buf, descriptors.len() as u16);
+    };
+    if wants_reply && kind == FrameKind::Request {
+        header[10] = FLAG_WANTS_REPLY;
+    }
+    // header[11] is reserved (0).
+    header[12..20].copy_from_slice(&src.as_u64().to_le_bytes());
+    header[20..28].copy_from_slice(&dst.as_u64().to_le_bytes());
+    header[28..47].copy_from_slice(&addr_bytes(src_addr));
+    header[47..49].copy_from_slice(&(descriptors.len() as u16).to_le_bytes());
+    buf.extend_from_slice(&header);
     for d in descriptors {
         let addr = addr_of(d.id()).ok_or(EncodeError::MissingAddress(d.id()))?;
-        put_u64(buf, d.id().as_u64());
-        put_u32(buf, d.hop_count());
-        put_addr(buf, addr);
+        let mut record = [0u8; DESCRIPTOR_LEN];
+        record[0..8].copy_from_slice(&d.id().as_u64().to_le_bytes());
+        record[8..12].copy_from_slice(&d.hop_count().to_le_bytes());
+        record[12..].copy_from_slice(&addr_bytes(addr));
+        buf.extend_from_slice(&record);
     }
     debug_assert_eq!(buf.len(), payload + 4);
     Ok(())
+}
+
+/// The destination node id a frame's header names, read without
+/// validating anything else: `None` only below [`HEADER_LEN`] bytes.
+///
+/// A receiver's lookahead hint — it lets the destination's state start
+/// loading before [`decode`] runs. Garbage in gives an arbitrary id out, so
+/// nothing may be routed on it; routing comes from [`decode`].
+pub fn peek_dst(bytes: &[u8]) -> Option<NodeId> {
+    (bytes.len() >= HEADER_LEN).then(|| NodeId::new(get_u64(&bytes[20..28])))
 }
 
 /// Decodes and validates a frame header from one received datagram/frame.
@@ -634,11 +636,21 @@ mod tests {
             NetAddr::Virtual(0xdead_beef_1234_5678),
         ];
         for addr in addrs {
-            let mut buf = Vec::new();
-            put_addr(&mut buf, addr);
-            assert_eq!(buf.len(), ADDR_LEN);
-            assert_eq!(get_addr(&buf).unwrap(), addr);
+            assert_eq!(get_addr(&addr_bytes(addr)).unwrap(), addr);
         }
+    }
+
+    #[test]
+    fn peek_dst_reads_the_header_without_validating() {
+        let buf = sample_frame(&[NodeDescriptor::new(NodeId::new(1), 2)]);
+        assert_eq!(peek_dst(&buf), Some(decode(&buf).unwrap().dst));
+        // Only the length is checked: a header-sized buffer of garbage
+        // still yields an id, one byte less yields none.
+        let mut garbage = buf[..HEADER_LEN].to_vec();
+        garbage[4] = b'X';
+        assert!(decode(&garbage).is_err());
+        assert_eq!(peek_dst(&garbage), Some(NodeId::new(9)));
+        assert_eq!(peek_dst(&buf[..HEADER_LEN - 1]), None);
     }
 
     fn hex(bytes: &[u8]) -> String {

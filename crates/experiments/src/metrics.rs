@@ -5,13 +5,14 @@
 //! event engine time their phases and shard imbalance, the workload
 //! driver stamps per-period wall time, per-period measurement time and
 //! membership ops, the UDP runtime histograms exchange RTTs, timer-wheel
-//! lag and per-frame-kind decode latency, the cluster harness times
-//! periods, and the application layer times its rounds. This experiment
-//! exercises all of them in one deterministic pass — a churned workload on
-//! both simulation engines, a broadcast/aggregation run on top, and a tiny
-//! loopback UDP cluster — then reports the registry: one row per metric
-//! series with count, p50/p99 and max from the log2 histograms, plus
-//! the full Prometheus text exposition.
+//! lag, per-frame-kind decode latency and frames drained per tick, the
+//! cluster harness times periods, and the application layer times its
+//! rounds. This experiment exercises all of them in one deterministic
+//! pass — a churned workload on both simulation engines, a
+//! broadcast/aggregation run on top, and a tiny loopback UDP cluster —
+//! then reports the registry: one row per metric series with count,
+//! p50/p99 and max from the log2 histograms, plus the full Prometheus text
+//! exposition.
 //!
 //! The health gate checks that every required metric family is present
 //! and nonzero — the CI `obs-smoke` job scrapes exactly this. Telemetry
@@ -37,6 +38,7 @@ pub const REQUIRED_FAMILIES: &[&str] = &[
     "pss_app_round_ns",
     "pss_net_rtt_ticks",
     "pss_net_decode_ns",
+    "pss_net_tick_frames",
     "pss_cluster_period_ms",
 ];
 

@@ -15,11 +15,26 @@
 //! Incoming frames are decoded ([`pss_core::wire`]) straight into message
 //! buffers recycled through the runtime's own [`pss_core::Arena`]; the
 //! node's absorb path consumes the buffer through the fused
-//! `merge_select_from_slice` and recycles it back to the arena. One
-//! reusable receive buffer (swapped, not copied, against the transport's
-//! buffers — the UDP receive ring and the in-memory mesh's spare stack
-//! alike), one reusable encode buffer, one decode scratch table, one
-//! rumor-target list — nothing per-frame, over either transport.
+//! `merge_select_from_slice` and recycles it back to the arena. A reused
+//! per-tick batch of receive buffers (each swapped, not copied, against the
+//! transport's buffers — the UDP receive ring and the in-memory mesh's
+//! spare stack alike), one reusable encode buffer, one decode scratch
+//! table, one rumor-target list — nothing per-frame, over either transport.
+//!
+//! # Each tick's frames are one batch
+//!
+//! A tick drains every pending frame into the batch before processing the
+//! first, and drains again until the transport has nothing left (over UDP
+//! more may land meanwhile; over the mesh only `advance_to` fills an
+//! inbox, so a tick is one batch). Knowing the whole batch lets the frame
+//! loop look ahead the way the engines' per-node loops do: a frame's
+//! destination id sits at a fixed header offset ([`wire::peek_dst`]), so
+//! while frame *i* is processed, frame *i + 2*'s bytes and hosted node
+//! start loading, and frame *i + 1*'s view descriptors. The timer loop
+//! does the same over each tick's fired nodes. The lookahead is a cache
+//! hint ([`pss_sim::prefetch`]) and nothing more: routing still comes from
+//! [`wire::decode`], and no order, RNG draw, counter or allocation depends
+//! on it.
 //!
 //! # Addresses
 //!
@@ -308,6 +323,9 @@ struct NetTele {
     /// High-water mark of the address book's size (the largest book among
     /// the process's runtimes — the cells are shared).
     book_entries: pss_telemetry::Gauge,
+    /// Frames drained per tick, over ticks that drained any: how far the
+    /// frame loop can look ahead.
+    tick_frames: pss_telemetry::Histogram,
 }
 
 impl NetTele {
@@ -341,6 +359,11 @@ impl NetTele {
             book_entries: reg.gauge(
                 "pss_net_book_entries",
                 "Largest address book (id to transport address entries) held by a runtime",
+            ),
+            tick_frames: reg.histogram_with(
+                "pss_net_tick_frames",
+                &[],
+                "Frames drained per tick, over ticks that drained any",
             ),
         }
     }
@@ -386,7 +409,11 @@ pub struct NetRuntime<T: Transport, N: GossipNode = pss_core::PeerSamplingNode> 
     /// Recycled message buffers for the decode → node → encode path.
     arena: Arena,
     // Reused buffers: the steady-state-allocation-free receive/send path.
-    recv_buf: Vec<u8>,
+    /// One drain of the transport, `(sender, frame)`; entries past the
+    /// drained count keep their buffers as capacity.
+    batch: Vec<(NetAddr, Vec<u8>)>,
+    /// The hosted slot each drained frame's header names: lookahead hints.
+    batch_slots: Vec<Option<u32>>,
     encode_buf: Vec<u8>,
     fired: Vec<u32>,
     rumor_targets: Vec<NodeId>,
@@ -451,7 +478,8 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
             now: 0,
             partition: None,
             arena: Arena::new(),
-            recv_buf: Vec::new(),
+            batch: Vec::new(),
+            batch_slots: Vec::new(),
             encode_buf: Vec::new(),
             fired: Vec::new(),
             rumor_targets: Vec::new(),
@@ -671,15 +699,25 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
     }
 
     /// Advances runtime time to `deadline`, tick by tick: each tick first
-    /// drains and processes every pending frame, then fires the timers due.
-    /// Real-time drivers call this in a loop with the wall-derived tick;
-    /// deterministic tests drive virtual time directly.
+    /// drains and processes every pending frame, in batches (see the
+    /// [module docs](self)), then fires the timers due. Real-time drivers
+    /// call this in a loop with the wall-derived tick; deterministic tests
+    /// drive virtual time directly.
     pub fn run_until(&mut self, deadline: u64) {
         while self.now < deadline {
             let t = self.now + 1;
             self.transport.advance_to(t);
-            while let Some(from) = self.transport.try_recv(&mut self.recv_buf) {
-                self.process_frame(from);
+            let mut drained = 0;
+            loop {
+                let n = self.fill_batch();
+                if n == 0 {
+                    break;
+                }
+                drained += n;
+                self.process_batch(n);
+            }
+            if drained > 0 {
+                self.tele.tick_frames.record(drained as u64);
             }
             self.fire_timers(t);
             self.now = t;
@@ -693,14 +731,69 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
         self.run_until(self.now + self.config.period);
     }
 
-    fn process_frame(&mut self, _from: NetAddr) {
+    /// Moves every pending frame into `batch`, in arrival order; returns
+    /// how many.
+    fn fill_batch(&mut self) -> usize {
+        let mut n = 0;
+        loop {
+            if n == self.batch.len() {
+                self.batch.push((NetAddr::Virtual(0), Vec::new()));
+            }
+            let (from, bytes) = &mut self.batch[n];
+            match self.transport.try_recv(bytes) {
+                Some(sender) => *from = sender,
+                None => return n,
+            }
+            n += 1;
+        }
+    }
+
+    /// Processes the first `n` frames of `batch`, in order, each with the
+    /// lookahead of the [module docs](self).
+    fn process_batch(&mut self, n: usize) {
+        let batch = core::mem::take(&mut self.batch);
+        let frames = &batch[..n];
+        let mut slots = core::mem::take(&mut self.batch_slots);
+        slots.clear();
+        slots.extend(
+            frames.iter().map(|(_, bytes)| {
+                wire::peek_dst(bytes).and_then(|dst| self.index.get(&dst).copied())
+            }),
+        );
+        let hint = |k: usize| slots.get(k).copied().flatten();
+        for (i, (from, bytes)) in frames.iter().enumerate() {
+            if let Some((_, after)) = frames.get(i + 2) {
+                pss_sim::prefetch(after);
+            }
+            self.prefetch_slots(hint(i + 1), hint(i + 2));
+            self.process_frame(*from, bytes);
+        }
+        self.batch_slots = slots;
+        self.batch = batch;
+    }
+
+    /// The lookahead of the frame and timer loops, as in the engines'
+    /// `Population::prefetch`: `after`'s slot starts loading, and `next`'s
+    /// view descriptors (its slot was requested one item earlier). Only a
+    /// cache hint: no order, draw or result depends on it.
+    #[inline(always)]
+    fn prefetch_slots(&self, next: Option<u32>, after: Option<u32>) {
+        if let Some(slot) = after.and_then(|s| self.nodes.get(s as usize)) {
+            pss_sim::prefetch(core::slice::from_ref(slot));
+        }
+        if let Some(slot) = next.and_then(|s| self.nodes.get(s as usize)) {
+            pss_sim::prefetch(slot.node.view().descriptors());
+        }
+    }
+
+    fn process_frame(&mut self, _from: NetAddr, bytes: &[u8]) {
         self.frames_in += 1;
         let decode_started = if pss_telemetry::enabled() {
             Some(std::time::Instant::now())
         } else {
             None
         };
-        let frame = match wire::decode(&self.recv_buf) {
+        let frame = match wire::decode(bytes) {
             Ok(frame) => frame,
             Err(_) => {
                 self.header_decode_failures += 1;
@@ -709,7 +802,7 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
                     pss_telemetry::EventKind::DecodeError,
                     "header",
                     0,
-                    self.recv_buf.len() as u64,
+                    bytes.len() as u64,
                 );
                 return;
             }
@@ -771,7 +864,7 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
                     FrameKind::App => "app",
                 },
                 frame.src.as_u64(),
-                self.recv_buf.len() as u64,
+                bytes.len() as u64,
             );
             self.arena.put_buffer(payload);
             return;
@@ -851,9 +944,11 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
             // Only batches that actually fired something: empty catch-up
             // ticks say nothing about scheduling lag.
             self.tele.wheel_lag_ticks.record(t - tick);
-            for slot_idx in fired.drain(..) {
+            for (i, &slot_idx) in fired.iter().enumerate() {
+                self.prefetch_slots(fired.get(i + 1).copied(), fired.get(i + 2).copied());
                 self.fire_timer(slot_idx, t);
             }
+            fired.clear();
         }
         self.fired = fired;
     }

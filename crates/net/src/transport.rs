@@ -22,9 +22,9 @@ pub trait Transport {
 
     /// Puts the next pending received frame into `buf`, replacing its
     /// contents, and returns the sender's transport address, or `None` if
-    /// nothing is pending. Never blocks. Both transports here hand the
-    /// frame over by swapping buffers and keep the caller's old allocation
-    /// for a later frame, so callers should pass the same `buf` every time.
+    /// nothing is pending. Never blocks. `buf` may be any buffer: both
+    /// transports here hand the frame over by swapping buffers, and keep
+    /// the caller's old allocation as capacity for a later frame.
     fn try_recv(&mut self, buf: &mut Vec<u8>) -> Option<NetAddr>;
 
     /// Advances transport-virtual time to `now` ticks. Real-time transports

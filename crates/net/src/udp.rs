@@ -9,14 +9,19 @@
 //! # The receive ring
 //!
 //! `frames` holds filled buffers travelling thread → runtime; `spent` holds
-//! empty ones travelling back. [`Transport::try_recv`] hands a frame over
-//! by **pointer swap** (`mem::swap` with the caller's reusable buffer — no
-//! byte copy), and the caller's previous buffer drops into `spent` for the
-//! receive thread to fill next. The ring is prewarmed to its configured
-//! depth at bind time, so in steady state the datagram path allocates
-//! nothing: every buffer in circulation was created before the first
-//! frame. If the runtime falls behind and the receive thread finds `spent`
-//! dry, it allocates a fresh buffer and counts a **ring-empty event**
+//! empty ones travelling back. The receive thread reads every datagram
+//! into one buffer of its own, of [`pss_core::wire::MAX_FRAME_LEN`] bytes
+//! and zeroed once, and copies its `n` bytes into a spent buffer — a frame
+//! costs a copy of itself, not a clear of the whole maximum-length buffer.
+//! [`Transport::try_recv`] hands a frame over by **pointer swap**
+//! (`mem::swap` with the caller's buffer — no byte copy), and the caller's
+//! previous buffer drops into `spent` for the receive thread to fill next.
+//! The ring is prewarmed to its configured depth at bind time, so in
+//! steady state the datagram path allocates nothing: every buffer in
+//! circulation was created before the first frame (an empty buffer a
+//! caller swaps in grows once, on its first fill). If the runtime falls
+//! behind and the receive thread finds `spent` dry, it allocates a fresh
+//! buffer and counts a **ring-empty event**
 //! ([`UdpTransport::ring_empty_events`], surfaced as
 //! [`crate::RuntimeStats::recv_ring_empty`]) — the signal to raise the
 //! depth. Earlier revisions recycled over `mpsc` channels, which silently
@@ -158,33 +163,25 @@ impl UdpTransport {
 }
 
 fn recv_loop(socket: &UdpSocket, ring: &Ring, stop: &AtomicBool) {
+    // The socket reads into this one thread-owned buffer, zeroed once;
+    // each datagram's `n` bytes are then copied into a ring buffer.
+    let mut datagram = vec![0u8; RECV_BUFFER_LEN];
     while !stop.load(Ordering::Relaxed) {
+        // Idle wakeups (`WouldBlock`/`TimedOut`) and transient
+        // ICMP-induced errors (e.g. a peer's port closed, on some
+        // platforms) alike: keep receiving.
+        let Ok((n, from)) = socket.recv_from(&mut datagram) else {
+            continue;
+        };
         // Reuse a spent buffer; falling back to a fresh allocation is the
         // ring-empty event the stats surface.
-        let mut buf = match lock(&ring.spent).pop_front() {
-            Some(buf) => buf,
-            None => {
-                ring.ring_empty.fetch_add(1, Ordering::Relaxed);
-                Vec::with_capacity(RECV_BUFFER_LEN)
-            }
-        };
-        buf.resize(RECV_BUFFER_LEN, 0);
-        match socket.recv_from(&mut buf) {
-            Ok((n, from)) => {
-                buf.truncate(n);
-                lock(&ring.frames).push_back((from, buf));
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                // Idle wakeup: park the buffer again rather than dropping
-                // its capacity.
-                park_spent(ring, buf);
-            }
-            // Transient ICMP-induced errors (e.g. a peer's port closed)
-            // surface here on some platforms; keep receiving.
-            Err(_) => park_spent(ring, buf),
-        }
+        let mut buf = lock(&ring.spent).pop_front().unwrap_or_else(|| {
+            ring.ring_empty.fetch_add(1, Ordering::Relaxed);
+            Vec::with_capacity(RECV_BUFFER_LEN)
+        });
+        buf.clear();
+        buf.extend_from_slice(&datagram[..n]);
+        lock(&ring.frames).push_back((from, buf));
     }
 }
 

@@ -182,11 +182,16 @@ impl Directory {
 /// works on the current one. At N = 50 000 the nodes do not fit the cache,
 /// and each exchange would otherwise wait on memory for two random nodes.
 ///
+/// Both engines' per-node loops use it (through `Population::prefetch`),
+/// and so does `pss-net`'s `NetRuntime` over each tick's received frames
+/// and fired timers: `pss-net` forbids `unsafe`, so it calls this (as
+/// `pss_sim::prefetch`) instead of keeping a hint of its own.
+///
 /// A hint and nothing more: it reads no value the program sees, writes
 /// nothing and cannot fault, so no result depends on it. A no-op on
 /// targets other than x86_64.
 #[inline(always)]
-pub(crate) fn prefetch<T>(items: &[T]) {
+pub fn prefetch<T>(items: &[T]) {
     #[cfg(target_arch = "x86_64")]
     {
         use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};

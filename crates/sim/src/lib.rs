@@ -56,8 +56,9 @@
 
 // `deny` (not `forbid`) so the two places that need `unsafe` can opt in
 // locally with documented invariants: the persistent worker pool
-// (`pool.rs`) and the cache-prefetch hint (`exec::prefetch`). A CI step
-// fails on an opt-in anywhere else.
+// (`pool.rs`) and the cache-prefetch hint (`exec::prefetch`, re-exported as
+// `pss_sim::prefetch` for `pss-net`'s runtime, which forbids `unsafe`). A
+// CI step fails on an opt-in anywhere else.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -80,6 +81,7 @@ pub use cycle::{CycleReport, FailureMode, GrowthPlan, ShardedSimulation};
 pub use event::{
     Delivery, EventConfig, EventConfigError, EventReport, LatencyModel, ShardedEventSimulation,
 };
+pub use exec::prefetch;
 pub use population::BoxedNode;
 pub use queue::TickQueue;
 pub use shard::{Mode, Sharded};
