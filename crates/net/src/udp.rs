@@ -235,6 +235,58 @@ impl Drop for UdpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pss_core::wire::MAX_FRAME_LEN;
+    use std::time::Instant;
+
+    /// Polls `t` until a frame lands in `buf`, for up to five seconds.
+    fn recv_within(t: &mut UdpTransport, buf: &mut Vec<u8>) -> Option<NetAddr> {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            if let Some(from) = t.try_recv(buf) {
+                return Some(from);
+            }
+            if Instant::now() >= deadline {
+                return None;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// `len` bytes of a pattern that no shift of itself matches.
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i % 251) as u8).collect()
+    }
+
+    #[test]
+    fn idle_socket_yields_nothing_at_once() {
+        let mut t = UdpTransport::bind("127.0.0.1:0").expect("bind");
+        let mut buf = Vec::new();
+        let started = Instant::now();
+        assert_eq!(t.try_recv(&mut buf), None);
+        assert!(started.elapsed() < Duration::from_millis(100));
+    }
+
+    #[test]
+    fn a_max_length_frame_arrives_byte_for_byte() {
+        let mut a = UdpTransport::bind("127.0.0.1:0").expect("bind a");
+        let mut b = UdpTransport::bind("127.0.0.1:0").expect("bind b");
+        let frame = pattern(MAX_FRAME_LEN);
+        assert!(a.send(b.net_addr(), &frame));
+        let mut buf = Vec::new();
+        assert_eq!(recv_within(&mut b, &mut buf), Some(a.net_addr()));
+        assert_eq!(buf, frame);
+    }
+
+    #[test]
+    fn an_oversized_datagram_arrives_truncated_to_the_frame_bound() {
+        let mut a = UdpTransport::bind("127.0.0.1:0").expect("bind a");
+        let mut b = UdpTransport::bind("127.0.0.1:0").expect("bind b");
+        let datagram = pattern(MAX_FRAME_LEN + 100);
+        assert!(a.send(b.net_addr(), &datagram));
+        let mut buf = Vec::new();
+        assert_eq!(recv_within(&mut b, &mut buf), Some(a.net_addr()));
+        assert_eq!(buf, datagram[..MAX_FRAME_LEN]);
+    }
 
     #[test]
     fn loopback_roundtrip_and_recycling() {
