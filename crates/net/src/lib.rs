@@ -9,14 +9,14 @@
 //!   a [`NetAddr`], poll received frames, optionally advance
 //!   transport-virtual time.
 //! * [`UdpTransport`] — one UDP socket per runtime, many virtual nodes
-//!   multiplexed by node id, with a background receive thread feeding a
-//!   buffer-recycling queue.
+//!   multiplexed by node id; the socket is non-blocking and read on the
+//!   runtime's own thread at each tick's drain.
 //! * [`MemTransport`] / [`MemNetwork`] — a deterministic, seeded in-memory
 //!   mesh with per-message latency and loss mirroring the event engine's
 //!   [`pss_sim::EventConfig`] semantics, so runtime behavior can be pinned
 //!   statistically against the 1-shard [`pss_sim::ShardedEventSimulation`]
-//!   (the differential tests do exactly that). Frame buffers circulate as
-//!   on the UDP receive ring: swapped, not copied, and reused.
+//!   (the differential tests do exactly that). Frame buffers circulate:
+//!   swapped, not copied, and reused.
 //! * [`NetRuntime`] — hosts many gossip nodes on one OS thread: a timer
 //!   queue fires each node's active cycle with jitter, incoming frames are
 //!   decoded straight into arena-recycled message buffers

@@ -16,12 +16,12 @@
 //!
 //! # Frame buffers circulate
 //!
-//! Like the UDP transport's receive ring, the mesh hands frames over by
-//! pointer swap and recycles what comes back: [`Transport::send`] copies
-//! the frame into a spare buffer, [`Transport::try_recv`] swaps the
-//! delivered buffer with the caller's and parks the caller's old one as
-//! the next spare. Once every buffer in circulation has grown to frame
-//! size, a [`crate::NetRuntime`] over the mesh allocates nothing per frame.
+//! The mesh hands frames over by pointer swap and recycles what comes
+//! back: [`Transport::send`] copies the frame into a spare buffer,
+//! [`Transport::try_recv`] swaps the delivered buffer with the caller's
+//! and parks the caller's old one as the next spare. Once every buffer in
+//! circulation has grown to frame size, a [`crate::NetRuntime`] over the
+//! mesh allocates nothing per frame.
 //! The spare stack is bounded ([`MAX_SPARES`]); a buffer returned to a full
 //! stack is freed.
 //!

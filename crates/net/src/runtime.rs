@@ -16,10 +16,10 @@
 //! buffers recycled through the runtime's own [`pss_core::Arena`]; the
 //! node's absorb path consumes the buffer through the fused
 //! `merge_select_from_slice` and recycles it back to the arena. A reused
-//! per-tick batch of receive buffers (each swapped, not copied, against the
-//! transport's buffers — the UDP receive ring and the in-memory mesh's
-//! spare stack alike), one reusable encode buffer, one decode scratch
-//! table, one rumor-target list — nothing per-frame, over either transport.
+//! per-tick batch of receive buffers (UDP copies each datagram into one,
+//! the in-memory mesh swaps its spare stack against them), one reusable
+//! encode buffer, one decode scratch table, one rumor-target list —
+//! nothing per-frame, over either transport.
 //!
 //! # Each tick's frames are one batch
 //!
@@ -218,10 +218,10 @@ pub struct RuntimeStats {
     pub empty_view: u64,
     /// Summed [`NodeCounters::backoffs`].
     pub backoffs: u64,
-    /// Receive-ring refills that had to allocate because the transport's
-    /// spent ring was dry ([`crate::transport::Transport::recv_ring_empty`]).
-    /// Zero in steady state on ring-backed transports; growth means the
-    /// ring depth is too small for the frame rate.
+    /// Always 0: no transport keeps a receive ring any more (the UDP
+    /// transport reads its socket on the runtime thread). Kept only for
+    /// the perf ledger's `udp.ring_empty_per_kframe` row, which a later
+    /// change to the benchmark retires together with this field.
     pub recv_ring_empty: u64,
     /// App frames that informed a previously-uninformed live node
     /// ([`NetRuntime::enable_broadcast`]).
@@ -318,8 +318,6 @@ struct NetTele {
     decode_app_ns: pss_telemetry::Histogram,
     /// Header- or body-level decode rejections.
     decode_errors: pss_telemetry::Counter,
-    /// High-water mark of the transport's dry-ring refill counter.
-    ring_dry: pss_telemetry::Gauge,
     /// High-water mark of the address book's size (the largest book among
     /// the process's runtimes — the cells are shared).
     book_entries: pss_telemetry::Gauge,
@@ -351,10 +349,6 @@ impl NetTele {
             decode_errors: reg.counter(
                 "pss_net_decode_errors_total",
                 "Frames rejected at the header or descriptor level",
-            ),
-            ring_dry: reg.gauge(
-                "pss_net_recv_ring_empty",
-                "Receive-ring refills that had to allocate because the spent ring was dry",
             ),
             book_entries: reg.gauge(
                 "pss_net_book_entries",
@@ -682,7 +676,6 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
             requests_in: self.requests_in,
             replies_in: self.replies_in,
             exchanges_completed: self.exchanges_completed,
-            recv_ring_empty: self.transport.recv_ring_empty(),
             app_delivered: self.app_delivered,
             app_redundant: self.app_redundant,
             app_wasted: self.app_wasted,
@@ -722,7 +715,6 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
             self.fire_timers(t);
             self.now = t;
         }
-        self.tele.ring_dry.set_max(self.transport.recv_ring_empty());
         self.tele.book_entries.set_max(self.book.len() as u64);
     }
 

@@ -22,9 +22,11 @@ pub trait Transport {
 
     /// Puts the next pending received frame into `buf`, replacing its
     /// contents, and returns the sender's transport address, or `None` if
-    /// nothing is pending. Never blocks. `buf` may be any buffer: both
-    /// transports here hand the frame over by swapping buffers, and keep
-    /// the caller's old allocation as capacity for a later frame.
+    /// nothing is pending. Never blocks. `buf` may be any buffer, and
+    /// neither transport here allocates per frame once it has grown to
+    /// frame size: UDP copies the datagram into it, the in-memory mesh
+    /// swaps buffers and keeps the caller's old allocation as capacity for
+    /// a later frame.
     fn try_recv(&mut self, buf: &mut Vec<u8>) -> Option<NetAddr>;
 
     /// Advances transport-virtual time to `now` ticks. Real-time transports
@@ -33,13 +35,5 @@ pub trait Transport {
     /// has elapsed.
     fn advance_to(&mut self, now: u64) {
         let _ = now;
-    }
-
-    /// Times the receive path had to allocate because its recycled-buffer
-    /// ring was dry (see [`crate::UdpTransport`]'s receive ring). Zero for
-    /// transports without a buffer ring; surfaced as
-    /// [`crate::RuntimeStats::recv_ring_empty`].
-    fn recv_ring_empty(&self) -> u64 {
-        0
     }
 }
