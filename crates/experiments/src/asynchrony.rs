@@ -16,7 +16,8 @@
 use std::time::Instant;
 
 use pss_core::{GossipNode, PolicyTriple};
-use pss_graph::{GraphMetrics, MetricsConfig};
+use pss_graph::csr::Csr;
+use pss_graph::{clustering, paths, GraphMetrics, MetricsConfig};
 use pss_sim::{scenario, EventConfig, LatencyModel, Mode, Sharded};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -176,7 +177,7 @@ impl AsyncResult {
 }
 
 /// Exact(ish) metrics on the full undirected graph: the small-N path.
-fn measure_graph(graph: &pss_graph::UGraph, seed: u64) -> OverlayStats {
+fn measure_graph(graph: &Csr, seed: u64) -> OverlayStats {
     let mut rng = SmallRng::seed_from_u64(seed);
     GraphMetrics::measure(
         graph,
@@ -189,20 +190,20 @@ fn measure_graph(graph: &pss_graph::UGraph, seed: u64) -> OverlayStats {
     .into()
 }
 
-/// Sampled metrics from a CSR snapshot: the large-N path (no full graph
-/// materialization, no exact connectivity sweep).
+/// Sampled metrics from a CSR snapshot: the large-N path (16 BFS sources,
+/// 256 clustering samples, no exact connectivity sweep).
 fn measure_csr(snapshot: &pss_sim::CsrSnapshot, seed: u64) -> OverlayStats {
     let csr = snapshot.graph();
     let mut in_deg = pss_stats::Summary::new();
     for d in csr.in_degrees() {
         in_deg.push(d as f64);
     }
-    let rev = csr.reverse();
+    let graph = csr.undirected();
     let mut rng = SmallRng::seed_from_u64(seed);
     OverlayStats {
         average_degree: in_deg.mean(),
-        clustering: csr.sampled_clustering(&rev, 256, &mut rng),
-        path_length: csr.sampled_path_length(&rev, 16, &mut rng).average,
+        clustering: clustering::estimate_clustering(&graph, 256, &mut rng),
+        path_length: paths::estimate_average_path_length(&graph, 16, &mut rng).average,
         connected: None,
     }
 }
@@ -283,7 +284,7 @@ fn timed<N: GossipNode + Send, M: Mode>(
     let stats = if config.scale.nodes >= SAMPLED_METRICS_THRESHOLD {
         measure_csr(&sim.csr_snapshot(), metrics_seed)
     } else {
-        measure_graph(&sim.snapshot().undirected(), metrics_seed)
+        measure_graph(&sim.csr_snapshot().graph().undirected(), metrics_seed)
     };
     let node_cycles = config.scale.nodes as f64 * config.scale.cycles as f64;
     let throughput = if seconds > 0.0 {
@@ -377,7 +378,7 @@ mod tests {
         sim.run_for(scale.cycles * event.period);
 
         let sampled = measure_csr(&sim.csr_snapshot(), scale.seed);
-        let exact = measure_graph(&sim.snapshot().undirected(), scale.seed);
+        let exact = measure_graph(&sim.csr_snapshot().graph().undirected(), scale.seed);
         assert_eq!(sampled.connected, None);
         assert_eq!(exact.connected, Some(true));
         // Every view is full, so in-degrees sum to N × c (the streaming mean

@@ -91,10 +91,9 @@ pub fn run_dynamics(
         let mut sim = kind.build(policy, scale, seed);
         let mut recorder = MetricsRecorder::new(MetricsConfig::sampled(), seed ^ 0xabcd);
         run_observed(&mut sim, cycles, &mut [&mut recorder]);
-        let connected = {
-            let graph = sim.snapshot().undirected();
-            pss_graph::components::is_connected(&graph)
-        };
+        let connected =
+            pss_graph::components::connected_components(&sim.csr_snapshot().graph().undirected())
+                .is_connected();
         let dynamics = ProtocolDynamics {
             policy,
             scenario: kind,
@@ -117,7 +116,7 @@ pub fn run_dynamics(
 /// Figures 2 and 3.
 pub fn random_baseline(scale: Scale) -> GraphMetrics {
     let mut rng = SmallRng::seed_from_u64(scale.seed ^ 0xba5e_b411);
-    let g = gen::uniform_view_digraph(scale.nodes, scale.view_size, &mut rng).to_undirected();
+    let g = gen::uniform_view_digraph(scale.nodes, scale.view_size, &mut rng).undirected();
     let config = MetricsConfig {
         clustering_samples: Some(2000.min(scale.nodes)),
         path_sources: Some(50.min(scale.nodes)),

@@ -110,7 +110,11 @@ pub fn run(config: &Fig4Config) -> Fig4Result {
         for &cycle in &capture_at {
             let to_run = cycle - sim.cycle();
             sim.run_cycles(to_run);
-            let dist = sim.snapshot().undirected().degree_distribution();
+            let dist = sim
+                .csr_snapshot()
+                .graph()
+                .undirected()
+                .degree_distribution();
             captures.push((cycle, dist));
         }
         DegreeEvolution { policy, captures }

@@ -9,7 +9,7 @@
 
 use pss_core::PolicyTriple;
 use pss_graph::components::connected_components;
-use pss_graph::UGraph;
+use pss_graph::csr::Csr;
 use pss_sim::scenario;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -103,7 +103,7 @@ impl Fig6Result {
     }
 }
 
-fn damage_and_measure(graph: &UGraph, percent: f64, repetitions: usize, seed: u64) -> (f64, bool) {
+fn damage_and_measure(graph: &Csr, percent: f64, repetitions: usize, seed: u64) -> (f64, bool) {
     let n = graph.node_count();
     let remove = ((percent / 100.0) * n as f64).round() as usize;
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -137,7 +137,7 @@ pub fn run(config: &Fig6Config) -> Fig6Result {
         let protocol = scale.protocol(policy);
         let mut sim = scenario::random_overlay(&protocol, scale.nodes, scale.seed ^ 0xf16);
         sim.run_cycles(scale.cycles);
-        let graph = sim.snapshot().undirected();
+        let graph = sim.csr_snapshot().graph().undirected();
         let mut points = Vec::with_capacity(percents.len());
         let mut first_partition_percent = None;
         for (i, &pct) in percents.iter().enumerate() {
@@ -191,7 +191,7 @@ mod tests {
     #[test]
     fn damage_helper_counts_outsiders() {
         // A 10-node ring: removing 50% will partition it almost surely.
-        let g = pss_graph::gen::ring_lattice(10, 2).to_undirected();
+        let g = pss_graph::gen::ring_lattice(10, 2).undirected();
         let (avg, partitioned) = damage_and_measure(&g, 50.0, 20, 1);
         assert!(avg > 0.0);
         assert!(partitioned);

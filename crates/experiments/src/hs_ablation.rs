@@ -134,9 +134,9 @@ pub fn run(config: &HsAblationConfig) -> HsAblationResult {
         }
         sim.run_cycles(scale.cycles);
 
-        let graph = sim.snapshot().undirected();
+        let graph = sim.csr_snapshot().graph().undirected();
         let degree_variance = graph.degree_distribution().variance();
-        let connected = pss_graph::components::is_connected(&graph);
+        let connected = pss_graph::components::connected_components(&graph).is_connected();
 
         sim.kill_random_fraction(kill_fraction);
         let mut healed_at = None;

@@ -126,8 +126,8 @@ pub fn run(config: &PoliciesConfig) -> PoliciesResult {
         sim.add_nodes_with_random_contacts(joiners, 1);
         sim.run_cycles(join_cycles);
 
-        let snap = sim.snapshot();
-        let graph = snap.undirected();
+        let snap = sim.csr_snapshot();
+        let graph = snap.graph().undirected();
         let report = pss_graph::components::connected_components(&graph);
         let clustering = pss_graph::clustering::estimate_clustering(
             &graph,
@@ -135,7 +135,7 @@ pub fn run(config: &PoliciesConfig) -> PoliciesResult {
             &mut rand::rngs::SmallRng::seed_from_u64(scale.seed),
         );
         let n = graph.node_count().max(2);
-        let in_degrees = snap.directed().in_degrees();
+        let in_degrees = snap.graph().in_degrees();
         let joiner_ids: Vec<NodeId> = (joined_from..joined_from + joiners)
             .map(|i| NodeId::new(i as u64))
             .collect();

@@ -21,6 +21,7 @@
 use std::time::Instant;
 
 use pss_core::PolicyTriple;
+use pss_graph::{clustering, paths};
 use pss_sim::scenario;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -180,12 +181,12 @@ pub fn run(config: &ScalingConfig) -> ScalingResult {
             in_deg.push(d as f64);
         }
         let (path_length, clustering) = if config.metric_samples > 0 {
-            let rev = csr.reverse();
+            let graph = csr.undirected();
             let mut rng = SmallRng::seed_from_u64(scale.seed ^ 0x5ca1_ab1e);
             (
-                csr.sampled_path_length(&rev, config.metric_samples, &mut rng)
+                paths::estimate_average_path_length(&graph, config.metric_samples, &mut rng)
                     .average,
-                csr.sampled_clustering(&rev, config.metric_samples * 8, &mut rng),
+                clustering::estimate_clustering(&graph, config.metric_samples * 8, &mut rng),
             )
         } else {
             (f64::NAN, f64::NAN)

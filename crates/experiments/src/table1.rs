@@ -114,7 +114,7 @@ pub fn run(config: &Table1Config) -> Table1Result {
         let mut sim =
             scenario::growing_overlay(&protocol, scale.nodes, per_cycle, scale.run_seed(run_idx));
         sim.run_cycles(scale.cycles);
-        let graph = sim.snapshot().undirected();
+        let graph = sim.csr_snapshot().graph().undirected();
         let report = connected_components(&graph);
         (pi, report.count(), report.largest())
     });

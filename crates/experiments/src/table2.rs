@@ -102,7 +102,7 @@ pub fn run(config: &Table2Config) -> Table2Result {
         let mut tracer = DegreeTracer::new(traced);
         run_observed(&mut sim, scale.cycles, &mut [&mut tracer]);
 
-        let final_mean_degree = sim.snapshot().undirected().average_degree();
+        let final_mean_degree = sim.csr_snapshot().graph().undirected().average_degree();
         let time_averages: Summary = tracer
             .all_series()
             .iter()

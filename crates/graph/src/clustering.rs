@@ -9,9 +9,11 @@
 use rand::seq::index::sample;
 use rand::Rng;
 
-use crate::UGraph;
+use crate::csr::Csr;
 
-/// Local clustering coefficient of node `v`.
+/// Local clustering coefficient of node `v` of the undirected graph `g`
+/// ([`Csr::undirected`]): `2L / (k(k−1))` for `L` links among its `k`
+/// neighbors.
 ///
 /// Nodes with degree below 2 have no possible neighbor pairs; by the usual
 /// Watts–Strogatz convention their coefficient is 0. (The paper's overlays
@@ -20,7 +22,7 @@ use crate::UGraph;
 /// # Panics
 ///
 /// Panics if `v` is out of range.
-pub fn local_clustering(g: &UGraph, v: u32) -> f64 {
+pub fn local_clustering(g: &Csr, v: u32) -> f64 {
     let neigh = g.neighbors(v);
     let k = neigh.len();
     if k < 2 {
@@ -50,14 +52,18 @@ pub fn local_clustering(g: &UGraph, v: u32) -> f64 {
 /// # Examples
 ///
 /// ```
-/// use pss_graph::{clustering, UGraph};
+/// use pss_graph::{clustering, csr::CsrBuilder};
 ///
-/// // A triangle is fully clustered.
-/// let g = UGraph::from_edges(3, [(0, 1), (1, 2), (2, 0)])?;
+/// // A directed 3-cycle is an undirected triangle: fully clustered.
+/// let mut b = CsrBuilder::new();
+/// for next in [1, 2, 0] {
+///     b.push_node([next]);
+/// }
+/// let g = b.finish()?.undirected();
 /// assert_eq!(clustering::clustering_coefficient(&g), 1.0);
 /// # Ok::<(), pss_graph::GraphError>(())
 /// ```
-pub fn clustering_coefficient(g: &UGraph) -> f64 {
+pub fn clustering_coefficient(g: &Csr) -> f64 {
     let n = g.node_count();
     if n == 0 {
         return 0.0;
@@ -69,8 +75,9 @@ pub fn clustering_coefficient(g: &UGraph) -> f64 {
 /// Estimates the clustering coefficient from `samples` random nodes.
 ///
 /// Unbiased: the exact coefficient is the mean of i.i.d.-sampled local
-/// coefficients. Falls back to the exact computation when `samples >= N`.
-pub fn estimate_clustering(g: &UGraph, samples: usize, rng: &mut impl Rng) -> f64 {
+/// coefficients. Falls back to the exact computation, with no draw from
+/// `rng`, when `samples >= N`.
+pub fn estimate_clustering(g: &Csr, samples: usize, rng: &mut impl Rng) -> f64 {
     let n = g.node_count();
     if n == 0 {
         return 0.0;
@@ -83,50 +90,18 @@ pub fn estimate_clustering(g: &UGraph, samples: usize, rng: &mut impl Rng) -> f6
     sum / samples as f64
 }
 
-/// Global transitivity: `3 × triangles / connected triples`.
-///
-/// A different (triangle-weighted) notion of clustering, useful as a
-/// cross-check; equals the average local coefficient only on degree-regular
-/// graphs. Returns 0.0 when the graph has no connected triple.
-pub fn transitivity(g: &UGraph) -> f64 {
-    let n = g.node_count();
-    let mut triangles3 = 0u64; // each triangle counted once per corner
-    let mut triples = 0u64;
-    for v in 0..n as u32 {
-        let neigh = g.neighbors(v);
-        let k = neigh.len() as u64;
-        triples += k.saturating_sub(1) * k / 2;
-        for (i, &a) in neigh.iter().enumerate() {
-            let adj_a = g.neighbors(a);
-            for &b in &neigh[i + 1..] {
-                if adj_a.binary_search(&b).is_ok() {
-                    triangles3 += 1;
-                }
-            }
-        }
-    }
-    if triples == 0 {
-        0.0
-    } else {
-        triangles3 as f64 / triples as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
-    fn graph(n: usize, edges: &[(u32, u32)]) -> UGraph {
-        UGraph::from_edges(n, edges.iter().copied()).unwrap()
-    }
+    use crate::csr::undirected_from_edges as graph;
 
     #[test]
     fn triangle_is_fully_clustered() {
         let g = graph(3, &[(0, 1), (1, 2), (2, 0)]);
         assert_eq!(clustering_coefficient(&g), 1.0);
-        assert_eq!(transitivity(&g), 1.0);
     }
 
     #[test]
@@ -134,7 +109,6 @@ mod tests {
         // Paper: "For a complete graph, it is 1, for a tree it is 0."
         let g = graph(5, &[(0, 1), (0, 2), (1, 3), (1, 4)]);
         assert_eq!(clustering_coefficient(&g), 0.0);
-        assert_eq!(transitivity(&g), 0.0);
     }
 
     #[test]
@@ -144,7 +118,6 @@ mod tests {
             .collect();
         let g = graph(6, &edges);
         assert_eq!(clustering_coefficient(&g), 1.0);
-        assert_eq!(transitivity(&g), 1.0);
     }
 
     #[test]
@@ -162,7 +135,6 @@ mod tests {
     fn empty_and_singleton() {
         assert_eq!(clustering_coefficient(&graph(0, &[])), 0.0);
         assert_eq!(clustering_coefficient(&graph(1, &[])), 0.0);
-        assert_eq!(transitivity(&graph(1, &[])), 0.0);
     }
 
     #[test]
@@ -176,7 +148,7 @@ mod tests {
     #[test]
     fn estimate_close_on_random_graph() {
         let mut rng = SmallRng::seed_from_u64(11);
-        let g = crate::gen::uniform_view_digraph(600, 15, &mut rng).to_undirected();
+        let g = crate::gen::uniform_view_digraph(600, 15, &mut rng).undirected();
         let exact = clustering_coefficient(&g);
         let est = estimate_clustering(&g, 300, &mut rng);
         assert!(
@@ -189,13 +161,7 @@ mod tests {
     fn lattice_clustering_known_value() {
         // Ring lattice where each node connects to 2 neighbors on each side:
         // local clustering is 0.5 for every node (3 of 6 possible links).
-        let g = crate::gen::ring_lattice(20, 4).to_undirected();
+        let g = crate::gen::ring_lattice(20, 4).undirected();
         assert!((clustering_coefficient(&g) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn transitivity_of_star_is_zero() {
-        let g = crate::gen::star(10).to_undirected();
-        assert_eq!(transitivity(&g), 0.0);
     }
 }

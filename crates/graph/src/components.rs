@@ -9,7 +9,6 @@
 use std::collections::VecDeque;
 
 use crate::csr::Csr;
-use crate::UGraph;
 
 /// The result of a connected-components analysis.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,23 +58,27 @@ impl ComponentReport {
     }
 }
 
-/// Computes connected components by repeated BFS.
+/// Computes the connected components of the undirected graph `g`
+/// ([`Csr::undirected`]) by repeated BFS.
 ///
 /// Runs in `O(N + E)` time and `O(N)` space.
 ///
 /// # Examples
 ///
 /// ```
-/// use pss_graph::{components::connected_components, UGraph};
+/// use pss_graph::{components::connected_components, csr::CsrBuilder};
 ///
-/// let g = UGraph::from_edges(5, [(0, 1), (2, 3)])?;
-/// let report = connected_components(&g);
+/// let mut b = CsrBuilder::new();
+/// for view in [vec![1], vec![], vec![3], vec![], vec![]] {
+///     b.push_node(view);
+/// }
+/// let report = connected_components(&b.finish()?.undirected());
 /// assert_eq!(report.count(), 3); // {0,1}, {2,3}, {4}
 /// assert_eq!(report.largest(), 2);
 /// assert_eq!(report.nodes_outside_largest(), 3);
 /// # Ok::<(), pss_graph::GraphError>(())
 /// ```
-pub fn connected_components(g: &UGraph) -> ComponentReport {
+pub fn connected_components(g: &Csr) -> ComponentReport {
     let n = g.node_count();
     let mut raw_assignment = vec![u32::MAX; n];
     let mut raw_sizes: Vec<usize> = Vec::new();
@@ -118,38 +121,12 @@ pub fn connected_components(g: &UGraph) -> ComponentReport {
     ComponentReport { sizes, assignment }
 }
 
-/// True if the graph is connected (trivially true for empty and singleton
-/// graphs). Cheaper than a full [`connected_components`] when only the
-/// boolean is needed: it stops as soon as one BFS covers everything.
-pub fn is_connected(g: &UGraph) -> bool {
-    let n = g.node_count();
-    if n <= 1 {
-        return true;
-    }
-    let mut seen = vec![false; n];
-    let mut queue = VecDeque::new();
-    seen[0] = true;
-    queue.push_back(0u32);
-    let mut visited = 0usize;
-    while let Some(v) = queue.pop_front() {
-        visited += 1;
-        for &w in g.neighbors(v) {
-            if !seen[w as usize] {
-                seen[w as usize] = true;
-                queue.push_back(w);
-            }
-        }
-    }
-    visited == n
-}
-
 /// Size of the largest *weakly* connected component of a directed CSR
 /// graph — directed edges treated as undirected, by union-find with path
 /// halving straight over the edge array, with no undirected-adjacency
 /// materialization. This is the snapshot-scale companion to
-/// [`connected_components`]: per-period overlay monitoring (the workload
-/// schedules) calls it on every CSR snapshot, where building a [`UGraph`]
-/// first would double the work.
+/// [`connected_components`]: at N = 10⁶ building [`Csr::undirected`] first
+/// would double the work.
 pub fn largest_weak_component(graph: &Csr) -> usize {
     let n = graph.node_count();
     if n == 0 {
@@ -164,7 +141,7 @@ pub fn largest_weak_component(graph: &Csr) -> usize {
         v
     }
     for v in 0..n as u32 {
-        for &w in graph.out_neighbors(v) {
+        for &w in graph.neighbors(v) {
             let (a, b) = (find(&mut parent, v), find(&mut parent, w));
             if a != b {
                 parent[a as usize] = b;
@@ -184,10 +161,7 @@ pub fn largest_weak_component(graph: &Csr) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn graph(n: usize, edges: &[(u32, u32)]) -> UGraph {
-        UGraph::from_edges(n, edges.iter().copied()).unwrap()
-    }
+    use crate::csr::undirected_from_edges as graph;
 
     #[test]
     fn empty_graph_has_no_components() {
@@ -196,7 +170,6 @@ mod tests {
         assert_eq!(r.largest(), 0);
         assert_eq!(r.nodes_outside_largest(), 0);
         assert!(r.is_connected());
-        assert!(is_connected(&graph(0, &[])));
     }
 
     #[test]
@@ -204,7 +177,6 @@ mod tests {
         let r = connected_components(&graph(1, &[]));
         assert_eq!(r.count(), 1);
         assert!(r.is_connected());
-        assert!(is_connected(&graph(1, &[])));
     }
 
     #[test]
@@ -222,7 +194,7 @@ mod tests {
         let r = connected_components(&g);
         assert_eq!(r.count(), 1);
         assert_eq!(r.largest(), 5);
-        assert!(is_connected(&g));
+        assert!(r.is_connected());
     }
 
     #[test]
@@ -234,7 +206,7 @@ mod tests {
         assert_eq!(r.nodes_outside_largest(), 4);
         assert!(r.same_component(0, 2));
         assert!(!r.same_component(0, 3));
-        assert!(!is_connected(&g));
+        assert!(!r.is_connected());
     }
 
     #[test]
@@ -269,6 +241,7 @@ mod tests {
         // component of 3; nodes 3..5 are a chain; 6 is isolated.
         let g = csr(7, &[&[1], &[], &[1], &[4], &[5], &[]]);
         assert_eq!(largest_weak_component(&g), 3);
+        assert_eq!(connected_components(&g.undirected()).largest(), 3);
         assert_eq!(largest_weak_component(&csr(0, &[])), 0);
         // Fully disconnected.
         assert_eq!(largest_weak_component(&csr(4, &[])), 1);

@@ -1,27 +1,26 @@
-//! Compressed sparse row (CSR) directed graphs for million-node overlays.
+//! Compressed sparse row (CSR) graphs: the one graph type of this crate.
 //!
-//! [`crate::DiGraph`] stores one `Vec` per node — fine at the paper's
-//! N = 10⁴, but at N = 10⁶ the per-node allocations (and the `Vec<Vec<_>>`
-//! pointer chasing) dominate. [`Csr`] keeps the whole edge set in two flat
-//! arrays (`offsets`, `targets`), built in a **single append pass** straight
-//! from view slices: no hash maps, no per-node vectors, exactly two
-//! allocations that grow amortized.
+//! A [`Csr`] keeps a graph over nodes `0..n` in two flat arrays
+//! (`offsets`, `targets`), built in a **single append pass** straight from
+//! view slices: no hash maps, no per-node vectors, so the same type serves
+//! the paper's N = 10⁴ and a 10⁶-node overlay.
 //!
-//! Exact full-graph metrics are O(N·E) and out of reach at this scale, so
-//! the module provides the **sampled-source estimators** the paper's
-//! figures need: average path length from `k` BFS sources and clustering
-//! from `k` sampled nodes, both over the *undirected* communication graph
-//! (an edge exists if either endpoint's view holds the other), evaluated
-//! lazily from the CSR and its transpose without materializing the
-//! symmetrized graph.
+//! It holds both graphs the paper talks about. A snapshot builds the
+//! *directed* view graph: node `a`'s row lists the nodes in `a`'s view.
+//! [`Csr::undirected`] derives the *undirected* communication graph every
+//! published property is measured on ("after initiating a connection the
+//! passive party will learn about the active party as well"): each row is
+//! the union of a node's out- and in-neighbors, so the rows are symmetric.
+//! [`crate::paths`], [`crate::clustering`],
+//! [`crate::components::connected_components`] and [`crate::metrics`] take
+//! that undirected graph.
 
-use rand::seq::index::sample;
-use rand::Rng;
+use pss_stats::CountDistribution;
 
-use crate::paths::PathLengthStats;
 use crate::GraphError;
 
-/// A directed graph over nodes `0..n` in compressed sparse row form.
+/// A graph over nodes `0..n` in compressed sparse row form. Every row is
+/// sorted ascending, holds no duplicate and never the node itself.
 ///
 /// # Examples
 ///
@@ -34,7 +33,7 @@ use crate::GraphError;
 /// b.push_node([]);     // node 2 -> {}
 /// let g = b.finish()?;
 /// assert_eq!(g.node_count(), 3);
-/// assert_eq!(g.out_neighbors(0), &[1, 2]);
+/// assert_eq!(g.neighbors(0), &[1, 2]);
 /// assert_eq!(g.in_degrees(), vec![0, 1, 2]);
 /// # Ok::<(), pss_graph::GraphError>(())
 /// ```
@@ -42,11 +41,36 @@ use crate::GraphError;
 pub struct Csr {
     /// `offsets[v]..offsets[v + 1]` indexes `targets` for node `v`.
     offsets: Vec<u32>,
-    /// Out-neighbors, sorted ascending within each node's range.
+    /// Neighbors, sorted ascending within each node's range.
     targets: Vec<u32>,
 }
 
 /// Single-pass [`Csr`] construction; see the [module docs](self).
+///
+/// # Examples
+///
+/// A view never holds its owner or the same node twice, so neither does a
+/// row; a target no pushed node carries is an error.
+///
+/// ```
+/// use pss_graph::csr::CsrBuilder;
+/// use pss_graph::GraphError;
+///
+/// let mut b = CsrBuilder::new();
+/// b.push_node([0, 1, 1]); // node 0: self-loop and duplicate dropped
+/// b.push_node([]);
+/// let g = b.finish()?;
+/// assert_eq!(g.neighbors(0), &[1]);
+///
+/// let mut b = CsrBuilder::new();
+/// b.push_node([2]);
+/// b.push_node([]);
+/// assert_eq!(
+///     b.finish(),
+///     Err(GraphError::NodeOutOfRange { node: 2, node_count: 2 })
+/// );
+/// # Ok::<(), pss_graph::GraphError>(())
+/// ```
 #[derive(Debug, Default)]
 pub struct CsrBuilder {
     offsets: Vec<u32>,
@@ -83,14 +107,7 @@ impl CsrBuilder {
         self.targets
             .extend(neighbors.into_iter().filter(|&t| t != node));
         self.targets[start..].sort_unstable();
-        let row = &mut self.targets[start..];
-        let mut kept = 0;
-        for i in 0..row.len() {
-            if i == 0 || row[i] != row[i - 1] {
-                row[kept] = row[i];
-                kept += 1;
-            }
-        }
+        let kept = dedup_sorted(&mut self.targets[start..]);
         self.targets.truncate(start + kept);
         let end = u32::try_from(self.targets.len()).expect("edge count fits u32");
         self.offsets.push(end);
@@ -117,39 +134,56 @@ impl CsrBuilder {
     }
 }
 
+/// Moves the distinct values of a sorted slice to its front and returns how
+/// many there are.
+fn dedup_sorted(row: &mut [u32]) -> usize {
+    let mut kept = 0;
+    for i in 0..row.len() {
+        if kept == 0 || row[i] != row[kept - 1] {
+            row[kept] = row[i];
+            kept += 1;
+        }
+    }
+    kept
+}
+
 impl Csr {
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.offsets.len() - 1
     }
 
-    /// Number of directed edges.
+    /// Number of stored edges: directed edges, or twice the number of
+    /// undirected edges on an [undirected](Csr::undirected) graph, which
+    /// stores each edge in both endpoints' rows.
     pub fn edge_count(&self) -> usize {
         self.targets.len()
     }
 
-    /// Out-neighbors of `v`, sorted ascending.
+    /// The row of `v`, sorted ascending: its out-neighbors, or all its
+    /// neighbors on an undirected graph.
     ///
     /// # Panics
     ///
     /// Panics if `v` is out of range.
-    pub fn out_neighbors(&self, v: u32) -> &[u32] {
+    pub fn neighbors(&self, v: u32) -> &[u32] {
         let (a, b) = (self.offsets[v as usize], self.offsets[v as usize + 1]);
         &self.targets[a as usize..b as usize]
     }
 
-    /// Out-degree of `v`.
+    /// Length of the row of `v`: its out-degree, or its degree on an
+    /// undirected graph.
     ///
     /// # Panics
     ///
     /// Panics if `v` is out of range.
-    pub fn out_degree(&self, v: u32) -> usize {
-        self.out_neighbors(v).len()
+    pub fn degree(&self, v: u32) -> usize {
+        self.neighbors(v).len()
     }
 
-    /// True if the directed edge `(src, dst)` exists.
+    /// True if the row of `src` holds `dst`.
     pub fn has_edge(&self, src: u32, dst: u32) -> bool {
-        self.out_neighbors(src).binary_search(&dst).is_ok()
+        self.neighbors(src).binary_search(&dst).is_ok()
     }
 
     /// In-degree of every node: one counting pass, no hashing.
@@ -161,146 +195,149 @@ impl Csr {
         indeg
     }
 
-    /// The transposed graph (edge directions reversed), built by counting
-    /// sort in O(N + E). Iterating sources in ascending order makes every
-    /// reversed row come out sorted, preserving the CSR invariant.
-    pub fn reverse(&self) -> Csr {
+    /// Mean row length (`2·E / N` on an undirected graph), or 0.0 for an
+    /// empty graph.
+    pub fn average_degree(&self) -> f64 {
+        if self.node_count() == 0 {
+            0.0
+        } else {
+            self.targets.len() as f64 / self.node_count() as f64
+        }
+    }
+
+    /// Smallest row length (0 for an empty graph).
+    pub fn min_degree(&self) -> usize {
+        self.degrees().min().unwrap_or(0)
+    }
+
+    /// Largest row length (0 for an empty graph).
+    pub fn max_degree(&self) -> usize {
+        self.degrees().max().unwrap_or(0)
+    }
+
+    /// Exact degree → frequency distribution (the paper's Figure 4).
+    pub fn degree_distribution(&self) -> CountDistribution {
+        self.degrees().map(|d| d as u64).collect()
+    }
+
+    fn degrees(&self) -> impl Iterator<Item = usize> + '_ {
+        self.offsets.windows(2).map(|w| (w[1] - w[0]) as usize)
+    }
+
+    /// The undirected communication graph: row `v` is the sorted,
+    /// deduplicated union of `v`'s out- and in-neighbors, so `u` lists `v`
+    /// exactly when `v` lists `u`, and a mutual pair is one edge.
+    ///
+    /// One counting pass sizes every row by out-degree plus in-degree, a
+    /// second scatters each directed edge into both endpoints' rows, and a
+    /// third sorts each row and squeezes out the mutual duplicates in place.
+    /// Peak memory is one array of twice the directed edge count.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use pss_graph::csr::CsrBuilder;
+    ///
+    /// // The directed triangle 0 -> 1 -> 2 -> 0 plus an isolated node 3.
+    /// let mut b = CsrBuilder::new();
+    /// for view in [[1], [2], [0]] {
+    ///     b.push_node(view);
+    /// }
+    /// b.push_node([]);
+    /// let u = b.finish()?.undirected();
+    /// assert_eq!(u.degree(1), 2);
+    /// assert_eq!(u.degree(3), 0);
+    /// assert!(u.has_edge(2, 1));
+    /// assert_eq!(u.edge_count(), 6); // three edges, each in both rows
+    /// # Ok::<(), pss_graph::GraphError>(())
+    /// ```
+    pub fn undirected(&self) -> Csr {
         let n = self.node_count();
         let mut offsets = vec![0u32; n + 1];
+        for (v, d) in self.degrees().enumerate() {
+            offsets[v + 1] = d as u32;
+        }
         for &t in &self.targets {
             offsets[t as usize + 1] += 1;
         }
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
         }
         let mut cursor: Vec<u32> = offsets[..n].to_vec();
-        let mut targets = vec![0u32; self.targets.len()];
+        let mut targets = vec![0u32; 2 * self.targets.len()];
         for src in 0..n as u32 {
-            for &dst in self.out_neighbors(src) {
+            for &dst in self.neighbors(src) {
+                targets[cursor[src as usize] as usize] = dst;
+                cursor[src as usize] += 1;
                 targets[cursor[dst as usize] as usize] = src;
                 cursor[dst as usize] += 1;
             }
         }
+        let (mut start, mut end) = (0, 0);
+        for v in 0..n {
+            let stop = offsets[v + 1] as usize;
+            targets[start..stop].sort_unstable();
+            let kept = dedup_sorted(&mut targets[start..stop]);
+            targets.copy_within(start..start + kept, end);
+            end += kept;
+            offsets[v + 1] = end as u32;
+            start = stop;
+        }
+        targets.truncate(end);
         Csr { offsets, targets }
     }
 
-    /// True if `u` and `v` are connected in the undirected communication
-    /// graph (either view holds the other).
-    pub fn has_undirected_edge(&self, u: u32, v: u32) -> bool {
-        self.has_edge(u, v) || self.has_edge(v, u)
-    }
-
-    /// Visits every undirected neighbor of `v` (out-neighbors plus
-    /// in-neighbors from `rev`; mutual edges are visited twice — consumers
-    /// that care deduplicate, BFS naturally ignores revisits).
-    fn for_each_undirected_neighbor(&self, rev: &Csr, v: u32, mut f: impl FnMut(u32)) {
-        for &t in self.out_neighbors(v) {
-            f(t);
-        }
-        for &t in rev.out_neighbors(v) {
-            f(t);
-        }
-    }
-
-    /// Estimates the average undirected shortest-path length from `sources`
-    /// random BFS sources (every BFS measures its `N−1` ordered pairs
-    /// exactly, so the estimate is unbiased with error `O(1/√k)`). `rev`
-    /// must be [`Csr::reverse`] of `self`.
+    /// The subgraph induced by the nodes for which `keep` is true, kept
+    /// nodes relabeled consecutively in increasing original order. Used
+    /// for the paper's Figure 6: remove a random fraction of nodes and
+    /// measure the connectivity of the rest.
     ///
     /// # Panics
     ///
-    /// Panics if `rev` has a different node count.
-    pub fn sampled_path_length(
-        &self,
-        rev: &Csr,
-        sources: usize,
-        rng: &mut impl Rng,
-    ) -> PathLengthStats {
-        assert_eq!(rev.node_count(), self.node_count(), "rev must match");
-        let n = self.node_count();
-        let sources = sources.min(n);
-        let chosen = sample(rng, n, sources);
-        const UNVISITED: u32 = u32::MAX;
-        let mut dist = vec![UNVISITED; n];
-        let mut queue = std::collections::VecDeque::new();
-        let mut sum = 0f64;
-        let mut pairs = 0u64;
-        let mut unreachable = 0u64;
-        let mut max = 0u32;
-        for src in chosen.iter() {
-            dist.iter_mut().for_each(|d| *d = UNVISITED);
-            dist[src] = 0;
-            queue.clear();
-            queue.push_back(src as u32);
-            let mut reached = 0u64;
-            while let Some(v) = queue.pop_front() {
-                let d = dist[v as usize];
-                if d > 0 {
-                    sum += d as f64;
-                    reached += 1;
-                    max = max.max(d);
-                }
-                self.for_each_undirected_neighbor(rev, v, |t| {
-                    if dist[t as usize] == UNVISITED {
-                        dist[t as usize] = d + 1;
-                        queue.push_back(t);
-                    }
-                });
-            }
-            pairs += reached;
-            unreachable += (n as u64).saturating_sub(1 + reached);
+    /// Panics if `keep.len() != self.node_count()`.
+    pub fn induced_subgraph(&self, keep: &[bool]) -> Csr {
+        assert_eq!(
+            keep.len(),
+            self.node_count(),
+            "keep mask must cover every node"
+        );
+        let mut relabel = vec![u32::MAX; keep.len()];
+        let mut kept = 0u32;
+        for (v, _) in keep.iter().enumerate().filter(|(_, &k)| k) {
+            relabel[v] = kept;
+            kept += 1;
         }
-        PathLengthStats {
-            average: if pairs > 0 {
-                sum / pairs as f64
-            } else {
-                f64::NAN
-            },
-            max,
-            pairs,
-            unreachable_pairs: unreachable,
+        let mut offsets = Vec::with_capacity(kept as usize + 1);
+        offsets.push(0);
+        let mut targets = Vec::new();
+        for v in (0..keep.len()).filter(|&v| keep[v]) {
+            // Rows are sorted and the relabeling is monotone, so the new
+            // rows stay sorted.
+            targets.extend(
+                self.neighbors(v as u32)
+                    .iter()
+                    .filter(|&&w| keep[w as usize])
+                    .map(|&w| relabel[w as usize]),
+            );
+            offsets.push(targets.len() as u32);
         }
+        Csr { offsets, targets }
     }
+}
 
-    /// Estimates the undirected clustering coefficient from `samples`
-    /// random nodes: for each, the fraction of its neighbor pairs that are
-    /// themselves connected (nodes with degree < 2 contribute 0, matching
-    /// [`crate::clustering::local_clustering`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rev` has a different node count.
-    pub fn sampled_clustering(&self, rev: &Csr, samples: usize, rng: &mut impl Rng) -> f64 {
-        assert_eq!(rev.node_count(), self.node_count(), "rev must match");
-        let n = self.node_count();
-        if n == 0 {
-            return 0.0;
-        }
-        let samples = samples.min(n);
-        let chosen = sample(rng, n, samples);
-        let mut neighborhood: Vec<u32> = Vec::new();
-        let mut total = 0f64;
-        for v in chosen.iter() {
-            neighborhood.clear();
-            self.for_each_undirected_neighbor(rev, v as u32, |t| neighborhood.push(t));
-            neighborhood.sort_unstable();
-            neighborhood.dedup();
-            let k = neighborhood.len();
-            if k < 2 {
-                continue;
-            }
-            let mut links = 0usize;
-            for i in 0..k {
-                for j in i + 1..k {
-                    if self.has_undirected_edge(neighborhood[i], neighborhood[j]) {
-                        links += 1;
-                    }
-                }
-            }
-            total += links as f64 / (k * (k - 1) / 2) as f64;
-        }
-        total / samples as f64
+/// The undirected graph over `n` nodes with the given edges (either
+/// orientation): the fixture the unit tests build by hand.
+#[cfg(test)]
+pub(crate) fn undirected_from_edges(n: usize, edges: &[(u32, u32)]) -> Csr {
+    let mut rows = vec![Vec::new(); n];
+    for &(u, v) in edges {
+        rows[u as usize].push(v);
     }
+    let mut b = CsrBuilder::new();
+    for row in rows {
+        b.push_node(row);
+    }
+    b.finish().expect("edges in range").undirected()
 }
 
 #[cfg(test)]
@@ -323,8 +360,8 @@ mod tests {
         let g = csr_of(&[&[2, 1], &[2], &[]]);
         assert_eq!(g.node_count(), 3);
         assert_eq!(g.edge_count(), 3);
-        assert_eq!(g.out_neighbors(0), &[1, 2]); // sorted
-        assert_eq!(g.out_degree(2), 0);
+        assert_eq!(g.neighbors(0), &[1, 2]); // sorted
+        assert_eq!(g.degree(2), 0);
         assert!(g.has_edge(0, 1));
         assert!(!g.has_edge(1, 0));
         assert_eq!(g.in_degrees(), vec![0, 1, 2]);
@@ -333,7 +370,7 @@ mod tests {
     #[test]
     fn drops_self_loops_and_duplicates() {
         let g = csr_of(&[&[0, 1, 1, 2, 2, 2], &[], &[]]);
-        assert_eq!(g.out_neighbors(0), &[1, 2]);
+        assert_eq!(g.neighbors(0), &[1, 2]);
         assert_eq!(g.edge_count(), 2);
     }
 
@@ -352,48 +389,199 @@ mod tests {
         let g = CsrBuilder::new().finish().unwrap();
         assert_eq!(g.node_count(), 0);
         assert_eq!(g.edge_count(), 0);
-        assert_eq!(g.reverse().node_count(), 0);
-    }
-
-    #[test]
-    fn reverse_transposes_and_stays_sorted() {
-        let g = csr_of(&[&[1, 2], &[2], &[0]]);
-        let r = g.reverse();
-        assert_eq!(r.out_neighbors(0), &[2]);
-        assert_eq!(r.out_neighbors(1), &[0]);
-        assert_eq!(r.out_neighbors(2), &[0, 1]);
-        // Reversing twice is the identity.
-        assert_eq!(r.reverse(), g);
+        let u = g.undirected();
+        assert_eq!(u.node_count(), 0);
+        assert_eq!(u.average_degree(), 0.0);
+        assert_eq!(u.min_degree(), 0);
+        assert_eq!(u.max_degree(), 0);
     }
 
     #[test]
     fn undirected_edges_union_both_directions() {
-        let g = csr_of(&[&[1], &[], &[1]]);
-        let _ = g.reverse();
-        assert!(g.has_undirected_edge(0, 1));
-        assert!(g.has_undirected_edge(1, 0));
-        assert!(g.has_undirected_edge(1, 2));
-        assert!(!g.has_undirected_edge(0, 2));
+        // 0 -> 1, 2 -> 1, and the mutual pair 3 <-> 1 (one edge).
+        let g = csr_of(&[&[1], &[3], &[1], &[1]]);
+        let u = g.undirected();
+        assert_eq!(u.neighbors(0), &[1]);
+        assert_eq!(u.neighbors(1), &[0, 2, 3]);
+        assert_eq!(u.neighbors(2), &[1]);
+        assert_eq!(u.neighbors(3), &[1]);
+        assert_eq!(u.edge_count(), 6); // three undirected edges, both rows
+        assert!(!u.has_edge(0, 2));
     }
 
-    /// Builds the same random overlay as a DiGraph/UGraph pair and as a
-    /// CSR, and checks the sampled estimators against the exact values.
+    #[test]
+    fn average_degree_of_star() {
+        let g = gen::star(5).undirected();
+        assert_eq!(g.average_degree(), 2.0 * 4.0 / 5.0);
+        assert_eq!(g.max_degree(), 4);
+        assert_eq!(g.min_degree(), 1);
+    }
+
+    #[test]
+    fn degree_distribution_counts() {
+        let g = undirected_from_edges(4, &[(0, 1), (1, 2), (2, 0)]);
+        let d = g.degree_distribution();
+        assert_eq!(d.count_of(2), 3);
+        assert_eq!(d.count_of(0), 1);
+        assert_eq!(d.total(), 4);
+    }
+
+    #[test]
+    fn induced_subgraph_relabels() {
+        // Path 0-1-2-3; drop node 1 -> nodes {0,2,3} relabel to {0,1,2},
+        // only edge 2-3 survives (as 1-2).
+        let g = undirected_from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
+        let sub = g.induced_subgraph(&[true, false, true, true]);
+        assert_eq!(sub.node_count(), 3);
+        assert_eq!(sub.edge_count(), 2);
+        assert!(sub.has_edge(1, 2));
+        assert!(sub.has_edge(2, 1));
+        assert!(!sub.has_edge(0, 1));
+    }
+
+    #[test]
+    fn induced_subgraph_keep_all_is_identity() {
+        let g = undirected_from_edges(3, &[(0, 1), (1, 2)]);
+        assert_eq!(g.induced_subgraph(&[true, true, true]), g);
+    }
+
+    #[test]
+    #[should_panic(expected = "keep mask")]
+    fn induced_subgraph_wrong_mask_panics() {
+        let g = undirected_from_edges(2, &[(0, 1)]);
+        let _ = g.induced_subgraph(&[true]);
+    }
+
+    #[test]
+    fn directed_empty_graph() {
+        let g = csr_of(&[]);
+        assert_eq!(g.node_count(), 0);
+        assert_eq!(g.edge_count(), 0);
+    }
+
+    #[test]
+    fn directed_out_of_range_edge_is_rejected() {
+        let mut b = CsrBuilder::new();
+        b.push_node([2]);
+        b.push_node([]);
+        assert_eq!(
+            b.finish().unwrap_err(),
+            GraphError::NodeOutOfRange {
+                node: 2,
+                node_count: 2
+            }
+        );
+    }
+
+    #[test]
+    fn directed_self_loops_are_dropped() {
+        let g = csr_of(&[&[0, 1], &[1]]);
+        assert_eq!(g.degree(0), 1);
+        assert_eq!(g.degree(1), 0);
+        assert_eq!(g.edge_count(), 1);
+    }
+
+    #[test]
+    fn directed_duplicates_are_collapsed() {
+        let g = csr_of(&[&[1, 1, 2, 2, 2], &[], &[]]);
+        assert_eq!(g.degree(0), 2);
+        assert_eq!(g.neighbors(0), &[1, 2]);
+    }
+
+    #[test]
+    fn directed_in_degrees_count_incoming() {
+        let g = csr_of(&[&[1, 2], &[2], &[]]);
+        assert_eq!(g.in_degrees(), vec![0, 1, 2]);
+        let dist: CountDistribution = g.in_degrees().into_iter().map(u64::from).collect();
+        assert_eq!(dist.count_of(0), 1);
+        assert_eq!(dist.count_of(1), 1);
+        assert_eq!(dist.count_of(2), 1);
+    }
+
+    #[test]
+    fn directed_has_edge_is_directional() {
+        let g = csr_of(&[&[1], &[]]);
+        assert!(g.has_edge(0, 1));
+        assert!(!g.has_edge(1, 0));
+    }
+
+    #[test]
+    fn undirected_symmetrizes() {
+        let g = csr_of(&[&[1], &[0, 2], &[]]);
+        let u = g.undirected();
+        // (0,1) appears in both directions but is one undirected edge.
+        assert_eq!(u.edge_count(), 2 * 2);
+        assert!(u.has_edge(1, 0));
+        assert!(u.has_edge(2, 1));
+    }
+
+    #[test]
+    fn undirected_empty_graph() {
+        let u = undirected_from_edges(0, &[]);
+        assert_eq!(u.node_count(), 0);
+        assert_eq!(u.edge_count(), 0);
+        assert_eq!(u.average_degree(), 0.0);
+        assert_eq!(u.min_degree(), 0);
+        assert_eq!(u.max_degree(), 0);
+    }
+
+    #[test]
+    fn undirected_triangle() {
+        let u = undirected_from_edges(3, &[(0, 1), (1, 2), (2, 0)]);
+        assert_eq!(u.edge_count(), 2 * 3);
+        assert_eq!(u.average_degree(), 2.0);
+        for v in 0..3 {
+            assert_eq!(u.degree(v), 2);
+        }
+    }
+
+    #[test]
+    fn undirected_duplicate_edges_collapse() {
+        let u = undirected_from_edges(2, &[(0, 1), (1, 0), (0, 1)]);
+        assert_eq!(u.edge_count(), 2);
+        assert_eq!(u.degree(0), 1);
+    }
+
+    #[test]
+    fn undirected_self_loops_dropped() {
+        let u = undirected_from_edges(2, &[(0, 0), (0, 1)]);
+        assert_eq!(u.edge_count(), 2);
+        assert_eq!(u.degree(0), 1);
+        assert!(!u.has_edge(0, 0));
+    }
+
+    #[test]
+    fn undirected_out_of_range_rejected() {
+        // Rows are numbered by push order, so only a target can be out of
+        // range; the check sees every row, not just the first.
+        let mut b = CsrBuilder::new();
+        b.push_node([2]);
+        b.push_node([]);
+        assert!(b.finish().is_err());
+        let mut b = CsrBuilder::new();
+        b.push_node([]);
+        b.push_node([5]);
+        assert!(b.finish().is_err());
+    }
+
+    #[test]
+    fn undirected_neighbors_sorted() {
+        let out = undirected_from_edges(4, &[(2, 0), (2, 3), (2, 1)]);
+        assert_eq!(out.neighbors(2), &[0, 1, 3]);
+        // The same row assembled from in-edges alone.
+        let inn = undirected_from_edges(4, &[(3, 2), (0, 2), (1, 2)]);
+        assert_eq!(inn.neighbors(2), &[0, 1, 3]);
+    }
+
+    /// The sampled estimators on a CSR-built random overlay against the
+    /// exact values on the same graph.
     #[test]
     fn estimators_match_exact_metrics() {
         let mut rng = SmallRng::seed_from_u64(9);
-        let di = gen::uniform_view_digraph(600, 15, &mut rng);
-        let ug = di.to_undirected();
+        let g = gen::uniform_view_digraph(600, 15, &mut rng).undirected();
 
-        let mut b = CsrBuilder::with_capacity(di.node_count(), di.edge_count());
-        for v in 0..di.node_count() as u32 {
-            b.push_node(di.out_neighbors(v).iter().copied());
-        }
-        let csr = b.finish().unwrap();
-        assert_eq!(csr.edge_count(), di.edge_count());
-        let rev = csr.reverse();
-
-        let exact_paths = paths::average_path_length(&ug);
-        let est_paths = csr.sampled_path_length(&rev, 80, &mut rng);
+        let exact_paths = paths::average_path_length(&g);
+        let est_paths = paths::estimate_average_path_length(&g, 80, &mut rng);
         assert!(
             (exact_paths.average - est_paths.average).abs() < 0.1,
             "paths: exact {} vs sampled {}",
@@ -402,25 +590,23 @@ mod tests {
         );
         assert_eq!(est_paths.unreachable_pairs, 0);
 
-        let exact_cc = clustering::clustering_coefficient(&ug);
-        let est_cc = csr.sampled_clustering(&rev, 300, &mut rng);
+        let exact_cc = clustering::clustering_coefficient(&g);
+        let est_cc = clustering::estimate_clustering(&g, 300, &mut rng);
         assert!(
             (exact_cc - est_cc).abs() < 0.02,
             "clustering: exact {exact_cc} vs sampled {est_cc}"
         );
 
         // Full-population sampling degenerates to the exact computation.
-        let full = csr.sampled_path_length(&rev, 600, &mut rng);
-        assert_eq!(full.pairs, exact_paths.pairs);
-        assert!((full.average - exact_paths.average).abs() < 1e-12);
+        let full = paths::estimate_average_path_length(&g, 600, &mut rng);
+        assert_eq!(full, exact_paths);
     }
 
     #[test]
     fn disconnected_components_reported_unreachable() {
-        let g = csr_of(&[&[1], &[], &[3], &[]]);
-        let rev = g.reverse();
+        let g = csr_of(&[&[1], &[], &[3], &[]]).undirected();
         let mut rng = SmallRng::seed_from_u64(1);
-        let stats = g.sampled_path_length(&rev, 4, &mut rng);
+        let stats = paths::estimate_average_path_length(&g, 4, &mut rng);
         assert!(stats.unreachable_pairs > 0);
         assert!(!stats.fully_reachable());
     }
@@ -428,9 +614,7 @@ mod tests {
     #[test]
     fn clustering_of_directed_triangle_is_one() {
         // 0->1, 1->2, 2->0: undirected triangle.
-        let g = csr_of(&[&[1], &[2], &[0]]);
-        let rev = g.reverse();
-        let mut rng = SmallRng::seed_from_u64(2);
-        assert_eq!(g.sampled_clustering(&rev, 3, &mut rng), 1.0);
+        let g = csr_of(&[&[1], &[2], &[0]]).undirected();
+        assert_eq!(clustering::clustering_coefficient(&g), 1.0);
     }
 }

@@ -1,17 +1,17 @@
 //! Graph generators: baselines and initial topologies for the experiments.
+//! Each returns the directed view graph; [`Csr::undirected`] gives the
+//! communication graph to measure.
 //!
 //! * [`uniform_view_digraph`] — the paper's random baseline: every view is a
 //!   uniform random sample of the other nodes. The horizontal reference lines
 //!   in Figures 2 and 3 are measured on this graph.
 //! * [`ring_lattice`] — the structured, large-diameter start of Section 5.2.
 //! * [`star`] — the pathological topology that `(*,*,pull)` collapses to.
-//! * [`erdos_renyi`] and [`watts_strogatz`] — classic models used for
-//!   context and tests (small-world comparisons, Section 8).
 
 use rand::seq::index::sample;
 use rand::Rng;
 
-use crate::{DiGraph, UGraph};
+use crate::csr::{Csr, CsrBuilder};
 
 /// The paper's uniform random baseline: each node's view holds `c` distinct
 /// uniform-random other nodes (or `n − 1` if the group is smaller).
@@ -24,22 +24,22 @@ use crate::{DiGraph, UGraph};
 ///
 /// let mut rng = SmallRng::seed_from_u64(1);
 /// let g = uniform_view_digraph(100, 30, &mut rng);
-/// assert!((0..100).all(|v| g.out_degree(v) == 30));
+/// assert!((0..100).all(|v| g.degree(v) == 30));
 /// ```
-pub fn uniform_view_digraph(n: usize, c: usize, rng: &mut impl Rng) -> DiGraph {
-    let mut views = Vec::with_capacity(n);
+pub fn uniform_view_digraph(n: usize, c: usize, rng: &mut impl Rng) -> Csr {
     let per_node = c.min(n.saturating_sub(1));
+    let mut b = CsrBuilder::with_capacity(n, n * per_node);
     for v in 0..n {
         // Sample from n-1 candidates (everyone but v), then shift indices at
         // or above v up by one to skip the self entry.
         let chosen = sample(rng, n - 1, per_node);
-        let view: Vec<u32> = chosen
-            .iter()
-            .map(|i| if i < v { i as u32 } else { (i + 1) as u32 })
-            .collect();
-        views.push(view);
+        b.push_node(
+            chosen
+                .iter()
+                .map(|i| if i < v { i as u32 } else { (i + 1) as u32 }),
+        );
     }
-    DiGraph::from_views(n, views).expect("generated indices are in range")
+    b.finish().expect("generated indices are in range")
 }
 
 /// Ring lattice used as the structured initial topology in Section 5.2.
@@ -48,23 +48,22 @@ pub fn uniform_view_digraph(n: usize, c: usize, rng: &mut impl Rng) -> DiGraph {
 /// neighbors, filled alternating right (+1, +2, …) and left (−1, −2, …), the
 /// way the paper fills views "of the nearest nodes in the ring until the view
 /// is filled". `k` is clamped to `n − 1`.
-pub fn ring_lattice(n: usize, k: usize) -> DiGraph {
-    let mut views = Vec::with_capacity(n);
+pub fn ring_lattice(n: usize, k: usize) -> Csr {
     let k = k.min(n.saturating_sub(1));
-    for v in 0..n as u64 {
-        let n64 = n as u64;
-        let mut view = Vec::with_capacity(k);
-        let mut offset = 1u64;
-        while view.len() < k {
-            view.push(((v + offset) % n64) as u32);
-            if view.len() < k {
-                view.push(((v + n64 - offset % n64) % n64) as u32);
-            }
-            offset += 1;
-        }
-        views.push(view);
+    let mut b = CsrBuilder::with_capacity(n, n * k);
+    let n64 = n as u64;
+    for v in 0..n64 {
+        b.push_node((0..k as u64).map(|i| {
+            let offset = i / 2 + 1;
+            let target = if i % 2 == 0 {
+                v + offset
+            } else {
+                v + n64 - offset
+            };
+            (target % n64) as u32
+        }));
     }
-    DiGraph::from_views(n, views).expect("ring indices are in range")
+    b.finish().expect("ring indices are in range")
 }
 
 /// Star topology: every non-center node's view is `{0}`, the center's view is
@@ -73,121 +72,12 @@ pub fn ring_lattice(n: usize, k: usize) -> DiGraph {
 ///
 /// This is the degenerate topology that pull-only protocols collapse to and
 /// the implicit shape of the growing scenario's bootstrap.
-pub fn star(n: usize) -> DiGraph {
-    let mut views = vec![Vec::new(); n];
-    if n > 1 {
-        views[0] = vec![1];
-        for view in views.iter_mut().skip(1) {
-            *view = vec![0];
-        }
+pub fn star(n: usize) -> Csr {
+    let mut b = CsrBuilder::with_capacity(n, n);
+    for v in 0..n {
+        b.push_node((n > 1).then_some(if v == 0 { 1 } else { 0 }));
     }
-    DiGraph::from_views(n, views).expect("star indices are in range")
-}
-
-/// Erdős–Rényi G(n, p): each unordered pair is an edge with probability `p`.
-///
-/// Uses geometric gap-skipping, so the cost is `O(n + E)` rather than
-/// `O(n²)`; `p` is clamped to `[0, 1]`.
-pub fn erdos_renyi(n: usize, p: f64, rng: &mut impl Rng) -> UGraph {
-    let p = p.clamp(0.0, 1.0);
-    let mut edges: Vec<(u32, u32)> = Vec::new();
-    if p > 0.0 && n > 1 {
-        if p >= 1.0 {
-            for u in 0..n as u32 {
-                for v in u + 1..n as u32 {
-                    edges.push((u, v));
-                }
-            }
-        } else {
-            // Walk the flattened upper-triangular pair index with geometric
-            // jumps: skip ~ floor(ln(U)/ln(1-p)) non-edges between edges.
-            let total = n as u64 * (n as u64 - 1) / 2;
-            let log1p = (1.0 - p).ln();
-            let mut idx: u64 = 0;
-            loop {
-                let u: f64 = rng.random();
-                let skip = if u <= 0.0 {
-                    total // effectively terminate
-                } else {
-                    (u.ln() / log1p).floor() as u64
-                };
-                idx = idx.saturating_add(skip);
-                if idx >= total {
-                    break;
-                }
-                edges.push(pair_from_index(n as u64, idx));
-                idx += 1;
-            }
-        }
-    }
-    UGraph::from_edges(n, edges).expect("generated indices are in range")
-}
-
-/// Maps a flattened upper-triangular index to the pair `(u, v)`, `u < v`.
-fn pair_from_index(n: u64, idx: u64) -> (u32, u32) {
-    // Row u starts at offset u*n - u*(u+1)/2 - u ... solve incrementally.
-    let mut u = 0u64;
-    let mut row_start = 0u64;
-    loop {
-        let row_len = n - u - 1;
-        if idx < row_start + row_len {
-            let v = u + 1 + (idx - row_start);
-            return (u as u32, v as u32);
-        }
-        row_start += row_len;
-        u += 1;
-    }
-}
-
-/// Watts–Strogatz small-world graph: a ring lattice with `k` neighbors per
-/// node (`k/2` each side, `k` must be even) whose "right-hand" edges are
-/// rewired with probability `beta` to a uniform random non-duplicate target.
-///
-/// # Panics
-///
-/// Panics if `k` is odd or `k >= n`.
-pub fn watts_strogatz(n: usize, k: usize, beta: f64, rng: &mut impl Rng) -> UGraph {
-    assert!(k.is_multiple_of(2), "watts_strogatz requires even k");
-    assert!(k < n, "watts_strogatz requires k < n");
-    let beta = beta.clamp(0.0, 1.0);
-    let mut adj: Vec<std::collections::BTreeSet<u32>> = vec![Default::default(); n];
-    let add = |adj: &mut Vec<std::collections::BTreeSet<u32>>, u: usize, v: usize| {
-        adj[u].insert(v as u32);
-        adj[v].insert(u as u32);
-    };
-    for u in 0..n {
-        for j in 1..=k / 2 {
-            add(&mut adj, u, (u + j) % n);
-        }
-    }
-    for u in 0..n {
-        for j in 1..=k / 2 {
-            if rng.random::<f64>() >= beta {
-                continue;
-            }
-            let old = (u + j) % n;
-            // Pick a new target that is neither u nor already adjacent.
-            if adj[u].len() >= n - 1 {
-                continue; // saturated, nothing to rewire to
-            }
-            let new = loop {
-                let cand = rng.random_range(0..n);
-                if cand != u && !adj[u].contains(&(cand as u32)) {
-                    break cand;
-                }
-            };
-            adj[u].remove(&(old as u32));
-            adj[old].remove(&(u as u32));
-            add(&mut adj, u, new);
-        }
-    }
-    let edges = adj.iter().enumerate().flat_map(|(u, set)| {
-        set.iter()
-            .copied()
-            .filter(move |&v| (u as u32) < v)
-            .map(move |v| (u as u32, v))
-    });
-    UGraph::from_edges(n, edges).expect("generated indices are in range")
+    b.finish().expect("star indices are in range")
 }
 
 #[cfg(test)]
@@ -202,7 +92,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(3);
         let g = uniform_view_digraph(50, 10, &mut rng);
         for v in 0..50 {
-            assert_eq!(g.out_degree(v), 10);
+            assert_eq!(g.degree(v), 10);
             assert!(!g.has_edge(v, v));
         }
     }
@@ -212,7 +102,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(3);
         let g = uniform_view_digraph(5, 100, &mut rng);
         for v in 0..5 {
-            assert_eq!(g.out_degree(v), 4);
+            assert_eq!(g.degree(v), 4);
         }
     }
 
@@ -226,7 +116,7 @@ mod tests {
     #[test]
     fn uniform_view_graph_is_connected_at_paper_density() {
         let mut rng = SmallRng::seed_from_u64(17);
-        let g = uniform_view_digraph(2000, 30, &mut rng).to_undirected();
+        let g = uniform_view_digraph(2000, 30, &mut rng).undirected();
         assert!(connected_components(&g).is_connected());
         assert!(g.min_degree() >= 30);
     }
@@ -235,10 +125,10 @@ mod tests {
     fn ring_lattice_small() {
         let g = ring_lattice(5, 2);
         // Each node sees +1 and -1.
-        assert_eq!(g.out_neighbors(0), &[1, 4]);
-        assert_eq!(g.out_neighbors(2), &[1, 3]);
-        let u = g.to_undirected();
-        assert_eq!(u.edge_count(), 5);
+        assert_eq!(g.neighbors(0), &[1, 4]);
+        assert_eq!(g.neighbors(2), &[1, 3]);
+        let u = g.undirected();
+        assert_eq!(u.edge_count(), 2 * 5);
         assert_eq!(u.average_degree(), 2.0);
     }
 
@@ -248,108 +138,38 @@ mod tests {
         // +1, -1, +2
         let mut expected = vec![1u32, 6, 2];
         expected.sort_unstable();
-        assert_eq!(g.out_neighbors(0), expected.as_slice());
+        assert_eq!(g.neighbors(0), expected.as_slice());
     }
 
     #[test]
     fn ring_lattice_k_clamped() {
         let g = ring_lattice(4, 10);
         for v in 0..4 {
-            assert_eq!(g.out_degree(v), 3);
+            assert_eq!(g.degree(v), 3);
         }
     }
 
     #[test]
     fn ring_lattice_diameter_is_large() {
-        let g = ring_lattice(100, 2).to_undirected();
-        assert_eq!(crate::paths::diameter(&g), 50);
+        let g = ring_lattice(100, 2).undirected();
+        assert_eq!(crate::paths::average_path_length(&g).max, 50);
     }
 
     #[test]
     fn star_shape() {
         let g = star(6);
-        assert_eq!(g.out_neighbors(0), &[1]);
+        assert_eq!(g.neighbors(0), &[1]);
         for v in 1..6 {
-            assert_eq!(g.out_neighbors(v), &[0]);
+            assert_eq!(g.neighbors(v), &[0]);
         }
-        let u = g.to_undirected();
+        let u = g.undirected();
         assert_eq!(u.degree(0), 5);
-        assert_eq!(u.edge_count(), 5);
+        assert_eq!(u.edge_count(), 2 * 5);
     }
 
     #[test]
     fn star_trivial_sizes() {
         assert_eq!(star(0).node_count(), 0);
         assert_eq!(star(1).edge_count(), 0);
-    }
-
-    #[test]
-    fn erdos_renyi_extremes() {
-        let mut rng = SmallRng::seed_from_u64(4);
-        let empty = erdos_renyi(10, 0.0, &mut rng);
-        assert_eq!(empty.edge_count(), 0);
-        let full = erdos_renyi(10, 1.0, &mut rng);
-        assert_eq!(full.edge_count(), 45);
-    }
-
-    #[test]
-    fn erdos_renyi_edge_count_near_expectation() {
-        let mut rng = SmallRng::seed_from_u64(5);
-        let n = 500;
-        let p = 0.02;
-        let g = erdos_renyi(n, p, &mut rng);
-        let expected = p * (n * (n - 1) / 2) as f64;
-        let got = g.edge_count() as f64;
-        // 5 sigma tolerance.
-        let sigma = (expected * (1.0 - p)).sqrt();
-        assert!(
-            (got - expected).abs() < 5.0 * sigma,
-            "edges {got} vs expected {expected}"
-        );
-    }
-
-    #[test]
-    fn pair_from_index_enumerates_upper_triangle() {
-        let n = 5u64;
-        let mut seen = Vec::new();
-        for idx in 0..n * (n - 1) / 2 {
-            seen.push(pair_from_index(n, idx));
-        }
-        let expected: Vec<(u32, u32)> = (0..5u32)
-            .flat_map(|u| (u + 1..5).map(move |v| (u, v)))
-            .collect();
-        assert_eq!(seen, expected);
-    }
-
-    #[test]
-    fn watts_strogatz_zero_beta_is_lattice() {
-        let mut rng = SmallRng::seed_from_u64(6);
-        let g = watts_strogatz(20, 4, 0.0, &mut rng);
-        let lattice = ring_lattice(20, 4).to_undirected();
-        assert_eq!(g, lattice);
-    }
-
-    #[test]
-    fn watts_strogatz_preserves_edge_count() {
-        let mut rng = SmallRng::seed_from_u64(7);
-        let g = watts_strogatz(100, 6, 0.5, &mut rng);
-        assert_eq!(g.edge_count(), 100 * 3);
-    }
-
-    #[test]
-    fn watts_strogatz_rewiring_shrinks_paths() {
-        let mut rng = SmallRng::seed_from_u64(8);
-        let lattice = watts_strogatz(200, 4, 0.0, &mut rng);
-        let small_world = watts_strogatz(200, 4, 0.3, &mut rng);
-        let lp = crate::paths::average_path_length(&lattice).average;
-        let sp = crate::paths::average_path_length(&small_world).average;
-        assert!(sp < lp, "rewired {sp} should beat lattice {lp}");
-    }
-
-    #[test]
-    #[should_panic(expected = "even k")]
-    fn watts_strogatz_rejects_odd_k() {
-        let mut rng = SmallRng::seed_from_u64(9);
-        let _ = watts_strogatz(10, 3, 0.1, &mut rng);
     }
 }

@@ -6,8 +6,9 @@
 //! published properties are measured on the **undirected** version of that
 //! graph. This crate provides:
 //!
-//! * [`DiGraph`] — the directed view graph (what the protocol maintains).
-//! * [`UGraph`] — the undirected communication graph (what is measured).
+//! * [`csr::Csr`] — the one graph type: the directed view graph a snapshot
+//!   builds, and the undirected communication graph
+//!   [`Csr::undirected`](csr::Csr::undirected) derives from it.
 //! * [`components`] — connected components and partitioning reports
 //!   (Table 1, Figure 6).
 //! * [`paths`] — BFS distances, exact and sampled average path length
@@ -15,8 +16,8 @@
 //! * [`clustering`] — exact and sampled clustering coefficient
 //!   (Figures 2a, 3c, 3d).
 //! * [`metrics`] — one-call snapshot of all observed properties.
-//! * [`gen`] — graph generators: the paper's uniform-view random baseline,
-//!   Erdős–Rényi, ring lattice (Section 5.2), star, Watts–Strogatz.
+//! * [`gen`] — the paper's uniform-view random baseline, the ring lattice
+//!   (Section 5.2) and the star.
 //!
 //! # Examples
 //!
@@ -27,7 +28,7 @@
 //!
 //! let mut rng = SmallRng::seed_from_u64(42);
 //! let directed = gen::uniform_view_digraph(1000, 30, &mut rng);
-//! let g = directed.to_undirected();
+//! let g = directed.undirected();
 //! // Every node holds 30 descriptors, so undirected degree is >= 30.
 //! assert!(g.min_degree() >= 30);
 //! let report = pss_graph::components::connected_components(&g);
@@ -37,7 +38,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod assortativity;
 pub mod clustering;
 pub mod components;
 pub mod csr;
@@ -45,11 +45,7 @@ pub mod gen;
 pub mod metrics;
 pub mod paths;
 
-mod di;
 mod error;
-mod un;
 
-pub use di::DiGraph;
 pub use error::GraphError;
 pub use metrics::{GraphMetrics, MetricsConfig};
-pub use un::UGraph;

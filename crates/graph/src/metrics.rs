@@ -4,8 +4,8 @@ use rand::Rng;
 
 use crate::clustering::{clustering_coefficient, estimate_clustering};
 use crate::components::{connected_components, ComponentReport};
+use crate::csr::Csr;
 use crate::paths::{average_path_length, estimate_average_path_length, PathLengthStats};
-use crate::UGraph;
 
 /// How expensively to measure a snapshot.
 ///
@@ -61,8 +61,9 @@ pub struct GraphMetrics {
 }
 
 impl GraphMetrics {
-    /// Measures `g` under `config`, using `rng` for any sampling.
-    pub fn measure(g: &UGraph, config: &MetricsConfig, rng: &mut impl Rng) -> Self {
+    /// Measures the undirected graph `g` ([`Csr::undirected`]) under
+    /// `config`, using `rng` for any sampling.
+    pub fn measure(g: &Csr, config: &MetricsConfig, rng: &mut impl Rng) -> Self {
         let components: ComponentReport = connected_components(g);
         let clustering = match config.clustering_samples {
             Some(k) => estimate_clustering(g, k, rng),
@@ -74,7 +75,7 @@ impl GraphMetrics {
         };
         GraphMetrics {
             node_count: g.node_count(),
-            edge_count: g.edge_count(),
+            edge_count: g.edge_count() / 2,
             average_degree: g.average_degree(),
             min_degree: g.min_degree(),
             max_degree: g.max_degree(),
@@ -94,13 +95,14 @@ impl GraphMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::undirected_from_edges as graph;
     use crate::gen;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
     #[test]
     fn exact_metrics_of_triangle() {
-        let g = UGraph::from_edges(3, [(0, 1), (1, 2), (2, 0)]).unwrap();
+        let g = graph(3, &[(0, 1), (1, 2), (2, 0)]);
         let mut rng = SmallRng::seed_from_u64(1);
         let m = GraphMetrics::measure(&g, &MetricsConfig::exact(), &mut rng);
         assert_eq!(m.node_count, 3);
@@ -116,7 +118,7 @@ mod tests {
     #[test]
     fn sampled_metrics_close_to_exact() {
         let mut rng = SmallRng::seed_from_u64(2);
-        let g = gen::uniform_view_digraph(800, 20, &mut rng).to_undirected();
+        let g = gen::uniform_view_digraph(800, 20, &mut rng).undirected();
         let exact = GraphMetrics::measure(&g, &MetricsConfig::exact(), &mut rng);
         let sampled = GraphMetrics::measure(&g, &MetricsConfig::sampled(), &mut rng);
         assert_eq!(exact.node_count, sampled.node_count);
@@ -127,7 +129,7 @@ mod tests {
 
     #[test]
     fn disconnected_graph_reports_components() {
-        let g = UGraph::from_edges(4, [(0, 1), (2, 3)]).unwrap();
+        let g = graph(4, &[(0, 1), (2, 3)]);
         let mut rng = SmallRng::seed_from_u64(3);
         let m = GraphMetrics::measure(&g, &MetricsConfig::exact(), &mut rng);
         assert_eq!(m.component_count, 2);

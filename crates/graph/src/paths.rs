@@ -11,19 +11,20 @@ use std::collections::VecDeque;
 use rand::seq::index::sample;
 use rand::Rng;
 
-use crate::UGraph;
+use crate::csr::Csr;
 
 /// Distance sentinel for unreachable nodes in [`bfs_distances`].
 pub const UNREACHABLE: u32 = u32::MAX;
 
-/// Single-source shortest path lengths (in hops) from `src` to every node.
+/// Single-source shortest path lengths (in hops) from `src` to every node
+/// of the undirected graph `g` ([`Csr::undirected`]).
 ///
 /// Unreachable nodes get [`UNREACHABLE`].
 ///
 /// # Panics
 ///
 /// Panics if `src` is out of range.
-pub fn bfs_distances(g: &UGraph, src: u32) -> Vec<u32> {
+pub fn bfs_distances(g: &Csr, src: u32) -> Vec<u32> {
     let mut dist = vec![UNREACHABLE; g.node_count()];
     let mut queue = VecDeque::new();
     dist[src as usize] = 0;
@@ -60,7 +61,7 @@ impl PathLengthStats {
     }
 }
 
-fn accumulate_from_sources(g: &UGraph, sources: impl Iterator<Item = u32>) -> PathLengthStats {
+fn accumulate_from_sources(g: &Csr, sources: impl Iterator<Item = u32>) -> PathLengthStats {
     let n = g.node_count() as u64;
     let mut sum = 0f64;
     let mut pairs = 0u64;
@@ -91,14 +92,15 @@ fn accumulate_from_sources(g: &UGraph, sources: impl Iterator<Item = u32>) -> Pa
     }
 }
 
-/// Exact average shortest path length over all ordered reachable pairs.
+/// Exact average shortest path length over all ordered reachable pairs of
+/// the undirected graph `g`.
 ///
 /// `O(N·(N+E))`: fine for tests and one-off snapshots, too slow for per-cycle
 /// measurement at paper scale — use [`estimate_average_path_length`] there.
 ///
 /// The average is `NaN` when the graph has fewer than two nodes (no pairs to
 /// measure), mirroring the convention that path length is undefined there.
-pub fn average_path_length(g: &UGraph) -> PathLengthStats {
+pub fn average_path_length(g: &Csr) -> PathLengthStats {
     accumulate_from_sources(g, 0..g.node_count() as u32)
 }
 
@@ -107,7 +109,7 @@ pub fn average_path_length(g: &UGraph) -> PathLengthStats {
 /// Every BFS measures `N−1` ordered pairs exactly, so with `k` sources the
 /// estimator averages `k·(N−1)` of the `N·(N−1)` terms of the exact mean —
 /// an unbiased estimate whose error shrinks as `1/√k`. If `sources >= N` the
-/// computation falls back to the exact value.
+/// computation falls back to the exact value and draws nothing from `rng`.
 ///
 /// # Examples
 ///
@@ -116,13 +118,13 @@ pub fn average_path_length(g: &UGraph) -> PathLengthStats {
 /// use rand::{rngs::SmallRng, SeedableRng};
 ///
 /// let mut rng = SmallRng::seed_from_u64(7);
-/// let g = gen::uniform_view_digraph(500, 20, &mut rng).to_undirected();
+/// let g = gen::uniform_view_digraph(500, 20, &mut rng).undirected();
 /// let exact = paths::average_path_length(&g);
 /// let est = paths::estimate_average_path_length(&g, 50, &mut rng);
 /// assert!((exact.average - est.average).abs() < 0.1);
 /// ```
 pub fn estimate_average_path_length(
-    g: &UGraph,
+    g: &Csr,
     sources: usize,
     rng: &mut impl Rng,
 ) -> PathLengthStats {
@@ -134,34 +136,13 @@ pub fn estimate_average_path_length(
     accumulate_from_sources(g, chosen.iter().map(|i| i as u32))
 }
 
-/// Exact eccentricity of `src`: the longest shortest path from it, ignoring
-/// unreachable nodes. Returns 0 for an isolated node.
-pub fn eccentricity(g: &UGraph, src: u32) -> u32 {
-    bfs_distances(g, src)
-        .into_iter()
-        .filter(|&d| d != UNREACHABLE)
-        .max()
-        .unwrap_or(0)
-}
-
-/// Exact diameter: the largest eccentricity over all nodes, ignoring
-/// unreachable pairs. `O(N·(N+E))`.
-pub fn diameter(g: &UGraph) -> u32 {
-    (0..g.node_count() as u32)
-        .map(|v| eccentricity(g, v))
-        .max()
-        .unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
-    fn graph(n: usize, edges: &[(u32, u32)]) -> UGraph {
-        UGraph::from_edges(n, edges.iter().copied()).unwrap()
-    }
+    use crate::csr::undirected_from_edges as graph;
 
     #[test]
     fn bfs_on_path_graph() {
@@ -227,7 +208,7 @@ mod tests {
     #[test]
     fn estimator_close_to_exact_on_random_graph() {
         let mut rng = SmallRng::seed_from_u64(99);
-        let g = crate::gen::uniform_view_digraph(400, 10, &mut rng).to_undirected();
+        let g = crate::gen::uniform_view_digraph(400, 10, &mut rng).undirected();
         let exact = average_path_length(&g);
         let est = estimate_average_path_length(&g, 80, &mut rng);
         assert!(
@@ -240,23 +221,27 @@ mod tests {
 
     #[test]
     fn eccentricity_and_diameter_of_path() {
+        // Eccentricity is the largest BFS distance; the diameter is the
+        // exact `max`.
         let g = graph(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
-        assert_eq!(eccentricity(&g, 0), 4);
-        assert_eq!(eccentricity(&g, 2), 2);
-        assert_eq!(diameter(&g), 4);
+        assert_eq!(bfs_distances(&g, 0).into_iter().max(), Some(4));
+        assert_eq!(bfs_distances(&g, 2).into_iter().max(), Some(2));
+        assert_eq!(average_path_length(&g).max, 4);
     }
 
     #[test]
     fn diameter_ignores_unreachable() {
         let g = graph(4, &[(0, 1), (2, 3)]);
-        assert_eq!(diameter(&g), 1);
+        assert_eq!(average_path_length(&g).max, 1);
     }
 
     #[test]
     fn isolated_node_eccentricity_is_zero() {
         let g = graph(2, &[]);
-        assert_eq!(eccentricity(&g, 0), 0);
-        assert_eq!(diameter(&g), 0);
+        let s = average_path_length(&g);
+        assert_eq!(s.max, 0);
+        assert_eq!(s.pairs, 0);
+        assert_eq!(s.unreachable_pairs, 2);
     }
 
     #[test]

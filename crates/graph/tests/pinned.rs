@@ -5,7 +5,8 @@
 //! before it reaches `results/*.md5`.
 
 use pss_graph::components::connected_components;
-use pss_graph::{clustering, gen, paths, GraphMetrics, MetricsConfig, UGraph};
+use pss_graph::csr::Csr;
+use pss_graph::{clustering, gen, paths, GraphMetrics, MetricsConfig};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -24,7 +25,7 @@ fn digest(values: impl IntoIterator<Item = u64>) -> u64 {
 
 /// Every metric of `g` that a figure or table prints, by name. Sampled
 /// metrics draw from one seeded stream in a fixed order.
-fn pins(g: &UGraph, clustering_samples: usize) -> Vec<(&'static str, u64)> {
+fn pins(g: &Csr, clustering_samples: usize) -> Vec<(&'static str, u64)> {
     let mut rng = SmallRng::seed_from_u64(5);
     let exact = paths::average_path_length(g);
     let sampled = paths::estimate_average_path_length(g, 40, &mut rng);
@@ -78,7 +79,7 @@ fn pins(g: &UGraph, clustering_samples: usize) -> Vec<(&'static str, u64)> {
 #[test]
 fn uniform_baseline_metrics_are_pinned() {
     let mut rng = SmallRng::seed_from_u64(9);
-    let g = gen::uniform_view_digraph(600, 15, &mut rng).to_undirected();
+    let g = gen::uniform_view_digraph(600, 15, &mut rng).undirected();
     assert_eq!(
         pins(&g, 300),
         vec![
@@ -104,7 +105,7 @@ fn uniform_baseline_metrics_are_pinned() {
 
 #[test]
 fn ring_lattice_metrics_are_pinned() {
-    let g = gen::ring_lattice(200, 8).to_undirected();
+    let g = gen::ring_lattice(200, 8).undirected();
     assert_eq!(
         pins(&g, 100),
         vec![

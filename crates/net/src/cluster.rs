@@ -236,14 +236,14 @@ enum Command {
     /// ops, so a killed origin stays uninformed).
     Plant(NodeId),
     /// Runs the period: pace to this many milliseconds after the shared
-    /// start, then reply with a [`Snapshot`].
+    /// start, then reply with a [`PeriodEnd`].
     EndPeriod {
         until_ms: u64,
     },
 }
 
 /// A runtime thread's reply at the end of a period.
-struct Snapshot {
+struct PeriodEnd {
     rows: Vec<(NodeId, Vec<NodeId>)>,
     /// Live hosted nodes holding the rumor.
     informed: usize,
@@ -255,7 +255,7 @@ struct Snapshot {
 fn serve(
     mut rt: NetRuntime<UdpTransport, BoxedNode>,
     commands: mpsc::Receiver<Command>,
-    snapshots: mpsc::Sender<Snapshot>,
+    snapshots: mpsc::Sender<PeriodEnd>,
     started: Instant,
     build: impl Fn(NodeId) -> BoxedNode,
 ) -> RuntimeStats {
@@ -287,7 +287,7 @@ fn serve(
                 rt.for_each_live_view(|id, view| rows.push((id, view.ids().collect())));
                 let mut informed = 0;
                 rt.for_each_informed(|_| informed += 1);
-                if snapshots.send(Snapshot { rows, informed }).is_err() {
+                if snapshots.send(PeriodEnd { rows, informed }).is_err() {
                     break;
                 }
             }
@@ -309,7 +309,7 @@ struct UdpCluster {
     /// Per runtime thread: its command channel and its snapshot channel.
     /// A thread that panics drops its sender, so the driver fails instead
     /// of waiting forever.
-    links: Vec<(mpsc::Sender<Command>, mpsc::Receiver<Snapshot>)>,
+    links: Vec<(mpsc::Sender<Command>, mpsc::Receiver<PeriodEnd>)>,
     /// The last period's live rows of every runtime, sorted by id.
     rows: Vec<(NodeId, Vec<NodeId>)>,
     period_ms: u64,
@@ -327,7 +327,7 @@ impl UdpCluster {
         config: &ClusterConfig,
         addrs: Vec<NetAddr>,
         started: Instant,
-        links: Vec<(mpsc::Sender<Command>, mpsc::Receiver<Snapshot>)>,
+        links: Vec<(mpsc::Sender<Command>, mpsc::Receiver<PeriodEnd>)>,
     ) -> Self {
         UdpCluster {
             nodes: config.nodes,

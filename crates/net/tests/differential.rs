@@ -69,7 +69,7 @@ fn event_trajectory(seed: u64) -> Vec<DegreeStats> {
         let csr = sim.csr_snapshot();
         let in_degrees = csr.graph().in_degrees();
         let outs: Vec<usize> = (0..csr.node_count() as u32)
-            .map(|v| csr.graph().out_degree(v))
+            .map(|v| csr.graph().degree(v))
             .collect();
         out.push(stats_of(&in_degrees, outs.into_iter()));
     }

@@ -737,9 +737,9 @@ mod tests {
         let mut sim = two_node_sim();
         sim.run_cycle();
         sim.kill(NodeId::new(1));
-        let snap = sim.snapshot();
+        let snap = sim.csr_snapshot();
         assert_eq!(snap.node_count(), 1);
-        assert_eq!(snap.directed().edge_count(), 0); // link to dead dropped
+        assert_eq!(snap.graph().edge_count(), 0); // link to dead dropped
     }
 
     #[test]

@@ -446,7 +446,7 @@ pub struct EventDriven {
 /// let mut sim = ShardedEventSimulation::new(protocol, EventConfig::default(), 7, 2)?;
 /// sim.add_connected_nodes(100);
 /// sim.run_for(20_000); // ≈ 20 gossip periods
-/// assert!(sim.snapshot().undirected().average_degree() > 20.0);
+/// assert!(sim.csr_snapshot().graph().undirected().average_degree() > 20.0);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub type ShardedEventSimulation<N> = Sharded<N, EventDriven>;
@@ -1172,8 +1172,8 @@ mod tests {
         // concurrent exchanges.
         crate::scenario::seed_tree(&mut s, 80);
         s.run_for(30_000);
-        let g = s.snapshot().undirected();
-        assert!(pss_graph::components::is_connected(&g));
+        let g = s.csr_snapshot().graph().undirected();
+        assert!(pss_graph::components::connected_components(&g).is_connected());
         assert!(g.average_degree() > 16.0);
     }
 
@@ -1191,8 +1191,7 @@ mod tests {
         assert_eq!(s.alive_count(), 2);
         s.run_for(500);
         assert!(s.dead_link_count() <= 16); // bounded by views, no panic
-        let snap = s.snapshot();
-        assert_eq!(snap.node_count(), 2);
+        assert_eq!(s.csr_snapshot().node_count(), 2);
     }
 
     #[test]
@@ -1224,7 +1223,7 @@ mod tests {
                 .expect("valid config");
             s.add_connected_nodes(30);
             s.run_for(20_000);
-            let g = s.snapshot().undirected();
+            let g = s.csr_snapshot().graph().undirected();
             (g.edge_count(), g.max_degree())
         };
         assert_eq!(run(5), run(5));

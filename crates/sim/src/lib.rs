@@ -48,9 +48,8 @@
 //! let config = ProtocolConfig::new(PolicyTriple::newscast(), 30)?;
 //! let mut sim = scenario::random_overlay(&config, 500, 42);
 //! sim.run_cycles(20);
-//! let snapshot = sim.snapshot();
-//! let graph = snapshot.undirected();
-//! assert!(pss_graph::components::is_connected(&graph));
+//! let graph = sim.csr_snapshot().graph().undirected();
+//! assert!(pss_graph::components::connected_components(&graph).is_connected());
 //! # Ok::<(), pss_core::ConfigError>(())
 //! ```
 
@@ -85,5 +84,5 @@ pub use exec::prefetch;
 pub use population::BoxedNode;
 pub use queue::TickQueue;
 pub use shard::{Mode, Sharded};
-pub use snapshot::{CsrSnapshot, Snapshot, StreamingMetrics};
+pub use snapshot::{CsrSnapshot, StreamingMetrics};
 pub use workload::{Partition, RateAccumulator, Workload, WorkloadTarget};

@@ -1,17 +1,18 @@
 //! Per-cycle observation: recorders for the published metrics.
 //!
 //! The experiment harness runs a simulation under a set of observers; after
-//! every cycle each observer sees the same [`CycleContext`] (directed
-//! snapshot, undirected graph, dead-link counter), so expensive snapshots
-//! are built once per cycle regardless of how many metrics are recorded.
+//! every cycle each observer sees the same [`CycleContext`] (CSR snapshot,
+//! its undirected graph, dead-link counter), so expensive snapshots are
+//! built once per cycle regardless of how many metrics are recorded.
 
 use pss_core::{GossipNode, NodeId};
-use pss_graph::{GraphMetrics, MetricsConfig, UGraph};
+use pss_graph::csr::Csr;
+use pss_graph::{GraphMetrics, MetricsConfig};
 use pss_stats::TimeSeries;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::{Mode, Sharded, Snapshot};
+use crate::{CsrSnapshot, Mode, Sharded};
 
 /// Everything an observer may look at after a cycle. Nothing in it names
 /// the engine, so observers work unchanged on the cycle and the event
@@ -23,10 +24,10 @@ pub struct CycleContext<'a> {
     /// ([`Sharded::dead_link_count`]): a sweep over every view, run only
     /// when an observer asks.
     pub dead_links: &'a dyn Fn() -> usize,
-    /// Directed snapshot over live nodes.
-    pub snapshot: &'a Snapshot,
+    /// Directed view graph over live nodes, with the id mapping.
+    pub snapshot: &'a CsrSnapshot,
     /// Undirected communication graph of the snapshot.
-    pub graph: &'a UGraph,
+    pub graph: &'a Csr,
 }
 
 /// A per-cycle metric recorder.
@@ -46,8 +47,8 @@ pub fn run_observed<N: GossipNode + Send, M: Mode>(
 ) {
     for _ in 0..cycles {
         sim.run_cycle();
-        let snapshot = sim.snapshot();
-        let graph = snapshot.undirected();
+        let snapshot = sim.csr_snapshot();
+        let graph = snapshot.graph().undirected();
         let ctx = CycleContext {
             cycle: sim.cycle(),
             dead_links: &|| sim.dead_link_count(),

@@ -12,7 +12,8 @@
 //!   (the baseline topology itself).
 
 use pss_core::{GossipNode, NodeDescriptor, NodeId, PeerSamplingNode, ProtocolConfig};
-use pss_graph::{gen, DiGraph};
+use pss_graph::csr::Csr;
+use pss_graph::gen;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -20,7 +21,8 @@ use crate::shard::{Mode, Sharded};
 use crate::{EventConfig, EventConfigError, GrowthPlan, ShardedEventSimulation, ShardedSimulation};
 
 /// Seeds an empty engine so that node `i`'s view holds a fresh descriptor
-/// per out-neighbor of `i` in `graph` — one loop for both engines.
+/// per out-neighbor of `i` in the directed `graph` — one loop for both
+/// engines.
 ///
 /// Deliberately **serial** (`add_node`: node seeds, and on the event engine
 /// timer phases, from the control RNG in join order — unlike the bulk path
@@ -33,11 +35,11 @@ use crate::{EventConfig, EventConfigError, GrowthPlan, ShardedEventSimulation, S
 fn seed_from_digraph<M: Mode>(
     sim: &mut Sharded<PeerSamplingNode, M>,
     view_size: usize,
-    graph: &DiGraph,
+    graph: &Csr,
 ) {
     sim.plan_capacity(graph.node_count());
     for v in 0..graph.node_count() as u32 {
-        let out = graph.out_neighbors(v);
+        let out = graph.neighbors(v);
         assert!(
             out.len() <= view_size,
             "initial out-degree {} exceeds view size {}",
@@ -73,7 +75,7 @@ pub fn seed_tree<N: GossipNode + Send, M: Mode>(sim: &mut Sharded<N, M>, n: usiz
 /// would silently truncate otherwise).
 pub fn from_digraph(
     config: &ProtocolConfig,
-    graph: &DiGraph,
+    graph: &Csr,
     seed: u64,
 ) -> ShardedSimulation<PeerSamplingNode> {
     from_digraph_sharded(config, graph, seed, 1)
@@ -142,7 +144,7 @@ pub fn star_overlay(
 /// Panics if any out-degree exceeds the configured view size.
 pub fn from_digraph_sharded(
     config: &ProtocolConfig,
-    graph: &DiGraph,
+    graph: &Csr,
     seed: u64,
     shards: usize,
 ) -> ShardedSimulation<PeerSamplingNode> {
@@ -241,7 +243,7 @@ pub fn event_random_overlay_sharded(
 pub fn event_from_digraph_sharded(
     config: &ProtocolConfig,
     event: EventConfig,
-    graph: &DiGraph,
+    graph: &Csr,
     seed: u64,
     shards: usize,
 ) -> Result<ShardedEventSimulation<PeerSamplingNode>, EventConfigError> {
@@ -254,14 +256,23 @@ pub fn event_from_digraph_sharded(
 mod tests {
     use super::*;
     use pss_core::PolicyTriple;
-    use pss_graph::components;
+    use pss_graph::components::connected_components;
+    use pss_graph::csr::CsrBuilder;
 
     fn config(c: usize) -> ProtocolConfig {
         ProtocolConfig::new(PolicyTriple::newscast(), c).unwrap()
     }
 
-    fn three_nodes() -> DiGraph {
-        DiGraph::from_views(3, vec![vec![1, 2], vec![2], vec![]]).unwrap()
+    fn digraph(views: &[&[u32]]) -> Csr {
+        let mut b = CsrBuilder::new();
+        for view in views {
+            b.push_node(view.iter().copied());
+        }
+        b.finish().unwrap()
+    }
+
+    fn three_nodes() -> Csr {
+        digraph(&[&[1, 2], &[2], &[]])
     }
 
     /// The views of [`three_nodes`], on either engine.
@@ -282,7 +293,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds view size")]
     fn from_digraph_rejects_oversized_views() {
-        let g = DiGraph::from_views(4, vec![vec![1, 2, 3]]).unwrap();
+        let g = digraph(&[&[1, 2, 3], &[], &[], &[]]);
         let _ = from_digraph(&config(2), &g, 1);
     }
 
@@ -303,8 +314,8 @@ mod tests {
         // c = 15 keeps a 60-node overlay above the connectivity threshold.
         let mut sim = growing_overlay(&config(15), 60, 20, 3);
         sim.run_cycles(25);
-        let g = sim.snapshot().undirected();
-        assert!(components::is_connected(&g));
+        let g = sim.csr_snapshot().graph().undirected();
+        assert!(connected_components(&g).is_connected());
     }
 
     #[test]
@@ -328,7 +339,7 @@ mod tests {
     fn random_overlay_differs_per_seed_but_not_per_run() {
         let degree = |seed: u64| {
             let sim = random_overlay(&config(10), 50, seed);
-            sim.snapshot().undirected().degree(0)
+            sim.csr_snapshot().graph().undirected().degree(0)
         };
         assert_eq!(degree(7), degree(7));
     }

@@ -37,7 +37,7 @@ use crate::pool::WorkerPool;
 use crate::population::{Entry, Population};
 use crate::telemetry::EngineTele;
 use crate::workload::Partition;
-use crate::{CsrSnapshot, CycleReport, Snapshot, StreamingMetrics};
+use crate::{CsrSnapshot, CycleReport, StreamingMetrics};
 
 /// What tells the two engines apart: the driver-side state of one
 /// execution model (`Self`), its per-shard state, and the two places where
@@ -382,18 +382,6 @@ impl<N: GossipNode + Send, M: Mode> Sharded<N, M> {
             .sum()
     }
 
-    /// Builds the communication-graph snapshot over live nodes, in global
-    /// id order.
-    pub fn snapshot(&self) -> Snapshot {
-        Snapshot::build(
-            (0..self.dir.len() as u64)
-                .map(NodeId::new)
-                .filter(|&id| self.is_alive(id))
-                .map(|id| (id, self.entry(id).expect("in directory").node.view())),
-            |id| self.is_alive(id),
-        )
-    }
-
     /// Visits every live node's `(id, view)` in increasing id order.
     /// The allocation-free way to export overlay topology at large N (the
     /// CSR snapshot path builds on this).
@@ -405,10 +393,10 @@ impl<N: GossipNode + Send, M: Mode> Sharded<N, M> {
         }
     }
 
-    /// Builds the directed live-view graph as a flat CSR — the snapshot
-    /// path that survives N = 10⁶: two edge arrays plus the id mapping, no
-    /// per-node allocations, no hash maps. Dead view targets are dropped,
-    /// exactly as in [`Sharded::snapshot`].
+    /// Builds the communication-graph snapshot: the directed live-view
+    /// graph as a flat CSR over live nodes in global id order, plus the id
+    /// mapping — two edge arrays, no per-node allocations, no hash maps, so
+    /// it survives N = 10⁶. Dead view targets are dropped.
     pub fn csr_snapshot(&self) -> CsrSnapshot {
         let mut index = vec![u32::MAX; self.dir.len()];
         let mut ids: Vec<NodeId> = Vec::with_capacity(self.dir.alive_count());
@@ -466,7 +454,7 @@ mod tests {
         let ids = sim.alive_ids();
         assert!(sim.is_alive(ids[0]));
         assert!(sim.view_of(ids[0]).is_some());
-        let _ = sim.snapshot();
+        let _ = sim.csr_snapshot();
         let killed = sim.kill_random(2);
         assert_eq!(killed.len(), 2);
         assert!(sim.kill(ids.iter().copied().find(|i| sim.is_alive(*i)).unwrap()));

@@ -2,94 +2,14 @@
 
 use pss_core::{NodeId, View};
 use pss_graph::csr::Csr;
-use pss_graph::{DiGraph, UGraph};
 
-/// The communication topology at one instant: a directed graph over the
-/// *live* nodes, with compact indices, plus the index ↔ id mapping.
-///
-/// Edges to dead nodes are excluded (they are *dead links*, counted
-/// separately by [`crate::ShardedSimulation::dead_link_count`]).
-#[derive(Debug, Clone)]
-pub struct Snapshot {
-    directed: DiGraph,
-    ids: Vec<NodeId>,
-}
-
-impl Snapshot {
-    /// Builds a snapshot from `(id, view)` pairs of live nodes; `is_live`
-    /// classifies view targets (targets that are not live are dropped).
-    pub fn build<'a>(
-        nodes: impl IntoIterator<Item = (NodeId, &'a View)>,
-        is_live: impl Fn(NodeId) -> bool,
-    ) -> Self {
-        let collected: Vec<(NodeId, &View)> = nodes.into_iter().collect();
-        let ids: Vec<NodeId> = collected.iter().map(|(id, _)| *id).collect();
-        let max_id = ids
-            .iter()
-            .map(|id| id.as_index())
-            .max()
-            .map_or(0, |m| m + 1);
-        let mut index = vec![u32::MAX; max_id];
-        for (i, id) in ids.iter().enumerate() {
-            index[id.as_index()] = i as u32;
-        }
-        let views: Vec<Vec<u32>> = collected
-            .iter()
-            .map(|(_, view)| {
-                view.ids()
-                    .filter(|&t| {
-                        is_live(t) && t.as_index() < max_id && index[t.as_index()] != u32::MAX
-                    })
-                    .map(|t| index[t.as_index()])
-                    .collect()
-            })
-            .collect();
-        let directed = DiGraph::from_views(ids.len(), views).expect("compact indices are in range");
-        Snapshot { directed, ids }
-    }
-
-    /// The directed view graph (compact indices).
-    pub fn directed(&self) -> &DiGraph {
-        &self.directed
-    }
-
-    /// The undirected communication graph the paper measures.
-    pub fn undirected(&self) -> UGraph {
-        self.directed.to_undirected()
-    }
-
-    /// Number of live nodes in the snapshot.
-    pub fn node_count(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Maps a compact index back to the simulator [`NodeId`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn node_id(&self, index: u32) -> NodeId {
-        self.ids[index as usize]
-    }
-
-    /// Maps a simulator [`NodeId`] to its compact index, if the node is in
-    /// the snapshot.
-    pub fn index_of(&self, id: NodeId) -> Option<u32> {
-        // ids is sorted (populations enumerate in id order), so binary
-        // search applies.
-        self.ids.binary_search(&id).ok().map(|i| i as u32)
-    }
-
-    /// The live node ids, in increasing order.
-    pub fn node_ids(&self) -> &[NodeId] {
-        &self.ids
-    }
-}
-
-/// A flat CSR variant of [`Snapshot`] for very large overlays: the directed
-/// live-view graph in two arrays plus the compact-index ↔ id mapping, built
-/// without any per-node allocation (see
-/// [`crate::ShardedSimulation::csr_snapshot`]).
+/// The communication topology at one instant: the directed view graph over
+/// the *live* nodes as one [`Csr`] (compact indices in increasing id order),
+/// plus the compact-index ↔ id mapping, built without any per-node
+/// allocation (see [`crate::ShardedSimulation::csr_snapshot`]). Edges to
+/// dead nodes are excluded: they are *dead links*, counted separately by
+/// [`crate::ShardedSimulation::dead_link_count`]. The paper's properties
+/// are measured on [`Csr::undirected`] of [`CsrSnapshot::graph`].
 #[derive(Debug, Clone)]
 pub struct CsrSnapshot {
     graph: Csr,
@@ -387,25 +307,23 @@ mod tests {
             .collect()
     }
 
+    fn ids(raw: &[u64]) -> Vec<NodeId> {
+        raw.iter().map(|&i| NodeId::new(i)).collect()
+    }
+
     #[test]
     fn builds_compact_graph() {
         // Nodes 0, 2, 5 live; node 1 dead. Views reference both.
-        let v0 = view(&[2, 1]); // edge to dead 1 dropped
-        let v2 = view(&[0, 5]);
-        let v5 = view(&[2]);
-        let live = [NodeId::new(0), NodeId::new(2), NodeId::new(5)];
-        let snap = Snapshot::build(
-            vec![
-                (NodeId::new(0), &v0),
-                (NodeId::new(2), &v2),
-                (NodeId::new(5), &v5),
-            ],
-            |id| live.contains(&id),
-        );
+        let rows = vec![
+            (NodeId::new(0), ids(&[2, 1])), // edge to dead 1 dropped
+            (NodeId::new(2), ids(&[0, 5])),
+            (NodeId::new(5), ids(&[2])),
+        ];
+        let snap = CsrSnapshot::from_rows(6, &rows);
         assert_eq!(snap.node_count(), 3);
-        let g = snap.directed();
+        let g = snap.graph();
         assert_eq!(g.edge_count(), 4);
-        // Compact indices follow input order: 0->0, 2->1, 5->2.
+        // Compact indices follow id order: 0->0, 2->1, 5->2.
         assert!(g.has_edge(0, 1));
         assert!(g.has_edge(1, 0));
         assert!(g.has_edge(1, 2));
@@ -417,20 +335,18 @@ mod tests {
 
     #[test]
     fn undirected_projection() {
-        let v0 = view(&[1]);
-        let v1 = view(&[]);
-        let snap = Snapshot::build(vec![(NodeId::new(0), &v0), (NodeId::new(1), &v1)], |_| true);
-        let u = snap.undirected();
-        assert_eq!(u.edge_count(), 1);
+        let rows = vec![(NodeId::new(0), ids(&[1])), (NodeId::new(1), ids(&[]))];
+        let u = CsrSnapshot::from_rows(2, &rows).graph().undirected();
+        assert_eq!(u.edge_count(), 2); // one edge, stored in both rows
         assert!(u.has_edge(0, 1));
         assert!(u.has_edge(1, 0));
     }
 
     #[test]
     fn empty_snapshot() {
-        let snap = Snapshot::build(Vec::<(NodeId, &View)>::new(), |_| true);
+        let snap = CsrSnapshot::from_rows(4, &[]);
         assert_eq!(snap.node_count(), 0);
-        assert_eq!(snap.undirected().node_count(), 0);
+        assert_eq!(snap.graph().undirected().node_count(), 0);
         assert_eq!(snap.index_of(NodeId::new(0)), None);
     }
 
@@ -445,7 +361,7 @@ mod tests {
         let snap = CsrSnapshot::from_rows(6, &rows);
         assert_eq!(snap.node_count(), 3);
         assert_eq!(snap.graph().edge_count(), 4);
-        assert_eq!(snap.graph().out_neighbors(0), &[1]); // dead 1 dropped
+        assert_eq!(snap.graph().neighbors(0), &[1]); // dead 1 dropped
         assert_eq!(snap.graph().in_degrees(), vec![1, 2, 1]);
         assert_eq!(snap.node_id(2), NodeId::new(5));
         assert_eq!(snap.index_of(NodeId::new(2)), Some(1));
@@ -497,18 +413,8 @@ mod tests {
 
     #[test]
     fn node_ids_are_sorted() {
-        let v = view(&[]);
-        let snap = Snapshot::build(
-            vec![
-                (NodeId::new(1), &v),
-                (NodeId::new(3), &v),
-                (NodeId::new(7), &v),
-            ],
-            |_| true,
-        );
-        assert_eq!(
-            snap.node_ids(),
-            &[NodeId::new(1), NodeId::new(3), NodeId::new(7)]
-        );
+        let rows: Vec<_> = ids(&[1, 3, 7]).into_iter().map(|id| (id, vec![])).collect();
+        let snap = CsrSnapshot::from_rows(8, &rows);
+        assert_eq!(snap.node_ids(), ids(&[1, 3, 7]).as_slice());
     }
 }

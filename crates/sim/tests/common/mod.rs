@@ -39,17 +39,25 @@ pub fn view_digest<N: GossipNode + Send, M: Mode>(sim: &Sharded<N, M>) -> u64 {
     digest
 }
 
-/// The flat CSR snapshot must hold exactly the rows of the `Vec`-based
-/// one (both sort out-neighbors and drop dead targets), on either engine.
-pub fn assert_csr_matches_snapshot<N: GossipNode + Send, M: Mode>(sim: &Sharded<N, M>) {
-    let snap = sim.snapshot();
+/// The CSR snapshot must hold exactly the live views, rebuilt here as one
+/// `Vec` per live node (sorted, deduplicated, dead targets dropped), on
+/// either engine.
+pub fn assert_csr_matches_views<N: GossipNode + Send, M: Mode>(sim: &Sharded<N, M>) {
+    let mut ids = Vec::new();
+    let mut views = Vec::new();
+    sim.for_each_live_view(|id, view| {
+        ids.push(id);
+        views.push(view.ids().collect::<Vec<_>>());
+    });
     let csr = sim.csr_snapshot();
-    assert_eq!(snap.node_count(), csr.node_count());
-    assert_eq!(snap.node_ids(), csr.node_ids());
-    for v in 0..snap.node_count() as u32 {
+    assert_eq!(csr.node_ids(), ids.as_slice());
+    for (v, view) in views.iter().enumerate() {
+        let mut row: Vec<u32> = view.iter().filter_map(|&t| csr.index_of(t)).collect();
+        row.sort_unstable();
+        row.dedup();
         assert_eq!(
-            snap.directed().out_neighbors(v),
-            csr.graph().out_neighbors(v),
+            csr.graph().neighbors(v as u32),
+            row.as_slice(),
             "row {v} diverged"
         );
     }

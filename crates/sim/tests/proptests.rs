@@ -73,8 +73,7 @@ proptest! {
             let config = ProtocolConfig::new(policy, 8).unwrap();
             let mut sim = scenario::random_overlay(&config, n, seed);
             sim.run_cycles(cycles);
-            let snap = sim.snapshot();
-            let g = snap.undirected();
+            let g = sim.csr_snapshot().graph().undirected();
             (0..n as u32).map(|v| g.neighbors(v).to_vec()).collect::<Vec<_>>()
         };
         prop_assert_eq!(fingerprint(seed), fingerprint(seed));
@@ -130,7 +129,7 @@ proptest! {
         let mut sim = scenario::random_overlay(&config, n, seed);
         sim.run_cycles(3);
         sim.kill_random_fraction(kill_fraction);
-        let snap = sim.snapshot();
+        let snap = sim.csr_snapshot();
         prop_assert_eq!(snap.node_count(), sim.alive_count());
         for &id in snap.node_ids() {
             prop_assert!(sim.is_alive(id));
@@ -166,8 +165,7 @@ proptest! {
             let mut sim = scenario::random_overlay(&config, n, seed);
             sim.set_failure_mode(mode);
             sim.run_cycles(cycles);
-            let snap = sim.snapshot();
-            let g = snap.undirected();
+            let g = sim.csr_snapshot().graph().undirected();
             (0..n as u32).map(|v| g.neighbors(v).to_vec()).collect::<Vec<_>>()
         };
         prop_assert_eq!(run(FailureMode::SkipDead), run(FailureMode::AttemptAndLose));
@@ -185,8 +183,7 @@ proptest! {
                 .expect("valid config");
             scenario::seed_tree(&mut sim, n);
             sim.run_for(duration);
-            let snap = sim.snapshot();
-            let g = snap.undirected();
+            let g = sim.csr_snapshot().graph().undirected();
             (0..n as u32).map(|v| g.neighbors(v).to_vec()).collect::<Vec<_>>()
         };
         prop_assert_eq!(run(), run());

@@ -3,7 +3,7 @@
 //! Three contracts are pinned here:
 //!
 //! 1. **Worker invariance** — for a fixed `(seed, shard_count)`, the entire
-//!    per-cycle `Snapshot`/report stream is bit-identical whether the engine
+//!    per-cycle snapshot/report stream is bit-identical whether the engine
 //!    runs on 1, 2, or 4 worker threads.
 //! 2. **Pinned digest** — a constant digest of a tiny-scale 2-shard run, so
 //!    *any* accidental change to cross-shard ordering, RNG streams, or
@@ -17,7 +17,7 @@
 mod common;
 
 use common::{
-    apply_step, assert_csr_matches_snapshot, assert_streaming_matches_csr, boxed_factory,
+    apply_step, assert_csr_matches_views, assert_streaming_matches_csr, boxed_factory,
     digest_report, fnv1a, view_digest, FNV_OFFSET,
 };
 use pss_core::{NodeDescriptor, NodeId, PolicyTriple, ProtocolConfig};
@@ -177,7 +177,7 @@ fn one_shard_matches_sequential_for_headline_policies() {
         for v in 0..graph.node_count() as u32 {
             boxed.add_node(
                 graph
-                    .out_neighbors(v)
+                    .neighbors(v)
                     .iter()
                     .map(|&t| NodeDescriptor::fresh(NodeId::new(t as u64))),
             );
@@ -245,7 +245,7 @@ fn csr_snapshot_matches_vec_snapshot() {
     let mut sim = scenario::random_overlay_sharded(&config, 70, 3, 2);
     sim.run_cycles(4);
     sim.kill_random_fraction(0.2); // dead targets must be dropped by both
-    assert_csr_matches_snapshot(&sim);
+    assert_csr_matches_views(&sim);
 }
 
 /// On a mid-size overlay with dead links in play.

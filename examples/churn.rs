@@ -28,11 +28,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             sim.run_cycles(5);
             print!(" → {}", sim.dead_link_count());
         }
-        let graph = sim.snapshot().undirected();
-        println!(
-            "   (connected: {})",
-            peer_sampling::graph::components::is_connected(&graph)
-        );
+        let graph = sim.csr_snapshot().graph().undirected();
+        let components = peer_sampling::graph::components::connected_components(&graph);
+        println!("   (connected: {})", components.is_connected());
     }
 
     println!();
@@ -47,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             sim.add_nodes_with_random_contacts(churn, 3);
             sim.run_cycle();
         }
-        let graph = sim.snapshot().undirected();
+        let graph = sim.csr_snapshot().graph().undirected();
         let components = peer_sampling::graph::components::connected_components(&graph);
         println!(
             "after {:>3} churn cycles: {} live nodes, dead links {}, \

@@ -47,8 +47,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         scenario::seed_tree(&mut sim, N);
         sim.run_for(60 * PERIOD);
 
-        let graph = sim.snapshot().undirected();
-        let connected = peer_sampling::graph::components::is_connected(&graph);
+        let graph = sim.csr_snapshot().graph().undirected();
+        let connected =
+            peer_sampling::graph::components::connected_components(&graph).is_connected();
         let clustering = peer_sampling::graph::clustering::clustering_coefficient(&graph);
         let latency_text = match latency {
             LatencyModel::Zero => "0".to_owned(),
@@ -85,7 +86,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
              avg degree {:.2}",
             sim.events_processed(),
             report.exchanges_completed,
-            sim.snapshot().undirected().average_degree(),
+            sim.csr_snapshot().graph().undirected().average_degree(),
         );
     }
     Ok(())

@@ -30,8 +30,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         sim.add_nodes_with_random_contacts(40, 1);
         sim.run_cycles(25);
 
-        let snapshot = sim.snapshot();
-        let graph = snapshot.undirected();
+        let snapshot = sim.csr_snapshot();
+        let graph = snapshot.graph().undirected();
         let components = peer_sampling::graph::components::connected_components(&graph);
         let clustering = peer_sampling::graph::clustering::clustering_coefficient(&graph);
         let max_deg_frac = graph.max_degree() as f64 / (graph.node_count() - 1) as f64;

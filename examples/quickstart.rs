@@ -18,11 +18,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     sim.run_cycles(50);
 
     // 3. Inspect the resulting communication topology.
-    let snapshot = sim.snapshot();
-    let graph = snapshot.undirected();
+    let graph = sim.csr_snapshot().graph().undirected();
     let components = peer_sampling::graph::components::connected_components(&graph);
     println!("nodes:               {}", graph.node_count());
-    println!("undirected edges:    {}", graph.edge_count());
+    println!("undirected edges:    {}", graph.edge_count() / 2);
     println!("average degree:      {:.2}", graph.average_degree());
     println!(
         "clustering coeff:    {:.4}",

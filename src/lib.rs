@@ -38,8 +38,9 @@
 //! let mut sim = scenario::random_overlay(&config, 1000, 42);
 //! sim.run_cycles(30);
 //!
-//! let graph = sim.snapshot().undirected();
-//! assert!(peer_sampling::graph::components::is_connected(&graph));
+//! let graph = sim.csr_snapshot().graph().undirected();
+//! let components = peer_sampling::graph::components::connected_components(&graph);
+//! assert!(components.is_connected());
 //! assert!(graph.average_degree() >= 30.0);
 //! # Ok::<(), peer_sampling::ConfigError>(())
 //! ```
@@ -58,6 +59,4 @@ pub use pss_core::{
     ConfigError, GossipNode, NodeDescriptor, NodeId, OracleSampler, PeerSampler, PeerSamplingNode,
     PeerSelection, PolicyTriple, ProtocolConfig, View, ViewPropagation, ViewSelection,
 };
-pub use pss_sim::{
-    scenario, EventConfig, ShardedEventSimulation, ShardedSimulation, Snapshot, Workload,
-};
+pub use pss_sim::{scenario, EventConfig, ShardedEventSimulation, ShardedSimulation, Workload};

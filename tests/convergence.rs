@@ -20,9 +20,9 @@ fn converged_metrics(policy: PolicyTriple, which: &str, seed: u64) -> (f64, f64,
         other => panic!("unknown scenario {other}"),
     };
     sim.run_cycles(CYCLES);
-    let g = sim.snapshot().undirected();
+    let g = sim.csr_snapshot().graph().undirected();
     assert!(
-        components::is_connected(&g),
+        components::connected_components(&g).is_connected(),
         "{policy} from {which} start must stay connected"
     );
     (
@@ -61,9 +61,9 @@ fn lattice_diameter_collapses_quickly() {
     // reaches random-like distances within tens of cycles.
     let config = ProtocolConfig::new(PolicyTriple::newscast(), C).expect("valid");
     let mut sim = scenario::lattice_overlay(&config, N, 3);
-    let initial = paths::average_path_length(&sim.snapshot().undirected()).average;
+    let initial = paths::average_path_length(&sim.csr_snapshot().graph().undirected()).average;
     sim.run_cycles(20);
-    let after = paths::average_path_length(&sim.snapshot().undirected()).average;
+    let after = paths::average_path_length(&sim.csr_snapshot().graph().undirected()).average;
     assert!(
         initial > 3.0 * after,
         "expected sharp drop: initial {initial}, after 20 cycles {after}"
@@ -89,10 +89,10 @@ fn overlays_are_small_world() {
     let config = ProtocolConfig::new(PolicyTriple::newscast(), C).expect("valid");
     let mut sim = scenario::random_overlay(&config, N, 6);
     sim.run_cycles(CYCLES);
-    let g = sim.snapshot().undirected();
+    let g = sim.csr_snapshot().graph().undirected();
 
     let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(7);
-    let baseline = pss_graph::gen::uniform_view_digraph(N, C, &mut rng).to_undirected();
+    let baseline = pss_graph::gen::uniform_view_digraph(N, C, &mut rng).undirected();
 
     let cc = clustering::clustering_coefficient(&g);
     let cc_base = clustering::clustering_coefficient(&baseline);
@@ -116,7 +116,7 @@ fn degenerate_pull_collapses_to_star() {
     let config = ProtocolConfig::new(policy, C).expect("valid");
     let mut sim = scenario::random_overlay(&config, 300, 8);
     sim.run_cycles(80);
-    let g = sim.snapshot().undirected();
+    let g = sim.csr_snapshot().graph().undirected();
     let hubness = g.max_degree() as f64 / (g.node_count() - 1) as f64;
     assert!(
         hubness > 0.5,
@@ -134,9 +134,9 @@ fn degenerate_tail_view_selection_ignores_joiners() {
     let joined_from = sim.node_count();
     sim.add_nodes_with_random_contacts(30, 1);
     sim.run_cycles(20);
-    let snap = sim.snapshot();
-    let in_degrees = snap.directed().in_degrees();
-    let joiner_in: usize = (joined_from..joined_from + 30)
+    let snap = sim.csr_snapshot();
+    let in_degrees = snap.graph().in_degrees();
+    let joiner_in: u32 = (joined_from..joined_from + 30)
         .filter_map(|i| snap.index_of(peer_sampling::NodeId::new(i as u64)))
         .map(|idx| in_degrees[idx as usize])
         .sum();

@@ -15,7 +15,10 @@ fn converged_distribution(policy: &str, seed: u64) -> pss_stats::CountDistributi
     let config = ProtocolConfig::new(policy, C).expect("valid");
     let mut sim = scenario::random_overlay(&config, N, seed);
     sim.run_cycles(CYCLES);
-    sim.snapshot().undirected().degree_distribution()
+    sim.csr_snapshot()
+        .graph()
+        .undirected()
+        .degree_distribution()
 }
 
 #[test]
@@ -76,7 +79,7 @@ fn node_degrees_oscillate_around_common_mean_without_hubs() {
         .iter()
         .map(|s| s.summary().mean())
         .collect();
-    let overall = sim.snapshot().undirected().average_degree();
+    let overall = sim.csr_snapshot().graph().undirected().average_degree();
     assert!(
         (time_averages.mean() - overall).abs() < 4.0,
         "traced mean {} vs overall {overall}",

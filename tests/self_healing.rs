@@ -71,9 +71,9 @@ fn surviving_half_stays_connected() {
         let mut sim = converged(policy, 5);
         sim.kill_random_fraction(0.5);
         sim.run_cycles(5);
-        let g = sim.snapshot().undirected();
+        let g = sim.csr_snapshot().graph().undirected();
         assert!(
-            pss_graph::components::is_connected(&g),
+            pss_graph::components::connected_components(&g).is_connected(),
             "{policy}: survivors should stay connected"
         );
     }
@@ -84,7 +84,7 @@ fn massive_removal_keeps_one_dominant_cluster() {
     // Figure 6: even when partitioning occurs, "most of the nodes form a
     // single large connected cluster".
     let sim = converged("(rand,head,pushpull)", 6);
-    let graph = sim.snapshot().undirected();
+    let graph = sim.csr_snapshot().graph().undirected();
     let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(7);
     use rand::seq::SliceRandom;
 

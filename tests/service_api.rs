@@ -74,8 +74,8 @@ fn hs_nodes_run_under_the_standard_simulator() {
         ]);
     }
     sim.run_cycles(40);
-    let g = sim.snapshot().undirected();
-    assert!(pss_graph::components::is_connected(&g));
+    let g = sim.csr_snapshot().graph().undirected();
+    assert!(pss_graph::components::connected_components(&g).is_connected());
     // H&S sends half-views, so degrees stay near 2c like the base protocol.
     assert!(g.average_degree() > 20.0, "degree {}", g.average_degree());
 
@@ -105,8 +105,8 @@ fn mixed_node_types_interoperate() {
     });
     scenario::seed_tree(&mut sim, 200);
     sim.run_cycles(40);
-    let g = sim.snapshot().undirected();
-    assert!(pss_graph::components::is_connected(&g));
+    let g = sim.csr_snapshot().graph().undirected();
+    assert!(pss_graph::components::connected_components(&g).is_connected());
 }
 
 #[test]
