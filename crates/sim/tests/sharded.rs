@@ -13,6 +13,9 @@
 //!    nodes and the `new` engine the scenarios build produce identical
 //!    `CycleReport`s and final views for all three headline policies; the
 //!    1-shard serial path itself is pinned by its own digest.
+//! 4. **Inline exchange order** — one-shard runs on overlays of 3 to 8
+//!    nodes, where the next initiator is often the current exchange's
+//!    peer, are pinned by a digest of every cycle's report and views.
 
 mod common;
 
@@ -23,7 +26,7 @@ use common::{
 use pss_core::{NodeDescriptor, NodeId, PolicyTriple, ProtocolConfig};
 use pss_graph::gen;
 use pss_sim::workload::{run_workload, Workload};
-use pss_sim::{scenario, FailureMode, ShardedSimulation};
+use pss_sim::{scenario, FailureMode, Partition, ShardedSimulation};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -257,3 +260,43 @@ fn streaming_metrics_match_materialized_snapshot() {
     sim.kill_random_fraction(0.15); // dead targets must be dropped by both
     assert_streaming_matches_csr(&sim);
 }
+
+/// Phase 1 of a one-shard cycle completes every exchange inline, in
+/// initiation order. On overlays of 3 to 8 nodes the next initiator is
+/// often the current exchange's peer, so any reordering of initiations
+/// around an inline exchange changes this digest. Every policy triple runs
+/// under both failure modes (node 0 dies at cycle 10), once with message
+/// loss and once behind a lossy two-group partition, for 50 cycles each;
+/// every cycle's report and every live view are digested.
+#[test]
+fn pinned_inline_exchange_order_on_tiny_overlays() {
+    let mut digest = FNV_OFFSET;
+    for n in 3..=8usize {
+        for (p, policy) in PolicyTriple::all().into_iter().enumerate() {
+            for mode in [FailureMode::SkipDead, FailureMode::AttemptAndLose] {
+                for partitioned in [false, true] {
+                    let config = ProtocolConfig::new(policy, (n - 1).min(4)).expect("valid");
+                    let seed = (n * 100 + p) as u64;
+                    let mut sim = scenario::random_overlay(&config, n, seed);
+                    sim.set_failure_mode(mode);
+                    if partitioned {
+                        sim.set_partition(Some(Partition::lossy(2, 0.4)));
+                    } else {
+                        sim.set_message_loss(0.15);
+                    }
+                    for cycle in 0..50 {
+                        if cycle == 10 {
+                            sim.kill(NodeId::new(0));
+                        }
+                        digest_report(&mut digest, &sim.run_cycle());
+                        fnv1a(&mut digest, view_digest(&sim));
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(digest, PINNED_INLINE_ORDER_DIGEST);
+}
+
+/// See [`pinned_inline_exchange_order_on_tiny_overlays`].
+const PINNED_INLINE_ORDER_DIGEST: u64 = 13469274265270193047;
