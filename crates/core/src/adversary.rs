@@ -437,7 +437,10 @@ impl GossipNode for HubAttacker {
         arena: &mut Arena,
         eligible: &mut dyn FnMut(NodeId) -> bool,
     ) -> Option<Exchange> {
-        let peer = self.targets.view.sample_filtered(&mut self.rng, eligible)?;
+        let peer =
+            self.targets
+                .view
+                .sample_filtered(&mut self.rng, &mut arena.scratch, eligible)?;
         Some(Exchange {
             peer,
             request: Request {

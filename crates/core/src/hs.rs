@@ -272,7 +272,10 @@ impl GossipNode for HsNode {
         // succeeds — they count cycles, not hops, in the H&S protocol.
         self.view.increase_hop_counts();
         let peer = match self.config.peer_selection {
-            HsPeerSelection::Rand => self.view.sample_filtered(&mut self.rng, eligible),
+            HsPeerSelection::Rand => {
+                self.view
+                    .sample_filtered(&mut self.rng, &mut arena.scratch, eligible)
+            }
             HsPeerSelection::Oldest => {
                 let mut last = None;
                 for id in self.view.ids() {

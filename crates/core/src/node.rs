@@ -60,6 +60,10 @@ pub trait GossipNode {
     /// deployment performs within one period. Returns `None` when no
     /// eligible entry exists. Side effects that happen once per cycle (view
     /// aging) still apply even when `None` is returned.
+    ///
+    /// Reads and writes only this node (and whatever `eligible` reads): the
+    /// cycle engine initiates a node before the previous exchange completes
+    /// whenever that exchange does not involve the node.
     fn initiate_filtered(
         &mut self,
         arena: &mut Arena,
@@ -165,7 +169,11 @@ impl PeerSamplingNode {
 
     /// Selects the exchange partner among eligible view entries per the
     /// peer selection policy. `None` if no eligible entry exists.
-    fn select_exchange_peer(&mut self, eligible: &mut dyn FnMut(NodeId) -> bool) -> Option<NodeId> {
+    fn select_exchange_peer(
+        &mut self,
+        arena: &mut Arena,
+        eligible: &mut dyn FnMut(NodeId) -> bool,
+    ) -> Option<NodeId> {
         match self.config.policy().peer_selection {
             PeerSelection::Head => self.view.ids().find(|&id| eligible(id)),
             PeerSelection::Tail => {
@@ -177,7 +185,10 @@ impl PeerSamplingNode {
                 }
                 last
             }
-            PeerSelection::Rand => self.view.sample_filtered(&mut self.rng, eligible),
+            PeerSelection::Rand => {
+                self.view
+                    .sample_filtered(&mut self.rng, &mut arena.scratch, eligible)
+            }
         }
     }
 
@@ -200,8 +211,11 @@ impl PeerSamplingNode {
     }
 
     /// Runs the receive side of an exchange on `descriptors`:
-    /// `view ← selectView(merge(increaseHopCount(view_p), view))`, using the
-    /// arena's staging buffers (no steady-state allocation).
+    /// `view ← selectView(merge(increaseHopCount(view_p), view))` in one
+    /// merge pass over the message buffer itself. `increaseHopCount` happens
+    /// inside that pass, as each descriptor is read; nothing copies the
+    /// buffer first. The arena's merge scratch makes it allocation-free in
+    /// steady state.
     ///
     /// Under [`crate::Freshness::Timestamp`] the `increaseHopCount` step
     /// degenerates to the identity: ages are clock readings stamped by the
@@ -211,16 +225,13 @@ impl PeerSamplingNode {
         let c = self.config.view_size();
         let transfer = self.config.freshness().transfer_age();
         // Fast path: protocol messages carry well-formed view content
-        // (hop-sorted, one descriptor per node), absorbed straight off
-        // the wire buffer. Malformed content (possible only through
-        // hand-crafted requests) is rejected untouched and goes through
-        // the general dedup path.
-        arena.rx_buf.clear();
-        arena
-            .rx_buf
-            .extend(descriptors.iter().map(|d| d.aged_by(transfer)));
-        let absorbed = self.view.merge_select_from_slice(
-            &arena.rx_buf,
+        // (hop-sorted, one descriptor per node), merged straight off the
+        // wire buffer and aged by the transfer age as the merge reads it.
+        // Malformed content (possible only through hand-crafted requests)
+        // is rejected untouched and goes through the general dedup path.
+        let absorbed = self.view.merge_select_from_aged(
+            &descriptors,
+            transfer,
             Some(self.id),
             policy,
             c,
@@ -287,7 +298,7 @@ impl GossipNode for PeerSamplingNode {
         // makes this explicit as `view.increaseAge()` once per cycle; we do
         // the same here, at the start of the active thread.
         self.view.increase_hop_counts();
-        let peer = self.select_exchange_peer(eligible)?;
+        let peer = self.select_exchange_peer(arena, eligible)?;
         let propagation = self.config.policy().propagation;
         let descriptors = if propagation.is_push() {
             self.outgoing_descriptors(arena)

@@ -1,9 +1,10 @@
 //! Explicitly-owned staging arena shared by every protocol node
 //! implementation.
 //!
-//! The receive side of an exchange needs a handful of scratch buffers: an
-//! aged copy of the wire content, a staging [`View`] for the general merge
-//! fallback, a [`MergeScratch`], and a pool of recycled message buffers.
+//! The receive side of an exchange needs a handful of scratch buffers: a
+//! staging [`View`] for the general merge fallback, a [`MergeScratch`]
+//! (which the fast path merges the wire buffer through in place), and a
+//! pool of recycled message buffers.
 //! These are deliberately **per driver** rather than per node: a simulation
 //! drives many thousands of nodes from one arena, and per-node buffers would
 //! add kilobytes of cold memory to every exchange (measurably slower at
@@ -34,8 +35,6 @@ pub const POOL_LIMIT: usize = 8;
 /// The staging buffers every protocol node call works out of (see the
 /// module docs). One per driver; passed explicitly as `&mut Arena`.
 pub struct Arena {
-    /// Aged copy of the received wire buffer.
-    pub(crate) rx_buf: Vec<NodeDescriptor>,
     /// Staging view for the (rare) general fallback merge path.
     pub(crate) rx_view: View,
     /// Merge scratch shared by all merge/select calls through this arena.
@@ -66,7 +65,6 @@ impl Arena {
     /// so they size the pool to their expected message backlog.
     pub fn with_pool_limit(pool_limit: usize) -> Self {
         Arena {
-            rx_buf: Vec::new(),
             rx_view: View::default(),
             scratch: MergeScratch::default(),
             pool: Vec::new(),
@@ -80,12 +78,10 @@ impl Arena {
     }
 
     /// Pre-sizes the arena: fills the message-buffer pool with `buffers`
-    /// buffers of `descriptor_capacity` each and reserves the wire staging
-    /// buffer. Purely an allocation warm-up (drivers call it so first-touch
+    /// buffers of `descriptor_capacity` each. Purely an allocation warm-up (drivers call it so first-touch
     /// faulting happens on the owning worker) — it has no observable effect
     /// on protocol output.
     pub fn prewarm(&mut self, buffers: usize, descriptor_capacity: usize) {
-        self.rx_buf.reserve(descriptor_capacity);
         while self.pool.len() < buffers.min(self.pool_limit) {
             self.pool.push(Vec::with_capacity(descriptor_capacity));
         }

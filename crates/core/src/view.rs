@@ -33,13 +33,17 @@ use crate::{NodeDescriptor, NodeId, ViewSelection};
 ///
 /// The view is its hop-ordered entry list and nothing else. Lookups
 /// ([`View::contains`], [`View::hop_count_of`]) scan the at most `c`
-/// entries. Merging never searches: duplicates are resolved in one linear
-/// pass through an epoch-stamped hash table kept in [`MergeScratch`], and
-/// the simulation hot path ([`View::merge_select_from_slice`]) absorbs a
-/// received descriptor buffer with a single sort-free pass, no
-/// steady-state allocation, and no virtual calls. The original quadratic
-/// algorithms are retained verbatim in [`reference`] and property tests
-/// assert byte-identical behavior.
+/// entries. Merging never searches and never sorts: every merge entry
+/// point ([`View::merge_into`], [`View::merge_select_from`],
+/// [`View::merge_select_from_slice`]) runs one core over a
+/// [`MergeScratch`]. One pass over the received side ages each entry by
+/// the transfer age as it reads it, checks hop order and enters its id
+/// into an epoch-stamped hash table; one pass over the own view marks
+/// duplicates and collects the received entries it lowers; one three-way
+/// emit writes the merged (and, fused, the selected) entries straight
+/// into the output. No steady-state allocation, no virtual calls. The
+/// original quadratic algorithms are retained verbatim in [`mod@reference`]
+/// and property tests assert byte-identical behavior.
 ///
 /// # Examples
 ///
@@ -62,35 +66,45 @@ pub struct View {
     entries: Vec<NodeDescriptor>,
 }
 
-/// Reusable buffers for the allocation-free merge path; see
-/// [`View::merge_from`] and [`View::assign_aged`].
+/// Reusable buffers for the view algebra: the merge core behind every
+/// merge entry point (see [`View::merge_from`]), bulk construction
+/// ([`View::assign_aged`]) and filtered sampling
+/// ([`View::sample_filtered`]).
 ///
-/// One scratch can be shared across any number of merges (protocol nodes
-/// keep one for their lifetime). The buffers grow to the working-set size
-/// once and are reused afterwards.
+/// One scratch can be shared across any number of calls (a driver's
+/// staging arena keeps one for its lifetime). The buffers grow to the
+/// working-set size once and are reused afterwards.
 #[derive(Debug, Clone, Default)]
 pub struct MergeScratch {
-    /// Tie-precedent side entries whose hops were lowered by the other
-    /// side, with their positions; re-sorted by `(hop, position)`.
+    /// Open-addressed table of the tie-precedent (received) side's ids,
+    /// one packed slot per id. A slot is valid only while its epoch equals
+    /// `epoch`, so incrementing `epoch` clears the table in O(1).
+    slots: Vec<Slot>,
+    epoch: u32,
+    /// Per-position "not emitted as is" flags: the received side's
+    /// positions first (excluded or lowered), then the own side's
+    /// (excluded or duplicate).
+    dropped: Vec<bool>,
+    /// Received entries whose hop count the own side lowers: the own
+    /// side's descriptor with the received position, in `(hop, position)`
+    /// order.
     lowered: Vec<(NodeDescriptor, u32)>,
-    /// The full tie-precedent sequence in `(hop, position)` order.
-    resolved: Vec<(NodeDescriptor, u32)>,
-    /// Per-position resolved hop counts of the tie-precedent side.
-    hops: Vec<u32>,
-    /// Per-position "is duplicate/excluded" flags of the other side.
-    skip: Vec<bool>,
     /// Random-selection index buffer for `rand` view selection.
     chosen: Vec<usize>,
     /// `(id, hop, arrival)` triples for bulk construction.
     keyed: Vec<(u64, u32, u32)>,
+    /// Eligible ids collected by [`View::sample_filtered`].
+    candidates: Vec<NodeId>,
     /// Staging view the merge result is assembled in.
     out: View,
-    /// Open-addressed id table for duplicate resolution: keys, stored
-    /// positions, and the epoch that validates a slot (incrementing
-    /// `epoch` clears the table in O(1)).
-    table_keys: Vec<u64>,
-    table_pos: Vec<u32>,
-    table_epoch: Vec<u32>,
+}
+
+/// One slot of the merge core's id table.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    id: u64,
+    /// Position of the id in the received side.
+    pos: u32,
     epoch: u32,
 }
 
@@ -104,9 +118,6 @@ std::thread_local! {
     /// Scratch backing the allocating [`View::merge`] wrapper.
     static MERGE_SCRATCH: core::cell::RefCell<MergeScratch> =
         core::cell::RefCell::new(MergeScratch::default());
-    /// Candidate buffer backing [`View::sample_filtered`].
-    static FILTER_CANDIDATES: core::cell::RefCell<Vec<NodeId>> =
-        const { core::cell::RefCell::new(Vec::new()) };
 }
 
 impl View {
@@ -329,55 +340,16 @@ impl View {
         rng: &mut impl Rng,
         scratch: &mut MergeScratch,
     ) {
-        let mut out = core::mem::take(&mut scratch.out);
-        received.merge_select_into(self, excluded, policy, c, rng, &mut out, scratch);
-        core::mem::swap(self, &mut out);
-        scratch.out = out;
-    }
-
-    /// Fused merge+select core: see [`View::merge_select_from`].
-    #[allow(clippy::too_many_arguments)]
-    fn merge_select_into(
-        &self,
-        other: &View,
-        excluded: Option<NodeId>,
-        policy: ViewSelection,
-        c: usize,
-        rng: &mut impl Rng,
-        out: &mut View,
-        scratch: &mut MergeScratch,
-    ) {
-        let excluded_raw = excluded.map(|id| id.as_u64());
-        let (merged_len, excluded_self_pos) =
-            resolve_with_table(&self.entries, &other.entries, excluded_raw, scratch)
-                .expect("a valid view has no duplicate ids");
-        {
-            let MergeScratch {
-                lowered,
-                resolved,
-                hops,
-                ..
-            } = scratch;
-            build_resolved(&self.entries, hops, excluded_self_pos, lowered, resolved);
-        }
-        emit_selected(
-            &scratch.resolved,
-            other.entries.as_slice(),
-            &scratch.skip,
-            &mut scratch.chosen,
-            merged_len,
-            policy,
-            c,
-            rng,
-            out,
-        );
+        let absorbed =
+            self.merge_select_from_aged(&received.entries, 0, excluded, policy, c, rng, scratch);
+        assert!(absorbed, "a valid view is well-formed view content");
     }
 
     /// Fused absorb for wire-format descriptor buffers: semantically
     /// `self ← selectView(merge(View::from(received), self))` with
     /// `received` taking tie precedence, but without constructing a `View`
-    /// for the received side at all — duplicate resolution runs through an
-    /// O(1)-cleared hash table in `scratch`, so the absorb sorts nothing.
+    /// for the received side at all — the merge core reads the buffer in
+    /// place, so the absorb sorts nothing.
     ///
     /// `received` must be *well-formed view content* — hop-count-sorted with
     /// at most one descriptor per node, which is what every protocol message
@@ -395,48 +367,59 @@ impl View {
         rng: &mut impl Rng,
         scratch: &mut MergeScratch,
     ) -> bool {
-        if !received
-            .windows(2)
-            .all(|w| w[0].hop_count() <= w[1].hop_count())
-        {
+        self.merge_select_from_aged(received, 0, excluded, policy, c, rng, scratch)
+    }
+
+    /// [`View::merge_select_from_slice`] with every received descriptor
+    /// aged by `transfer` hops (saturating) as it is read: the receive
+    /// side's `increaseHopCount` without a copy of the buffer.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn merge_select_from_aged(
+        &mut self,
+        received: &[NodeDescriptor],
+        transfer: u32,
+        excluded: Option<NodeId>,
+        policy: ViewSelection,
+        c: usize,
+        rng: &mut impl Rng,
+        scratch: &mut MergeScratch,
+    ) -> bool {
+        let Some(merged_len) = scratch.resolve(received, transfer, &self.entries, excluded) else {
             return false;
-        }
-        let excluded_raw = excluded.map(|id| id.as_u64());
-        let Some((merged_len, excluded_rx_pos)) =
-            resolve_with_table(received, &self.entries, excluded_raw, scratch)
-        else {
-            return false; // duplicate id: malformed buffer
         };
-        {
-            let MergeScratch {
-                lowered,
-                resolved,
-                hops,
-                ..
-            } = scratch;
-            build_resolved(received, hops, excluded_rx_pos, lowered, resolved);
-        }
+        let (take, skip) = match policy {
+            ViewSelection::Head => (c.min(merged_len), 0),
+            ViewSelection::Tail => (merged_len, merged_len.saturating_sub(c)),
+            ViewSelection::Rand => (merged_len, 0),
+        };
         let mut out = core::mem::take(&mut scratch.out);
-        emit_selected(
-            &scratch.resolved,
-            self.entries.as_slice(),
-            &scratch.skip,
-            &mut scratch.chosen,
-            merged_len,
-            policy,
-            c,
-            rng,
-            &mut out,
+        scratch.emit(
+            received,
+            transfer,
+            &self.entries,
+            take,
+            skip,
+            &mut out.entries,
         );
+        if policy == ViewSelection::Rand && out.entries.len() > c {
+            // Identical index draws to `View::select`.
+            let chosen = &mut scratch.chosen;
+            sample_into(rng, out.entries.len(), c, chosen);
+            chosen.sort_unstable();
+            for (k, &i) in chosen.iter().enumerate() {
+                out.entries[k] = out.entries[i];
+            }
+            out.entries.truncate(c);
+        }
         core::mem::swap(self, &mut out);
+        // The displaced old storage becomes the next call's staging view.
         scratch.out = out;
         true
     }
 
     /// Merges `self` (tie-precedent side) with `other` into `out`, reusing
     /// `scratch`. Semantics are identical to [`View::merge`]; cost is one
-    /// linear hash-resolution pass over both entry lists plus a two-way
-    /// ordered merge.
+    /// hashing pass over each entry list plus one ordered emit.
     pub fn merge_into(
         &self,
         other: &View,
@@ -444,27 +427,16 @@ impl View {
         out: &mut View,
         scratch: &mut MergeScratch,
     ) {
-        let excluded_raw = excluded.map(|id| id.as_u64());
-        let (merged_len, excluded_self_pos) =
-            resolve_with_table(&self.entries, &other.entries, excluded_raw, scratch)
-                .expect("a valid view has no duplicate ids");
-        {
-            let MergeScratch {
-                lowered,
-                resolved,
-                hops,
-                ..
-            } = scratch;
-            build_resolved(&self.entries, hops, excluded_self_pos, lowered, resolved);
-        }
-        // A full (unselective) emit is head selection with no size bound.
-        emit_merge(
-            &scratch.resolved,
-            other.entries.as_slice(),
-            &scratch.skip,
+        let merged_len = scratch
+            .resolve(&self.entries, 0, &other.entries, excluded)
+            .expect("a valid view is well-formed view content");
+        scratch.emit(
+            &self.entries,
+            0,
+            &other.entries,
             merged_len,
             0,
-            out,
+            &mut out.entries,
         );
     }
 
@@ -498,23 +470,22 @@ impl View {
     /// filters) is consulted exactly once per entry, in hop-count order,
     /// and the RNG is drawn from exactly once when any candidate exists
     /// (one `0..count` draw, like indexing a collected candidate list).
-    /// Allocation-free: candidates collect into a reusable thread-local
-    /// buffer.
+    /// Allocation-free once warm: candidates collect into the scratch's
+    /// reusable buffer.
     pub fn sample_filtered(
         &self,
         rng: &mut impl Rng,
+        scratch: &mut MergeScratch,
         eligible: &mut dyn FnMut(NodeId) -> bool,
     ) -> Option<NodeId> {
-        FILTER_CANDIDATES.with(|buffer| {
-            let mut candidates = buffer.borrow_mut();
-            candidates.clear();
-            candidates.extend(self.ids().filter(|&id| eligible(id)));
-            if candidates.is_empty() {
-                None
-            } else {
-                Some(candidates[rng.random_range(0..candidates.len())])
-            }
-        })
+        let candidates = &mut scratch.candidates;
+        candidates.clear();
+        candidates.extend(self.ids().filter(|&id| eligible(id)));
+        if candidates.is_empty() {
+            None
+        } else {
+            Some(candidates[rng.random_range(0..candidates.len())])
+        }
     }
 
     /// Uniform random descriptor from the view, if any. This is the paper's
@@ -545,237 +516,180 @@ impl View {
     }
 }
 
-/// Resolves duplicates between the tie-precedent entry sequence `a` and the
-/// other side `b` through the scratch's epoch-stamped open-addressed id
-/// table (O(1) clear, no per-entry searches, no id ordering required):
+/// The merge core every merge entry point shares: `merge(received, own)`
+/// with `received` aged by a transfer age and taking tie precedence.
 ///
-/// * `scratch.hops[p]` — resolved (minimum) hop count of `a[p]`,
-/// * `scratch.skip[p]` — `b[p]` loses to a duplicate in `a` or is excluded.
-///
-/// Returns `(merged_len, excluded_a_pos)` — the number of entries the merge
-/// will emit and the position of the excluded id within `a` — or `None` if
-/// `a` holds the same id twice (malformed input; `b`, a valid view, cannot).
-fn resolve_with_table(
-    a: &[NodeDescriptor],
-    b: &[NodeDescriptor],
-    excluded_raw: Option<u64>,
-    scratch: &mut MergeScratch,
-) -> Option<(usize, Option<usize>)> {
-    let MergeScratch {
-        hops,
-        skip,
-        table_keys,
-        table_pos,
-        table_epoch,
-        epoch,
-        ..
-    } = scratch;
-    let capacity = (a.len() * 4).next_power_of_two().max(64);
-    if table_keys.len() < capacity {
-        table_keys.resize(capacity, 0);
-        table_pos.resize(capacity, 0);
-        table_epoch.resize(capacity, 0);
-    }
-    let mask = table_keys.len() - 1;
-    *epoch = epoch.wrapping_add(1);
-    if *epoch == 0 {
-        // Wrapped: stale slots could alias the fresh epoch; hard-clear.
-        table_epoch.fill(0);
-        *epoch = 1;
-    }
-    let epoch = *epoch;
+/// Merged order is by `(hop, origin)`, where received entries precede own
+/// entries and each side keeps its order. Three sequences therefore make
+/// up the result, each already in that order: received entries the own
+/// side leaves unchanged, received entries the own side lowers (their
+/// hop becomes the own side's, their position stays the received one),
+/// and own entries without a received duplicate.
+impl MergeScratch {
+    /// Passes 1 and 2 of the core. Pass 1 walks `received`: it checks hop
+    /// order and enters every id but `excluded` into the slot table. Pass
+    /// 2 walks `own`: it marks excluded and duplicate entries and collects
+    /// the received entries they lower. Returns the merged length, or
+    /// `None` — with nothing observable changed — if `received` is not
+    /// well-formed view content (out of hop order or an id repeated).
+    fn resolve(
+        &mut self,
+        received: &[NodeDescriptor],
+        transfer: u32,
+        own: &[NodeDescriptor],
+        excluded: Option<NodeId>,
+    ) -> Option<usize> {
+        // A sparse table: at 1/16 load most probes hit an empty slot or
+        // the id itself on the first try.
+        let capacity = (received.len() * 16).next_power_of_two().max(64);
+        if self.slots.len() < capacity {
+            self.slots.resize(capacity, Slot::default());
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Wrapped: stale slots could alias the fresh epoch; hard-clear.
+            self.slots.fill(Slot::default());
+            self.epoch = 1;
+        }
+        let epoch = self.epoch;
+        let excluded = excluded.map(NodeId::as_u64);
+        let MergeScratch {
+            slots,
+            dropped,
+            lowered,
+            ..
+        } = self;
+        let slots = slots.as_mut_slice();
+        let mask = slots.len() - 1;
+        dropped.clear();
+        dropped.resize(received.len() + own.len(), false);
+        let (rx_dropped, own_dropped) = dropped.split_at_mut(received.len());
 
-    let mut excluded_a_pos = None;
-    let mut a_count = 0usize;
-    for (pos, d) in a.iter().enumerate() {
-        let id = d.id().as_u64();
-        if Some(id) == excluded_raw {
-            if excluded_a_pos.is_some() {
-                // The excluded id bypasses the table, so repeats of it must
-                // be caught here: a repeated id is a malformed buffer.
+        let mut merged_len = received.len();
+        let mut prev_hop = 0;
+        for (pos, d) in received.iter().enumerate() {
+            if d.hop_count() < prev_hop {
                 return None;
             }
-            excluded_a_pos = Some(pos);
-            continue;
-        }
-        a_count += 1;
-        let mut slot = id_slot(id, mask);
-        loop {
-            if table_epoch[slot] != epoch {
-                table_keys[slot] = id;
-                table_pos[slot] = pos as u32;
-                table_epoch[slot] = epoch;
-                break;
-            }
-            if table_keys[slot] == id {
-                return None; // duplicate id within `a`
-            }
-            slot = (slot + 1) & mask;
-        }
-    }
-
-    hops.clear();
-    hops.extend(a.iter().map(|d| d.hop_count()));
-    skip.clear();
-    skip.resize(b.len(), false);
-    let mut b_count = 0usize;
-    for (pos, d) in b.iter().enumerate() {
-        let id = d.id().as_u64();
-        if Some(id) == excluded_raw {
-            skip[pos] = true;
-            continue;
-        }
-        let mut slot = id_slot(id, mask);
-        loop {
-            if table_epoch[slot] != epoch {
-                b_count += 1;
-                break;
-            }
-            if table_keys[slot] == id {
-                let a_pos = table_pos[slot] as usize;
-                skip[pos] = true;
-                if d.hop_count() < hops[a_pos] {
-                    hops[a_pos] = d.hop_count();
+            prev_hop = d.hop_count();
+            let id = d.id().as_u64();
+            if Some(id) == excluded {
+                if merged_len < received.len() {
+                    // The excluded id bypasses the table, so a repeat of
+                    // it is caught here.
+                    return None;
                 }
-                break;
-            }
-            slot = (slot + 1) & mask;
-        }
-    }
-    Some((a_count + b_count, excluded_a_pos))
-}
-
-/// Two-way merge ordered by `(hop, anchor)` of the resolved tie-precedent
-/// sequence (which wins ties) against the surviving `rest` entries, writing
-/// at most `emit_limit` merged entries and dropping the first `skip_first`
-/// of them into `out`.
-fn emit_merge(
-    resolved: &[(NodeDescriptor, u32)],
-    rest: &[NodeDescriptor],
-    skip: &[bool],
-    emit_limit: usize,
-    skip_first: usize,
-    out: &mut View,
-) {
-    out.entries.clear();
-    out.entries.reserve(emit_limit.saturating_sub(skip_first));
-    let (mut i, mut j) = (0, 0);
-    while j < rest.len() && skip[j] {
-        j += 1;
-    }
-    let mut emitted = 0usize;
-    while emitted < emit_limit {
-        let take_own = match (resolved.get(i), rest.get(j)) {
-            (Some(&(d, _)), Some(r)) => d.hop_count() <= r.hop_count(),
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => break,
-        };
-        let d = if take_own {
-            let (d, _) = resolved[i];
-            i += 1;
-            d
-        } else {
-            let d = rest[j];
-            j += 1;
-            while j < rest.len() && skip[j] {
-                j += 1;
-            }
-            d
-        };
-        if emitted >= skip_first {
-            out.entries.push(d);
-        }
-        emitted += 1;
-    }
-}
-
-/// The fused emit + selectView step shared by [`View::merge_select_from`]
-/// and [`View::merge_select_from_slice`]: [`emit_merge`] with the selection
-/// policy folded in —
-/// * `head` keeps the first `c` merged entries (stops early),
-/// * `tail` keeps the last `c` (skips the first `merged_len − c`),
-/// * `rand` keeps a sorted random index subset of the full merge (identical
-///   RNG draws to [`View::select`]).
-#[allow(clippy::too_many_arguments)]
-fn emit_selected(
-    resolved: &[(NodeDescriptor, u32)],
-    rest: &[NodeDescriptor],
-    skip: &[bool],
-    chosen: &mut Vec<usize>,
-    merged_len: usize,
-    policy: ViewSelection,
-    c: usize,
-    rng: &mut impl Rng,
-    out: &mut View,
-) {
-    let (emit_limit, skip_first) = match policy {
-        ViewSelection::Head => (c.min(merged_len), 0),
-        ViewSelection::Tail => (merged_len, merged_len.saturating_sub(c)),
-        ViewSelection::Rand => (merged_len, 0),
-    };
-    emit_merge(resolved, rest, skip, emit_limit, skip_first, out);
-    if policy == ViewSelection::Rand && out.entries.len() > c {
-        // Identical index draws to `View::select`.
-        sample_into(rng, out.entries.len(), c, chosen);
-        chosen.sort_unstable();
-        for (k, &i) in chosen.iter().enumerate() {
-            out.entries[k] = out.entries[i];
-        }
-        out.entries.truncate(c);
-    }
-}
-
-/// Emits the tie-precedent sequence in `(resolved hop, original position)`
-/// order into `resolved`. Entries whose hops are unchanged form a
-/// still-sorted subsequence of `own`; entries lowered by the other side are
-/// collected into `lowered` (usually few), sorted explicitly, and merged
-/// back in.
-fn build_resolved(
-    own: &[NodeDescriptor],
-    hops: &[u32],
-    excluded_pos: Option<usize>,
-    lowered: &mut Vec<(NodeDescriptor, u32)>,
-    resolved: &mut Vec<(NodeDescriptor, u32)>,
-) {
-    resolved.clear();
-    resolved.reserve(own.len());
-    lowered.clear();
-    for (pos, d) in own.iter().enumerate() {
-        if hops[pos] != d.hop_count() {
-            lowered.push((NodeDescriptor::new(d.id(), hops[pos]), pos as u32));
-        }
-    }
-    if lowered.is_empty() {
-        // Common case: nothing lowered, the sequence is `own` minus the
-        // excluded entry.
-        resolved.extend(
-            own.iter()
-                .enumerate()
-                .filter(|&(pos, _)| Some(pos) != excluded_pos)
-                .map(|(pos, d)| (*d, pos as u32)),
-        );
-    } else {
-        lowered.sort_unstable_by_key(|&(d, pos)| (d.hop_count(), pos));
-        // Two-pointer merge of the unchanged subsequence (sorted by
-        // construction) with the lowered list, by (hop, position).
-        let mut l = 0;
-        for (pos, d) in own.iter().enumerate() {
-            if Some(pos) == excluded_pos || hops[pos] != d.hop_count() {
+                rx_dropped[pos] = true;
+                merged_len -= 1;
                 continue;
             }
-            while l < lowered.len() {
-                let (ld, lpos) = lowered[l];
-                if (ld.hop_count(), lpos) < (d.hop_count(), pos as u32) {
-                    resolved.push((ld, lpos));
-                    l += 1;
-                } else {
+            let mut s = id_slot(id, mask);
+            loop {
+                let slot = &mut slots[s];
+                if slot.epoch != epoch {
+                    *slot = Slot {
+                        id,
+                        pos: pos as u32,
+                        epoch,
+                    };
                     break;
                 }
+                if slot.id == id {
+                    return None;
+                }
+                s = (s + 1) & mask;
             }
-            resolved.push((*d, pos as u32));
         }
-        resolved.extend_from_slice(&lowered[l..]);
+
+        lowered.clear();
+        for (q, d) in own.iter().enumerate() {
+            let id = d.id().as_u64();
+            let mut duplicate = Some(id) == excluded;
+            let mut s = id_slot(id, mask);
+            while !duplicate && slots[s].epoch == epoch {
+                let slot = slots[s];
+                if slot.id == id {
+                    duplicate = true;
+                    let pos = slot.pos as usize;
+                    if d.hop_count() < received[pos].hop_count().saturating_add(transfer) {
+                        rx_dropped[pos] = true;
+                        // `own` is hop-sorted, so only equal hops can be
+                        // out of position order.
+                        let key = (d.hop_count(), slot.pos);
+                        let at = lowered.iter().rposition(|&(l, p)| (l.hop_count(), p) < key);
+                        lowered.insert(at.map_or(0, |at| at + 1), (*d, slot.pos));
+                    }
+                }
+                s = (s + 1) & mask;
+            }
+            own_dropped[q] = duplicate;
+            merged_len += usize::from(!duplicate);
+        }
+        Some(merged_len)
+    }
+
+    /// Pass 3 of the core: the three-way emit. Walks the merged sequence
+    /// resolved by [`MergeScratch::resolve`] for `take` entries and writes
+    /// all but the first `skip` of them into `out`.
+    fn emit(
+        &self,
+        received: &[NodeDescriptor],
+        transfer: u32,
+        own: &[NodeDescriptor],
+        take: usize,
+        skip: usize,
+        out: &mut Vec<NodeDescriptor>,
+    ) {
+        // Order keys: `hop << 32 | position` on the received side; an own
+        // entry sorts after every received entry of its hop. An exhausted
+        // sequence keys as `u64::MAX`, which never wins.
+        let (rx_dropped, own_dropped) = self.dropped.split_at(received.len());
+        let lowered = self.lowered.as_slice();
+        let rx_key = |i: usize| {
+            received.get(i).map_or(u64::MAX, |d| {
+                u64::from(d.hop_count().saturating_add(transfer)) << 32 | i as u64
+            })
+        };
+        let lowered_key = |l: usize| {
+            lowered.get(l).map_or(u64::MAX, |&(d, pos)| {
+                u64::from(d.hop_count()) << 32 | u64::from(pos)
+            })
+        };
+        let own_key = |j: usize| {
+            own.get(j).map_or(u64::MAX, |d| {
+                u64::from(d.hop_count()) << 32 | u64::from(u32::MAX)
+            })
+        };
+        let kept = |dropped: &[bool], mut i: usize| {
+            while dropped.get(i) == Some(&true) {
+                i += 1;
+            }
+            i
+        };
+        let (mut i, mut l, mut j) = (kept(rx_dropped, 0), 0, kept(own_dropped, 0));
+        let (mut rx_next, mut lowered_next, mut own_next) = (rx_key(i), lowered_key(0), own_key(j));
+        out.clear();
+        out.reserve(take - skip);
+        for k in 0..take {
+            let d = if rx_next < lowered_next && rx_next < own_next {
+                let d = received[i].aged_by(transfer);
+                i = kept(rx_dropped, i + 1);
+                rx_next = rx_key(i);
+                d
+            } else if lowered_next < own_next {
+                l += 1;
+                lowered_next = lowered_key(l);
+                lowered[l - 1].0
+            } else {
+                let d = own[j];
+                j = kept(own_dropped, j + 1);
+                own_next = own_key(j);
+                d
+            };
+            if k >= skip {
+                out.push(d);
+            }
+        }
     }
 }
 
@@ -861,6 +775,7 @@ pub mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -1087,6 +1002,77 @@ mod tests {
         assert!(!v.contains(NodeId::new(5)));
         assert!(v.contains(NodeId::new(7)));
         assert!(v.contains(NodeId::new(9)));
+    }
+
+    /// A valid view of `pairs` without `owner`, as a node holds one.
+    fn view_of(pairs: &[(u64, u32)], owner: u64) -> View {
+        pairs
+            .iter()
+            .filter(|&&(id, _)| id != owner)
+            .map(|&(id, hops)| d(id, hops))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        // The buffer is built the way `PeerSamplingNode` builds one: the
+        // sender's view with its fresh descriptor after the hop-0 entries.
+        // Ids come from a small range, so duplicates between buffer and
+        // view, and entries the view lowers, are common.
+        #[test]
+        fn slice_absorb_matches_reference_on_protocol_buffers(
+            own in prop::collection::vec((0u64..24, 0u32..6), 0..24),
+            sent in prop::collection::vec((0u64..24, 0u32..6), 0..24),
+            ends in (0u64..24, 0u64..24),
+            transfer in 0u32..2,
+            policy in prop::sample::select(vec![
+                ViewSelection::Head,
+                ViewSelection::Tail,
+                ViewSelection::Rand,
+            ]),
+            c in 1usize..16,
+            at in 0usize..64,
+            seed in 0u64..1000,
+        ) {
+            let (sender, receiver) = ends;
+            let view = view_of(&own, receiver);
+            let mut buffer = view_of(&sent, sender).entries;
+            let zeros = buffer.partition_point(|e| e.hop_count() == 0);
+            buffer.insert(zeros, d(sender, 0));
+            let excluded = Some(NodeId::new(receiver));
+            let mut scratch = MergeScratch::default();
+            let mut absorb = |buffer: &[NodeDescriptor]| {
+                let mut target = view.clone();
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let taken = target.merge_select_from_aged(
+                    buffer, transfer, excluded, policy, c, &mut rng, &mut scratch,
+                );
+                (taken, target, rng.random::<u64>())
+            };
+
+            let aged: Vec<NodeDescriptor> = buffer.iter().map(|e| e.aged_by(transfer)).collect();
+            let mut expected = View {
+                entries: reference::merge(&aged, view.descriptors(), excluded),
+            };
+            let mut rng = SmallRng::seed_from_u64(seed);
+            expected.select(policy, c, &mut rng);
+            prop_assert_eq!(absorb(&buffer), (true, expected, rng.random::<u64>()));
+
+            // Malformed buffers: rejected, view and RNG untouched.
+            let untouched = (false, view.clone(), SmallRng::seed_from_u64(seed).random::<u64>());
+            let p = at % buffer.len();
+            let hops = buffer[p].hop_count();
+            let mut unsorted = buffer.clone();
+            unsorted.insert(p, d(100, hops + 1));
+            let mut duplicate = buffer.clone();
+            duplicate.insert(p + 1, buffer[p]);
+            let mut excluded_twice = buffer.clone();
+            excluded_twice.splice(p..p, [d(receiver, hops); 2]);
+            for malformed in [unsorted, duplicate, excluded_twice] {
+                prop_assert_eq!(absorb(&malformed), untouched.clone());
+            }
+        }
     }
 
     #[test]

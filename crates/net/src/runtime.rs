@@ -14,8 +14,9 @@
 //!
 //! Incoming frames are decoded ([`pss_core::wire`]) straight into message
 //! buffers recycled through the runtime's own [`pss_core::Arena`]; the
-//! node's absorb path consumes the buffer through the fused
-//! `merge_select_from_slice` and recycles it back to the arena. A reused
+//! node's absorb path merges the buffer in place — the view's one merge
+//! core ages, deduplicates and selects in a single read of it, with no
+//! copy — and recycles it back to the arena. A reused
 //! per-tick batch of receive buffers (UDP copies each datagram into one,
 //! the in-memory mesh swaps its spare stack against them), one reusable
 //! encode buffer, one decode scratch table, one rumor-target list —

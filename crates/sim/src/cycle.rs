@@ -25,14 +25,26 @@
 //! The determinism contract (bit-identical at any worker count for a fixed
 //! `(seed, shard_count)`) is stated in [`crate::shard`]; the shard RNG
 //! streams draw the initiation order and message loss here.
+//!
+//! Phase 1 looks one initiation ahead: node *i + 1* runs its active thread
+//! (peer selection and request construction) before exchange *i*
+//! completes, so the loop can prefetch the entry of the peer that
+//! exchange *i + 1* will touch inline, and that peer's view one exchange
+//! later. This is exact, not approximate: `initiate` reads only its own
+//! node and the cycle's frozen liveness bitset and draws nothing from the
+//! shard RNG, and an exchange writes only its initiator and its peer. So
+//! the early start is skipped exactly when node *i + 1* is exchange *i*'s
+//! local peer, and the partition and loss draws keep their order.
 
 use pss_core::{
-    Arena, GossipNode, NodeDescriptor, NodeId, PeerSamplingNode, ProtocolConfig, Reply, Request,
+    Arena, Exchange, GossipNode, NodeDescriptor, NodeId, PeerSamplingNode, ProtocolConfig, Reply,
+    Request,
 };
 use rand::seq::SliceRandom;
 use rand::Rng;
 
 use crate::exec::{self, lose, Mailboxes, SlotRef};
+use crate::population::Population;
 use crate::shard::{Mode, Shard, Sharded};
 use crate::telemetry::EngineTele;
 use crate::workload::Partition;
@@ -357,8 +369,54 @@ impl<N: GossipNode + Send> std::fmt::Debug for ShardedSimulation<N> {
     }
 }
 
+/// One node's initiation in phase 1, taken before its exchange completes.
+struct Initiated {
+    slot: u32,
+    initiator: NodeId,
+    had_view: bool,
+    exchange: Option<Exchange>,
+}
+
+impl Initiated {
+    /// Runs the active thread of the node in `slot`. It reads only that
+    /// node and the frozen liveness bitset, and draws nothing from the
+    /// shard RNG.
+    fn start<N: GossipNode + Send>(
+        pop: &mut Population<N>,
+        arena: &mut Arena,
+        ctx: &CycleCtx<'_>,
+        slot: u32,
+    ) -> Self {
+        let node = &mut pop.slot_mut(slot).node;
+        let initiator = node.id();
+        let had_view = !node.view().is_empty();
+        let exchange = match ctx.mode {
+            FailureMode::SkipDead => node.initiate_filtered(arena, &mut |peer| ctx.is_live(peer)),
+            FailureMode::AttemptAndLose => node.initiate(arena),
+        };
+        Initiated {
+            slot,
+            initiator,
+            had_view,
+            exchange,
+        }
+    }
+
+    /// The slot of the live peer in shard `index` that the exchange would
+    /// change, if any.
+    fn local_peer(&self, ctx: &CycleCtx<'_>, index: usize) -> Option<u32> {
+        let peer = self.exchange.as_ref()?.peer;
+        if !ctx.is_live(peer) {
+            return None;
+        }
+        let dest = ctx.directory[peer.as_index()];
+        (dest.shard as usize == index).then_some(dest.slot)
+    }
+}
+
 /// Phase 1: every live node initiates; local exchanges complete inline,
-/// remote requests are queued.
+/// remote requests are queued. Initiation runs one node ahead of
+/// completion (see the module docs for why that is exact).
 fn phase_initiate<N: GossipNode + Send>(shard: &mut Shard<N, CycleShard>, ctx: &CycleCtx<'_>) {
     let Shard {
         index,
@@ -376,21 +434,33 @@ fn phase_initiate<N: GossipNode + Send>(shard: &mut Shard<N, CycleShard>, ctx: &
     order.clear();
     order.extend(pop.alive_slots());
     order.shuffle(rng);
+    let mut ahead: Option<Initiated> = None;
     for (i, &slot) in order.iter().enumerate() {
-        pop.prefetch(order[i + 1..].iter().copied());
-        // Nodes cannot die mid-cycle, but guard anyway.
-        if !pop.slot(slot).alive {
-            continue;
-        }
-        let entry = pop.slot_mut(slot);
-        let initiator = entry.node.id();
-        let had_view = !entry.node.view().is_empty();
-        let exchange = match ctx.mode {
-            FailureMode::SkipDead => entry
-                .node
-                .initiate_filtered(arena, &mut |peer| ctx.is_live(peer)),
-            FailureMode::AttemptAndLose => entry.node.initiate(arena),
+        let current = match ahead.take() {
+            Some(started) => started,
+            None => Initiated::start(pop, arena, ctx, slot),
         };
+        let peer_slot = current.local_peer(ctx, *index);
+        if let Some(peer_slot) = peer_slot {
+            pop.prefetch_view(peer_slot);
+        }
+        if let Some(&next) = order.get(i + 1) {
+            if peer_slot != Some(next) {
+                pop.prefetch(order[i + 2..].iter().copied());
+                let started = Initiated::start(pop, arena, ctx, next);
+                if let Some(next_peer) = started.local_peer(ctx, *index) {
+                    pop.prefetch_entry(next_peer);
+                }
+                ahead = Some(started);
+            }
+        }
+
+        let Initiated {
+            slot,
+            initiator,
+            had_view,
+            exchange,
+        } = current;
         let Some(exchange) = exchange else {
             if had_view {
                 report.failed_dead_peer += 1; // view held only dead links

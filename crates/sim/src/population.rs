@@ -128,17 +128,31 @@ impl<N: GossipNode> Population<N> {
     #[inline(always)]
     pub(crate) fn prefetch(&self, upcoming: impl IntoIterator<Item = u32>) {
         let mut upcoming = upcoming.into_iter();
-        let next = upcoming
-            .next()
-            .and_then(|slot| self.entries.get(slot as usize));
-        if let Some(after) = upcoming
-            .next()
-            .and_then(|slot| self.entries.get(slot as usize))
-        {
-            exec::prefetch(core::slice::from_ref(after));
+        let next = upcoming.next();
+        if let Some(after) = upcoming.next() {
+            self.prefetch_entry(after);
         }
         if let Some(next) = next {
-            exec::prefetch(next.node.view().descriptors());
+            self.prefetch_view(next);
+        }
+    }
+
+    /// Starts loading the entry in `slot`, if there is one: the first half
+    /// of [`Population::prefetch`].
+    #[inline(always)]
+    pub(crate) fn prefetch_entry(&self, slot: u32) {
+        if let Some(entry) = self.entries.get(slot as usize) {
+            exec::prefetch(core::slice::from_ref(entry));
+        }
+    }
+
+    /// Starts loading the view descriptors of the node in `slot`, if there
+    /// is one: the second half of [`Population::prefetch`]. It reads the
+    /// entry, so that should be on its way already.
+    #[inline(always)]
+    pub(crate) fn prefetch_view(&self, slot: u32) {
+        if let Some(entry) = self.entries.get(slot as usize) {
+            exec::prefetch(entry.node.view().descriptors());
         }
     }
 
