@@ -23,7 +23,7 @@ use pss_sim::audit::{audit_rows, role_factory, AttackRecord, HonestPolicy, Sampl
 use pss_sim::workload::{run_workload_observed, Workload};
 
 use crate::engines::on_both_engines;
-use crate::report::{fmt_f64, fmt_percent, Table};
+use crate::report::{fmt_f64, fmt_percent, Report, Section, Table};
 use crate::Scale;
 
 /// The default schedule: the headline hub attack — 2 % colluders forging
@@ -76,17 +76,19 @@ pub struct PolicyOutcome {
 /// Result of the sweep: one [`PolicyOutcome`] per policy per engine.
 #[derive(Debug)]
 pub struct AdversaryResult {
-    /// The parsed schedule.
-    pub workload: Workload,
+    /// The schedule string as configured.
+    pub schedule: String,
+    /// Shard count of both engines.
+    pub shards: usize,
     /// Population the schedule was compiled for.
     pub nodes: usize,
     /// Outcomes, grouped by policy in sweep order, cycle before event.
     pub outcomes: Vec<PolicyOutcome>,
 }
 
-impl AdversaryResult {
+impl Report for AdversaryResult {
     /// Per-policy side-by-side table.
-    pub fn table(&self) -> Table {
+    fn sections(&self) -> Vec<Section> {
         let mut table = Table::new(vec![
             "policy",
             "engine",
@@ -112,37 +114,55 @@ impl AdversaryResult {
                 o.uniformity_p.map_or("n/a".into(), |p| format!("{p:.1e}")),
             ]);
         }
-        table
+        vec![Section::new("adversary", table, None)]
     }
 
-    fn skew_of(&self, engine: &str, policy_prefix: &str) -> Option<f64> {
-        self.outcomes
-            .iter()
-            .find(|o| o.engine == engine && o.policy.starts_with(policy_prefix))
-            .map(|o| o.final_record.skew())
-    }
-
-    /// True when the honest overlay survived everywhere (largest
+    /// Passes when the honest overlay survived everywhere (largest
     /// attacker-free component ≥ 50 % of live honest nodes — captured
     /// policies shed real connectivity, that is the attack working) and,
     /// per engine, the swapper's capture never exceeds newscast's — the
     /// defense ordering the CI smoke pins. The `max(2.0)` floor keeps
     /// near-benign schedules (where both skews sit around 1) from
     /// flickering the gate.
-    pub fn healthy(&self) -> bool {
-        self.outcomes
+    fn verdict(&self) -> Result<(), String> {
+        let survived = self
+            .outcomes
             .iter()
-            .all(|o| o.final_record.honest_component_fraction() >= 0.50)
-            && ["cycle", "event"].iter().all(|engine| {
-                match (
-                    self.skew_of(engine, "newscast"),
-                    self.skew_of(engine, "hs swapper"),
-                ) {
-                    (Some(news), Some(swap)) => swap <= news.max(2.0),
-                    _ => true,
-                }
-            })
+            .all(|o| o.final_record.honest_component_fraction() >= 0.50);
+        let ordered = ["cycle", "event"].iter().all(|engine| {
+            match (
+                skew_of(&self.outcomes, engine, "newscast"),
+                skew_of(&self.outcomes, engine, "hs swapper"),
+            ) {
+                (Some(news), Some(swap)) => swap <= news.max(2.0),
+                _ => true,
+            }
+        });
+        if survived && ordered {
+            Ok(())
+        } else {
+            Err("adversary sweep broke the honest overlay or the defense ordering".into())
+        }
     }
+
+    fn summary(&self) -> Option<String> {
+        Some(format!(
+            "{} nodes, schedule `{}`, {} shards: healthy = {}",
+            self.nodes,
+            self.schedule,
+            self.shards,
+            self.verdict().is_ok()
+        ))
+    }
+}
+
+/// The final in-degree skew of the first policy labelled `policy_prefix…`
+/// on `engine`.
+fn skew_of(outcomes: &[PolicyOutcome], engine: &str, policy_prefix: &str) -> Option<f64> {
+    outcomes
+        .iter()
+        .find(|o| o.engine == engine && o.policy.starts_with(policy_prefix))
+        .map(|o| o.final_record.skew())
 }
 
 /// The policy corners of the sweep; see the [module docs](self).
@@ -255,7 +275,8 @@ pub fn run(config: &AdversaryConfig) -> Result<AdversaryResult, String> {
         outcomes.extend(run_pair(policy, label, &workload, config)?);
     }
     Ok(AdversaryResult {
-        workload,
+        schedule: config.schedule.clone(),
+        shards: config.shards,
         nodes: config.scale.nodes,
         outcomes,
     })
@@ -279,13 +300,13 @@ mod tests {
         let config = tiny_config();
         let result = run(&config).expect("valid schedule");
         assert_eq!(result.outcomes.len(), 8);
-        assert_eq!(result.table().len(), 8);
-        assert!(result.healthy(), "{result:?}");
+        assert_eq!(result.sections()[0].summary.len(), 8);
+        assert!(result.verdict().is_ok(), "{result:?}");
         // The headline ordering: newscast is captured, the swapper bounds
         // it — on both engines.
         for engine in ["cycle", "event"] {
-            let news = result.skew_of(engine, "newscast").unwrap();
-            let swap = result.skew_of(engine, "hs swapper").unwrap();
+            let news = skew_of(&result.outcomes, engine, "newscast").unwrap();
+            let swap = skew_of(&result.outcomes, engine, "hs swapper").unwrap();
             assert!(news > 2.0, "{engine}: newscast not captured: {news}");
             assert!(
                 swap < news,

@@ -14,17 +14,16 @@ use pss_protocols::{run_under_workload, AppConfig, Sampler};
 use pss_sim::{scenario, Workload};
 
 use crate::parallel::parallel_map;
-use crate::report::{fmt_f64, Table};
+use crate::report::{fmt_f64, Report, Section, Table};
 use crate::Scale;
 
-/// Configuration for the applications experiment.
+/// Configuration for the applications experiment (broadcast fanout:
+/// [`AppConfig`]'s default, 2).
 #[derive(Debug, Clone)]
 pub struct AppsConfig {
     /// Common scale (cycles = overlay convergence budget before the
     /// workload starts).
     pub scale: Scale,
-    /// Broadcast fanout.
-    pub fanout: usize,
     /// Length of the `quiet:` schedule both applications run over.
     pub rounds: u64,
     /// Gossip protocols to compare against the oracle.
@@ -36,7 +35,6 @@ impl AppsConfig {
     pub fn at_scale(scale: Scale) -> Self {
         AppsConfig {
             scale,
-            fanout: 2,
             rounds: 30,
             protocols: vec![
                 PolicyTriple::newscast(),
@@ -68,9 +66,9 @@ pub struct AppsResult {
     pub rows: Vec<SamplerQuality>,
 }
 
-impl AppsResult {
-    /// Renders the comparison table.
-    pub fn table(&self) -> Table {
+impl Report for AppsResult {
+    /// The comparison table.
+    fn sections(&self) -> Vec<Section> {
         let mut t = Table::new(vec![
             "sampler",
             "broadcast coverage",
@@ -85,7 +83,7 @@ impl AppsResult {
                 fmt_f64(r.aggregation_decay, 3),
             ]);
         }
-        t
+        vec![Section::new("apps", t, None)]
     }
 }
 
@@ -106,7 +104,6 @@ pub fn run(config: &AppsConfig) -> AppsResult {
         let mut sim = scenario::random_overlay(&protocol, scale.nodes, scale.seed ^ 0xa993);
         sim.run_cycles(scale.cycles);
         let app = AppConfig {
-            fanout: config.fanout,
             seed: scale.seed ^ 0xa991,
             sampler,
             ..AppConfig::default()
@@ -140,7 +137,6 @@ mod tests {
         };
         let config = AppsConfig {
             scale,
-            fanout: 2,
             rounds: 25,
             protocols: vec![PolicyTriple::newscast()],
         };
@@ -160,6 +156,6 @@ mod tests {
             oracle.aggregation_decay,
             newscast.aggregation_decay
         );
-        assert!(!result.table().is_empty());
+        assert!(!result.sections()[0].summary.is_empty());
     }
 }

@@ -11,7 +11,8 @@
 //! opens the asynchrony comparison at `Scale::million()`: beyond ~10⁵ nodes
 //! the overlay metrics switch to the sampled CSR estimators (exact
 //! connectivity is skipped), the same large-N path the `scaling` experiment
-//! uses.
+//! uses. `--scale million` took ≈ 30 min and 8.3 GB peak RSS on 2 vCPUs; on
+//! a shared host add `--nodes 200000`.
 
 use std::time::Instant;
 
@@ -22,7 +23,7 @@ use pss_sim::{scenario, EventConfig, LatencyModel, Mode, Sharded};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::report::{fmt_f64, Table};
+use crate::report::{fmt_f64, Report, Section, Table};
 use crate::Scale;
 
 /// Above this population the overlay metrics come from the sampled CSR
@@ -34,10 +35,6 @@ const SAMPLED_METRICS_THRESHOLD: usize = 100_000;
 pub struct AsyncConfig {
     /// Common scale (cycles ≈ gossip periods for the event engine).
     pub scale: Scale,
-    /// Relative timer jitter (fraction of the period).
-    pub jitter_fraction: f64,
-    /// Message latency as a fraction of the period (uniform up to this).
-    pub latency_fraction: f64,
     /// Message loss probabilities to test.
     pub loss_levels: Vec<f64>,
     /// Protocols to test (default: one per view-selection × propagation
@@ -56,8 +53,6 @@ impl AsyncConfig {
     pub fn at_scale(scale: Scale) -> Self {
         AsyncConfig {
             scale,
-            jitter_fraction: 0.2,
-            latency_fraction: 0.1,
             loss_levels: vec![0.0, 0.05],
             protocols: vec![
                 PolicyTriple::newscast(),
@@ -68,24 +63,22 @@ impl AsyncConfig {
             workers: None,
         }
     }
+}
 
-    fn event_config(&self, loss: f64) -> EventConfig {
-        let period = 1000u64;
-        let jitter = (self.jitter_fraction * period as f64) as u64;
-        let latency = (self.latency_fraction * period as f64) as u64;
-        // The latency floor (1% of the period) is the sharded engine's
-        // lookahead window; a 1-tick floor would force a bucket exchange
-        // every tick, all overhead at small N.
-        let min = (period / 100).max(1);
-        EventConfig {
-            period,
-            jitter: jitter.min(period - 1),
-            latency: LatencyModel::Uniform {
-                min,
-                max: latency.max(min),
-            },
-            loss_probability: loss,
-        }
+/// The event engine's timing: 20 % timer jitter and message latency
+/// uniform in 1–10 % of the period. The latency floor is the sharded
+/// engine's lookahead window; a 1-tick floor would force a bucket exchange
+/// every tick, all overhead at small N.
+fn event_config(loss: f64) -> EventConfig {
+    let period = 1000;
+    EventConfig {
+        period,
+        jitter: period / 5,
+        latency: LatencyModel::Uniform {
+            min: period / 100,
+            max: period / 10,
+        },
+        loss_probability: loss,
     }
 }
 
@@ -140,9 +133,9 @@ pub struct AsyncResult {
     pub rows: Vec<EngineComparison>,
 }
 
-impl AsyncResult {
-    /// Renders the comparison table.
-    pub fn table(&self) -> Table {
+impl Report for AsyncResult {
+    /// The comparison table.
+    fn sections(&self) -> Vec<Section> {
         let mut t = Table::new(vec![
             "protocol",
             "engine",
@@ -172,7 +165,7 @@ impl AsyncResult {
                 .into(),
             ]);
         }
-        t
+        vec![Section::new("async", t, None)]
     }
 }
 
@@ -238,7 +231,7 @@ pub fn run(config: &AsyncConfig) -> AsyncResult {
         // Event rows: loss sweep × shard counts, identical initial overlay
         // per (seed, N, c) across all of them.
         for &loss in &config.loss_levels {
-            let event = config.event_config(loss);
+            let event = event_config(loss);
             for &shards in &config.shard_counts {
                 let sim = scenario::event_random_overlay_sharded(
                     &protocol,
@@ -321,7 +314,7 @@ mod tests {
             / cycle.stats.average_degree;
         assert!(rel < 0.25, "engines disagree on degree: {rel}");
         assert!(cycle.node_cycles_per_sec > 0.0);
-        assert!(!result.table().is_empty());
+        assert!(!result.sections()[0].summary.is_empty());
     }
 
     #[test]
@@ -354,8 +347,7 @@ mod tests {
             assert!(row.stats.average_degree > 10.0);
             assert_eq!(row.stats.connected, Some(true), "{row:?}");
         }
-        let table = result.table();
-        assert_eq!(table.len(), 3);
+        assert_eq!(result.sections()[0].summary.len(), 3);
     }
 
     /// `run` switches to `measure_csr` at
@@ -369,8 +361,7 @@ mod tests {
             view_size: 12,
             seed: 71,
         };
-        let config = AsyncConfig::at_scale(scale);
-        let event = config.event_config(0.0);
+        let event = event_config(0.0);
         let protocol = scale.protocol(PolicyTriple::newscast());
         let mut sim =
             scenario::event_random_overlay_sharded(&protocol, event, scale.nodes, scale.seed, 2)

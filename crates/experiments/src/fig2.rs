@@ -11,16 +11,15 @@ use pss_graph::GraphMetrics;
 
 use crate::dynamics::{random_baseline, run_dynamics, ProtocolDynamics, ScenarioKind};
 use crate::parallel::parallel_map;
-use crate::report::{fmt_f64, Table};
+use crate::report::{fmt_f64, Report, Section, Table};
 use crate::Scale;
 
 /// Configuration for the Figure 2 experiment.
 #[derive(Debug, Clone)]
 pub struct Fig2Config {
-    /// Common scale; `cycles` is the full run length (paper: 300).
+    /// Common scale; `cycles` is the full run length (paper: 300), and
+    /// N / 100 nodes join per cycle (paper: 100).
     pub scale: Scale,
-    /// Joiners per cycle (paper: 100).
-    pub per_cycle: usize,
     /// Seeds to retry for the partitioning push protocols until a connected
     /// run is found.
     pub connect_attempts: u32,
@@ -31,7 +30,6 @@ impl Fig2Config {
     pub fn at_scale(scale: Scale) -> Self {
         Fig2Config {
             scale,
-            per_cycle: (scale.nodes / 100).max(1),
             connect_attempts: 5,
         }
     }
@@ -58,9 +56,10 @@ pub struct Fig2Result {
     pub baseline: GraphMetrics,
 }
 
-impl Fig2Result {
-    /// Summary table: final values vs the random baseline.
-    pub fn table(&self) -> Table {
+impl Report for Fig2Result {
+    /// Final values vs the random baseline, and the long-format series: one
+    /// row per (protocol, cycle).
+    fn sections(&self) -> Vec<Section> {
         let mut t = Table::new(vec![
             "protocol",
             "clustering coeff",
@@ -87,13 +86,7 @@ impl Fig2Result {
                 if d.connected_at_end { "yes" } else { "NO" }.into(),
             ]);
         }
-        t
-    }
-
-    /// Long-format series table (CSV-friendly): one row per
-    /// (protocol, cycle).
-    pub fn series_table(&self) -> Table {
-        let mut t = Table::new(vec![
+        let mut series = Table::new(vec![
             "protocol",
             "cycle",
             "clustering",
@@ -106,7 +99,7 @@ impl Fig2Result {
                 .iter()
                 .zip(d.degree.values().iter().zip(d.path_length.values()))
             {
-                t.row(vec![
+                series.row(vec![
                     d.policy.to_string(),
                     cycle.to_string(),
                     fmt_f64(cc, 6),
@@ -115,14 +108,14 @@ impl Fig2Result {
                 ]);
             }
         }
-        t
+        vec![Section::new("fig2", t, Some(series))]
     }
 }
 
 /// Runs the Figure 2 experiment (protocols in parallel).
 pub fn run(config: &Fig2Config) -> Fig2Result {
     let scale = config.scale;
-    let per_cycle = config.per_cycle;
+    let per_cycle = (scale.nodes / 100).max(1);
     let attempts = config.connect_attempts;
     let dynamics = parallel_map(Fig2Config::protocols().to_vec(), move |policy| {
         run_dynamics(
@@ -163,9 +156,11 @@ mod tests {
         {
             assert!(d.connected_at_end, "{} disconnected", d.policy);
         }
-        let text = result.table().to_string();
-        assert!(text.contains("uniform random baseline"));
-        let series = result.series_table();
-        assert_eq!(series.len(), 6 * 25);
+        let section = result.sections().remove(0);
+        assert!(section
+            .summary
+            .to_string()
+            .contains("uniform random baseline"));
+        assert_eq!(section.series.as_ref().map(Table::len), Some(6 * 25));
     }
 }

@@ -10,7 +10,7 @@ use pss_graph::GraphMetrics;
 
 use crate::dynamics::{random_baseline, run_dynamics, ProtocolDynamics, ScenarioKind};
 use crate::parallel::parallel_map;
-use crate::report::{fmt_f64, Table};
+use crate::report::{fmt_f64, Report, Section, Table};
 use crate::Scale;
 
 /// Configuration for the Figure 3 experiment.
@@ -46,10 +46,11 @@ pub struct Fig3Result {
     pub baseline: GraphMetrics,
 }
 
-impl Fig3Result {
-    /// Summary table of final values from both starts — the convergence
-    /// claim is that the two columns agree per protocol.
-    pub fn table(&self) -> Table {
+impl Report for Fig3Result {
+    /// Final values from both starts — the convergence claim is that the
+    /// two columns agree per protocol — and the long-format series of both
+    /// scenarios.
+    fn sections(&self) -> Vec<Section> {
         let mut t = Table::new(vec![
             "protocol",
             "cc (lattice)",
@@ -80,12 +81,8 @@ impl Fig3Result {
                 fmt_f64(last(&r.path_length), 3),
             ]);
         }
-        t
-    }
 
-    /// Long-format series table covering both scenarios.
-    pub fn series_table(&self) -> Table {
-        let mut t = Table::new(vec![
+        let mut series = Table::new(vec![
             "scenario",
             "protocol",
             "cycle",
@@ -99,7 +96,7 @@ impl Fig3Result {
                 .iter()
                 .zip(d.degree.values().iter().zip(d.path_length.values()))
             {
-                t.row(vec![
+                series.row(vec![
                     d.scenario.label().to_owned(),
                     d.policy.to_string(),
                     cycle.to_string(),
@@ -109,7 +106,7 @@ impl Fig3Result {
                 ]);
             }
         }
-        t
+        vec![Section::new("fig3", t, Some(series))]
     }
 }
 
@@ -164,8 +161,8 @@ mod tests {
         let deg_l = last(&result.lattice[0].degree);
         let deg_r = last(&result.random[0].degree);
         assert!((deg_l - deg_r).abs() < 3.0, "degree {deg_l} vs {deg_r}");
-        let text = result.table().to_string();
-        assert!(text.contains("(rand,head,pushpull)"));
-        assert!(!result.series_table().is_empty());
+        let section = result.sections().remove(0);
+        assert!(section.summary.to_string().contains("(rand,head,pushpull)"));
+        assert!(section.series.as_ref().is_some_and(|s| !s.is_empty()));
     }
 }

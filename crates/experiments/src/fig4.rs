@@ -10,7 +10,7 @@ use pss_sim::scenario;
 use pss_stats::CountDistribution;
 
 use crate::parallel::parallel_map;
-use crate::report::{fmt_f64, Table};
+use crate::report::{fmt_f64, Report, Section, Table};
 use crate::Scale;
 
 /// Configuration for the Figure 4 experiment.
@@ -53,9 +53,10 @@ pub struct Fig4Result {
     pub evolutions: Vec<DegreeEvolution>,
 }
 
-impl Fig4Result {
-    /// Summary table: distribution shape at the final capture.
-    pub fn table(&self) -> Table {
+impl Report for Fig4Result {
+    /// Distribution shape at the final capture, and the long-format series:
+    /// one row per (protocol, cycle, degree).
+    fn sections(&self) -> Vec<Section> {
         let mut t = Table::new(vec![
             "protocol",
             "mean degree",
@@ -74,16 +75,12 @@ impl Fig4Result {
                 ]);
             }
         }
-        t
-    }
 
-    /// Long-format table: one row per (protocol, cycle, degree).
-    pub fn series_table(&self) -> Table {
-        let mut t = Table::new(vec!["protocol", "cycle", "degree", "frequency"]);
+        let mut series = Table::new(vec!["protocol", "cycle", "degree", "frequency"]);
         for e in &self.evolutions {
             for (cycle, dist) in &e.captures {
                 for (degree, count) in dist.iter() {
-                    t.row(vec![
+                    series.row(vec![
                         e.policy.to_string(),
                         cycle.to_string(),
                         degree.to_string(),
@@ -92,7 +89,7 @@ impl Fig4Result {
                 }
             }
         }
-        t
+        vec![Section::new("fig4", t, Some(series))]
     }
 }
 
@@ -157,7 +154,8 @@ mod tests {
         // Capture at cycle 0 is the initial random graph for both.
         let init0 = &result.evolutions[0].captures[0].1;
         assert_eq!(init0.total(), 800);
-        assert!(!result.table().is_empty());
-        assert!(!result.series_table().is_empty());
+        let section = result.sections().remove(0);
+        assert!(!section.summary.is_empty());
+        assert!(section.series.as_ref().is_some_and(|s| !s.is_empty()));
     }
 }

@@ -14,8 +14,11 @@ use pss_sim::scenario;
 use pss_stats::Autocorrelation;
 
 use crate::parallel::parallel_map;
-use crate::report::{fmt_f64, Table};
+use crate::report::{fmt_f64, Report, Section, Table};
 use crate::Scale;
+
+/// Confidence level of the white-noise band (paper: 0.99).
+const CONFIDENCE: f64 = 0.99;
 
 /// Configuration for the Figure 5 experiment.
 #[derive(Debug, Clone)]
@@ -24,8 +27,6 @@ pub struct Fig5Config {
     pub scale: Scale,
     /// Maximum lag (paper: 140).
     pub max_lag: usize,
-    /// Confidence level of the white-noise band (paper: 0.99).
-    pub confidence: f64,
     /// Protocols; the paper plots the four `rand` peer-selection variants
     /// and omits `(tail,*,*)` "for clarity".
     pub protocols: Vec<PolicyTriple>,
@@ -37,7 +38,6 @@ impl Fig5Config {
         Fig5Config {
             scale,
             max_lag: 140.min(scale.cycles as usize / 2),
-            confidence: 0.99,
             protocols: vec![
                 "(rand,rand,push)".parse().expect("valid"),
                 "(rand,rand,pushpull)".parse().expect("valid"),
@@ -68,9 +68,10 @@ pub struct Fig5Result {
     pub band: f64,
 }
 
-impl Fig5Result {
-    /// Summary table.
-    pub fn table(&self) -> Table {
+impl Report for Fig5Result {
+    /// Summary per protocol, and the long-format series: one row per
+    /// (protocol, lag).
+    fn sections(&self) -> Vec<Section> {
         let mut t = Table::new(vec![
             "protocol",
             "r_1",
@@ -90,18 +91,14 @@ impl Fig5Result {
                 fmt_f64(self.band, 4),
             ]);
         }
-        t
-    }
 
-    /// Long-format table: one row per (protocol, lag).
-    pub fn series_table(&self) -> Table {
-        let mut t = Table::new(vec!["protocol", "lag", "autocorrelation"]);
+        let mut series = Table::new(vec!["protocol", "lag", "autocorrelation"]);
         for p in &self.protocols {
             for (lag, &r) in p.autocorrelation.values().iter().enumerate() {
-                t.row(vec![p.policy.to_string(), lag.to_string(), fmt_f64(r, 6)]);
+                series.row(vec![p.policy.to_string(), lag.to_string(), fmt_f64(r, 6)]);
             }
         }
-        t
+        vec![Section::new("fig5", t, Some(series))]
     }
 }
 
@@ -109,8 +106,7 @@ impl Fig5Result {
 pub fn run(config: &Fig5Config) -> Fig5Result {
     let scale = config.scale;
     let max_lag = config.max_lag;
-    let confidence = config.confidence;
-    let band = pss_stats::white_noise_band(scale.cycles as usize, confidence);
+    let band = pss_stats::white_noise_band(scale.cycles as usize, CONFIDENCE);
 
     let protocols = parallel_map(config.protocols.clone(), move |policy| {
         let protocol = scale.protocol(policy);
@@ -147,7 +143,6 @@ mod tests {
         let config = Fig5Config {
             scale,
             max_lag: 40,
-            confidence: 0.99,
             protocols: vec![
                 "(rand,head,pushpull)".parse().unwrap(),
                 "(rand,rand,pushpull)".parse().unwrap(),
@@ -168,7 +163,8 @@ mod tests {
             rand_r1 > 0.3,
             "rand r_1 {rand_r1} should be clearly positive"
         );
-        assert!(!result.table().is_empty());
-        assert_eq!(result.series_table().len(), 2 * 41);
+        let section = result.sections().remove(0);
+        assert!(!section.summary.is_empty());
+        assert_eq!(section.series.as_ref().map(Table::len), Some(2 * 41));
     }
 }

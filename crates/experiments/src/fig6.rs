@@ -16,7 +16,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::parallel::parallel_map;
-use crate::report::{fmt_f64, Table};
+use crate::report::{fmt_f64, Report, Section, Table};
 use crate::Scale;
 
 /// Configuration for the Figure 6 experiment.
@@ -63,24 +63,10 @@ pub struct Fig6Result {
     pub curves: Vec<RemovalCurve>,
 }
 
-impl Fig6Result {
-    /// Table with one row per (protocol, percent) — the plotted series.
-    pub fn series_table(&self) -> Table {
-        let mut t = Table::new(vec![
-            "protocol",
-            "removed %",
-            "avg nodes outside largest cluster",
-        ]);
-        for c in &self.curves {
-            for &(pct, avg) in &c.points {
-                t.row(vec![c.policy.to_string(), fmt_f64(pct, 1), fmt_f64(avg, 2)]);
-            }
-        }
-        t
-    }
-
-    /// Summary: first partitioning percentage per protocol.
-    pub fn table(&self) -> Table {
+impl Report for Fig6Result {
+    /// First partitioning percentage per protocol, and the plotted series:
+    /// one row per (protocol, percent).
+    fn sections(&self) -> Vec<Section> {
         let mut t = Table::new(vec![
             "protocol",
             "first partition at (%)",
@@ -99,7 +85,18 @@ impl Fig6Result {
                 at95.map_or("-".into(), |v| fmt_f64(v, 2)),
             ]);
         }
-        t
+
+        let mut series = Table::new(vec![
+            "protocol",
+            "removed %",
+            "avg nodes outside largest cluster",
+        ]);
+        for c in &self.curves {
+            for &(pct, avg) in &c.points {
+                series.row(vec![c.policy.to_string(), fmt_f64(pct, 1), fmt_f64(avg, 2)]);
+            }
+        }
+        vec![Section::new("fig6", t, Some(series))]
     }
 }
 
@@ -184,8 +181,9 @@ mod tests {
         // Monotone damage.
         assert!(curve.points[2].1 >= curve.points[0].1);
         // 90% removal of a c=20 overlay usually leaves stragglers.
-        assert!(!result.table().is_empty());
-        assert_eq!(result.series_table().len(), 3);
+        let section = result.sections().remove(0);
+        assert!(!section.summary.is_empty());
+        assert_eq!(section.series.as_ref().map(Table::len), Some(3));
     }
 
     #[test]

@@ -13,16 +13,17 @@ use pss_sim::scenario;
 use pss_stats::TimeSeries;
 
 use crate::parallel::parallel_map;
-use crate::report::{fmt_f64, Table};
+use crate::report::{fmt_f64, Report, Section, Table};
 use crate::Scale;
+
+/// Fraction of nodes killed at the failure cycle (paper: 0.5).
+const KILL_FRACTION: f64 = 0.5;
 
 /// Configuration for the Figure 7 experiment.
 #[derive(Debug, Clone)]
 pub struct Fig7Config {
     /// Common scale (cycles = convergence budget before the failure).
     pub scale: Scale,
-    /// Fraction of nodes killed at the failure cycle (paper: 0.5).
-    pub kill_fraction: f64,
     /// Cycles simulated after the failure (the paper plots 70 for the head
     /// protocols and 200 for the rand ones; we run the maximum for all).
     pub recovery_cycles: u64,
@@ -35,7 +36,6 @@ impl Fig7Config {
     pub fn at_scale(scale: Scale) -> Self {
         Fig7Config {
             scale,
-            kill_fraction: 0.5,
             recovery_cycles: (scale.cycles * 2 / 3).max(40),
             protocols: PolicyTriple::paper_eight().to_vec(),
         }
@@ -71,9 +71,10 @@ pub struct Fig7Result {
     pub failure_cycle: u64,
 }
 
-impl Fig7Result {
-    /// Summary table.
-    pub fn table(&self) -> Table {
+impl Report for Fig7Result {
+    /// Summary per protocol, and the long-format series: one row per
+    /// (protocol, cycle).
+    fn sections(&self) -> Vec<Section> {
         let mut t = Table::new(vec![
             "protocol",
             "dead links at failure",
@@ -89,32 +90,27 @@ impl Fig7Result {
                 fmt_f64(c.remaining(), 0),
             ]);
         }
-        t
-    }
 
-    /// Long-format table: one row per (protocol, cycle).
-    pub fn series_table(&self) -> Table {
-        let mut t = Table::new(vec!["protocol", "cycle", "dead links"]);
+        let mut series = Table::new(vec!["protocol", "cycle", "dead links"]);
         for c in &self.curves {
             for (cycle, v) in c.dead_links.iter() {
-                t.row(vec![c.policy.to_string(), cycle.to_string(), fmt_f64(v, 0)]);
+                series.row(vec![c.policy.to_string(), cycle.to_string(), fmt_f64(v, 0)]);
             }
         }
-        t
+        vec![Section::new("fig7", t, Some(series))]
     }
 }
 
 /// Runs the Figure 7 experiment (protocols in parallel).
 pub fn run(config: &Fig7Config) -> Fig7Result {
     let scale = config.scale;
-    let kill_fraction = config.kill_fraction.clamp(0.0, 1.0);
     let recovery = config.recovery_cycles;
 
     let curves = parallel_map(config.protocols.clone(), move |policy| {
         let protocol = scale.protocol(policy);
         let mut sim = scenario::random_overlay(&protocol, scale.nodes, scale.seed ^ 0xf17);
         sim.run_cycles(scale.cycles);
-        sim.kill_random_fraction(kill_fraction);
+        sim.kill_random_fraction(KILL_FRACTION);
         let initial_dead_links = sim.dead_link_count();
         let mut counter = DeadLinkCounter::new();
         run_observed(&mut sim, recovery, &mut [&mut counter]);
@@ -151,7 +147,6 @@ mod tests {
         };
         let config = Fig7Config {
             scale,
-            kill_fraction: 0.5,
             recovery_cycles: 40,
             protocols: vec![
                 "(rand,head,pushpull)".parse().unwrap(),
@@ -174,7 +169,8 @@ mod tests {
             rand.initial_dead_links
         );
         assert_eq!(result.failure_cycle, 40);
-        assert!(!result.table().is_empty());
-        assert!(!result.series_table().is_empty());
+        let section = result.sections().remove(0);
+        assert!(!section.summary.is_empty());
+        assert!(section.series.as_ref().is_some_and(|s| !s.is_empty()));
     }
 }

@@ -16,7 +16,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::parallel::parallel_map;
-use crate::report::{fmt_f64, Table};
+use crate::report::{fmt_f64, Report, Section, Table};
 use crate::Scale;
 
 /// Configuration for the H&S ablation.
@@ -75,9 +75,9 @@ pub struct HsAblationResult {
     pub points: Vec<HsPoint>,
 }
 
-impl HsAblationResult {
-    /// Renders the ablation table.
-    pub fn table(&self) -> Table {
+impl Report for HsAblationResult {
+    /// The ablation table.
+    fn sections(&self) -> Vec<Section> {
         let mut t = Table::new(vec![
             "H",
             "S",
@@ -96,7 +96,7 @@ impl HsAblationResult {
                 if p.connected { "yes" } else { "NO" }.into(),
             ]);
         }
-        t
+        vec![Section::new("hs", t, None)]
     }
 }
 
@@ -193,7 +193,7 @@ mod tests {
             healer.dead_links_remaining,
             blind.dead_links_remaining
         );
-        assert_eq!(result.table().len(), 2);
+        assert_eq!(result.sections()[0].summary.len(), 2);
     }
 
     #[test]

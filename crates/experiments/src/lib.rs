@@ -2,8 +2,10 @@
 //! paper (Jelasity et al., Middleware 2004), plus extension experiments.
 //!
 //! Each experiment is a plain function from a configuration to a typed
-//! result; the `experiments` binary wraps them in a CLI. The mapping to the
-//! paper:
+//! result, and every result implements [`report::Report`]: the tables it
+//! prints, its health gate and its summary line. The `experiments` binary
+//! runs them from one command table (`experiments --help`). The mapping to
+//! the paper:
 //!
 //! | module       | paper artifact | content |
 //! |--------------|----------------|---------|
@@ -18,10 +20,12 @@
 //! | [`policies`] | Section 4.3    | why `(head,*,*)`, `(*,tail,*)`, `(*,*,pull)` are degenerate |
 //! | [`asynchrony`] | extension    | conclusions under the event-driven engine |
 //! | [`apps`]     | extension      | broadcast & aggregation vs sampling quality |
+//! | [`hs_ablation`] | extension   | healer/swapper (H, S) corners: healing speed vs degree balance |
 //! | [`scaling`]  | extension      | sharded-engine throughput and overlay quality vs shard count |
 //! | [`net`]      | extension      | live loopback UDP cluster: wire codec + runtimes end to end |
 //! | [`workload`] | extension      | membership-dynamics schedules (churn, catastrophe, flash crowd, partition) cross-engine |
 //! | [`adversary`] | extension     | Byzantine attack metrics per honest policy, cross-engine |
+//! | [`protocols`] | extension     | broadcast & aggregation under membership schedules, cross-engine |
 //! | [`metrics`]  | extension      | telemetry registry exercised across every stack (phase/RTT histograms, flight recorder) |
 //!
 //! All experiments are deterministic given their seed and parallelize

@@ -2,215 +2,361 @@
 //!
 //! ```text
 //! experiments <command> [options]
-//!
-//! commands:
-//!   table1   partitioning of push protocols (growing overlay)
-//!   fig2     property dynamics in the growing scenario
-//!   fig3     convergence from lattice and random starts
-//!   fig4     degree distribution evolution
-//!   table2   degree statistics of traced nodes
-//!   fig5     degree autocorrelation of a fixed node
-//!   fig6     robustness to massive node removal
-//!   fig7     self-healing after 50% node failure
-//!   policies sweep of all 27 policy combinations (Section 4.3)
-//!   async    event-driven engine comparison (extension; --shards runs the
-//!            event rows once per shard count, default 1). --scale million
-//!            runs, but took ≈ 30 min and 8.3 GB peak RSS on 2 vCPUs; on a
-//!            shared host add --nodes 200000
-//!   apps     broadcast/aggregation sampling-quality comparison (extension)
-//!   hs       healer/swapper (H,S) ablation (extension)
-//!   scaling  sharded-engine throughput vs shard count (extension)
-//!   net      live loopback UDP cluster: convergence + throughput through
-//!            the wire codec (--workers sets the runtime-thread count;
-//!            --schedule runs a workload schedule on the cluster and gates
-//!            on recovery instead of convergence)
-//!   workload membership-dynamics schedule on the cycle AND event engines
-//!            (--schedule "quiet:10,kill:0.5,churn:0.01x20"; the grammar
-//!            also has flash:N[herd], part:GxP@L lossy partitions, (…)xR
-//!            repetition — see pss_sim::workload); --freshness both runs
-//!            hop-count and timestamp age back to back and gates on the
-//!            freshness ordering under partition schedules
-//!   matrix   failure-physics scenario matrix: policy × freshness ×
-//!            failure family (churn, catastrophe, herd, lossy partition),
-//!            gated on timestamp freshness healing the lossy long
-//!            partition that hop-count leaves split
-//!   adversary Byzantine attack sweep: one adv: schedule across the honest
-//!            policy corners (newscast, blind, H&S healer, H&S swapper)
-//!            on both engines (--schedule "adv:hub@0.02,quiet:30")
-//!   protocols broadcast + aggregation under membership schedules: policy ×
-//!            sampler (overlay vs oracle) × engine per schedule, including
-//!            a Table-1-style partition schedule under application load
-//!            (--schedule overrides the schedule list)
-//!   metrics  exercise the telemetry registry across every stack and print
-//!            the per-series quantile table plus the Prometheus exposition
-//!            (--out writes metrics.prom and metrics.json)
-//!   all      everything above, in order
-//!
-//! options:
-//!   --scale paper|small|tiny|million  preset scale     [default: paper]
-//!   --nodes N                  override population size
-//!   --cycles N                 override cycle budget
-//!   --view-size C              override view size
-//!   --runs R                   override runs/repetitions (table1, fig6)
-//!   --shards LIST              comma-separated shard counts (scaling, async;
-//!                              workload uses the first entry)
-//!   --workers N                worker-pool width override (scaling, async,
-//!                              workload)
-//!   --schedule S               workload schedule string (workload, net,
-//!                              adversary, protocols)
-//!   --freshness hop|timestamp|both  descriptor-age mode (workload)
-//!   --seed S                   override master seed
-//!   --out DIR                  also write CSV series under DIR
 //! ```
+//!
+//! `experiments --help` lists the commands, one per row of the `COMMANDS`
+//! table below, with the options each reads beyond the scale options and
+//! `--out`. A command rejects every other option; `all` runs every row in
+//! order and accepts them all. Two options mean more than their help line
+//! says: commands that run one shard count take the first entry of
+//! `--shards`, and for `net` `--workers` sets the number of runtime threads
+//! (one UDP socket each) rather than a worker-pool width.
 
-use std::path::PathBuf;
+use std::fs;
+use std::io;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
-use pss_experiments::report::Table;
+use pss_experiments::report::{Report, Section};
 use pss_experiments::{
     adversary, apps, asynchrony, fig2, fig3, fig4, fig5, fig6, fig7, hs_ablation, metrics, net,
     policies, protocols, scaling, table1, table2, workload, Scale,
 };
 use pss_telemetry::EventKind;
+use workload::FreshnessChoice;
+
+/// One command of the CLI.
+#[derive(Debug)]
+struct Command {
+    name: &'static str,
+    help: &'static str,
+    /// Options the command reads beyond the first six of [`OPTIONS`].
+    options: &'static [&'static str],
+    /// Population and cycle caps applied before `run`: many-run commands
+    /// keep their default cost bounded.
+    caps: (usize, u64),
+    /// Builds the command's configuration from the options and runs it.
+    run: fn(&Options) -> Result<Box<dyn Report>, String>,
+}
+
+const UNCAPPED: (usize, u64) = (usize::MAX, u64::MAX);
+const SWEEP: &[&str] = &["--shards", "--workers"];
+const SCHEDULED: &[&str] = &["--shards", "--workers", "--schedule"];
+
+// One row per command, in `all` order; laid out by hand as a table.
+#[rustfmt::skip]
+static COMMANDS: &[Command] = &[
+    Command {
+        name: "table1", help: "partitioning of push protocols (growing overlay)",
+        options: &["--runs"], caps: UNCAPPED,
+        run: |o| {
+            let mut config = table1::Table1Config::at_scale(o.scale);
+            config.runs = o.runs.unwrap_or(config.runs);
+            Ok(Box::new(table1::run(&config)))
+        },
+    },
+    Command {
+        name: "fig2", help: "property dynamics in the growing scenario",
+        options: &[], caps: UNCAPPED,
+        run: |o| Ok(Box::new(fig2::run(&fig2::Fig2Config::at_scale(o.scale)))),
+    },
+    Command {
+        name: "fig3", help: "convergence from lattice and random starts",
+        options: &[], caps: UNCAPPED,
+        run: |o| Ok(Box::new(fig3::run(&fig3::Fig3Config::at_scale(o.scale)))),
+    },
+    Command {
+        name: "fig4", help: "degree distribution evolution",
+        options: &[], caps: UNCAPPED,
+        run: |o| Ok(Box::new(fig4::run(&fig4::Fig4Config::at_scale(o.scale)))),
+    },
+    Command {
+        name: "table2", help: "degree statistics of traced nodes",
+        options: &[], caps: UNCAPPED,
+        run: |o| Ok(Box::new(table2::run(&table2::Table2Config::at_scale(o.scale)))),
+    },
+    Command {
+        name: "fig5", help: "degree autocorrelation of a fixed node",
+        options: &[], caps: UNCAPPED,
+        run: |o| Ok(Box::new(fig5::run(&fig5::Fig5Config::at_scale(o.scale)))),
+    },
+    Command {
+        name: "fig6", help: "robustness to massive node removal",
+        options: &["--runs"], caps: UNCAPPED,
+        run: |o| {
+            let mut config = fig6::Fig6Config::at_scale(o.scale);
+            config.repetitions = o.runs.unwrap_or(config.repetitions);
+            Ok(Box::new(fig6::run(&config)))
+        },
+    },
+    Command {
+        name: "fig7", help: "self-healing after 50% node failure",
+        options: &[], caps: UNCAPPED,
+        run: |o| Ok(Box::new(fig7::run(&fig7::Fig7Config::at_scale(o.scale)))),
+    },
+    Command {
+        name: "policies", help: "sweep of all 27 policy combinations (Section 4.3)",
+        options: &[], caps: (1000, 100), // 27 simulations
+        run: |o| Ok(Box::new(policies::run(&policies::PoliciesConfig::at_scale(o.scale)))),
+    },
+    Command {
+        name: "async", help: "event-driven engine comparison (extension)",
+        options: SWEEP, caps: (usize::MAX, 100),
+        run: |o| {
+            let mut config = asynchrony::AsyncConfig::at_scale(o.scale);
+            config.shard_counts = o.shards.clone().unwrap_or(config.shard_counts);
+            config.workers = o.workers;
+            Ok(Box::new(asynchrony::run(&config)))
+        },
+    },
+    Command {
+        name: "apps", help: "broadcast/aggregation sampling-quality comparison (extension)",
+        options: &[], caps: (2000, 100),
+        run: |o| Ok(Box::new(apps::run(&apps::AppsConfig::at_scale(o.scale)))),
+    },
+    Command {
+        name: "hs", help: "healer/swapper (H,S) ablation (extension)",
+        options: &[], caps: (2000, 100),
+        run: |o| Ok(Box::new(hs_ablation::run(&hs_ablation::HsAblationConfig::at_scale(o.scale)))),
+    },
+    Command {
+        name: "scaling", help: "sharded-engine throughput vs shard count (extension)",
+        options: SWEEP, caps: UNCAPPED,
+        run: |o| {
+            let mut config = scaling::ScalingConfig::at_scale(o.scale);
+            config.shard_counts = o.shards.clone().unwrap_or(config.shard_counts);
+            config.workers = o.workers;
+            Ok(Box::new(scaling::run(&config)))
+        },
+    },
+    Command {
+        name: "net", help: "live loopback UDP cluster through the wire codec (extension)",
+        options: &["--workers", "--schedule"], caps: UNCAPPED,
+        run: |o| {
+            let mut config = net::NetConfig::at_scale(o.scale);
+            config.runtimes = o.workers.unwrap_or(config.runtimes);
+            config.schedule = o.schedule.clone();
+            Ok(Box::new(net::run(&config)?))
+        },
+    },
+    Command {
+        name: "workload", help: "membership-dynamics schedule on both engines (extension)",
+        options: &["--shards", "--workers", "--schedule", "--freshness"],
+        caps: (20_000, u64::MAX), // two engines × full per-period metrics
+        run: |o| {
+            let mut config = workload::WorkloadConfig::at_scale(o.scale);
+            config.schedule = o.schedule.clone().unwrap_or(config.schedule);
+            config.shards = o.shards.as_ref().map_or(config.shards, |s| s[0]);
+            config.workers = o.workers;
+            config.freshness = o.freshness;
+            Ok(Box::new(workload::run(&config)?))
+        },
+    },
+    Command {
+        name: "matrix", help: "failure-physics scenario matrix (extension)",
+        options: SWEEP, caps: (2000, u64::MAX), // sixteen cross-engine runs
+        run: |o| {
+            let mut config = workload::MatrixConfig::at_scale(o.scale);
+            config.shards = o.shards.as_ref().map_or(config.shards, |s| s[0]);
+            config.workers = o.workers;
+            Ok(Box::new(workload::matrix(&config)?))
+        },
+    },
+    Command {
+        name: "adversary", help: "Byzantine attack sweep across honest policies (extension)",
+        options: SCHEDULED, caps: (10_000, u64::MAX), // 4 policies × 2 engines, audited per period
+        run: |o| {
+            let mut config = adversary::AdversaryConfig::at_scale(o.scale);
+            config.schedule = o.schedule.clone().unwrap_or(config.schedule);
+            config.shards = o.shards.as_ref().map_or(config.shards, |s| s[0]);
+            config.workers = o.workers;
+            Ok(Box::new(adversary::run(&config)?))
+        },
+    },
+    Command {
+        name: "protocols", help: "broadcast + aggregation under membership schedules (extension)",
+        options: SCHEDULED, caps: (10_000, u64::MAX), // sixteen runs × two protocols
+        run: |o| {
+            let mut config = protocols::ProtocolsConfig::at_scale(o.scale);
+            if let Some(schedule) = &o.schedule {
+                config.schedules = vec![("custom".into(), schedule.clone())];
+            }
+            config.shards = o.shards.as_ref().map_or(config.shards, |s| s[0]);
+            config.workers = o.workers;
+            Ok(Box::new(protocols::run(&config)?))
+        },
+    },
+    // Last, so `all` runs it last: it resets the telemetry registry.
+    Command {
+        name: "metrics", help: "telemetry registry across every stack (extension)",
+        options: SWEEP, caps: UNCAPPED,
+        run: |o| {
+            let mut config = metrics::MetricsConfig::at_scale(o.scale);
+            config.shards = o.shards.as_ref().map_or(config.shards, |s| s[0]);
+            config.workers = o.workers;
+            Ok(Box::new(metrics::run(&config)?))
+        },
+    },
+];
 
 /// Parsed command-line options.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 struct Options {
-    command: String,
+    /// One row of [`COMMANDS`], or all of them for `all`.
+    commands: &'static [Command],
     scale: Scale,
     runs: Option<usize>,
     shards: Option<Vec<usize>>,
     workers: Option<usize>,
     schedule: Option<String>,
-    freshness: workload::FreshnessChoice,
+    freshness: FreshnessChoice,
     out: Option<PathBuf>,
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut command = None;
-    let mut scale = Scale::paper();
-    let mut nodes = None;
-    let mut cycles = None;
-    let mut view_size = None;
-    let mut seed = None;
-    let mut runs = None;
-    let mut shards = None;
-    let mut workers = None;
-    let mut schedule = None;
-    let mut freshness = workload::FreshnessChoice::default();
-    let mut out = None;
-
+    let mut given: Vec<(&str, &str)> = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut grab = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        match arg.as_str() {
-            "--scale" => {
-                scale = match grab("--scale")?.as_str() {
-                    "paper" => Scale::paper(),
-                    "small" => Scale::small(),
-                    "tiny" => Scale::tiny(),
-                    "million" => Scale::million(),
-                    other => return Err(format!("unknown scale preset `{other}`")),
-                }
-            }
-            "--nodes" => nodes = Some(parse_num(&grab("--nodes")?)?),
-            "--cycles" => cycles = Some(parse_num(&grab("--cycles")?)? as u64),
-            "--view-size" => view_size = Some(parse_num(&grab("--view-size")?)?),
-            "--seed" => seed = Some(parse_num(&grab("--seed")?)? as u64),
-            "--runs" => runs = Some(parse_num(&grab("--runs")?)?),
-            "--shards" => {
-                let list = grab("--shards")?
-                    .split(',')
-                    .map(parse_num)
-                    .collect::<Result<Vec<usize>, String>>()?;
-                if list.is_empty() || list.contains(&0) {
-                    return Err("--shards needs positive counts".into());
-                }
-                shards = Some(list);
-            }
-            "--workers" => {
-                let n = parse_num(&grab("--workers")?)?;
-                if n == 0 {
-                    return Err("--workers needs a positive count".into());
-                }
-                workers = Some(n);
-            }
-            "--schedule" => schedule = Some(grab("--schedule")?),
-            "--freshness" => freshness = workload::FreshnessChoice::parse(&grab("--freshness")?)?,
-            "--out" => out = Some(PathBuf::from(grab("--out")?)),
-            "--help" | "-h" => return Err("help".into()),
-            other if other.starts_with('-') => return Err(format!("unknown option `{other}`")),
-            other => {
-                if command.is_some() {
-                    return Err(format!("unexpected extra argument `{other}`"));
-                }
-                command = Some(other.to_owned());
-            }
+        if arg == "--help" || arg == "-h" {
+            return Err("help".into());
+        } else if let Some(&(flag, ..)) = OPTIONS.iter().find(|(flag, ..)| flag == arg) {
+            let value = it.next().ok_or(format!("missing value for {flag}"))?;
+            given.push((flag, value));
+        } else if arg.starts_with('-') {
+            return Err(format!("unknown option `{arg}`"));
+        } else if command.replace(arg.as_str()).is_some() {
+            return Err(format!("unexpected extra argument `{arg}`"));
         }
     }
 
-    if let Some(n) = nodes {
-        scale.nodes = n;
-    }
-    if let Some(c) = cycles {
-        scale.cycles = c;
-    }
-    if let Some(v) = view_size {
-        scale.view_size = v;
-    }
-    if let Some(s) = seed {
-        scale.seed = s;
-    }
+    let command = command.ok_or("no command given (try --help)")?;
+    let commands = if command == "all" {
+        COMMANDS
+    } else {
+        let row = COMMANDS
+            .iter()
+            .find(|c| c.name == command)
+            .ok_or(format!("unknown command `{command}` (try --help)"))?;
+        let reads =
+            |flag: &str| OPTIONS[..6].iter().any(|o| o.0 == flag) || row.options.contains(&flag);
+        if let Some((flag, _)) = given.iter().find(|(flag, _)| !reads(flag)) {
+            return Err(format!("`{command}` does not read {flag} (try --help)"));
+        }
+        std::slice::from_ref(row)
+    };
+
+    // The last occurrence of a flag wins.
+    let value = |flag: &str| given.iter().rev().find(|g| g.0 == flag).map(|g| g.1);
+    let mut scale = match value("--scale").unwrap_or("paper") {
+        "paper" => Scale::paper(),
+        "small" => Scale::small(),
+        "tiny" => Scale::tiny(),
+        "million" => Scale::million(),
+        other => return Err(format!("unknown scale preset `{other}`")),
+    };
+    scale.nodes = value("--nodes").map_or(Ok(scale.nodes), parse_num)?;
+    scale.cycles = value("--cycles").map_or(Ok(scale.cycles), parse_num)?;
+    scale.view_size = value("--view-size").map_or(Ok(scale.view_size), parse_num)?;
+    scale.seed = value("--seed").map_or(Ok(scale.seed), parse_num)?;
     if scale.nodes < 2 || scale.view_size == 0 {
         return Err("need at least 2 nodes and a positive view size".into());
     }
-
+    let shards: Option<Vec<usize>> = value("--shards")
+        .map(|l| l.split(',').map(parse_num).collect())
+        .transpose()?;
+    let workers = value("--workers").map(parse_num).transpose()?;
+    if shards.as_ref().is_some_and(|s| s.contains(&0)) || workers == Some(0) {
+        return Err("--shards and --workers need positive counts".into());
+    }
     Ok(Options {
-        command: command.ok_or_else(|| "no command given (try --help)".to_owned())?,
+        commands,
         scale,
-        runs,
+        runs: value("--runs").map(parse_num).transpose()?,
         shards,
         workers,
-        schedule,
-        freshness,
-        out,
+        schedule: value("--schedule").map(String::from),
+        freshness: value("--freshness").map_or(Ok(Default::default()), FreshnessChoice::parse)?,
+        out: value("--out").map(PathBuf::from),
     })
 }
 
-fn parse_num(s: &str) -> Result<usize, String> {
+fn parse_num<T: std::str::FromStr>(s: &str) -> Result<T, String> {
     s.replace('_', "")
         .parse()
         .map_err(|_| format!("invalid number `{s}`"))
 }
 
-fn emit(opts: &Options, name: &str, summary: &Table, series: Option<&Table>) {
+/// Runs one command: caps its scale, prints its sections, prints its
+/// summary, records its gate in the flight recorder and returns the gate's
+/// error.
+fn run_command(command: &Command, opts: &Options) -> Result<(), String> {
+    let started = Instant::now();
+    let (max_nodes, max_cycles) = command.caps;
+    let mut opts = opts.clone();
+    if opts.scale.nodes > max_nodes {
+        eprintln!(
+            "   note: {} caps the population at {max_nodes} nodes ({} requested)",
+            command.name, opts.scale.nodes
+        );
+        opts.scale.nodes = max_nodes;
+    }
+    opts.scale.cycles = opts.scale.cycles.min(max_cycles);
+
+    let report = (command.run)(&opts)?;
+    for section in report.sections() {
+        emit(&opts, &section);
+    }
+    if let Some(summary) = report.summary() {
+        for line in summary.lines() {
+            eprintln!("   {line}");
+        }
+    }
+    let verdict = report.verdict();
+    let pass = u64::from(verdict.is_ok());
+    pss_telemetry::flight().record(EventKind::GateEval, command.name, pass, 0);
+    verdict?;
+    eprintln!("[{} finished in {:.1?}]", command.name, started.elapsed());
+    Ok(())
+}
+
+/// Prints one section; with `--out` also writes its CSVs and files.
+fn emit(opts: &Options, section: &Section) {
+    let name = section.name;
     println!("== {name} ==");
-    print!("{summary}");
+    print!("{}", section.summary);
     println!();
     if let Some(dir) = &opts.out {
-        let write = |suffix: &str, table: &Table| {
-            let path = dir.join(format!("{name}{suffix}.csv"));
-            match table.write_csv(&path) {
-                Ok(()) => println!("   wrote {}", path.display()),
-                Err(e) => eprintln!("   failed to write {}: {e}", path.display()),
-            }
-        };
-        write("", summary);
-        if let Some(series) = series {
-            write("_series", series);
+        let path = dir.join(format!("{name}.csv"));
+        wrote(&path, section.summary.write_csv(&path));
+        if let Some(series) = &section.series {
+            let path = dir.join(format!("{name}_series.csv"));
+            wrote(&path, series.write_csv(&path));
+        }
+    }
+    if let Some(text) = &section.text {
+        print!("{text}");
+    }
+    if let Some(dir) = &opts.out {
+        for (extension, body) in &section.files {
+            let path = dir.join(format!("{name}.{extension}"));
+            wrote(&path, fs::write(&path, body));
         }
     }
     telemetry_footer(name);
 }
 
-/// One-line registry digest after every experiment's summary table:
-/// series count and total timed observations. Silent when telemetry is
-/// off (`PSS_TELEMETRY=0`) or nothing recorded yet.
+fn wrote(path: &Path, result: io::Result<()>) {
+    match result {
+        Ok(()) => println!("   wrote {}", path.display()),
+        Err(e) => eprintln!("   failed to write {}: {e}", path.display()),
+    }
+}
+
+/// One-line registry digest after every section: series count and total
+/// timed observations. Silent when telemetry is off (`PSS_TELEMETRY=0`)
+/// or nothing recorded yet.
 fn telemetry_footer(name: &str) {
     if !pss_telemetry::enabled() {
         return;
@@ -231,326 +377,38 @@ fn telemetry_footer(name: &str) {
     );
 }
 
-/// Records a health-gate evaluation in the flight recorder and passes
-/// the verdict through (`a` = 1 pass / 0 fail).
-fn gate(name: &'static str, pass: bool) -> bool {
-    pss_telemetry::flight().record(EventKind::GateEval, name, u64::from(pass), 0);
-    pass
-}
+/// Every option: flag, value and help. Every command reads the first six;
+/// the others only where its row lists them.
+const OPTIONS: &[(&str, &str, &str)] = &[
+    ("--scale", "PRESET", "paper, small, tiny or million [paper]"),
+    ("--nodes", "N", "override population size"),
+    ("--cycles", "N", "override cycle budget"),
+    ("--view-size", "C", "override view size"),
+    ("--seed", "S", "override master seed"),
+    ("--out", "DIR", "also write every table as CSV under DIR"),
+    ("--runs", "R", "override runs/repetitions"),
+    ("--shards", "LIST", "comma-separated shard counts"),
+    ("--workers", "N", "worker-pool width"),
+    ("--schedule", "S", "a pss_sim::workload schedule"),
+    ("--freshness", "hop|timestamp|both", "descriptor-age mode"),
+];
 
-/// Caps the population a many-run command measures, and says so rather
-/// than silently measuring a different N.
-fn cap_nodes(command: &str, mut scale: Scale, cap: usize) -> Scale {
-    if scale.nodes > cap {
-        eprintln!(
-            "   note: {command} caps the population at {cap} nodes ({} requested)",
-            scale.nodes
-        );
-        scale.nodes = cap;
+/// The `--help` text: one line per row of [`COMMANDS`], then [`OPTIONS`].
+fn help() -> String {
+    let mut text = String::from("usage: experiments <command> [options]\n\ncommands:\n");
+    for c in COMMANDS {
+        text += &format!("  {:<10} {}", c.name, c.help);
+        if !c.options.is_empty() {
+            text += &format!("  [{}]", c.options.join(" "));
+        }
+        text.push('\n');
     }
-    scale
-}
-
-fn run_command(opts: &Options, command: &str) -> Result<(), String> {
-    let scale = opts.scale;
-    let started = Instant::now();
-    match command {
-        "table1" => {
-            let mut config = table1::Table1Config::at_scale(scale);
-            if let Some(r) = opts.runs {
-                config.runs = r;
-            }
-            let result = table1::run(&config);
-            emit(opts, "table1", &result.table(), None);
-        }
-        "fig2" => {
-            let config = fig2::Fig2Config::at_scale(scale);
-            let result = fig2::run(&config);
-            emit(opts, "fig2", &result.table(), Some(&result.series_table()));
-        }
-        "fig3" => {
-            let config = fig3::Fig3Config::at_scale(scale);
-            let result = fig3::run(&config);
-            emit(opts, "fig3", &result.table(), Some(&result.series_table()));
-        }
-        "fig4" => {
-            let config = fig4::Fig4Config::at_scale(scale);
-            let result = fig4::run(&config);
-            emit(opts, "fig4", &result.table(), Some(&result.series_table()));
-        }
-        "table2" => {
-            let config = table2::Table2Config::at_scale(scale);
-            let result = table2::run(&config);
-            emit(opts, "table2", &result.table(), None);
-        }
-        "fig5" => {
-            let config = fig5::Fig5Config::at_scale(scale);
-            let result = fig5::run(&config);
-            emit(opts, "fig5", &result.table(), Some(&result.series_table()));
-        }
-        "fig6" => {
-            let mut config = fig6::Fig6Config::at_scale(scale);
-            if let Some(r) = opts.runs {
-                config.repetitions = r;
-            }
-            let result = fig6::run(&config);
-            emit(opts, "fig6", &result.table(), Some(&result.series_table()));
-        }
-        "fig7" => {
-            let config = fig7::Fig7Config::at_scale(scale);
-            let result = fig7::run(&config);
-            emit(opts, "fig7", &result.table(), Some(&result.series_table()));
-        }
-        "policies" => {
-            // The sweep runs 27 simulations; cap the default cost.
-            let mut sweep_scale = cap_nodes("policies", scale, 1000);
-            sweep_scale.cycles = sweep_scale.cycles.min(100);
-            let config = policies::PoliciesConfig::at_scale(sweep_scale);
-            let result = policies::run(&config);
-            emit(opts, "policies", &result.table(), None);
-        }
-        "async" => {
-            let mut async_scale = scale;
-            async_scale.cycles = async_scale.cycles.min(100);
-            let mut config = asynchrony::AsyncConfig::at_scale(async_scale);
-            if let Some(shards) = &opts.shards {
-                config.shard_counts = shards.clone();
-            }
-            config.workers = opts.workers;
-            let result = asynchrony::run(&config);
-            emit(opts, "async", &result.table(), None);
-        }
-        "apps" => {
-            let mut apps_scale = cap_nodes("apps", scale, 2000);
-            apps_scale.cycles = apps_scale.cycles.min(100);
-            let config = apps::AppsConfig::at_scale(apps_scale);
-            let result = apps::run(&config);
-            emit(opts, "apps", &result.table(), None);
-        }
-        "hs" => {
-            let mut hs_scale = cap_nodes("hs", scale, 2000);
-            hs_scale.cycles = hs_scale.cycles.min(100);
-            let config = hs_ablation::HsAblationConfig::at_scale(hs_scale);
-            let result = hs_ablation::run(&config);
-            emit(opts, "hs", &result.table(), None);
-        }
-        "scaling" => {
-            let mut config = scaling::ScalingConfig::at_scale(scale);
-            if let Some(shards) = &opts.shards {
-                config.shard_counts = shards.clone();
-            }
-            config.workers = opts.workers;
-            let result = scaling::run(&config);
-            emit(opts, "scaling", &result.table(), None);
-            eprintln!(
-                "   best speedup over 1 shard: {:.2}x (N = {}, {} cycles)",
-                result.best_speedup(),
-                result.nodes,
-                result.cycles
-            );
-        }
-        "net" => {
-            let mut config = net::NetConfig::at_scale(scale);
-            if let Some(workers) = opts.workers {
-                config.runtimes = workers;
-            }
-            config.schedule = opts.schedule.clone();
-            let result = net::run(&config)?;
-            emit(opts, "net", &result.table(), None);
-            eprintln!(
-                "   {} nodes on {} runtimes: {} frames/s, {} exchanges/s, healthy = {}",
-                result.nodes,
-                result.runtimes,
-                fmt_num(result.report.frames_per_sec()),
-                fmt_num(result.report.exchanges_per_sec()),
-                result.healthy()
-            );
-            if !gate("net", result.healthy()) {
-                return Err("loopback cluster failed to converge or recover cleanly".into());
-            }
-        }
-        "workload" => {
-            // Two engines × full per-period metrics.
-            let wl_scale = cap_nodes("workload", scale, 20_000);
-            let mut config = workload::WorkloadConfig::at_scale(wl_scale);
-            if let Some(schedule) = &opts.schedule {
-                config.schedule = schedule.clone();
-            }
-            if let Some(shards) = &opts.shards {
-                config.shards = shards[0];
-            }
-            config.workers = opts.workers;
-            config.freshness = opts.freshness;
-            let run = workload::run(&config)?;
-            for result in &run.results {
-                emit(opts, result.emit_name(), &result.table(), None);
-                eprintln!(
-                    "   {} nodes, schedule `{}`, {} shards, {} freshness: healthy = {} \
-                     (periods marked * ran under a partition)",
-                    result.nodes,
-                    config.schedule,
-                    config.shards,
-                    match result.freshness {
-                        pss_core::Freshness::HopCount => "hop-count",
-                        pss_core::Freshness::Timestamp => "timestamp",
-                    },
-                    result.healthy()
-                );
-            }
-            let verdict = run.verdict();
-            eprintln!(
-                "   gate = {}{}",
-                if verdict.is_ok() { "pass" } else { "FAIL" },
-                if run.partitioned && run.results.len() == 2 {
-                    " (cross-mode freshness ordering asserted)"
-                } else {
-                    ""
-                }
-            );
-            if !gate("workload", verdict.is_ok()) {
-                return Err(format!("workload gate failed: {}", verdict.unwrap_err()));
-            }
-        }
-        "matrix" => {
-            // Sixteen cross-engine runs.
-            let mx_scale = cap_nodes("matrix", scale, 2_000);
-            let mut config = workload::MatrixConfig::at_scale(mx_scale);
-            if let Some(shards) = &opts.shards {
-                config.shards = shards[0];
-            }
-            config.workers = opts.workers;
-            let result = workload::matrix(&config)?;
-            emit(opts, "matrix", &result.table(), None);
-            let verdict = result.verdict();
-            eprintln!(
-                "   {} nodes, {} cells: gate = {}",
-                result.nodes,
-                result.cells.len(),
-                if verdict.is_ok() { "pass" } else { "FAIL" }
-            );
-            if !gate("matrix", verdict.is_ok()) {
-                return Err(format!("matrix gate failed: {}", verdict.unwrap_err()));
-            }
-        }
-        "adversary" => {
-            // Four policy corners × two engines with full per-period audits.
-            let adv_scale = cap_nodes("adversary", scale, 10_000);
-            let mut config = adversary::AdversaryConfig::at_scale(adv_scale);
-            if let Some(schedule) = &opts.schedule {
-                config.schedule = schedule.clone();
-            }
-            if let Some(shards) = &opts.shards {
-                config.shards = shards[0];
-            }
-            config.workers = opts.workers;
-            let result = adversary::run(&config)?;
-            emit(opts, "adversary", &result.table(), None);
-            eprintln!(
-                "   {} nodes, schedule `{}`, {} shards: healthy = {}",
-                result.nodes,
-                config.schedule,
-                config.shards,
-                result.healthy()
-            );
-            if !gate("adversary", result.healthy()) {
-                return Err(
-                    "adversary sweep broke the honest overlay or the defense ordering".into(),
-                );
-            }
-        }
-        "protocols" => {
-            // Sixteen runs × two protocols per run.
-            let app_scale = cap_nodes("protocols", scale, 10_000);
-            let mut config = protocols::ProtocolsConfig::at_scale(app_scale);
-            if let Some(schedule) = &opts.schedule {
-                config.schedules = vec![("custom".into(), schedule.clone())];
-            }
-            if let Some(shards) = &opts.shards {
-                config.shards = shards[0];
-            }
-            config.workers = opts.workers;
-            let result = protocols::run(&config)?;
-            emit(
-                opts,
-                "protocols",
-                &result.table(),
-                Some(&result.series_table()),
-            );
-            eprintln!(
-                "   {} nodes, {} runs: healthy = {}",
-                result.nodes,
-                result.runs.len(),
-                result.healthy()
-            );
-            if !gate("protocols", result.healthy()) {
-                return Err(
-                    "an application run missed delivery or left an unhealthy overlay".into(),
-                );
-            }
-        }
-        "metrics" => {
-            let mut config = metrics::MetricsConfig::at_scale(scale);
-            if let Some(shards) = &opts.shards {
-                config.shards = shards[0];
-            }
-            config.workers = opts.workers;
-            let result = metrics::run(&config)?;
-            emit(opts, "metrics", &result.table(), None);
-            print!("{}", result.prometheus);
-            if let Some(dir) = &opts.out {
-                for (suffix, body) in [("prom", &result.prometheus), ("json", &result.json)] {
-                    let path = dir.join(format!("metrics.{suffix}"));
-                    match std::fs::write(&path, body) {
-                        Ok(()) => println!("   wrote {}", path.display()),
-                        Err(e) => eprintln!("   failed to write {}: {e}", path.display()),
-                    }
-                }
-            }
-            eprintln!(
-                "   {} series, flight recorder {}/{} events buffered, healthy = {}",
-                result.rows.len(),
-                result.flight_len,
-                result.flight_recorded,
-                result.healthy()
-            );
-            if !gate("metrics", result.healthy()) {
-                return Err(format!(
-                    "telemetry exercise left metric families empty: {:?}",
-                    result.missing_families()
-                ));
-            }
-        }
-        "all" => {
-            for c in [
-                "table1",
-                "fig2",
-                "fig3",
-                "fig4",
-                "table2",
-                "fig5",
-                "fig6",
-                "fig7",
-                "policies",
-                "async",
-                "apps",
-                "hs",
-                "scaling",
-                "net",
-                "workload",
-                "matrix",
-                "adversary",
-                "protocols",
-                // Last: the telemetry exercise resets the global registry.
-                "metrics",
-            ] {
-                run_command(opts, c)?;
-            }
-            return Ok(());
-        }
-        other => return Err(format!("unknown command `{other}` (try --help)")),
+    text += "  all        every command above, in order\n\n";
+    text += "options (every command reads the first six):\n";
+    for (flag, value, help) in OPTIONS {
+        text += &format!("  {:<34} {help}\n", format!("{flag} {value}"));
     }
-    eprintln!("[{command} finished in {:.1?}]", started.elapsed());
-    Ok(())
+    text
 }
 
 fn main() -> ExitCode {
@@ -558,16 +416,16 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = match parse_args(&args) {
         Ok(opts) => opts,
+        Err(msg) if msg == "help" => {
+            eprintln!("{}", help());
+            return ExitCode::SUCCESS;
+        }
         Err(msg) => {
-            if msg == "help" {
-                eprintln!("{}", USAGE);
-                return ExitCode::SUCCESS;
-            }
-            eprintln!("error: {msg}\n\n{USAGE}");
+            eprintln!("error: {msg}\n\n{}", help());
             return ExitCode::FAILURE;
         }
     };
-    match run_command(&opts, &opts.command.clone()) {
+    match opts.commands.iter().try_for_each(|c| run_command(c, &opts)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("error: {msg}");
@@ -586,21 +444,6 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "usage: experiments \
-       <table1|fig2|fig3|fig4|table2|fig5|fig6|fig7|policies|async|apps|hs|scaling|net|workload|matrix|adversary|protocols|metrics|all>
-       [--scale paper|small|tiny|million] [--nodes N] [--cycles N] [--view-size C]
-       [--runs R] [--shards LIST] [--workers N] [--schedule S]
-       [--freshness hop|timestamp|both] [--seed S] [--out DIR]";
-
-/// Human throughput formatting for the `net` summary line.
-fn fmt_num(x: f64) -> String {
-    if x >= 1000.0 {
-        format!("{:.1}k", x / 1000.0)
-    } else {
-        format!("{x:.0}")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -612,10 +455,15 @@ mod tests {
     #[test]
     fn parses_command_and_defaults() {
         let o = parse_args(&args("table1")).unwrap();
-        assert_eq!(o.command, "table1");
+        assert_eq!(o.commands.len(), 1);
+        assert_eq!(o.commands[0].name, "table1");
         assert_eq!(o.scale, Scale::paper());
         assert_eq!(o.runs, None);
         assert_eq!(o.out, None);
+        assert_eq!(
+            parse_args(&args("all")).unwrap().commands.len(),
+            COMMANDS.len()
+        );
     }
 
     #[test]
@@ -654,11 +502,11 @@ mod tests {
     #[test]
     fn parses_freshness() {
         let o = parse_args(&args("workload --freshness both")).unwrap();
-        assert_eq!(o.freshness, workload::FreshnessChoice::Both);
+        assert_eq!(o.freshness, FreshnessChoice::Both);
         let o = parse_args(&args("workload --freshness timestamp")).unwrap();
-        assert_eq!(o.freshness, workload::FreshnessChoice::Timestamp);
+        assert_eq!(o.freshness, FreshnessChoice::Timestamp);
         let o = parse_args(&args("workload")).unwrap();
-        assert_eq!(o.freshness, workload::FreshnessChoice::Hop);
+        assert_eq!(o.freshness, FreshnessChoice::Hop);
         assert!(parse_args(&args("workload --freshness stale")).is_err());
         assert!(parse_args(&args("workload --freshness")).is_err());
     }
@@ -682,17 +530,72 @@ mod tests {
     }
 
     #[test]
-    fn unknown_command_is_rejected_late() {
-        let o = parse_args(&args("nonsense --scale tiny")).unwrap();
-        assert!(run_command(&o, "nonsense").is_err());
+    fn unknown_command_is_rejected_at_parse() {
+        let err = parse_args(&args("nonsense --scale tiny")).unwrap_err();
+        assert!(err.contains("unknown command `nonsense`"), "{err}");
     }
 
     #[test]
-    fn tiny_end_to_end_policies() {
+    fn unread_options_are_rejected_naming_the_command() {
+        for line in [
+            "fig2 --runs 3",
+            "fig7 --schedule quiet:5",
+            "table1 --freshness both",
+        ] {
+            let (command, option) = line.split_once(' ').unwrap();
+            let option = option.split(' ').next().unwrap();
+            let err = parse_args(&args(line)).unwrap_err();
+            assert!(
+                err.contains(&format!("`{command}` does not read {option}")),
+                "{err}"
+            );
+        }
+        assert!(parse_args(&args("net --shards 2")).is_err());
+        // `all` accepts every option.
+        let everything = "all --runs 2 --shards 2 --workers 1 --schedule quiet:5 --freshness both";
+        assert!(parse_args(&args(everything)).is_ok());
+    }
+
+    #[test]
+    fn table_names_are_unique_and_cover_the_pinned_commands() {
+        let mut names: Vec<&str> = COMMANDS.iter().map(|c| c.name).collect();
+        assert_eq!(names.last(), Some(&"metrics"));
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), COMMANDS.len(), "duplicate command name");
+        let tiny = include_str!("../../../results/tiny.md5");
+        let small = include_str!("../../../results/small.md5");
+        assert_eq!((tiny.lines().count(), small.lines().count()), (15, 11));
+        for line in tiny.lines().chain(small.lines()) {
+            let name = line.split_whitespace().nth(1).unwrap_or_default();
+            assert!(
+                names.contains(&name),
+                "`{name}` is pinned but not a command"
+            );
+        }
+    }
+
+    #[test]
+    fn help_lists_every_command_and_its_options() {
+        let text = help();
+        for c in COMMANDS {
+            let line = text
+                .lines()
+                .find(|l| l.split_whitespace().next() == Some(c.name))
+                .unwrap_or_else(|| panic!("`{}` missing from --help", c.name));
+            for option in c.options {
+                assert!(line.contains(option), "{line}");
+            }
+        }
+        assert!(parse_args(&args("fig2 --help")).is_err_and(|e| e == "help"));
+    }
+
+    #[test]
+    fn tiny_end_to_end_apps() {
         // Smoke: run the cheapest real command end-to-end.
         let mut o = parse_args(&args("apps --scale tiny")).unwrap();
         o.scale.nodes = 120;
         o.scale.cycles = 15;
-        assert!(run_command(&o, "apps").is_ok());
+        assert!(run_command(&o.commands[0], &o).is_ok());
     }
 }

@@ -21,7 +21,7 @@
 
 use pss_telemetry::MetricRow;
 
-use crate::report::Table;
+use crate::report::{Report, Section, Table};
 use crate::Scale;
 use crate::{net, protocols, workload};
 
@@ -81,13 +81,13 @@ pub struct MetricsResult {
     pub flight_len: usize,
     /// Total events ever recorded by the flight recorder (≥ `flight_len`).
     pub flight_recorded: u64,
-    /// Population of the simulation runs.
-    pub nodes: usize,
 }
 
-impl MetricsResult {
-    /// Registry summary: one row per series with log2-histogram quantiles.
-    pub fn table(&self) -> Table {
+impl Report for MetricsResult {
+    /// Registry summary: one row per series with log2-histogram quantiles,
+    /// followed by the Prometheus exposition; `--out` also writes it and
+    /// the JSON exposition as `metrics.prom` and `metrics.json`.
+    fn sections(&self) -> Vec<Section> {
         let mut table = Table::new(vec![
             "metric", "labels", "kind", "count", "p50", "p99", "max",
         ]);
@@ -115,27 +115,40 @@ impl MetricsResult {
                 max,
             ]);
         }
-        table
+        let mut section = Section::new("metrics", table, None);
+        section.text = Some(self.prometheus.clone());
+        section.files = vec![
+            ("prom", self.prometheus.clone()),
+            ("json", self.json.clone()),
+        ];
+        vec![section]
     }
 
-    /// Families from [`REQUIRED_FAMILIES`] that are missing or all-zero.
-    pub fn missing_families(&self) -> Vec<&'static str> {
-        REQUIRED_FAMILIES
+    /// Passes when every family of [`REQUIRED_FAMILIES`] recorded at least
+    /// one nonzero observation and the flight recorder captured events.
+    fn verdict(&self) -> Result<(), String> {
+        let missing: Vec<&str> = REQUIRED_FAMILIES
             .iter()
-            .filter(|family| {
-                !self
-                    .rows
-                    .iter()
-                    .any(|row| row.name == **family && row.value > 0)
-            })
+            .filter(|family| !self.rows.iter().any(|r| r.name == **family && r.value > 0))
             .copied()
-            .collect()
+            .collect();
+        if missing.is_empty() && self.flight_recorded > 0 {
+            Ok(())
+        } else {
+            Err(format!(
+                "telemetry exercise left metric families empty: {missing:?}"
+            ))
+        }
     }
 
-    /// True when every required metric family recorded at least one
-    /// nonzero observation and the flight recorder captured events.
-    pub fn healthy(&self) -> bool {
-        self.missing_families().is_empty() && self.flight_recorded > 0
+    fn summary(&self) -> Option<String> {
+        Some(format!(
+            "{} series, flight recorder {}/{} events buffered, healthy = {}",
+            self.rows.len(),
+            self.flight_len,
+            self.flight_recorded,
+            self.verdict().is_ok()
+        ))
     }
 }
 
@@ -189,7 +202,6 @@ pub fn run(config: &MetricsConfig) -> Result<MetricsResult, String> {
         json: registry.render_json(),
         flight_len: pss_telemetry::flight().len(),
         flight_recorded: pss_telemetry::flight().recorded(),
-        nodes: config.scale.nodes,
     })
 }
 
@@ -203,12 +215,8 @@ mod tests {
         scale.nodes = 150;
         let config = MetricsConfig::at_scale(scale);
         let result = run(&config).expect("valid schedules");
-        assert!(
-            result.healthy(),
-            "missing families: {:?}",
-            result.missing_families()
-        );
-        assert!(!result.table().is_empty());
+        result.verdict().expect("every family populated");
+        assert!(!result.sections()[0].summary.is_empty());
         for family in REQUIRED_FAMILIES {
             assert!(
                 result.prometheus.contains(family),

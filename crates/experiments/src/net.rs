@@ -19,10 +19,11 @@ use pss_core::{PolicyTriple, ProtocolConfig};
 use pss_net::cluster::{self, ClusterConfig, ClusterReport};
 use pss_sim::Workload;
 
-use crate::report::{fmt_f64, fmt_percent, Table};
+use crate::report::{fmt_f64, fmt_percent, Report, Section, Table};
 use crate::Scale;
 
-/// Configuration for the loopback-cluster experiment.
+/// Configuration for the loopback-cluster experiment (each joiner knows
+/// [`ClusterConfig::small`]'s 3 introducers).
 #[derive(Debug, Clone)]
 pub struct NetConfig {
     /// Population size, view size and period budget (`cycles` = periods).
@@ -33,8 +34,6 @@ pub struct NetConfig {
     pub period_ms: u64,
     /// Timer jitter in milliseconds.
     pub jitter_ms: u64,
-    /// Bootstrap introducers per node.
-    pub introducers: usize,
     /// Optional membership schedule, compiled against `scale.nodes` with
     /// `scale.seed`; its period count overrides `scale.cycles`.
     pub schedule: Option<String>,
@@ -53,7 +52,6 @@ impl NetConfig {
             runtimes: 4,
             period_ms: 100,
             jitter_ms: 20,
-            introducers: 3,
             schedule: None,
         }
     }
@@ -74,9 +72,9 @@ pub struct NetResult {
     scheduled: bool,
 }
 
-impl NetResult {
+impl Report for NetResult {
     /// Per-period convergence table.
-    pub fn table(&self) -> Table {
+    fn sections(&self) -> Vec<Section> {
         let mut table = Table::new(vec![
             "period",
             "full views",
@@ -116,7 +114,7 @@ impl NetResult {
             format!("{} timeouts", stats.timeouts),
             format!("{} send failures", stats.send_failures),
         ]);
-        table
+        vec![Section::new("net", table, None)]
     }
 
     /// The acceptance gate the CI smokes check: no codec error, and in the
@@ -124,19 +122,42 @@ impl NetResult {
     /// half a link of `c`, or — after a schedule, whose damage must have
     /// healed — ≥ 95% full views, ≥ 95% of live nodes in the largest
     /// component and ≤ 10% dead links.
-    pub fn healthy(&self) -> bool {
-        let Some(last) = self.report.records.last() else {
-            return false;
-        };
-        let overlay = if self.scheduled {
-            last.full_fraction() >= 0.95
-                && last.component_fraction() >= 0.95
-                && last.dead_link_fraction() <= 0.10
+    fn verdict(&self) -> Result<(), String> {
+        let overlay = self.report.records.last().is_some_and(|last| {
+            if self.scheduled {
+                last.full_fraction() >= 0.95
+                    && last.component_fraction() >= 0.95
+                    && last.dead_link_fraction() <= 0.10
+            } else {
+                last.full_fraction() >= 0.99
+                    && (last.in_degree_mean - self.view_size as f64).abs() <= 0.5
+            }
+        });
+        if overlay && self.report.stats.decode_failures() == 0 {
+            Ok(())
         } else {
-            last.full_fraction() >= 0.99
-                && (last.in_degree_mean - self.view_size as f64).abs() <= 0.5
-        };
-        overlay && self.report.stats.decode_failures() == 0
+            Err("loopback cluster failed to converge or recover cleanly".into())
+        }
+    }
+
+    fn summary(&self) -> Option<String> {
+        Some(format!(
+            "{} nodes on {} runtimes: {} frames/s, {} exchanges/s, healthy = {}",
+            self.nodes,
+            self.runtimes,
+            fmt_rate(self.report.frames_per_sec()),
+            fmt_rate(self.report.exchanges_per_sec()),
+            self.verdict().is_ok()
+        ))
+    }
+}
+
+/// Human throughput formatting for the summary line.
+fn fmt_rate(x: f64) -> String {
+    if x >= 1000.0 {
+        format!("{:.1}k", x / 1000.0)
+    } else {
+        format!("{x:.0}")
     }
 }
 
@@ -162,15 +183,12 @@ pub fn run(config: &NetConfig) -> Result<NetResult, String> {
     let cluster_config = ClusterConfig {
         nodes: config.scale.nodes,
         runtimes: config.runtimes.min(config.scale.nodes),
-        protocol,
         period_ms: config.period_ms,
         jitter_ms: config.jitter_ms,
         periods: config.scale.cycles,
-        introducers: config.introducers,
         seed: config.scale.seed,
         workload,
-        honest_policy: None,
-        broadcast: None,
+        ..ClusterConfig::small(protocol)
     };
     let report = cluster::run(&cluster_config).expect("loopback sockets available");
     Ok(NetResult {
@@ -195,9 +213,9 @@ mod tests {
         config.runtimes = 2;
         let result = run(&config).unwrap();
         assert_eq!(result.report.periods.len(), 12);
-        assert!(result.healthy(), "{:?}", result.report);
+        assert!(result.verdict().is_ok(), "{:?}", result.report);
         // Table has one row per period plus two summary rows.
-        assert_eq!(result.table().len(), 14);
+        assert_eq!(result.sections()[0].summary.len(), 14);
     }
 
     #[test]

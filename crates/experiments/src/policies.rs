@@ -10,7 +10,7 @@ use pss_core::{NodeId, PolicyTriple};
 use pss_sim::scenario;
 
 use crate::parallel::parallel_map;
-use crate::report::{fmt_f64, Table};
+use crate::report::{fmt_f64, Report, Section, Table};
 use crate::Scale;
 
 /// Configuration for the policy-space sweep.
@@ -78,9 +78,9 @@ pub struct PoliciesResult {
     pub baseline_clustering: f64,
 }
 
-impl PoliciesResult {
-    /// Renders the classification table.
-    pub fn table(&self) -> Table {
+impl Report for PoliciesResult {
+    /// The classification table.
+    fn sections(&self) -> Vec<Section> {
         let mut t = Table::new(vec![
             "policy",
             "components",
@@ -107,7 +107,7 @@ impl PoliciesResult {
                 },
             ]);
         }
-        t
+        vec![Section::new("policies", t, None)]
     }
 }
 
@@ -229,6 +229,6 @@ mod tests {
         assert_eq!(newscast.components, 1);
         assert_eq!(newscast.verdict(result.baseline_clustering), "ok");
 
-        assert_eq!(result.table().len(), 27);
+        assert_eq!(result.sections()[0].summary.len(), 27);
     }
 }

@@ -21,10 +21,11 @@ use pss_sim::workload::{CompiledWorkload, PeriodRecord, Workload};
 
 use crate::engines::{on_both_engines, sampling_nodes};
 use crate::parallel::parallel_map;
-use crate::report::{fmt_f64, fmt_percent, Table};
+use crate::report::{fmt_f64, fmt_percent, Report, Section, Table};
 use crate::Scale;
 
-/// Configuration of the application-protocols sweep.
+/// Configuration of the application-protocols sweep (broadcast fanout:
+/// [`AppConfig`]'s default, 2).
 #[derive(Debug, Clone)]
 pub struct ProtocolsConfig {
     /// Population, view size and seed (`cycles` is ignored — each schedule
@@ -38,8 +39,6 @@ pub struct ProtocolsConfig {
     pub shards: usize,
     /// Worker-thread override (results are worker-invariant).
     pub workers: Option<usize>,
-    /// Broadcast fanout.
-    pub fanout: usize,
 }
 
 impl ProtocolsConfig {
@@ -61,7 +60,6 @@ impl ProtocolsConfig {
             ],
             shards: 2,
             workers: None,
-            fanout: 2,
         }
     }
 }
@@ -92,9 +90,10 @@ pub struct ProtocolsResult {
     pub nodes: usize,
 }
 
-impl ProtocolsResult {
-    /// Summary table: one row per run.
-    pub fn table(&self) -> Table {
+impl Report for ProtocolsResult {
+    /// One row per run, and the per-period series of every run —
+    /// application rows alongside the overlay health they rode on.
+    fn sections(&self) -> Vec<Section> {
         let mut table = Table::new(vec![
             "schedule",
             "engine",
@@ -128,13 +127,7 @@ impl ProtocolsResult {
                 fmt_percent(last.map_or(0.0, PeriodRecord::component_fraction)),
             ]);
         }
-        table
-    }
-
-    /// Per-period series of every run — application rows alongside the
-    /// overlay health they rode on.
-    pub fn series_table(&self) -> Table {
-        let mut table = Table::new(vec![
+        let mut series = Table::new(vec![
             "schedule",
             "engine",
             "policy",
@@ -151,7 +144,7 @@ impl ProtocolsResult {
         ]);
         for r in &self.runs {
             for (row, rec) in r.report.rows().iter().zip(r.records.iter()) {
-                table.row(vec![
+                series.row(vec![
                     r.schedule.clone(),
                     r.engine.into(),
                     r.policy.to_string(),
@@ -168,19 +161,33 @@ impl ProtocolsResult {
                 ]);
             }
         }
-        table
+        vec![Section::new("protocols", table, Some(series))]
     }
 
-    /// True when every run ends on a healthy overlay (largest component
+    /// Passes when every run ends on a healthy overlay (largest component
     /// ≥ 95% of live, dead links ≤ 10%) with the rumor delivered to
     /// ≥ 90% of the surviving population.
-    pub fn healthy(&self) -> bool {
-        self.runs.iter().all(|r| {
+    fn verdict(&self) -> Result<(), String> {
+        let healthy = self.runs.iter().all(|r| {
             let overlay_ok = r.records.last().is_some_and(|rec| {
                 rec.component_fraction() >= 0.95 && rec.dead_link_fraction() <= 0.10
             });
             overlay_ok && r.report.delivery_ratio() >= 0.90
-        })
+        });
+        if healthy {
+            Ok(())
+        } else {
+            Err("an application run missed delivery or left an unhealthy overlay".into())
+        }
+    }
+
+    fn summary(&self) -> Option<String> {
+        Some(format!(
+            "{} nodes, {} runs: healthy = {}",
+            self.nodes,
+            self.runs.len(),
+            self.verdict().is_ok()
+        ))
     }
 }
 
@@ -232,7 +239,6 @@ fn run_pair(
     let c = scale.view_size;
     let protocol = ProtocolConfig::new(policy, c).map_err(|e| e.to_string())?;
     let app = AppConfig {
-        fanout: config.fanout,
         sampler,
         seed: scale.seed ^ 0x0a99_5eed,
         ..AppConfig::default()
@@ -272,7 +278,8 @@ mod tests {
         config.policies = vec![PolicyTriple::newscast()];
         let result = run(&config).expect("valid config");
         assert_eq!(result.runs.len(), 8);
-        assert!(result.healthy(), "{}", result.table());
+        let section = result.sections().remove(0);
+        assert!(result.verdict().is_ok(), "{}", section.summary);
         // The partition schedule must show blocked app traffic; the churn
         // schedule must show wasted deliveries on the overlay sampler.
         let blocked: u64 = result
@@ -308,8 +315,8 @@ mod tests {
                 r.engine
             );
         }
-        assert!(!result.table().is_empty());
-        assert!(result.series_table().len() > 100);
+        assert!(!section.summary.is_empty());
+        assert!(section.series.as_ref().is_some_and(|s| s.len() > 100));
     }
 
     #[test]

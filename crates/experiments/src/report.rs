@@ -1,9 +1,59 @@
-//! Plain-text tables and CSV emission for experiment results.
+//! Plain-text tables and CSV emission for experiment results, and the
+//! [`Report`] trait every result implements for the `experiments` CLI.
 
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::path::Path;
+
+/// What an experiment result shows the `experiments` CLI.
+pub trait Report {
+    /// The stdout sections, in print order.
+    fn sections(&self) -> Vec<Section>;
+
+    /// The health gate; the error is what the CLI prints before it exits 1.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first violated condition.
+    fn verdict(&self) -> Result<(), String> {
+        Ok(())
+    }
+
+    /// Printed to stderr after the sections.
+    fn summary(&self) -> Option<String> {
+        None
+    }
+}
+
+/// `== name ==` and a table on stdout. With `--out DIR` the CLI also writes
+/// `DIR/name.csv`, `DIR/name_series.csv` and `DIR/name.<ext>` per file.
+#[derive(Debug, Clone)]
+pub struct Section {
+    /// Header label and file stem.
+    pub name: &'static str,
+    /// The table printed to stdout.
+    pub summary: Table,
+    /// A long-format series, written as CSV only.
+    pub series: Option<Table>,
+    /// Raw text printed after the summary.
+    pub text: Option<String>,
+    /// `(extension, contents)` of further files.
+    pub files: Vec<(&'static str, String)>,
+}
+
+impl Section {
+    /// A summary table and an optional series.
+    pub fn new(name: &'static str, summary: Table, series: Option<Table>) -> Self {
+        Section {
+            name,
+            summary,
+            series,
+            text: None,
+            files: Vec::new(),
+        }
+    }
+}
 
 /// A simple fixed-width text table, printed like the paper's tables.
 ///

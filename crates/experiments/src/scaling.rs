@@ -26,7 +26,7 @@ use pss_sim::scenario;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::report::{fmt_f64, Table};
+use crate::report::{fmt_f64, Report, Section, Table};
 use crate::Scale;
 
 /// Configuration for the shard-count sweep.
@@ -36,8 +36,6 @@ pub struct ScalingConfig {
     pub scale: Scale,
     /// Shard counts to sweep.
     pub shard_counts: Vec<usize>,
-    /// Protocol under test (newscast, as in the ledger's `cycle_steady`).
-    pub policy: PolicyTriple,
     /// BFS sources / clustering samples for the sampled overlay metrics
     /// (0 disables the estimates — they cost a few BFS sweeps each).
     pub metric_samples: usize,
@@ -62,7 +60,6 @@ impl ScalingConfig {
         ScalingConfig {
             scale,
             shard_counts,
-            policy: PolicyTriple::newscast(),
             metric_samples: 16,
             workers: None,
         }
@@ -123,9 +120,11 @@ impl ScalingResult {
             _ => f64::NAN,
         }
     }
+}
 
-    /// Renders the sweep as the report table.
-    pub fn table(&self) -> Table {
+impl Report for ScalingResult {
+    /// The sweep, one row per shard count.
+    fn sections(&self) -> Vec<Section> {
         let mut t = Table::new(vec![
             "shards",
             "workers",
@@ -152,7 +151,16 @@ impl ScalingResult {
                 fmt_f64(r.clustering, 4),
             ]);
         }
-        t
+        vec![Section::new("scaling", t, None)]
+    }
+
+    fn summary(&self) -> Option<String> {
+        Some(format!(
+            "best speedup over 1 shard: {:.2}x (N = {}, {} cycles)",
+            self.best_speedup(),
+            self.nodes,
+            self.cycles
+        ))
     }
 }
 
@@ -161,7 +169,8 @@ impl ScalingResult {
 /// and is measured through the CSR snapshot.
 pub fn run(config: &ScalingConfig) -> ScalingResult {
     let scale = config.scale;
-    let protocol = scale.protocol(config.policy);
+    // Newscast, as in the perf ledger's `cycle_steady`.
+    let protocol = scale.protocol(PolicyTriple::newscast());
     let mut rows = Vec::with_capacity(config.shard_counts.len());
     for &shards in &config.shard_counts {
         let mut sim = scenario::random_overlay_sharded(&protocol, scale.nodes, scale.seed, shards);
@@ -247,8 +256,7 @@ mod tests {
             assert!(row.path_length > 1.0 && row.path_length < 4.0);
             assert!(row.clustering.is_finite());
         }
-        let table = result.table();
-        assert_eq!(table.len(), 2);
+        assert_eq!(result.sections()[0].summary.len(), 2);
         assert!(result.best_speedup().is_finite());
     }
 

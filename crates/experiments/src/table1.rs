@@ -11,19 +11,17 @@ use pss_graph::components::connected_components;
 use pss_sim::scenario;
 
 use crate::parallel::parallel_map;
-use crate::report::{fmt_f64, fmt_percent, Table};
+use crate::report::{fmt_f64, fmt_percent, Report, Section, Table};
 use crate::Scale;
 
 /// Configuration for the Table 1 experiment.
 #[derive(Debug, Clone)]
 pub struct Table1Config {
-    /// Common scale (population, cycles, view size, seed).
+    /// Common scale (population, cycles, view size, seed); N / 100 nodes
+    /// join per cycle, as the paper's 100 at N = 10⁴.
     pub scale: Scale,
     /// Independent runs per protocol (the paper uses 100).
     pub runs: usize,
-    /// Joiners per cycle; the paper's 100 makes growth end at cycle 100
-    /// for N = 10⁴. Defaults keep the same ratio (`nodes / 100`).
-    pub per_cycle: usize,
     /// Protocols to test; defaults to all eight of the paper (the four push
     /// rows of Table 1 plus the four pushpull protocols as controls).
     pub protocols: Vec<PolicyTriple>,
@@ -35,7 +33,6 @@ impl Table1Config {
         Table1Config {
             scale,
             runs: 30,
-            per_cycle: (scale.nodes / 100).max(1),
             protocols: PolicyTriple::paper_eight().to_vec(),
         }
     }
@@ -74,9 +71,9 @@ pub struct Table1Result {
     pub rows: Vec<PartitionRow>,
 }
 
-impl Table1Result {
-    /// Renders the paper-style table.
-    pub fn table(&self) -> Table {
+impl Report for Table1Result {
+    /// The paper-style table.
+    fn sections(&self) -> Vec<Section> {
         let mut t = Table::new(vec![
             "protocol",
             "partitioned runs",
@@ -91,7 +88,7 @@ impl Table1Result {
                 fmt_f64(row.avg_largest, 2),
             ]);
         }
-        t
+        vec![Section::new("table1", t, None)]
     }
 }
 
@@ -107,7 +104,7 @@ pub fn run(config: &Table1Config) -> Table1Result {
         })
         .collect();
     let scale = config.scale;
-    let per_cycle = config.per_cycle;
+    let per_cycle = (scale.nodes / 100).max(1);
 
     let outcomes = parallel_map(jobs, move |(pi, policy, run_idx)| {
         let protocol = scale.protocol(policy);
@@ -199,7 +196,7 @@ mod tests {
                 avg_largest: 9572.18,
             }],
         };
-        let text = result.table().to_string();
+        let text = result.sections()[0].summary.to_string();
         assert!(text.contains("33%"));
         assert!(text.contains("2.27"));
         assert!(text.contains("9572.18"));

@@ -13,7 +13,7 @@ use pss_sim::scenario;
 use pss_stats::Summary;
 
 use crate::parallel::parallel_map;
-use crate::report::{fmt_f64, Table};
+use crate::report::{fmt_f64, Report, Section, Table};
 use crate::Scale;
 
 /// Configuration for the Table 2 experiment.
@@ -68,9 +68,9 @@ pub struct Table2Result {
     pub rows: Vec<DegreeStatsRow>,
 }
 
-impl Table2Result {
-    /// Renders the paper-style table.
-    pub fn table(&self) -> Table {
+impl Report for Table2Result {
+    /// The paper-style table.
+    fn sections(&self) -> Vec<Section> {
         let mut t = Table::new(vec!["protocol", "D_K", "dbar", "sqrt(sigma)"]);
         for row in &self.rows {
             t.row(vec![
@@ -80,7 +80,7 @@ impl Table2Result {
                 fmt_f64(row.traced_std, 3),
             ]);
         }
-        t
+        vec![Section::new("table2", t, None)]
     }
 }
 
@@ -154,7 +154,7 @@ mod tests {
             rand.traced_std,
             head.traced_std
         );
-        let text = result.table().to_string();
+        let text = result.sections()[0].summary.to_string();
         assert!(text.contains("sqrt(sigma)"));
     }
 }

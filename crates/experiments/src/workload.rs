@@ -31,7 +31,7 @@ use pss_core::{Freshness, PolicyTriple, ProtocolConfig};
 use pss_sim::workload::{run_workload, PeriodRecord, PhaseSpec, Workload};
 
 use crate::engines::{on_both_engines, sampling_nodes};
-use crate::report::{fmt_f64, fmt_percent, Table};
+use crate::report::{fmt_f64, fmt_percent, Report, Section, Table};
 use crate::Scale;
 
 /// The default schedule: the conformance suite's headline — converge,
@@ -119,8 +119,6 @@ impl WorkloadConfig {
 /// mode.
 #[derive(Debug)]
 pub struct WorkloadResult {
-    /// The parsed schedule.
-    pub workload: Workload,
     /// The freshness mode this result ran under.
     pub freshness: Freshness,
     /// Cycle-engine records.
@@ -133,7 +131,7 @@ pub struct WorkloadResult {
 
 impl WorkloadResult {
     /// Side-by-side per-period table.
-    pub fn table(&self) -> Table {
+    fn table(&self) -> Table {
         let mut table = Table::new(vec![
             "period",
             "live",
@@ -159,15 +157,6 @@ impl WorkloadResult {
             ]);
         }
         table
-    }
-
-    /// CSV/emit label: `workload` for hop-count (historic name),
-    /// `workload_timestamp` for timestamp mode.
-    pub fn emit_name(&self) -> &'static str {
-        match self.freshness {
-            Freshness::HopCount => "workload",
-            Freshness::Timestamp => "workload_timestamp",
-        }
     }
 
     /// The last period's record on each engine that ran one.
@@ -205,9 +194,24 @@ pub struct WorkloadRun {
     /// True when the schedule contains a partition phase — the regime
     /// where the freshness modes are *expected* to diverge.
     pub partitioned: bool,
+    /// The schedule string as configured.
+    pub schedule: String,
+    /// Shard count of both engines.
+    pub shards: usize,
 }
 
-impl WorkloadRun {
+impl Report for WorkloadRun {
+    /// One section per mode: `workload` for hop-count (the historic name),
+    /// `workload_timestamp` for timestamp.
+    fn sections(&self) -> Vec<Section> {
+        let name = |r: &WorkloadResult| match r.freshness {
+            Freshness::HopCount => "workload",
+            Freshness::Timestamp => "workload_timestamp",
+        };
+        let section = |r| Section::new(name(r), r.table(), None);
+        self.results.iter().map(section).collect()
+    }
+
     /// The health gate across modes.
     ///
     /// A single-mode run keeps the historic full health gate
@@ -220,11 +224,7 @@ impl WorkloadRun {
     /// and the timestamp side must *fully* heal, plus satisfy the
     /// freshness *ordering* — on each engine its end component must be at
     /// least hop-count's.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first violated gate.
-    pub fn verdict(&self) -> Result<(), String> {
+    fn verdict(&self) -> Result<(), String> {
         let both = self.results.len() == 2;
         for r in &self.results {
             if self.partitioned && both && r.freshness == Freshness::HopCount {
@@ -237,7 +237,7 @@ impl WorkloadRun {
             };
             if !ok {
                 return Err(format!(
-                    "{} mode left an unhealthy overlay \
+                    "workload gate failed: {} mode left an unhealthy overlay \
                      (end component {:.2}, dead links {:.2})",
                     mode_slug(r.freshness),
                     r.end_component(),
@@ -255,7 +255,7 @@ impl WorkloadRun {
                 let (Some(h), Some(t)) = (h, t) else { continue };
                 if t.component_fraction() + 1e-9 < h.component_fraction() {
                     return Err(format!(
-                        "freshness ordering violated on the {engine} engine: \
+                        "workload gate failed: freshness ordering violated on the {engine} engine: \
                          timestamp ended at component {:.2} < hop-count {:.2}",
                         t.component_fraction(),
                         h.component_fraction()
@@ -264,6 +264,37 @@ impl WorkloadRun {
             }
         }
         Ok(())
+    }
+
+    /// One line per mode, then the gate.
+    fn summary(&self) -> Option<String> {
+        let mut text = String::new();
+        for r in &self.results {
+            let mode = match r.freshness {
+                Freshness::HopCount => "hop-count",
+                Freshness::Timestamp => "timestamp",
+            };
+            text += &format!(
+                "{} nodes, schedule `{}`, {} shards, {mode} freshness: healthy = {} \
+                 (periods marked * ran under a partition)\n",
+                r.nodes,
+                self.schedule,
+                self.shards,
+                r.healthy()
+            );
+        }
+        let pass = self.verdict().is_ok();
+        let ordering = self.partitioned && self.results.len() == 2;
+        text += &format!(
+            "gate = {}{}",
+            if pass { "pass" } else { "FAIL" },
+            if ordering {
+                " (cross-mode freshness ordering asserted)"
+            } else {
+                ""
+            }
+        );
+        Some(text)
     }
 }
 
@@ -287,6 +318,8 @@ pub fn run(config: &WorkloadConfig) -> Result<WorkloadRun, String> {
     Ok(WorkloadRun {
         results,
         partitioned,
+        schedule: config.schedule.clone(),
+        shards: config.shards,
     })
 }
 
@@ -311,7 +344,6 @@ fn run_mode(
     )?;
 
     Ok(WorkloadResult {
-        workload: workload.clone(),
         freshness,
         cycle,
         event,
@@ -381,9 +413,9 @@ pub struct MatrixResult {
     pub nodes: usize,
 }
 
-impl MatrixResult {
+impl Report for MatrixResult {
     /// One row per cell: end-of-run state on both engines.
-    pub fn table(&self) -> Table {
+    fn sections(&self) -> Vec<Section> {
         let mut table = Table::new(vec![
             "family",
             "policy",
@@ -406,7 +438,7 @@ impl MatrixResult {
                 fmt_percent(cell.event_end.dead_link_fraction()),
             ]);
         }
-        table
+        vec![Section::new("matrix", table, None)]
     }
 
     /// The matrix gate.
@@ -424,66 +456,75 @@ impl MatrixResult {
     /// both modes there (random view selection never age-evicts the
     /// surviving cross-group entries), so it falls under the component
     /// gate like any other cell.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first violated gate.
-    pub fn verdict(&self) -> Result<(), String> {
-        for cell in &self.cells {
-            let label = format!(
-                "{} × {} × {}",
-                cell.family,
-                cell.policy,
-                mode_slug(cell.freshness)
-            );
-            let is_newscast = cell.policy == PolicyTriple::newscast();
-            if cell.family != "partition" || !is_newscast {
-                if cell.end_component() < 0.95 {
-                    return Err(format!(
-                        "{label} ended split: component {:.2}",
-                        cell.end_component()
-                    ));
-                }
-                if is_newscast && cell.end_dead() > 0.10 {
-                    return Err(format!(
-                        "{label} failed to self-heal: dead {:.2}",
-                        cell.end_dead()
-                    ));
-                }
-            } else {
-                match cell.freshness {
-                    Freshness::Timestamp => {
-                        if cell.end_component() < 0.98 || cell.end_dead() > 0.06 {
-                            return Err(format!(
-                                "{label} failed to re-merge: component {:.2}, dead {:.2}",
-                                cell.end_component(),
-                                cell.end_dead()
-                            ));
+    fn verdict(&self) -> Result<(), String> {
+        self.cells
+            .iter()
+            .try_for_each(|cell| {
+                let label = format!(
+                    "{} × {} × {}",
+                    cell.family,
+                    cell.policy,
+                    mode_slug(cell.freshness)
+                );
+                let is_newscast = cell.policy == PolicyTriple::newscast();
+                if cell.family != "partition" || !is_newscast {
+                    if cell.end_component() < 0.95 {
+                        return Err(format!(
+                            "{label} ended split: component {:.2}",
+                            cell.end_component()
+                        ));
+                    }
+                    if is_newscast && cell.end_dead() > 0.10 {
+                        return Err(format!(
+                            "{label} failed to self-heal: dead {:.2}",
+                            cell.end_dead()
+                        ));
+                    }
+                } else {
+                    match cell.freshness {
+                        Freshness::Timestamp => {
+                            if cell.end_component() < 0.98 || cell.end_dead() > 0.06 {
+                                return Err(format!(
+                                    "{label} failed to re-merge: component {:.2}, dead {:.2}",
+                                    cell.end_component(),
+                                    cell.end_dead()
+                                ));
+                            }
+                        }
+                        Freshness::HopCount => {
+                            let ts = self
+                                .cells
+                                .iter()
+                                .find(|c| {
+                                    c.family == "partition"
+                                        && c.policy == cell.policy
+                                        && c.freshness == Freshness::Timestamp
+                                })
+                                .ok_or("partition family missing its timestamp cell")?;
+                            if cell.end_component() + 1e-9 >= ts.end_component() {
+                                return Err(format!(
+                                    "{label} is not split below the timestamp cell: \
+                                     hop component {:.2} ≥ timestamp {:.2}",
+                                    cell.end_component(),
+                                    ts.end_component()
+                                ));
+                            }
                         }
                     }
-                    Freshness::HopCount => {
-                        let ts = self
-                            .cells
-                            .iter()
-                            .find(|c| {
-                                c.family == "partition"
-                                    && c.policy == cell.policy
-                                    && c.freshness == Freshness::Timestamp
-                            })
-                            .ok_or("partition family missing its timestamp cell")?;
-                        if cell.end_component() + 1e-9 >= ts.end_component() {
-                            return Err(format!(
-                                "{label} is not split below the timestamp cell: \
-                                 hop component {:.2} ≥ timestamp {:.2}",
-                                cell.end_component(),
-                                ts.end_component()
-                            ));
-                        }
-                    }
                 }
-            }
-        }
-        Ok(())
+                Ok(())
+            })
+            .map_err(|e| format!("matrix gate failed: {e}"))
+    }
+
+    fn summary(&self) -> Option<String> {
+        let pass = self.verdict().is_ok();
+        let gate = if pass { "pass" } else { "FAIL" };
+        Some(format!(
+            "{} nodes, {} cells: gate = {gate}",
+            self.nodes,
+            self.cells.len()
+        ))
     }
 }
 
@@ -616,8 +657,8 @@ mod tests {
         assert_eq!(run.results.len(), 2);
         assert_eq!(run.results[0].freshness, Freshness::HopCount);
         assert_eq!(run.results[1].freshness, Freshness::Timestamp);
-        assert_eq!(run.results[0].emit_name(), "workload");
-        assert_eq!(run.results[1].emit_name(), "workload_timestamp");
+        let names: Vec<&str> = run.sections().iter().map(|s| s.name).collect();
+        assert_eq!(names, ["workload", "workload_timestamp"]);
         run.verdict().expect("both modes healthy under plain churn");
     }
 
