@@ -184,6 +184,47 @@ mod tests {
         assert_eq!(stats.decode_failures(), 0, "{stats:?}");
     }
 
+    /// FNV-1a over the `Debug` rendering of a run's records and summed
+    /// stats: `f64`s print their shortest round-trip form, so equal
+    /// digests mean bit-equal trajectories.
+    fn digest(records: &[pss_sim::workload::PeriodRecord], stats: &crate::RuntimeStats) -> u64 {
+        format!("{records:?}{stats:?}")
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |acc, b| {
+                (acc ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    /// Pins one single-runtime mem trajectory through kill, churn and a
+    /// partition: the one-runtime, one-introducer mem cluster must
+    /// reproduce it bit for bit.
+    #[test]
+    fn single_runtime_mem_trajectory_matches_the_recorded_digest() {
+        use pss_sim::audit::{role_factory, HonestPolicy};
+        let net =
+            MemNetwork::new(0x77, LatencyModel::Uniform { min: 1, max: 10 }, 0.0).expect("valid");
+        let runtime = NetRuntime::new(
+            net.endpoint(),
+            NetConfig {
+                period: 100,
+                jitter: 20,
+                reply_timeout: 100,
+            },
+            mix(9 ^ 1),
+        )
+        .expect("valid");
+        let protocol = ProtocolConfig::new(PolicyTriple::newscast(), 8).unwrap();
+        let builder = role_factory(HonestPolicy::Sampling(protocol), None);
+        let mut target = RuntimeWorkload::with_builder(runtime, builder, 9, 60);
+        let compiled = Workload::parse("quiet:8,kill:0.5,churn:0.02x8,part:2x3,quiet:3", 5)
+            .unwrap()
+            .compile(60);
+        let records = run_workload(&mut target, &compiled, 8);
+        let stats = target.runtime().stats();
+        assert_eq!(records.len(), 22);
+        assert_eq!(digest(&records, &stats), 0xaf4f_ffbd_1c75_fc03, "{stats:?}");
+    }
+
     #[test]
     fn workload_trajectory_is_deterministic_per_seed() {
         let run = || {
