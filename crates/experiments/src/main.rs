@@ -9,8 +9,9 @@
 //! `--out`. A command rejects every other option; `all` runs every row in
 //! order and accepts them all. Two options mean more than their help line
 //! says: commands that run one shard count take the first entry of
-//! `--shards`, and for `net` `--workers` sets the number of runtime threads
-//! (one UDP socket each) rather than a worker-pool width.
+//! `--shards`, and for `net` `--workers` sets the number of runtimes (one
+//! UDP socket each, all stepped from one thread) rather than a worker-pool
+//! width.
 
 use std::fs;
 use std::io;

@@ -3,8 +3,8 @@
 //!
 //! Every other experiment drives the protocol in-process. This one runs it
 //! end to end through the deployment stack: `pss-net`'s wire codec, UDP
-//! sockets on `127.0.0.1`, and multi-node runtimes on separate OS threads
-//! ([`pss_net::cluster`]). It reports the convergence trajectory (full-view
+//! sockets on `127.0.0.1`, and multi-node runtimes stepped from one thread
+//! against the wall clock ([`pss_net::cluster::run`]). It reports the convergence trajectory (full-view
 //! fraction and in-degree statistics per gossip period, from the same CSR
 //! metrics the simulators use) plus live throughput — and the codec error
 //! count, which must be zero. With a schedule (`--schedule`, the
@@ -28,7 +28,7 @@ use crate::Scale;
 pub struct NetConfig {
     /// Population size, view size and period budget (`cycles` = periods).
     pub scale: Scale,
-    /// Runtime threads (one UDP socket each).
+    /// Runtimes (one UDP socket each), all stepped from one thread.
     pub runtimes: usize,
     /// Gossip period in milliseconds — also the wall-clock cost per period.
     pub period_ms: u64,
@@ -64,7 +64,7 @@ pub struct NetResult {
     pub report: ClusterReport,
     /// Nodes in the run.
     pub nodes: usize,
-    /// Runtime threads used.
+    /// Runtimes used.
     pub runtimes: usize,
     /// The view size (for the in-degree ≈ c check).
     pub view_size: usize,

@@ -1,22 +1,28 @@
-//! Loopback cluster harness: N nodes across K runtime threads on UDP.
+//! Cluster harness: N nodes across K runtimes, stepped from one thread.
 //!
-//! [`run`] binds one [`UdpTransport`] per runtime on `127.0.0.1:0`, splits
-//! the node population into contiguous id ranges (the sharded engines'
-//! placement), bootstraps every node off earlier nodes (a tree plus random
-//! extra introducers, the join pattern of the simulators' churn scenarios),
-//! and drives all runtimes against the shared wall clock — 1 tick = 1 ms.
+//! Both entry points split the node population into contiguous id ranges
+//! (the sharded engines' placement), bootstrap every node off earlier
+//! nodes (a tree plus random extra introducers, the join pattern of the
+//! simulators' churn scenarios), and step all K runtimes from the calling
+//! thread, 1 tick = 1 ms. They differ only in transport and clock:
+//!
+//! * [`run`] binds one [`UdpTransport`] per runtime on `127.0.0.1:0` and
+//!   paces every period against the wall clock: each pass advances every
+//!   runtime to the elapsed millisecond, then sleeps 500 µs.
+//! * [`run_mem`] takes one [`MemNetwork`] endpoint per runtime and runs in
+//!   virtual time: every runtime steps one tick in turn, so the mesh sees
+//!   one fixed order and the whole report — `wall_ms` and `elapsed`
+//!   included, which read virtual milliseconds — is bit-reproducible per
+//!   seed.
 //!
 //! The K runtimes are one more [`WorkloadTarget`], driven by the same
-//! [`run_workload`] that steps the engines and [`crate::RuntimeWorkload`]
-//! (or, when the schedule places adversaries, by [`audit::run_attacked`]).
-//! So the cluster's [`PeriodRecord`]s and [`AttackRecord`]s come out of
-//! the same function, through the same CSR metrics, as on every other
-//! stack. Between periods every runtime thread is parked at the boundary:
-//! the driver sends each thread the membership ops it hosts as the schedule
-//! applies them, then the rumor plant if due, then the instant on the
-//! shared clock to pace to, and waits for one view snapshot per thread — so
-//! a period ends when its slowest runtime reaches the boundary. A run
-//! without a schedule is the bootstrap-only schedule of
+//! [`run_workload`] that steps the engines (or, when the schedule places
+//! adversaries, by [`audit::run_attacked`]). So the cluster's
+//! [`PeriodRecord`]s and [`AttackRecord`]s come out of the same function,
+//! through the same CSR metrics, as on every other stack. Membership ops
+//! and the rumor plant take effect at the period boundary, before the
+//! period's gossip, and a period ends when every runtime has reached it. A
+//! run without a schedule is the bootstrap-only schedule of
 //! [`ClusterConfig::periods`] empty steps.
 //!
 //! # Workload schedules
@@ -31,7 +37,6 @@
 //! trajectories on the simulated and the deployed stack — the conformance
 //! suite pins exactly that.
 
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use pss_core::adversary::AdversaryKind;
@@ -45,16 +50,18 @@ use pss_sim::BoxedNode;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use crate::mem::MemNetwork;
 use crate::runtime::{NetConfig, NetRuntime, RuntimeStats};
+use crate::transport::Transport;
 use crate::udp::UdpTransport;
-use crate::workload::{mix, node_seed};
 
-/// Parameters of a loopback cluster run.
+/// Parameters of a cluster run.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Total nodes, split contiguously across the runtimes.
     pub nodes: usize,
-    /// Runtime threads (one UDP socket each).
+    /// Runtimes (one transport endpoint each), all stepped from the
+    /// calling thread.
     pub runtimes: usize,
     /// The protocol every node runs.
     pub protocol: ProtocolConfig,
@@ -114,6 +121,36 @@ impl ClusterConfig {
             broadcast: None,
         }
     }
+
+    /// Every runtime's timers: 1 tick = 1 ms, one period of reply timeout.
+    fn net_config(&self) -> NetConfig {
+        NetConfig {
+            period: self.period_ms,
+            jitter: self.jitter_ms,
+            reply_timeout: self.period_ms,
+        }
+    }
+
+    /// The honest nodes' policy: the override if set, else `protocol`.
+    fn policy(&self) -> HonestPolicy {
+        self.honest_policy
+            .clone()
+            .unwrap_or_else(|| HonestPolicy::Sampling(self.protocol.clone()))
+    }
+
+    /// A workload fixes the membership trajectory (and the run length) up
+    /// front; without one the run is the bootstrap-only schedule.
+    fn compiled(&self) -> CompiledWorkload {
+        match &self.workload {
+            Some(workload) => workload.compile(self.nodes),
+            None => CompiledWorkload {
+                initial_nodes: self.nodes,
+                id_space: self.nodes,
+                steps: vec![Step::default(); self.periods as usize],
+                adversary: None,
+            },
+        }
+    }
 }
 
 /// Overlay statistics of one period-boundary snapshot.
@@ -129,8 +166,9 @@ pub struct PeriodStats {
     pub in_degree_mean: f64,
     /// Standard deviation of the in-degree.
     pub in_degree_sd: f64,
-    /// Wall-clock milliseconds since cluster start when the last runtime's
-    /// snapshot of this period arrived — the timing row of the period.
+    /// Milliseconds since cluster start when every runtime had reached
+    /// the end of this period — the timing row of the period (virtual
+    /// milliseconds under [`run_mem`]).
     pub wall_ms: u64,
 }
 
@@ -164,19 +202,21 @@ pub struct ClusterReport {
     pub converged_at: Option<u64>,
     /// Runtime statistics summed across all runtimes (final).
     pub stats: RuntimeStats,
-    /// Wall-clock duration of the driven phase.
+    /// Duration of the driven phase: wall clock under [`run`], virtual
+    /// time under [`run_mem`].
     pub elapsed: Duration,
 }
 
 impl ClusterReport {
-    /// Frames per wall-clock second across the cluster.
+    /// Frames per second of [`ClusterReport::elapsed`] across the cluster.
     pub fn frames_per_sec(&self) -> f64 {
         (self.stats.frames_in + self.stats.frames_out) as f64 / self.elapsed.as_secs_f64().max(1e-9)
     }
 
-    /// Completed gossip exchanges per wall-clock second (replies absorbed
-    /// plus push-only requests absorbed — the event engine's notion; a
-    /// pushpull exchange whose reply was lost does not count).
+    /// Completed gossip exchanges per second of [`ClusterReport::elapsed`]
+    /// (replies absorbed plus push-only requests absorbed — the event
+    /// engine's notion; a pushpull exchange whose reply was lost does not
+    /// count).
     pub fn exchanges_per_sec(&self) -> f64 {
         self.stats.exchanges_completed as f64 / self.elapsed.as_secs_f64().max(1e-9)
     }
@@ -221,122 +261,111 @@ fn host_of(n: usize, k: usize, id: usize) -> usize {
     }
 }
 
-/// A driver → runtime-thread message. Between periods a thread is parked
-/// at the boundary, so membership ops and the rumor plant take effect
-/// there, before the period's gossip — the workload driver's semantics.
-enum Command {
-    Leave(NodeId),
-    /// A workload joiner, with introducer addresses resolved on the driver.
-    Join {
-        id: NodeId,
-        introducers: Vec<(NodeId, NetAddr)>,
-    },
-    SetPartition(Option<Partition>),
-    /// Plants the rumor at a hosted node (after the boundary's membership
-    /// ops, so a killed origin stays uninformed).
-    Plant(NodeId),
-    /// Runs the period: pace to this many milliseconds after the shared
-    /// start, then reply with a [`PeriodEnd`].
-    EndPeriod {
-        until_ms: u64,
-    },
+/// `SplitMix64` finalizer: `(seed, id)`-pure node seeds here, runtime
+/// hash keys in [`crate::runtime`].
+pub(crate) fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
-/// A runtime thread's reply at the end of a period.
-struct PeriodEnd {
-    rows: Vec<(NodeId, Vec<NodeId>)>,
-    /// Live hosted nodes holding the rumor.
-    informed: usize,
+/// `(seed, id)`-pure node seed, so a node's RNG stream does not depend on
+/// when it joined or which runtime hosts it.
+fn node_seed(seed: u64, id: u64) -> u64 {
+    mix(seed ^ 0x5eed ^ id.wrapping_mul(0x2545_f491_4f6c_dd1d))
 }
 
-/// One runtime thread: executes the driver's commands in order against the
-/// shared wall clock. Returns the runtime's final statistics once the
-/// driver closes the channel.
-fn serve(
-    mut rt: NetRuntime<UdpTransport, BoxedNode>,
-    commands: mpsc::Receiver<Command>,
-    snapshots: mpsc::Sender<PeriodEnd>,
-    started: Instant,
-    build: impl Fn(NodeId) -> BoxedNode,
-) -> RuntimeStats {
-    for command in commands {
-        match command {
-            Command::Leave(id) => {
-                // The driver's liveness vector admitted this leave; a no-op
-                // means the two diverged.
-                let left = rt.leave(id);
-                debug_assert!(left, "leave of live node {id} was a no-op");
-            }
-            Command::Join { id, introducers } => {
-                rt.add_node(build(id), &introducers);
-            }
-            Command::SetPartition(partition) => rt.set_partition(partition),
-            Command::Plant(origin) => {
-                rt.seed_rumor(origin);
-            }
-            Command::EndPeriod { until_ms } => {
-                loop {
-                    let elapsed = started.elapsed().as_millis() as u64;
-                    rt.run_until(elapsed.min(until_ms));
-                    if elapsed >= until_ms {
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_micros(500));
-                }
-                let mut rows = Vec::with_capacity(rt.node_count());
-                rt.for_each_live_view(|id, view| rows.push((id, view.ids().collect())));
-                let mut informed = 0;
-                rt.for_each_informed(|_| informed += 1);
-                if snapshots.send(PeriodEnd { rows, informed }).is_err() {
-                    break;
-                }
-            }
-        }
-    }
-    rt.stats()
+/// Which clock paces the periods.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Clock {
+    Wall,
+    Virtual,
 }
 
-/// K runtime threads driven as one [`WorkloadTarget`]; see the [module
+/// K runtimes driven as one [`WorkloadTarget`]; see the [module
 /// docs](self).
-struct UdpCluster {
+struct Cluster<T: Transport> {
     /// The initial population size, for [`host_of`].
     nodes: usize,
-    /// One socket address per runtime.
-    addrs: Vec<NetAddr>,
-    /// Liveness by id, kept on the driver so `kill` answers without a
-    /// round trip to the runtime threads.
-    live: Vec<bool>,
-    /// Per runtime thread: its command channel and its snapshot channel.
-    /// A thread that panics drops its sender, so the driver fails instead
-    /// of waiting forever.
-    links: Vec<(mpsc::Sender<Command>, mpsc::Receiver<PeriodEnd>)>,
-    /// The last period's live rows of every runtime, sorted by id.
-    rows: Vec<(NodeId, Vec<NodeId>)>,
+    runtimes: Vec<NetRuntime<T, BoxedNode>>,
+    /// Builds a workload joiner with its `(seed, id)`-pure node seed.
+    build: Box<dyn Fn(NodeId) -> BoxedNode>,
     period_ms: u64,
-    started: Instant,
+    /// When the driven phase began; `None` in virtual time.
+    started: Option<Instant>,
     broadcast: Option<ClusterBroadcast>,
-    /// Per period: when its last snapshot arrived (ms after `started`).
+    /// Per period: milliseconds after the start when every runtime had
+    /// reached its end.
     wall_ms: Vec<u64>,
     /// Per period: live nodes holding the rumor.
     informed: Vec<usize>,
     period_ms_hist: pss_telemetry::Histogram,
 }
 
-impl UdpCluster {
+impl<T: Transport> Cluster<T> {
+    /// One runtime per transport, its node range bootstrapped; the clock
+    /// starts once every node is in place.
     fn new(
         config: &ClusterConfig,
-        addrs: Vec<NetAddr>,
-        started: Instant,
-        links: Vec<(mpsc::Sender<Command>, mpsc::Receiver<PeriodEnd>)>,
+        compiled: &CompiledWorkload,
+        transports: Vec<T>,
+        clock: Clock,
     ) -> Self {
-        UdpCluster {
+        let k = transports.len();
+        let addrs: Vec<NetAddr> = transports.iter().map(Transport::local_addr).collect();
+        let addr_of = |id: usize| addrs[host_of(config.nodes, k, id)];
+
+        // Mixed honest/adversarial population: the same role dispatch as
+        // the simulators' engine factories.
+        let roles = compiled.adversary;
+        let build = role_factory(config.policy(), roles);
+        // Eclipse attackers address their victims directly, so their
+        // hosting runtime's book must resolve the victim ids up front.
+        let victim_intros: Vec<(NodeId, NetAddr)> = roles
+            .filter(|r| r.kind() == AdversaryKind::Eclipse)
+            .map(|r| r.victim_ids().map(|v| (v, addr_of(v.as_index()))).collect())
+            .unwrap_or_default();
+
+        let mut boot_rng = SmallRng::seed_from_u64(config.seed ^ 0xb007_b007_b007_b007);
+        let mut runtimes = Vec::with_capacity(k);
+        for (r, transport) in transports.into_iter().enumerate() {
+            let seed = mix(config.seed ^ (r as u64 + 1));
+            let mut rt = NetRuntime::new(transport, config.net_config(), seed)
+                .expect("validated by the caller");
+            let (start, end) = range_of(config.nodes, k, r);
+            for i in start..end {
+                let id = NodeId::new(i as u64);
+                let mut introducers: Vec<(NodeId, NetAddr)> = Vec::new();
+                if i > 0 {
+                    // Tree parent first (guarantees a connected bootstrap
+                    // graph), then random earlier nodes.
+                    let parent = i / 2;
+                    introducers.push((NodeId::new(parent as u64), addr_of(parent)));
+                    while introducers.len() < config.introducers.min(i) {
+                        let pick = boot_rng.random_range(0..i);
+                        if introducers.iter().all(|(id, _)| id.as_index() != pick) {
+                            introducers.push((NodeId::new(pick as u64), addr_of(pick)));
+                        }
+                    }
+                }
+                if roles.is_some_and(|r| r.is_attacker(id)) {
+                    introducers.extend(victim_intros.iter().copied());
+                }
+                rt.add_node(build(id, node_seed(config.seed, i as u64)), &introducers);
+            }
+            if let Some(bcast) = config.broadcast {
+                rt.enable_broadcast(bcast.fanout);
+            }
+            runtimes.push(rt);
+        }
+
+        let seed = config.seed;
+        Cluster {
             nodes: config.nodes,
-            addrs,
-            live: vec![true; config.nodes],
-            links,
-            rows: Vec::new(),
+            runtimes,
+            build: Box::new(move |id| build(id, node_seed(seed, id.as_u64()))),
             period_ms: config.period_ms,
-            started,
+            started: (clock == Clock::Wall).then(Instant::now),
             broadcast: config.broadcast,
             wall_ms: Vec::new(),
             informed: Vec::new(),
@@ -348,80 +377,87 @@ impl UdpCluster {
     }
 
     fn host(&self, id: NodeId) -> usize {
-        host_of(self.nodes, self.addrs.len(), id.as_index())
+        host_of(self.nodes, self.runtimes.len(), id.as_index())
     }
 
-    fn send(&self, runtime: usize, command: Command) {
-        self.links[runtime]
-            .0
-            .send(command)
-            .expect("runtime thread alive");
+    /// Time since the start: wall-clock, or the runtimes' virtual time
+    /// (all of them stand at the same tick between periods).
+    fn elapsed(&self) -> Duration {
+        match self.started {
+            Some(started) => started.elapsed(),
+            None => Duration::from_millis(self.runtimes[0].now()),
+        }
     }
 }
 
-impl WorkloadTarget for UdpCluster {
+impl<T: Transport> WorkloadTarget for Cluster<T> {
     fn kill(&mut self, id: NodeId) -> bool {
-        match self.live.get_mut(id.as_index()) {
-            Some(live) if *live => {
-                *live = false;
-                self.send(self.host(id), Command::Leave(id));
-                true
-            }
-            _ => false,
-        }
+        let host = self.host(id);
+        self.runtimes[host].leave(id)
     }
 
     fn join(&mut self, id: NodeId, contacts: &[NodeId]) {
-        assert_eq!(
-            id.as_index(),
-            self.live.len(),
-            "cluster expected the next sequential id, workload compiled id {id}"
-        );
-        self.live.push(true);
-        let introducers = contacts
+        let introducers: Vec<(NodeId, NetAddr)> = contacts
             .iter()
-            .map(|&c| (c, self.addrs[self.host(c)]))
+            .map(|&c| (c, self.runtimes[self.host(c)].local_addr()))
             .collect();
-        self.send(self.host(id), Command::Join { id, introducers });
+        let host = self.host(id);
+        self.runtimes[host].add_node((self.build)(id), &introducers);
     }
 
     fn set_partition(&mut self, partition: Option<Partition>) {
-        for r in 0..self.links.len() {
-            self.send(r, Command::SetPartition(partition));
+        for rt in &mut self.runtimes {
+            rt.set_partition(partition);
         }
     }
 
     fn run_period(&mut self) {
         let period = self.wall_ms.len() as u64 + 1;
         if let Some(b) = self.broadcast.filter(|b| b.start_period == period) {
-            self.send(self.host(b.origin), Command::Plant(b.origin));
+            let host = self.host(b.origin);
+            self.runtimes[host].seed_rumor(b.origin);
         }
-        let until_ms = period * self.period_ms;
-        for r in 0..self.links.len() {
-            self.send(r, Command::EndPeriod { until_ms });
+        let until = period * self.period_ms;
+        loop {
+            let t = match self.started {
+                Some(started) => (started.elapsed().as_millis() as u64).min(until),
+                // Every runtime steps one tick in turn, so the mesh sees
+                // one fixed order.
+                None => self.runtimes[0].now() + 1,
+            };
+            for rt in &mut self.runtimes {
+                rt.run_until(t);
+            }
+            if t == until {
+                break;
+            }
+            if self.started.is_some() {
+                std::thread::sleep(Duration::from_micros(500));
+            }
         }
-        self.rows.clear();
-        let mut informed = 0;
-        for (_, snapshots) in &self.links {
-            let snapshot = snapshots.recv().expect("runtime thread alive");
-            self.rows.extend(snapshot.rows);
-            informed += snapshot.informed;
-        }
-        // Joined ids land out of range order; sort globally.
-        self.rows.sort_unstable_by_key(|(id, _)| *id);
-        let wall_ms = self.started.elapsed().as_millis() as u64;
+        let wall_ms = self.elapsed().as_millis() as u64;
         self.period_ms_hist
             .record(wall_ms - self.wall_ms.last().copied().unwrap_or(0));
         self.wall_ms.push(wall_ms);
+        let mut informed = 0;
+        for rt in &self.runtimes {
+            rt.for_each_informed(|_| informed += 1);
+        }
         self.informed.push(informed);
     }
 
     fn collect_rows(&self, rows: &mut Vec<(NodeId, Vec<NodeId>)>) {
-        rows.extend_from_slice(&self.rows);
+        let start = rows.len();
+        for rt in &self.runtimes {
+            rt.for_each_live_view(|id, view| rows.push((id, view.ids().collect())));
+        }
+        // Joined ids land out of range order; sort globally.
+        rows[start..].sort_unstable_by_key(|(id, _)| *id);
     }
 }
 
-/// Runs a loopback UDP cluster; see the [module docs](self).
+/// Runs a loopback UDP cluster paced by the wall clock; see the [module
+/// docs](self).
 ///
 /// # Errors
 ///
@@ -432,137 +468,63 @@ impl WorkloadTarget for UdpCluster {
 ///
 /// Panics if `nodes < 2` or `runtimes` is zero or exceeds `nodes`.
 pub fn run(config: &ClusterConfig) -> std::io::Result<ClusterReport> {
+    run_on(config, || UdpTransport::bind("127.0.0.1:0"), Clock::Wall)
+}
+
+/// Runs the cluster over `net` in virtual time, one mesh endpoint per
+/// runtime; see the [module docs](self). The report is bit-reproducible
+/// per `(config, mesh seed)`.
+///
+/// # Errors
+///
+/// An invalid timer configuration, surfaced as `InvalidInput`.
+///
+/// # Panics
+///
+/// Panics if `nodes < 2` or `runtimes` is zero or exceeds `nodes`.
+pub fn run_mem(config: &ClusterConfig, net: &MemNetwork) -> std::io::Result<ClusterReport> {
+    run_on(config, || Ok(net.endpoint()), Clock::Virtual)
+}
+
+fn run_on<T: Transport>(
+    config: &ClusterConfig,
+    mut bind: impl FnMut() -> std::io::Result<T>,
+    clock: Clock,
+) -> std::io::Result<ClusterReport> {
     assert!(config.nodes >= 2, "need at least two nodes");
     assert!(
         config.runtimes >= 1 && config.runtimes <= config.nodes,
         "need 1..=nodes runtimes"
     );
-    let net_config = NetConfig {
-        period: config.period_ms,
-        jitter: config.jitter_ms,
-        reply_timeout: config.period_ms,
-    };
-    net_config
+    config
+        .net_config()
         .validate()
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string()))?;
+    let compiled = config.compiled();
 
-    // A workload fixes the membership trajectory (and the run length) up
-    // front; without one the run is the bootstrap-only schedule.
-    let compiled = match &config.workload {
-        Some(workload) => workload.compile(config.nodes),
-        None => CompiledWorkload {
-            initial_nodes: config.nodes,
-            id_space: config.nodes,
-            steps: vec![Step::default(); config.periods as usize],
-            adversary: None,
-        },
+    // Every transport exists before any node bootstraps, so the full
+    // id → address map is known.
+    let transports = (0..config.runtimes)
+        .map(|_| bind())
+        .collect::<std::io::Result<Vec<T>>>()?;
+    let mut cluster = Cluster::new(config, &compiled, transports, clock);
+    let view_size = config.policy().view_size();
+    let (records, attack_records) = if compiled.adversary.is_some() {
+        let (records, audit) = audit::run_attacked(&mut cluster, &compiled, view_size);
+        (records, audit.records)
+    } else {
+        (run_workload(&mut cluster, &compiled, view_size), Vec::new())
     };
-
-    // Bind every runtime's socket first so the full id → address map is
-    // known before any node bootstraps.
-    let transports: Vec<UdpTransport> = (0..config.runtimes)
-        .map(|_| UdpTransport::bind("127.0.0.1:0"))
-        .collect::<std::io::Result<_>>()?;
-    let addrs: Vec<NetAddr> = transports.iter().map(UdpTransport::net_addr).collect();
-    let addr_of = |id: usize| addrs[host_of(config.nodes, config.runtimes, id)];
-
-    // Mixed honest/adversarial population: the same role dispatch as the
-    // simulators' engine factories, shared across runtime threads.
-    let roles = compiled.adversary;
-    let policy = config
-        .honest_policy
-        .clone()
-        .unwrap_or_else(|| HonestPolicy::Sampling(config.protocol.clone()));
-    let view_size = policy.view_size();
-    let build = role_factory(policy, roles);
-    // Eclipse attackers address their victims directly, so their hosting
-    // runtime's book must resolve the victim ids up front.
-    let victim_intros: Vec<(NodeId, NetAddr)> = roles
-        .filter(|r| r.kind() == AdversaryKind::Eclipse)
-        .map(|r| r.victim_ids().map(|v| (v, addr_of(v.as_index()))).collect())
-        .unwrap_or_default();
-
-    // Build the runtimes and their node populations.
-    let mut runtimes: Vec<NetRuntime<UdpTransport, BoxedNode>> =
-        Vec::with_capacity(config.runtimes);
-    let mut boot_rng = SmallRng::seed_from_u64(config.seed ^ 0xb007_b007_b007_b007);
-    for (r, transport) in transports.into_iter().enumerate() {
-        let mut rt = NetRuntime::new(transport, net_config, mix(config.seed ^ (r as u64 + 1)))
-            .expect("validated above");
-        let (start, end) = range_of(config.nodes, config.runtimes, r);
-        for i in start..end {
-            // The same (seed, id)-pure node seed workload joiners get, so
-            // a node's RNG stream does not depend on when it joined.
-            let node = build(NodeId::new(i as u64), node_seed(config.seed, i as u64));
-            let mut introducers: Vec<(NodeId, NetAddr)> = Vec::new();
-            if i > 0 {
-                // Tree parent first (guarantees a connected bootstrap
-                // graph), then random earlier nodes.
-                let parent = i / 2;
-                introducers.push((NodeId::new(parent as u64), addr_of(parent)));
-                while introducers.len() < config.introducers.min(i) {
-                    let pick = boot_rng.random_range(0..i);
-                    if introducers.iter().all(|(id, _)| id.as_index() != pick) {
-                        introducers.push((NodeId::new(pick as u64), addr_of(pick)));
-                    }
-                }
-            }
-            if roles.is_some_and(|r| r.is_attacker(NodeId::new(i as u64))) {
-                introducers.extend(victim_intros.iter().copied());
-            }
-            rt.add_node(node, &introducers);
-        }
-        if let Some(bcast) = config.broadcast {
-            rt.enable_broadcast(bcast.fanout);
-        }
-        runtimes.push(rt);
+    // From the same instant as the per-period times.
+    let elapsed = cluster.elapsed();
+    let mut stats = RuntimeStats::default();
+    for rt in &cluster.runtimes {
+        stats.merge(&rt.stats());
     }
-
-    // Drive: one thread per runtime follows the shared wall clock (1 tick =
-    // 1 ms) period by period, on the driver's commands.
-    let started = Instant::now();
-    let (records, attack_records, wall_ms, informed, stats) = std::thread::scope(|scope| {
-        let mut threads = Vec::with_capacity(config.runtimes);
-        let links = runtimes
-            .into_iter()
-            .map(|rt| {
-                let (command_tx, commands) = mpsc::channel();
-                let (snapshot_tx, snapshots) = mpsc::channel();
-                // The (seed, id)-pure node seed the initial population got.
-                let joiner = |id: NodeId| build(id, node_seed(config.seed, id.as_u64()));
-                threads
-                    .push(scope.spawn(move || serve(rt, commands, snapshot_tx, started, joiner)));
-                (command_tx, snapshots)
-            })
-            .collect();
-        let mut cluster = UdpCluster::new(config, addrs, started, links);
-        let (records, attack_records) = if roles.is_some() {
-            let (records, audit) = audit::run_attacked(&mut cluster, &compiled, view_size);
-            (records, audit.records)
-        } else {
-            (run_workload(&mut cluster, &compiled, view_size), Vec::new())
-        };
-        // Closing the command channels stops the runtime threads.
-        let UdpCluster {
-            links,
-            wall_ms,
-            informed,
-            ..
-        } = cluster;
-        drop(links);
-        let mut stats = RuntimeStats::default();
-        for thread in threads {
-            stats.merge(&thread.join().expect("runtime thread panicked"));
-        }
-        (records, attack_records, wall_ms, informed, stats)
-    });
-    // Taken once every runtime thread has stopped, from the same instant
-    // as the per-period wall times.
-    let elapsed = started.elapsed();
 
     let periods: Vec<PeriodStats> = records
         .iter()
-        .zip(wall_ms)
+        .zip(cluster.wall_ms)
         .map(|(r, wall_ms)| PeriodStats {
             period: r.period,
             full_views: r.full_views,
@@ -575,7 +537,7 @@ pub fn run(config: &ClusterConfig) -> std::io::Result<ClusterReport> {
     let broadcast = match config.broadcast {
         Some(_) => records
             .iter()
-            .zip(informed)
+            .zip(cluster.informed)
             .map(|(r, informed)| BroadcastPeriod {
                 period: r.period,
                 live: r.live,
@@ -604,6 +566,20 @@ mod tests {
     use super::*;
     use pss_core::{Freshness, PolicyTriple};
     use pss_sim::workload::Op;
+    use pss_sim::LatencyModel;
+
+    /// FNV-1a over a `Debug` rendering: `f64`s print their shortest
+    /// round-trip form, so equal digests mean bit-equal values.
+    fn digest(rendered: &str) -> u64 {
+        rendered.bytes().fold(0xcbf2_9ce4_8422_2325, |acc, b| {
+            (acc ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// The mesh every ported wall-clock test runs on.
+    fn mesh(config: &ClusterConfig) -> MemNetwork {
+        MemNetwork::new(config.seed, LatencyModel::Uniform { min: 1, max: 10 }, 0.0).expect("valid")
+    }
 
     #[test]
     fn range_partition_covers_all_ids_in_order() {
@@ -626,22 +602,82 @@ mod tests {
         let protocol = ProtocolConfig::new(PolicyTriple::newscast(), 4).unwrap();
         let mut config = ClusterConfig::small(protocol);
         config.nodes = 4;
-        let addrs = vec![NetAddr::Virtual(0), NetAddr::Virtual(1)];
-        let (links, commands): (Vec<_>, Vec<_>) = addrs
-            .iter()
-            .map(|_| {
-                let (command_tx, commands) = mpsc::channel();
-                ((command_tx, mpsc::channel().1), commands)
-            })
-            .unzip();
-        let mut cluster = UdpCluster::new(&config, addrs, Instant::now(), links);
+        let net = mesh(&config);
+        let transports = vec![net.endpoint(), net.endpoint()];
+        let mut cluster = Cluster::new(&config, &config.compiled(), transports, Clock::Virtual);
         assert!(cluster.kill(NodeId::new(3)));
         assert!(!cluster.kill(NodeId::new(3)), "a departed node is not live");
         assert!(!cluster.kill(NodeId::new(9)), "an unknown id is not live");
-        // Only the first kill reaches a runtime: id 3's host.
-        assert!(commands[0].try_recv().is_err());
-        assert!(matches!(commands[1].try_recv(), Ok(Command::Leave(id)) if id == NodeId::new(3)));
-        assert!(commands[1].try_recv().is_err());
+        // Only the first kill reached a runtime: id 3's host.
+        let alive: Vec<usize> = cluster
+            .runtimes
+            .iter()
+            .map(NetRuntime::alive_count)
+            .collect();
+        assert_eq!(alive, [2, 1]);
+    }
+
+    /// The one-runtime, one-introducer mem cluster is the single-runtime
+    /// harness it replaced: this constant was recorded from that harness
+    /// (one `NetRuntime` on `MemNetwork` seed `0x77`, runtime seed
+    /// `mix(9 ^ 1)`, node `i` introduced to node `i / 2`).
+    #[test]
+    fn single_runtime_mem_trajectory_matches_the_recorded_digest() {
+        let protocol = ProtocolConfig::new(PolicyTriple::newscast(), 8).unwrap();
+        let mut config = ClusterConfig::small(protocol);
+        config.nodes = 60;
+        config.runtimes = 1;
+        config.introducers = 1;
+        config.seed = 9;
+        config.workload =
+            Some(Workload::parse("quiet:8,kill:0.5,churn:0.02x8,part:2x3,quiet:3", 5).unwrap());
+        let net =
+            MemNetwork::new(0x77, LatencyModel::Uniform { min: 1, max: 10 }, 0.0).expect("valid");
+        let report = run_mem(&config, &net).expect("cluster runs");
+        assert_eq!(report.records.len(), 22);
+        let rendered = format!("{:?}{:?}", report.records, report.stats);
+        assert_eq!(
+            digest(&rendered),
+            0xaf4f_ffbd_1c75_fc03,
+            "{:?}",
+            report.stats
+        );
+    }
+
+    /// A two-runtime mem run through every cluster path — attackers,
+    /// kill, flash crowd, partition and a broadcast — twice: the reports
+    /// are equal field by field, virtual `wall_ms` and `elapsed` included.
+    #[test]
+    fn two_runtime_mem_cluster_is_bit_reproducible() {
+        let protocol = ProtocolConfig::new(PolicyTriple::newscast(), 8).unwrap();
+        let mut config = ClusterConfig::small(protocol);
+        config.nodes = 64;
+        config.seed = 13;
+        config.workload = Some(
+            Workload::parse("adv:hub@0.05,quiet:4,kill:0.25,flash:8,part:2x3,quiet:3", 3).unwrap(),
+        );
+        config.broadcast = Some(ClusterBroadcast {
+            origin: NodeId::new(1),
+            fanout: 2,
+            start_period: 3,
+        });
+        let run = || run_mem(&config, &mesh(&config)).expect("cluster runs");
+        let (a, b) = (run(), run());
+        assert_eq!(a.records, b.records);
+        assert_eq!(a.attack_records, b.attack_records);
+        assert_eq!(a.broadcast, b.broadcast);
+        assert_eq!(a.periods, b.periods);
+        assert_eq!((a.stats, a.elapsed), (b.stats, b.elapsed));
+        assert_eq!(a.records.len(), 10);
+        assert_eq!(a.elapsed, Duration::from_millis(10 * config.period_ms));
+        assert_eq!(a.attack_records.len(), 10);
+        assert!(a.broadcast_coverage() > 0.0, "{:?}", a.broadcast);
+        assert!(a.stats.partition_blocked > 0, "{:?}", a.stats);
+        let rendered = format!(
+            "{:?}{:?}{:?}{:?}{:?}",
+            a.records, a.attack_records, a.broadcast, a.periods, a.stats
+        );
+        assert_eq!(digest(&rendered), 0x14fd_116f_5a3c_68a1, "{:?}", a.stats);
     }
 
     /// The report's rows are period-aligned and timed against the shared
@@ -724,16 +760,46 @@ mod tests {
         assert!(report.exchanges_per_sec() > 0.0);
     }
 
-    /// Timestamp freshness re-merges a 20-period lossy partition over real
-    /// loopback UDP. The deterministic hop-splits/timestamp-heals
-    /// differential is pinned in the sharded-sim conformance suite
-    /// (`timestamp_freshness_heals_the_lossy_long_partition`); the cluster
-    /// is wall-clock nondeterministic, so this test asserts only the
-    /// robust positive half at a loss (0.45) where the timestamp heal
-    /// succeeded in every probe run (8/8 across seeds, including three
-    /// repeats of the least favourable one).
+    /// Every cluster path over real loopback sockets — attackers, kill,
+    /// flash crowd, partition and a broadcast. Wall-clock runs are not
+    /// reproducible, so this gates only on what load cannot move: frames
+    /// flowed, none failed to decode, and one record per compiled period.
     #[test]
-    fn timestamp_freshness_heals_the_lossy_partition_over_udp() {
+    fn loopback_cluster_runs_every_path() {
+        let protocol = ProtocolConfig::new(PolicyTriple::newscast(), 8).unwrap();
+        let mut config = ClusterConfig::small(protocol);
+        config.nodes = 48;
+        config.period_ms = 40;
+        config.jitter_ms = 8;
+        let workload =
+            Workload::parse("adv:hub@0.05,quiet:2,kill:0.25,flash:8,part:2x2,quiet:2", 3).unwrap();
+        let periods = workload.compile(config.nodes).periods() as usize;
+        config.workload = Some(workload);
+        config.broadcast = Some(ClusterBroadcast {
+            origin: NodeId::new(1),
+            fanout: 2,
+            start_period: 2,
+        });
+        let report = run(&config).expect("cluster runs");
+        assert!(report.stats.frames_in > 0, "{:?}", report.stats);
+        assert_eq!(report.stats.decode_failures(), 0, "{:?}", report.stats);
+        for rows in [
+            report.periods.len(),
+            report.records.len(),
+            report.attack_records.len(),
+            report.broadcast.len(),
+        ] {
+            assert_eq!(rows, periods);
+        }
+    }
+
+    /// Timestamp freshness re-merges a 20-period lossy partition. The
+    /// hop-splits/timestamp-heals differential is pinned in the
+    /// sharded-sim conformance suite
+    /// (`timestamp_freshness_heals_the_lossy_long_partition`); this test
+    /// asserts only the positive half, on the deployed stack.
+    #[test]
+    fn timestamp_freshness_heals_the_lossy_partition() {
         let protocol = ProtocolConfig::new(PolicyTriple::newscast(), 12)
             .unwrap()
             .with_freshness(Freshness::Timestamp);
@@ -744,11 +810,13 @@ mod tests {
         config.jitter_ms = 12;
         config.seed = 5;
         config.workload = Some(Workload::parse("quiet:6,part:2x20@0.45,quiet:15", 9).unwrap());
-        let report = run(&config).expect("cluster runs");
+        let report = run_mem(&config, &mesh(&config)).expect("cluster runs");
         assert_eq!(report.records.len(), 41);
-        // The overlay actually splits while the loss matrix is in force...
+        // The loss matrix is in force at period 26. Whether the overlay
+        // actually splits under it is not asserted...
         assert!(report.records[25].partitioned);
-        // ...and the timestamp-mode overlay re-merges once it lifts.
+        // ...only that the timestamp-mode overlay is one component once it
+        // lifts.
         let last = report.records.last().unwrap();
         assert!(
             last.component_fraction() >= 0.98,
@@ -765,11 +833,11 @@ mod tests {
     }
 
     /// A thundering herd of joiners — every one aimed at the same
-    /// introducer by the `[herd]` override — all integrate over UDP: the
-    /// bootstrap retry/backoff path means overload delays joiners instead
-    /// of silently dropping them.
+    /// introducer by the `[herd]` override — all integrate: the bootstrap
+    /// retry/backoff path means overload delays joiners instead of
+    /// silently dropping them.
     #[test]
-    fn flash_herd_joins_without_starvation_over_udp() {
+    fn flash_herd_joins_without_starvation() {
         let protocol = ProtocolConfig::new(PolicyTriple::newscast(), 12).unwrap();
         let mut config = ClusterConfig::small(protocol);
         config.nodes = 64;
@@ -778,7 +846,7 @@ mod tests {
         config.jitter_ms = 12;
         config.seed = 11;
         config.workload = Some(Workload::parse("quiet:8,flash:64[herd],quiet:12", 9).unwrap());
-        let report = run(&config).expect("cluster runs");
+        let report = run_mem(&config, &mesh(&config)).expect("cluster runs");
         let last = report.records.last().unwrap();
         assert_eq!(last.live, 128, "a joiner was lost");
         assert!(

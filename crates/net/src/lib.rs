@@ -25,13 +25,13 @@
 //!   descriptor; keyed cheap hashing, written only when an address
 //!   changes), and per-node counters track messages, decode failures and
 //!   reply timeouts.
-//! * [`workload`] — [`RuntimeWorkload`], a single-runtime
-//!   [`pss_sim::workload::WorkloadTarget`] so the simulators' membership
-//!   schedules drive the deployed stack unchanged.
-//! * [`cluster`] — a loopback harness: N nodes across K runtime threads on
-//!   UDP, driven as one more `WorkloadTarget` by the simulators' workload
-//!   driver — a bootstrap-only run or any [`pss_sim::workload`] schedule
-//!   (churn, catastrophe, flash crowds, partition/heal, adversaries) — so
+//! * [`cluster`] — the cluster harness: N nodes across K runtimes on one
+//!   thread, UDP or mem — loopback sockets on the wall clock
+//!   ([`cluster::run`]) or the in-memory mesh in virtual time
+//!   ([`cluster::run_mem`]) — driven as one more
+//!   [`pss_sim::workload::WorkloadTarget`] by the simulators' workload
+//!   driver: a bootstrap-only run or any [`pss_sim::workload`] schedule
+//!   (churn, catastrophe, flash crowds, partition/heal, adversaries), so
 //!   its per-period records come from the same CSR metrics.
 //!
 //! # Quickstart
@@ -76,11 +76,9 @@ mod transport;
 mod udp;
 
 pub mod cluster;
-pub mod workload;
 
 pub use mem::{MemNetwork, MemTransport};
 pub use pss_core::wire::NetAddr;
 pub use runtime::{NetConfig, NetRuntime, NodeCounters, RuntimeStats};
 pub use transport::Transport;
 pub use udp::UdpTransport;
-pub use workload::RuntimeWorkload;

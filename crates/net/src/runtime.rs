@@ -80,8 +80,8 @@ use pss_sim::{workload::Partition, EventConfig, EventConfigError, TickQueue};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use crate::cluster::mix;
 use crate::transport::Transport;
-use crate::workload::mix;
 
 /// Timing parameters of a runtime, in abstract ticks (the loopback cluster
 /// drives 1 tick = 1 ms).

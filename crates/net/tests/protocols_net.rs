@@ -1,17 +1,21 @@
 //! Application traffic on the deployed stack: the broadcast storm that
-//! `pss-protocols` runs over the simulators here rides real UDP sockets —
+//! `pss-protocols` runs over the simulators here rides real wire frames —
 //! rumor pushes are [`pss_core::wire::FrameKind::App`] frames interleaved
-//! with the gossip exchanges on the same codec.
+//! with the gossip exchanges on the same codec. The cluster is the mem
+//! cluster ([`cluster::run_mem`]): the deployed runtime over the in-memory
+//! mesh, in virtual time, so every run is reproducible per seed.
 //!
-//! The acceptance pin: a ≥128-node loopback cluster floods the rumor to
+//! The acceptance pin: a ≥128-node cluster floods the rumor to
 //! ≥ 99% of live nodes with zero codec errors. A second run layers the
 //! storm over a kill + churn schedule: deliveries at departed nodes are
 //! counted (`app_wasted`), joiners enter uninformed, and the rumor still
 //! reaches essentially every survivor.
 
 use pss_core::{NodeId, PolicyTriple, ProtocolConfig};
-use pss_net::cluster::{self, ClusterBroadcast, ClusterConfig};
+use pss_net::cluster::{self, ClusterBroadcast, ClusterConfig, ClusterReport};
+use pss_net::MemNetwork;
 use pss_sim::workload::Workload;
+use pss_sim::LatencyModel;
 
 const N: usize = 128;
 const C: usize = 20;
@@ -37,9 +41,15 @@ fn base_config() -> ClusterConfig {
     }
 }
 
+fn run(config: &ClusterConfig) -> ClusterReport {
+    let net = MemNetwork::new(config.seed, LatencyModel::Uniform { min: 1, max: 10 }, 0.0)
+        .expect("valid");
+    cluster::run_mem(config, &net).expect("cluster runs")
+}
+
 #[test]
 fn udp_cluster_broadcast_reaches_all_live_nodes_with_clean_codec() {
-    let report = cluster::run(&base_config()).expect("cluster runs");
+    let report = run(&base_config());
     assert_eq!(report.broadcast.len(), 20);
     // Nothing is informed before the seed period.
     assert!(report
@@ -78,7 +88,7 @@ fn udp_cluster_broadcast_survives_kill_and_churn() {
         fanout: 2,
         start_period: 6,
     });
-    let report = cluster::run(&config).expect("cluster runs");
+    let report = run(&config);
     let last = report.broadcast.last().unwrap();
     assert!(last.live < N, "the kill must have landed");
     assert_eq!(last.live, report.records.last().unwrap().live);

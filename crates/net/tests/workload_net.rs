@@ -2,11 +2,12 @@
 //!
 //! The acceptance pin: the *same* compiled workload — catastrophic 50%
 //! kill at period 10, 1%/period churn thereafter — runs on the sharded
-//! event engine and on a live loopback UDP cluster, and their recovery
+//! event engine and on a two-runtime mem cluster (the deployed runtime
+//! over the in-memory mesh, in virtual time), and their recovery
 //! trajectories agree statistically (post-recovery in-degree means within
 //! 1.0, both ≥ 99% full views by the pinned period). Bit-determinism of
-//! the net stack under workloads is pinned separately over the in-memory
-//! mesh (`pss_net::workload` unit tests); the UDP cluster is wall-clock.
+//! the mem cluster under workloads is pinned separately by digest in
+//! `pss_net::cluster`'s unit tests.
 //!
 //! Plus the leave/late-join runtime coverage: counters stay consistent
 //! under load (zero decode failures, bounded timeouts) and the address
@@ -28,7 +29,7 @@ fn acceptance_workload() -> Workload {
 }
 
 #[test]
-fn acceptance_schedule_agrees_between_event_engine_and_udp_cluster() {
+fn acceptance_schedule_agrees_between_event_engine_and_mem_cluster() {
     let workload = acceptance_workload();
     let compiled = workload.compile(N);
 
@@ -45,7 +46,7 @@ fn acceptance_schedule_agrees_between_event_engine_and_udp_cluster() {
     scenario::seed_tree(&mut sim, N);
     let event_records = run_workload(&mut sim, &compiled, C);
 
-    // Loopback UDP cluster: the same compiled schedule, wall-clock driven.
+    // Mem cluster: the same compiled schedule, virtual-time driven.
     let config = ClusterConfig {
         nodes: N,
         runtimes: 2,
@@ -59,7 +60,9 @@ fn acceptance_schedule_agrees_between_event_engine_and_udp_cluster() {
         honest_policy: None,
         broadcast: None,
     };
-    let report = cluster::run(&config).expect("cluster runs");
+    let net = MemNetwork::new(config.seed, LatencyModel::Uniform { min: 1, max: 10 }, 0.0)
+        .expect("valid");
+    let report = cluster::run_mem(&config, &net).expect("cluster runs");
     let net_records = &report.records;
 
     assert_eq!(event_records.len(), compiled.periods() as usize);
