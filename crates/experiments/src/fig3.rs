@@ -18,8 +18,6 @@ use crate::Scale;
 pub struct Fig3Config {
     /// Common scale.
     pub scale: Scale,
-    /// Cycles to plot (the paper shows 100 of its 300-cycle runs).
-    pub cycles: u64,
     /// Protocols (default: the paper's eight).
     pub protocols: Vec<PolicyTriple>,
 }
@@ -29,7 +27,6 @@ impl Fig3Config {
     pub fn at_scale(scale: Scale) -> Self {
         Fig3Config {
             scale,
-            cycles: scale.cycles.min(100),
             protocols: PolicyTriple::paper_eight().to_vec(),
         }
     }
@@ -113,7 +110,8 @@ impl Report for Fig3Result {
 /// Runs the Figure 3 experiment: 2 scenarios × all protocols in parallel.
 pub fn run(config: &Fig3Config) -> Fig3Result {
     let scale = config.scale;
-    let cycles = config.cycles;
+    // Cycles to plot: the paper shows 100 of its 300-cycle runs.
+    let cycles = scale.cycles.min(100);
     let jobs: Vec<(PolicyTriple, ScenarioKind)> = config
         .protocols
         .iter()

@@ -24,9 +24,6 @@ const KILL_FRACTION: f64 = 0.5;
 pub struct Fig7Config {
     /// Common scale (cycles = convergence budget before the failure).
     pub scale: Scale,
-    /// Cycles simulated after the failure (the paper plots 70 for the head
-    /// protocols and 200 for the rand ones; we run the maximum for all).
-    pub recovery_cycles: u64,
     /// Protocols (default: the paper's eight).
     pub protocols: Vec<PolicyTriple>,
 }
@@ -36,7 +33,6 @@ impl Fig7Config {
     pub fn at_scale(scale: Scale) -> Self {
         Fig7Config {
             scale,
-            recovery_cycles: (scale.cycles * 2 / 3).max(40),
             protocols: PolicyTriple::paper_eight().to_vec(),
         }
     }
@@ -104,7 +100,9 @@ impl Report for Fig7Result {
 /// Runs the Figure 7 experiment (protocols in parallel).
 pub fn run(config: &Fig7Config) -> Fig7Result {
     let scale = config.scale;
-    let recovery = config.recovery_cycles;
+    // Cycles simulated after the failure (the paper plots 70 for the head
+    // protocols and 200 for the rand ones; we run the maximum for all).
+    let recovery = (scale.cycles * 2 / 3).max(40);
 
     let curves = parallel_map(config.protocols.clone(), move |policy| {
         let protocol = scale.protocol(policy);
@@ -147,7 +145,6 @@ mod tests {
         };
         let config = Fig7Config {
             scale,
-            recovery_cycles: 40,
             protocols: vec![
                 "(rand,head,pushpull)".parse().unwrap(),
                 "(rand,rand,pushpull)".parse().unwrap(),

@@ -15,9 +15,10 @@
 //! exposition.
 //!
 //! The health gate checks that every required metric family is present
-//! and nonzero — the CI `obs-smoke` job scrapes exactly this. Telemetry
-//! never feeds back into protocol state: the pinned determinism digests
-//! hold with the registry recording (see `ROADMAP.md`).
+//! and nonzero — CI's "Assert required metric families present and
+//! nonzero" step scrapes exactly this. Telemetry never feeds back into
+//! protocol state: the pinned determinism digests hold with the registry
+//! recording and with it off (see `ROADMAP.md`).
 
 use pss_telemetry::MetricRow;
 
@@ -25,9 +26,9 @@ use crate::report::{Report, Section, Table};
 use crate::Scale;
 use crate::{net, protocols, workload};
 
-/// Metric families the cross-stack run must populate (the `obs-smoke`
-/// assertion list). Scalar families must be nonzero; histogram families
-/// must have observations.
+/// Metric families the cross-stack run must populate (the list CI's
+/// observability step asserts). Scalar families must be nonzero;
+/// histogram families must have observations.
 pub const REQUIRED_FAMILIES: &[&str] = &[
     "pss_phase_ns",
     "pss_cycles_total",

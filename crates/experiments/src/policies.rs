@@ -18,8 +18,6 @@ use crate::Scale;
 pub struct PoliciesConfig {
     /// Common scale (kept small: 27 simulations run).
     pub scale: Scale,
-    /// Fresh nodes that join after convergence.
-    pub joiners: usize,
     /// Cycles run after the join batch.
     pub join_cycles: u64,
 }
@@ -29,7 +27,6 @@ impl PoliciesConfig {
     pub fn at_scale(scale: Scale) -> Self {
         PoliciesConfig {
             scale,
-            joiners: (scale.nodes / 10).max(5),
             join_cycles: (scale.cycles / 3).max(10),
         }
     }
@@ -114,7 +111,8 @@ impl Report for PoliciesResult {
 /// Runs the sweep over all 27 combinations (in parallel).
 pub fn run(config: &PoliciesConfig) -> PoliciesResult {
     let scale = config.scale;
-    let joiners = config.joiners;
+    // Fresh nodes that join after convergence.
+    let joiners = (scale.nodes / 10).max(5);
     let join_cycles = config.join_cycles;
 
     let diagnoses = parallel_map(PolicyTriple::all(), move |policy| {
@@ -180,7 +178,6 @@ mod tests {
                 view_size: 15,
                 seed: 61,
             },
-            joiners: 20,
             join_cycles: 15,
         }
     }

@@ -413,28 +413,13 @@ pub struct NetRuntime<T: Transport, N: GossipNode = pss_core::PeerSamplingNode> 
     fired: Vec<u32>,
     rumor_targets: Vec<NodeId>,
     scratch: DecodeScratch,
-    // Runtime-level counters (per-node ones live in the slots).
-    frames_in: u64,
-    frames_out: u64,
-    header_decode_failures: u64,
-    unknown_destination: u64,
-    dead_deliveries: u64,
-    send_failures: u64,
-    missing_address: u64,
-    addr_rebinds_rejected: u64,
-    forged_replies_rejected: u64,
-    partition_blocked: u64,
-    timers_fired: u64,
-    requests_in: u64,
-    replies_in: u64,
-    exchanges_completed: u64,
+    /// Runtime-level counters; the per-node sums and `book_entries` stay
+    /// zero here and are filled in by [`NetRuntime::stats`].
+    stats: RuntimeStats,
     /// Broadcast app: push fanout per period, `None` = app disabled (the
     /// default — a disabled app draws nothing from the runtime RNG, so
     /// protocol-only runs stay bit-identical to earlier versions).
     app_fanout: Option<usize>,
-    app_delivered: u64,
-    app_redundant: u64,
-    app_wasted: u64,
     /// Shared telemetry handles; purely observational.
     tele: NetTele,
 }
@@ -479,24 +464,8 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
             fired: Vec::new(),
             rumor_targets: Vec::new(),
             scratch: DecodeScratch::new(),
-            frames_in: 0,
-            frames_out: 0,
-            header_decode_failures: 0,
-            unknown_destination: 0,
-            dead_deliveries: 0,
-            send_failures: 0,
-            missing_address: 0,
-            addr_rebinds_rejected: 0,
-            forged_replies_rejected: 0,
-            partition_blocked: 0,
-            timers_fired: 0,
-            requests_in: 0,
-            replies_in: 0,
-            exchanges_completed: 0,
+            stats: RuntimeStats::default(),
             app_fanout: None,
-            app_delivered: 0,
-            app_redundant: 0,
-            app_wasted: 0,
             tele: NetTele::new(),
         })
     }
@@ -663,25 +632,8 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
     /// Aggregated statistics.
     pub fn stats(&self) -> RuntimeStats {
         let mut stats = RuntimeStats {
-            frames_in: self.frames_in,
-            frames_out: self.frames_out,
-            header_decode_failures: self.header_decode_failures,
-            unknown_destination: self.unknown_destination,
-            dead_deliveries: self.dead_deliveries,
-            send_failures: self.send_failures,
-            missing_address: self.missing_address,
-            addr_rebinds_rejected: self.addr_rebinds_rejected,
-            forged_replies_rejected: self.forged_replies_rejected,
-            partition_blocked: self.partition_blocked,
-            timers_fired: self.timers_fired,
-            requests_in: self.requests_in,
-            replies_in: self.replies_in,
-            exchanges_completed: self.exchanges_completed,
-            app_delivered: self.app_delivered,
-            app_redundant: self.app_redundant,
-            app_wasted: self.app_wasted,
             book_entries: self.book.len() as u64,
-            ..RuntimeStats::default()
+            ..self.stats
         };
         for slot in &self.nodes {
             stats.body_decode_failures += slot.counters.decode_failures;
@@ -780,7 +732,7 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
     }
 
     fn process_frame(&mut self, _from: NetAddr, bytes: &[u8]) {
-        self.frames_in += 1;
+        self.stats.frames_in += 1;
         let decode_started = if pss_telemetry::enabled() {
             Some(std::time::Instant::now())
         } else {
@@ -789,7 +741,7 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
         let frame = match wire::decode(bytes) {
             Ok(frame) => frame,
             Err(_) => {
-                self.header_decode_failures += 1;
+                self.stats.header_decode_failures += 1;
                 self.tele.decode_errors.inc();
                 pss_telemetry::flight().record(
                     pss_telemetry::EventKind::DecodeError,
@@ -811,21 +763,21 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
             }
             std::collections::hash_map::Entry::Occupied(existing) => {
                 if *existing.get() != frame.src_addr {
-                    self.addr_rebinds_rejected += 1;
+                    self.stats.addr_rebinds_rejected += 1;
                 }
             }
         }
         let Some(&slot_idx) = self.index.get(&frame.dst) else {
-            self.unknown_destination += 1;
+            self.stats.unknown_destination += 1;
             return;
         };
         let slot = &mut self.nodes[slot_idx as usize];
         if !slot.alive {
-            self.dead_deliveries += 1;
+            self.stats.dead_deliveries += 1;
             if frame.kind == FrameKind::App {
                 // The deployed twin of the protocol layer's `wasted`
                 // metric: a rumor push spent on a departed node.
-                self.app_wasted += 1;
+                self.stats.app_wasted += 1;
             }
             return;
         }
@@ -870,7 +822,7 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
         match frame.kind {
             FrameKind::Request => {
                 slot.counters.msgs_in += 1;
-                self.requests_in += 1;
+                self.stats.requests_in += 1;
                 let request = Request {
                     descriptors: payload,
                     wants_reply: frame.wants_reply,
@@ -881,7 +833,7 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
                 {
                     Some(reply) => self.send_reply(slot_idx, frame.src, frame.src_addr, reply),
                     // Push-only exchange: complete on request delivery.
-                    None => self.exchanges_completed += 1,
+                    None => self.stats.exchanges_completed += 1,
                 }
             }
             FrameKind::Reply => {
@@ -891,12 +843,12 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
                 // attacker cannot inject view content by blind-firing
                 // reply frames.
                 if slot.pending_reply.is_none_or(|(peer, _)| peer != frame.src) {
-                    self.forged_replies_rejected += 1;
+                    self.stats.forged_replies_rejected += 1;
                     self.arena.put_buffer(payload);
                     return;
                 }
                 slot.counters.msgs_in += 1;
-                self.replies_in += 1;
+                self.stats.replies_in += 1;
                 if let Some((_, sent)) = slot.pending_reply {
                     // Frames are processed while the runtime advances to
                     // `now + 1`, so that is the absorb tick.
@@ -913,14 +865,14 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
                         descriptors: payload,
                     },
                 );
-                self.exchanges_completed += 1;
+                self.stats.exchanges_completed += 1;
             }
             FrameKind::App => {
                 if slot.informed {
-                    self.app_redundant += 1;
+                    self.stats.app_redundant += 1;
                 } else {
                     slot.informed = true;
-                    self.app_delivered += 1;
+                    self.stats.app_delivered += 1;
                 }
                 self.arena.put_buffer(payload);
             }
@@ -952,7 +904,7 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
         if !slot.alive {
             return; // left: the timer dies here
         }
-        self.timers_fired += 1;
+        self.stats.timers_fired += 1;
         // Expire a stale pushpull exchange.
         if let Some((_, sent)) = slot.pending_reply {
             if t.saturating_sub(sent) >= self.config.reply_timeout {
@@ -1027,7 +979,7 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
         }
         for dst in targets.drain(..) {
             let Some(to) = self.addr_of_or_local(dst) else {
-                self.missing_address += 1;
+                self.stats.missing_address += 1;
                 continue;
             };
             self.send_frame(FrameKind::App, false, src, dst, to, &[]);
@@ -1052,7 +1004,7 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
         let Exchange { peer, request } = exchange;
         let src = self.nodes[slot_idx as usize].node.id();
         let Some(to) = self.addr_of_or_local(peer) else {
-            self.missing_address += 1;
+            self.stats.missing_address += 1;
             self.arena.put_buffer(request.descriptors);
             return;
         };
@@ -1113,7 +1065,7 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
             .partition
             .is_some_and(|p| p.drops(src, dst, &mut self.rng))
         {
-            self.partition_blocked += 1;
+            self.stats.partition_blocked += 1;
             return false;
         }
         let book = &self.book;
@@ -1140,10 +1092,10 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
         ) {
             Ok(()) => {
                 if self.transport.send(to, &self.encode_buf) {
-                    self.frames_out += 1;
+                    self.stats.frames_out += 1;
                     true
                 } else {
-                    self.send_failures += 1;
+                    self.stats.send_failures += 1;
                     false
                 }
             }
@@ -1151,11 +1103,11 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
                 // Unreachable by construction (the book covers every view
                 // entry); counted rather than asserted so a regression
                 // shows up as a statistic, not a crash mid-cluster.
-                self.missing_address += 1;
+                self.stats.missing_address += 1;
                 false
             }
             Err(EncodeError::TooManyDescriptors(_)) => {
-                self.send_failures += 1;
+                self.stats.send_failures += 1;
                 false
             }
         }

@@ -61,11 +61,6 @@ impl UdpTransport {
         })
     }
 
-    /// The bound socket address.
-    pub fn local_socket_addr(&self) -> SocketAddr {
-        self.local
-    }
-
     /// The bound address as a [`NetAddr`] (what peers put in frames).
     pub fn net_addr(&self) -> NetAddr {
         NetAddr::Sock(self.local)

@@ -136,7 +136,7 @@ fn unsolicited_reply_is_rejected_and_counted() {
 /// swapper policy the capture is measurably bounded. Codec stays clean
 /// under attack traffic on both runs.
 #[test]
-fn loopback_cluster_hub_attack_skews_newscast_and_swapper_bounds_it() {
+fn mem_cluster_hub_attack_skews_newscast_and_swapper_bounds_it() {
     const C: usize = 15;
     let run_policy = |honest_policy: Option<HonestPolicy>| {
         let config = ClusterConfig {
@@ -175,7 +175,7 @@ fn loopback_cluster_hub_attack_skews_newscast_and_swapper_bounds_it() {
     // Attackers are ~2 % of the population; clean skew would be ≈ 1.
     assert!(
         news_final.skew() >= 2.5,
-        "hub attackers failed to capture the UDP cluster: {news_final:?}"
+        "hub attackers failed to capture the mem cluster: {news_final:?}"
     );
     assert!(
         swap_final.skew() <= news_final.skew() * 0.6,

@@ -48,7 +48,7 @@ fn run(config: &ClusterConfig) -> ClusterReport {
 }
 
 #[test]
-fn udp_cluster_broadcast_reaches_all_live_nodes_with_clean_codec() {
+fn mem_cluster_broadcast_reaches_all_live_nodes_with_clean_codec() {
     let report = run(&base_config());
     assert_eq!(report.broadcast.len(), 20);
     // Nothing is informed before the seed period.
@@ -77,7 +77,7 @@ fn udp_cluster_broadcast_reaches_all_live_nodes_with_clean_codec() {
 }
 
 #[test]
-fn udp_cluster_broadcast_survives_kill_and_churn() {
+fn mem_cluster_broadcast_survives_kill_and_churn() {
     let mut config = base_config();
     // Converge 8 periods, kill 20%, then 1%/period churn for 12: the storm
     // starts two periods before the catastrophe, so informed nodes die and

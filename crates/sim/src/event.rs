@@ -566,12 +566,6 @@ impl<N: GossipNode + Send> ShardedEventSimulation<N> {
             .sum()
     }
 
-    /// Recycled payload buffers currently pooled across all shard arenas —
-    /// a pooling diagnostic.
-    pub fn pooled_payloads(&self) -> usize {
-        self.shards.iter().map(|s| s.arena.pooled_buffers()).sum()
-    }
-
     /// Turns the per-arrival delivery log on or off (off by default; the
     /// log grows with every message arrival). The test harness uses it to
     /// check the lookahead and FIFO invariants from outside.

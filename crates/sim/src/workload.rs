@@ -413,19 +413,9 @@ impl Workload {
         }
     }
 
-    /// The declared adversary placement, if any.
-    pub fn adversary_spec(&self) -> Option<&AdversarySpec> {
-        self.adversary.as_ref()
-    }
-
     /// The phases in order.
     pub fn phases(&self) -> &[PhaseSpec] {
         &self.phases
-    }
-
-    /// The compilation seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Parses the schedule grammar (see the [module docs](self)) on top of
@@ -1068,11 +1058,6 @@ impl CompiledWorkload {
     pub fn periods(&self) -> u64 {
         self.steps.len() as u64
     }
-
-    /// Total joins across the schedule.
-    pub fn total_joins(&self) -> usize {
-        self.id_space - self.initial_nodes
-    }
 }
 
 /// What a workload drives: either engine ([`Sharded`] under any
@@ -1402,7 +1387,7 @@ mod tests {
                 },
             ]
         );
-        assert_eq!(acceptance().seed(), 7);
+        assert_eq!(acceptance().seed, 7);
         let full = Workload::parse("churn:0.02/0.03x5,flash:40,part:2x3,quiet:1", 1).unwrap();
         assert_eq!(
             full.phases(),
@@ -1597,7 +1582,7 @@ mod tests {
     fn parse_compiles_adversary_roles() {
         let parsed = Workload::parse("adv:hub@0.02,quiet:5", 7).unwrap();
         assert_eq!(
-            parsed.adversary_spec(),
+            parsed.adversary.as_ref(),
             Some(&AdversarySpec::new(AdversaryKind::Hub, 0.02).unwrap())
         );
         let compiled = parsed.compile(200);
@@ -1708,7 +1693,7 @@ mod tests {
                 .count();
             assert_eq!((kills, joins), (1, 1), "{step:?}");
         }
-        assert_eq!(compiled.total_joins(), 10);
+        assert_eq!(compiled.id_space - compiled.initial_nodes, 10);
         assert_eq!(compiled.id_space, 110);
     }
 
@@ -1763,7 +1748,7 @@ mod tests {
             .iter()
             .flat_map(|s| &s.ops)
             .all(|op| matches!(op, Op::Join { .. })));
-        assert!(joins_only.total_joins() > 0);
+        assert!(joins_only.id_space > joins_only.initial_nodes);
         let kills_only = compile("churn:0.05/0x25", 9, 64);
         assert!(kills_only
             .steps
