@@ -300,3 +300,35 @@ fn pinned_inline_exchange_order_on_tiny_overlays() {
 
 /// See [`pinned_inline_exchange_order_on_tiny_overlays`].
 const PINNED_INLINE_ORDER_DIGEST: u64 = 13469274265270193047;
+
+/// The same loop as [`pinned_inline_exchange_order_on_tiny_overlays`],
+/// restricted to the paper's failure model (a dead peer is skipped in the
+/// caller's view) on a lossless network: every policy triple runs once
+/// unpartitioned and once behind a lossy two-group partition.
+#[test]
+fn pinned_inline_exchange_order_skipping_dead_peers() {
+    let mut digest = FNV_OFFSET;
+    for n in 3..=8usize {
+        for (p, policy) in PolicyTriple::all().into_iter().enumerate() {
+            for partitioned in [false, true] {
+                let config = ProtocolConfig::new(policy, (n - 1).min(4)).expect("valid");
+                let seed = (n * 100 + p) as u64;
+                let mut sim = scenario::random_overlay(&config, n, seed);
+                if partitioned {
+                    sim.set_partition(Some(Partition::lossy(2, 0.4)));
+                }
+                for cycle in 0..50 {
+                    if cycle == 10 {
+                        sim.kill(NodeId::new(0));
+                    }
+                    digest_report(&mut digest, &sim.run_cycle());
+                    fnv1a(&mut digest, view_digest(&sim));
+                }
+            }
+        }
+    }
+    assert_eq!(digest, PINNED_INLINE_ORDER_SKIP_DEAD_DIGEST);
+}
+
+/// See [`pinned_inline_exchange_order_skipping_dead_peers`].
+const PINNED_INLINE_ORDER_SKIP_DEAD_DIGEST: u64 = 1003116552262850937;
