@@ -356,12 +356,8 @@ fn wrote(path: &Path, result: io::Result<()>) {
 }
 
 /// One-line registry digest after every section: series count and total
-/// timed observations. Silent when telemetry is off (`PSS_TELEMETRY=0`)
-/// or nothing recorded yet.
+/// timed observations. Silent when nothing has recorded yet.
 fn telemetry_footer(name: &str) {
-    if !pss_telemetry::enabled() {
-        return;
-    }
     let rows = pss_telemetry::global().rows();
     if rows.is_empty() {
         return;

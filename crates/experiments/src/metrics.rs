@@ -155,16 +155,13 @@ impl Report for MetricsResult {
 
 /// Runs the cross-stack telemetry exercise.
 ///
-/// Forces telemetry on for the process (overriding `PSS_TELEMETRY=0` —
-/// a metrics run with recording disabled would be vacuous), resets the
-/// global registry and flight recorder, then drives every instrumented
-/// stack once.
+/// Resets the global registry and flight recorder, then drives every
+/// instrumented stack once.
 ///
 /// # Errors
 ///
 /// Propagates schedule-parse or engine-construction errors verbatim.
 pub fn run(config: &MetricsConfig) -> Result<MetricsResult, String> {
-    pss_telemetry::set_enabled(true);
     pss_telemetry::global().reset();
     pss_telemetry::flight().clear();
 

@@ -733,11 +733,7 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
 
     fn process_frame(&mut self, _from: NetAddr, bytes: &[u8]) {
         self.stats.frames_in += 1;
-        let decode_started = if pss_telemetry::enabled() {
-            Some(std::time::Instant::now())
-        } else {
-            None
-        };
+        let decode_started = std::time::Instant::now();
         let frame = match wire::decode(bytes) {
             Ok(frame) => frame,
             Err(_) => {
@@ -814,11 +810,9 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
             self.arena.put_buffer(payload);
             return;
         }
-        if let Some(started) = decode_started {
-            self.tele
-                .decode_hist(frame.kind)
-                .record(started.elapsed().as_nanos() as u64);
-        }
+        self.tele
+            .decode_hist(frame.kind)
+            .record(decode_started.elapsed().as_nanos() as u64);
         match frame.kind {
             FrameKind::Request => {
                 slot.counters.msgs_in += 1;

@@ -43,34 +43,35 @@ impl Sampler {
     }
 }
 
+/// The node that injects the rumor (informed from period 1 if live).
+const ORIGIN: usize = 0;
+
+/// Aggregation value joiners start from: the mean of the initial values.
+const JOINER_VALUE: f64 = 50.0;
+
+/// Initial aggregation value of initial node `index`. Bimodal start: half
+/// at 0, half at 100, mean 50 — the classic worst case for averaging.
+fn bimodal_start(index: usize) -> f64 {
+    ((index % 2) * 100) as f64
+}
+
 /// Application-layer parameters for [`run_under_workload`].
 #[derive(Debug, Clone, Copy)]
 pub struct AppConfig {
     /// Peers each informed node pushes the rumor to per period.
     pub fanout: usize,
-    /// The node that injects the rumor (informed from period 1 if live).
-    pub origin: NodeId,
     /// Seed of the application's own RNG; never touches the engine's.
     pub seed: u64,
     /// Peer supply for both protocols.
     pub sampler: Sampler,
-    /// Initial aggregation value per initial node.
-    pub initial_value: fn(NodeId) -> f64,
-    /// Aggregation value joiners start from.
-    pub joiner_value: f64,
 }
 
 impl Default for AppConfig {
     fn default() -> Self {
         AppConfig {
             fanout: 2,
-            origin: NodeId::new(0),
             seed: 0xa11c_a57e_5eed,
             sampler: Sampler::Overlay,
-            // Bimodal start: half at 0, half at 100, mean 50 — the classic
-            // worst case for averaging, with joiners entering at the mean.
-            initial_value: |id| ((id.as_u64() % 2) * 100) as f64,
-            joiner_value: 50.0,
         }
     }
 }
@@ -203,7 +204,7 @@ pub fn run_under_workload<T: WorkloadTarget + ?Sized>(
     let mut live_bit = vec![false; id_space];
     for i in 0..compiled.initial_nodes.min(id_space) {
         present[i] = true;
-        values[i] = (app.initial_value)(NodeId::new(i as u64));
+        values[i] = bimodal_start(i);
     }
     let initial_variance = {
         let s: Summary = values[..compiled.initial_nodes.min(id_space)]
@@ -212,8 +213,8 @@ pub fn run_under_workload<T: WorkloadTarget + ?Sized>(
             .collect();
         s.population_variance()
     };
-    if app.origin.as_index() < compiled.initial_nodes {
-        informed[app.origin.as_index()] = true;
+    if ORIGIN < compiled.initial_nodes {
+        informed[ORIGIN] = true;
     }
 
     let mut app_rows: Vec<AppPeriodRow> = Vec::with_capacity(compiled.steps.len());
@@ -239,12 +240,12 @@ pub fn run_under_workload<T: WorkloadTarget + ?Sized>(
             partition.is_some_and(|p| p.drops(NodeId::new(a as u64), NodeId::new(b as u64), rng))
         };
         // Admit joiners: first appearance in the live rows, uninformed and
-        // holding the configured starting value.
+        // holding the mean of the initial values.
         for (id, _) in rows {
             let idx = id.as_index();
             if !present[idx] {
                 present[idx] = true;
-                values[idx] = app.joiner_value;
+                values[idx] = JOINER_VALUE;
             }
         }
         live_bit.iter_mut().for_each(|b| *b = false);
@@ -362,9 +363,7 @@ pub fn run_under_workload<T: WorkloadTarget + ?Sized>(
             mean: live_values.mean(),
             variance: live_values.population_variance(),
         });
-        if pss_telemetry::enabled() {
-            app_round_ns.record(round_started.elapsed().as_nanos() as u64);
-        }
+        app_round_ns.record(round_started.elapsed().as_nanos() as u64);
     });
 
     (

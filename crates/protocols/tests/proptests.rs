@@ -41,7 +41,7 @@ proptest! {
         seed in 0u64..1_000,
         sampler in samplers(),
     ) {
-        let app = AppConfig { fanout, sampler, seed, ..AppConfig::default() };
+        let app = AppConfig { fanout, sampler, seed };
         let report = run(n, seed, "quiet:15", &app);
         let rows = report.rows();
         prop_assert!(rows.windows(2).all(|w| w[0].informed <= w[1].informed));
@@ -124,7 +124,7 @@ proptest! {
         let schedule = "quiet:4,kill:0.2,churn:0.01x8";
         let compiled = Workload::parse(schedule, seed).unwrap().compile(nodes);
         let decay = |sampler: Sampler| {
-            let app = AppConfig { fanout: 2, sampler, seed: seed ^ 0xa99, ..AppConfig::default() };
+            let app = AppConfig { fanout: 2, sampler, seed: seed ^ 0xa99 };
             let config = ProtocolConfig::new(PolicyTriple::newscast(), 12).unwrap();
             let mut sim = scenario::random_overlay(&config, nodes, seed);
             let (_, report) = run_under_workload(&mut sim, &compiled, 12, &app);

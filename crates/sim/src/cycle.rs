@@ -14,9 +14,13 @@
 //!    queueing replies; replies are then drained the same way and absorbed
 //!    by their initiators.
 //!
-//! An exchange whose peer is dead does nothing at all on the initiator
-//! side — push messages are lost, pull requests time out — matching the
-//! paper's model where self-healing comes exclusively from view selection.
+//! Peer selection considers only live view entries — the paper's model:
+//! "selectPeer() … returns the address of a live node as found in the
+//! caller's current view", abstracting the timeout-and-retry a real
+//! implementation performs within one period. Dead descriptors stay in
+//! views as dead links; they are just never *selected*, so self-healing
+//! comes exclusively from view selection. Exchanges are never lost, except
+//! across a lossy [`Partition`].
 //!
 //! With **one shard** every peer is local: every exchange is inline and
 //! atomic in initiation order and the mailboxes are never touched — the
@@ -24,7 +28,7 @@
 //! [`crate::scenario::random_overlay`] and the figure experiments build.
 //! The determinism contract (bit-identical at any worker count for a fixed
 //! `(seed, shard_count)`) is stated in [`crate::shard`]; the shard RNG
-//! streams draw the initiation order and message loss here.
+//! streams draw the initiation order and partition drops here.
 //!
 //! Phase 1 looks one initiation ahead: node *i + 1* runs its active thread
 //! (peer selection and request construction) before exchange *i*
@@ -34,7 +38,7 @@
 //! node and the cycle's frozen liveness bitset and draws nothing from the
 //! shard RNG, and an exchange writes only its initiator and its peer. So
 //! the early start is skipped exactly when node *i + 1* is exchange *i*'s
-//! local peer, and the partition and loss draws keep their order.
+//! local peer, and the partition draws keep their order.
 
 use pss_core::{
     Arena, Exchange, GossipNode, NodeDescriptor, NodeId, PeerSamplingNode, ProtocolConfig, Reply,
@@ -43,7 +47,7 @@ use pss_core::{
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::exec::{self, lose, Mailboxes, SlotRef};
+use crate::exec::{self, Mailboxes, SlotRef};
 use crate::population::Population;
 use crate::shard::{Mode, Shard, Sharded};
 use crate::telemetry::EngineTele;
@@ -54,11 +58,13 @@ use crate::workload::Partition;
 pub struct CycleReport {
     /// Exchanges that ran to completion.
     pub completed: u64,
-    /// Exchanges aimed at a dead peer (message silently lost).
+    /// Cycle engine: live nodes whose view held only dead links, so no
+    /// exchange started. Event engine: messages that reached a dead node.
     pub failed_dead_peer: u64,
     /// Nodes that could not initiate (empty view).
     pub empty_view: u64,
-    /// Requests or replies dropped by the loss model.
+    /// Requests or replies dropped by a lossy partition (or, on the event
+    /// engine, by its loss model).
     pub dropped_messages: u64,
 }
 
@@ -76,24 +82,6 @@ impl core::ops::AddAssign for CycleReport {
         self.empty_view += rhs.empty_view;
         self.dropped_messages += rhs.dropped_messages;
     }
-}
-
-/// How the simulator treats exchange attempts with dead peers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FailureMode {
-    /// Peer selection only considers live view entries — the paper's model:
-    /// "selectPeer() … returns the address of a live node as found in the
-    /// caller's current view". This abstracts the timeout-and-retry a real
-    /// implementation performs within one period. Dead descriptors stay in
-    /// views as dead links; they are just never *selected*.
-    #[default]
-    SkipDead,
-    /// Peer selection is liveness-blind; an exchange aimed at a dead peer is
-    /// silently lost and the initiator's cycle is wasted. Under `tail` peer
-    /// selection this model lets nodes wedge on a dead stalest entry and
-    /// re-select it forever — a failure mode worth studying (see the
-    /// extension experiments), but not what the paper simulated.
-    AttemptAndLose,
 }
 
 /// Automatic population growth, reproducing the paper's *growing overlay*
@@ -137,8 +125,6 @@ pub struct CycleShard {
 /// [`ShardedSimulation`]).
 pub struct CycleDriven {
     growth: Option<GrowthPlan>,
-    message_loss: f64,
-    failure_mode: FailureMode,
     /// Per-cycle liveness snapshot buffer, reused across cycles.
     alive_snapshot: Vec<u64>,
 }
@@ -148,8 +134,6 @@ struct CycleCtx<'a> {
     directory: &'a [SlotRef],
     /// Cycle-start liveness snapshot, bit per *global* id.
     alive: &'a [u64],
-    loss: f64,
-    mode: FailureMode,
     partition: Option<Partition>,
 }
 
@@ -211,8 +195,6 @@ impl<N: GossipNode + Send> ShardedSimulation<N> {
             EngineTele::new("cycle", &["initiate", "respond", "absorb"], shards),
             CycleDriven {
                 growth: None,
-                message_loss: 0.0,
-                failure_mode: FailureMode::default(),
                 alive_snapshot: Vec::new(),
             },
             || {
@@ -227,30 +209,10 @@ impl<N: GossipNode + Send> ShardedSimulation<N> {
         )
     }
 
-    /// Selects how exchanges with dead peers are handled (default:
-    /// [`FailureMode::SkipDead`], the paper's model).
-    pub fn set_failure_mode(&mut self, mode: FailureMode) {
-        self.mode.failure_mode = mode;
-    }
-
     /// Installs a growth plan (see [`GrowthPlan`]). Growth happens at the
     /// beginning of each subsequent cycle.
     pub fn set_growth(&mut self, plan: GrowthPlan) {
         self.mode.growth = Some(plan);
-    }
-
-    /// Sets a per-message loss probability (0.0 = the paper's lossless
-    /// model). Both requests and replies are subject to loss.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not within `[0, 1]`.
-    pub fn set_message_loss(&mut self, p: f64) {
-        assert!(
-            (0.0..=1.0).contains(&p),
-            "loss probability must be in [0,1]"
-        );
-        self.mode.message_loss = p;
     }
 
     fn apply_growth(&mut self) {
@@ -329,8 +291,6 @@ impl Mode for CycleDriven {
         let ctx = CycleCtx {
             directory: dir.slots(),
             alive: mode.alive_snapshot.as_slice(),
-            loss: mode.message_loss,
-            mode: mode.failure_mode,
             partition: *partition,
         };
 
@@ -363,7 +323,6 @@ impl<N: GossipNode + Send> std::fmt::Debug for ShardedSimulation<N> {
             .field("nodes", &self.dir.len())
             .field("alive", &self.dir.alive_count())
             .field("growth", &self.mode.growth)
-            .field("message_loss", &self.mode.message_loss)
             .field("partition", &self.partition)
             .finish()
     }
@@ -390,10 +349,7 @@ impl Initiated {
         let node = &mut pop.slot_mut(slot).node;
         let initiator = node.id();
         let had_view = !node.view().is_empty();
-        let exchange = match ctx.mode {
-            FailureMode::SkipDead => node.initiate_filtered(arena, &mut |peer| ctx.is_live(peer)),
-            FailureMode::AttemptAndLose => node.initiate(arena),
-        };
+        let exchange = node.initiate_filtered(arena, &mut |peer| ctx.is_live(peer));
         Initiated {
             slot,
             initiator,
@@ -471,6 +427,7 @@ fn phase_initiate<N: GossipNode + Send>(shard: &mut Shard<N, CycleShard>, ctx: &
         };
         let peer = exchange.peer;
         if !ctx.is_live(peer) {
+            // Only a node type that ignores the liveness predicate gets here.
             report.failed_dead_peer += 1;
             continue;
         }
@@ -479,10 +436,6 @@ fn phase_initiate<N: GossipNode + Send>(shard: &mut Shard<N, CycleShard>, ctx: &
         // lossy/asymmetric matrix they get their own directional check —
         // only a total blackout makes the reply check unreachable.
         if ctx.partition.is_some_and(|p| p.drops(initiator, peer, rng)) {
-            report.dropped_messages += 1;
-            continue;
-        }
-        if lose(rng, ctx.loss) {
             report.dropped_messages += 1;
             continue;
         }
@@ -495,9 +448,7 @@ fn phase_initiate<N: GossipNode + Send>(shard: &mut Shard<N, CycleShard>, ctx: &
                     .node
                     .handle_request(arena, initiator, exchange.request);
             if let Some(reply) = reply {
-                if ctx.partition.is_some_and(|p| p.drops(peer, initiator, rng))
-                    || lose(rng, ctx.loss)
-                {
+                if ctx.partition.is_some_and(|p| p.drops(peer, initiator, rng)) {
                     report.dropped_messages += 1;
                     continue;
                 }
@@ -549,7 +500,6 @@ fn phase_respond<N: GossipNode + Send>(shard: &mut Shard<N, CycleShard>, ctx: &C
                     if ctx
                         .partition
                         .is_some_and(|p| p.drops(responder_id, queued.from, rng))
-                        || lose(rng, ctx.loss)
                     {
                         report.dropped_messages += 1;
                         continue;
@@ -696,20 +646,9 @@ mod tests {
     }
 
     #[test]
-    fn attempt_and_lose_mode_targets_dead_peers() {
-        let mut sim = two_node_sim();
-        sim.set_failure_mode(FailureMode::AttemptAndLose);
-        sim.kill(NodeId::new(1));
-        let report = sim.run_cycle();
-        // Node 0 blindly selects its only (dead) entry and loses the cycle.
-        assert_eq!(report.failed_dead_peer, 1);
-        assert_eq!(report.completed, 0);
-    }
-
-    #[test]
     fn skip_dead_mode_finds_live_alternatives() {
-        // Node 0 knows a dead node and a live one; SkipDead must pick the
-        // live one every cycle.
+        // Node 0 knows a dead node and a live one; peer selection must pick
+        // the live one every cycle.
         let mut sim = ShardedSimulation::new(config(), 13, 1);
         let a = sim.add_node([]); // will die
         let b = sim.add_node([]); // stays
@@ -835,22 +774,6 @@ mod tests {
         };
         assert_eq!(run(42), run(42));
         assert_ne!(run(42), run(43));
-    }
-
-    #[test]
-    fn message_loss_drops_exchanges() {
-        let mut sim = two_node_sim();
-        sim.set_message_loss(1.0);
-        let report = sim.run_cycle();
-        assert_eq!(report.completed, 0);
-        assert_eq!(report.dropped_messages, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "loss probability")]
-    fn invalid_loss_probability_panics() {
-        let mut sim = two_node_sim();
-        sim.set_message_loss(1.5);
     }
 
     #[test]

@@ -724,24 +724,20 @@ impl Mode for EventDriven {
     fn run_cycle<N: GossipNode + Send>(sim: &mut Sharded<N, Self>) -> CycleReport {
         let before = sim.report();
         let period = sim.mode.config.period;
-        if pss_telemetry::enabled() {
-            pss_telemetry::flight().record(
-                pss_telemetry::EventKind::PhaseStart,
-                "event/period",
-                sim.cycles + 1,
-                0,
-            );
-            let started = std::time::Instant::now();
-            sim.run_for(period);
-            pss_telemetry::flight().record(
-                pss_telemetry::EventKind::PhaseEnd,
-                "event/period",
-                sim.cycles + 1,
-                started.elapsed().as_nanos() as u64,
-            );
-        } else {
-            sim.run_for(period);
-        }
+        pss_telemetry::flight().record(
+            pss_telemetry::EventKind::PhaseStart,
+            "event/period",
+            sim.cycles + 1,
+            0,
+        );
+        let started = std::time::Instant::now();
+        sim.run_for(period);
+        pss_telemetry::flight().record(
+            pss_telemetry::EventKind::PhaseEnd,
+            "event/period",
+            sim.cycles + 1,
+            started.elapsed().as_nanos() as u64,
+        );
         sim.cycles += 1;
         sim.tele.cycle_done();
         let overflowed = sim.queue_overflowed();
@@ -1292,9 +1288,7 @@ mod tests {
         s.add_connected_nodes(NODES);
         s.run_cycle();
         assert!(s.queue_overflowed() >= NODES as u64);
-        if pss_telemetry::enabled() {
-            assert!(s.mode.queue_overflow.get() >= s.queue_overflowed());
-        }
+        assert!(s.mode.queue_overflow.get() >= s.queue_overflowed());
         // The configurations the repo runs stay on the ring.
         let mut s = ShardedEventSimulation::new(protocol(), EventConfig::default(), 5, 2)
             .expect("valid config");

@@ -9,8 +9,8 @@
 //!
 //! * [`ShardedSimulation`] — the **cycle-driven** model the paper's
 //!   experiments use: in every cycle each live node initiates exactly one
-//!   exchange, in a fresh random order. Exchanges with dead peers silently
-//!   do nothing to the initiator (no failure detector; the protocol heals
+//!   exchange with a live peer of its view, in a fresh random order, and
+//!   no exchange is lost (dead links stay in views; the protocol heals
 //!   only through view selection). With one shard every exchange completes
 //!   inline and atomically — the paper's sequential model, which
 //!   [`scenario::random_overlay`] and the figure experiments build. With
@@ -76,7 +76,7 @@ pub mod observe;
 pub mod scenario;
 pub mod workload;
 
-pub use cycle::{CycleReport, FailureMode, GrowthPlan, ShardedSimulation};
+pub use cycle::{CycleReport, GrowthPlan, ShardedSimulation};
 pub use event::{
     Delivery, EventConfig, EventConfigError, EventReport, LatencyModel, ShardedEventSimulation,
 };

@@ -125,17 +125,6 @@ pub fn random_overlay(
     from_digraph(config, &graph, seed)
 }
 
-/// A star bootstrap: every node knows only node 0 (and node 0 knows node 1).
-/// The pathological topology pull-only protocols collapse to.
-pub fn star_overlay(
-    config: &ProtocolConfig,
-    n: usize,
-    seed: u64,
-) -> ShardedSimulation<PeerSamplingNode> {
-    let graph = gen::star(n);
-    from_digraph(config, &graph, seed)
-}
-
 /// [`from_digraph`] at any shard count: the same serial per-node seed
 /// draws and the same views, placed in contiguous per-shard id ranges.
 ///
@@ -406,15 +395,5 @@ mod tests {
             event_from_digraph_sharded(&config(5), EventConfig::default(), &three_nodes(), 1, 2)
                 .unwrap();
         assert_replicates(&sim);
-    }
-
-    #[test]
-    fn star_overlay_shape() {
-        let sim = star_overlay(&config(5), 6, 6);
-        for id in 1..6u64 {
-            let v = sim.view_of(NodeId::new(id)).unwrap();
-            assert_eq!(v.len(), 1);
-            assert!(v.contains(NodeId::new(0)));
-        }
     }
 }

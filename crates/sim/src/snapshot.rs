@@ -288,12 +288,6 @@ impl StreamingMetrics {
             self.edge_count as f64 / self.live_nodes as f64
         }
     }
-
-    /// Largest in-degree — the hub/hotspot indicator the audit layer
-    /// watches under attack.
-    pub fn max_in_degree(&self) -> usize {
-        self.in_degree_histogram.len().saturating_sub(1)
-    }
 }
 
 #[cfg(test)]
@@ -398,7 +392,6 @@ mod tests {
         assert!(!m.is_connected());
         // In-degrees: node 0 ← 2, node 2 ← 0, node 5 ← nothing.
         assert_eq!(m.in_degree_histogram, vec![1, 2]);
-        assert_eq!(m.max_in_degree(), 1);
     }
 
     #[test]

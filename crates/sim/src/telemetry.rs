@@ -6,8 +6,7 @@
 //! unchanged, per-shard durations land in a preallocated scratch array of
 //! atomics (reused every phase — the engines' steady-state allocation
 //! pins stay intact), and nothing telemetry records ever feeds back into
-//! protocol state. With telemetry disabled the wrapper is one relaxed
-//! load and a straight call through to `exec::run_phase`.
+//! protocol state.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -94,10 +93,6 @@ impl EngineTele {
         S: Send,
         F: Fn(&mut Shard<N, S>) + Sync,
     {
-        if !pss_telemetry::enabled() {
-            exec::run_phase(shards, pool, f);
-            return;
-        }
         let (label, phase_hist) = &self.phases[phase];
         if let Some(tick) = trail {
             flight().record(EventKind::PhaseStart, label, tick, 0);
@@ -134,9 +129,6 @@ impl EngineTele {
     /// histogram — the 1-shard fast paths skip the pool entirely but
     /// should not disappear from the timing picture.
     pub(crate) fn time_solo<R>(&self, phase: usize, body: impl FnOnce() -> R) -> R {
-        if !pss_telemetry::enabled() {
-            return body();
-        }
         let started = Instant::now();
         let out = body();
         self.phases[phase]

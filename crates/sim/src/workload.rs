@@ -1284,21 +1284,19 @@ pub fn run_workload_observed<T: WorkloadTarget + ?Sized>(
         let mut killed = 0;
         let mut joined = 0;
         for op in &step.ops {
-            if pss_telemetry::enabled() {
-                let (label, subject) = match op {
-                    Op::Kill(id) => ("kill", id.as_index() as u64),
-                    Op::Join { id, .. } => ("join", id.as_index() as u64),
-                    Op::SetPartition(Some(_)) => ("partition_on", 0),
-                    Op::SetPartition(None) => ("partition_off", 0),
-                };
-                pss_telemetry::flight().record(
-                    pss_telemetry::EventKind::MembershipOp,
-                    label,
-                    subject,
-                    period,
-                );
-                ops_applied.inc();
-            }
+            let (label, subject) = match op {
+                Op::Kill(id) => ("kill", id.as_index() as u64),
+                Op::Join { id, .. } => ("join", id.as_index() as u64),
+                Op::SetPartition(Some(_)) => ("partition_on", 0),
+                Op::SetPartition(None) => ("partition_off", 0),
+            };
+            pss_telemetry::flight().record(
+                pss_telemetry::EventKind::MembershipOp,
+                label,
+                subject,
+                period,
+            );
+            ops_applied.inc();
             match op {
                 Op::Kill(id) => {
                     // Compilation guarantees the victim is live; a false
@@ -1320,24 +1318,20 @@ pub fn run_workload_observed<T: WorkloadTarget + ?Sized>(
             }
         }
         target.run_period();
-        let measure_started = pss_telemetry::enabled().then(std::time::Instant::now);
+        let measure_started = std::time::Instant::now();
         rows.clear();
         target.collect_rows(&mut rows);
         // Ids outside the compiled id space are live.
         let is_live = |id: NodeId| !dead.get(id.as_index()).copied().unwrap_or(false);
         let mut record = measure_rows(compiled.id_space, &rows, is_live, view_size);
-        if let Some(started) = measure_started {
-            measure_ns.record(started.elapsed().as_nanos() as u64);
-        }
+        measure_ns.record(measure_started.elapsed().as_nanos() as u64);
         record.period = period;
         record.killed = killed;
         record.joined = joined;
         record.partitioned = partitioned;
         observe(period, &rows, &is_live);
         records.push(record);
-        if pss_telemetry::enabled() {
-            period_ns.record(period_started.elapsed().as_nanos() as u64);
-        }
+        period_ns.record(period_started.elapsed().as_nanos() as u64);
     }
     records
 }

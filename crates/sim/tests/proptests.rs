@@ -10,8 +10,8 @@ use pss_sim::workload::{
     measure_rows, Op, Partition, PeriodRecord, PhaseSpec, ScheduleErrorKind, Workload,
 };
 use pss_sim::{
-    scenario, CsrSnapshot, EventConfig, FailureMode, LatencyModel, RateAccumulator,
-    ShardedEventSimulation, TickQueue,
+    scenario, CsrSnapshot, EventConfig, LatencyModel, RateAccumulator, ShardedEventSimulation,
+    TickQueue,
 };
 
 /// Builds one grammar-expressible phase from raw draws. Rates and losses
@@ -153,22 +153,23 @@ proptest! {
     }
 
     #[test]
-    fn failure_modes_agree_without_failures(
+    fn peer_selection_never_targets_dead_peers(
         policy in policies(),
         n in 10usize..50,
         cycles in 1u64..10,
         seed in 0u64..1_000,
     ) {
-        // With no dead nodes the two failure modes are byte-identical.
-        let run = |mode: FailureMode| {
-            let config = ProtocolConfig::new(policy, 6).unwrap();
-            let mut sim = scenario::random_overlay(&config, n, seed);
-            sim.set_failure_mode(mode);
-            sim.run_cycles(cycles);
-            let g = sim.csr_snapshot().graph().undirected();
-            (0..n as u32).map(|v| g.neighbors(v).to_vec()).collect::<Vec<_>>()
-        };
-        prop_assert_eq!(run(FailureMode::SkipDead), run(FailureMode::AttemptAndLose));
+        // selectPeer() returns a live node of the caller's view. A tenth
+        // of fewer than 50 nodes is at most five deaths, fewer than the
+        // view size of 6, so every full view keeps a live entry and no
+        // cycle may count a dead peer.
+        let config = ProtocolConfig::new(policy, 6).unwrap();
+        let mut sim = scenario::random_overlay(&config, n, seed);
+        sim.run_cycles(cycles);
+        prop_assert!(!sim.kill_random_fraction(0.1).is_empty());
+        for _ in 0..cycles {
+            prop_assert_eq!(sim.run_cycle().failed_dead_peer, 0);
+        }
     }
 
     #[test]

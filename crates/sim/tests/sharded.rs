@@ -26,18 +26,17 @@ use common::{
 use pss_core::{NodeDescriptor, NodeId, PolicyTriple, ProtocolConfig};
 use pss_graph::gen;
 use pss_sim::workload::{run_workload, Workload};
-use pss_sim::{scenario, FailureMode, Partition, ShardedSimulation};
+use pss_sim::{scenario, Partition, ShardedSimulation};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-/// Runs a 4-shard simulation under loss + churn — with a mid-run mass
-/// failure that exercises the dead-peer paths — and digests every cycle's
-/// report and snapshot stream.
+/// Runs a 4-shard simulation under churn — with a mid-run mass failure
+/// that exercises the dead-peer paths — and digests every cycle's report
+/// and snapshot stream.
 fn stressed_run(workers: usize) -> u64 {
     let config = ProtocolConfig::new(PolicyTriple::newscast(), 8).expect("valid");
     let mut sim = scenario::random_overlay_sharded(&config, 120, 77, 4);
     sim.set_workers(workers);
-    sim.set_message_loss(0.05);
     let compiled = Workload::parse("churn:0.03x7,kill:0.2,churn:0.03x5", 77)
         .expect("valid schedule")
         .compile(120);
@@ -62,12 +61,11 @@ fn worker_count_never_changes_results() {
 }
 
 #[test]
-fn worker_invariance_under_attempt_and_lose() {
+fn worker_invariance_after_kills() {
     let run = |workers: usize| {
         let config = ProtocolConfig::new(PolicyTriple::newscast(), 6).expect("valid");
         let mut sim = scenario::random_overlay_sharded(&config, 80, 5, 3);
         sim.set_workers(workers);
-        sim.set_failure_mode(FailureMode::AttemptAndLose);
         sim.kill_random_fraction(0.3);
         let mut digest = 0u64;
         for _ in 0..8 {
@@ -265,46 +263,9 @@ fn streaming_metrics_match_materialized_snapshot() {
 /// initiation order. On overlays of 3 to 8 nodes the next initiator is
 /// often the current exchange's peer, so any reordering of initiations
 /// around an inline exchange changes this digest. Every policy triple runs
-/// under both failure modes (node 0 dies at cycle 10), once with message
-/// loss and once behind a lossy two-group partition, for 50 cycles each;
-/// every cycle's report and every live view are digested.
-#[test]
-fn pinned_inline_exchange_order_on_tiny_overlays() {
-    let mut digest = FNV_OFFSET;
-    for n in 3..=8usize {
-        for (p, policy) in PolicyTriple::all().into_iter().enumerate() {
-            for mode in [FailureMode::SkipDead, FailureMode::AttemptAndLose] {
-                for partitioned in [false, true] {
-                    let config = ProtocolConfig::new(policy, (n - 1).min(4)).expect("valid");
-                    let seed = (n * 100 + p) as u64;
-                    let mut sim = scenario::random_overlay(&config, n, seed);
-                    sim.set_failure_mode(mode);
-                    if partitioned {
-                        sim.set_partition(Some(Partition::lossy(2, 0.4)));
-                    } else {
-                        sim.set_message_loss(0.15);
-                    }
-                    for cycle in 0..50 {
-                        if cycle == 10 {
-                            sim.kill(NodeId::new(0));
-                        }
-                        digest_report(&mut digest, &sim.run_cycle());
-                        fnv1a(&mut digest, view_digest(&sim));
-                    }
-                }
-            }
-        }
-    }
-    assert_eq!(digest, PINNED_INLINE_ORDER_DIGEST);
-}
-
-/// See [`pinned_inline_exchange_order_on_tiny_overlays`].
-const PINNED_INLINE_ORDER_DIGEST: u64 = 13469274265270193047;
-
-/// The same loop as [`pinned_inline_exchange_order_on_tiny_overlays`],
-/// restricted to the paper's failure model (a dead peer is skipped in the
-/// caller's view) on a lossless network: every policy triple runs once
-/// unpartitioned and once behind a lossy two-group partition.
+/// with node 0 killed at cycle 10 (so peer selection skips a dead peer),
+/// once unpartitioned and once behind a lossy two-group partition, for 50
+/// cycles each; every cycle's report and every live view are digested.
 #[test]
 fn pinned_inline_exchange_order_skipping_dead_peers() {
     let mut digest = FNV_OFFSET;

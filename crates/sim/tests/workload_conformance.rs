@@ -170,7 +170,7 @@ fn dyn_target_matches_the_concrete_type() {
 
 /// (b) Cross-engine statistical agreement on the acceptance schedule
 /// (catastrophic 50% kill, 1%/period churn thereafter): the cycle engine
-/// (the paper's SkipDead model) and the event engine (liveness-blind,
+/// (the paper's live-peer selection) and the event engine (liveness-blind,
 /// jitter + latency + loss) must both recover — ≥ 99% full views by the
 /// pinned period, post-recovery in-degree means within 1.0 of each other.
 #[test]

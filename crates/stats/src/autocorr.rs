@@ -27,14 +27,6 @@ impl Autocorrelation {
         self.series_len
     }
 
-    /// The symmetric white-noise confidence band for this series length.
-    ///
-    /// See [`white_noise_band`]. A coefficient outside `±band` is evidence
-    /// (at the given confidence) that the series is not white noise.
-    pub fn confidence_band(&self, confidence: f64) -> f64 {
-        white_noise_band(self.series_len, confidence)
-    }
-
     /// Largest lag `>= 1` whose coefficient escapes the given band, if any.
     ///
     /// Useful for summarizing "how long does the memory of the series last",
@@ -322,7 +314,7 @@ mod tests {
         };
         let noise: Vec<f64> = (0..300).map(|_| next()).collect();
         let ac = autocorrelation(&noise, 140);
-        let band = ac.confidence_band(0.99);
+        let band = white_noise_band(ac.series_len(), 0.99);
         // A pure sine keeps significant correlation at long lags; white noise
         // loses it early.
         let sine: Vec<f64> = (0..300).map(|i| (i as f64 * 0.2).sin()).collect();

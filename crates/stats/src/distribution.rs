@@ -2,8 +2,6 @@
 
 use std::collections::BTreeMap;
 
-use crate::Summary;
-
 /// Exact frequency counts over non-negative integer values.
 ///
 /// This is the natural representation for degree distributions: the paper's
@@ -129,17 +127,6 @@ impl CountDistribution {
         self.counts.iter().map(|(&v, &c)| (v, c))
     }
 
-    /// Converts to a [`Summary`] over the underlying observations.
-    pub fn to_summary(&self) -> Summary {
-        let mut s = Summary::new();
-        for (&v, &c) in &self.counts {
-            for _ in 0..c {
-                s.push(v as f64);
-            }
-        }
-        s
-    }
-
     /// Merges another distribution into this one.
     pub fn merge(&mut self, other: &CountDistribution) {
         for (&v, &c) in &other.counts {
@@ -233,15 +220,6 @@ mod tests {
         assert_eq!(a.count_of(10), 5);
         assert_eq!(a.count_of(30), 1);
         assert_eq!(a.total(), 6);
-    }
-
-    #[test]
-    fn to_summary_round_trip() {
-        let d: CountDistribution = [2, 4, 4, 4, 5, 5, 7, 9].into_iter().collect();
-        let s = d.to_summary();
-        assert_eq!(s.count(), 8);
-        assert_eq!(s.mean(), 5.0);
-        assert_eq!(s.population_variance(), 4.0);
     }
 
     #[test]

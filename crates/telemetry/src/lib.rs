@@ -17,18 +17,8 @@
 //!
 //! Telemetry **observes**; it never participates. It draws no randomness,
 //! never reorders or delays a message, and writes into no structure that
-//! feeds a protocol decision or a pinned digest. The sharded engines'
-//! determinism digests are byte-identical with telemetry enabled or
-//! disabled, at any worker count. Wall-clock readings exist only inside
-//! metric cells and flight events.
-//!
-//! # Switching off
-//!
-//! [`enabled()`] is a single relaxed atomic load, initialised from the
-//! `PSS_TELEMETRY` environment variable (`0` or `off` disables) and
-//! overridable with [`set_enabled`]. Instrumentation sites that pay for a
-//! clock read check it first; the record methods also check it, so a
-//! disabled process does no telemetry work beyond one load per site.
+//! feeds a protocol decision or a pinned digest. Wall-clock readings exist
+//! only inside metric cells and flight events.
 //!
 //! # Exposition
 //!
@@ -49,38 +39,3 @@ pub use recorder::{
     dump_path, flight, install_panic_hook, EventKind, FlightEvent, FlightRecorder, FLIGHT_CAPACITY,
 };
 pub use registry::{global, MetricRow, Registry};
-
-use std::sync::atomic::{AtomicU8, Ordering};
-
-// 0 = uninitialised, 1 = on, 2 = off.
-static ENABLED: AtomicU8 = AtomicU8::new(0);
-
-/// Whether telemetry is recording. One relaxed load on the fast path;
-/// the first call reads `PSS_TELEMETRY` (`"0"`/`"off"`/`"false"` disable).
-#[inline]
-#[must_use]
-pub fn enabled() -> bool {
-    match ENABLED.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => init_enabled(),
-    }
-}
-
-#[cold]
-fn init_enabled() -> bool {
-    let on = match std::env::var("PSS_TELEMETRY") {
-        Ok(v) => {
-            let v = v.trim().to_ascii_lowercase();
-            !(v == "0" || v == "off" || v == "false")
-        }
-        Err(_) => true,
-    };
-    ENABLED.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-    on
-}
-
-/// Force telemetry on or off, overriding the environment.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-}

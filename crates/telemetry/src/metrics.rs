@@ -12,8 +12,6 @@ use std::sync::Arc;
 
 use pss_stats::{log2_bucket, Log2Histogram, LOG2_BUCKETS};
 
-use crate::enabled;
-
 /// Monotonically increasing counter.
 #[derive(Clone, Debug, Default)]
 pub struct Counter {
@@ -36,9 +34,6 @@ impl Counter {
     /// Adds `n` (saturating).
     #[inline]
     pub fn add(&self, n: u64) {
-        if !enabled() {
-            return;
-        }
         // fetch_update would loop; plain fetch_add is fine — counters count
         // events, and 2^64 events do not happen.
         self.cell.fetch_add(n, Ordering::Relaxed);
@@ -72,18 +67,12 @@ impl Gauge {
     /// Sets the current value.
     #[inline]
     pub fn set(&self, v: u64) {
-        if !enabled() {
-            return;
-        }
         self.cell.store(v, Ordering::Relaxed);
     }
 
     /// Raises the gauge to `v` if larger (a high-water mark).
     #[inline]
     pub fn set_max(&self, v: u64) {
-        if !enabled() {
-            return;
-        }
         self.cell.fetch_max(v, Ordering::Relaxed);
     }
 
@@ -139,9 +128,6 @@ impl Histogram {
     /// Records one observation.
     #[inline]
     pub fn record(&self, value: u64) {
-        if !enabled() {
-            return;
-        }
         let core = &*self.core;
         core.buckets[log2_bucket(value)].fetch_add(1, Ordering::Relaxed);
         core.count.fetch_add(1, Ordering::Relaxed);

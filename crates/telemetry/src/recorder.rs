@@ -17,8 +17,6 @@ use std::fmt::Write as _;
 use std::sync::{Mutex, Once, OnceLock};
 use std::time::Instant;
 
-use crate::enabled;
-
 /// Ring capacity of the global recorder: enough for several periods of a
 /// sharded run (6 events per cycle) without growing past ~a quarter MB.
 pub const FLIGHT_CAPACITY: usize = 4096;
@@ -112,9 +110,6 @@ impl FlightRecorder {
 
     /// Appends an event, evicting the oldest once the ring is full.
     pub fn record(&self, kind: EventKind, label: &'static str, a: u64, b: u64) {
-        if !enabled() {
-            return;
-        }
         let at_micros = self.epoch.elapsed().as_micros() as u64;
         let mut ring = self.inner.lock().expect("flight recorder poisoned");
         ring.seq += 1;

@@ -55,8 +55,7 @@ fn steady_state_record_path_is_allocation_free() {
     let recorder = flight();
 
     // Warm-up: fill the flight ring past capacity so the window below
-    // exercises eviction (the steady state), not Vec growth — and force
-    // the lazy `enabled()` env read off the measured path.
+    // exercises eviction (the steady state), not Vec growth.
     for i in 0..(pss_telemetry::FLIGHT_CAPACITY as u64 + 64) {
         counter.inc();
         gauge.set(i);

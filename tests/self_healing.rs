@@ -110,9 +110,9 @@ fn massive_removal_keeps_one_dominant_cluster() {
 fn head_view_selection_heals_on_the_event_engine() {
     // The same catastrophe bounds on the event engine — jitter, latency
     // and loss on, two shards — guarding the schedule path against
-    // regression. The event engine is liveness-blind (no SkipDead), so
-    // healing takes more periods than the cycle model; the decay is still
-    // exponential.
+    // regression. The event engine is liveness-blind (it may select a dead
+    // peer), so healing takes more periods than the cycle model; the decay
+    // is still exponential.
     let policy: PolicyTriple = "(rand,head,pushpull)".parse().expect("valid");
     let config = ProtocolConfig::new(policy, C).expect("valid");
     let event = EventConfig {
@@ -137,23 +137,28 @@ fn head_view_selection_heals_on_the_event_engine() {
 }
 
 #[test]
-fn attempt_and_lose_mode_wedges_tail_selection() {
+fn tail_selection_wedges_without_live_peer_selection() {
     // The extension finding: without the paper's live-peer selection,
-    // tail peer selection wedges on dead entries and healing stalls.
+    // tail peer selection wedges on dead entries and healing stalls. The
+    // cycle engine selects only live peers and heals fully; the event
+    // engine is liveness-blind, so a node whose stalest entry is dead
+    // keeps sending to it.
     let policy: PolicyTriple = "(tail,head,pushpull)".parse().expect("valid");
     let config = ProtocolConfig::new(policy, C).expect("valid");
     let mut skip = scenario::random_overlay(&config, N, 8);
-    let mut attempt = scenario::random_overlay(&config, N, 8);
-    attempt.set_failure_mode(peer_sampling::sim::FailureMode::AttemptAndLose);
-    for sim in [&mut skip, &mut attempt] {
-        sim.run_cycles(60);
-        sim.kill_random_fraction(0.5);
-        sim.run_cycles(40);
-    }
+    skip.run_cycles(60);
+    skip.kill_random_fraction(0.5);
+    skip.run_cycles(40);
     assert_eq!(skip.dead_link_count(), 0, "paper model heals fully");
+    let mut blind =
+        scenario::event_random_overlay_sharded(&config, EventConfig::default(), N, 8, 1)
+            .expect("valid");
+    blind.run_cycles(60);
+    blind.kill_random_fraction(0.5);
+    blind.run_cycles(40);
     assert!(
-        attempt.dead_link_count() > 100,
+        blind.dead_link_count() > 100,
         "liveness-blind tail selection should stall with dead links, got {}",
-        attempt.dead_link_count()
+        blind.dead_link_count()
     );
 }
