@@ -6,11 +6,18 @@
 //! per-engine build-and-run code of those four commands was folded into
 //! one helper; a change to how either engine is bootstrapped or driven
 //! changes them.
+//!
+//! The per-cycle figures are pinned the same way: every cycle index and
+//! value of the series that `fig2`, `fig3`, `fig5`, `table2` and `fig7`
+//! produce (through `dynamics::run_dynamics`, the degree traces and the
+//! dead-link counts), plus the values each derives from them.
 
-use pss_experiments::{adversary, protocols, workload, Scale};
+use pss_experiments::dynamics::ProtocolDynamics;
+use pss_experiments::{adversary, fig2, fig3, fig5, fig7, protocols, table2, workload, Scale};
 use pss_protocols::AppPeriodRow;
 use pss_sim::audit::AttackRecord;
 use pss_sim::workload::PeriodRecord;
+use pss_stats::TimeSeries;
 
 /// FNV-1a over `u64` words.
 struct Digest(u64);
@@ -69,6 +76,22 @@ impl Digest {
             r.eclipsed_victims as u64,
             r.largest_honest_component as u64,
         ]);
+    }
+}
+
+impl Digest {
+    fn series(&mut self, s: &TimeSeries) {
+        self.words(&[s.len() as u64]);
+        for (cycle, value) in s.iter() {
+            self.words(&[cycle, value.to_bits()]);
+        }
+    }
+
+    fn dynamics(&mut self, d: &ProtocolDynamics) {
+        self.series(&d.clustering);
+        self.series(&d.degree);
+        self.series(&d.path_length);
+        self.words(&[u64::from(d.connected_at_end), u64::from(d.attempts)]);
     }
 }
 
@@ -143,6 +166,61 @@ fn attack_records_are_pinned_on_both_engines() {
     assert_eq!(digest.0, ADVERSARY);
 }
 
+#[test]
+fn per_cycle_figure_series_are_pinned() {
+    let scale = Scale {
+        cycles: 30,
+        ..tiny()
+    };
+    let mut digest = Digest::new();
+
+    let f2 = fig2::run(&fig2::Fig2Config::at_scale(scale));
+    assert_eq!(f2.dynamics.len(), 6);
+    for d in &f2.dynamics {
+        assert_eq!(d.degree.len(), 30);
+        digest.dynamics(d);
+    }
+
+    let f3 = fig3::run(&fig3::Fig3Config::at_scale(scale));
+    assert_eq!(f3.lattice.len() + f3.random.len(), 16);
+    for d in f3.lattice.iter().chain(&f3.random) {
+        digest.dynamics(d);
+    }
+
+    let f5 = fig5::run(&fig5::Fig5Config::at_scale(scale));
+    assert_eq!(f5.protocols.len(), 4);
+    for p in &f5.protocols {
+        let values = p.autocorrelation.values();
+        digest.words(&[values.len() as u64]);
+        digest.words(&values.iter().map(|r| r.to_bits()).collect::<Vec<_>>());
+        digest.words(&[p.last_significant_lag.map_or(u64::MAX, |l| l as u64)]);
+    }
+
+    let t2 = table2::run(&table2::Table2Config::at_scale(scale));
+    assert_eq!(t2.rows.len(), 8);
+    for row in &t2.rows {
+        digest.words(&[
+            row.final_mean_degree.to_bits(),
+            row.traced_mean.to_bits(),
+            row.traced_std.to_bits(),
+        ]);
+    }
+
+    let f7 = fig7::run(&fig7::Fig7Config::at_scale(scale));
+    assert_eq!(f7.curves.len(), 8);
+    for c in &f7.curves {
+        assert_eq!(c.dead_links.len(), 40);
+        digest.series(&c.dead_links);
+        digest.words(&[
+            c.initial_dead_links as u64,
+            c.healed_at_cycle.unwrap_or(u64::MAX),
+        ]);
+    }
+
+    assert_eq!(digest.0, PER_CYCLE_SERIES);
+}
+
+const PER_CYCLE_SERIES: u64 = 8083121053243876818;
 const WORKLOAD: u64 = 362041301676028430;
 const MATRIX: u64 = 16965542888508163589;
 const PROTOCOLS: u64 = 5633405237867706408;
