@@ -2,7 +2,6 @@
 
 use pss_core::PolicyTriple;
 use pss_graph::{gen, GraphMetrics, MetricsConfig};
-use pss_sim::observe::{run_observed, MetricsRecorder};
 use pss_sim::{scenario, ShardedSimulation};
 use pss_stats::TimeSeries;
 use rand::rngs::SmallRng;
@@ -89,17 +88,28 @@ pub fn run_dynamics(
     for attempt in 0..attempts_allowed {
         let seed = scale.run_seed(u64::from(attempt) * 7919 + 1);
         let mut sim = kind.build(policy, scale, seed);
-        let mut recorder = MetricsRecorder::new(MetricsConfig::sampled(), seed ^ 0xabcd);
-        run_observed(&mut sim, cycles, &mut [&mut recorder]);
+        let config = MetricsConfig::sampled();
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0xabcd);
+        let mut clustering = TimeSeries::new("clustering coefficient");
+        let mut degree = TimeSeries::new("average node degree");
+        let mut path_length = TimeSeries::new("average path length");
+        for _ in 0..cycles {
+            sim.run_cycle();
+            let graph = sim.csr_snapshot().graph().undirected();
+            let m = GraphMetrics::measure(&graph, &config, &mut rng);
+            clustering.push(sim.cycle(), m.clustering_coefficient);
+            degree.push(sim.cycle(), m.average_degree);
+            path_length.push(sim.cycle(), m.path_lengths.average);
+        }
         let connected =
             pss_graph::components::connected_components(&sim.csr_snapshot().graph().undirected())
                 .is_connected();
         let dynamics = ProtocolDynamics {
             policy,
             scenario: kind,
-            clustering: recorder.clustering().clone(),
-            degree: recorder.average_degree().clone(),
-            path_length: recorder.path_length().clone(),
+            clustering,
+            degree,
+            path_length,
             connected_at_end: connected,
             attempts: attempt + 1,
         };

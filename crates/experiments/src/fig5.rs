@@ -9,7 +9,6 @@
 //! correlation.
 
 use pss_core::{NodeId, PolicyTriple};
-use pss_sim::observe::{run_observed, DegreeTracer};
 use pss_sim::scenario;
 use pss_stats::Autocorrelation;
 
@@ -114,9 +113,16 @@ pub fn run(config: &Fig5Config) -> Fig5Result {
         let mut sim = scenario::random_overlay(&protocol, scale.nodes, seed);
         // "a fixed random node" — any node is statistically equivalent in
         // the random topology; take the middle one deterministically.
-        let mut tracer = DegreeTracer::new(vec![NodeId::new((scale.nodes / 2) as u64)]);
-        run_observed(&mut sim, scale.cycles, &mut [&mut tracer]);
-        let autocorrelation = tracer.series(0).autocorrelation(max_lag);
+        let traced = NodeId::new((scale.nodes / 2) as u64);
+        let mut degrees = Vec::new();
+        for _ in 0..scale.cycles {
+            sim.run_cycle();
+            let snapshot = sim.csr_snapshot();
+            if let Some(idx) = snapshot.index_of(traced) {
+                degrees.push(snapshot.graph().undirected().degree(idx) as f64);
+            }
+        }
+        let autocorrelation = pss_stats::autocorrelation(&degrees, max_lag);
         let last_significant_lag = autocorrelation.last_significant_lag(band);
         ProtocolAutocorrelation {
             policy,

@@ -8,7 +8,6 @@
 //! at best, with `(tail,rand,push)` even slowly accumulating dead links.
 
 use pss_core::PolicyTriple;
-use pss_sim::observe::{run_observed, DeadLinkCounter};
 use pss_sim::scenario;
 use pss_stats::TimeSeries;
 
@@ -110,16 +109,15 @@ pub fn run(config: &Fig7Config) -> Fig7Result {
         sim.run_cycles(scale.cycles);
         sim.kill_random_fraction(KILL_FRACTION);
         let initial_dead_links = sim.dead_link_count();
-        let mut counter = DeadLinkCounter::new();
-        run_observed(&mut sim, recovery, &mut [&mut counter]);
-        let healed_at_cycle = counter
-            .series()
-            .iter()
-            .find(|&(_, v)| v == 0.0)
-            .map(|(c, _)| c);
+        let mut dead_links = TimeSeries::new("overall dead links");
+        for _ in 0..recovery {
+            sim.run_cycle();
+            dead_links.push(sim.cycle(), sim.dead_link_count() as f64);
+        }
+        let healed_at_cycle = dead_links.iter().find(|&(_, v)| v == 0.0).map(|(c, _)| c);
         HealingCurve {
             policy,
-            dead_links: counter.series().clone(),
+            dead_links,
             initial_dead_links,
             healed_at_cycle,
         }

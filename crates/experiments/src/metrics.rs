@@ -17,8 +17,8 @@
 //! The health gate checks that every required metric family is present
 //! and nonzero — CI's "Assert required metric families present and
 //! nonzero" step scrapes exactly this. Telemetry never feeds back into
-//! protocol state: the pinned determinism digests hold with the registry
-//! recording and with it off (see `ROADMAP.md`).
+//! protocol state: the pinned determinism digests are recorded with the
+//! registry recording, as it always does.
 
 use pss_telemetry::MetricRow;
 

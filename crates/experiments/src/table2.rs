@@ -8,9 +8,8 @@
 //! (1.4–2.7), `rand` view selection an order of magnitude larger (10–19).
 
 use pss_core::{NodeId, PolicyTriple};
-use pss_sim::observe::{run_observed, DegreeTracer};
 use pss_sim::scenario;
-use pss_stats::Summary;
+use pss_stats::{Summary, TimeSeries};
 
 use crate::parallel::parallel_map;
 use crate::report::{fmt_f64, Report, Section, Table};
@@ -99,12 +98,24 @@ pub fn run(config: &Table2Config) -> Table2Result {
         let traced: Vec<NodeId> = (0..traced_count)
             .map(|i| NodeId::new((i * stride) as u64))
             .collect();
-        let mut tracer = DegreeTracer::new(traced);
-        run_observed(&mut sim, scale.cycles, &mut [&mut tracer]);
+        let mut series: Vec<TimeSeries> = traced
+            .iter()
+            .map(|id| TimeSeries::new(format!("degree of {id}")))
+            .collect();
+        for _ in 0..scale.cycles {
+            sim.run_cycle();
+            let snapshot = sim.csr_snapshot();
+            let graph = snapshot.graph().undirected();
+            for (id, s) in traced.iter().zip(&mut series) {
+                // A dead traced node records nothing this cycle.
+                if let Some(idx) = snapshot.index_of(*id) {
+                    s.push(sim.cycle(), graph.degree(idx) as f64);
+                }
+            }
+        }
 
         let final_mean_degree = sim.csr_snapshot().graph().undirected().average_degree();
-        let time_averages: Summary = tracer
-            .all_series()
+        let time_averages: Summary = series
             .iter()
             .filter(|s| !s.is_empty())
             .map(|s| s.summary().mean())

@@ -19,7 +19,8 @@
 //! [`run_workload`] that steps the engines (or, when the schedule places
 //! adversaries, by [`audit::run_attacked`]). So the cluster's
 //! [`PeriodRecord`]s and [`AttackRecord`]s come out of the same function,
-//! through the same CSR metrics, as on every other stack. Membership ops
+//! from the same streamed pass over the collected view rows (no CSR is
+//! built), as on every other stack. Membership ops
 //! and the rumor plant take effect at the period boundary, before the
 //! period's gossip, and a period ends when every runtime has reached it. A
 //! run without a schedule is the bootstrap-only schedule of

@@ -32,7 +32,8 @@
 //!   [`pss_sim::workload::WorkloadTarget`] by the simulators' workload
 //!   driver: a bootstrap-only run or any [`pss_sim::workload`] schedule
 //!   (churn, catastrophe, flash crowds, partition/heal, adversaries), so
-//!   its per-period records come from the same CSR metrics.
+//!   its per-period records come from the same streamed pass over view
+//!   rows as every other stack's.
 //!
 //! # Quickstart
 //!

@@ -27,15 +27,17 @@
 //!   engine.
 //!
 //! Scenario constructors ([`scenario`]) reproduce the paper's three
-//! bootstrap regimes — growing overlay, ring lattice, uniform random — and
-//! [`observe`] provides per-cycle recorders for the published metrics.
-//! [`workload`] declares seed-deterministic membership-dynamics schedules
-//! (churn, catastrophic failure, flash crowds, partition/heal, Byzantine
-//! adversary placement) that compile to concrete per-period operations and
-//! run identically on every engine and on the deployed `pss-net` runtime —
-//! whatever implements [`WorkloadTarget`], the one trait a driver sees;
-//! [`audit`] layers attack observables (in-degree capture, victim
-//! isolation, chi-square randomness) on attacked runs.
+//! bootstrap regimes — growing overlay, ring lattice, uniform random. A
+//! per-cycle figure runs [`Sharded::run_cycle`] in its own loop and reads
+//! its value — a [`CsrSnapshot`] metric or [`Sharded::dead_link_count`] —
+//! after each cycle. [`workload`] declares seed-deterministic
+//! membership-dynamics schedules (churn, catastrophic failure, flash
+//! crowds, partition/heal, Byzantine adversary placement) that compile to
+//! concrete per-period operations and run identically on every engine and
+//! on the deployed `pss-net` cluster — whatever implements
+//! [`WorkloadTarget`], the one trait a driver sees; [`audit`] layers attack
+//! observables (in-degree capture, victim isolation, chi-square
+//! randomness) on attacked runs.
 //!
 //! # Examples
 //!
@@ -72,7 +74,6 @@ mod snapshot;
 mod telemetry;
 
 pub mod audit;
-pub mod observe;
 pub mod scenario;
 pub mod workload;
 

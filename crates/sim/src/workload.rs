@@ -1061,8 +1061,8 @@ impl CompiledWorkload {
 }
 
 /// What a workload drives: either engine ([`Sharded`] under any
-/// [`Mode`]) or the deployed network stack (`pss-net` implements it for one
-/// runtime and for the K-runtime loopback UDP cluster).
+/// [`Mode`]) or the deployed network stack (`pss-net` implements it for
+/// its cluster of K runtimes, over UDP or the in-memory mesh).
 pub trait WorkloadTarget {
     /// Kills (crash-stops or gracefully leaves) one node.
     fn kill(&mut self, id: NodeId) -> bool;

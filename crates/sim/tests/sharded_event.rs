@@ -408,25 +408,22 @@ fn event_streaming_metrics_match_materialized_snapshot() {
 }
 
 #[test]
-fn churn_and_observers_drive_the_event_engine() {
-    // Observers and compiled churn schedules run unchanged on the event
-    // engine.
-    struct DegreeLog(Vec<f64>);
-    impl pss_sim::observe::Observer for DegreeLog {
-        fn observe(&mut self, ctx: &pss_sim::observe::CycleContext<'_>) {
-            self.0.push(ctx.graph.average_degree());
-        }
-    }
+fn churn_and_per_cycle_loops_drive_the_event_engine() {
+    // A per-cycle measurement loop and compiled churn schedules run
+    // unchanged on the event engine.
     let config = ProtocolConfig::new(PolicyTriple::newscast(), 12).expect("valid");
     let mut sim =
         scenario::event_random_overlay_sharded(&config, EventConfig::default(), 150, 21, 2)
             .expect("valid");
-    let mut log = DegreeLog(Vec::new());
-    pss_sim::observe::run_observed(&mut sim, 6, &mut [&mut log]);
-    assert_eq!(log.0.len(), 6);
+    let mut degrees = Vec::new();
+    for _ in 0..6 {
+        sim.run_cycle();
+        degrees.push(sim.csr_snapshot().graph().undirected().average_degree());
+    }
+    assert_eq!(degrees.len(), 6);
     assert_eq!(sim.cycle(), 6);
     assert_eq!(sim.now(), 6000);
-    assert!(log.0.iter().all(|&d| d > 11.0));
+    assert!(degrees.iter().all(|&d| d > 11.0));
 
     let before = sim.node_count();
     let compiled = Workload::parse("churn:0.05x5", 21)

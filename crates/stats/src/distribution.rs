@@ -36,15 +36,6 @@ impl CountDistribution {
         self.total += 1;
     }
 
-    /// Records `n` observations of `value`.
-    pub fn record_n(&mut self, value: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        *self.counts.entry(value).or_insert(0) += n;
-        self.total += n;
-    }
-
     /// Number of observations equal to `value`.
     pub fn count_of(&self, value: u64) -> u64 {
         self.counts.get(&value).copied().unwrap_or(0)
@@ -130,8 +121,9 @@ impl CountDistribution {
     /// Merges another distribution into this one.
     pub fn merge(&mut self, other: &CountDistribution) {
         for (&v, &c) in &other.counts {
-            self.record_n(v, c);
+            *self.counts.entry(v).or_insert(0) += c;
         }
+        self.total += other.total;
     }
 }
 
@@ -209,13 +201,9 @@ mod tests {
     }
 
     #[test]
-    fn record_n_and_merge() {
-        let mut a = CountDistribution::new();
-        a.record_n(10, 3);
-        a.record_n(20, 0); // no-op
-        let mut b = CountDistribution::new();
-        b.record_n(10, 2);
-        b.record(30);
+    fn merge_adds_counts() {
+        let mut a: CountDistribution = [10, 10, 10].into_iter().collect();
+        let b: CountDistribution = [10, 10, 30].into_iter().collect();
         a.merge(&b);
         assert_eq!(a.count_of(10), 5);
         assert_eq!(a.count_of(30), 1);

@@ -9,8 +9,6 @@
 //! * [`autocorrelation`] — the sample autocorrelation function r_k exactly as
 //!   defined in Section 6 of the paper, plus the 99 % white-noise confidence
 //!   band used in Figure 5.
-//! * [`Log2Histogram`] — power-of-two bucketed integer histogram with
-//!   p50/p99/max extraction, the snapshot format of the telemetry registry.
 //! * [`CountDistribution`] — exact integer frequency counts, the degree
 //!   distributions of Figure 4.
 //! * [`chi_square_uniform`] — Pearson goodness-of-fit against uniform, the
@@ -34,7 +32,6 @@
 mod autocorr;
 mod chi2;
 mod distribution;
-mod log2hist;
 mod quantiles;
 mod series;
 mod summary;
@@ -42,7 +39,6 @@ mod summary;
 pub use autocorr::{autocorrelation, autocorrelation_at, white_noise_band, Autocorrelation};
 pub use chi2::{chi_square, chi_square_sf, chi_square_uniform, ChiSquare};
 pub use distribution::CountDistribution;
-pub use log2hist::{log2_bucket, log2_bucket_ceil, log2_bucket_floor, Log2Histogram, LOG2_BUCKETS};
 pub use quantiles::{median, quantile, QuantileError};
 pub use series::TimeSeries;
 pub use summary::Summary;

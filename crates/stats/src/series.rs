@@ -4,10 +4,10 @@ use crate::{autocorrelation, Autocorrelation, Summary};
 
 /// A named, cycle-indexed series of floating-point observations.
 ///
-/// Observers in the simulator push one value per cycle (average degree,
-/// clustering coefficient, dead-link count, …); the experiment harness then
-/// prints the series or post-processes it (autocorrelation for Figure 5,
-/// summaries for Table 2).
+/// A per-cycle experiment loop pushes one value after each cycle (average
+/// degree, clustering coefficient, dead-link count, …); the experiment
+/// harness then prints the series or post-processes it (summaries for
+/// Table 2).
 ///
 /// # Examples
 ///

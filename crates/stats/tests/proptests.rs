@@ -1,9 +1,7 @@
 //! Property-based tests for the statistics toolkit.
 
 use proptest::prelude::*;
-use pss_stats::{
-    autocorrelation, median, quantile, white_noise_band, CountDistribution, Log2Histogram, Summary,
-};
+use pss_stats::{autocorrelation, median, quantile, white_noise_band, CountDistribution, Summary};
 
 fn finite_vec(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-1e6f64..1e6, 0..max_len)
@@ -95,92 +93,5 @@ proptest! {
         let d: CountDistribution = values.iter().copied().collect();
         let q = d.quantile(p).unwrap();
         prop_assert!(values.contains(&q));
-    }
-}
-
-fn obs_vec() -> impl Strategy<Value = Vec<u64>> {
-    // Mix ordinary magnitudes with u64::MAX-scale values so saturation
-    // paths are exercised, not just the common case: draws in the upper
-    // half of the raw range fold over to the top of the u64 domain.
-    prop::collection::vec(0u64..20_000, 0..200).prop_map(|raw| {
-        raw.into_iter()
-            .map(|v| {
-                if v >= 10_000 {
-                    u64::MAX - (v - 10_000)
-                } else {
-                    v
-                }
-            })
-            .collect()
-    })
-}
-
-fn hist_of(values: &[u64]) -> Log2Histogram {
-    let mut h = Log2Histogram::new();
-    for &v in values {
-        h.record(v);
-    }
-    h
-}
-
-proptest! {
-    #[test]
-    fn log2_quantiles_bracket_observations(values in obs_vec(), p in 0.0f64..=1.0) {
-        let h = hist_of(&values);
-        let q = h.quantile(p);
-        if values.is_empty() {
-            prop_assert_eq!(q, 0);
-        } else {
-            let min = *values.iter().min().unwrap();
-            let max = *values.iter().max().unwrap();
-            prop_assert!(q >= min && q <= max, "quantile {} outside [{}, {}]", q, min, max);
-            prop_assert_eq!(h.quantile(1.0), max);
-            // Log bucketing is accurate to a factor of two: the estimate's
-            // bucket contains at least one real observation at rank <= the
-            // estimate, so the true rank value shares its bucket.
-            prop_assert!(h.p50() >= min);
-        }
-    }
-
-    #[test]
-    fn log2_merge_is_associative_and_commutative(
-        a in obs_vec(),
-        b in obs_vec(),
-        c in obs_vec(),
-    ) {
-        let (ha, hb, hc) = (hist_of(&a), hist_of(&b), hist_of(&c));
-        // (a ⊕ b) ⊕ c
-        let mut left = ha.clone();
-        left.merge(&hb);
-        left.merge(&hc);
-        // a ⊕ (b ⊕ c)
-        let mut bc = hb.clone();
-        bc.merge(&hc);
-        let mut right = ha.clone();
-        right.merge(&bc);
-        prop_assert_eq!(&left, &right);
-        // b ⊕ a == a ⊕ b
-        let mut ab = ha.clone();
-        ab.merge(&hb);
-        let mut ba = hb.clone();
-        ba.merge(&ha);
-        prop_assert_eq!(&ab, &ba);
-    }
-
-    #[test]
-    fn log2_merge_equals_single_recording(values in obs_vec(), split in 0usize..200) {
-        let split = split.min(values.len());
-        let (l, r) = values.split_at(split);
-        let mut merged = hist_of(l);
-        merged.merge(&hist_of(r));
-        prop_assert_eq!(merged, hist_of(&values));
-    }
-
-    #[test]
-    fn log2_bucket_counts_conserve_total(values in obs_vec()) {
-        let h = hist_of(&values);
-        let counted: u64 = h.counts().iter().sum();
-        prop_assert_eq!(counted, values.len() as u64);
-        prop_assert_eq!(h.total(), values.len() as u64);
     }
 }

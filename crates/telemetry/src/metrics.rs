@@ -10,7 +10,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use pss_stats::{log2_bucket, Log2Histogram, LOG2_BUCKETS};
+use crate::log2hist::{log2_bucket, Log2Histogram, LOG2_BUCKETS};
 
 /// Monotonically increasing counter.
 #[derive(Clone, Debug, Default)]
@@ -111,8 +111,8 @@ impl Default for HistogramCore {
 
 /// Log₂-bucketed histogram of `u64` observations (latencies in
 /// nanoseconds, virtual ticks, sizes). Recording is five relaxed atomic
-/// RMWs; quantiles come from [`Histogram::snapshot`], which folds the
-/// atomic cells into a [`pss_stats::Log2Histogram`].
+/// RMWs; quantiles come from [`Histogram::snapshot`], which copies the
+/// atomic cells into a [`Log2Histogram`].
 #[derive(Clone, Debug, Default)]
 pub struct Histogram {
     core: Arc<HistogramCore>,
@@ -144,31 +144,17 @@ impl Histogram {
 
     /// A point-in-time copy with quantile extraction. Concurrent recording
     /// makes the snapshot only approximately consistent (a racing record
-    /// may appear in `count` but not yet in its bucket); totals are taken
+    /// may appear in `sum` but not yet in its bucket); the total is taken
     /// from the bucket counts so quantile ranks always add up.
     #[must_use]
     pub fn snapshot(&self) -> Log2Histogram {
         let core = &*self.core;
-        let mut out = Log2Histogram::new();
-        // record_n would recompute the sum from bucket values; instead
-        // rebuild counts exactly and patch the saturating aggregates from
-        // the dedicated cells, clamped to the observed extremes.
-        let min = core.min.load(Ordering::Relaxed);
-        let max = core.max.load(Ordering::Relaxed);
-        for bucket in 0..LOG2_BUCKETS {
-            let n = core.buckets[bucket].load(Ordering::Relaxed);
-            if n == 0 {
-                continue;
-            }
-            let representative = pss_stats::log2_bucket_ceil(bucket).clamp(min.min(max), max);
-            out.record_n(representative, n);
-        }
-        out.set_aggregates(
+        Log2Histogram::from_cells(
+            std::array::from_fn(|bucket| core.buckets[bucket].load(Ordering::Relaxed)),
             core.sum.load(Ordering::Relaxed),
-            if out.is_empty() { u64::MAX } else { min },
-            max,
-        );
-        out
+            core.min.load(Ordering::Relaxed),
+            core.max.load(Ordering::Relaxed),
+        )
     }
 
     /// Resets every cell to the empty state.
@@ -233,7 +219,7 @@ mod tests {
         h.reset();
         assert_eq!(h.count(), 0);
         let snap = h.snapshot();
-        assert!(snap.is_empty());
+        assert_eq!(snap.total(), 0);
         assert_eq!(snap.p99(), 0);
     }
 

@@ -9,8 +9,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::{Mutex, OnceLock};
 
-use pss_stats::Log2Histogram;
-
+use crate::log2hist::Log2Histogram;
 use crate::metrics::{Counter, Gauge, Histogram};
 
 #[derive(Clone, Debug)]

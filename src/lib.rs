@@ -15,13 +15,14 @@
 //! * [`sim`] ([`pss_sim`]) — cycle-driven (paper model) and event-driven
 //!   simulators, both sharded across worker threads with a shared
 //!   deterministic mailbox skeleton; bootstrap scenarios, failure
-//!   injection, observers.
+//!   injection, workload schedules.
 //! * [`net`] ([`pss_net`]) — the network layer: the versioned wire codec
 //!   ([`pss_core::wire`]), UDP and deterministic in-memory transports, the
 //!   multi-node [`pss_net::NetRuntime`], and the loopback cluster harness.
 //! * [`graph`] ([`pss_graph`]) — overlay graph analysis: components, path
 //!   lengths, clustering, degree distributions, generators.
-//! * [`stats`] ([`pss_stats`]) — summaries, histograms, autocorrelation.
+//! * [`stats`] ([`pss_stats`]) — summaries, quantiles, autocorrelation,
+//!   degree distributions, time series.
 //! * [`protocols`] ([`pss_protocols`]) — epidemic broadcast and gossip
 //!   averaging running on the sampling service.
 //!

@@ -3,7 +3,6 @@
 //! selection.
 
 use peer_sampling::{scenario, NodeId, PolicyTriple, ProtocolConfig};
-use pss_sim::observe::{run_observed, DegreeTracer};
 use pss_stats::Summary;
 
 const N: usize = 800;
@@ -71,14 +70,17 @@ fn node_degrees_oscillate_around_common_mean_without_hubs() {
     let config = ProtocolConfig::new(policy, C).expect("valid");
     let mut sim = scenario::random_overlay(&config, N, 5);
     let traced: Vec<NodeId> = (0..20).map(|i| NodeId::new(i * 7)).collect();
-    let mut tracer = DegreeTracer::new(traced);
-    run_observed(&mut sim, CYCLES, &mut [&mut tracer]);
+    let mut degrees = vec![Summary::new(); traced.len()];
+    for _ in 0..CYCLES {
+        sim.run_cycle();
+        let snapshot = sim.csr_snapshot();
+        let graph = snapshot.graph().undirected();
+        for (id, d) in traced.iter().zip(&mut degrees) {
+            d.push(graph.degree(snapshot.index_of(*id).expect("no node dies")) as f64);
+        }
+    }
 
-    let time_averages: Summary = tracer
-        .all_series()
-        .iter()
-        .map(|s| s.summary().mean())
-        .collect();
+    let time_averages: Summary = degrees.iter().map(Summary::mean).collect();
     let overall = sim.csr_snapshot().graph().undirected().average_degree();
     assert!(
         (time_averages.mean() - overall).abs() < 4.0,
@@ -101,9 +103,14 @@ fn head_degree_series_decorrelates_quickly() {
         let policy: PolicyTriple = policy.parse().expect("valid");
         let config = ProtocolConfig::new(policy, C).expect("valid");
         let mut sim = scenario::random_overlay(&config, N, 6);
-        let mut tracer = DegreeTracer::new(vec![NodeId::new(10)]);
-        run_observed(&mut sim, 120, &mut [&mut tracer]);
-        pss_stats::autocorrelation_at(tracer.series(0).values(), 1)
+        let mut degrees = Vec::new();
+        for _ in 0..120 {
+            sim.run_cycle();
+            let snapshot = sim.csr_snapshot();
+            let idx = snapshot.index_of(NodeId::new(10)).expect("no node dies");
+            degrees.push(snapshot.graph().undirected().degree(idx) as f64);
+        }
+        pss_stats::autocorrelation_at(&degrees, 1)
     };
     let head_r1 = run("(rand,head,pushpull)");
     let rand_r1 = run("(rand,rand,pushpull)");
