@@ -138,10 +138,11 @@ impl WorkloadResult {
             "cyc full",
             "cyc in-deg",
             "cyc dead",
+            "cyc comp",
             "evt full",
             "evt in-deg",
             "evt dead",
-            "largest comp",
+            "evt comp",
         ]);
         for (c, e) in self.cycle.iter().zip(self.event.iter()) {
             table.row(vec![
@@ -150,6 +151,7 @@ impl WorkloadResult {
                 fmt_percent(c.full_fraction()),
                 fmt_f64(c.in_degree_mean, 2),
                 fmt_percent(c.dead_link_fraction()),
+                fmt_percent(c.component_fraction()),
                 fmt_percent(e.full_fraction()),
                 fmt_f64(e.in_degree_mean, 2),
                 fmt_percent(e.dead_link_fraction()),
