@@ -90,9 +90,9 @@ pub fn run_dynamics(
         let mut sim = kind.build(policy, scale, seed);
         let config = MetricsConfig::sampled();
         let mut rng = SmallRng::seed_from_u64(seed ^ 0xabcd);
-        let mut clustering = TimeSeries::new("clustering coefficient");
-        let mut degree = TimeSeries::new("average node degree");
-        let mut path_length = TimeSeries::new("average path length");
+        let mut clustering = TimeSeries::default();
+        let mut degree = TimeSeries::default();
+        let mut path_length = TimeSeries::default();
         for _ in 0..cycles {
             sim.run_cycle();
             let graph = sim.csr_snapshot().graph().undirected();

@@ -109,7 +109,7 @@ pub fn run(config: &Fig7Config) -> Fig7Result {
         sim.run_cycles(scale.cycles);
         sim.kill_random_fraction(KILL_FRACTION);
         let initial_dead_links = sim.dead_link_count();
-        let mut dead_links = TimeSeries::new("overall dead links");
+        let mut dead_links = TimeSeries::default();
         for _ in 0..recovery {
             sim.run_cycle();
             dead_links.push(sim.cycle(), sim.dead_link_count() as f64);

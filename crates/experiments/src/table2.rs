@@ -98,10 +98,7 @@ pub fn run(config: &Table2Config) -> Table2Result {
         let traced: Vec<NodeId> = (0..traced_count)
             .map(|i| NodeId::new((i * stride) as u64))
             .collect();
-        let mut series: Vec<TimeSeries> = traced
-            .iter()
-            .map(|id| TimeSeries::new(format!("degree of {id}")))
-            .collect();
+        let mut series = vec![TimeSeries::default(); traced.len()];
         for _ in 0..scale.cycles {
             sim.run_cycle();
             let snapshot = sim.csr_snapshot();

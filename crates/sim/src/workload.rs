@@ -174,20 +174,6 @@ impl Partition {
         self.fwd_permille == 1000 && self.bwd_permille == 1000
     }
 
-    /// The loss probability the matrix applies to a message from `from` to
-    /// `to`: `0.0` within a group, the directional cross-group loss
-    /// otherwise.
-    pub fn loss_toward(&self, from: NodeId, to: NodeId) -> f64 {
-        let (fg, tg) = (self.group_of(from), self.group_of(to));
-        if fg == tg {
-            0.0
-        } else if fg < tg {
-            f64::from(self.fwd_permille) / 1000.0
-        } else {
-            f64::from(self.bwd_permille) / 1000.0
-        }
-    }
-
     /// True if traffic from `a` to `b` is deterministically blocked
     /// (different groups and that direction's loss is `1.0`).
     pub fn blocks(&self, a: NodeId, b: NodeId) -> bool {
@@ -1463,14 +1449,11 @@ mod tests {
         let lossy = Partition::lossy(2, 0.5);
         assert!(!lossy.is_total());
         assert!(!lossy.blocks(NodeId::new(0), NodeId::new(1)));
-        assert_eq!(lossy.loss_toward(NodeId::new(0), NodeId::new(1)), 0.5);
-        assert_eq!(lossy.loss_toward(NodeId::new(0), NodeId::new(2)), 0.0);
 
         let asym = Partition::asymmetric(2, 1.0, 0.25);
         // Group 0 → group 1 is a blackout; the reverse is only degraded.
         assert!(asym.blocks(NodeId::new(0), NodeId::new(1)));
         assert!(!asym.blocks(NodeId::new(1), NodeId::new(0)));
-        assert_eq!(asym.loss_toward(NodeId::new(1), NodeId::new(0)), 0.25);
 
         // Extremes consume no randomness: identical rng state afterwards.
         let mut a = SmallRng::seed_from_u64(1);
