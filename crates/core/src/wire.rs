@@ -1,5 +1,6 @@
 //! The wire codec: a versioned, length-prefixed binary frame format for
-//! [`Request`]/[`Reply`] messages carried over real transports.
+//! [`Request`](crate::Request)/[`Reply`](crate::Reply) messages carried
+//! over real transports.
 //!
 //! The simulators move [`crate::Request`]/[`crate::Reply`] values between
 //! nodes in-process; a deployment has to put them on a wire. This module

@@ -75,7 +75,7 @@ struct Inner {
     unroutable: u64,
 }
 
-/// The shared mesh; clone-cheap handle. See the [module docs](self).
+/// The shared mesh; clone-cheap handle. See the `mem.rs` module docs.
 #[derive(Clone)]
 pub struct MemNetwork {
     inner: Arc<Mutex<Inner>>,

@@ -386,7 +386,8 @@ struct Slot<N> {
     informed: bool,
 }
 
-/// See the [module docs](self) and the [crate example](crate).
+/// Many gossip nodes on one OS thread, over any [`Transport`]; see the
+/// `runtime.rs` module docs and the [crate example](crate).
 pub struct NetRuntime<T: Transport, N: GossipNode = pss_core::PeerSamplingNode> {
     transport: T,
     config: NetConfig,
@@ -646,7 +647,7 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
 
     /// Advances runtime time to `deadline`, tick by tick: each tick first
     /// drains and processes every pending frame, in batches (see the
-    /// [module docs](self)), then fires the timers due. Real-time drivers
+    /// `runtime.rs` module docs), then fires the timers due. Real-time drivers
     /// call this in a loop with the wall-derived tick; deterministic tests
     /// drive virtual time directly.
     pub fn run_until(&mut self, deadline: u64) {

@@ -32,7 +32,8 @@ use pss_core::wire::{NetAddr, MAX_FRAME_LEN};
 
 use crate::transport::Transport;
 
-/// See the [module docs](self).
+/// One non-blocking UDP socket per runtime, carrying many virtual nodes;
+/// see the `udp.rs` module docs.
 pub struct UdpTransport {
     socket: UdpSocket,
     local: SocketAddr,

@@ -164,7 +164,7 @@ pub mod prop {
         use rand::rngs::SmallRng;
         use rand::Rng;
 
-        /// Admissible length specifications for [`vec`]: a fixed length or a
+        /// Admissible length specifications for [`vec()`]: a fixed length or a
         /// half-open range of lengths.
         #[derive(Debug, Clone)]
         pub struct SizeRange {

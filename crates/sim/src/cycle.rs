@@ -147,8 +147,8 @@ impl CycleCtx<'_> {
     }
 }
 
-/// The sharded cycle-driven simulator. See the [module docs](self) for the
-/// execution model; the membership and observation API (`add_node`,
+/// The sharded cycle-driven simulator. See the `cycle.rs` module docs for
+/// the execution model; the membership and observation API (`add_node`,
 /// `kill`, `view_of`, `snapshot`, …) is [`Sharded`]'s, shared with the
 /// event engine.
 ///

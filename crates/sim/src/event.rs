@@ -431,8 +431,8 @@ pub struct EventDriven {
 }
 
 /// The sharded discrete-event simulator over the same node population
-/// types as [`crate::ShardedSimulation`]. See the [module docs](self) for
-/// the lookahead model; the membership and observation API (`add_node`,
+/// types as [`crate::ShardedSimulation`]. See the `event.rs` module docs
+/// for the lookahead model; the membership and observation API (`add_node`,
 /// `kill`, `view_of`, `snapshot`, …) is [`Sharded`]'s, shared with the
 /// cycle engine.
 ///

@@ -36,7 +36,8 @@ use std::collections::BTreeMap;
 /// Upper bound on ring slots: 2¹⁶ empty `Vec`s are 1.5 MiB.
 const MAX_SLOTS: u64 = 1 << 16;
 
-/// See the [module docs](self).
+/// A per-tick FIFO calendar queue; its design is in the `queue.rs` module
+/// docs.
 pub struct TickQueue<T> {
     /// Slot `t & mask` holds the entries of the one tick `t` in
     /// `[cursor, cursor + slots)`, in push order.

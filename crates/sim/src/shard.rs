@@ -72,7 +72,7 @@ pub(crate) struct Shard<N, S> {
 }
 
 /// A population of `N` nodes partitioned into shards and driven under the
-/// execution model `M` — see the [module docs](self). Used through its two
+/// execution model `M` — see the `shard.rs` module docs. Used through its two
 /// aliases, [`crate::ShardedSimulation`] and
 /// [`crate::ShardedEventSimulation`].
 pub struct Sharded<N: GossipNode + Send, M: Mode> {
