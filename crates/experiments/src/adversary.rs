@@ -1,14 +1,14 @@
 //! **Extension X7** — Byzantine robustness: attack metrics per honest
-//! policy, cross-engine.
+//! policy, cross-stack.
 //!
 //! Runs one adversarial [`Workload`] schedule (`adv:` verbs — hub, age
 //! liar, reply forger, eclipse; see the `pss_sim::workload` grammar) over
-//! a sweep of honest-policy corners, on **both** simulation stacks, and
-//! tabulates the final attack observables side by side: in-degree capture
-//! (skew), attacker-edge fraction, in-degree Gini, eclipsed victims,
-//! largest attacker-free component — plus a PeerSwap-style randomness
-//! audit of the aggregate sample stream (attacker sample share and a
-//! chi-square uniformity p-value).
+//! a sweep of honest-policy corners, on **every** simulation stack
+//! ([`Stack::ALL`]), and tabulates the final attack observables side by
+//! side: in-degree capture (skew), attacker-edge fraction, in-degree
+//! Gini, eclipsed victims, largest attacker-free component — plus a
+//! PeerSwap-style randomness audit of the aggregate sample stream
+//! (attacker sample share and a chi-square uniformity p-value).
 //!
 //! The policy corners are chosen to show *which* honest dimension defends:
 //! newscast's freshness-greedy selection is exactly what age-forging
@@ -19,18 +19,18 @@
 
 use pss_core::hs::{HsConfig, HsPeerSelection};
 use pss_core::{NodeId, PolicyTriple, ProtocolConfig};
-use pss_sim::audit::{audit_rows, role_factory, AttackRecord, HonestPolicy, SampleAudit};
+use pss_sim::audit::{audit_rows, AttackRecord, HonestPolicy, SampleAudit};
 use pss_sim::workload::{run_workload_observed, Workload};
 
-use crate::engines::on_both_engines;
 use crate::report::{fmt_f64, fmt_percent, Report, Section, Table};
+use crate::stacks::{on_every_stack, Stack};
 use crate::Scale;
 
 /// The default schedule: the headline hub attack — 2 % colluders forging
 /// fresh self-descriptors through 30 quiet periods.
 pub const DEFAULT_SCHEDULE: &str = "adv:hub@0.02,quiet:30";
 
-/// Configuration of a cross-engine adversary sweep.
+/// Configuration of a cross-stack adversary sweep.
 #[derive(Debug, Clone)]
 pub struct AdversaryConfig {
     /// Population, view size and seed (`cycles` is ignored — the schedule
@@ -38,7 +38,7 @@ pub struct AdversaryConfig {
     pub scale: Scale,
     /// The schedule string; must place an adversary (`adv:` verb).
     pub schedule: String,
-    /// Shard count for both engines.
+    /// Shard count of every stack.
     pub shards: usize,
     /// Worker-thread override (results are worker-invariant).
     pub workers: Option<usize>,
@@ -56,13 +56,13 @@ impl AdversaryConfig {
     }
 }
 
-/// One policy × engine cell of the sweep.
+/// One policy × stack cell of the sweep.
 #[derive(Debug)]
 pub struct PolicyOutcome {
     /// Human-readable policy label.
     pub policy: String,
-    /// `"cycle"` or `"event"`.
-    pub engine: &'static str,
+    /// The stack it ran on.
+    pub stack: Stack,
     /// The last period's attack observables.
     pub final_record: AttackRecord,
     /// Share of the aggregate honest sample stream that landed on
@@ -73,16 +73,17 @@ pub struct PolicyOutcome {
     pub uniformity_p: Option<f64>,
 }
 
-/// Result of the sweep: one [`PolicyOutcome`] per policy per engine.
+/// Result of the sweep: one [`PolicyOutcome`] per policy per stack.
 #[derive(Debug)]
 pub struct AdversaryResult {
     /// The schedule string as configured.
     pub schedule: String,
-    /// Shard count of both engines.
+    /// Shard count of every stack.
     pub shards: usize,
     /// Population the schedule was compiled for.
     pub nodes: usize,
-    /// Outcomes, grouped by policy in sweep order, cycle before event.
+    /// Outcomes, grouped by policy in sweep order, then by stack in
+    /// [`Stack::ALL`] order.
     pub outcomes: Vec<PolicyOutcome>,
 }
 
@@ -104,7 +105,7 @@ impl Report for AdversaryResult {
             let f = &o.final_record;
             table.row(vec![
                 o.policy.clone(),
-                o.engine.to_owned(),
+                o.stack.label().to_owned(),
                 fmt_f64(f.skew(), 2),
                 fmt_percent(f.attacker_edge_fraction),
                 fmt_f64(f.in_degree_gini, 3),
@@ -120,7 +121,7 @@ impl Report for AdversaryResult {
     /// Passes when the honest overlay survived everywhere (largest
     /// attacker-free component ≥ 50 % of live honest nodes — captured
     /// policies shed real connectivity, that is the attack working) and,
-    /// per engine, the swapper's capture never exceeds newscast's — the
+    /// per stack, the swapper's capture never exceeds newscast's — the
     /// defense ordering the CI smoke pins. The `max(2.0)` floor keeps
     /// near-benign schedules (where both skews sit around 1) from
     /// flickering the gate.
@@ -129,10 +130,10 @@ impl Report for AdversaryResult {
             .outcomes
             .iter()
             .all(|o| o.final_record.honest_component_fraction() >= 0.50);
-        let ordered = ["cycle", "event"].iter().all(|engine| {
+        let ordered = Stack::ALL.into_iter().all(|stack| {
             match (
-                skew_of(&self.outcomes, engine, "newscast"),
-                skew_of(&self.outcomes, engine, "hs swapper"),
+                skew_of(&self.outcomes, stack, "newscast"),
+                skew_of(&self.outcomes, stack, "hs swapper"),
             ) {
                 (Some(news), Some(swap)) => swap <= news.max(2.0),
                 _ => true,
@@ -157,11 +158,11 @@ impl Report for AdversaryResult {
 }
 
 /// The final in-degree skew of the first policy labelled `policy_prefix…`
-/// on `engine`.
-fn skew_of(outcomes: &[PolicyOutcome], engine: &str, policy_prefix: &str) -> Option<f64> {
+/// on `stack`.
+fn skew_of(outcomes: &[PolicyOutcome], stack: Stack, policy_prefix: &str) -> Option<f64> {
     outcomes
         .iter()
-        .find(|o| o.engine == engine && o.policy.starts_with(policy_prefix))
+        .find(|o| o.stack == stack && o.policy.starts_with(policy_prefix))
         .map(|o| o.final_record.skew())
 }
 
@@ -201,65 +202,9 @@ fn policy_corners(c: usize) -> Result<Vec<(String, HonestPolicy)>, String> {
     ])
 }
 
-/// Runs the schedule for one policy on both engines, cycle first,
-/// auditing every period and feeding every honest node's per-period view
-/// into the sample audit.
-fn run_pair(
-    policy: &HonestPolicy,
-    label: &str,
-    workload: &Workload,
-    config: &AdversaryConfig,
-) -> Result<[PolicyOutcome; 2], String> {
-    let nodes = config.scale.nodes;
-    let compiled = workload.compile(nodes);
-    let roles = compiled.adversary.ok_or_else(|| {
-        format!(
-            "schedule `{}` places no adversary (adv: verb)",
-            config.schedule
-        )
-    })?;
-    let c = policy.view_size();
-
-    let [cycle, event] = on_both_engines(
-        role_factory(policy.clone(), Some(roles)),
-        nodes,
-        config.scale.seed,
-        config.shards,
-        config.workers,
-        |engine, target| -> Result<PolicyOutcome, String> {
-            let mut final_record = None;
-            let mut audit = SampleAudit::new(config.scale.seed ^ 0xa0d1);
-            run_workload_observed(target, &compiled, c, &mut |period, rows, _is_live| {
-                for (id, targets) in rows {
-                    if !roles.is_attacker(*id) {
-                        audit.observe(targets);
-                    }
-                }
-                final_record = Some(audit_rows(&roles, compiled.id_space, rows, period));
-            });
-
-            let final_record = final_record.ok_or("schedule ran zero periods")?;
-            let attacker_sample_share = if audit.samples() == 0 {
-                0.0
-            } else {
-                audit.samples_matching(|id| roles.is_attacker(id)) as f64 / audit.samples() as f64
-            };
-            let uniformity_p = audit
-                .chi_square((0..nodes as u64).map(NodeId::new))
-                .map(|v| v.p_value);
-            Ok(PolicyOutcome {
-                policy: label.to_owned(),
-                engine,
-                final_record,
-                attacker_sample_share,
-                uniformity_p,
-            })
-        },
-    )?;
-    Ok([cycle?, event?])
-}
-
-/// Runs the sweep: every policy corner on both engines.
+/// Runs the sweep: every policy corner on every stack, auditing every
+/// period and feeding every honest node's per-period view into the
+/// sample audit.
 ///
 /// # Errors
 ///
@@ -267,17 +212,59 @@ fn run_pair(
 /// places no adversary, or an invalid-policy error for view sizes the H&S
 /// corners cannot host.
 pub fn run(config: &AdversaryConfig) -> Result<AdversaryResult, String> {
-    let workload =
-        Workload::parse(&config.schedule, config.scale.seed).map_err(|e| e.to_string())?;
+    let schedule = &config.schedule;
+    let workload = Workload::parse(schedule, config.scale.seed).map_err(|e| e.to_string())?;
     let corners = policy_corners(config.scale.view_size)?;
-    let mut outcomes = Vec::with_capacity(corners.len() * 2);
+    let nodes = config.scale.nodes;
+    let compiled = workload.compile(nodes);
+    let no_adversary = || format!("schedule `{schedule}` places no adversary (adv: verb)");
+    let roles = compiled.adversary.ok_or_else(no_adversary)?;
+    let mut outcomes = Vec::with_capacity(corners.len() * Stack::ALL.len());
     for (label, policy) in &corners {
-        outcomes.extend(run_pair(policy, label, &workload, config)?);
+        let c = policy.view_size();
+        let runs = on_every_stack(
+            policy.clone(),
+            Some(roles),
+            &config.scale,
+            config.shards,
+            config.workers,
+            |stack, target| -> Result<PolicyOutcome, String> {
+                let mut final_record = None;
+                let mut audit = SampleAudit::new(config.scale.seed ^ 0xa0d1);
+                run_workload_observed(target, &compiled, c, &mut |period, rows, _is_live| {
+                    for (id, targets) in rows {
+                        if !roles.is_attacker(*id) {
+                            audit.observe(targets);
+                        }
+                    }
+                    final_record = Some(audit_rows(&roles, compiled.id_space, rows, period));
+                });
+
+                let final_record = final_record.ok_or("schedule ran zero periods")?;
+                let attacker_sample_share = if audit.samples() == 0 {
+                    0.0
+                } else {
+                    audit.samples_matching(|id| roles.is_attacker(id)) as f64
+                        / audit.samples() as f64
+                };
+                let uniformity_p = audit
+                    .chi_square((0..nodes as u64).map(NodeId::new))
+                    .map(|v| v.p_value);
+                Ok(PolicyOutcome {
+                    policy: label.clone(),
+                    stack,
+                    final_record,
+                    attacker_sample_share,
+                    uniformity_p,
+                })
+            },
+        )?;
+        outcomes.extend(runs.into_iter().collect::<Result<Vec<_>, _>>()?);
     }
     Ok(AdversaryResult {
         schedule: config.schedule.clone(),
         shards: config.shards,
-        nodes: config.scale.nodes,
+        nodes,
         outcomes,
     })
 }
@@ -285,6 +272,7 @@ pub fn run(config: &AdversaryConfig) -> Result<AdversaryResult, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stacks::assert_same_membership;
 
     fn tiny_config() -> AdversaryConfig {
         let mut scale = Scale::tiny();
@@ -296,21 +284,29 @@ mod tests {
     }
 
     #[test]
-    fn tiny_sweep_runs_all_corners_on_both_engines() {
+    fn tiny_sweep_runs_all_corners_on_every_stack() {
         let config = tiny_config();
         let result = run(&config).expect("valid schedule");
-        assert_eq!(result.outcomes.len(), 8);
-        assert_eq!(result.sections()[0].summary.len(), 8);
+        let runs = 4 * Stack::ALL.len();
+        assert_eq!(result.outcomes.len(), runs);
+        assert_eq!(result.sections()[0].summary.len(), runs);
         assert!(result.verdict().is_ok(), "{result:?}");
+        for corner in result.outcomes.chunks(Stack::ALL.len()) {
+            assert_same_membership(corner.iter().map(|o| {
+                let f = &o.final_record;
+                (o.stack, (f.live, f.honest_live, f.attackers_live))
+            }));
+        }
         // The headline ordering: newscast is captured, the swapper bounds
-        // it — on both engines.
-        for engine in ["cycle", "event"] {
-            let news = skew_of(&result.outcomes, engine, "newscast").unwrap();
-            let swap = skew_of(&result.outcomes, engine, "hs swapper").unwrap();
-            assert!(news > 2.0, "{engine}: newscast not captured: {news}");
+        // it — on every stack.
+        for stack in Stack::ALL {
+            let news = skew_of(&result.outcomes, stack, "newscast").unwrap();
+            let swap = skew_of(&result.outcomes, stack, "hs swapper").unwrap();
+            let stack = stack.label();
+            assert!(news > 2.0, "{stack}: newscast not captured: {news}");
             assert!(
                 swap < news,
-                "{engine}: swapper did not bound: {swap} vs {news}"
+                "{stack}: swapper did not bound: {swap} vs {news}"
             );
         }
         // The sample audit saw the attack: attacker share above the 2 %
@@ -318,7 +314,7 @@ mod tests {
         let news_cycle = result
             .outcomes
             .iter()
-            .find(|o| o.engine == "cycle" && o.policy.starts_with("newscast"))
+            .find(|o| o.stack == Stack::Cycle && o.policy.starts_with("newscast"))
             .unwrap();
         assert!(news_cycle.attacker_sample_share > 0.05, "{news_cycle:?}");
         assert!(news_cycle.uniformity_p.is_some());

@@ -23,9 +23,9 @@
 //! | [`hs_ablation`] | extension   | healer/swapper (H, S) corners: healing speed vs degree balance |
 //! | [`scaling`]  | extension      | sharded-engine throughput and overlay quality vs shard count |
 //! | [`net`]      | extension      | live loopback UDP cluster: wire codec + runtimes end to end |
-//! | [`workload`] | extension      | membership-dynamics schedules (churn, catastrophe, flash crowd, partition) cross-engine |
-//! | [`adversary`] | extension     | Byzantine attack metrics per honest policy, cross-engine |
-//! | [`protocols`] | extension     | broadcast & aggregation under membership schedules, cross-engine |
+//! | [`workload`] | extension      | membership-dynamics schedules (churn, catastrophe, flash crowd, partition) on every [`stacks::Stack`] |
+//! | [`adversary`] | extension     | Byzantine attack metrics per honest policy, on every stack |
+//! | [`protocols`] | extension     | broadcast & aggregation under membership schedules, on every stack |
 //! | [`metrics`]  | extension      | telemetry registry exercised across every stack (phase/RTT histograms, flight recorder) |
 //!
 //! All experiments are deterministic given their seed and parallelize
@@ -51,11 +51,11 @@ pub mod policies;
 pub mod protocols;
 pub mod report;
 pub mod scaling;
+pub mod stacks;
 pub mod table1;
 pub mod table2;
 pub mod workload;
 
-mod engines;
 mod parallel;
 mod scale;
 

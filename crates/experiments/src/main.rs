@@ -142,9 +142,9 @@ static COMMANDS: &[Command] = &[
         },
     },
     Command {
-        name: "workload", help: "membership-dynamics schedule on both engines (extension)",
+        name: "workload", help: "membership-dynamics schedule on every stack (extension)",
         options: &["--shards", "--workers", "--schedule", "--freshness"],
-        caps: (20_000, u64::MAX), // two engines × full per-period metrics
+        caps: (20_000, u64::MAX), // every stack × full per-period metrics
         run: |o| {
             let mut config = workload::WorkloadConfig::at_scale(o.scale);
             config.schedule = o.schedule.clone().unwrap_or(config.schedule);
@@ -156,7 +156,7 @@ static COMMANDS: &[Command] = &[
     },
     Command {
         name: "matrix", help: "failure-physics scenario matrix (extension)",
-        options: SWEEP, caps: (2000, u64::MAX), // sixteen cross-engine runs
+        options: SWEEP, caps: (2000, u64::MAX), // sixteen cells, each on every stack
         run: |o| {
             let mut config = workload::MatrixConfig::at_scale(o.scale);
             config.shards = o.shards.as_ref().map_or(config.shards, |s| s[0]);

@@ -4,9 +4,11 @@
 //! Every other experiment drives the protocol in-process. This one runs it
 //! end to end through the deployment stack: `pss-net`'s wire codec, UDP
 //! sockets on `127.0.0.1`, and multi-node runtimes stepped from one thread
-//! against the wall clock ([`pss_net::cluster::run`]). It reports the convergence trajectory (full-view
-//! fraction and in-degree statistics per gossip period, from the same CSR
-//! metrics the simulators use) plus live throughput — and the codec error
+//! against the wall clock ([`pss_net::cluster::run`]). It reports the
+//! convergence trajectory (full-view fraction and in-degree statistics per
+//! gossip period, from the same streamed
+//! [`measure_rows`](pss_sim::workload::measure_rows) pass the simulators'
+//! workload runs use; no CSR is built) plus live throughput — and the codec error
 //! count, which must be zero. With a schedule (`--schedule`, the
 //! [`pss_sim::workload`] grammar) the cluster runs it through the same
 //! workload driver as the simulators, and the gate becomes a recovery gate.

@@ -1,14 +1,14 @@
-//! **Extension X7** — applications under membership schedules, cross-engine.
+//! **Extension X7** — applications under membership schedules, cross-stack.
 //!
 //! The `apps` experiment measures sampling quality on a *static* overlay;
 //! this one puts the same two consumers — epidemic broadcast and push-pull
 //! averaging — under full membership dynamics. One compiled workload
-//! schedule drives the sharded cycle engine and the sharded event engine,
-//! and on each the application layer runs with both peer supplies: the
-//! node's own overlay view (dead links and all) and the uniform live
-//! oracle. The sweep crosses policy × sampler × engine per schedule, so
-//! every delivery/decay number is attributable to exactly one of those
-//! axes under an identical membership trajectory.
+//! schedule drives every simulation stack ([`Stack::ALL`]), and on each
+//! the application layer runs with both peer supplies: the node's own
+//! overlay view (dead links and all) and the uniform live oracle. The
+//! sweep crosses policy × sampler × stack per schedule, so every
+//! delivery/decay number is attributable to exactly one of those axes
+//! under an identical membership trajectory.
 //!
 //! The default schedule list pairs the conformance churn schedule with a
 //! Table-1-style partition schedule: the overlay splits in two, and the
@@ -17,11 +17,12 @@
 
 use pss_core::{PolicyTriple, ProtocolConfig};
 use pss_protocols::{run_under_workload, AppConfig, AppReport, Sampler};
-use pss_sim::workload::{CompiledWorkload, PeriodRecord, Workload};
+use pss_sim::audit::HonestPolicy;
+use pss_sim::workload::{PeriodRecord, Workload};
 
-use crate::engines::{on_both_engines, sampling_nodes};
 use crate::parallel::parallel_map;
 use crate::report::{fmt_f64, fmt_percent, Report, Section, Table};
+use crate::stacks::{on_every_stack, Health, Stack};
 use crate::Scale;
 
 /// Configuration of the application-protocols sweep (broadcast fanout:
@@ -35,7 +36,7 @@ pub struct ProtocolsConfig {
     pub schedules: Vec<(String, String)>,
     /// Overlay policies to host the applications on.
     pub policies: Vec<PolicyTriple>,
-    /// Shard count for both engines.
+    /// Shard count of every stack.
     pub shards: usize,
     /// Worker-thread override (results are worker-invariant).
     pub workers: Option<usize>,
@@ -64,13 +65,13 @@ impl ProtocolsConfig {
     }
 }
 
-/// One cell of the sweep: a (schedule, engine, policy, sampler) run.
+/// One cell of the sweep: a (schedule, policy, sampler, stack) run.
 #[derive(Debug)]
 pub struct ProtocolRun {
     /// Schedule label from the config.
     pub schedule: String,
-    /// `cycle` or `event`.
-    pub engine: &'static str,
+    /// The stack it ran on.
+    pub stack: Stack,
     /// Overlay policy hosting the applications.
     pub policy: PolicyTriple,
     /// Peer supply the applications drew from.
@@ -84,7 +85,8 @@ pub struct ProtocolRun {
 /// Result of the sweep.
 #[derive(Debug)]
 pub struct ProtocolsResult {
-    /// All runs, grouped by schedule, then engine, policy, sampler.
+    /// All runs, grouped by schedule, then policy, sampler, and stack in
+    /// [`Stack::ALL`] order.
     pub runs: Vec<ProtocolRun>,
     /// Population every schedule was compiled for.
     pub nodes: usize,
@@ -112,7 +114,7 @@ impl Report for ProtocolsResult {
             let last = r.records.last();
             table.row(vec![
                 r.schedule.clone(),
-                r.engine.into(),
+                r.stack.label().into(),
                 r.policy.to_string(),
                 r.sampler.label().into(),
                 fmt_percent(r.report.delivery_ratio()),
@@ -146,7 +148,7 @@ impl Report for ProtocolsResult {
             for (row, rec) in r.report.rows().iter().zip(r.records.iter()) {
                 series.row(vec![
                     r.schedule.clone(),
-                    r.engine.into(),
+                    r.stack.label().into(),
                     r.policy.to_string(),
                     r.sampler.label().into(),
                     row.period.to_string(),
@@ -164,14 +166,12 @@ impl Report for ProtocolsResult {
         vec![Section::new("protocols", table, Some(series))]
     }
 
-    /// Passes when every run ends on a healthy overlay (largest component
-    /// ≥ 95% of live, dead links ≤ 10%) with the rumor delivered to
-    /// ≥ 90% of the surviving population.
+    /// Passes when every run ends on a healthy overlay
+    /// ([`Health::healthy`]) with the rumor delivered to ≥ 90% of the
+    /// surviving population.
     fn verdict(&self) -> Result<(), String> {
         let healthy = self.runs.iter().all(|r| {
-            let overlay_ok = r.records.last().is_some_and(|rec| {
-                rec.component_fraction() >= 0.95 && rec.dead_link_fraction() <= 0.10
-            });
+            let overlay_ok = (r.records.last()).is_some_and(|end| Health::worst([end]).healthy());
             overlay_ok && r.report.delivery_ratio() >= 0.90
         });
         if healthy {
@@ -214,58 +214,45 @@ pub fn run(config: &ProtocolsConfig) -> Result<ProtocolsResult, String> {
         }
     }
 
-    let pairs = parallel_map(jobs, |(label, compiled, policy, sampler)| {
-        run_pair(config, label, compiled, policy, sampler)
+    // One (schedule, policy, sampler) cell per job, each on every stack.
+    let (scale, c) = (config.scale, config.scale.view_size);
+    let cells = parallel_map(jobs, |(label, compiled, policy, sampler)| {
+        let protocol = ProtocolConfig::new(policy, c).map_err(|e| e.to_string())?;
+        let app = AppConfig {
+            sampler,
+            seed: scale.seed ^ 0x0a99_5eed,
+            ..AppConfig::default()
+        };
+        on_every_stack(
+            HonestPolicy::Sampling(protocol),
+            None,
+            &scale,
+            config.shards,
+            config.workers,
+            |stack, target| {
+                let (records, report) = run_under_workload(target, compiled, c, &app);
+                ProtocolRun {
+                    schedule: label.to_owned(),
+                    stack,
+                    policy,
+                    sampler,
+                    records,
+                    report,
+                }
+            },
+        )
     });
-    let mut runs = Vec::with_capacity(2 * pairs.len());
-    for pair in pairs {
-        runs.extend(pair?);
-    }
+    let cells: Vec<Vec<_>> = cells.into_iter().collect::<Result<_, _>>()?;
     Ok(ProtocolsResult {
-        runs,
-        nodes: config.scale.nodes,
+        runs: cells.into_iter().flatten().collect(),
+        nodes: scale.nodes,
     })
-}
-
-/// One (schedule, policy, sampler) cell on both engines, cycle first.
-fn run_pair(
-    config: &ProtocolsConfig,
-    label: &str,
-    compiled: &CompiledWorkload,
-    policy: PolicyTriple,
-    sampler: Sampler,
-) -> Result<[ProtocolRun; 2], String> {
-    let scale = config.scale;
-    let c = scale.view_size;
-    let protocol = ProtocolConfig::new(policy, c).map_err(|e| e.to_string())?;
-    let app = AppConfig {
-        sampler,
-        seed: scale.seed ^ 0x0a99_5eed,
-        ..AppConfig::default()
-    };
-    on_both_engines(
-        sampling_nodes(protocol),
-        scale.nodes,
-        scale.seed,
-        config.shards,
-        config.workers,
-        |engine, target| {
-            let (records, report) = run_under_workload(target, compiled, c, &app);
-            ProtocolRun {
-                schedule: label.to_owned(),
-                engine,
-                policy,
-                sampler,
-                records,
-                report,
-            }
-        },
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stacks::{assert_same_membership, membership};
 
     #[test]
     fn tiny_sweep_covers_all_axes_and_is_healthy() {
@@ -273,11 +260,19 @@ mod tests {
         scale.nodes = 150;
         scale.view_size = 12;
         let mut config = ProtocolsConfig::at_scale(scale);
-        // One policy keeps the test at 8 runs (2 schedules × 2 samplers ×
-        // 2 engines).
+        // One policy keeps the test at 4 cells (2 schedules × 2 samplers),
+        // each run on every stack.
         config.policies = vec![PolicyTriple::newscast()];
         let result = run(&config).expect("valid config");
-        assert_eq!(result.runs.len(), 8);
+        assert_eq!(result.runs.len(), 4 * Stack::ALL.len());
+        for cell in result.runs.chunks(Stack::ALL.len()) {
+            assert_same_membership(cell.iter().map(|r| {
+                (
+                    r.stack,
+                    r.records.iter().map(membership).collect::<Vec<_>>(),
+                )
+            }));
+        }
         let section = result.sections().remove(0);
         assert!(result.verdict().is_ok(), "{}", section.summary);
         // The partition schedule must show blocked app traffic; the churn
@@ -304,7 +299,7 @@ mod tests {
                 .find(|t| {
                     t.sampler == Sampler::Overlay
                         && t.schedule == r.schedule
-                        && t.engine == r.engine
+                        && t.stack == r.stack
                         && t.policy == r.policy
                 })
                 .expect("paired run");
@@ -312,7 +307,7 @@ mod tests {
                 r.report.decay_factor() <= twin.report.decay_factor() + 0.05,
                 "oracle decays slower than overlay on {}/{}",
                 r.schedule,
-                r.engine
+                r.stack.label()
             );
         }
         assert!(!section.summary.is_empty());

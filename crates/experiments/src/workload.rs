@@ -1,12 +1,13 @@
-//! **Extension X6** — membership-dynamics workloads, cross-engine.
+//! **Extension X6** — membership-dynamics workloads, cross-stack.
 //!
 //! Runs one declarative [`Workload`] schedule (churn phases, catastrophic
 //! kills, flash crowds, partition/heal — see the `pss_sim::workload`
-//! grammar) on **both** simulation stacks — the sharded cycle engine (the
-//! paper's model) and the sharded event engine (jitter + latency + loss) —
-//! through the same compiled per-period operations, and tabulates the two
-//! recovery trajectories side by side: live population, full-view
-//! fraction, in-degree mean, dead-link fraction, largest live component.
+//! grammar) on **every** simulation stack ([`Stack::ALL`]: the sharded
+//! cycle engine, the paper's model, and the sharded event engine, with
+//! jitter, latency and loss) through the same compiled per-period
+//! operations, and tabulates the recovery trajectories side by side: live
+//! population, then per stack the full-view fraction, in-degree mean,
+//! dead-link fraction and largest live component.
 //!
 //! The run covers one or both **freshness modes** ([`FreshnessChoice`]):
 //! hop-count age (the repo's historic default) and the paper's Newscast
@@ -28,10 +29,11 @@
 //! are explorable at any scale with `--schedule`.
 
 use pss_core::{Freshness, PolicyTriple, ProtocolConfig};
-use pss_sim::workload::{run_workload, PeriodRecord, PhaseSpec, Workload};
+use pss_sim::audit::HonestPolicy;
+use pss_sim::workload::{run_workload, CompiledWorkload, PeriodRecord, PhaseSpec, Workload};
 
-use crate::engines::{on_both_engines, sampling_nodes};
 use crate::report::{fmt_f64, fmt_percent, Report, Section, Table};
+use crate::stacks::{on_every_stack, stack_table, Health, Stack};
 use crate::Scale;
 
 /// The default schedule: the conformance suite's headline — converge,
@@ -85,7 +87,7 @@ fn mode_slug(freshness: Freshness) -> &'static str {
     }
 }
 
-/// Configuration of a cross-engine workload run.
+/// Configuration of a cross-stack workload run.
 #[derive(Debug, Clone)]
 pub struct WorkloadConfig {
     /// Population, view size and seed (`cycles` is ignored — the schedule
@@ -93,7 +95,7 @@ pub struct WorkloadConfig {
     pub scale: Scale,
     /// The schedule string ([`pss_sim::workload`] grammar).
     pub schedule: String,
-    /// Shard count for both engines.
+    /// Shard count of every stack.
     pub shards: usize,
     /// Worker-thread override (results are worker-invariant).
     pub workers: Option<usize>,
@@ -115,76 +117,51 @@ impl WorkloadConfig {
     }
 }
 
-/// The two per-period trajectories of one schedule under one freshness
-/// mode.
+/// The per-period trajectories of one schedule under one freshness mode,
+/// one per stack.
 #[derive(Debug)]
 pub struct WorkloadResult {
     /// The freshness mode this result ran under.
     pub freshness: Freshness,
-    /// Cycle-engine records.
-    pub cycle: Vec<PeriodRecord>,
-    /// Event-engine records.
-    pub event: Vec<PeriodRecord>,
+    /// Each stack's per-period records, in [`Stack::ALL`] order.
+    pub records: Vec<(Stack, Vec<PeriodRecord>)>,
     /// Population the schedule was compiled for.
     pub nodes: usize,
 }
 
 impl WorkloadResult {
-    /// Side-by-side per-period table.
+    /// Side-by-side per-period table: period and live population, then
+    /// four columns per stack.
     fn table(&self) -> Table {
-        let mut table = Table::new(vec![
-            "period",
-            "live",
-            "cyc full",
-            "cyc in-deg",
-            "cyc dead",
-            "cyc comp",
-            "evt full",
-            "evt in-deg",
-            "evt dead",
-            "evt comp",
-        ]);
-        for (c, e) in self.cycle.iter().zip(self.event.iter()) {
-            table.row(vec![
-                format!("{}{}", c.period, if c.partitioned { "*" } else { "" }),
-                c.live.to_string(),
-                fmt_percent(c.full_fraction()),
-                fmt_f64(c.in_degree_mean, 2),
-                fmt_percent(c.dead_link_fraction()),
-                fmt_percent(c.component_fraction()),
-                fmt_percent(e.full_fraction()),
-                fmt_f64(e.in_degree_mean, 2),
-                fmt_percent(e.dead_link_fraction()),
-                fmt_percent(e.component_fraction()),
-            ]);
+        let mut table = stack_table(&["period", "live"], &["full", "in-deg", "dead", "comp"]);
+        let (_, first) = &self.records[0];
+        for (i, r) in first.iter().enumerate() {
+            let mut row = vec![
+                format!("{}{}", r.period, if r.partitioned { "*" } else { "" }),
+                r.live.to_string(),
+            ];
+            for (_, records) in &self.records {
+                let r = &records[i];
+                row.extend([
+                    fmt_percent(r.full_fraction()),
+                    fmt_f64(r.in_degree_mean, 2),
+                    fmt_percent(r.dead_link_fraction()),
+                    fmt_percent(r.component_fraction()),
+                ]);
+            }
+            table.row(row);
         }
         table
     }
 
-    /// The last period's record on each engine that ran one.
-    fn ends(&self) -> impl Iterator<Item = &PeriodRecord> {
-        [self.cycle.last(), self.event.last()].into_iter().flatten()
+    /// The worst end-of-run overlay across the stacks.
+    pub fn end(&self) -> Health {
+        Health::worst(self.records.iter().filter_map(|(_, r)| r.last()))
     }
 
-    /// True when both engines end healthy: largest component ≥ 95% of the
-    /// live population and dead links ≤ 10% of view entries.
+    /// True when every stack ends healthy ([`Health::healthy`]).
     pub fn healthy(&self) -> bool {
-        self.ends()
-            .all(|r| r.component_fraction() >= 0.95 && r.dead_link_fraction() <= 0.10)
-    }
-
-    /// Worst end-of-run largest-component fraction across the two engines.
-    fn end_component(&self) -> f64 {
-        self.ends()
-            .map(|r| r.component_fraction())
-            .fold(1.0, f64::min)
-    }
-
-    /// Worst end-of-run dead-link fraction across the two engines.
-    fn end_dead(&self) -> f64 {
-        self.ends()
-            .map(|r| r.dead_link_fraction())
-            .fold(0.0, f64::max)
+        self.end().healthy()
     }
 }
 
@@ -198,7 +175,7 @@ pub struct WorkloadRun {
     pub partitioned: bool,
     /// The schedule string as configured.
     pub schedule: String,
-    /// Shard count of both engines.
+    /// Shard count of every stack.
     pub shards: usize,
 }
 
@@ -224,7 +201,7 @@ impl Report for WorkloadRun {
     /// schedules: the hop-count side is exempt entirely (leaving the
     /// overlay split is its documented failure mode, not a harness bug),
     /// and the timestamp side must *fully* heal, plus satisfy the
-    /// freshness *ordering* — on each engine its end component must be at
+    /// freshness *ordering* — on each stack its end component must be at
     /// least hop-count's.
     fn verdict(&self) -> Result<(), String> {
         let both = self.results.len() == 2;
@@ -232,33 +209,33 @@ impl Report for WorkloadRun {
             if self.partitioned && both && r.freshness == Freshness::HopCount {
                 continue;
             }
+            let end = r.end();
             let ok = if both && !(self.partitioned && r.freshness == Freshness::Timestamp) {
-                r.end_component() >= 0.95
+                end.connected()
             } else {
-                r.healthy()
+                end.healthy()
             };
             if !ok {
                 return Err(format!(
                     "workload gate failed: {} mode left an unhealthy overlay \
                      (end component {:.2}, dead links {:.2})",
                     mode_slug(r.freshness),
-                    r.end_component(),
-                    r.end_dead()
+                    end.component,
+                    end.dead
                 ));
             }
         }
         if self.partitioned && both {
-            let hop = &self.results[0];
-            let ts = &self.results[1];
-            for (engine, h, t) in [
-                ("cycle", hop.cycle.last(), ts.cycle.last()),
-                ("event", hop.event.last(), ts.event.last()),
-            ] {
-                let (Some(h), Some(t)) = (h, t) else { continue };
+            let (hop, ts) = (&self.results[0], &self.results[1]);
+            for ((stack, h), (_, t)) in hop.records.iter().zip(&ts.records) {
+                let (Some(h), Some(t)) = (h.last(), t.last()) else {
+                    continue;
+                };
                 if t.component_fraction() + 1e-9 < h.component_fraction() {
                     return Err(format!(
-                        "workload gate failed: freshness ordering violated on the {engine} engine: \
+                        "workload gate failed: freshness ordering violated on the {} stack: \
                          timestamp ended at component {:.2} < hop-count {:.2}",
+                        stack.label(),
                         t.component_fraction(),
                         h.component_fraction()
                     ));
@@ -300,7 +277,7 @@ impl Report for WorkloadRun {
     }
 }
 
-/// Runs the schedule on both engines under the configured freshness
+/// Runs the schedule on every stack under the configured freshness
 /// mode(s).
 ///
 /// # Errors
@@ -313,9 +290,16 @@ pub fn run(config: &WorkloadConfig) -> Result<WorkloadRun, String> {
         .phases()
         .iter()
         .any(|p| matches!(p, PhaseSpec::Partition { .. }));
+    let compiled = workload.compile(config.scale.nodes);
+    let at = (&config.scale, config.shards, config.workers);
+    let newscast = PolicyTriple::newscast();
     let mut results = Vec::new();
     for &freshness in config.freshness.modes() {
-        results.push(run_mode(config, &workload, freshness)?);
+        results.push(WorkloadResult {
+            freshness,
+            records: stack_records(at, newscast, freshness, &compiled)?,
+            nodes: config.scale.nodes,
+        });
     }
     Ok(WorkloadRun {
         results,
@@ -325,32 +309,26 @@ pub fn run(config: &WorkloadConfig) -> Result<WorkloadRun, String> {
     })
 }
 
-/// Runs one freshness mode of the schedule on both engines.
-fn run_mode(
-    config: &WorkloadConfig,
-    workload: &Workload,
+/// Runs `compiled` under `policy` with `freshness` on every stack at
+/// `(scale, shards, workers)`: each stack's per-period records.
+fn stack_records(
+    (scale, shards, workers): (&Scale, usize, Option<usize>),
+    policy: PolicyTriple,
     freshness: Freshness,
-) -> Result<WorkloadResult, String> {
-    let compiled = workload.compile(config.scale.nodes);
-    let c = config.scale.view_size;
-    let protocol = ProtocolConfig::new(PolicyTriple::newscast(), c)
+    compiled: &CompiledWorkload,
+) -> Result<Vec<(Stack, Vec<PeriodRecord>)>, String> {
+    let c = scale.view_size;
+    let protocol = ProtocolConfig::new(policy, c)
         .map_err(|e| e.to_string())?
         .with_freshness(freshness);
-    let [cycle, event] = on_both_engines(
-        sampling_nodes(protocol),
-        config.scale.nodes,
-        config.scale.seed,
-        config.shards,
-        config.workers,
-        |_, target| run_workload(target, &compiled, c),
-    )?;
-
-    Ok(WorkloadResult {
-        freshness,
-        cycle,
-        event,
-        nodes: config.scale.nodes,
-    })
+    on_every_stack(
+        HonestPolicy::Sampling(protocol),
+        None,
+        scale,
+        shards,
+        workers,
+        |stack, target| (stack, run_workload(target, compiled, c)),
+    )
 }
 
 /// Configuration of the failure-physics scenario matrix.
@@ -358,7 +336,7 @@ fn run_mode(
 pub struct MatrixConfig {
     /// Population, view size and engine seed.
     pub scale: Scale,
-    /// Shard count for both engines.
+    /// Shard count of every stack.
     pub shards: usize,
     /// Worker-thread override (results are worker-invariant).
     pub workers: Option<usize>,
@@ -384,25 +362,14 @@ pub struct MatrixCell {
     pub policy: PolicyTriple,
     /// The freshness mode under test.
     pub freshness: Freshness,
-    /// End-of-run cycle-engine record.
-    pub cycle_end: PeriodRecord,
-    /// End-of-run event-engine record.
-    pub event_end: PeriodRecord,
+    /// Each stack's end-of-run record, in [`Stack::ALL`] order.
+    pub ends: Vec<(Stack, PeriodRecord)>,
 }
 
 impl MatrixCell {
-    /// Worst end-of-run largest-component fraction across the engines.
-    pub fn end_component(&self) -> f64 {
-        self.cycle_end
-            .component_fraction()
-            .min(self.event_end.component_fraction())
-    }
-
-    /// Worst end-of-run dead-link fraction across the engines.
-    pub fn end_dead(&self) -> f64 {
-        self.cycle_end
-            .dead_link_fraction()
-            .max(self.event_end.dead_link_fraction())
+    /// The worst end-of-run overlay across the stacks.
+    pub fn end(&self) -> Health {
+        Health::worst(self.ends.iter().map(|(_, r)| r))
     }
 }
 
@@ -416,29 +383,24 @@ pub struct MatrixResult {
 }
 
 impl Report for MatrixResult {
-    /// One row per cell: end-of-run state on both engines.
+    /// One row per cell: end-of-run state on every stack.
     fn sections(&self) -> Vec<Section> {
-        let mut table = Table::new(vec![
-            "family",
-            "policy",
-            "freshness",
-            "live",
-            "cyc comp",
-            "cyc dead",
-            "evt comp",
-            "evt dead",
-        ]);
+        let cell_columns = ["family", "policy", "freshness", "live"];
+        let mut table = stack_table(&cell_columns, &["comp", "dead"]);
         for cell in &self.cells {
-            table.row(vec![
+            let mut row = vec![
                 cell.family.to_owned(),
                 cell.policy.to_string(),
                 mode_slug(cell.freshness).to_owned(),
-                cell.cycle_end.live.to_string(),
-                fmt_percent(cell.cycle_end.component_fraction()),
-                fmt_percent(cell.cycle_end.dead_link_fraction()),
-                fmt_percent(cell.event_end.component_fraction()),
-                fmt_percent(cell.event_end.dead_link_fraction()),
-            ]);
+                cell.ends.first().map_or(0, |(_, r)| r.live).to_string(),
+            ];
+            for (_, r) in &cell.ends {
+                row.extend([
+                    fmt_percent(r.component_fraction()),
+                    fmt_percent(r.dead_link_fraction()),
+                ]);
+            }
+            table.row(row);
         }
         vec![Section::new("matrix", table, None)]
     }
@@ -459,64 +421,52 @@ impl Report for MatrixResult {
     /// surviving cross-group entries), so it falls under the component
     /// gate like any other cell.
     fn verdict(&self) -> Result<(), String> {
-        self.cells
-            .iter()
-            .try_for_each(|cell| {
-                let label = format!(
-                    "{} × {} × {}",
+        for cell in &self.cells {
+            let is_newscast = cell.policy == PolicyTriple::newscast();
+            let end = cell.end();
+            let failure = if cell.family != "partition" || !is_newscast {
+                if !end.connected() {
+                    Some(format!("ended split: component {:.2}", end.component))
+                } else if is_newscast && !end.healthy() {
+                    Some(format!("failed to self-heal: dead {:.2}", end.dead))
+                } else {
+                    None
+                }
+            } else if cell.freshness == Freshness::Timestamp {
+                (end.component < 0.98 || end.dead > 0.06).then(|| {
+                    format!(
+                        "failed to re-merge: component {:.2}, dead {:.2}",
+                        end.component, end.dead
+                    )
+                })
+            } else {
+                let ts = (self.cells.iter())
+                    .find(|c| {
+                        c.family == "partition"
+                            && c.policy == cell.policy
+                            && c.freshness == Freshness::Timestamp
+                    })
+                    .ok_or("matrix gate failed: partition family missing its timestamp cell")?
+                    .end()
+                    .component;
+                (end.component + 1e-9 >= ts).then(|| {
+                    format!(
+                        "is not split below the timestamp cell: \
+                         hop component {:.2} ≥ timestamp {ts:.2}",
+                        end.component
+                    )
+                })
+            };
+            if let Some(failure) = failure {
+                return Err(format!(
+                    "matrix gate failed: {} × {} × {} {failure}",
                     cell.family,
                     cell.policy,
                     mode_slug(cell.freshness)
-                );
-                let is_newscast = cell.policy == PolicyTriple::newscast();
-                if cell.family != "partition" || !is_newscast {
-                    if cell.end_component() < 0.95 {
-                        return Err(format!(
-                            "{label} ended split: component {:.2}",
-                            cell.end_component()
-                        ));
-                    }
-                    if is_newscast && cell.end_dead() > 0.10 {
-                        return Err(format!(
-                            "{label} failed to self-heal: dead {:.2}",
-                            cell.end_dead()
-                        ));
-                    }
-                } else {
-                    match cell.freshness {
-                        Freshness::Timestamp => {
-                            if cell.end_component() < 0.98 || cell.end_dead() > 0.06 {
-                                return Err(format!(
-                                    "{label} failed to re-merge: component {:.2}, dead {:.2}",
-                                    cell.end_component(),
-                                    cell.end_dead()
-                                ));
-                            }
-                        }
-                        Freshness::HopCount => {
-                            let ts = self
-                                .cells
-                                .iter()
-                                .find(|c| {
-                                    c.family == "partition"
-                                        && c.policy == cell.policy
-                                        && c.freshness == Freshness::Timestamp
-                                })
-                                .ok_or("partition family missing its timestamp cell")?;
-                            if cell.end_component() + 1e-9 >= ts.end_component() {
-                                return Err(format!(
-                                    "{label} is not split below the timestamp cell: \
-                                     hop component {:.2} ≥ timestamp {:.2}",
-                                    cell.end_component(),
-                                    ts.end_component()
-                                ));
-                            }
-                        }
-                    }
-                }
-                Ok(())
-            })
-            .map_err(|e| format!("matrix gate failed: {e}"))
+                ));
+            }
+        }
+        Ok(())
     }
 
     fn summary(&self) -> Option<String> {
@@ -531,7 +481,7 @@ impl Report for MatrixResult {
 }
 
 /// Runs the scenario matrix: failure family × policy × freshness, each
-/// cell a full cross-engine workload run.
+/// cell a full cross-stack workload run.
 ///
 /// The churn, catastrophe and herd families run at the configured scale.
 /// The partition family replays the conformance suite's pinned regime
@@ -553,34 +503,24 @@ pub fn matrix(config: &MatrixConfig) -> Result<MatrixResult, String> {
     // The partition family's pinned demonstration regime (see the
     // function docs): its own population, view size, engine seed and
     // shard count, and workload seed 9.
-    let pinned = MatrixConfig {
-        scale: Scale {
-            nodes: 200,
-            view_size: 15,
-            seed: 7,
-            ..config.scale
-        },
-        shards: 2,
-        workers: config.workers,
+    let pinned_scale = Scale {
+        nodes: 200,
+        view_size: 15,
+        seed: 7,
+        ..config.scale
     };
-    // (family, schedule, workload seed, where it runs)
+    let pinned = (&pinned_scale, 2, config.workers);
+    // (family, schedule, workload seed, where it runs: scale, shards,
+    // workers)
+    let seed = config.scale.seed;
+    let here = (&config.scale, config.shards, config.workers);
     let families = [
-        (
-            "churn",
-            "quiet:6,(churn:0.02x5)x3",
-            config.scale.seed,
-            config,
-        ),
+        ("churn", "quiet:6,(churn:0.02x5)x3", seed, here),
         // Churned recovery after the kill: the paper's self-healing result
         // needs membership turnover to flush the dead half from views.
-        (
-            "catastrophe",
-            "quiet:6,kill:0.5,churn:0.01x12",
-            config.scale.seed,
-            config,
-        ),
-        ("herd", &herd_schedule, config.scale.seed, config),
-        ("partition", "quiet:6,part:2x20@0.65,quiet:15", 9, &pinned),
+        ("catastrophe", "quiet:6,kill:0.5,churn:0.01x12", seed, here),
+        ("herd", &herd_schedule, seed, here),
+        ("partition", "quiet:6,part:2x20@0.65,quiet:15", 9, pinned),
     ];
     let policies = [
         PolicyTriple::newscast(),
@@ -590,29 +530,20 @@ pub fn matrix(config: &MatrixConfig) -> Result<MatrixResult, String> {
     ];
 
     let mut cells = Vec::new();
-    for (family, schedule, wl_seed, at) in families {
-        let (n, c) = (at.scale.nodes, at.scale.view_size);
+    for (family, schedule, wl_seed, at @ (scale, _, _)) in families {
         let workload = Workload::parse(schedule, wl_seed).map_err(|e| e.to_string())?;
-        let compiled = workload.compile(n);
+        let compiled = workload.compile(scale.nodes);
         for policy in policies {
             for freshness in [Freshness::HopCount, Freshness::Timestamp] {
-                let protocol = ProtocolConfig::new(policy, c)
-                    .map_err(|e| e.to_string())?
-                    .with_freshness(freshness);
-                let [cycle_records, event_records] = on_both_engines(
-                    sampling_nodes(protocol),
-                    n,
-                    at.scale.seed,
-                    at.shards,
-                    at.workers,
-                    |_, target| run_workload(target, &compiled, c),
-                )?;
+                let records = stack_records(at, policy, freshness, &compiled)?;
                 cells.push(MatrixCell {
                     family,
                     policy,
                     freshness,
-                    cycle_end: cycle_records.last().cloned().ok_or("empty schedule")?,
-                    event_end: event_records.last().cloned().ok_or("empty schedule")?,
+                    ends: (records.into_iter())
+                        .map(|(stack, mut r)| Some((stack, r.pop()?)))
+                        .collect::<Option<_>>()
+                        .ok_or("empty schedule")?,
                 });
             }
         }
@@ -623,6 +554,7 @@ pub fn matrix(config: &MatrixConfig) -> Result<MatrixResult, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stacks::{assert_same_membership, membership};
 
     #[test]
     fn tiny_workload_runs_both_engines() {
@@ -636,12 +568,11 @@ mod tests {
         assert_eq!(run.results.len(), 1);
         let result = &run.results[0];
         assert_eq!(result.freshness, Freshness::HopCount);
-        assert_eq!(result.cycle.len(), 16);
-        assert_eq!(result.event.len(), 16);
-        // Identical compiled membership on both engines.
-        for (c, e) in result.cycle.iter().zip(result.event.iter()) {
-            assert_eq!((c.live, c.killed, c.joined), (e.live, e.killed, e.joined));
-        }
+        assert!(result.records.iter().all(|(_, r)| r.len() == 16));
+        assert_same_membership(
+            (result.records.iter())
+                .map(|(s, r)| (*s, r.iter().map(membership).collect::<Vec<_>>())),
+        );
         assert!(result.healthy(), "{result:?}");
         assert_eq!(result.table().len(), 16);
         run.verdict().expect("healthy run passes the gate");
@@ -662,6 +593,19 @@ mod tests {
         let names: Vec<&str> = run.sections().iter().map(|s| s.name).collect();
         assert_eq!(names, ["workload", "workload_timestamp"]);
         run.verdict().expect("both modes healthy under plain churn");
+    }
+
+    #[test]
+    fn tiny_matrix_keeps_the_membership_contract() {
+        let mut scale = Scale::tiny();
+        scale.nodes = 120;
+        scale.view_size = 12;
+        let result = matrix(&MatrixConfig::at_scale(scale)).expect("valid matrix");
+        assert_eq!(result.cells.len(), 16);
+        for cell in &result.cells {
+            assert_same_membership(cell.ends.iter().map(|(s, r)| (*s, membership(r))));
+        }
+        result.verdict().expect("the tiny matrix passes its gate");
     }
 
     #[test]

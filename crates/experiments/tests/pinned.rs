@@ -1,11 +1,12 @@
-//! Pins the cross-engine experiment commands: an FNV-1a digest over every
+//! Pins the cross-stack experiment commands: an FNV-1a digest over every
 //! field of every `PeriodRecord`, `AppPeriodRow` and `AttackRecord` that
 //! `workload::run`, `workload::matrix`, `protocols::run` and
-//! `adversary::run` produce at a tiny configuration, on both engines
-//! (`f64`s by bit pattern). The constants were recorded before the
+//! `adversary::run` produce at a tiny configuration, on every stack in
+//! `Stack::ALL` order (`f64`s by bit pattern). The constants were recorded
+//! on the cycle and the event engine, digested in that order, before the
 //! per-engine build-and-run code of those four commands was folded into
-//! one helper; a change to how either engine is bootstrapped or driven
-//! changes them.
+//! one helper; a change to how a stack is bootstrapped or driven changes
+//! them.
 //!
 //! The per-cycle figures are pinned the same way: every cycle index and
 //! value of the series that `fig2`, `fig3`, `fig5`, `table2` and `fig7`
@@ -13,6 +14,7 @@
 //! dead-link counts), plus the values each derives from them.
 
 use pss_experiments::dynamics::ProtocolDynamics;
+use pss_experiments::stacks::Stack;
 use pss_experiments::{adversary, fig2, fig3, fig5, fig7, protocols, table2, workload, Scale};
 use pss_protocols::AppPeriodRow;
 use pss_sim::audit::AttackRecord;
@@ -95,6 +97,11 @@ impl Digest {
     }
 }
 
+/// The stacks of a per-stack result, in its order.
+fn stacks<T>(per_stack: &[(Stack, T)]) -> Vec<Stack> {
+    per_stack.iter().map(|(s, _)| *s).collect()
+}
+
 fn tiny() -> Scale {
     Scale {
         nodes: 120,
@@ -104,38 +111,42 @@ fn tiny() -> Scale {
 }
 
 #[test]
-fn workload_records_are_pinned_on_both_engines() {
+fn workload_records_are_pinned_on_every_stack() {
     let mut config = workload::WorkloadConfig::at_scale(tiny());
     config.schedule = "quiet:4,kill:0.3,churn:0.02x4,flash:10,part:2x3,quiet:2".into();
     config.freshness = workload::FreshnessChoice::Both;
     let run = workload::run(&config).expect("valid schedule");
     let mut digest = Digest::new();
     for result in &run.results {
-        assert_eq!(result.cycle.len(), 13);
-        assert_eq!(result.event.len(), 13);
-        for record in result.cycle.iter().chain(&result.event) {
-            digest.period(record);
+        assert_eq!(stacks(&result.records), Stack::ALL);
+        for (_, records) in &result.records {
+            assert_eq!(records.len(), 13);
+            for record in records {
+                digest.period(record);
+            }
         }
     }
     assert_eq!(digest.0, WORKLOAD);
 }
 
 #[test]
-fn matrix_cells_are_pinned_on_both_engines() {
+fn matrix_cells_are_pinned_on_every_stack() {
     let result = workload::matrix(&workload::MatrixConfig::at_scale(tiny())).expect("valid");
     assert_eq!(result.cells.len(), 16);
     let mut digest = Digest::new();
     for cell in &result.cells {
-        digest.period(&cell.cycle_end);
-        digest.period(&cell.event_end);
+        assert_eq!(stacks(&cell.ends), Stack::ALL);
+        for (_, end) in &cell.ends {
+            digest.period(end);
+        }
     }
     assert_eq!(digest.0, MATRIX);
 }
 
 #[test]
-fn protocol_rows_are_pinned_on_both_engines() {
+fn protocol_rows_are_pinned_on_every_stack() {
     let result = protocols::run(&protocols::ProtocolsConfig::at_scale(tiny())).expect("valid");
-    assert_eq!(result.runs.len(), 16);
+    assert_eq!(result.runs.len(), 8 * Stack::ALL.len());
     let mut digest = Digest::new();
     for run in &result.runs {
         for record in &run.records {
@@ -150,11 +161,11 @@ fn protocol_rows_are_pinned_on_both_engines() {
 }
 
 #[test]
-fn attack_records_are_pinned_on_both_engines() {
+fn attack_records_are_pinned_on_every_stack() {
     let mut config = adversary::AdversaryConfig::at_scale(tiny());
     config.schedule = "adv:hub@0.05,quiet:8".into();
     let result = adversary::run(&config).expect("valid schedule");
-    assert_eq!(result.outcomes.len(), 8);
+    assert_eq!(result.outcomes.len(), 4 * Stack::ALL.len());
     let mut digest = Digest::new();
     for outcome in &result.outcomes {
         digest.attack(&outcome.final_record);

@@ -308,7 +308,7 @@ fn shard_count_is_part_of_the_result_contract() {
 }
 
 #[test]
-fn bulk_construction_is_worker_invariant_on_both_engines() {
+fn bulk_construction_is_worker_invariant_on_each_engine() {
     let config = || ProtocolConfig::new(PolicyTriple::newscast(), 10).expect("valid");
     let ring = |id: NodeId| [NodeDescriptor::fresh(NodeId::new((id.as_u64() + 1) % 200))];
 
