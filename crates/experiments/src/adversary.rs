@@ -231,7 +231,7 @@ pub fn run(config: &AdversaryConfig) -> Result<AdversaryResult, String> {
             |stack, target| -> Result<PolicyOutcome, String> {
                 let mut final_record = None;
                 let mut audit = SampleAudit::new(config.scale.seed ^ 0xa0d1);
-                run_workload_observed(target, &compiled, c, &mut |period, rows, _is_live| {
+                run_workload_observed(target, &compiled, c, &mut |period, rows| {
                     for (id, targets) in rows {
                         if !roles.is_attacker(*id) {
                             audit.observe(targets);

@@ -133,7 +133,7 @@ static COMMANDS: &[Command] = &[
     },
     Command {
         name: "net", help: "live loopback UDP cluster through the wire codec (extension)",
-        options: &["--workers", "--schedule"], caps: UNCAPPED,
+        options: &["--workers", "--schedule"], caps: (2000, 30), // wall-clock bound
         run: |o| {
             let mut config = net::NetConfig::at_scale(o.scale);
             config.runtimes = o.workers.unwrap_or(config.runtimes);
@@ -585,6 +585,19 @@ mod tests {
             }
         }
         assert!(parse_args(&args("fig2 --help")).is_err_and(|e| e == "help"));
+    }
+
+    #[test]
+    fn net_declares_its_caps_in_its_row() {
+        let row = COMMANDS.iter().find(|c| c.name == "net").unwrap();
+        assert_eq!(row.caps, (2000, 30));
+        let scale = Scale {
+            nodes: 5_000,
+            cycles: 50,
+            ..Scale::tiny()
+        };
+        let config = net::NetConfig::at_scale(scale);
+        assert_eq!((config.scale.nodes, config.scale.cycles), (5_000, 50));
     }
 
     #[test]

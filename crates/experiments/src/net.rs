@@ -42,13 +42,9 @@ pub struct NetConfig {
 }
 
 impl NetConfig {
-    /// Default configuration at the given scale: nodes capped at 2000 (the
-    /// loopback run is wall-clock bound), 100 ms periods, at most 30
-    /// periods, 4 runtimes.
+    /// Default configuration at the given scale: 100 ms periods, 4
+    /// runtimes. The scale is taken as given; the `net` command caps it.
     pub fn at_scale(scale: Scale) -> Self {
-        let mut scale = scale;
-        scale.nodes = scale.nodes.min(2000);
-        scale.cycles = scale.cycles.min(30);
         NetConfig {
             scale,
             runtimes: 4,

@@ -29,6 +29,10 @@ use rand::SeedableRng;
 use crate::report::{fmt_f64, Report, Section, Table};
 use crate::Scale;
 
+/// BFS sources for the sampled path length; the clustering estimate
+/// samples eight times as many nodes.
+const METRIC_SAMPLES: usize = 16;
+
 /// Configuration for the shard-count sweep.
 #[derive(Debug, Clone)]
 pub struct ScalingConfig {
@@ -36,9 +40,6 @@ pub struct ScalingConfig {
     pub scale: Scale,
     /// Shard counts to sweep.
     pub shard_counts: Vec<usize>,
-    /// BFS sources / clustering samples for the sampled overlay metrics
-    /// (0 disables the estimates — they cost a few BFS sweeps each).
-    pub metric_samples: usize,
     /// Worker-thread override (`None` = available parallelism, capped at
     /// the shard count). Results are identical for any value — this knob
     /// exists so CI can pin both ends of the determinism contract.
@@ -60,7 +61,6 @@ impl ScalingConfig {
         ScalingConfig {
             scale,
             shard_counts,
-            metric_samples: 16,
             workers: None,
         }
     }
@@ -85,9 +85,9 @@ pub struct ScalingRow {
     pub in_degree_min: f64,
     /// Largest in-degree.
     pub in_degree_max: f64,
-    /// Sampled average path length (NaN when sampling is disabled).
+    /// Sampled average path length.
     pub path_length: f64,
-    /// Sampled clustering coefficient (NaN when sampling is disabled).
+    /// Sampled clustering coefficient.
     pub clustering: f64,
 }
 
@@ -189,17 +189,11 @@ pub fn run(config: &ScalingConfig) -> ScalingResult {
         for d in csr.in_degrees() {
             in_deg.push(d as f64);
         }
-        let (path_length, clustering) = if config.metric_samples > 0 {
-            let graph = csr.undirected();
-            let mut rng = SmallRng::seed_from_u64(scale.seed ^ 0x5ca1_ab1e);
-            (
-                paths::estimate_average_path_length(&graph, config.metric_samples, &mut rng)
-                    .average,
-                clustering::estimate_clustering(&graph, config.metric_samples * 8, &mut rng),
-            )
-        } else {
-            (f64::NAN, f64::NAN)
-        };
+        let graph = csr.undirected();
+        let mut rng = SmallRng::seed_from_u64(scale.seed ^ 0x5ca1_ab1e);
+        let path_length =
+            paths::estimate_average_path_length(&graph, METRIC_SAMPLES, &mut rng).average;
+        let clustering = clustering::estimate_clustering(&graph, METRIC_SAMPLES * 8, &mut rng);
 
         rows.push(ScalingRow {
             shards,
@@ -267,16 +261,12 @@ mod tests {
     }
 
     #[test]
-    fn disabled_metrics_are_nan() {
+    fn best_speedup_is_nan_without_a_one_shard_row() {
         let mut scale = Scale::tiny();
         scale.nodes = 60;
         scale.cycles = 3;
         let mut config = ScalingConfig::at_scale(scale);
         config.shard_counts = vec![2];
-        config.metric_samples = 0;
-        let result = run(&config);
-        assert!(result.rows[0].path_length.is_nan());
-        assert!(result.rows[0].clustering.is_nan());
-        assert!(result.best_speedup().is_nan()); // no 1-shard baseline
+        assert!(run(&config).best_speedup().is_nan());
     }
 }

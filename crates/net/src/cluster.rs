@@ -123,12 +123,11 @@ impl ClusterConfig {
         }
     }
 
-    /// Every runtime's timers: 1 tick = 1 ms, one period of reply timeout.
+    /// Every runtime's timers: 1 tick = 1 ms.
     fn net_config(&self) -> NetConfig {
         NetConfig {
             period: self.period_ms,
             jitter: self.jitter_ms,
-            reply_timeout: self.period_ms,
         }
     }
 
@@ -154,44 +153,25 @@ impl ClusterConfig {
     }
 }
 
-/// Overlay statistics of one period-boundary snapshot.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// The timing of one period, which only the cluster knows; the period's
+/// overlay statistics are its [`PeriodRecord`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PeriodStats {
     /// 1-based period index.
     pub period: u64,
-    /// Nodes whose view is full (length = c).
-    pub full_views: usize,
-    /// Nodes in the snapshot.
-    pub nodes: usize,
-    /// Mean in-degree of the directed view graph.
-    pub in_degree_mean: f64,
-    /// Standard deviation of the in-degree.
-    pub in_degree_sd: f64,
     /// Milliseconds since cluster start when every runtime had reached
-    /// the end of this period — the timing row of the period (virtual
-    /// milliseconds under [`run_mem`]).
+    /// the end of this period (virtual milliseconds under [`run_mem`]).
     pub wall_ms: u64,
-}
-
-impl PeriodStats {
-    /// Fraction of nodes with full views.
-    pub fn full_fraction(&self) -> f64 {
-        if self.nodes == 0 {
-            0.0
-        } else {
-            self.full_views as f64 / self.nodes as f64
-        }
-    }
 }
 
 /// The result of a cluster run.
 #[derive(Debug, Clone)]
 pub struct ClusterReport {
-    /// Per-period overlay statistics, in period order.
+    /// Per-period timing, in period order.
     pub periods: Vec<PeriodStats>,
-    /// Per-period workload-grade records (dead links, components,
-    /// membership deltas) — the cross-stack comparable trajectory, from
-    /// the same rows as [`ClusterReport::periods`].
+    /// Per-period overlay records (full views, in-degree, dead links,
+    /// components, membership deltas) — the cross-stack comparable
+    /// trajectory.
     pub records: Vec<PeriodRecord>,
     /// Per-period attack observables, from the same rows; empty unless the
     /// workload placed adversaries.
@@ -523,15 +503,11 @@ fn run_on<T: Transport>(
         stats.merge(&rt.stats());
     }
 
-    let periods: Vec<PeriodStats> = records
+    let periods = records
         .iter()
         .zip(cluster.wall_ms)
         .map(|(r, wall_ms)| PeriodStats {
             period: r.period,
-            full_views: r.full_views,
-            nodes: r.live,
-            in_degree_mean: r.in_degree_mean,
-            in_degree_sd: r.in_degree_sd,
             wall_ms,
         })
         .collect();
@@ -547,10 +523,10 @@ fn run_on<T: Transport>(
             .collect(),
         None => Vec::new(),
     };
-    let converged_at = periods
+    let converged_at = records
         .iter()
-        .find(|s| s.full_fraction() >= 0.99)
-        .map(|s| s.period);
+        .find(|r| r.full_fraction() >= 0.99)
+        .map(|r| r.period);
     Ok(ClusterReport {
         periods,
         records,
@@ -746,12 +722,12 @@ mod tests {
         config.periods = 15;
         let report = run(&config).expect("cluster runs");
         assert_eq!(report.periods.len(), 15);
-        let last = report.periods.last().unwrap();
+        let last = report.records.last().unwrap();
         assert!(
             last.full_fraction() >= 0.99,
             "only {}/{} full views",
             last.full_views,
-            last.nodes
+            last.live
         );
         // Mean in-degree of a converged overlay equals c.
         assert!((last.in_degree_mean - 12.0).abs() < 0.5, "{last:?}");

@@ -23,8 +23,8 @@
 //!   ([`pss_core::wire`]), an address book maps node ids to transport
 //!   addresses (learned from bootstrap introducers and from every received
 //!   descriptor; keyed cheap hashing, written only when an address
-//!   changes), and per-node counters track messages, decode failures and
-//!   reply timeouts.
+//!   changes), and one runtime-wide ledger ([`RuntimeStats`]) counts
+//!   frames, decode failures, reply timeouts and backoffs.
 //! * [`cluster`] — the cluster harness: N nodes across K runtimes on one
 //!   thread, UDP or mem — loopback sockets on the wall clock
 //!   ([`cluster::run`]) or the in-memory mesh in virtual time
@@ -44,7 +44,7 @@
 //! use pss_net::{NetConfig, NetRuntime, UdpTransport};
 //!
 //! let protocol = ProtocolConfig::new(PolicyTriple::newscast(), 8)?;
-//! let config = NetConfig { period: 100, jitter: 20, reply_timeout: 100 };
+//! let config = NetConfig { period: 100, jitter: 20 };
 //! let a = UdpTransport::bind("127.0.0.1:0")?;
 //! let b = UdpTransport::bind("127.0.0.1:0")?;
 //! let (addr_a, addr_b) = (a.net_addr(), b.net_addr());
@@ -80,6 +80,6 @@ pub mod cluster;
 
 pub use mem::{MemNetwork, MemTransport};
 pub use pss_core::wire::NetAddr;
-pub use runtime::{NetConfig, NetRuntime, NodeCounters, RuntimeStats};
+pub use runtime::{NetConfig, NetRuntime, RuntimeStats};
 pub use transport::Transport;
 pub use udp::UdpTransport;

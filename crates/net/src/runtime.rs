@@ -87,16 +87,13 @@ use crate::transport::Transport;
 /// drives 1 tick = 1 ms).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetConfig {
-    /// Gossip period `T`: every node initiates once per period.
+    /// Gossip period `T`: every node initiates once per period, and a
+    /// pushpull reply not absorbed within one period is a timeout
+    /// ([`RuntimeStats::timeouts`]).
     pub period: u64,
     /// Uniform timer jitter, applied as ± `jitter` around the period; must
     /// be strictly below the period (the event engine's rule).
     pub jitter: u64,
-    /// Ticks after which an unanswered pushpull request counts as a
-    /// timeout. An outstanding exchange is also counted as timed out when
-    /// the initiator's next exchange supersedes it, whichever comes first
-    /// (the runtime tracks one outstanding exchange per node).
-    pub reply_timeout: u64,
 }
 
 impl Default for NetConfig {
@@ -104,20 +101,17 @@ impl Default for NetConfig {
         NetConfig {
             period: 1000,
             jitter: 100,
-            reply_timeout: 1000,
         }
     }
 }
 
 impl NetConfig {
     /// Takes `period`/`jitter` from an event-engine configuration (latency
-    /// and loss are transport-side, see [`crate::MemNetwork::from_event`]),
-    /// with the reply timeout set to one period.
+    /// and loss are transport-side, see [`crate::MemNetwork::from_event`]).
     pub fn from_event(config: &EventConfig) -> Self {
         NetConfig {
             period: config.period,
             jitter: config.jitter,
-            reply_timeout: config.period,
         }
     }
 
@@ -143,35 +137,11 @@ impl NetConfig {
 
 /// Longest exchange backoff, in periods: after repeated consecutive
 /// timeouts a node re-arms at most this many periods out (see
-/// [`NodeCounters::backoffs`]).
+/// [`RuntimeStats::backoffs`]).
 const MAX_BACKOFF_STRETCH: u64 = 8;
 
-/// Per-node accounting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NodeCounters {
-    /// Protocol messages (requests + replies) absorbed by this node.
-    pub msgs_in: u64,
-    /// Protocol messages sent on this node's behalf.
-    pub msgs_out: u64,
-    /// Frames addressed to this node whose descriptor body was rejected.
-    pub decode_failures: u64,
-    /// Pushpull requests whose reply never arrived — expired after
-    /// [`NetConfig::reply_timeout`] ticks, or superseded by the node's next
-    /// initiated exchange, whichever came first.
-    pub timeouts: u64,
-    /// Timer fires that could not initiate (empty view).
-    pub empty_view: u64,
-    /// Timer re-arms stretched by the bootstrap backoff: a joining node
-    /// whose exchanges keep timing out before it has absorbed any protocol
-    /// message initiates less often (up to 8× the period) instead of
-    /// hammering its overloaded introducer in lockstep — the
-    /// thundering-herd fix. The first absorbed protocol message ends the
-    /// bootstrap phase and restores the full gossip rate.
-    pub backoffs: u64,
-}
-
-/// Aggregated runtime statistics: runtime-level counters plus the sums of
-/// every node's [`NodeCounters`].
+/// A runtime's counters, each counted once, where its event happens, over
+/// every node the runtime hosts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RuntimeStats {
     /// Frames pulled off the transport.
@@ -181,8 +151,8 @@ pub struct RuntimeStats {
     /// Frames rejected before the destination node was known (header-level
     /// decode errors) — attributable to no node.
     pub header_decode_failures: u64,
-    /// Frames rejected at the descriptor level (per-node
-    /// [`NodeCounters::decode_failures`], summed).
+    /// Frames addressed to a hosted live node whose descriptor body was
+    /// rejected.
     pub body_decode_failures: u64,
     /// Frames addressed to a node this runtime does not host.
     pub unknown_destination: u64,
@@ -213,11 +183,18 @@ pub struct RuntimeStats {
     /// Exchanges completed — the event engine's notion: push-only requests
     /// absorbed plus replies absorbed by their initiators.
     pub exchanges_completed: u64,
-    /// Summed [`NodeCounters::timeouts`].
+    /// Pushpull requests whose reply never arrived — expired after one
+    /// period, or superseded by the node's next initiated exchange,
+    /// whichever came first (a node has one outstanding exchange).
     pub timeouts: u64,
-    /// Summed [`NodeCounters::empty_view`].
+    /// Timer fires that could not initiate (empty view).
     pub empty_view: u64,
-    /// Summed [`NodeCounters::backoffs`].
+    /// Timer re-arms stretched by the bootstrap backoff: a joining node
+    /// whose exchanges keep timing out before it has absorbed any protocol
+    /// message initiates less often (up to 8× the period) instead of
+    /// hammering its overloaded introducer in lockstep — the
+    /// thundering-herd fix. The first absorbed protocol message ends the
+    /// bootstrap phase and restores the full gossip rate.
     pub backoffs: u64,
     /// Always 0: no transport keeps a receive ring any more (the UDP
     /// transport reads its socket on the runtime thread). Kept only for
@@ -375,11 +352,14 @@ impl NetTele {
 struct Slot<N> {
     node: N,
     alive: bool,
-    counters: NodeCounters,
+    /// Has absorbed a protocol message (request or reply): the bootstrap
+    /// phase is over and the node never backs off (see
+    /// [`RuntimeStats::backoffs`]).
+    contacted: bool,
     /// An outstanding pushpull exchange: `(peer, sent tick)`.
     pending_reply: Option<(NodeId, u64)>,
     /// Consecutive reply timeouts with no absorbed reply in between —
-    /// drives the exchange backoff (see [`NodeCounters::backoffs`]).
+    /// drives the exchange backoff (see [`RuntimeStats::backoffs`]).
     consecutive_timeouts: u32,
     /// Holds the rumor when the broadcast app is enabled
     /// ([`NetRuntime::enable_broadcast`]).
@@ -414,8 +394,8 @@ pub struct NetRuntime<T: Transport, N: GossipNode = pss_core::PeerSamplingNode> 
     fired: Vec<u32>,
     rumor_targets: Vec<NodeId>,
     scratch: DecodeScratch,
-    /// Runtime-level counters; the per-node sums and `book_entries` stay
-    /// zero here and are filled in by [`NetRuntime::stats`].
+    /// Every counter; `book_entries` stays zero here and is filled in by
+    /// [`NetRuntime::stats`].
     stats: RuntimeStats,
     /// Broadcast app: push fanout per period, `None` = app disabled (the
     /// default — a disabled app draws nothing from the runtime RNG, so
@@ -521,7 +501,7 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
         self.nodes.push(Slot {
             node,
             alive: true,
-            counters: NodeCounters::default(),
+            contacted: false,
             pending_reply: None,
             consecutive_timeouts: 0,
             informed: false,
@@ -610,12 +590,6 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
         slot.alive.then(|| slot.node.view())
     }
 
-    /// A hosted node's counters.
-    pub fn node_counters(&self, id: NodeId) -> Option<NodeCounters> {
-        let &slot = self.index.get(&id)?;
-        Some(self.nodes[slot as usize].counters)
-    }
-
     /// The learned address for `id`, if any.
     pub fn address_of(&self, id: NodeId) -> Option<NetAddr> {
         self.book.get(&id).copied()
@@ -630,19 +604,12 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
         }
     }
 
-    /// Aggregated statistics.
+    /// The runtime's counters, with the address book's current size.
     pub fn stats(&self) -> RuntimeStats {
-        let mut stats = RuntimeStats {
+        RuntimeStats {
             book_entries: self.book.len() as u64,
             ..self.stats
-        };
-        for slot in &self.nodes {
-            stats.body_decode_failures += slot.counters.decode_failures;
-            stats.timeouts += slot.counters.timeouts;
-            stats.empty_view += slot.counters.empty_view;
-            stats.backoffs += slot.counters.backoffs;
         }
-        stats
     }
 
     /// Advances runtime time to `deadline`, tick by tick: each tick first
@@ -796,7 +763,7 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
             })
         };
         if decoded.is_err() {
-            slot.counters.decode_failures += 1;
+            self.stats.body_decode_failures += 1;
             self.tele.decode_errors.inc();
             pss_telemetry::flight().record(
                 pss_telemetry::EventKind::DecodeError,
@@ -816,7 +783,7 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
             .record(decode_started.elapsed().as_nanos() as u64);
         match frame.kind {
             FrameKind::Request => {
-                slot.counters.msgs_in += 1;
+                slot.contacted = true;
                 self.stats.requests_in += 1;
                 let request = Request {
                     descriptors: payload,
@@ -842,7 +809,7 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
                     self.arena.put_buffer(payload);
                     return;
                 }
-                slot.counters.msgs_in += 1;
+                slot.contacted = true;
                 self.stats.replies_in += 1;
                 if let Some((_, sent)) = slot.pending_reply {
                     // Frames are processed while the runtime advances to
@@ -902,17 +869,15 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
         self.stats.timers_fired += 1;
         // Expire a stale pushpull exchange.
         if let Some((_, sent)) = slot.pending_reply {
-            if t.saturating_sub(sent) >= self.config.reply_timeout {
-                slot.counters.timeouts += 1;
+            if t.saturating_sub(sent) >= self.config.period {
+                self.stats.timeouts += 1;
                 slot.consecutive_timeouts += 1;
                 slot.pending_reply = None;
             }
         }
         match slot.node.initiate(&mut self.arena) {
             Some(exchange) => self.send_request(slot_idx, exchange, t),
-            None => {
-                self.nodes[slot_idx as usize].counters.empty_view += 1;
-            }
+            None => self.stats.empty_view += 1,
         }
         // Re-arm with jitter, the event engine's formula — stretched
         // exponentially (capped at 8×) for a *bootstrapping* node whose
@@ -926,7 +891,7 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
         // message absorbed) never back off: post-catastrophe timeouts on
         // dead peers must not slow the self-healing gossip rate.
         let slot = &mut self.nodes[slot_idx as usize];
-        let stretch = if slot.counters.msgs_in == 0 {
+        let stretch = if !slot.contacted {
             1u64 << slot
                 .consecutive_timeouts
                 .saturating_sub(1)
@@ -935,7 +900,7 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
             1
         };
         if stretch > 1 {
-            slot.counters.backoffs += 1;
+            self.stats.backoffs += 1;
         }
         let jitter = if self.config.jitter == 0 {
             0
@@ -1011,16 +976,12 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
             to,
             &request.descriptors,
         );
-        if sent {
+        if sent && request.wants_reply {
+            // A still-outstanding exchange being superseded is a timeout
+            // too — its reply never arrived in a full period.
             let slot = &mut self.nodes[slot_idx as usize];
-            slot.counters.msgs_out += 1;
-            if request.wants_reply {
-                // A still-outstanding exchange being superseded is a
-                // timeout too — its reply never arrived in a full period.
-                if slot.pending_reply.take().is_some() {
-                    slot.counters.timeouts += 1;
-                }
-                slot.pending_reply = Some((peer, now));
+            if slot.pending_reply.replace((peer, now)).is_some() {
+                self.stats.timeouts += 1;
             }
         }
         self.arena.put_buffer(request.descriptors);
@@ -1028,7 +989,7 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
 
     fn send_reply(&mut self, slot_idx: u32, to_id: NodeId, to_addr: NetAddr, reply: Reply) {
         let src = self.nodes[slot_idx as usize].node.id();
-        let sent = self.send_frame(
+        self.send_frame(
             FrameKind::Reply,
             false,
             src,
@@ -1036,9 +997,6 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
             to_addr,
             &reply.descriptors,
         );
-        if sent {
-            self.nodes[slot_idx as usize].counters.msgs_out += 1;
-        }
         self.arena.put_buffer(reply.descriptors);
     }
 
@@ -1125,7 +1083,6 @@ mod tests {
         NetConfig {
             period: 100,
             jitter: 10,
-            reply_timeout: 100,
         }
     }
 
@@ -1168,8 +1125,7 @@ mod tests {
         assert_eq!(
             NetConfig {
                 period: 10,
-                jitter: 10,
-                reply_timeout: 5
+                jitter: 10
             }
             .validate(),
             Err(EventConfigError::JitterNotBelowPeriod {
@@ -1196,8 +1152,7 @@ mod tests {
         assert_eq!(stats.exchanges_completed, stats.replies_in);
         assert_eq!(stats.decode_failures(), 0);
         assert_eq!(stats.missing_address, 0);
-        let c0 = rt.node_counters(NodeId::new(0)).unwrap();
-        assert!(c0.msgs_in > 0 && c0.msgs_out > 0);
+        assert!(stats.frames_out > 0);
     }
 
     #[test]
@@ -1395,7 +1350,7 @@ mod tests {
         assert_eq!(stats.frames_in, 3);
         assert_eq!(stats.header_decode_failures, 2);
         assert_eq!(stats.unknown_destination, 1);
-        assert_eq!(rt.node_counters(NodeId::new(0)).unwrap().decode_failures, 0);
+        assert_eq!(stats.body_decode_failures, 0);
     }
 
     #[test]
@@ -1426,7 +1381,6 @@ mod tests {
         .unwrap();
         raw.send(addr, &buf);
         rt.run_until(5);
-        assert_eq!(rt.node_counters(NodeId::new(0)).unwrap().decode_failures, 1);
         assert_eq!(rt.stats().body_decode_failures, 1);
         // The view stays untouched.
         assert!(rt.view_of(NodeId::new(0)).unwrap().is_empty());
@@ -1547,21 +1501,23 @@ mod tests {
         // One introducer that never answers (total loss models an
         // overloaded socket dropping everything): a joiner bootstrapped
         // off it must keep retrying — counted, backed off — instead of
-        // hammering every period forever.
+        // hammering every period forever. Node 0 starts with an empty view
+        // and never hears from the joiner, so it never sends: every frame
+        // out, timeout and backoff below is the joiner's.
         let (_net, mut rt) = mesh_runtime(1, LatencyModel::Zero, 1.0);
         let addr = rt.local_addr();
         rt.add_node(node(1, 8), &[(NodeId::new(0), addr)]);
         rt.run_until(40 * 100); // 40 periods under total loss
-        let c = rt.node_counters(NodeId::new(1)).unwrap();
-        assert!(c.timeouts > 0, "{c:?}");
-        assert!(c.backoffs > 0, "{c:?}");
+        let stats = rt.stats();
+        assert!(stats.timeouts > 0, "{stats:?}");
+        assert!(stats.backoffs > 0, "{stats:?}");
         // Fully backed off, the joiner initiates every 8th period instead
         // of every period — plus the full-rate rampdown at the start.
         assert!(
-            c.msgs_out < 15,
-            "a starved joiner must not hammer at full rate: {c:?}"
+            stats.frames_out < 15,
+            "a starved joiner must not hammer at full rate: {stats:?}"
         );
-        assert!(c.msgs_in == 0);
+        assert_eq!(stats.requests_in + stats.replies_in, 0);
 
         // Same topology without loss: bootstrap completes in the first
         // few exchanges, so the backoff never engages.
@@ -1569,9 +1525,9 @@ mod tests {
         let addr = rt.local_addr();
         rt.add_node(node(1, 8), &[(NodeId::new(0), addr)]);
         rt.run_until(40 * 100);
-        let c = rt.node_counters(NodeId::new(1)).unwrap();
-        assert_eq!(c.backoffs, 0, "{c:?}");
-        assert!(c.msgs_out >= 35, "{c:?}");
+        let stats = rt.stats();
+        assert_eq!(stats.backoffs, 0, "{stats:?}");
+        assert!(stats.frames_out >= 35, "{stats:?}");
     }
 
     #[test]

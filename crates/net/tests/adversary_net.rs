@@ -23,7 +23,6 @@ fn net_config() -> NetConfig {
     NetConfig {
         period: 100,
         jitter: 10,
-        reply_timeout: 100,
     }
 }
 

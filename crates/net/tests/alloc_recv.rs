@@ -106,7 +106,6 @@ fn steady_state_mem_runtime_is_allocation_free() {
     let config = NetConfig {
         period: 30,
         jitter: 3,
-        reply_timeout: 30,
     };
     let protocol = ProtocolConfig::new(PolicyTriple::newscast(), 30).expect("valid");
     let net = MemNetwork::new(11, LatencyModel::Uniform { min: 1, max: 6 }, 0.0).expect("valid");
@@ -165,7 +164,6 @@ fn a_long_period_does_not_size_memory() {
     let config = NetConfig {
         period: 3_600_000,
         jitter: 0,
-        reply_timeout: 3_600_000,
     };
     config.validate().expect("a valid configuration");
     let net = MemNetwork::new(3, LatencyModel::Uniform { min: 1, max: 6 }, 0.0).expect("valid");

@@ -124,7 +124,6 @@ fn leave_and_late_add_keep_counters_and_book_consistent() {
     let config = NetConfig {
         period: 100,
         jitter: 20,
-        reply_timeout: 100,
     };
     let ta = net.endpoint();
     let tb = net.endpoint();

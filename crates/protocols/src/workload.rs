@@ -225,7 +225,7 @@ pub fn run_under_workload<T: WorkloadTarget + ?Sized>(
         "pss_app_round_ns",
         "Wall time of one application round (broadcast + averaging) over a period's rows, nanoseconds",
     );
-    let records = run_workload_observed(target, compiled, view_size, &mut |period, rows, _| {
+    let records = run_workload_observed(target, compiled, view_size, &mut |period, rows| {
         let round_started = std::time::Instant::now();
         // Mirror the partition the engine gossiped this period under: its
         // ops applied at the boundary, before the period ran.

@@ -279,26 +279,21 @@ pub fn run_attacked<T: WorkloadTarget + ?Sized>(
         .expect("run_attacked needs a schedule with an adv placement");
     let mut records = Vec::with_capacity(compiled.steps.len());
     let mut isolation: Vec<(NodeId, Option<u64>)> = roles.victim_ids().map(|v| (v, None)).collect();
-    let period_records = run_workload_observed(
-        target,
-        compiled,
-        view_size,
-        &mut |period, rows, _is_live| {
-            let record = audit_rows(&roles, compiled.id_space, rows, period);
-            if record.eclipsed_victims > 0 {
-                for (victim, at) in isolation.iter_mut().filter(|(_, at)| at.is_none()) {
-                    let row = rows.binary_search_by_key(victim, |(id, _)| *id);
-                    if let Ok(i) = row {
-                        let targets = &rows[i].1;
-                        if !targets.is_empty() && targets.iter().all(|&t| roles.is_attacker(t)) {
-                            *at = Some(period);
-                        }
+    let period_records = run_workload_observed(target, compiled, view_size, &mut |period, rows| {
+        let record = audit_rows(&roles, compiled.id_space, rows, period);
+        if record.eclipsed_victims > 0 {
+            for (victim, at) in isolation.iter_mut().filter(|(_, at)| at.is_none()) {
+                let row = rows.binary_search_by_key(victim, |(id, _)| *id);
+                if let Ok(i) = row {
+                    let targets = &rows[i].1;
+                    if !targets.is_empty() && targets.iter().all(|&t| roles.is_attacker(t)) {
+                        *at = Some(period);
                     }
                 }
             }
-            records.push(record);
-        },
-    );
+        }
+        records.push(record);
+    });
     (period_records, AttackAudit { records, isolation })
 }
 

@@ -1227,18 +1227,16 @@ pub fn run_workload<T: WorkloadTarget + ?Sized>(
     compiled: &CompiledWorkload,
     view_size: usize,
 ) -> Vec<PeriodRecord> {
-    run_workload_observed(target, compiled, view_size, &mut |_, _, _| {})
+    run_workload_observed(target, compiled, view_size, &mut |_, _| {})
 }
 
 /// The per-period observer hook of [`run_workload_observed`]: receives the
-/// 1-based period index, the sorted live view rows, and the liveness
-/// predicate.
-pub type PeriodObserver<'a> =
-    dyn FnMut(u64, &[(NodeId, Vec<NodeId>)], &dyn Fn(NodeId) -> bool) + 'a;
+/// 1-based period index and the sorted live view rows.
+pub type PeriodObserver<'a> = dyn FnMut(u64, &[(NodeId, Vec<NodeId>)]) + 'a;
 
 /// [`run_workload`] with a per-period observer: after each period's
-/// snapshot, `observe` sees the 1-based period index, the sorted live view
-/// rows, and the liveness predicate. The overlay health auditor
+/// snapshot, `observe` sees the 1-based period index and the sorted live
+/// view rows. The overlay health auditor
 /// ([`crate::audit`]) taps attacked runs through this hook without touching
 /// the driver loop.
 pub fn run_workload_observed<T: WorkloadTarget + ?Sized>(
@@ -1315,7 +1313,7 @@ pub fn run_workload_observed<T: WorkloadTarget + ?Sized>(
         record.killed = killed;
         record.joined = joined;
         record.partitioned = partitioned;
-        observe(period, &rows, &is_live);
+        observe(period, &rows);
         records.push(record);
         period_ns.record(period_started.elapsed().as_nanos() as u64);
     }

@@ -220,7 +220,7 @@ fn chi_square_audit_passes_clean_and_flags_hub_attack() {
             .unwrap();
         let mut sim = cycle_sim(&newscast(), workload, 29, 2);
         let mut audit = SampleAudit::new(97);
-        run_workload_observed(&mut sim, &compiled, C, &mut |_, rows, _| {
+        run_workload_observed(&mut sim, &compiled, C, &mut |_, rows| {
             if let Ok(i) = rows.binary_search_by_key(&observer, |(id, _)| *id) {
                 audit.observe(&rows[i].1);
             }

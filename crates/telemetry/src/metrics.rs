@@ -91,7 +91,6 @@ impl Gauge {
 #[derive(Debug)]
 pub(crate) struct HistogramCore {
     buckets: [AtomicU64; LOG2_BUCKETS],
-    count: AtomicU64,
     sum: AtomicU64,
     min: AtomicU64,
     max: AtomicU64,
@@ -101,7 +100,6 @@ impl Default for HistogramCore {
     fn default() -> Self {
         Self {
             buckets: [const { AtomicU64::new(0) }; LOG2_BUCKETS],
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
@@ -110,7 +108,7 @@ impl Default for HistogramCore {
 }
 
 /// Log₂-bucketed histogram of `u64` observations (latencies in
-/// nanoseconds, virtual ticks, sizes). Recording is five relaxed atomic
+/// nanoseconds, virtual ticks, sizes). Recording is four relaxed atomic
 /// RMWs; quantiles come from [`Histogram::snapshot`], which copies the
 /// atomic cells into a [`Log2Histogram`].
 #[derive(Clone, Debug, Default)]
@@ -130,22 +128,15 @@ impl Histogram {
     pub fn record(&self, value: u64) {
         let core = &*self.core;
         core.buckets[log2_bucket(value)].fetch_add(1, Ordering::Relaxed);
-        core.count.fetch_add(1, Ordering::Relaxed);
         core.sum.fetch_add(value, Ordering::Relaxed);
         core.min.fetch_min(value, Ordering::Relaxed);
         core.max.fetch_max(value, Ordering::Relaxed);
     }
 
-    /// Number of observations.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.core.count.load(Ordering::Relaxed)
-    }
-
     /// A point-in-time copy with quantile extraction. Concurrent recording
     /// makes the snapshot only approximately consistent (a racing record
-    /// may appear in `sum` but not yet in its bucket); the total is taken
-    /// from the bucket counts so quantile ranks always add up.
+    /// may appear in `sum` but not yet in its bucket); the total is the
+    /// bucket sum, so quantile ranks always add up.
     #[must_use]
     pub fn snapshot(&self) -> Log2Histogram {
         let core = &*self.core;
@@ -163,7 +154,6 @@ impl Histogram {
         for b in &core.buckets {
             b.store(0, Ordering::Relaxed);
         }
-        core.count.store(0, Ordering::Relaxed);
         core.sum.store(0, Ordering::Relaxed);
         core.min.store(u64::MAX, Ordering::Relaxed);
         core.max.store(0, Ordering::Relaxed);
@@ -202,7 +192,6 @@ mod tests {
         for v in [5u64, 5, 5, 900, 1_000_000] {
             h.record(v);
         }
-        assert_eq!(h.count(), 5);
         let snap = h.snapshot();
         assert_eq!(snap.total(), 5);
         assert_eq!(snap.min(), 5);
@@ -217,7 +206,6 @@ mod tests {
         let h = Histogram::new();
         h.record(123);
         h.reset();
-        assert_eq!(h.count(), 0);
         let snap = h.snapshot();
         assert_eq!(snap.total(), 0);
         assert_eq!(snap.p99(), 0);
@@ -239,7 +227,6 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        assert_eq!(h.count(), 40_000);
         assert_eq!(h.snapshot().total(), 40_000);
         assert_eq!(h.snapshot().max(), 39_999);
     }
