@@ -12,10 +12,16 @@
 //! value of the series that `fig2`, `fig3`, `fig5`, `table2` and `fig7`
 //! produce (through `dynamics::run_dynamics`, the degree traces and the
 //! dead-link counts), plus the values each derives from them.
+//!
+//! `async` and `scaling` are pinned on their deterministic columns only:
+//! every row's labels, shard count and overlay statistics, never the
+//! wall-clock throughput, seconds or worker count.
 
 use pss_experiments::dynamics::ProtocolDynamics;
 use pss_experiments::stacks::Stack;
-use pss_experiments::{adversary, fig2, fig3, fig5, fig7, protocols, table2, workload, Scale};
+use pss_experiments::{
+    adversary, asynchrony, fig2, fig3, fig5, fig7, protocols, scaling, table2, workload, Scale,
+};
 use pss_protocols::AppPeriodRow;
 use pss_sim::audit::AttackRecord;
 use pss_sim::workload::PeriodRecord;
@@ -82,6 +88,11 @@ impl Digest {
 }
 
 impl Digest {
+    fn text(&mut self, s: &str) {
+        self.words(&[s.len() as u64]);
+        self.words(&s.bytes().map(u64::from).collect::<Vec<_>>());
+    }
+
     fn series(&mut self, s: &TimeSeries) {
         self.words(&[s.len() as u64]);
         for (cycle, value) in s.iter() {
@@ -231,6 +242,52 @@ fn per_cycle_figure_series_are_pinned() {
     assert_eq!(digest.0, PER_CYCLE_SERIES);
 }
 
+#[test]
+fn async_and_scaling_columns_are_pinned() {
+    let scale = Scale {
+        cycles: 20,
+        ..tiny()
+    };
+    let mut digest = Digest::new();
+
+    let mut config = asynchrony::AsyncConfig::at_scale(scale);
+    config.shard_counts = vec![1, 2];
+    let result = asynchrony::run(&config);
+    assert_eq!(result.rows.len(), 3 * (1 + 2 * 2));
+    for r in &result.rows {
+        digest.text(r.engine);
+        digest.text(&r.policy.to_string());
+        let s = &r.stats;
+        digest.words(&[
+            r.shards as u64,
+            r.loss.to_bits(),
+            s.average_degree.to_bits(),
+            s.clustering.to_bits(),
+            s.path_length.to_bits(),
+            s.connected.map_or(2, u64::from),
+        ]);
+    }
+
+    let mut config = scaling::ScalingConfig::at_scale(scale);
+    config.shard_counts = vec![1, 2, 4];
+    let result = scaling::run(&config);
+    assert_eq!(result.rows.len(), 3);
+    for r in &result.rows {
+        digest.words(&[
+            r.shards as u64,
+            r.in_degree_mean.to_bits(),
+            r.in_degree_std.to_bits(),
+            r.in_degree_min.to_bits(),
+            r.in_degree_max.to_bits(),
+            r.path_length.to_bits(),
+            r.clustering.to_bits(),
+        ]);
+    }
+
+    assert_eq!(digest.0, ASYNC_AND_SCALING);
+}
+
+const ASYNC_AND_SCALING: u64 = 1070310337890615537;
 const PER_CYCLE_SERIES: u64 = 8083121053243876818;
 const WORKLOAD: u64 = 362041301676028430;
 const MATRIX: u64 = 16965542888508163589;
