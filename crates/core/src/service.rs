@@ -75,23 +75,6 @@ impl OracleSampler {
         self.members = members.into_iter().filter(|&m| m != self.own_id).collect();
     }
 
-    /// Adds one member (ignored for self).
-    pub fn add_member(&mut self, member: NodeId) {
-        if member != self.own_id && !self.members.contains(&member) {
-            self.members.push(member);
-        }
-    }
-
-    /// Removes one member; returns true if it was present.
-    pub fn remove_member(&mut self, member: NodeId) -> bool {
-        if let Some(pos) = self.members.iter().position(|&m| m == member) {
-            self.members.swap_remove(pos);
-            true
-        } else {
-            false
-        }
-    }
-
     /// Number of known peers (excluding self).
     pub fn member_count(&self) -> usize {
         self.members.len()
@@ -156,18 +139,6 @@ mod tests {
             let dev = (count as f64 - expected).abs() / expected;
             assert!(dev < 0.15, "{id} drawn {count} times, expected ~{expected}");
         }
-    }
-
-    #[test]
-    fn oracle_membership_updates() {
-        let mut o = OracleSampler::new(NodeId::new(0), 1);
-        o.add_member(NodeId::new(1));
-        o.add_member(NodeId::new(1)); // duplicate ignored
-        o.add_member(NodeId::new(0)); // self ignored
-        assert_eq!(o.member_count(), 1);
-        assert!(o.remove_member(NodeId::new(1)));
-        assert!(!o.remove_member(NodeId::new(1)));
-        assert_eq!(o.member_count(), 0);
     }
 
     #[test]

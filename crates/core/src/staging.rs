@@ -77,16 +77,6 @@ impl Arena {
         self.pool_limit
     }
 
-    /// Pre-sizes the arena: fills the message-buffer pool with `buffers`
-    /// buffers of `descriptor_capacity` each. Purely an allocation warm-up (drivers call it so first-touch
-    /// faulting happens on the owning worker) — it has no observable effect
-    /// on protocol output.
-    pub fn prewarm(&mut self, buffers: usize, descriptor_capacity: usize) {
-        while self.pool.len() < buffers.min(self.pool_limit) {
-            self.pool.push(Vec::with_capacity(descriptor_capacity));
-        }
-    }
-
     /// Number of message buffers currently pooled (diagnostic).
     pub fn pooled_buffers(&self) -> usize {
         self.pool.len()
@@ -153,17 +143,5 @@ mod tests {
             arena.put_buffer(Vec::with_capacity(8));
         }
         assert_eq!(arena.pooled_buffers(), 2);
-    }
-
-    #[test]
-    fn prewarm_fills_pool() {
-        let mut arena = Arena::new();
-        arena.prewarm(4, 31);
-        assert_eq!(arena.pooled_buffers(), 4);
-        // Idempotent: never exceeds the requested count or the limit.
-        arena.prewarm(4, 31);
-        assert_eq!(arena.pooled_buffers(), 4);
-        arena.prewarm(100, 31);
-        assert_eq!(arena.pooled_buffers(), POOL_LIMIT);
     }
 }

@@ -24,37 +24,11 @@ use pss_sim::workload::{run_workload_observed, Workload};
 
 use crate::report::{fmt_f64, fmt_percent, Report, Section, Table};
 use crate::stacks::{on_every_stack, Stack};
-use crate::Scale;
+use crate::Options;
 
 /// The default schedule: the headline hub attack — 2 % colluders forging
 /// fresh self-descriptors through 30 quiet periods.
 pub const DEFAULT_SCHEDULE: &str = "adv:hub@0.02,quiet:30";
-
-/// Configuration of a cross-stack adversary sweep.
-#[derive(Debug, Clone)]
-pub struct AdversaryConfig {
-    /// Population, view size and seed (`cycles` is ignored — the schedule
-    /// fixes the period count).
-    pub scale: Scale,
-    /// The schedule string; must place an adversary (`adv:` verb).
-    pub schedule: String,
-    /// Shard count of every stack.
-    pub shards: usize,
-    /// Worker-thread override (results are worker-invariant).
-    pub workers: Option<usize>,
-}
-
-impl AdversaryConfig {
-    /// Defaults at the given scale: the headline hub schedule, 2 shards.
-    pub fn at_scale(scale: Scale) -> Self {
-        AdversaryConfig {
-            scale,
-            schedule: DEFAULT_SCHEDULE.to_owned(),
-            shards: 2,
-            workers: None,
-        }
-    }
-}
 
 /// One policy × stack cell of the sweep.
 #[derive(Debug)]
@@ -202,20 +176,23 @@ fn policy_corners(c: usize) -> Result<Vec<(String, HonestPolicy)>, String> {
     ])
 }
 
-/// Runs the sweep: every policy corner on every stack, auditing every
-/// period and feeding every honest node's per-period view into the
-/// sample audit.
+/// Runs the sweep: every policy corner on every stack of `--shards`
+/// shards (default 2), auditing every period and feeding every honest
+/// node's per-period view into the sample audit. `--schedule` (default
+/// [`DEFAULT_SCHEDULE`]) must place an adversary (`adv:` verb);
+/// `scale.cycles` is ignored, the schedule fixes the period count.
 ///
 /// # Errors
 ///
 /// Returns the schedule-parse error verbatim, an error when the schedule
 /// places no adversary, or an invalid-policy error for view sizes the H&S
 /// corners cannot host.
-pub fn run(config: &AdversaryConfig) -> Result<AdversaryResult, String> {
-    let schedule = &config.schedule;
-    let workload = Workload::parse(schedule, config.scale.seed).map_err(|e| e.to_string())?;
-    let corners = policy_corners(config.scale.view_size)?;
-    let nodes = config.scale.nodes;
+pub fn run(o: &Options) -> Result<AdversaryResult, String> {
+    let schedule = o.schedule.as_deref().unwrap_or(DEFAULT_SCHEDULE);
+    let shards = o.shards_or(2);
+    let workload = Workload::parse(schedule, o.scale.seed).map_err(|e| e.to_string())?;
+    let corners = policy_corners(o.scale.view_size)?;
+    let nodes = o.scale.nodes;
     let compiled = workload.compile(nodes);
     let no_adversary = || format!("schedule `{schedule}` places no adversary (adv: verb)");
     let roles = compiled.adversary.ok_or_else(no_adversary)?;
@@ -225,12 +202,12 @@ pub fn run(config: &AdversaryConfig) -> Result<AdversaryResult, String> {
         let runs = on_every_stack(
             policy.clone(),
             Some(roles),
-            &config.scale,
-            config.shards,
-            config.workers,
+            &o.scale,
+            shards,
+            o.workers,
             |stack, target| -> Result<PolicyOutcome, String> {
                 let mut final_record = None;
-                let mut audit = SampleAudit::new(config.scale.seed ^ 0xa0d1);
+                let mut audit = SampleAudit::new(o.scale.seed ^ 0xa0d1);
                 run_workload_observed(target, &compiled, c, &mut |period, rows| {
                     for (id, targets) in rows {
                         if !roles.is_attacker(*id) {
@@ -262,8 +239,8 @@ pub fn run(config: &AdversaryConfig) -> Result<AdversaryResult, String> {
         outcomes.extend(runs.into_iter().collect::<Result<Vec<_>, _>>()?);
     }
     Ok(AdversaryResult {
-        schedule: config.schedule.clone(),
-        shards: config.shards,
+        schedule: schedule.to_owned(),
+        shards,
         nodes,
         outcomes,
     })
@@ -273,20 +250,21 @@ pub fn run(config: &AdversaryConfig) -> Result<AdversaryResult, String> {
 mod tests {
     use super::*;
     use crate::stacks::assert_same_membership;
+    use crate::Scale;
 
-    fn tiny_config() -> AdversaryConfig {
+    fn tiny(schedule: &str) -> Result<AdversaryResult, String> {
         let mut scale = Scale::tiny();
         scale.nodes = 150;
         scale.view_size = 12;
-        let mut config = AdversaryConfig::at_scale(scale);
-        config.schedule = "adv:hub@0.02,quiet:12".into();
-        config
+        run(&Options {
+            schedule: Some(schedule.into()),
+            ..Options::at(scale)
+        })
     }
 
     #[test]
     fn tiny_sweep_runs_all_corners_on_every_stack() {
-        let config = tiny_config();
-        let result = run(&config).expect("valid schedule");
+        let result = tiny("adv:hub@0.02,quiet:12").expect("valid schedule");
         let runs = 4 * Stack::ALL.len();
         assert_eq!(result.outcomes.len(), runs);
         assert_eq!(result.sections()[0].summary.len(), runs);
@@ -322,16 +300,12 @@ mod tests {
 
     #[test]
     fn adversary_free_schedule_is_rejected() {
-        let mut config = tiny_config();
-        config.schedule = "quiet:5".into();
-        let err = run(&config).unwrap_err();
+        let err = tiny("quiet:5").unwrap_err();
         assert!(err.contains("no adversary"), "{err}");
     }
 
     #[test]
     fn bad_schedule_is_reported() {
-        let mut config = tiny_config();
-        config.schedule = "adv:bogus@0.1,quiet:5".into();
-        assert!(run(&config).is_err());
+        assert!(tiny("adv:bogus@0.1,quiet:5").is_err());
     }
 }

@@ -9,41 +9,24 @@
 //! convergence. The `protocols` experiment runs the same application layer
 //! under churn and partitions.
 
-use pss_core::PolicyTriple;
+use pss_core::{PeerSelection as Ps, PolicyTriple, ViewPropagation as Vp, ViewSelection as Vs};
 use pss_protocols::{run_under_workload, AppConfig, Sampler};
+use pss_sim::workload::CompiledWorkload;
 use pss_sim::{scenario, Workload};
 
 use crate::parallel::parallel_map;
 use crate::report::{fmt_f64, Report, Section, Table};
-use crate::Scale;
+use crate::{Options, Scale};
 
-/// Configuration for the applications experiment (broadcast fanout:
-/// [`AppConfig`]'s default, 2).
-#[derive(Debug, Clone)]
-pub struct AppsConfig {
-    /// Common scale (cycles = overlay convergence budget before the
-    /// workload starts).
-    pub scale: Scale,
-    /// Length of the `quiet:` schedule both applications run over.
-    pub rounds: u64,
-    /// Gossip protocols to compare against the oracle.
-    pub protocols: Vec<PolicyTriple>,
-}
+/// Length of the `quiet:` schedule both applications run over.
+const ROUNDS: u64 = 30;
 
-impl AppsConfig {
-    /// Default configuration at the given scale.
-    pub fn at_scale(scale: Scale) -> Self {
-        AppsConfig {
-            scale,
-            rounds: 30,
-            protocols: vec![
-                PolicyTriple::newscast(),
-                "(rand,rand,pushpull)".parse().expect("valid"),
-                PolicyTriple::lpbcast(),
-            ],
-        }
-    }
-}
+/// The gossip protocols compared against the oracle.
+const PROTOCOLS: [PolicyTriple; 3] = [
+    PolicyTriple::newscast(),
+    PolicyTriple::new(Ps::Rand, Vs::Rand, Vp::PushPull),
+    PolicyTriple::lpbcast(),
+];
 
 /// Application-level quality metrics of one sampler.
 #[derive(Debug, Clone)]
@@ -87,40 +70,54 @@ impl Report for AppsResult {
     }
 }
 
-/// Runs the applications experiment.
-pub fn run(config: &AppsConfig) -> AppsResult {
-    let scale = config.scale;
-    let quiet = Workload::parse(&format!("quiet:{}", config.rounds), scale.seed)
-        .expect("a quiet schedule parses")
-        .compile(scale.nodes);
-
+/// Runs the applications experiment (broadcast fanout: [`AppConfig`]'s
+/// default, 2); `scale.cycles` is the overlay convergence budget before
+/// the workload starts.
+pub fn run(o: &Options) -> AppsResult {
+    let scale = o.scale;
+    let quiet = quiet(scale);
     // The oracle ignores the views it rides on, so any converged overlay
     // hosts it; newscast is the cheapest to converge.
     let mut jobs = vec![(PolicyTriple::newscast(), Sampler::Oracle)];
-    jobs.extend(config.protocols.iter().map(|&p| (p, Sampler::Overlay)));
-
+    jobs.extend(PROTOCOLS.map(|p| (p, Sampler::Overlay)));
     let rows = parallel_map(jobs, |(policy, sampler)| {
-        let protocol = scale.protocol(policy);
-        let mut sim = scenario::random_overlay(&protocol, scale.nodes, scale.seed ^ 0xa993);
-        sim.run_cycles(scale.cycles);
-        let app = AppConfig {
-            seed: scale.seed ^ 0xa991,
-            sampler,
-            ..AppConfig::default()
-        };
-        let (_, report) = run_under_workload(&mut sim, &quiet, scale.view_size, &app);
-        SamplerQuality {
-            sampler: match sampler {
-                Sampler::Oracle => "uniform oracle".into(),
-                Sampler::Overlay => policy.to_string(),
-            },
-            coverage: report.delivery_ratio(),
-            rounds_to_99: report.rounds_to_99(),
-            aggregation_decay: report.decay_factor(),
-        }
+        quality(scale, &quiet, policy, sampler)
     });
-
     AppsResult { rows }
+}
+
+/// The `quiet:` schedule of [`ROUNDS`] periods, compiled for `scale`.
+fn quiet(scale: Scale) -> CompiledWorkload {
+    Workload::parse(&format!("quiet:{ROUNDS}"), scale.seed)
+        .expect("a quiet schedule parses")
+        .compile(scale.nodes)
+}
+
+/// Both applications on a converged `policy` overlay, fed by `sampler`.
+fn quality(
+    scale: Scale,
+    quiet: &CompiledWorkload,
+    policy: PolicyTriple,
+    sampler: Sampler,
+) -> SamplerQuality {
+    let protocol = scale.protocol(policy);
+    let mut sim = scenario::random_overlay(&protocol, scale.nodes, scale.seed ^ 0xa993);
+    sim.run_cycles(scale.cycles);
+    let app = AppConfig {
+        seed: scale.seed ^ 0xa991,
+        sampler,
+        ..AppConfig::default()
+    };
+    let (_, report) = run_under_workload(&mut sim, quiet, scale.view_size, &app);
+    SamplerQuality {
+        sampler: match sampler {
+            Sampler::Oracle => "uniform oracle".into(),
+            Sampler::Overlay => policy.to_string(),
+        },
+        coverage: report.delivery_ratio(),
+        rounds_to_99: report.rounds_to_99(),
+        aggregation_decay: report.decay_factor(),
+    }
 }
 
 #[cfg(test)]
@@ -135,13 +132,14 @@ mod tests {
             view_size: 15,
             seed: 81,
         };
-        let config = AppsConfig {
-            scale,
-            rounds: 25,
-            protocols: vec![PolicyTriple::newscast()],
+        let quiet = quiet(scale);
+        let newscast = PolicyTriple::newscast();
+        let result = AppsResult {
+            rows: vec![
+                quality(scale, &quiet, newscast, Sampler::Oracle),
+                quality(scale, &quiet, newscast, Sampler::Overlay),
+            ],
         };
-        let result = run(&config);
-        assert_eq!(result.rows.len(), 2);
         let oracle = &result.rows[0];
         let newscast = &result.rows[1];
         assert_eq!(oracle.sampler, "uniform oracle");

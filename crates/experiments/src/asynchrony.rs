@@ -6,8 +6,8 @@
 //! overlay properties against the cycle-driven run at the same scale.
 //!
 //! The event rows run on [`pss_sim::ShardedEventSimulation`] (conservative
-//! lookahead = minimum latency) once per entry of `shard_counts` (the CLI's
-//! `--shards`, default one shard), reporting node-cycles/s per row — which
+//! lookahead = minimum latency) once per entry of the CLI's `--shards`
+//! (default one shard), reporting node-cycles/s per row — which
 //! opens the asynchrony comparison at `Scale::million()`: beyond ~10⁵ nodes
 //! the overlay metrics switch to the sampled CSR estimators (exact
 //! connectivity is skipped), the same large-N path the `scaling` experiment
@@ -16,7 +16,9 @@
 
 use std::time::Instant;
 
-use pss_core::{GossipNode, PolicyTriple};
+use pss_core::{
+    GossipNode, PeerSelection as Ps, PolicyTriple, ViewPropagation as Vp, ViewSelection as Vs,
+};
 use pss_graph::csr::Csr;
 use pss_graph::{clustering, paths, GraphMetrics, MetricsConfig};
 use pss_sim::{scenario, EventConfig, LatencyModel, Mode, Sharded};
@@ -24,46 +26,21 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::report::{fmt_f64, Report, Section, Table};
-use crate::Scale;
+use crate::Options;
 
 /// Above this population the overlay metrics come from the sampled CSR
 /// estimators instead of the full undirected graph.
 const SAMPLED_METRICS_THRESHOLD: usize = 100_000;
 
-/// Configuration for the asynchrony experiment.
-#[derive(Debug, Clone)]
-pub struct AsyncConfig {
-    /// Common scale (cycles ≈ gossip periods for the event engine).
-    pub scale: Scale,
-    /// Message loss probabilities to test.
-    pub loss_levels: Vec<f64>,
-    /// Protocols to test (default: one per view-selection × propagation
-    /// corner).
-    pub protocols: Vec<PolicyTriple>,
-    /// Shard counts for the event rows, one run per count; the cycle
-    /// baseline runs on the cycle engine at the largest count.
-    pub shard_counts: Vec<usize>,
-    /// Worker-thread override for sharded rows (`None` = available
-    /// parallelism). Affects wall-clock only, never results.
-    pub workers: Option<usize>,
-}
+/// Message loss probabilities of the event rows.
+const LOSS_LEVELS: [f64; 2] = [0.0, 0.05];
 
-impl AsyncConfig {
-    /// Default configuration at the given scale.
-    pub fn at_scale(scale: Scale) -> Self {
-        AsyncConfig {
-            scale,
-            loss_levels: vec![0.0, 0.05],
-            protocols: vec![
-                PolicyTriple::newscast(),
-                "(rand,rand,pushpull)".parse().expect("valid"),
-                PolicyTriple::lpbcast(),
-            ],
-            shard_counts: vec![1],
-            workers: None,
-        }
-    }
-}
+/// The protocols compared: one per view-selection × propagation corner.
+const PROTOCOLS: [PolicyTriple; 3] = [
+    PolicyTriple::newscast(),
+    PolicyTriple::new(Ps::Rand, Vs::Rand, Vp::PushPull),
+    PolicyTriple::lpbcast(),
+];
 
 /// The event engine's timing: 20 % timer jitter and message latency
 /// uniform in 1–10 % of the period. The latency floor is the sharded
@@ -201,85 +178,92 @@ fn measure_csr(snapshot: &pss_sim::CsrSnapshot, seed: u64) -> OverlayStats {
     }
 }
 
-/// Runs the asynchrony experiment: per protocol, the cycle baseline on the
-/// sharded cycle engine at the largest shard count, then the event rows on
-/// [`pss_sim::ShardedEventSimulation`] per loss level and shard count. Rows
-/// run one after another — each run parallelizes internally across its
-/// worker threads.
-pub fn run(config: &AsyncConfig) -> AsyncResult {
-    let scale = config.scale;
-    let cycle_shards = config.shard_counts.iter().copied().max().unwrap_or(1);
+/// Runs the asynchrony experiment (`scale.cycles` ≈ gossip periods for
+/// the event engine): per protocol, the cycle baseline on the sharded
+/// cycle engine at the largest shard count, then the event rows on
+/// [`pss_sim::ShardedEventSimulation`] per loss level and shard count.
+/// Rows run one after another — each run parallelizes internally across
+/// its worker threads (`--workers`, default: available parallelism).
+pub fn run(o: &Options) -> AsyncResult {
+    let shard_counts = o.shards.clone().unwrap_or_else(|| vec![1]);
+    let cycle_shards = shard_counts.iter().copied().max().unwrap_or(1);
     let mut rows = Vec::new();
-
-    for &policy in &config.protocols {
-        let protocol = scale.protocol(policy);
-
-        // Cycle baseline.
-        let sim =
-            scenario::random_overlay_sharded(&protocol, scale.nodes, scale.seed, cycle_shards);
-        let (node_cycles_per_sec, stats) =
-            timed(config, sim, scale.seed, |sim| sim.run_cycles(scale.cycles));
-        rows.push(EngineComparison {
-            policy,
-            engine: "cycle",
-            shards: cycle_shards,
-            loss: 0.0,
-            node_cycles_per_sec,
-            stats,
-        });
-
+    for policy in PROTOCOLS {
+        rows.push(cycle_row(o, policy, cycle_shards));
         // Event rows: loss sweep × shard counts, identical initial overlay
         // per (seed, N, c) across all of them.
-        for &loss in &config.loss_levels {
-            let event = event_config(loss);
-            for &shards in &config.shard_counts {
-                let sim = scenario::event_random_overlay_sharded(
-                    &protocol,
-                    event,
-                    scale.nodes,
-                    scale.seed,
-                    shards,
-                )
-                .expect("asynchrony sweep uses a validated event config");
-                let (node_cycles_per_sec, stats) = timed(config, sim, scale.seed ^ 1, |sim| {
-                    sim.run_for(scale.cycles * event.period);
-                });
-                rows.push(EngineComparison {
-                    policy,
-                    engine: "event",
-                    shards,
-                    loss,
-                    node_cycles_per_sec,
-                    stats,
-                });
+        for loss in LOSS_LEVELS {
+            for &shards in &shard_counts {
+                rows.push(event_row(o, policy, loss, shards));
             }
         }
     }
-
     AsyncResult { rows }
+}
+
+/// The cycle-engine baseline of `policy` on `shards` shards.
+fn cycle_row(o: &Options, policy: PolicyTriple, shards: usize) -> EngineComparison {
+    let scale = o.scale;
+    let protocol = scale.protocol(policy);
+    let sim = scenario::random_overlay_sharded(&protocol, scale.nodes, scale.seed, shards);
+    let (node_cycles_per_sec, stats) =
+        timed(o, sim, scale.seed, |sim| sim.run_cycles(scale.cycles));
+    EngineComparison {
+        policy,
+        engine: "cycle",
+        shards,
+        loss: 0.0,
+        node_cycles_per_sec,
+        stats,
+    }
+}
+
+/// One event-engine row of `policy` at message `loss` on `shards` shards.
+fn event_row(o: &Options, policy: PolicyTriple, loss: f64, shards: usize) -> EngineComparison {
+    let scale = o.scale;
+    let event = event_config(loss);
+    let sim = scenario::event_random_overlay_sharded(
+        &scale.protocol(policy),
+        event,
+        scale.nodes,
+        scale.seed,
+        shards,
+    )
+    .expect("asynchrony sweep uses a validated event config");
+    let (node_cycles_per_sec, stats) = timed(o, sim, scale.seed ^ 1, |sim| {
+        sim.run_for(scale.cycles * event.period);
+    });
+    EngineComparison {
+        policy,
+        engine: "event",
+        shards,
+        loss,
+        node_cycles_per_sec,
+        stats,
+    }
 }
 
 /// What a row of either engine shares: times `advance` on `sim` at the
 /// configured worker count and measures the overlay it leaves. Returns
 /// node-cycles/s and the overlay statistics.
 fn timed<N: GossipNode + Send, M: Mode>(
-    config: &AsyncConfig,
+    o: &Options,
     mut sim: Sharded<N, M>,
     metrics_seed: u64,
     advance: impl FnOnce(&mut Sharded<N, M>),
 ) -> (f64, OverlayStats) {
-    if let Some(w) = config.workers {
+    if let Some(w) = o.workers {
         sim.set_workers(w);
     }
     let started = Instant::now();
     advance(&mut sim);
     let seconds = started.elapsed().as_secs_f64();
-    let stats = if config.scale.nodes >= SAMPLED_METRICS_THRESHOLD {
+    let stats = if o.scale.nodes >= SAMPLED_METRICS_THRESHOLD {
         measure_csr(&sim.csr_snapshot(), metrics_seed)
     } else {
         measure_graph(&sim.csr_snapshot().graph().undirected(), metrics_seed)
     };
-    let node_cycles = config.scale.nodes as f64 * config.scale.cycles as f64;
+    let node_cycles = o.scale.nodes as f64 * o.scale.cycles as f64;
     let throughput = if seconds > 0.0 {
         node_cycles / seconds
     } else {
@@ -291,6 +275,7 @@ fn timed<N: GossipNode + Send, M: Mode>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scale;
 
     #[test]
     fn event_engine_matches_cycle_engine_shape() {
@@ -300,13 +285,12 @@ mod tests {
             view_size: 12,
             seed: 71,
         };
-        let mut config = AsyncConfig::at_scale(scale);
-        config.loss_levels = vec![0.0];
-        config.protocols = vec![PolicyTriple::newscast()];
-        let result = run(&config);
-        assert_eq!(result.rows.len(), 2);
-        let cycle = result.rows.iter().find(|r| r.engine == "cycle").unwrap();
-        let event = result.rows.iter().find(|r| r.engine == "event").unwrap();
+        let o = Options::at(scale);
+        let newscast = PolicyTriple::newscast();
+        let result = AsyncResult {
+            rows: vec![cycle_row(&o, newscast, 1), event_row(&o, newscast, 0.0, 1)],
+        };
+        let (cycle, event) = (&result.rows[0], &result.rows[1]);
         assert_eq!(cycle.stats.connected, Some(true));
         assert_eq!(event.stats.connected, Some(true));
         // Converged degree within 25% between engines.
@@ -325,29 +309,30 @@ mod tests {
             view_size: 12,
             seed: 71,
         };
-        let mut config = AsyncConfig::at_scale(scale);
-        config.loss_levels = vec![0.05];
-        config.protocols = vec![PolicyTriple::newscast()];
-        config.shard_counts = vec![1, 2];
-        config.workers = Some(2);
-        let result = run(&config);
-        // One cycle baseline + one event row per shard count.
-        assert_eq!(result.rows.len(), 3);
-        assert_eq!(result.rows[0].engine, "cycle");
-        assert_eq!(result.rows[0].shards, 2);
-        let event_shards: Vec<usize> = result
-            .rows
-            .iter()
-            .filter(|r| r.engine == "event")
-            .map(|r| r.shards)
+        let result = run(&Options {
+            shards: Some(vec![1, 2]),
+            workers: Some(2),
+            ..Options::at(scale)
+        });
+        // Per protocol: the cycle baseline at the largest shard count, then
+        // one event row per loss level and shard count.
+        let layout: Vec<(&str, usize, f64)> = (result.rows.iter())
+            .map(|r| (r.engine, r.shards, r.loss))
             .collect();
-        assert_eq!(event_shards, vec![1, 2]);
+        let per_protocol = [
+            ("cycle", 2, 0.0),
+            ("event", 1, 0.0),
+            ("event", 2, 0.0),
+            ("event", 1, 0.05),
+            ("event", 2, 0.05),
+        ];
+        assert_eq!(layout, per_protocol.repeat(3));
         for row in &result.rows {
             assert!(row.node_cycles_per_sec > 0.0);
             assert!(row.stats.average_degree > 10.0);
             assert_eq!(row.stats.connected, Some(true), "{row:?}");
         }
-        assert_eq!(result.sections()[0].summary.len(), 3);
+        assert_eq!(result.sections()[0].summary.len(), 15);
     }
 
     /// `run` switches to `measure_csr` at

@@ -6,46 +6,27 @@
 //! partition in this scenario, see Table 1). Each subplot shows one
 //! property per cycle against the uniform random baseline.
 
-use pss_core::PolicyTriple;
+use pss_core::{PeerSelection as Ps, PolicyTriple, ViewPropagation as Vp, ViewSelection as Vs};
 use pss_graph::GraphMetrics;
 
 use crate::dynamics::{random_baseline, run_dynamics, ProtocolDynamics, ScenarioKind};
 use crate::parallel::parallel_map;
 use crate::report::{fmt_f64, Report, Section, Table};
-use crate::Scale;
+use crate::Options;
 
-/// Configuration for the Figure 2 experiment.
-#[derive(Debug, Clone)]
-pub struct Fig2Config {
-    /// Common scale; `cycles` is the full run length (paper: 300), and
-    /// N / 100 nodes join per cycle (paper: 100).
-    pub scale: Scale,
-    /// Seeds to retry for the partitioning push protocols until a connected
-    /// run is found.
-    pub connect_attempts: u32,
-}
+/// Seeds to retry for the partitioning push protocols until a connected
+/// run is found.
+const CONNECT_ATTEMPTS: u32 = 5;
 
-impl Fig2Config {
-    /// Default configuration at the given scale.
-    pub fn at_scale(scale: Scale) -> Self {
-        Fig2Config {
-            scale,
-            connect_attempts: 5,
-        }
-    }
-
-    /// The six protocols of Figure 2, in the paper's legend order.
-    pub fn protocols() -> [PolicyTriple; 6] {
-        [
-            "(rand,rand,push)".parse().expect("valid"),
-            "(tail,rand,push)".parse().expect("valid"),
-            "(rand,rand,pushpull)".parse().expect("valid"),
-            "(tail,rand,pushpull)".parse().expect("valid"),
-            "(rand,head,pushpull)".parse().expect("valid"),
-            "(tail,head,pushpull)".parse().expect("valid"),
-        ]
-    }
-}
+/// The six protocols of Figure 2, in the paper's legend order.
+const PROTOCOLS: [PolicyTriple; 6] = [
+    PolicyTriple::new(Ps::Rand, Vs::Rand, Vp::Push),
+    PolicyTriple::new(Ps::Tail, Vs::Rand, Vp::Push),
+    PolicyTriple::new(Ps::Rand, Vs::Rand, Vp::PushPull),
+    PolicyTriple::new(Ps::Tail, Vs::Rand, Vp::PushPull),
+    PolicyTriple::new(Ps::Rand, Vs::Head, Vp::PushPull),
+    PolicyTriple::new(Ps::Tail, Vs::Head, Vp::PushPull),
+];
 
 /// Result of the Figure 2 experiment.
 #[derive(Debug, Clone)]
@@ -112,18 +93,19 @@ impl Report for Fig2Result {
     }
 }
 
-/// Runs the Figure 2 experiment (protocols in parallel).
-pub fn run(config: &Fig2Config) -> Fig2Result {
-    let scale = config.scale;
+/// Runs the Figure 2 experiment (protocols in parallel): `scale.cycles`
+/// is the full run length (paper: 300), and N / 100 nodes join per cycle
+/// (paper: 100).
+pub fn run(o: &Options) -> Fig2Result {
+    let scale = o.scale;
     let per_cycle = (scale.nodes / 100).max(1);
-    let attempts = config.connect_attempts;
-    let dynamics = parallel_map(Fig2Config::protocols().to_vec(), move |policy| {
+    let dynamics = parallel_map(PROTOCOLS.to_vec(), move |policy| {
         run_dynamics(
             policy,
             scale,
             ScenarioKind::Growing { per_cycle },
             scale.cycles,
-            attempts,
+            CONNECT_ATTEMPTS,
         )
     });
     Fig2Result {
@@ -135,15 +117,14 @@ pub fn run(config: &Fig2Config) -> Fig2Result {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scale;
 
     #[test]
     fn runs_at_tiny_scale() {
         let mut scale = Scale::tiny();
         scale.nodes = 150;
         scale.cycles = 25;
-        let mut config = Fig2Config::at_scale(scale);
-        config.connect_attempts = 2;
-        let result = run(&config);
+        let result = run(&Options::at(scale));
         assert_eq!(result.dynamics.len(), 6);
         for d in &result.dynamics {
             assert_eq!(d.clustering.len(), 25);

@@ -11,26 +11,7 @@ use pss_graph::GraphMetrics;
 use crate::dynamics::{random_baseline, run_dynamics, ProtocolDynamics, ScenarioKind};
 use crate::parallel::parallel_map;
 use crate::report::{fmt_f64, Report, Section, Table};
-use crate::Scale;
-
-/// Configuration for the Figure 3 experiment.
-#[derive(Debug, Clone)]
-pub struct Fig3Config {
-    /// Common scale.
-    pub scale: Scale,
-    /// Protocols (default: the paper's eight).
-    pub protocols: Vec<PolicyTriple>,
-}
-
-impl Fig3Config {
-    /// Default configuration at the given scale.
-    pub fn at_scale(scale: Scale) -> Self {
-        Fig3Config {
-            scale,
-            protocols: PolicyTriple::paper_eight().to_vec(),
-        }
-    }
-}
+use crate::{Options, Scale};
 
 /// Result of the Figure 3 experiment.
 #[derive(Debug, Clone)]
@@ -107,19 +88,15 @@ impl Report for Fig3Result {
     }
 }
 
-/// Runs the Figure 3 experiment: 2 scenarios × all protocols in parallel.
-pub fn run(config: &Fig3Config) -> Fig3Result {
-    let scale = config.scale;
-    // Cycles to plot: the paper shows 100 of its 300-cycle runs.
-    let cycles = scale.cycles.min(100);
-    let jobs: Vec<(PolicyTriple, ScenarioKind)> = config
-        .protocols
-        .iter()
-        .flat_map(|&p| [(p, ScenarioKind::Lattice), (p, ScenarioKind::Random)])
+/// Runs the Figure 3 experiment: 2 scenarios × the paper's eight
+/// protocols in parallel.
+pub fn run(o: &Options) -> Fig3Result {
+    let scale = o.scale;
+    let jobs: Vec<(PolicyTriple, ScenarioKind)> = PolicyTriple::paper_eight()
+        .into_iter()
+        .flat_map(|p| [(p, ScenarioKind::Lattice), (p, ScenarioKind::Random)])
         .collect();
-    let results = parallel_map(jobs, move |(policy, kind)| {
-        run_dynamics(policy, scale, kind, cycles, 1)
-    });
+    let results = parallel_map(jobs, move |(policy, kind)| trace(scale, policy, kind));
     let (lattice, random): (Vec<_>, Vec<_>) = results
         .into_iter()
         .partition(|d| d.scenario == ScenarioKind::Lattice);
@@ -128,6 +105,12 @@ pub fn run(config: &Fig3Config) -> Fig3Result {
         random,
         baseline: random_baseline(scale),
     }
+}
+
+/// One protocol's series from one start, over the plotted cycles: the
+/// paper shows 100 of its 300-cycle runs.
+fn trace(scale: Scale, policy: PolicyTriple, kind: ScenarioKind) -> ProtocolDynamics {
+    run_dynamics(policy, scale, kind, scale.cycles.min(100), 1)
 }
 
 #[cfg(test)]
@@ -142,11 +125,12 @@ mod tests {
             view_size: 10,
             seed: 99,
         };
-        let mut config = Fig3Config::at_scale(scale);
-        config.protocols = vec![PolicyTriple::newscast()];
-        let result = run(&config);
-        assert_eq!(result.lattice.len(), 1);
-        assert_eq!(result.random.len(), 1);
+        let newscast = PolicyTriple::newscast();
+        let result = Fig3Result {
+            lattice: vec![trace(scale, newscast, ScenarioKind::Lattice)],
+            random: vec![trace(scale, newscast, ScenarioKind::Random)],
+            baseline: random_baseline(scale),
+        };
         let last = |s: &pss_stats::TimeSeries| *s.values().last().unwrap();
         let cc_l = last(&result.lattice[0].clustering);
         let cc_r = last(&result.random[0].clustering);

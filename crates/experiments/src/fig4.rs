@@ -11,31 +11,7 @@ use pss_stats::CountDistribution;
 
 use crate::parallel::parallel_map;
 use crate::report::{fmt_f64, Report, Section, Table};
-use crate::Scale;
-
-/// Configuration for the Figure 4 experiment.
-#[derive(Debug, Clone)]
-pub struct Fig4Config {
-    /// Common scale.
-    pub scale: Scale,
-    /// Cycles at which to capture the distribution (cycle 0 = the initial
-    /// random topology). Defaults to `{0, 1%, 10%, 100%}` of the cycle
-    /// budget, matching the paper's 0/3/30/300.
-    pub capture_at: Vec<u64>,
-    /// Protocols (default: the paper's eight).
-    pub protocols: Vec<PolicyTriple>,
-}
-
-impl Fig4Config {
-    /// Default configuration at the given scale.
-    pub fn at_scale(scale: Scale) -> Self {
-        Fig4Config {
-            scale,
-            capture_at: vec![0, scale.cycles / 100, scale.cycles / 10, scale.cycles],
-            protocols: PolicyTriple::paper_eight().to_vec(),
-        }
-    }
-}
+use crate::{Options, Scale};
 
 /// Degree distributions of one protocol at the capture cycles.
 #[derive(Debug, Clone)]
@@ -93,31 +69,37 @@ impl Report for Fig4Result {
     }
 }
 
-/// Runs the Figure 4 experiment (protocols in parallel).
-pub fn run(config: &Fig4Config) -> Fig4Result {
-    let scale = config.scale;
-    let mut capture_at = config.capture_at.clone();
-    capture_at.sort_unstable();
-    capture_at.dedup();
-
-    let evolutions = parallel_map(config.protocols.clone(), move |policy| {
-        let protocol = scale.protocol(policy);
-        let mut sim = scenario::random_overlay(&protocol, scale.nodes, scale.seed ^ 0xf14);
-        let mut captures = Vec::with_capacity(capture_at.len());
-        for &cycle in &capture_at {
-            let to_run = cycle - sim.cycle();
-            sim.run_cycles(to_run);
-            let dist = sim
-                .csr_snapshot()
-                .graph()
-                .undirected()
-                .degree_distribution();
-            captures.push((cycle, dist));
-        }
-        DegreeEvolution { policy, captures }
+/// Runs the Figure 4 experiment (the paper's eight protocols in parallel).
+pub fn run(o: &Options) -> Fig4Result {
+    let scale = o.scale;
+    let evolutions = parallel_map(PolicyTriple::paper_eight().to_vec(), move |policy| {
+        evolution(scale, policy)
     });
-
     Fig4Result { evolutions }
+}
+
+/// Cycles at which the distribution is captured (cycle 0 = the initial
+/// random topology): `{0, 1%, 10%, 100%}` of the cycle budget, matching
+/// the paper's 0/3/30/300.
+fn capture_at(scale: Scale) -> Vec<u64> {
+    let mut at = vec![0, scale.cycles / 100, scale.cycles / 10, scale.cycles];
+    at.dedup();
+    at
+}
+
+/// One protocol's degree distributions at the capture cycles.
+fn evolution(scale: Scale, policy: PolicyTriple) -> DegreeEvolution {
+    let protocol = scale.protocol(policy);
+    let mut sim = scenario::random_overlay(&protocol, scale.nodes, scale.seed ^ 0xf14);
+    let captures = capture_at(scale)
+        .into_iter()
+        .map(|cycle| {
+            sim.run_cycles(cycle - sim.cycle());
+            let graph = sim.csr_snapshot().graph().undirected();
+            (cycle, graph.degree_distribution())
+        })
+        .collect();
+    DegreeEvolution { policy, captures }
 }
 
 #[cfg(test)]
@@ -132,16 +114,12 @@ mod tests {
             view_size: 20,
             seed: 11,
         };
-        let config = Fig4Config {
-            scale,
-            capture_at: vec![0, 80],
-            protocols: vec![
-                "(rand,head,pushpull)".parse().unwrap(),
-                "(rand,rand,pushpull)".parse().unwrap(),
+        let result = Fig4Result {
+            evolutions: vec![
+                evolution(scale, "(rand,head,pushpull)".parse().unwrap()),
+                evolution(scale, "(rand,rand,pushpull)".parse().unwrap()),
             ],
         };
-        let result = run(&config);
-        assert_eq!(result.evolutions.len(), 2);
         let var = |i: usize| result.evolutions[i].captures.last().unwrap().1.variance();
         // The paper's headline split: head view selection balances degrees,
         // rand view selection produces a much wider distribution.

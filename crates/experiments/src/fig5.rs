@@ -8,43 +8,31 @@
 //! `(*,rand,*)` protocols show slow oscillations with strong short-term
 //! correlation.
 
-use pss_core::{NodeId, PolicyTriple};
+use pss_core::{
+    NodeId, PeerSelection as Ps, PolicyTriple, ViewPropagation as Vp, ViewSelection as Vs,
+};
 use pss_sim::scenario;
 use pss_stats::Autocorrelation;
 
 use crate::parallel::parallel_map;
 use crate::report::{fmt_f64, Report, Section, Table};
-use crate::Scale;
+use crate::{Options, Scale};
 
 /// Confidence level of the white-noise band (paper: 0.99).
 const CONFIDENCE: f64 = 0.99;
 
-/// Configuration for the Figure 5 experiment.
-#[derive(Debug, Clone)]
-pub struct Fig5Config {
-    /// Common scale (the series length is the cycle count).
-    pub scale: Scale,
-    /// Maximum lag (paper: 140).
-    pub max_lag: usize,
-    /// Protocols; the paper plots the four `rand` peer-selection variants
-    /// and omits `(tail,*,*)` "for clarity".
-    pub protocols: Vec<PolicyTriple>,
-}
+/// The protocols of Figure 5: the paper plots the four `rand`
+/// peer-selection variants and omits `(tail,*,*)` "for clarity".
+const PROTOCOLS: [PolicyTriple; 4] = [
+    PolicyTriple::new(Ps::Rand, Vs::Rand, Vp::Push),
+    PolicyTriple::new(Ps::Rand, Vs::Rand, Vp::PushPull),
+    PolicyTriple::new(Ps::Rand, Vs::Head, Vp::Push),
+    PolicyTriple::new(Ps::Rand, Vs::Head, Vp::PushPull),
+];
 
-impl Fig5Config {
-    /// Default configuration at the given scale.
-    pub fn at_scale(scale: Scale) -> Self {
-        Fig5Config {
-            scale,
-            max_lag: 140.min(scale.cycles as usize / 2),
-            protocols: vec![
-                "(rand,rand,push)".parse().expect("valid"),
-                "(rand,rand,pushpull)".parse().expect("valid"),
-                "(rand,head,push)".parse().expect("valid"),
-                "(rand,head,pushpull)".parse().expect("valid"),
-            ],
-        }
-    }
+/// Maximum lag (paper: 140), at most half the series length.
+fn max_lag(scale: Scale) -> usize {
+    140.min(scale.cycles as usize / 2)
 }
 
 /// Autocorrelation of one protocol's traced node.
@@ -101,37 +89,39 @@ impl Report for Fig5Result {
     }
 }
 
-/// Runs the Figure 5 experiment (protocols in parallel).
-pub fn run(config: &Fig5Config) -> Fig5Result {
-    let scale = config.scale;
-    let max_lag = config.max_lag;
+/// Runs the Figure 5 experiment (protocols in parallel); the series
+/// length is the cycle count.
+pub fn run(o: &Options) -> Fig5Result {
+    let scale = o.scale;
     let band = pss_stats::white_noise_band(scale.cycles as usize, CONFIDENCE);
-
-    let protocols = parallel_map(config.protocols.clone(), move |policy| {
-        let protocol = scale.protocol(policy);
-        let seed = scale.seed ^ 0xf15;
-        let mut sim = scenario::random_overlay(&protocol, scale.nodes, seed);
-        // "a fixed random node" — any node is statistically equivalent in
-        // the random topology; take the middle one deterministically.
-        let traced = NodeId::new((scale.nodes / 2) as u64);
-        let mut degrees = Vec::new();
-        for _ in 0..scale.cycles {
-            sim.run_cycle();
-            let snapshot = sim.csr_snapshot();
-            if let Some(idx) = snapshot.index_of(traced) {
-                degrees.push(snapshot.graph().undirected().degree(idx) as f64);
-            }
-        }
-        let autocorrelation = pss_stats::autocorrelation(&degrees, max_lag);
-        let last_significant_lag = autocorrelation.last_significant_lag(band);
-        ProtocolAutocorrelation {
-            policy,
-            autocorrelation,
-            last_significant_lag,
-        }
-    });
-
+    let protocols = parallel_map(PROTOCOLS.to_vec(), move |policy| trace(scale, policy, band));
     Fig5Result { protocols, band }
+}
+
+/// The autocorrelation of one protocol's traced node, its significance
+/// judged against the white-noise `band`.
+fn trace(scale: Scale, policy: PolicyTriple, band: f64) -> ProtocolAutocorrelation {
+    let protocol = scale.protocol(policy);
+    let seed = scale.seed ^ 0xf15;
+    let mut sim = scenario::random_overlay(&protocol, scale.nodes, seed);
+    // "a fixed random node" — any node is statistically equivalent in
+    // the random topology; take the middle one deterministically.
+    let traced = NodeId::new((scale.nodes / 2) as u64);
+    let mut degrees = Vec::new();
+    for _ in 0..scale.cycles {
+        sim.run_cycle();
+        let snapshot = sim.csr_snapshot();
+        if let Some(idx) = snapshot.index_of(traced) {
+            degrees.push(snapshot.graph().undirected().degree(idx) as f64);
+        }
+    }
+    let autocorrelation = pss_stats::autocorrelation(&degrees, max_lag(scale));
+    let last_significant_lag = autocorrelation.last_significant_lag(band);
+    ProtocolAutocorrelation {
+        policy,
+        autocorrelation,
+        last_significant_lag,
+    }
 }
 
 #[cfg(test)]
@@ -146,17 +136,15 @@ mod tests {
             view_size: 15,
             seed: 31,
         };
-        let config = Fig5Config {
-            scale,
-            max_lag: 40,
+        let band = pss_stats::white_noise_band(scale.cycles as usize, CONFIDENCE);
+        assert!(band > 0.0);
+        let result = Fig5Result {
             protocols: vec![
-                "(rand,head,pushpull)".parse().unwrap(),
-                "(rand,rand,pushpull)".parse().unwrap(),
+                trace(scale, "(rand,head,pushpull)".parse().unwrap(), band),
+                trace(scale, "(rand,rand,pushpull)".parse().unwrap(), band),
             ],
+            band,
         };
-        let result = run(&config);
-        assert_eq!(result.protocols.len(), 2);
-        assert!(result.band > 0.0);
         let head_r1 = result.protocols[0].autocorrelation.at(1).unwrap();
         let rand_r1 = result.protocols[1].autocorrelation.at(1).unwrap();
         // The paper's qualitative claim: rand view selection produces strong
@@ -171,6 +159,6 @@ mod tests {
         );
         let section = result.sections().remove(0);
         assert!(!section.summary.is_empty());
-        assert_eq!(section.series.as_ref().map(Table::len), Some(2 * 41));
+        assert_eq!(section.series.as_ref().map(Table::len), Some(2 * 61));
     }
 }

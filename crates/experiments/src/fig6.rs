@@ -17,32 +17,10 @@ use rand::SeedableRng;
 
 use crate::parallel::parallel_map;
 use crate::report::{fmt_f64, Report, Section, Table};
-use crate::Scale;
+use crate::{Options, Scale};
 
-/// Configuration for the Figure 6 experiment.
-#[derive(Debug, Clone)]
-pub struct Fig6Config {
-    /// Common scale (cycles = convergence budget before damaging).
-    pub scale: Scale,
-    /// Removal percentages to test (paper x-axis: 65–95).
-    pub removal_percents: Vec<f64>,
-    /// Removal repetitions per point (paper: 100).
-    pub repetitions: usize,
-    /// Protocols (default: the paper's eight).
-    pub protocols: Vec<PolicyTriple>,
-}
-
-impl Fig6Config {
-    /// Default configuration at the given scale.
-    pub fn at_scale(scale: Scale) -> Self {
-        Fig6Config {
-            scale,
-            removal_percents: vec![65.0, 70.0, 75.0, 80.0, 85.0, 90.0, 95.0],
-            repetitions: 30,
-            protocols: PolicyTriple::paper_eight().to_vec(),
-        }
-    }
-}
+/// Removal percentages (the paper's x-axis: 65–95).
+const REMOVAL_PERCENTS: [f64; 7] = [65.0, 70.0, 75.0, 80.0, 85.0, 90.0, 95.0];
 
 /// Robustness curve of one protocol.
 #[derive(Debug, Clone)]
@@ -123,36 +101,40 @@ fn damage_and_measure(graph: &Csr, percent: f64, repetitions: usize, seed: u64) 
     (total_outside as f64 / repetitions as f64, any_partition)
 }
 
-/// Runs the Figure 6 experiment (protocols in parallel; each protocol
-/// converges once and is then damaged `repetitions` times per percentage).
-pub fn run(config: &Fig6Config) -> Fig6Result {
-    let scale = config.scale;
-    let percents = config.removal_percents.clone();
-    let repetitions = config.repetitions;
-
-    let curves = parallel_map(config.protocols.clone(), move |policy| {
-        let protocol = scale.protocol(policy);
-        let mut sim = scenario::random_overlay(&protocol, scale.nodes, scale.seed ^ 0xf16);
-        sim.run_cycles(scale.cycles);
-        let graph = sim.csr_snapshot().graph().undirected();
-        let mut points = Vec::with_capacity(percents.len());
-        let mut first_partition_percent = None;
-        for (i, &pct) in percents.iter().enumerate() {
-            let (avg_outside, partitioned) =
-                damage_and_measure(&graph, pct, repetitions, scale.run_seed(9000 + i as u64));
-            points.push((pct, avg_outside));
-            if partitioned && first_partition_percent.is_none() {
-                first_partition_percent = Some(pct);
-            }
-        }
-        RemovalCurve {
-            policy,
-            points,
-            first_partition_percent,
-        }
+/// Runs the Figure 6 experiment (the paper's eight protocols in
+/// parallel); `scale.cycles` is the convergence budget before damaging,
+/// and `--runs` the removal repetitions per point (default 30; paper: 100).
+pub fn run(o: &Options) -> Fig6Result {
+    let scale = o.scale;
+    let repetitions = o.runs.unwrap_or(30);
+    let curves = parallel_map(PolicyTriple::paper_eight().to_vec(), move |policy| {
+        removal_curve(scale, policy, repetitions)
     });
-
     Fig6Result { curves }
+}
+
+/// One protocol's curve: the overlay converges once and is then damaged
+/// `repetitions` times per percentage.
+fn removal_curve(scale: Scale, policy: PolicyTriple, repetitions: usize) -> RemovalCurve {
+    let protocol = scale.protocol(policy);
+    let mut sim = scenario::random_overlay(&protocol, scale.nodes, scale.seed ^ 0xf16);
+    sim.run_cycles(scale.cycles);
+    let graph = sim.csr_snapshot().graph().undirected();
+    let mut points = Vec::with_capacity(REMOVAL_PERCENTS.len());
+    let mut first_partition_percent = None;
+    for (i, pct) in REMOVAL_PERCENTS.into_iter().enumerate() {
+        let (avg_outside, partitioned) =
+            damage_and_measure(&graph, pct, repetitions, scale.run_seed(9000 + i as u64));
+        points.push((pct, avg_outside));
+        if partitioned && first_partition_percent.is_none() {
+            first_partition_percent = Some(pct);
+        }
+    }
+    RemovalCurve {
+        policy,
+        points,
+        first_partition_percent,
+    }
 }
 
 #[cfg(test)]
@@ -167,23 +149,18 @@ mod tests {
             view_size: 20,
             seed: 41,
         };
-        let config = Fig6Config {
-            scale,
-            removal_percents: vec![50.0, 65.0, 90.0],
-            repetitions: 10,
-            protocols: vec![PolicyTriple::newscast()],
+        let result = Fig6Result {
+            curves: vec![removal_curve(scale, PolicyTriple::newscast(), 10)],
         };
-        let result = run(&config);
         let curve = &result.curves[0];
-        assert_eq!(curve.points.len(), 3);
-        // At 50% removal the overlay should be essentially intact.
-        assert!(curve.points[0].1 < 1.0, "damage at 50%: {:?}", curve.points);
+        assert_eq!(curve.points.len(), 7);
+        // At 65% removal the overlay should be essentially intact.
+        assert!(curve.points[0].1 < 1.0, "damage at 65%: {:?}", curve.points);
         // Monotone damage.
-        assert!(curve.points[2].1 >= curve.points[0].1);
-        // 90% removal of a c=20 overlay usually leaves stragglers.
+        assert!(curve.points[6].1 >= curve.points[0].1);
         let section = result.sections().remove(0);
         assert!(!section.summary.is_empty());
-        assert_eq!(section.series.as_ref().map(Table::len), Some(3));
+        assert_eq!(section.series.as_ref().map(Table::len), Some(7));
     }
 
     #[test]

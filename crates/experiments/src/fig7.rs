@@ -13,29 +13,10 @@ use pss_stats::TimeSeries;
 
 use crate::parallel::parallel_map;
 use crate::report::{fmt_f64, Report, Section, Table};
-use crate::Scale;
+use crate::{Options, Scale};
 
 /// Fraction of nodes killed at the failure cycle (paper: 0.5).
 const KILL_FRACTION: f64 = 0.5;
-
-/// Configuration for the Figure 7 experiment.
-#[derive(Debug, Clone)]
-pub struct Fig7Config {
-    /// Common scale (cycles = convergence budget before the failure).
-    pub scale: Scale,
-    /// Protocols (default: the paper's eight).
-    pub protocols: Vec<PolicyTriple>,
-}
-
-impl Fig7Config {
-    /// Default configuration at the given scale.
-    pub fn at_scale(scale: Scale) -> Self {
-        Fig7Config {
-            scale,
-            protocols: PolicyTriple::paper_eight().to_vec(),
-        }
-    }
-}
 
 /// Healing trajectory of one protocol.
 #[derive(Debug, Clone)]
@@ -96,36 +77,40 @@ impl Report for Fig7Result {
     }
 }
 
-/// Runs the Figure 7 experiment (protocols in parallel).
-pub fn run(config: &Fig7Config) -> Fig7Result {
-    let scale = config.scale;
+/// Runs the Figure 7 experiment (the paper's eight protocols in
+/// parallel); `scale.cycles` is the convergence budget before the failure.
+pub fn run(o: &Options) -> Fig7Result {
+    let scale = o.scale;
+    let curves = parallel_map(PolicyTriple::paper_eight().to_vec(), move |policy| {
+        healing_curve(scale, policy)
+    });
+    Fig7Result {
+        curves,
+        failure_cycle: scale.cycles,
+    }
+}
+
+/// One protocol's dead links per cycle after the failure.
+fn healing_curve(scale: Scale, policy: PolicyTriple) -> HealingCurve {
     // Cycles simulated after the failure (the paper plots 70 for the head
     // protocols and 200 for the rand ones; we run the maximum for all).
     let recovery = (scale.cycles * 2 / 3).max(40);
-
-    let curves = parallel_map(config.protocols.clone(), move |policy| {
-        let protocol = scale.protocol(policy);
-        let mut sim = scenario::random_overlay(&protocol, scale.nodes, scale.seed ^ 0xf17);
-        sim.run_cycles(scale.cycles);
-        sim.kill_random_fraction(KILL_FRACTION);
-        let initial_dead_links = sim.dead_link_count();
-        let mut dead_links = TimeSeries::default();
-        for _ in 0..recovery {
-            sim.run_cycle();
-            dead_links.push(sim.cycle(), sim.dead_link_count() as f64);
-        }
-        let healed_at_cycle = dead_links.iter().find(|&(_, v)| v == 0.0).map(|(c, _)| c);
-        HealingCurve {
-            policy,
-            dead_links,
-            initial_dead_links,
-            healed_at_cycle,
-        }
-    });
-
-    Fig7Result {
-        curves,
-        failure_cycle: config.scale.cycles,
+    let protocol = scale.protocol(policy);
+    let mut sim = scenario::random_overlay(&protocol, scale.nodes, scale.seed ^ 0xf17);
+    sim.run_cycles(scale.cycles);
+    sim.kill_random_fraction(KILL_FRACTION);
+    let initial_dead_links = sim.dead_link_count();
+    let mut dead_links = TimeSeries::default();
+    for _ in 0..recovery {
+        sim.run_cycle();
+        dead_links.push(sim.cycle(), sim.dead_link_count() as f64);
+    }
+    let healed_at_cycle = dead_links.iter().find(|&(_, v)| v == 0.0).map(|(c, _)| c);
+    HealingCurve {
+        policy,
+        dead_links,
+        initial_dead_links,
+        healed_at_cycle,
     }
 }
 
@@ -141,14 +126,13 @@ mod tests {
             view_size: 15,
             seed: 51,
         };
-        let config = Fig7Config {
-            scale,
-            protocols: vec![
-                "(rand,head,pushpull)".parse().unwrap(),
-                "(rand,rand,pushpull)".parse().unwrap(),
+        let result = Fig7Result {
+            curves: vec![
+                healing_curve(scale, "(rand,head,pushpull)".parse().unwrap()),
+                healing_curve(scale, "(rand,rand,pushpull)".parse().unwrap()),
             ],
+            failure_cycle: scale.cycles,
         };
-        let result = run(&config);
         let head = &result.curves[0];
         let rand = &result.curves[1];
         assert!(head.initial_dead_links > 0);
@@ -163,7 +147,6 @@ mod tests {
             rand.remaining(),
             rand.initial_dead_links
         );
-        assert_eq!(result.failure_cycle, 40);
         let section = result.sections().remove(0);
         assert!(!section.summary.is_empty());
         assert!(section.series.as_ref().is_some_and(|s| !s.is_empty()));

@@ -17,38 +17,21 @@ use rand::{Rng, SeedableRng};
 
 use crate::parallel::parallel_map;
 use crate::report::{fmt_f64, Report, Section, Table};
-use crate::Scale;
+use crate::{Options, Scale};
 
-/// Configuration for the H&S ablation.
-#[derive(Debug, Clone)]
-pub struct HsAblationConfig {
-    /// Common scale.
-    pub scale: Scale,
-    /// `(H, S)` pairs to test; defaults to the corners and midpoint of the
-    /// valid triangle `H + S <= c/2`.
-    pub corners: Vec<(usize, usize)>,
-    /// Fraction killed for the healing measurement.
-    pub kill_fraction: f64,
-    /// Cycles allowed for healing.
-    pub recovery_cycles: u64,
-}
+/// Fraction killed for the healing measurement.
+const KILL_FRACTION: f64 = 0.5;
 
-impl HsAblationConfig {
-    /// Default configuration at the given scale.
-    pub fn at_scale(scale: Scale) -> Self {
-        let half = scale.view_size / 2;
-        HsAblationConfig {
-            scale,
-            corners: vec![
-                (0, 0),               // blind: random removals only
-                (half, 0),            // healer corner
-                (0, half),            // swapper (shuffler) corner
-                (half / 2, half / 2), // balanced midpoint
-            ],
-            kill_fraction: 0.5,
-            recovery_cycles: (scale.cycles / 3).max(30),
-        }
-    }
+/// The `(H, S)` pairs tested: the corners and midpoint of the valid
+/// triangle `H + S <= c/2`.
+fn corners(scale: Scale) -> [(usize, usize); 4] {
+    let half = scale.view_size / 2;
+    [
+        (0, 0),               // blind: random removals only
+        (half, 0),            // healer corner
+        (0, half),            // swapper (shuffler) corner
+        (half / 2, half / 2), // balanced midpoint
+    ]
 }
 
 /// Measured qualities of one (H, S) point.
@@ -101,63 +84,65 @@ impl Report for HsAblationResult {
 }
 
 /// Runs the ablation (corners in parallel).
-pub fn run(config: &HsAblationConfig) -> HsAblationResult {
-    let scale = config.scale;
-    let kill_fraction = config.kill_fraction.clamp(0.0, 1.0);
-    let recovery = config.recovery_cycles;
-
-    let points = parallel_map(config.corners.clone(), move |(healer, swapper)| {
-        let hs = HsConfig::new(scale.view_size, healer, swapper, HsPeerSelection::Rand)
-            .expect("corner within the valid triangle");
-        let mut sim = ShardedSimulation::with_factory(scale.seed ^ 0x45a, 1, move |id, seed| {
-            Box::new(HsNode::with_seed(id, hs, seed)) as BoxedNode
-        });
-        // Random bootstrap: every node knows `c` uniform-random others.
-        let mut topo = SmallRng::seed_from_u64(scale.seed ^ 0x45b);
-        for _ in 0..scale.nodes {
-            sim.add_node([]);
-        }
-        let node_ids = sim.alive_ids();
-        for &id in &node_ids {
-            let seeds: Vec<NodeDescriptor> = (0..scale.view_size)
-                .map(|_| loop {
-                    let pick = node_ids[topo.random_range(0..node_ids.len())];
-                    if pick != id {
-                        break NodeDescriptor::fresh(pick);
-                    }
-                })
-                .collect();
-            // Re-initialize the node's view in place via the factory-made
-            // node: `add_node` already initialized empty views,
-            // so feed seeds through a one-off init.
-            sim.reinit_node(id, seeds);
-        }
-        sim.run_cycles(scale.cycles);
-
-        let graph = sim.csr_snapshot().graph().undirected();
-        let degree_variance = graph.degree_distribution().variance();
-        let connected = pss_graph::components::connected_components(&graph).is_connected();
-
-        sim.kill_random_fraction(kill_fraction);
-        let mut healed_at = None;
-        for cycle in 1..=recovery {
-            sim.run_cycle();
-            if sim.dead_link_count() == 0 {
-                healed_at = Some(cycle);
-                break;
-            }
-        }
-        HsPoint {
-            healer,
-            swapper,
-            degree_variance,
-            dead_links_remaining: sim.dead_link_count() as f64,
-            healed_at,
-            connected,
-        }
-    });
-
+pub fn run(o: &Options) -> HsAblationResult {
+    let scale = o.scale;
+    let points = parallel_map(corners(scale).to_vec(), move |corner| point(scale, corner));
     HsAblationResult { points }
+}
+
+/// Measures one `(H, S)` corner: degree balance of the converged overlay,
+/// then healing after [`KILL_FRACTION`] of the nodes crash.
+fn point(scale: Scale, (healer, swapper): (usize, usize)) -> HsPoint {
+    // Cycles allowed for healing.
+    let recovery = (scale.cycles / 3).max(30);
+    let hs = HsConfig::new(scale.view_size, healer, swapper, HsPeerSelection::Rand)
+        .expect("corner within the valid triangle");
+    let mut sim = ShardedSimulation::with_factory(scale.seed ^ 0x45a, 1, move |id, seed| {
+        Box::new(HsNode::with_seed(id, hs, seed)) as BoxedNode
+    });
+    // Random bootstrap: every node knows `c` uniform-random others.
+    let mut topo = SmallRng::seed_from_u64(scale.seed ^ 0x45b);
+    for _ in 0..scale.nodes {
+        sim.add_node([]);
+    }
+    let node_ids = sim.alive_ids();
+    for &id in &node_ids {
+        let seeds: Vec<NodeDescriptor> = (0..scale.view_size)
+            .map(|_| loop {
+                let pick = node_ids[topo.random_range(0..node_ids.len())];
+                if pick != id {
+                    break NodeDescriptor::fresh(pick);
+                }
+            })
+            .collect();
+        // Re-initialize the node's view in place via the factory-made
+        // node: `add_node` already initialized empty views,
+        // so feed seeds through a one-off init.
+        sim.reinit_node(id, seeds);
+    }
+    sim.run_cycles(scale.cycles);
+
+    let graph = sim.csr_snapshot().graph().undirected();
+    let degree_variance = graph.degree_distribution().variance();
+    let connected = pss_graph::components::connected_components(&graph).is_connected();
+
+    sim.kill_random_fraction(KILL_FRACTION);
+    let mut healed_at = None;
+    for cycle in 1..=recovery {
+        sim.run_cycle();
+        if sim.dead_link_count() == 0 {
+            healed_at = Some(cycle);
+            break;
+        }
+    }
+    HsPoint {
+        healer,
+        swapper,
+        degree_variance,
+        dead_links_remaining: sim.dead_link_count() as f64,
+        healed_at,
+        connected,
+    }
 }
 
 #[cfg(test)]
@@ -172,13 +157,9 @@ mod tests {
             view_size: 16,
             seed: 91,
         };
-        let config = HsAblationConfig {
-            scale,
-            corners: vec![(0, 0), (8, 0)],
-            kill_fraction: 0.5,
-            recovery_cycles: 40,
+        let result = HsAblationResult {
+            points: vec![point(scale, (0, 0)), point(scale, (8, 0))],
         };
-        let result = run(&config);
         let blind = &result.points[0];
         let healer = &result.points[1];
         assert!(blind.connected && healer.connected);
@@ -204,15 +185,8 @@ mod tests {
             view_size: 16,
             seed: 92,
         };
-        let config = HsAblationConfig {
-            scale,
-            corners: vec![(0, 0), (0, 8)],
-            kill_fraction: 0.0,
-            recovery_cycles: 1,
-        };
-        let result = run(&config);
-        let blind = &result.points[0];
-        let swapper = &result.points[1];
+        let blind = point(scale, (0, 0));
+        let swapper = point(scale, (0, 8));
         assert!(
             swapper.degree_variance <= blind.degree_variance * 1.2,
             "swapper variance {} should not exceed blind {}",

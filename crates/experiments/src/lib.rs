@@ -1,11 +1,13 @@
 //! Reproduction harness for every table and figure of the peer sampling
 //! paper (Jelasity et al., Middleware 2004), plus extension experiments.
 //!
-//! Each experiment is a plain function from a configuration to a typed
-//! result, and every result implements [`report::Report`]: the tables it
-//! prints, its health gate and its summary line. The `experiments` binary
-//! runs them from one command table (`experiments --help`). The mapping to
-//! the paper:
+//! Each experiment is a plain function, `run(&Options)`, from the CLI's
+//! [`Options`] to a typed result; the paper's fixed parameters (protocol
+//! lists, removal percentages, traced nodes, lags) are constants of each
+//! module, or functions of the [`Scale`]. Every result implements
+//! [`report::Report`]: the tables it prints, its health gate and its
+//! summary line. The `experiments` binary runs them from one command table
+//! (`experiments --help`). The mapping to the paper:
 //!
 //! | module       | paper artifact | content |
 //! |--------------|----------------|---------|
@@ -59,4 +61,4 @@ pub mod workload;
 mod parallel;
 mod scale;
 
-pub use scale::Scale;
+pub use scale::{Options, Scale};

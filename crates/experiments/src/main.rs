@@ -7,11 +7,10 @@
 //! `experiments --help` lists the commands, one per row of the `COMMANDS`
 //! table below, with the options each reads beyond the scale options and
 //! `--out`. A command rejects every other option; `all` runs every row in
-//! order and accepts them all. Two options mean more than their help line
-//! says: commands that run one shard count take the first entry of
-//! `--shards`, and for `net` `--workers` sets the number of runtimes (one
-//! UDP socket each, all stepped from one thread) rather than a worker-pool
-//! width.
+//! order and accepts them all. The experiments read the parsed options as
+//! one [`Options`] value; commands that run one shard count take the
+//! first entry of `--shards`, and `net` runs `--workers` runtimes (one UDP
+//! socket each, all stepped from one thread).
 
 use std::fs;
 use std::io;
@@ -22,7 +21,7 @@ use std::time::Instant;
 use pss_experiments::report::{Report, Section};
 use pss_experiments::{
     adversary, apps, asynchrony, fig2, fig3, fig4, fig5, fig6, fig7, hs_ablation, metrics, net,
-    policies, protocols, scaling, table1, table2, workload, Scale,
+    policies, protocols, scaling, table1, table2, workload, Options, Scale,
 };
 use pss_telemetry::EventKind;
 use workload::FreshnessChoice;
@@ -37,7 +36,7 @@ struct Command {
     /// Population and cycle caps applied before `run`: many-run commands
     /// keep their default cost bounded.
     caps: (usize, u64),
-    /// Builds the command's configuration from the options and runs it.
+    /// Runs the experiment on the (capped) options.
     run: fn(&Options) -> Result<Box<dyn Report>, String>,
 }
 
@@ -51,171 +50,113 @@ static COMMANDS: &[Command] = &[
     Command {
         name: "table1", help: "partitioning of push protocols (growing overlay)",
         options: &["--runs"], caps: UNCAPPED,
-        run: |o| {
-            let mut config = table1::Table1Config::at_scale(o.scale);
-            config.runs = o.runs.unwrap_or(config.runs);
-            Ok(Box::new(table1::run(&config)))
-        },
+        run: |o| Ok(Box::new(table1::run(o))),
     },
     Command {
         name: "fig2", help: "property dynamics in the growing scenario",
         options: &[], caps: UNCAPPED,
-        run: |o| Ok(Box::new(fig2::run(&fig2::Fig2Config::at_scale(o.scale)))),
+        run: |o| Ok(Box::new(fig2::run(o))),
     },
     Command {
         name: "fig3", help: "convergence from lattice and random starts",
         options: &[], caps: UNCAPPED,
-        run: |o| Ok(Box::new(fig3::run(&fig3::Fig3Config::at_scale(o.scale)))),
+        run: |o| Ok(Box::new(fig3::run(o))),
     },
     Command {
         name: "fig4", help: "degree distribution evolution",
         options: &[], caps: UNCAPPED,
-        run: |o| Ok(Box::new(fig4::run(&fig4::Fig4Config::at_scale(o.scale)))),
+        run: |o| Ok(Box::new(fig4::run(o))),
     },
     Command {
         name: "table2", help: "degree statistics of traced nodes",
         options: &[], caps: UNCAPPED,
-        run: |o| Ok(Box::new(table2::run(&table2::Table2Config::at_scale(o.scale)))),
+        run: |o| Ok(Box::new(table2::run(o))),
     },
     Command {
         name: "fig5", help: "degree autocorrelation of a fixed node",
         options: &[], caps: UNCAPPED,
-        run: |o| Ok(Box::new(fig5::run(&fig5::Fig5Config::at_scale(o.scale)))),
+        run: |o| Ok(Box::new(fig5::run(o))),
     },
     Command {
         name: "fig6", help: "robustness to massive node removal",
         options: &["--runs"], caps: UNCAPPED,
-        run: |o| {
-            let mut config = fig6::Fig6Config::at_scale(o.scale);
-            config.repetitions = o.runs.unwrap_or(config.repetitions);
-            Ok(Box::new(fig6::run(&config)))
-        },
+        run: |o| Ok(Box::new(fig6::run(o))),
     },
     Command {
         name: "fig7", help: "self-healing after 50% node failure",
         options: &[], caps: UNCAPPED,
-        run: |o| Ok(Box::new(fig7::run(&fig7::Fig7Config::at_scale(o.scale)))),
+        run: |o| Ok(Box::new(fig7::run(o))),
     },
     Command {
         name: "policies", help: "sweep of all 27 policy combinations (Section 4.3)",
         options: &[], caps: (1000, 100), // 27 simulations
-        run: |o| Ok(Box::new(policies::run(&policies::PoliciesConfig::at_scale(o.scale)))),
+        run: |o| Ok(Box::new(policies::run(o))),
     },
     Command {
         name: "async", help: "event-driven engine comparison (extension)",
         options: SWEEP, caps: (usize::MAX, 100),
-        run: |o| {
-            let mut config = asynchrony::AsyncConfig::at_scale(o.scale);
-            config.shard_counts = o.shards.clone().unwrap_or(config.shard_counts);
-            config.workers = o.workers;
-            Ok(Box::new(asynchrony::run(&config)))
-        },
+        run: |o| Ok(Box::new(asynchrony::run(o))),
     },
     Command {
         name: "apps", help: "broadcast/aggregation sampling-quality comparison (extension)",
         options: &[], caps: (2000, 100),
-        run: |o| Ok(Box::new(apps::run(&apps::AppsConfig::at_scale(o.scale)))),
+        run: |o| Ok(Box::new(apps::run(o))),
     },
     Command {
         name: "hs", help: "healer/swapper (H,S) ablation (extension)",
         options: &[], caps: (2000, 100),
-        run: |o| Ok(Box::new(hs_ablation::run(&hs_ablation::HsAblationConfig::at_scale(o.scale)))),
+        run: |o| Ok(Box::new(hs_ablation::run(o))),
     },
     Command {
         name: "scaling", help: "sharded-engine throughput vs shard count (extension)",
         options: SWEEP, caps: UNCAPPED,
-        run: |o| {
-            let mut config = scaling::ScalingConfig::at_scale(o.scale);
-            config.shard_counts = o.shards.clone().unwrap_or(config.shard_counts);
-            config.workers = o.workers;
-            Ok(Box::new(scaling::run(&config)))
-        },
+        run: |o| Ok(Box::new(scaling::run(o))),
     },
     Command {
         name: "net", help: "live loopback UDP cluster through the wire codec (extension)",
         options: &["--workers", "--schedule"], caps: (2000, 30), // wall-clock bound
-        run: |o| {
-            let mut config = net::NetConfig::at_scale(o.scale);
-            config.runtimes = o.workers.unwrap_or(config.runtimes);
-            config.schedule = o.schedule.clone();
-            Ok(Box::new(net::run(&config)?))
-        },
+        run: |o| Ok(Box::new(net::run(o)?)),
     },
     Command {
         name: "workload", help: "membership-dynamics schedule on every stack (extension)",
         options: &["--shards", "--workers", "--schedule", "--freshness"],
         caps: (20_000, u64::MAX), // every stack × full per-period metrics
-        run: |o| {
-            let mut config = workload::WorkloadConfig::at_scale(o.scale);
-            config.schedule = o.schedule.clone().unwrap_or(config.schedule);
-            config.shards = o.shards.as_ref().map_or(config.shards, |s| s[0]);
-            config.workers = o.workers;
-            config.freshness = o.freshness;
-            Ok(Box::new(workload::run(&config)?))
-        },
+        run: |o| Ok(Box::new(workload::run(o)?)),
     },
     Command {
         name: "matrix", help: "failure-physics scenario matrix (extension)",
         options: SWEEP, caps: (2000, u64::MAX), // sixteen cells, each on every stack
-        run: |o| {
-            let mut config = workload::MatrixConfig::at_scale(o.scale);
-            config.shards = o.shards.as_ref().map_or(config.shards, |s| s[0]);
-            config.workers = o.workers;
-            Ok(Box::new(workload::matrix(&config)?))
-        },
+        run: |o| Ok(Box::new(workload::matrix(o)?)),
     },
     Command {
         name: "adversary", help: "Byzantine attack sweep across honest policies (extension)",
         options: SCHEDULED, caps: (10_000, u64::MAX), // 4 policies × 2 engines, audited per period
-        run: |o| {
-            let mut config = adversary::AdversaryConfig::at_scale(o.scale);
-            config.schedule = o.schedule.clone().unwrap_or(config.schedule);
-            config.shards = o.shards.as_ref().map_or(config.shards, |s| s[0]);
-            config.workers = o.workers;
-            Ok(Box::new(adversary::run(&config)?))
-        },
+        run: |o| Ok(Box::new(adversary::run(o)?)),
     },
     Command {
         name: "protocols", help: "broadcast + aggregation under membership schedules (extension)",
         options: SCHEDULED, caps: (10_000, u64::MAX), // sixteen runs × two protocols
-        run: |o| {
-            let mut config = protocols::ProtocolsConfig::at_scale(o.scale);
-            if let Some(schedule) = &o.schedule {
-                config.schedules = vec![("custom".into(), schedule.clone())];
-            }
-            config.shards = o.shards.as_ref().map_or(config.shards, |s| s[0]);
-            config.workers = o.workers;
-            Ok(Box::new(protocols::run(&config)?))
-        },
+        run: |o| Ok(Box::new(protocols::run(o)?)),
     },
     // Last, so `all` runs it last: it resets the telemetry registry.
     Command {
         name: "metrics", help: "telemetry registry across every stack (extension)",
-        options: SWEEP, caps: UNCAPPED,
-        run: |o| {
-            let mut config = metrics::MetricsConfig::at_scale(o.scale);
-            config.shards = o.shards.as_ref().map_or(config.shards, |s| s[0]);
-            config.workers = o.workers;
-            Ok(Box::new(metrics::run(&config)?))
-        },
+        options: SWEEP, caps: (600, u64::MAX), // measures the plumbing, not the protocol
+        run: |o| Ok(Box::new(metrics::run(o)?)),
     },
 ];
 
-/// Parsed command-line options.
+/// The parsed command line: the commands to run, the options they read
+/// and where `--out` writes.
 #[derive(Debug, Clone)]
-struct Options {
+struct Cli {
     /// One row of [`COMMANDS`], or all of them for `all`.
     commands: &'static [Command],
-    scale: Scale,
-    runs: Option<usize>,
-    shards: Option<Vec<usize>>,
-    workers: Option<usize>,
-    schedule: Option<String>,
-    freshness: FreshnessChoice,
+    options: Options,
     out: Option<PathBuf>,
 }
 
-fn parse_args(args: &[String]) -> Result<Options, String> {
+fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut command = None;
     let mut given: Vec<(&str, &str)> = Vec::new();
     let mut it = args.iter();
@@ -271,14 +212,17 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     if shards.as_ref().is_some_and(|s| s.contains(&0)) || workers == Some(0) {
         return Err("--shards and --workers need positive counts".into());
     }
-    Ok(Options {
+    Ok(Cli {
         commands,
-        scale,
-        runs: value("--runs").map(parse_num).transpose()?,
-        shards,
-        workers,
-        schedule: value("--schedule").map(String::from),
-        freshness: value("--freshness").map_or(Ok(Default::default()), FreshnessChoice::parse)?,
+        options: Options {
+            scale,
+            runs: value("--runs").map(parse_num).transpose()?,
+            shards,
+            workers,
+            schedule: value("--schedule").map(String::from),
+            freshness: value("--freshness")
+                .map_or(Ok(Default::default()), FreshnessChoice::parse)?,
+        },
         out: value("--out").map(PathBuf::from),
     })
 }
@@ -292,22 +236,23 @@ fn parse_num<T: std::str::FromStr>(s: &str) -> Result<T, String> {
 /// Runs one command: caps its scale, prints its sections, prints its
 /// summary, records its gate in the flight recorder and returns the gate's
 /// error.
-fn run_command(command: &Command, opts: &Options) -> Result<(), String> {
+fn run_command(command: &Command, cli: &Cli) -> Result<(), String> {
     let started = Instant::now();
     let (max_nodes, max_cycles) = command.caps;
-    let mut opts = opts.clone();
-    if opts.scale.nodes > max_nodes {
+    let mut options = cli.options.clone();
+    let scale = &mut options.scale;
+    if scale.nodes > max_nodes {
         eprintln!(
             "   note: {} caps the population at {max_nodes} nodes ({} requested)",
-            command.name, opts.scale.nodes
+            command.name, scale.nodes
         );
-        opts.scale.nodes = max_nodes;
+        scale.nodes = max_nodes;
     }
-    opts.scale.cycles = opts.scale.cycles.min(max_cycles);
+    scale.cycles = scale.cycles.min(max_cycles);
 
-    let report = (command.run)(&opts)?;
+    let report = (command.run)(&options)?;
     for section in report.sections() {
-        emit(&opts, &section);
+        emit(cli.out.as_deref(), &section);
     }
     if let Some(summary) = report.summary() {
         for line in summary.lines() {
@@ -323,12 +268,12 @@ fn run_command(command: &Command, opts: &Options) -> Result<(), String> {
 }
 
 /// Prints one section; with `--out` also writes its CSVs and files.
-fn emit(opts: &Options, section: &Section) {
+fn emit(out: Option<&Path>, section: &Section) {
     let name = section.name;
     println!("== {name} ==");
     print!("{}", section.summary);
     println!();
-    if let Some(dir) = &opts.out {
+    if let Some(dir) = out {
         let path = dir.join(format!("{name}.csv"));
         wrote(&path, section.summary.write_csv(&path));
         if let Some(series) = &section.series {
@@ -339,7 +284,7 @@ fn emit(opts: &Options, section: &Section) {
     if let Some(text) = &section.text {
         print!("{text}");
     }
-    if let Some(dir) = &opts.out {
+    if let Some(dir) = out {
         for (extension, body) in &section.files {
             let path = dir.join(format!("{name}.{extension}"));
             wrote(&path, fs::write(&path, body));
@@ -385,7 +330,7 @@ const OPTIONS: &[(&str, &str, &str)] = &[
     ("--out", "DIR", "also write every table as CSV under DIR"),
     ("--runs", "R", "override runs/repetitions"),
     ("--shards", "LIST", "comma-separated shard counts"),
-    ("--workers", "N", "worker-pool width"),
+    ("--workers", "N", "worker-pool width (net: runtime count)"),
     ("--schedule", "S", "a pss_sim::workload schedule"),
     ("--freshness", "hop|timestamp|both", "descriptor-age mode"),
 ];
@@ -411,8 +356,8 @@ fn help() -> String {
 fn main() -> ExitCode {
     pss_telemetry::install_panic_hook();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_args(&args) {
-        Ok(opts) => opts,
+    let cli = match parse_args(&args) {
+        Ok(cli) => cli,
         Err(msg) if msg == "help" => {
             eprintln!("{}", help());
             return ExitCode::SUCCESS;
@@ -422,7 +367,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    match opts.commands.iter().try_for_each(|c| run_command(c, &opts)) {
+    match cli.commands.iter().try_for_each(|c| run_command(c, &cli)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("error: {msg}");
@@ -454,8 +399,8 @@ mod tests {
         let o = parse_args(&args("table1")).unwrap();
         assert_eq!(o.commands.len(), 1);
         assert_eq!(o.commands[0].name, "table1");
-        assert_eq!(o.scale, Scale::paper());
-        assert_eq!(o.runs, None);
+        assert_eq!(o.options.scale, Scale::paper());
+        assert_eq!(o.options.runs, None);
         assert_eq!(o.out, None);
         assert_eq!(
             parse_args(&args("all")).unwrap().commands.len(),
@@ -466,24 +411,24 @@ mod tests {
     #[test]
     fn parses_scale_presets_and_overrides() {
         let o = parse_args(&args("fig7 --scale tiny --nodes 500 --cycles 70 --seed 9")).unwrap();
-        assert_eq!(o.scale.nodes, 500);
-        assert_eq!(o.scale.cycles, 70);
-        assert_eq!(o.scale.seed, 9);
-        assert_eq!(o.scale.view_size, Scale::tiny().view_size);
+        assert_eq!(o.options.scale.nodes, 500);
+        assert_eq!(o.options.scale.cycles, 70);
+        assert_eq!(o.options.scale.seed, 9);
+        assert_eq!(o.options.scale.view_size, Scale::tiny().view_size);
     }
 
     #[test]
     fn parses_runs_and_out() {
         let o = parse_args(&args("fig6 --runs 100 --out /tmp/results")).unwrap();
-        assert_eq!(o.runs, Some(100));
+        assert_eq!(o.options.runs, Some(100));
         assert_eq!(o.out, Some(PathBuf::from("/tmp/results")));
     }
 
     #[test]
     fn parses_shards_and_workers() {
         let o = parse_args(&args("scaling --scale tiny --shards 1,2,4 --workers 2")).unwrap();
-        assert_eq!(o.shards, Some(vec![1, 2, 4]));
-        assert_eq!(o.workers, Some(2));
+        assert_eq!(o.options.shards, Some(vec![1, 2, 4]));
+        assert_eq!(o.options.workers, Some(2));
         assert!(parse_args(&args("scaling --shards 0,2")).is_err());
         assert!(parse_args(&args("scaling --shards 1,x")).is_err());
         assert!(parse_args(&args("scaling --workers 0")).is_err());
@@ -492,18 +437,18 @@ mod tests {
     #[test]
     fn parses_schedule() {
         let o = parse_args(&args("workload --schedule quiet:5,kill:0.5 --shards 2")).unwrap();
-        assert_eq!(o.schedule.as_deref(), Some("quiet:5,kill:0.5"));
+        assert_eq!(o.options.schedule.as_deref(), Some("quiet:5,kill:0.5"));
         assert!(parse_args(&args("workload --schedule")).is_err());
     }
 
     #[test]
     fn parses_freshness() {
         let o = parse_args(&args("workload --freshness both")).unwrap();
-        assert_eq!(o.freshness, FreshnessChoice::Both);
+        assert_eq!(o.options.freshness, FreshnessChoice::Both);
         let o = parse_args(&args("workload --freshness timestamp")).unwrap();
-        assert_eq!(o.freshness, FreshnessChoice::Timestamp);
+        assert_eq!(o.options.freshness, FreshnessChoice::Timestamp);
         let o = parse_args(&args("workload")).unwrap();
-        assert_eq!(o.freshness, FreshnessChoice::Hop);
+        assert_eq!(o.options.freshness, FreshnessChoice::Hop);
         assert!(parse_args(&args("workload --freshness stale")).is_err());
         assert!(parse_args(&args("workload --freshness")).is_err());
     }
@@ -511,7 +456,7 @@ mod tests {
     #[test]
     fn numbers_allow_underscores() {
         let o = parse_args(&args("fig2 --nodes 10_000")).unwrap();
-        assert_eq!(o.scale.nodes, 10_000);
+        assert_eq!(o.options.scale.nodes, 10_000);
     }
 
     #[test]
@@ -587,25 +532,26 @@ mod tests {
         assert!(parse_args(&args("fig2 --help")).is_err_and(|e| e == "help"));
     }
 
+    fn caps(name: &str) -> (usize, u64) {
+        COMMANDS.iter().find(|c| c.name == name).unwrap().caps
+    }
+
     #[test]
     fn net_declares_its_caps_in_its_row() {
-        let row = COMMANDS.iter().find(|c| c.name == "net").unwrap();
-        assert_eq!(row.caps, (2000, 30));
-        let scale = Scale {
-            nodes: 5_000,
-            cycles: 50,
-            ..Scale::tiny()
-        };
-        let config = net::NetConfig::at_scale(scale);
-        assert_eq!((config.scale.nodes, config.scale.cycles), (5_000, 50));
+        assert_eq!(caps("net"), (2000, 30));
+    }
+
+    #[test]
+    fn metrics_declares_its_caps_in_its_row() {
+        assert_eq!(caps("metrics"), (600, u64::MAX));
     }
 
     #[test]
     fn tiny_end_to_end_apps() {
         // Smoke: run the cheapest real command end-to-end.
         let mut o = parse_args(&args("apps --scale tiny")).unwrap();
-        o.scale.nodes = 120;
-        o.scale.cycles = 15;
+        o.options.scale.nodes = 120;
+        o.options.scale.cycles = 15;
         assert!(run_command(&o.commands[0], &o).is_ok());
     }
 }

@@ -23,8 +23,7 @@
 use pss_telemetry::MetricRow;
 
 use crate::report::{Report, Section, Table};
-use crate::Scale;
-use crate::{net, protocols, workload};
+use crate::{net, protocols, workload, Options};
 
 /// Metric families the cross-stack run must populate (the list CI's
 /// observability step asserts). Scalar families must be nonzero;
@@ -42,31 +41,6 @@ pub const REQUIRED_FAMILIES: &[&str] = &[
     "pss_net_tick_frames",
     "pss_cluster_period_ms",
 ];
-
-/// Configuration of the telemetry exercise.
-#[derive(Debug, Clone)]
-pub struct MetricsConfig {
-    /// Population and seed (nodes are capped — this run measures the
-    /// telemetry plumbing, not the protocol at scale).
-    pub scale: Scale,
-    /// Shard count for both simulation engines.
-    pub shards: usize,
-    /// Worker-thread override (results are worker-invariant).
-    pub workers: Option<usize>,
-}
-
-impl MetricsConfig {
-    /// Defaults at the given scale: nodes capped at 600, 2 shards.
-    pub fn at_scale(scale: Scale) -> Self {
-        let mut scale = scale;
-        scale.nodes = scale.nodes.clamp(64, 600);
-        MetricsConfig {
-            scale,
-            shards: 2,
-            workers: None,
-        }
-    }
-}
 
 /// Result of the telemetry exercise: the registry contents after the
 /// cross-stack run.
@@ -153,7 +127,10 @@ impl Report for MetricsResult {
     }
 }
 
-/// Runs the cross-stack telemetry exercise.
+/// Runs the cross-stack telemetry exercise: this run measures the
+/// telemetry plumbing, not the protocol at scale, so the `metrics` command
+/// caps the population at 600 nodes. Both simulation stacks run on
+/// `--shards` shards (default 2).
 ///
 /// Resets the global registry and flight recorder, then drives every
 /// instrumented stack once.
@@ -161,37 +138,34 @@ impl Report for MetricsResult {
 /// # Errors
 ///
 /// Propagates schedule-parse or engine-construction errors verbatim.
-pub fn run(config: &MetricsConfig) -> Result<MetricsResult, String> {
+pub fn run(o: &Options) -> Result<MetricsResult, String> {
     pss_telemetry::global().reset();
     pss_telemetry::flight().clear();
+    let on_stacks = |scale| Options {
+        shards: Some(vec![o.shards_or(2)]),
+        workers: o.workers,
+        ..Options::at(scale)
+    };
 
     // Both simulation engines under a churned schedule: phase timings,
     // shard imbalance, workload period rows and membership-op events.
-    let mut wl = workload::WorkloadConfig::at_scale(config.scale);
-    wl.schedule = "quiet:4,kill:0.3,churn:0.02x8".into();
-    wl.shards = config.shards;
-    wl.workers = config.workers;
-    workload::run(&wl)?;
+    workload::run(&Options {
+        schedule: Some("quiet:4,kill:0.3,churn:0.02x8".into()),
+        ..on_stacks(o.scale)
+    })?;
 
     // The application layer on both engines: per-round timings.
-    let mut app_scale = config.scale;
+    let mut app_scale = o.scale;
     app_scale.nodes = app_scale.nodes.min(200);
-    let mut apps = protocols::ProtocolsConfig::at_scale(app_scale);
-    apps.schedules = vec![("churn".into(), "quiet:3,kill:0.3,churn:0.02x5".into())];
-    apps.policies = vec![pss_core::PolicyTriple::newscast()];
-    apps.shards = config.shards;
-    apps.workers = config.workers;
-    protocols::run(&apps)?;
+    let churn = [("churn", "quiet:3,kill:0.3,churn:0.02x5")];
+    let newscast = [pss_core::PolicyTriple::newscast()];
+    protocols::sweep(&on_stacks(app_scale), &churn, &newscast)?;
 
     // A tiny loopback UDP cluster: RTTs, decode latency, period wall time.
-    let mut net_scale = config.scale;
+    let mut net_scale = o.scale;
     net_scale.nodes = net_scale.nodes.min(48);
     net_scale.cycles = net_scale.cycles.min(10);
-    let mut cluster = net::NetConfig::at_scale(net_scale);
-    cluster.runtimes = 2;
-    cluster.period_ms = 40;
-    cluster.jitter_ms = 10;
-    net::run(&cluster)?;
+    net::loopback(net_scale, 2, 40, 10, None)?;
 
     let registry = pss_telemetry::global();
     Ok(MetricsResult {
@@ -206,13 +180,13 @@ pub fn run(config: &MetricsConfig) -> Result<MetricsResult, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scale;
 
     #[test]
     fn tiny_exercise_populates_every_family() {
         let mut scale = Scale::tiny();
         scale.nodes = 150;
-        let config = MetricsConfig::at_scale(scale);
-        let result = run(&config).expect("valid schedules");
+        let result = run(&Options::at(scale)).expect("valid schedules");
         result.verdict().expect("every family populated");
         assert!(!result.sections()[0].summary.is_empty());
         for family in REQUIRED_FAMILIES {

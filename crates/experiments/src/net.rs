@@ -22,38 +22,7 @@ use pss_net::cluster::{self, ClusterConfig, ClusterReport};
 use pss_sim::Workload;
 
 use crate::report::{fmt_f64, fmt_percent, Report, Section, Table};
-use crate::Scale;
-
-/// Configuration for the loopback-cluster experiment (each joiner knows
-/// [`ClusterConfig::small`]'s 3 introducers).
-#[derive(Debug, Clone)]
-pub struct NetConfig {
-    /// Population size, view size and period budget (`cycles` = periods).
-    pub scale: Scale,
-    /// Runtimes (one UDP socket each), all stepped from one thread.
-    pub runtimes: usize,
-    /// Gossip period in milliseconds — also the wall-clock cost per period.
-    pub period_ms: u64,
-    /// Timer jitter in milliseconds.
-    pub jitter_ms: u64,
-    /// Optional membership schedule, compiled against `scale.nodes` with
-    /// `scale.seed`; its period count overrides `scale.cycles`.
-    pub schedule: Option<String>,
-}
-
-impl NetConfig {
-    /// Default configuration at the given scale: 100 ms periods, 4
-    /// runtimes. The scale is taken as given; the `net` command caps it.
-    pub fn at_scale(scale: Scale) -> Self {
-        NetConfig {
-            scale,
-            runtimes: 4,
-            period_ms: 100,
-            jitter_ms: 20,
-            schedule: None,
-        }
-    }
-}
+use crate::{Options, Scale};
 
 /// Result of the loopback-cluster experiment.
 #[derive(Debug)]
@@ -159,7 +128,10 @@ fn fmt_rate(x: f64) -> String {
     }
 }
 
-/// Runs the loopback cluster experiment.
+/// Runs the loopback cluster experiment: `--workers` runtimes (default
+/// 4; one UDP socket each, all stepped from one thread), 100 ms periods
+/// with 20 ms timer jitter, `scale.cycles` periods. The scale is taken as
+/// given; the `net` command caps it.
 ///
 /// # Errors
 ///
@@ -169,32 +141,52 @@ fn fmt_rate(x: f64) -> String {
 ///
 /// Panics if the loopback sockets cannot be bound (no loopback interface —
 /// not a scenario the experiment supports degrading through).
-pub fn run(config: &NetConfig) -> Result<NetResult, String> {
-    let workload = config
-        .schedule
-        .as_deref()
-        .map(|s| Workload::parse(s, config.scale.seed))
+pub fn run(o: &Options) -> Result<NetResult, String> {
+    loopback(
+        o.scale,
+        o.workers.unwrap_or(4),
+        100,
+        20,
+        o.schedule.as_deref(),
+    )
+}
+
+/// The cluster at `scale` on `runtimes` runtimes, with the gossip period
+/// and timer jitter in milliseconds (the period is also the wall-clock
+/// cost per period). Each joiner knows [`ClusterConfig::small`]'s 3
+/// introducers. An optional membership `schedule` is compiled against
+/// `scale.nodes` with `scale.seed`; its period count overrides
+/// `scale.cycles`.
+pub(crate) fn loopback(
+    scale: Scale,
+    runtimes: usize,
+    period_ms: u64,
+    jitter_ms: u64,
+    schedule: Option<&str>,
+) -> Result<NetResult, String> {
+    let workload = schedule
+        .map(|s| Workload::parse(s, scale.seed))
         .transpose()
         .map_err(|e| e.to_string())?;
     let protocol =
-        ProtocolConfig::new(PolicyTriple::newscast(), config.scale.view_size).expect("valid scale");
+        ProtocolConfig::new(PolicyTriple::newscast(), scale.view_size).expect("valid scale");
     let cluster_config = ClusterConfig {
-        nodes: config.scale.nodes,
-        runtimes: config.runtimes.min(config.scale.nodes),
-        period_ms: config.period_ms,
-        jitter_ms: config.jitter_ms,
-        periods: config.scale.cycles,
-        seed: config.scale.seed,
+        nodes: scale.nodes,
+        runtimes: runtimes.min(scale.nodes),
+        period_ms,
+        jitter_ms,
+        periods: scale.cycles,
+        seed: scale.seed,
         workload,
         ..ClusterConfig::small(protocol)
     };
     let report = cluster::run(&cluster_config).expect("loopback sockets available");
     Ok(NetResult {
         report,
-        nodes: config.scale.nodes,
+        nodes: scale.nodes,
         runtimes: cluster_config.runtimes,
-        view_size: config.scale.view_size,
-        scheduled: config.schedule.is_some(),
+        view_size: scale.view_size,
+        scheduled: schedule.is_some(),
     })
 }
 
@@ -207,9 +199,11 @@ mod tests {
         let mut scale = Scale::tiny();
         scale.nodes = 48;
         scale.cycles = 12;
-        let mut config = NetConfig::at_scale(scale);
-        config.runtimes = 2;
-        let result = run(&config).unwrap();
+        let result = run(&Options {
+            workers: Some(2),
+            ..Options::at(scale)
+        })
+        .unwrap();
         assert_eq!(result.report.periods.len(), 12);
         assert!(result.verdict().is_ok(), "{:?}", result.report);
         // Table has one row per period plus two summary rows.
@@ -218,8 +212,10 @@ mod tests {
 
     #[test]
     fn malformed_schedule_is_an_error() {
-        let mut config = NetConfig::at_scale(Scale::tiny());
-        config.schedule = Some("quiet:0".into());
-        assert!(run(&config).is_err());
+        let o = Options {
+            schedule: Some("quiet:0".into()),
+            ..Options::at(Scale::tiny())
+        };
+        assert!(run(&o).is_err());
     }
 }

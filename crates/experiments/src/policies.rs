@@ -11,26 +11,7 @@ use pss_sim::scenario;
 
 use crate::parallel::parallel_map;
 use crate::report::{fmt_f64, Report, Section, Table};
-use crate::Scale;
-
-/// Configuration for the policy-space sweep.
-#[derive(Debug, Clone)]
-pub struct PoliciesConfig {
-    /// Common scale (kept small: 27 simulations run).
-    pub scale: Scale,
-    /// Cycles run after the join batch.
-    pub join_cycles: u64,
-}
-
-impl PoliciesConfig {
-    /// Default configuration at the given scale.
-    pub fn at_scale(scale: Scale) -> Self {
-        PoliciesConfig {
-            scale,
-            join_cycles: (scale.cycles / 3).max(10),
-        }
-    }
-}
+use crate::Options;
 
 /// Observed pathologies of one policy combination.
 #[derive(Debug, Clone, PartialEq)]
@@ -108,12 +89,14 @@ impl Report for PoliciesResult {
     }
 }
 
-/// Runs the sweep over all 27 combinations (in parallel).
-pub fn run(config: &PoliciesConfig) -> PoliciesResult {
-    let scale = config.scale;
-    // Fresh nodes that join after convergence.
+/// Runs the sweep over all 27 combinations (in parallel; the `policies`
+/// command keeps the scale small).
+pub fn run(o: &Options) -> PoliciesResult {
+    let scale = o.scale;
+    // Fresh nodes that join after convergence, and the cycles run after
+    // they join.
     let joiners = (scale.nodes / 10).max(5);
-    let join_cycles = config.join_cycles;
+    let join_cycles = (scale.cycles / 3).max(10);
 
     let diagnoses = parallel_map(PolicyTriple::all(), move |policy| {
         let protocol = scale.protocol(policy);
@@ -167,24 +150,19 @@ use rand::SeedableRng;
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tiny() -> PoliciesConfig {
-        // View size 15 keeps even this small overlay comfortably above the
-        // connectivity threshold (c = 10 overlays of ~200 nodes can split).
-        PoliciesConfig {
-            scale: Scale {
-                nodes: 200,
-                cycles: 40,
-                view_size: 15,
-                seed: 61,
-            },
-            join_cycles: 15,
-        }
-    }
+    use crate::Scale;
 
     #[test]
     fn sweep_reproduces_paper_exclusions() {
-        let result = run(&tiny());
+        // View size 15 keeps even this small overlay comfortably above the
+        // connectivity threshold (c = 10 overlays of ~200 nodes can split).
+        let scale = Scale {
+            nodes: 200,
+            cycles: 40,
+            view_size: 15,
+            seed: 61,
+        };
+        let result = run(&Options::at(scale));
         assert_eq!(result.diagnoses.len(), 27);
         let find = |s: &str| {
             let policy: PolicyTriple = s.parse().unwrap();

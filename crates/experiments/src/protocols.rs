@@ -15,7 +15,9 @@
 //! application rows show coverage stalling at the cut (blocked messages
 //! counted) and re-flooding after the heal.
 
-use pss_core::{PolicyTriple, ProtocolConfig};
+use pss_core::{
+    PeerSelection as Ps, PolicyTriple, ProtocolConfig, ViewPropagation as Vp, ViewSelection as Vs,
+};
 use pss_protocols::{run_under_workload, AppConfig, AppReport, Sampler};
 use pss_sim::audit::HonestPolicy;
 use pss_sim::workload::{PeriodRecord, Workload};
@@ -23,52 +25,29 @@ use pss_sim::workload::{PeriodRecord, Workload};
 use crate::parallel::parallel_map;
 use crate::report::{fmt_f64, fmt_percent, Report, Section, Table};
 use crate::stacks::{on_every_stack, Health, Stack};
-use crate::Scale;
+use crate::Options;
 
-/// Configuration of the application-protocols sweep (broadcast fanout:
-/// [`AppConfig`]'s default, 2).
-#[derive(Debug, Clone)]
-pub struct ProtocolsConfig {
-    /// Population, view size and seed (`cycles` is ignored — each schedule
-    /// fixes its own period count).
-    pub scale: Scale,
-    /// `(label, schedule)` pairs ([`pss_sim::workload`] grammar).
-    pub schedules: Vec<(String, String)>,
-    /// Overlay policies to host the applications on.
-    pub policies: Vec<PolicyTriple>,
-    /// Shard count of every stack.
-    pub shards: usize,
-    /// Worker-thread override (results are worker-invariant).
-    pub workers: Option<usize>,
-}
+/// The default `(label, schedule)` pairs ([`pss_sim::workload`]
+/// grammar): the conformance churn schedule plus a two-group partition
+/// schedule.
+const SCHEDULES: [(&str, &str); 2] = [
+    ("churn", "quiet:5,kill:0.3,churn:0.01x15"),
+    ("partition", "part:2x6,quiet:14"),
+];
 
-impl ProtocolsConfig {
-    /// Defaults at the given scale: the conformance churn schedule plus a
-    /// two-group partition schedule, newscast and `(rand,rand,pushpull)`.
-    pub fn at_scale(scale: Scale) -> Self {
-        ProtocolsConfig {
-            scale,
-            schedules: vec![
-                ("churn".into(), "quiet:5,kill:0.3,churn:0.01x15".into()),
-                ("partition".into(), "part:2x6,quiet:14".into()),
-            ],
-            // Both heal dead links through head view selection (keep the
-            // freshest); rand view selection holds stale entries past the
-            // 10% dead-link health gate under sustained churn.
-            policies: vec![
-                PolicyTriple::newscast(),
-                "(tail,head,pushpull)".parse().expect("valid"),
-            ],
-            shards: 2,
-            workers: None,
-        }
-    }
-}
+/// The overlay policies hosting the applications. Both heal dead links
+/// through head view selection (keep the freshest); rand view selection
+/// holds stale entries past the 10% dead-link health gate under sustained
+/// churn.
+const POLICIES: [PolicyTriple; 2] = [
+    PolicyTriple::newscast(),
+    PolicyTriple::new(Ps::Tail, Vs::Head, Vp::PushPull),
+];
 
 /// One cell of the sweep: a (schedule, policy, sampler, stack) run.
 #[derive(Debug)]
 pub struct ProtocolRun {
-    /// Schedule label from the config.
+    /// Schedule label (`custom` for `--schedule`).
     pub schedule: String,
     /// The stack it ran on.
     pub stack: Stack,
@@ -191,23 +170,39 @@ impl Report for ProtocolsResult {
     }
 }
 
-/// Runs the sweep.
+/// Runs the sweep (broadcast fanout: [`AppConfig`]'s default, 2) over
+/// the default schedules, or `--schedule` alone, on every stack of
+/// `--shards` shards (default 2). `scale.cycles` is ignored: each schedule
+/// fixes its own period count.
 ///
 /// # Errors
 ///
 /// Returns schedule-parse or configuration error text verbatim.
-pub fn run(config: &ProtocolsConfig) -> Result<ProtocolsResult, String> {
+pub fn run(o: &Options) -> Result<ProtocolsResult, String> {
+    match &o.schedule {
+        Some(schedule) => sweep(o, &[("custom", schedule.as_str())], &POLICIES),
+        None => sweep(o, &SCHEDULES, &POLICIES),
+    }
+}
+
+/// The sweep over `(label, schedule)` pairs × `policies` × both samplers.
+pub(crate) fn sweep(
+    o: &Options,
+    schedules: &[(&str, &str)],
+    policies: &[PolicyTriple],
+) -> Result<ProtocolsResult, String> {
     // Compile every schedule up front so a typo fails fast, not after
     // half the sweep has run.
-    let mut compiled = Vec::with_capacity(config.schedules.len());
-    for (label, schedule) in &config.schedules {
-        let workload = Workload::parse(schedule, config.scale.seed)
+    let mut compiled = Vec::with_capacity(schedules.len());
+    for &(label, schedule) in schedules {
+        let workload = Workload::parse(schedule, o.scale.seed)
             .map_err(|e| format!("schedule `{label}`: {e}"))?;
-        compiled.push((label.as_str(), workload.compile(config.scale.nodes)));
+        compiled.push((label, workload.compile(o.scale.nodes)));
     }
+    let shards = o.shards_or(2);
     let mut jobs = Vec::new();
     for (label, compiled) in &compiled {
-        for &policy in &config.policies {
+        for &policy in policies {
             for sampler in [Sampler::Overlay, Sampler::Oracle] {
                 jobs.push((*label, compiled, policy, sampler));
             }
@@ -215,7 +210,7 @@ pub fn run(config: &ProtocolsConfig) -> Result<ProtocolsResult, String> {
     }
 
     // One (schedule, policy, sampler) cell per job, each on every stack.
-    let (scale, c) = (config.scale, config.scale.view_size);
+    let (scale, c) = (o.scale, o.scale.view_size);
     let cells = parallel_map(jobs, |(label, compiled, policy, sampler)| {
         let protocol = ProtocolConfig::new(policy, c).map_err(|e| e.to_string())?;
         let app = AppConfig {
@@ -227,8 +222,8 @@ pub fn run(config: &ProtocolsConfig) -> Result<ProtocolsResult, String> {
             HonestPolicy::Sampling(protocol),
             None,
             &scale,
-            config.shards,
-            config.workers,
+            shards,
+            o.workers,
             |stack, target| {
                 let (records, report) = run_under_workload(target, compiled, c, &app);
                 ProtocolRun {
@@ -253,17 +248,17 @@ pub fn run(config: &ProtocolsConfig) -> Result<ProtocolsResult, String> {
 mod tests {
     use super::*;
     use crate::stacks::{assert_same_membership, membership};
+    use crate::Scale;
 
     #[test]
     fn tiny_sweep_covers_all_axes_and_is_healthy() {
         let mut scale = Scale::tiny();
         scale.nodes = 150;
         scale.view_size = 12;
-        let mut config = ProtocolsConfig::at_scale(scale);
         // One policy keeps the test at 4 cells (2 schedules × 2 samplers),
         // each run on every stack.
-        config.policies = vec![PolicyTriple::newscast()];
-        let result = run(&config).expect("valid config");
+        let o = Options::at(scale);
+        let result = sweep(&o, &SCHEDULES, &[PolicyTriple::newscast()]).expect("valid config");
         assert_eq!(result.runs.len(), 4 * Stack::ALL.len());
         for cell in result.runs.chunks(Stack::ALL.len()) {
             assert_same_membership(cell.iter().map(|r| {
@@ -316,9 +311,11 @@ mod tests {
 
     #[test]
     fn bad_schedule_fails_fast() {
-        let mut config = ProtocolsConfig::at_scale(Scale::tiny());
-        config.schedules = vec![("bad".into(), "bogus:1".into())];
-        let err = run(&config).unwrap_err();
-        assert!(err.contains("bad"));
+        let o = Options {
+            schedule: Some("bogus:1".into()),
+            ..Options::at(Scale::tiny())
+        };
+        let err = run(&o).unwrap_err();
+        assert!(err.contains("custom"), "{err}");
     }
 }

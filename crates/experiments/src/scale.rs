@@ -1,6 +1,52 @@
-//! Experiment scale: the knobs shared by all experiments.
+//! Experiment scale and options: the knobs shared by all experiments.
 
 use pss_core::{PolicyTriple, ProtocolConfig};
+
+use crate::workload::FreshnessChoice;
+
+/// The options every experiment runs from: the `experiments` CLI's parsed
+/// flags. A command reads the fields its row lists, and an unset field
+/// falls back to the experiment's own default.
+#[derive(Debug, Clone)]
+pub struct Options {
+    /// Population, cycle budget, view size and seed.
+    pub scale: Scale,
+    /// Runs or repetitions per protocol (`--runs`).
+    pub runs: Option<usize>,
+    /// Shard counts (`--shards`); a command that runs one count takes the
+    /// first.
+    pub shards: Option<Vec<usize>>,
+    /// Worker threads (`--workers`; results are worker-invariant), or the
+    /// runtime count for `net`.
+    pub workers: Option<usize>,
+    /// A membership schedule in the [`pss_sim::workload`] grammar
+    /// (`--schedule`).
+    pub schedule: Option<String>,
+    /// Freshness mode(s) of the `workload` command (`--freshness`).
+    pub freshness: FreshnessChoice,
+}
+
+impl Options {
+    /// The options at `scale` with every other field unset.
+    pub fn at(scale: Scale) -> Self {
+        Options {
+            scale,
+            runs: None,
+            shards: None,
+            workers: None,
+            schedule: None,
+            freshness: FreshnessChoice::default(),
+        }
+    }
+
+    /// The first `--shards` entry, or `default`.
+    pub fn shards_or(&self, default: usize) -> usize {
+        self.shards
+            .as_ref()
+            .and_then(|s| s.first().copied())
+            .unwrap_or(default)
+    }
+}
 
 /// The shared experiment scale: population, cycle budget, view size, seed.
 ///

@@ -27,43 +27,24 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::report::{fmt_f64, Report, Section, Table};
-use crate::Scale;
+use crate::{Options, Scale};
 
 /// BFS sources for the sampled path length; the clustering estimate
 /// samples eight times as many nodes.
 const METRIC_SAMPLES: usize = 16;
 
-/// Configuration for the shard-count sweep.
-#[derive(Debug, Clone)]
-pub struct ScalingConfig {
-    /// Population, cycles, view size and seed.
-    pub scale: Scale,
-    /// Shard counts to sweep.
-    pub shard_counts: Vec<usize>,
-    /// Worker-thread override (`None` = available parallelism, capped at
-    /// the shard count). Results are identical for any value — this knob
-    /// exists so CI can pin both ends of the determinism contract.
-    pub workers: Option<usize>,
-}
-
-impl ScalingConfig {
-    /// Default sweep at the given scale: shard counts {1, 2, 4} plus the
-    /// available core count when it exceeds 4.
-    pub fn at_scale(scale: Scale) -> Self {
-        let cores = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        let mut shard_counts = vec![1, 2, 4];
-        if cores > 4 {
-            shard_counts.push(cores);
-        }
-        shard_counts.retain(|&s| s <= scale.nodes.max(1));
-        ScalingConfig {
-            scale,
-            shard_counts,
-            workers: None,
-        }
+/// The default sweep at `scale`: shard counts {1, 2, 4} plus the
+/// available core count when it exceeds 4, none above the population.
+fn default_shard_counts(scale: Scale) -> Vec<usize> {
+    let cores = std::thread::available_parallelism()
+        .map(|p| p.get())
+        .unwrap_or(1);
+    let mut shard_counts = vec![1, 2, 4];
+    if cores > 4 {
+        shard_counts.push(cores);
     }
+    shard_counts.retain(|&s| s <= scale.nodes.max(1));
+    shard_counts
 }
 
 /// One row of the sweep: a complete run at one shard count.
@@ -96,7 +77,7 @@ pub struct ScalingRow {
 pub struct ScalingResult {
     /// One row per shard count, in sweep order.
     pub rows: Vec<ScalingRow>,
-    /// The configuration that produced it.
+    /// Population of every run.
     pub nodes: usize,
     /// Cycles each run executed.
     pub cycles: u64,
@@ -164,17 +145,25 @@ impl Report for ScalingResult {
     }
 }
 
-/// Runs the sweep. Each shard count gets a fresh overlay from the same
-/// `(seed, N)` (identical initial topology), runs `scale.cycles` cycles,
-/// and is measured through the CSR snapshot.
-pub fn run(config: &ScalingConfig) -> ScalingResult {
-    let scale = config.scale;
+/// Runs the sweep over `--shards` (default: {1, 2, 4} plus the available
+/// core count when it exceeds 4, none above the population). Each shard
+/// count gets a fresh overlay from the same `(seed, N)` (identical
+/// initial topology), runs `scale.cycles` cycles, and is measured through
+/// the CSR snapshot. `--workers` overrides the worker threads (default:
+/// available parallelism, capped at the shard count); results are
+/// identical for any value.
+pub fn run(o: &Options) -> ScalingResult {
+    let scale = o.scale;
+    let shard_counts = o
+        .shards
+        .clone()
+        .unwrap_or_else(|| default_shard_counts(scale));
     // Newscast, as in the perf ledger's `cycle_steady`.
     let protocol = scale.protocol(PolicyTriple::newscast());
-    let mut rows = Vec::with_capacity(config.shard_counts.len());
-    for &shards in &config.shard_counts {
+    let mut rows = Vec::with_capacity(shard_counts.len());
+    for shards in shard_counts {
         let mut sim = scenario::random_overlay_sharded(&protocol, scale.nodes, scale.seed, shards);
-        if let Some(workers) = config.workers {
+        if let Some(workers) = o.workers {
             sim.set_workers(workers);
         }
         let workers = sim.workers();
@@ -228,10 +217,11 @@ mod tests {
         let mut scale = Scale::tiny();
         scale.nodes = 250;
         scale.cycles = 25;
-        let mut config = ScalingConfig::at_scale(scale);
-        config.shard_counts = vec![1, 2];
-        config.workers = Some(2);
-        let result = run(&config);
+        let result = run(&Options {
+            shards: Some(vec![1, 2]),
+            workers: Some(2),
+            ..Options::at(scale)
+        });
         assert_eq!(result.rows.len(), 2);
         assert_eq!(result.rows[0].workers, 1); // clamped to the shard count
         assert_eq!(result.rows[1].workers, 2);
@@ -255,9 +245,8 @@ mod tests {
     }
 
     #[test]
-    fn at_scale_includes_required_shard_counts() {
-        let config = ScalingConfig::at_scale(Scale::tiny());
-        assert!(config.shard_counts.starts_with(&[1, 2, 4]));
+    fn default_sweep_includes_required_shard_counts() {
+        assert!(default_shard_counts(Scale::tiny()).starts_with(&[1, 2, 4]));
     }
 
     #[test]
@@ -265,8 +254,10 @@ mod tests {
         let mut scale = Scale::tiny();
         scale.nodes = 60;
         scale.cycles = 3;
-        let mut config = ScalingConfig::at_scale(scale);
-        config.shard_counts = vec![2];
-        assert!(run(&config).best_speedup().is_nan());
+        let o = Options {
+            shards: Some(vec![2]),
+            ..Options::at(scale)
+        };
+        assert!(run(&o).best_speedup().is_nan());
     }
 }

@@ -12,31 +12,7 @@ use pss_sim::scenario;
 
 use crate::parallel::parallel_map;
 use crate::report::{fmt_f64, fmt_percent, Report, Section, Table};
-use crate::Scale;
-
-/// Configuration for the Table 1 experiment.
-#[derive(Debug, Clone)]
-pub struct Table1Config {
-    /// Common scale (population, cycles, view size, seed); N / 100 nodes
-    /// join per cycle, as the paper's 100 at N = 10⁴.
-    pub scale: Scale,
-    /// Independent runs per protocol (the paper uses 100).
-    pub runs: usize,
-    /// Protocols to test; defaults to all eight of the paper (the four push
-    /// rows of Table 1 plus the four pushpull protocols as controls).
-    pub protocols: Vec<PolicyTriple>,
-}
-
-impl Table1Config {
-    /// Default configuration at the given scale.
-    pub fn at_scale(scale: Scale) -> Self {
-        Table1Config {
-            scale,
-            runs: 30,
-            protocols: PolicyTriple::paper_eight().to_vec(),
-        }
-    }
-}
+use crate::Options;
 
 /// Partitioning statistics of one protocol (one row of Table 1).
 #[derive(Debug, Clone, PartialEq)]
@@ -92,18 +68,21 @@ impl Report for Table1Result {
     }
 }
 
-/// Runs the experiment: every (protocol, run) pair is an independent
-/// growing-overlay simulation measured at its final cycle.
-pub fn run(config: &Table1Config) -> Table1Result {
-    let jobs: Vec<(usize, PolicyTriple, u64)> = config
-        .protocols
+/// Runs the experiment on all eight protocols of the paper (the four push
+/// rows of Table 1 plus the four pushpull protocols as controls): every
+/// (protocol, run) pair is an independent growing-overlay simulation
+/// measured at its final cycle, N / 100 nodes joining per cycle (the
+/// paper's 100 at N = 10⁴). `--runs` sets the runs per protocol (default
+/// 30; paper: 100).
+pub fn run(o: &Options) -> Table1Result {
+    let protocols = PolicyTriple::paper_eight();
+    let runs = o.runs.unwrap_or(30);
+    let jobs: Vec<(usize, PolicyTriple, u64)> = protocols
         .iter()
         .enumerate()
-        .flat_map(|(pi, &policy)| {
-            (0..config.runs).map(move |r| (pi, policy, (pi * 10_007 + r) as u64))
-        })
+        .flat_map(|(pi, &policy)| (0..runs).map(move |r| (pi, policy, (pi * 10_007 + r) as u64)))
         .collect();
-    let scale = config.scale;
+    let scale = o.scale;
     let per_cycle = (scale.nodes / 100).max(1);
 
     let outcomes = parallel_map(jobs, move |(pi, policy, run_idx)| {
@@ -116,8 +95,7 @@ pub fn run(config: &Table1Config) -> Table1Result {
         (pi, report.count(), report.largest())
     });
 
-    let rows = config
-        .protocols
+    let rows = protocols
         .iter()
         .enumerate()
         .map(|(pi, &policy)| {
@@ -152,24 +130,26 @@ pub fn run(config: &Table1Config) -> Table1Result {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scale;
 
-    fn tiny_config(runs: usize) -> Table1Config {
+    fn tiny(runs: usize) -> Table1Result {
         let mut scale = Scale::tiny();
         scale.cycles = 40;
-        let mut c = Table1Config::at_scale(scale);
-        c.runs = runs;
-        c
+        run(&Options {
+            runs: Some(runs),
+            ..Options::at(scale)
+        })
     }
 
     #[test]
     fn pushpull_protocols_never_partition_at_tiny_scale() {
-        let mut config = tiny_config(3);
-        config.protocols = vec![
-            PolicyTriple::newscast(),
-            "(tail,head,pushpull)".parse().unwrap(),
-        ];
-        let result = run(&config);
-        for row in &result.rows {
+        let result = tiny(3);
+        let pushpull = result
+            .rows
+            .iter()
+            .filter(|r| r.policy.propagation.is_pull());
+        assert_eq!(pushpull.clone().count(), 4);
+        for row in pushpull {
             assert_eq!(row.partitioned_runs, 0, "{} partitioned", row.policy);
             assert!(row.avg_clusters.is_nan());
         }
@@ -177,12 +157,10 @@ mod tests {
 
     #[test]
     fn rows_follow_input_order_and_count_runs() {
-        let mut config = tiny_config(2);
-        config.protocols = vec![PolicyTriple::lpbcast(), PolicyTriple::newscast()];
-        let result = run(&config);
-        assert_eq!(result.rows.len(), 2);
-        assert_eq!(result.rows[0].policy, PolicyTriple::lpbcast());
-        assert_eq!(result.rows[0].runs, 2);
+        let result = tiny(2);
+        let policies: Vec<PolicyTriple> = result.rows.iter().map(|r| r.policy).collect();
+        assert_eq!(policies, PolicyTriple::paper_eight());
+        assert!(result.rows.iter().all(|r| r.runs == 2));
     }
 
     #[test]

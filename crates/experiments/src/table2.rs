@@ -7,45 +7,31 @@
 //! averages). The paper's split: `head` view selection keeps `√σ` small
 //! (1.4–2.7), `rand` view selection an order of magnitude larger (10–19).
 
-use pss_core::{NodeId, PolicyTriple};
+use pss_core::{
+    NodeId, PeerSelection as Ps, PolicyTriple, ViewPropagation as Vp, ViewSelection as Vs,
+};
 use pss_sim::scenario;
 use pss_stats::{Summary, TimeSeries};
 
 use crate::parallel::parallel_map;
 use crate::report::{fmt_f64, Report, Section, Table};
-use crate::Scale;
+use crate::{Options, Scale};
 
-/// Configuration for the Table 2 experiment.
-#[derive(Debug, Clone)]
-pub struct Table2Config {
-    /// Common scale.
-    pub scale: Scale,
-    /// Number of traced nodes (paper: 50).
-    pub traced_nodes: usize,
-    /// Protocols (default: the paper's eight, in Table 2's order).
-    pub protocols: Vec<PolicyTriple>,
-}
+/// Number of traced nodes (paper: 50).
+const TRACED_NODES: usize = 50;
 
-impl Table2Config {
-    /// Default configuration at the given scale.
-    pub fn at_scale(scale: Scale) -> Self {
-        Table2Config {
-            scale,
-            traced_nodes: 50,
-            // Table 2 lists head view selection rows first.
-            protocols: vec![
-                "(rand,head,push)".parse().expect("valid"),
-                "(tail,head,push)".parse().expect("valid"),
-                "(rand,head,pushpull)".parse().expect("valid"),
-                "(tail,head,pushpull)".parse().expect("valid"),
-                "(rand,rand,push)".parse().expect("valid"),
-                "(tail,rand,push)".parse().expect("valid"),
-                "(rand,rand,pushpull)".parse().expect("valid"),
-                "(tail,rand,pushpull)".parse().expect("valid"),
-            ],
-        }
-    }
-}
+/// The paper's eight protocols in Table 2's order: head view selection
+/// rows first.
+const PROTOCOLS: [PolicyTriple; 8] = [
+    PolicyTriple::new(Ps::Rand, Vs::Head, Vp::Push),
+    PolicyTriple::new(Ps::Tail, Vs::Head, Vp::Push),
+    PolicyTriple::new(Ps::Rand, Vs::Head, Vp::PushPull),
+    PolicyTriple::new(Ps::Tail, Vs::Head, Vp::PushPull),
+    PolicyTriple::new(Ps::Rand, Vs::Rand, Vp::Push),
+    PolicyTriple::new(Ps::Tail, Vs::Rand, Vp::Push),
+    PolicyTriple::new(Ps::Rand, Vs::Rand, Vp::PushPull),
+    PolicyTriple::new(Ps::Tail, Vs::Rand, Vp::PushPull),
+];
 
 /// One row of Table 2.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,48 +70,51 @@ impl Report for Table2Result {
 }
 
 /// Runs the Table 2 experiment (protocols in parallel).
-pub fn run(config: &Table2Config) -> Table2Result {
-    let scale = config.scale;
-    let traced_count = config.traced_nodes.min(scale.nodes);
+pub fn run(o: &Options) -> Table2Result {
+    let scale = o.scale;
+    let rows = parallel_map(PROTOCOLS.to_vec(), move |policy| {
+        degree_stats(scale, policy)
+    });
+    Table2Result { rows }
+}
 
-    let rows = parallel_map(config.protocols.clone(), move |policy| {
-        let protocol = scale.protocol(policy);
-        let seed = scale.seed ^ 0x7ab1e2;
-        let mut sim = scenario::random_overlay(&protocol, scale.nodes, seed);
-        // Trace evenly spaced nodes — as good as random for a symmetric
-        // random topology, and deterministic.
-        let stride = (scale.nodes / traced_count.max(1)).max(1);
-        let traced: Vec<NodeId> = (0..traced_count)
-            .map(|i| NodeId::new((i * stride) as u64))
-            .collect();
-        let mut series = vec![TimeSeries::default(); traced.len()];
-        for _ in 0..scale.cycles {
-            sim.run_cycle();
-            let snapshot = sim.csr_snapshot();
-            let graph = snapshot.graph().undirected();
-            for (id, s) in traced.iter().zip(&mut series) {
-                // A dead traced node records nothing this cycle.
-                if let Some(idx) = snapshot.index_of(*id) {
-                    s.push(sim.cycle(), graph.degree(idx) as f64);
-                }
+/// One protocol's row: the degrees of the traced nodes over the run.
+fn degree_stats(scale: Scale, policy: PolicyTriple) -> DegreeStatsRow {
+    let traced_count = TRACED_NODES.min(scale.nodes);
+    let protocol = scale.protocol(policy);
+    let seed = scale.seed ^ 0x7ab1e2;
+    let mut sim = scenario::random_overlay(&protocol, scale.nodes, seed);
+    // Trace evenly spaced nodes — as good as random for a symmetric
+    // random topology, and deterministic.
+    let stride = (scale.nodes / traced_count.max(1)).max(1);
+    let traced: Vec<NodeId> = (0..traced_count)
+        .map(|i| NodeId::new((i * stride) as u64))
+        .collect();
+    let mut series = vec![TimeSeries::default(); traced.len()];
+    for _ in 0..scale.cycles {
+        sim.run_cycle();
+        let snapshot = sim.csr_snapshot();
+        let graph = snapshot.graph().undirected();
+        for (id, s) in traced.iter().zip(&mut series) {
+            // A dead traced node records nothing this cycle.
+            if let Some(idx) = snapshot.index_of(*id) {
+                s.push(sim.cycle(), graph.degree(idx) as f64);
             }
         }
+    }
 
-        let final_mean_degree = sim.csr_snapshot().graph().undirected().average_degree();
-        let time_averages: Summary = series
-            .iter()
-            .filter(|s| !s.is_empty())
-            .map(|s| s.summary().mean())
-            .collect();
-        DegreeStatsRow {
-            policy,
-            final_mean_degree,
-            traced_mean: time_averages.mean(),
-            traced_std: time_averages.sample_std_dev(),
-        }
-    });
-
-    Table2Result { rows }
+    let final_mean_degree = sim.csr_snapshot().graph().undirected().average_degree();
+    let time_averages: Summary = series
+        .iter()
+        .filter(|s| !s.is_empty())
+        .map(|s| s.summary().mean())
+        .collect();
+    DegreeStatsRow {
+        policy,
+        final_mean_degree,
+        traced_mean: time_averages.mean(),
+        traced_std: time_averages.sample_std_dev(),
+    }
 }
 
 #[cfg(test)]
@@ -140,16 +129,12 @@ mod tests {
             view_size: 15,
             seed: 21,
         };
-        let config = Table2Config {
-            scale,
-            traced_nodes: 30,
-            protocols: vec![
-                "(rand,head,pushpull)".parse().unwrap(),
-                "(rand,rand,pushpull)".parse().unwrap(),
+        let result = Table2Result {
+            rows: vec![
+                degree_stats(scale, "(rand,head,pushpull)".parse().unwrap()),
+                degree_stats(scale, "(rand,rand,pushpull)".parse().unwrap()),
             ],
         };
-        let result = run(&config);
-        assert_eq!(result.rows.len(), 2);
         let head = &result.rows[0];
         let rand = &result.rows[1];
         // Traced means sit near the overall mean for both.

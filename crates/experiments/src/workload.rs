@@ -34,7 +34,7 @@ use pss_sim::workload::{run_workload, CompiledWorkload, PeriodRecord, PhaseSpec,
 
 use crate::report::{fmt_f64, fmt_percent, Report, Section, Table};
 use crate::stacks::{on_every_stack, stack_table, Health, Stack};
-use crate::Scale;
+use crate::{Options, Scale};
 
 /// The default schedule: the conformance suite's headline — converge,
 /// kill half, churn at 1%/period through recovery.
@@ -84,36 +84,6 @@ fn mode_slug(freshness: Freshness) -> &'static str {
     match freshness {
         Freshness::HopCount => "hop",
         Freshness::Timestamp => "timestamp",
-    }
-}
-
-/// Configuration of a cross-stack workload run.
-#[derive(Debug, Clone)]
-pub struct WorkloadConfig {
-    /// Population, view size and seed (`cycles` is ignored — the schedule
-    /// fixes the period count).
-    pub scale: Scale,
-    /// The schedule string ([`pss_sim::workload`] grammar).
-    pub schedule: String,
-    /// Shard count of every stack.
-    pub shards: usize,
-    /// Worker-thread override (results are worker-invariant).
-    pub workers: Option<usize>,
-    /// Freshness mode(s) to run.
-    pub freshness: FreshnessChoice,
-}
-
-impl WorkloadConfig {
-    /// Defaults at the given scale: the acceptance schedule, 2 shards,
-    /// hop-count freshness.
-    pub fn at_scale(scale: Scale) -> Self {
-        WorkloadConfig {
-            scale,
-            schedule: DEFAULT_SCHEDULE.to_owned(),
-            shards: 2,
-            workers: None,
-            freshness: FreshnessChoice::default(),
-        }
     }
 }
 
@@ -277,35 +247,37 @@ impl Report for WorkloadRun {
     }
 }
 
-/// Runs the schedule on every stack under the configured freshness
-/// mode(s).
+/// Runs `--schedule` (default [`DEFAULT_SCHEDULE`]) on every stack of
+/// `--shards` shards (default 2) under the `--freshness` mode(s).
+/// `scale.cycles` is ignored: the schedule fixes the period count.
 ///
 /// # Errors
 ///
 /// Returns the schedule-parse error text verbatim.
-pub fn run(config: &WorkloadConfig) -> Result<WorkloadRun, String> {
-    let workload =
-        Workload::parse(&config.schedule, config.scale.seed).map_err(|e| e.to_string())?;
+pub fn run(o: &Options) -> Result<WorkloadRun, String> {
+    let schedule = o.schedule.as_deref().unwrap_or(DEFAULT_SCHEDULE);
+    let workload = Workload::parse(schedule, o.scale.seed).map_err(|e| e.to_string())?;
     let partitioned = workload
         .phases()
         .iter()
         .any(|p| matches!(p, PhaseSpec::Partition { .. }));
-    let compiled = workload.compile(config.scale.nodes);
-    let at = (&config.scale, config.shards, config.workers);
+    let compiled = workload.compile(o.scale.nodes);
+    let shards = o.shards_or(2);
+    let at = (&o.scale, shards, o.workers);
     let newscast = PolicyTriple::newscast();
     let mut results = Vec::new();
-    for &freshness in config.freshness.modes() {
+    for &freshness in o.freshness.modes() {
         results.push(WorkloadResult {
             freshness,
             records: stack_records(at, newscast, freshness, &compiled)?,
-            nodes: config.scale.nodes,
+            nodes: o.scale.nodes,
         });
     }
     Ok(WorkloadRun {
         results,
         partitioned,
-        schedule: config.schedule.clone(),
-        shards: config.shards,
+        schedule: schedule.to_owned(),
+        shards,
     })
 }
 
@@ -329,28 +301,6 @@ fn stack_records(
         workers,
         |stack, target| (stack, run_workload(target, compiled, c)),
     )
-}
-
-/// Configuration of the failure-physics scenario matrix.
-#[derive(Debug, Clone)]
-pub struct MatrixConfig {
-    /// Population, view size and engine seed.
-    pub scale: Scale,
-    /// Shard count of every stack.
-    pub shards: usize,
-    /// Worker-thread override (results are worker-invariant).
-    pub workers: Option<usize>,
-}
-
-impl MatrixConfig {
-    /// Defaults at the given scale, 2 shards.
-    pub fn at_scale(scale: Scale) -> Self {
-        MatrixConfig {
-            scale,
-            shards: 2,
-            workers: None,
-        }
-    }
 }
 
 /// One (failure family × policy × freshness) cell of the matrix.
@@ -483,7 +433,8 @@ impl Report for MatrixResult {
 /// Runs the scenario matrix: failure family × policy × freshness, each
 /// cell a full cross-stack workload run.
 ///
-/// The churn, catastrophe and herd families run at the configured scale.
+/// The churn, catastrophe and herd families run at the configured scale,
+/// on every stack of `--shards` shards (default 2).
 /// The partition family replays the conformance suite's pinned regime
 /// **verbatim** — 200 nodes, view size 15, engine seed 7, workload seed
 /// 9, 2 shards — independent of the scale knobs: healing a loss-0.65
@@ -496,8 +447,8 @@ impl Report for MatrixResult {
 /// # Errors
 ///
 /// Propagates schedule-parse or engine-construction errors.
-pub fn matrix(config: &MatrixConfig) -> Result<MatrixResult, String> {
-    let n = config.scale.nodes;
+pub fn matrix(o: &Options) -> Result<MatrixResult, String> {
+    let n = o.scale.nodes;
     let herd = (n / 2).max(1);
     let herd_schedule = format!("quiet:6,flash:{herd}[herd],quiet:12");
     // The partition family's pinned demonstration regime (see the
@@ -507,13 +458,13 @@ pub fn matrix(config: &MatrixConfig) -> Result<MatrixResult, String> {
         nodes: 200,
         view_size: 15,
         seed: 7,
-        ..config.scale
+        ..o.scale
     };
-    let pinned = (&pinned_scale, 2, config.workers);
+    let pinned = (&pinned_scale, 2, o.workers);
     // (family, schedule, workload seed, where it runs: scale, shards,
     // workers)
-    let seed = config.scale.seed;
-    let here = (&config.scale, config.shards, config.workers);
+    let seed = o.scale.seed;
+    let here = (&o.scale, o.shards_or(2), o.workers);
     let families = [
         ("churn", "quiet:6,(churn:0.02x5)x3", seed, here),
         // Churned recovery after the kill: the paper's self-healing result
@@ -561,9 +512,11 @@ mod tests {
         let mut scale = Scale::tiny();
         scale.nodes = 150;
         scale.view_size = 12;
-        let mut config = WorkloadConfig::at_scale(scale);
-        config.schedule = "quiet:6,kill:0.5,churn:0.02x10".into();
-        let run = run(&config).expect("valid schedule");
+        let run = run(&Options {
+            schedule: Some("quiet:6,kill:0.5,churn:0.02x10".into()),
+            ..Options::at(scale)
+        })
+        .expect("valid schedule");
         assert!(!run.partitioned);
         assert_eq!(run.results.len(), 1);
         let result = &run.results[0];
@@ -583,10 +536,12 @@ mod tests {
         let mut scale = Scale::tiny();
         scale.nodes = 150;
         scale.view_size = 12;
-        let mut config = WorkloadConfig::at_scale(scale);
-        config.schedule = "quiet:6,(churn:0.02x3)x2".into();
-        config.freshness = FreshnessChoice::Both;
-        let run = run(&config).expect("valid schedule");
+        let run = run(&Options {
+            schedule: Some("quiet:6,(churn:0.02x3)x2".into()),
+            freshness: FreshnessChoice::Both,
+            ..Options::at(scale)
+        })
+        .expect("valid schedule");
         assert_eq!(run.results.len(), 2);
         assert_eq!(run.results[0].freshness, Freshness::HopCount);
         assert_eq!(run.results[1].freshness, Freshness::Timestamp);
@@ -600,7 +555,7 @@ mod tests {
         let mut scale = Scale::tiny();
         scale.nodes = 120;
         scale.view_size = 12;
-        let result = matrix(&MatrixConfig::at_scale(scale)).expect("valid matrix");
+        let result = matrix(&Options::at(scale)).expect("valid matrix");
         assert_eq!(result.cells.len(), 16);
         for cell in &result.cells {
             assert_same_membership(cell.ends.iter().map(|(s, r)| (*s, membership(r))));
@@ -618,9 +573,11 @@ mod tests {
 
     #[test]
     fn bad_schedule_is_reported() {
-        let mut config = WorkloadConfig::at_scale(Scale::tiny());
-        config.schedule = "bogus:1".into();
-        let err = run(&config).unwrap_err();
+        let err = run(&Options {
+            schedule: Some("bogus:1".into()),
+            ..Options::at(Scale::tiny())
+        })
+        .unwrap_err();
         assert!(err.contains("bogus"));
     }
 }

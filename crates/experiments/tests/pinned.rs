@@ -20,7 +20,8 @@
 use pss_experiments::dynamics::ProtocolDynamics;
 use pss_experiments::stacks::Stack;
 use pss_experiments::{
-    adversary, asynchrony, fig2, fig3, fig5, fig7, protocols, scaling, table2, workload, Scale,
+    adversary, asynchrony, fig2, fig3, fig5, fig7, protocols, scaling, table2, workload, Options,
+    Scale,
 };
 use pss_protocols::AppPeriodRow;
 use pss_sim::audit::AttackRecord;
@@ -123,10 +124,12 @@ fn tiny() -> Scale {
 
 #[test]
 fn workload_records_are_pinned_on_every_stack() {
-    let mut config = workload::WorkloadConfig::at_scale(tiny());
-    config.schedule = "quiet:4,kill:0.3,churn:0.02x4,flash:10,part:2x3,quiet:2".into();
-    config.freshness = workload::FreshnessChoice::Both;
-    let run = workload::run(&config).expect("valid schedule");
+    let run = workload::run(&Options {
+        schedule: Some("quiet:4,kill:0.3,churn:0.02x4,flash:10,part:2x3,quiet:2".into()),
+        freshness: workload::FreshnessChoice::Both,
+        ..Options::at(tiny())
+    })
+    .expect("valid schedule");
     let mut digest = Digest::new();
     for result in &run.results {
         assert_eq!(stacks(&result.records), Stack::ALL);
@@ -142,7 +145,7 @@ fn workload_records_are_pinned_on_every_stack() {
 
 #[test]
 fn matrix_cells_are_pinned_on_every_stack() {
-    let result = workload::matrix(&workload::MatrixConfig::at_scale(tiny())).expect("valid");
+    let result = workload::matrix(&Options::at(tiny())).expect("valid");
     assert_eq!(result.cells.len(), 16);
     let mut digest = Digest::new();
     for cell in &result.cells {
@@ -156,7 +159,7 @@ fn matrix_cells_are_pinned_on_every_stack() {
 
 #[test]
 fn protocol_rows_are_pinned_on_every_stack() {
-    let result = protocols::run(&protocols::ProtocolsConfig::at_scale(tiny())).expect("valid");
+    let result = protocols::run(&Options::at(tiny())).expect("valid");
     assert_eq!(result.runs.len(), 8 * Stack::ALL.len());
     let mut digest = Digest::new();
     for run in &result.runs {
@@ -173,9 +176,11 @@ fn protocol_rows_are_pinned_on_every_stack() {
 
 #[test]
 fn attack_records_are_pinned_on_every_stack() {
-    let mut config = adversary::AdversaryConfig::at_scale(tiny());
-    config.schedule = "adv:hub@0.05,quiet:8".into();
-    let result = adversary::run(&config).expect("valid schedule");
+    let result = adversary::run(&Options {
+        schedule: Some("adv:hub@0.05,quiet:8".into()),
+        ..Options::at(tiny())
+    })
+    .expect("valid schedule");
     assert_eq!(result.outcomes.len(), 4 * Stack::ALL.len());
     let mut digest = Digest::new();
     for outcome in &result.outcomes {
@@ -190,26 +195,26 @@ fn attack_records_are_pinned_on_every_stack() {
 
 #[test]
 fn per_cycle_figure_series_are_pinned() {
-    let scale = Scale {
+    let o = Options::at(Scale {
         cycles: 30,
         ..tiny()
-    };
+    });
     let mut digest = Digest::new();
 
-    let f2 = fig2::run(&fig2::Fig2Config::at_scale(scale));
+    let f2 = fig2::run(&o);
     assert_eq!(f2.dynamics.len(), 6);
     for d in &f2.dynamics {
         assert_eq!(d.degree.len(), 30);
         digest.dynamics(d);
     }
 
-    let f3 = fig3::run(&fig3::Fig3Config::at_scale(scale));
+    let f3 = fig3::run(&o);
     assert_eq!(f3.lattice.len() + f3.random.len(), 16);
     for d in f3.lattice.iter().chain(&f3.random) {
         digest.dynamics(d);
     }
 
-    let f5 = fig5::run(&fig5::Fig5Config::at_scale(scale));
+    let f5 = fig5::run(&o);
     assert_eq!(f5.protocols.len(), 4);
     for p in &f5.protocols {
         let values = p.autocorrelation.values();
@@ -218,7 +223,7 @@ fn per_cycle_figure_series_are_pinned() {
         digest.words(&[p.last_significant_lag.map_or(u64::MAX, |l| l as u64)]);
     }
 
-    let t2 = table2::run(&table2::Table2Config::at_scale(scale));
+    let t2 = table2::run(&o);
     assert_eq!(t2.rows.len(), 8);
     for row in &t2.rows {
         digest.words(&[
@@ -228,7 +233,7 @@ fn per_cycle_figure_series_are_pinned() {
         ]);
     }
 
-    let f7 = fig7::run(&fig7::Fig7Config::at_scale(scale));
+    let f7 = fig7::run(&o);
     assert_eq!(f7.curves.len(), 8);
     for c in &f7.curves {
         assert_eq!(c.dead_links.len(), 40);
@@ -244,15 +249,16 @@ fn per_cycle_figure_series_are_pinned() {
 
 #[test]
 fn async_and_scaling_columns_are_pinned() {
-    let scale = Scale {
+    let o = Options::at(Scale {
         cycles: 20,
         ..tiny()
-    };
+    });
     let mut digest = Digest::new();
 
-    let mut config = asynchrony::AsyncConfig::at_scale(scale);
-    config.shard_counts = vec![1, 2];
-    let result = asynchrony::run(&config);
+    let result = asynchrony::run(&Options {
+        shards: Some(vec![1, 2]),
+        ..o.clone()
+    });
     assert_eq!(result.rows.len(), 3 * (1 + 2 * 2));
     for r in &result.rows {
         digest.text(r.engine);
@@ -268,9 +274,10 @@ fn async_and_scaling_columns_are_pinned() {
         ]);
     }
 
-    let mut config = scaling::ScalingConfig::at_scale(scale);
-    config.shard_counts = vec![1, 2, 4];
-    let result = scaling::run(&config);
+    let result = scaling::run(&Options {
+        shards: Some(vec![1, 2, 4]),
+        ..o
+    });
     assert_eq!(result.rows.len(), 3);
     for r in &result.rows {
         digest.words(&[
