@@ -20,10 +20,11 @@
 //! * [`NetRuntime`] — hosts many gossip nodes on one OS thread: a timer
 //!   queue fires each node's active cycle with jitter, incoming frames are
 //!   decoded straight into arena-recycled message buffers
-//!   ([`pss_core::wire`]), an address book maps node ids to transport
-//!   addresses (learned from bootstrap introducers and from every received
-//!   descriptor; keyed cheap hashing, written only when an address
-//!   changes), and one runtime-wide ledger ([`RuntimeStats`]) counts
+//!   ([`pss_core::wire`]), one id table maps node ids to transport
+//!   addresses and hosted slots (learned from bootstrap introducers and
+//!   from every received descriptor; indexed directly for dense ids,
+//!   written only when an address changes), and one runtime-wide ledger
+//!   ([`RuntimeStats`]) counts
 //!   frames, decode failures, reply timeouts and backoffs.
 //! * [`cluster`] — the cluster harness: N nodes across K runtimes on one
 //!   thread, UDP or mem — loopback sockets on the wall clock

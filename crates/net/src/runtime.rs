@@ -32,10 +32,12 @@
 //! destination id sits at a fixed header offset ([`wire::peek_dst`]), so
 //! while frame *i* is processed, frame *i + 2*'s bytes and hosted node
 //! start loading, and frame *i + 1*'s view descriptors. The timer loop
-//! does the same over each tick's fired nodes. The lookahead is a cache
-//! hint ([`pss_sim::prefetch`]) and nothing more: routing still comes from
-//! [`wire::decode`], and no order, RNG draw, counter or allocation depends
-//! on it.
+//! does the same over each tick's fired nodes. The prefetches are cache
+//! hints ([`pss_sim::prefetch`]) and nothing more: no order, RNG draw,
+//! counter or allocation depends on them. The slot looked up for them is
+//! the frame's routing slot too, once [`wire::decode`] accepts the frame:
+//! both read the same header bytes, so a frame costs one destination
+//! lookup.
 //!
 //! # Addresses
 //!
@@ -46,15 +48,31 @@
 //! resolvable by construction. An unresolvable id is counted, never fatal.
 //!
 //! The book is consulted once per descriptor of every frame, in both
-//! directions, so its cost per probe is the runtime's cost per frame:
+//! directions, so its cost per probe is the runtime's cost per frame. It
+//! shares one table with the hosted-node index: each id has one 8-byte
+//! entry, its interned address and its hosted slot, so every id use on the
+//! frame path — a descriptor learned or encoded, a header's source, a
+//! frame's destination, a departed node's local fallback — is one probe.
 //!
-//! * **Keyed cheap hashing.** The book and the hosted-node index are
+//! * **A dense part for dense ids.** The ids this workspace hands out are
+//!   `0..N` or contiguous ranges of it, so an id below the dense part's
+//!   length is a direct index. Learning a larger id grows the dense part
+//!   to `(id + 1)` rounded up to a power of two, but only while that length
+//!   stays within `max(1 024, 4 × entries)`: ids gossiped from far up the
+//!   id space cannot make it sparse. Growth moves the overflow ids the new
+//!   length covers into the dense part, so each id lives in one place.
+//! * **A keyed hash overflow for every other id.** It is a
 //!   `HashMap<NodeId, _, IdHashBuilder>` ([`pss_core::IdHashBuilder`]): one
 //!   xorshift–multiply mix per probe instead of SipHash. The two keys are
 //!   derived from the construction seed, so runs stay bit-reproducible,
 //!   while a remote peer — which chooses the ids it gossips but does not
-//!   know the seed — cannot aim ids at one bucket. Neither map is ever
-//!   iterated, so hash order reaches no view, counter or digest.
+//!   know the seed — cannot aim ids at one bucket. It is iterated only to
+//!   move entries into a grown dense part, so hash order reaches no view,
+//!   counter or digest.
+//! * **Interned addresses.** An entry holds a `u32` index into a list of
+//!   the addresses in use (one per runtime in an honest cluster); each is
+//!   counted by the entries holding it and recycled when none does, so
+//!   frames that keep teaching one id new addresses cannot grow the list.
 //! * **Learning writes on change only.** A descriptor-carried address is
 //!   compared with the book's entry first and written only if it differs.
 //!   The rules are unchanged — gossip content may *update* an established
@@ -64,9 +82,10 @@
 //!   ([`RuntimeStats::forged_replies_rejected`]) — but in steady state
 //!   every id is already known at its address, and the table is only read.
 //! * **The book grows with what frames teach it** and shrinks only on
-//!   [`NetRuntime::leave`]. Honest traffic bounds it by the cluster's
-//!   population; hostile frames (up to 1 024 fresh ids each) can grow it
-//!   without bound. There is no cap and no eviction yet — the size is
+//!   [`NetRuntime::leave`], which drops the address and keeps the slot.
+//!   Honest traffic bounds it by the cluster's population; hostile frames
+//!   (up to 1 024 fresh ids each) can grow it without bound, through the
+//!   overflow. There is no cap and no eviction yet — the size is
 //!   exported as [`RuntimeStats::book_entries`] and the
 //!   `pss_net_book_entries` gauge so that growth past the population shows.
 
@@ -209,11 +228,12 @@ pub struct RuntimeStats {
     /// App frames addressed to a departed node — deliveries wasted on the
     /// dead, the deployed twin of the protocol layer's `wasted` metric.
     pub app_wasted: u64,
-    /// Address-book entries held right now — a level, not a count of
-    /// events. The book shrinks only on [`NetRuntime::leave`], so growth
-    /// past the cluster's population means frames are teaching it ids that
-    /// do not exist (see the module docs). Merged by sum: each runtime
-    /// holds its own book.
+    /// Ids the runtime's id table holds an address for right now — a
+    /// level, not a count of events. Hosted nodes that left keep their
+    /// entry but not its address, so they are not counted. The book
+    /// shrinks only on [`NetRuntime::leave`], so growth past the cluster's
+    /// population means frames are teaching it ids that do not exist (see
+    /// the module docs). Merged by sum: each runtime holds its own book.
     pub book_entries: u64,
 }
 
@@ -366,16 +386,233 @@ struct Slot<N> {
     informed: bool,
 }
 
+/// "None" in either field of a [`Peer`].
+const NONE: u32 = u32::MAX;
+
+/// Dense length every id table may grow to whatever its population.
+const DENSE_FLOOR: u64 = 1024;
+
+/// One id's entry in the [`PeerTable`]: its interned address and its
+/// hosted slot, each [`NONE`] when absent. An id with neither is absent.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Peer {
+    /// Index into [`PeerTable::addrs`].
+    addr: u32,
+    /// Index into [`NetRuntime::nodes`].
+    slot: u32,
+}
+
+impl Peer {
+    const EMPTY: Peer = Peer {
+        addr: NONE,
+        slot: NONE,
+    };
+}
+
+/// The runtime's one id table: the address book and the hosted-slot index
+/// in one entry per id, found with one probe (see the `runtime.rs` module
+/// docs, "Addresses").
+struct PeerTable {
+    /// Entries of ids `0..dense.len()`, indexed by id.
+    dense: Vec<Peer>,
+    /// Entries of every id the dense part does not cover.
+    overflow: HashMap<NodeId, Peer, IdHashBuilder>,
+    /// Ids present (holding an address, a slot or both).
+    entries: u64,
+    /// Entries holding an address: the book's size.
+    with_addr: u64,
+    /// Interned addresses with the number of entries holding each; a count
+    /// of 0 marks an index on the `free` list.
+    addrs: Vec<(NetAddr, u32)>,
+    free: Vec<u32>,
+    /// Address → its index in `addrs`, for the live ones.
+    interned: HashMap<NetAddr, u32, IdHashBuilder>,
+}
+
+impl PeerTable {
+    fn new(hasher: IdHashBuilder) -> Self {
+        PeerTable {
+            dense: Vec::new(),
+            overflow: HashMap::with_hasher(hasher),
+            entries: 0,
+            with_addr: 0,
+            addrs: Vec::new(),
+            free: Vec::new(),
+            interned: HashMap::with_hasher(hasher),
+        }
+    }
+
+    /// `id`'s entry ([`Peer::EMPTY`] if absent): one probe.
+    #[inline]
+    fn get(&self, id: NodeId) -> Peer {
+        match self.dense.get(dense_index(id)) {
+            Some(&peer) => peer,
+            None => self.overflow.get(&id).copied().unwrap_or(Peer::EMPTY),
+        }
+    }
+
+    #[inline]
+    fn addr(&self, peer: Peer) -> Option<NetAddr> {
+        (peer.addr != NONE).then(|| self.addrs[peer.addr as usize].0)
+    }
+
+    fn address_of(&self, id: NodeId) -> Option<NetAddr> {
+        self.addr(self.get(id))
+    }
+
+    fn slot_of(&self, id: NodeId) -> Option<u32> {
+        let slot = self.get(id).slot;
+        (slot != NONE).then_some(slot)
+    }
+
+    /// `id`'s learned address, else `local` if `id` is hosted here (live
+    /// or departed), else `None`: one probe.
+    #[inline]
+    fn resolve(&self, id: NodeId, local: NetAddr) -> Option<NetAddr> {
+        let peer = self.get(id);
+        self.addr(peer)
+            .or_else(|| (peer.slot != NONE).then_some(local))
+    }
+
+    /// Binds `id` to `addr`, reading first and writing only on change.
+    #[inline]
+    fn learn(&mut self, id: NodeId, addr: NetAddr) {
+        if self.address_of(id) != Some(addr) {
+            self.bind(id, addr);
+        }
+    }
+
+    /// Binds `id` to `addr` only if `id` has no address yet; false if it
+    /// is bound to another one.
+    fn introduce(&mut self, id: NodeId, addr: NetAddr) -> bool {
+        match self.address_of(id) {
+            None => {
+                self.bind(id, addr);
+                true
+            }
+            Some(bound) => bound == addr,
+        }
+    }
+
+    /// Records `slot` as `id`'s hosted slot.
+    fn host(&mut self, id: NodeId, slot: u32) {
+        self.entry(id).slot = slot;
+    }
+
+    /// Drops hosted `id`'s address, keeping its slot.
+    fn forget(&mut self, id: NodeId) {
+        debug_assert!(self.slot_of(id).is_some(), "only hosted ids leave");
+        let addr = core::mem::replace(&mut self.entry(id).addr, NONE);
+        if addr != NONE {
+            self.with_addr -= 1;
+            self.release(addr);
+        }
+    }
+
+    /// The write path: `id`'s address becomes `addr`, interned.
+    fn bind(&mut self, id: NodeId, addr: NetAddr) {
+        let index = self.intern(addr);
+        let old = core::mem::replace(&mut self.entry(id).addr, index);
+        if old == NONE {
+            self.with_addr += 1;
+        } else {
+            self.release(old);
+        }
+    }
+
+    /// `id`'s entry for writing, inserted empty (and counted) if absent:
+    /// in the dense part if it covers `id` or may grow to, else in the
+    /// overflow. The caller fills the entry in.
+    fn entry(&mut self, id: NodeId) -> &mut Peer {
+        let i = dense_index(id);
+        if i < self.dense.len() {
+            if self.dense[i] == Peer::EMPTY {
+                self.entries += 1;
+            }
+            return &mut self.dense[i];
+        }
+        if !self.overflow.contains_key(&id) {
+            self.entries += 1;
+            if let Some(len) = self.grown_len(id) {
+                self.grow(len);
+                return &mut self.dense[i];
+            }
+        }
+        self.overflow.entry(id).or_insert(Peer::EMPTY)
+    }
+
+    /// The dense length that would cover `id`: `(id + 1)` rounded up to a
+    /// power of two, if that stays within `max(DENSE_FLOOR, 4 × entries)`.
+    fn grown_len(&self, id: NodeId) -> Option<usize> {
+        let len = id.as_u64().checked_add(1)?.checked_next_power_of_two()?;
+        if len > DENSE_FLOOR.max(self.entries.saturating_mul(4)) {
+            return None;
+        }
+        usize::try_from(len).ok()
+    }
+
+    /// Grows the dense part to `len` and moves the overflow ids it now
+    /// covers into it, so every id lives in exactly one part.
+    fn grow(&mut self, len: usize) {
+        self.dense.resize(len, Peer::EMPTY);
+        let dense = &mut self.dense;
+        self.overflow
+            .retain(|&id, peer| match dense.get_mut(dense_index(id)) {
+                Some(moved) => {
+                    *moved = *peer;
+                    false
+                }
+                None => true,
+            });
+    }
+
+    /// `addr`'s index, interned if no entry holds it yet, with one more
+    /// reference counted.
+    fn intern(&mut self, addr: NetAddr) -> u32 {
+        if let Some(&index) = self.interned.get(&addr) {
+            self.addrs[index as usize].1 += 1;
+            return index;
+        }
+        let index = match self.free.pop() {
+            Some(index) => {
+                self.addrs[index as usize] = (addr, 1);
+                index
+            }
+            None => {
+                self.addrs.push((addr, 1));
+                (self.addrs.len() - 1) as u32
+            }
+        };
+        self.interned.insert(addr, index);
+        index
+    }
+
+    /// Drops one reference to interned address `index`, recycling it when
+    /// no entry holds it any more.
+    fn release(&mut self, index: u32) {
+        let (addr, count) = &mut self.addrs[index as usize];
+        *count -= 1;
+        if *count == 0 {
+            self.interned.remove(addr);
+            self.free.push(index);
+        }
+    }
+}
+
+/// `id`'s position in a dense part; ids past `usize` land out of range.
+#[inline]
+fn dense_index(id: NodeId) -> usize {
+    usize::try_from(id.as_u64()).unwrap_or(usize::MAX)
+}
+
 /// Many gossip nodes on one OS thread, over any [`Transport`]; see the
 /// `runtime.rs` module docs and the [crate example](crate).
 pub struct NetRuntime<T: Transport, N: GossipNode = pss_core::PeerSamplingNode> {
     transport: T,
     config: NetConfig,
     nodes: Vec<Slot<N>>,
-    /// Hosted node id → slot index.
-    index: HashMap<NodeId, u32, IdHashBuilder>,
-    /// Node id → transport address, cluster-wide (learned).
-    book: HashMap<NodeId, NetAddr, IdHashBuilder>,
+    /// Node id → learned transport address and hosted slot.
+    peers: PeerTable,
     /// Pending gossip timers, as node slots.
     timers: TickQueue<u32>,
     rng: SmallRng,
@@ -388,7 +625,8 @@ pub struct NetRuntime<T: Transport, N: GossipNode = pss_core::PeerSamplingNode> 
     /// One drain of the transport, `(sender, frame)`; entries past the
     /// drained count keep their buffers as capacity.
     batch: Vec<(NetAddr, Vec<u8>)>,
-    /// The hosted slot each drained frame's header names: lookahead hints.
+    /// The hosted slot each drained frame's header names: the lookahead's
+    /// hints and, once the frame decodes, its routing slot.
     batch_slots: Vec<Option<u32>>,
     encode_buf: Vec<u8>,
     fired: Vec<u32>,
@@ -423,8 +661,7 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
             transport,
             config,
             nodes: Vec::new(),
-            index: HashMap::with_hasher(hasher),
-            book: HashMap::with_hasher(hasher),
+            peers: PeerTable::new(hasher),
             // The ring reaches the fully backed-off re-arm distance
             // (`MAX_BACKOFF_STRETCH` periods + jitter), not just one period
             // — as far as the queue's slot cap lets it; a longer period
@@ -487,10 +724,10 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
     /// Panics if a node with the same id is already hosted here.
     pub fn add_node(&mut self, mut node: N, introducers: &[(NodeId, NetAddr)]) -> NodeId {
         let id = node.id();
-        assert!(!self.index.contains_key(&id), "node {id} already hosted");
-        self.book.insert(id, self.transport.local_addr());
+        assert!(self.peers.slot_of(id).is_none(), "node {id} already hosted");
+        self.peers.learn(id, self.transport.local_addr());
         for &(peer, addr) in introducers {
-            self.book.insert(peer, addr);
+            self.peers.learn(peer, addr);
         }
         node.init(
             &mut introducers
@@ -506,7 +743,7 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
             consecutive_timeouts: 0,
             informed: false,
         });
-        self.index.insert(id, slot);
+        self.peers.host(id, slot);
         let phase = self.rng.random_range(0..self.config.period);
         // Never into the fired past: once the runtime has run, tick `now`
         // has fired, and a phase of 0 waits for the next one.
@@ -525,10 +762,10 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
     /// that is harmless, the entry just points at a silent node.)
     /// Returns false if the node is unknown or already gone.
     pub fn leave(&mut self, id: NodeId) -> bool {
-        match self.index.get(&id) {
-            Some(&slot) if self.nodes[slot as usize].alive => {
+        match self.peers.slot_of(id) {
+            Some(slot) if self.nodes[slot as usize].alive => {
                 self.nodes[slot as usize].alive = false;
-                self.book.remove(&id);
+                self.peers.forget(id);
                 true
             }
             _ => false,
@@ -558,8 +795,8 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
     /// Plants the rumor at a hosted live node; false if it is unknown or
     /// departed.
     pub fn seed_rumor(&mut self, id: NodeId) -> bool {
-        match self.index.get(&id) {
-            Some(&slot) if self.nodes[slot as usize].alive => {
+        match self.peers.slot_of(id) {
+            Some(slot) if self.nodes[slot as usize].alive => {
                 self.nodes[slot as usize].informed = true;
                 true
             }
@@ -569,7 +806,7 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
 
     /// True if a hosted live node holds the rumor.
     pub fn is_informed(&self, id: NodeId) -> bool {
-        self.index.get(&id).is_some_and(|&slot| {
+        self.peers.slot_of(id).is_some_and(|slot| {
             self.nodes[slot as usize].alive && self.nodes[slot as usize].informed
         })
     }
@@ -585,14 +822,14 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
 
     /// The view of a hosted, live node.
     pub fn view_of(&self, id: NodeId) -> Option<&View> {
-        let &slot = self.index.get(&id)?;
+        let slot = self.peers.slot_of(id)?;
         let slot = &self.nodes[slot as usize];
         slot.alive.then(|| slot.node.view())
     }
 
     /// The learned address for `id`, if any.
     pub fn address_of(&self, id: NodeId) -> Option<NetAddr> {
-        self.book.get(&id).copied()
+        self.peers.address_of(id)
     }
 
     /// Visits every live hosted node's `(id, view)` in add order.
@@ -607,7 +844,7 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
     /// The runtime's counters, with the address book's current size.
     pub fn stats(&self) -> RuntimeStats {
         RuntimeStats {
-            book_entries: self.book.len() as u64,
+            book_entries: self.peers.with_addr,
             ..self.stats
         }
     }
@@ -636,7 +873,7 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
             self.fire_timers(t);
             self.now = t;
         }
-        self.tele.book_entries.set_max(self.book.len() as u64);
+        self.tele.book_entries.set_max(self.peers.with_addr);
     }
 
     /// One full gossip period from the current time.
@@ -669,9 +906,9 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
         let mut slots = core::mem::take(&mut self.batch_slots);
         slots.clear();
         slots.extend(
-            frames.iter().map(|(_, bytes)| {
-                wire::peek_dst(bytes).and_then(|dst| self.index.get(&dst).copied())
-            }),
+            frames
+                .iter()
+                .map(|(_, bytes)| wire::peek_dst(bytes).and_then(|dst| self.peers.slot_of(dst))),
         );
         let hint = |k: usize| slots.get(k).copied().flatten();
         for (i, (from, bytes)) in frames.iter().enumerate() {
@@ -679,7 +916,7 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
                 pss_sim::prefetch(after);
             }
             self.prefetch_slots(hint(i + 1), hint(i + 2));
-            self.process_frame(*from, bytes);
+            self.process_frame(*from, bytes, slots[i]);
         }
         self.batch_slots = slots;
         self.batch = batch;
@@ -699,7 +936,10 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
         }
     }
 
-    fn process_frame(&mut self, _from: NetAddr, bytes: &[u8]) {
+    /// Processes one frame; `slot` is the hosted slot its header's
+    /// destination names, looked up once for the lookahead and reused for
+    /// routing (both read the same header bytes).
+    fn process_frame(&mut self, _from: NetAddr, bytes: &[u8], slot: Option<u32>) {
         self.stats.frames_in += 1;
         let decode_started = std::time::Instant::now();
         let frame = match wire::decode(bytes) {
@@ -721,17 +961,11 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
         // forged-src frame must not redirect a known peer's traffic.
         // Genuine address changes propagate through descriptor-carried
         // addresses (gossip content, learned below).
-        match self.book.entry(frame.src) {
-            std::collections::hash_map::Entry::Vacant(vacant) => {
-                vacant.insert(frame.src_addr);
-            }
-            std::collections::hash_map::Entry::Occupied(existing) => {
-                if *existing.get() != frame.src_addr {
-                    self.stats.addr_rebinds_rejected += 1;
-                }
-            }
+        if !self.peers.introduce(frame.src, frame.src_addr) {
+            self.stats.addr_rebinds_rejected += 1;
         }
-        let Some(&slot_idx) = self.index.get(&frame.dst) else {
+        debug_assert_eq!(slot, self.peers.slot_of(frame.dst));
+        let Some(slot_idx) = slot else {
             self.stats.unknown_destination += 1;
             return;
         };
@@ -746,7 +980,7 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
             return;
         }
         let mut payload = self.arena.take_buffer();
-        let book = &mut self.book;
+        let peers = &mut self.peers;
         let decoded = if frame.kind == FrameKind::App {
             // App frames are opaque to the membership layer: whatever
             // descriptor region a peer put there must not teach the book.
@@ -757,9 +991,7 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
             // every id is already known at this address: read first, and
             // write only on change, so the table's lines stay clean.
             wire::read_descriptors(&frame, &mut payload, &mut self.scratch, |id, addr| {
-                if book.get(&id) != Some(&addr) {
-                    book.insert(id, addr);
-                }
+                peers.learn(id, addr)
             })
         };
         if decoded.is_err() {
@@ -953,11 +1185,7 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
     /// graceful leave's dropped book entry yields a dead delivery (the
     /// simulators' semantics), never a missing address.
     fn addr_of_or_local(&self, id: NodeId) -> Option<NetAddr> {
-        self.book.get(&id).copied().or_else(|| {
-            self.index
-                .contains_key(&id)
-                .then(|| self.transport.local_addr())
-        })
+        self.peers.resolve(id, self.transport.local_addr())
     }
 
     fn send_request(&mut self, slot_idx: u32, exchange: Exchange, now: u64) {
@@ -1021,18 +1249,13 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
             self.stats.partition_blocked += 1;
             return false;
         }
-        let book = &self.book;
-        let index = &self.index;
+        let peers = &self.peers;
         let local = self.transport.local_addr();
         // Any id hosted here — live or departed — resolves to this
         // runtime's own address without a book entry, so a graceful leave
         // can drop its book entry while views that still reference the
         // departed id stay encodable.
-        let resolve = |id: NodeId| {
-            book.get(&id)
-                .copied()
-                .or_else(|| index.contains_key(&id).then_some(local))
-        };
+        let resolve = |id: NodeId| peers.resolve(id, local);
         match wire::encode(
             &mut self.encode_buf,
             kind,
@@ -1648,5 +1871,203 @@ mod tests {
         assert_eq!(app_redundant, 2020);
         assert_eq!(app_wasted, 2121);
         assert_eq!(book_entries, 2424);
+    }
+
+    /// The table's structural invariants: each id lives in exactly one
+    /// part, the dense length obeys the growth rule, the counts match the
+    /// entries, and every interned address is held by exactly as many
+    /// entries as its count says.
+    fn check_table(table: &PeerTable) {
+        let dense = table.dense.iter().filter(|&&p| p != Peer::EMPTY);
+        let entries: Vec<Peer> = dense.chain(table.overflow.values()).copied().collect();
+        assert!(table
+            .overflow
+            .iter()
+            .all(|(&id, &p)| dense_index(id) >= table.dense.len() && p != Peer::EMPTY));
+        assert_eq!(entries.len() as u64, table.entries);
+        assert!(table.dense.len() as u64 <= DENSE_FLOOR.max(4 * table.entries));
+        let mut held = vec![0u32; table.addrs.len()];
+        for p in entries.iter().filter(|p| p.addr != NONE) {
+            held[p.addr as usize] += 1;
+        }
+        assert_eq!(held.iter().map(|&h| h as u64).sum::<u64>(), table.with_addr);
+        for (index, &(addr, count)) in table.addrs.iter().enumerate() {
+            assert_eq!(held[index], count, "{addr}");
+            assert_eq!(
+                table.interned.get(&addr) == Some(&(index as u32)),
+                count > 0,
+                "{addr}"
+            );
+        }
+        assert_eq!(table.interned.len() + table.free.len(), table.addrs.len());
+    }
+
+    fn table() -> PeerTable {
+        PeerTable::new(IdHashBuilder::with_keys(3, 5))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// The table answers like a plain map of `(address, slot)` pairs,
+        /// over dense, sparse and near-`u64::MAX` ids: hosting, learning,
+        /// introducing, leaving and reading. Long runs reach past 256
+        /// entries, so ids from `1 024..4 096` first land in the overflow
+        /// and later move into a grown dense part.
+        #[test]
+        fn peer_table_matches_a_map_model(
+            ops in proptest::prop::collection::vec(
+                (0u8..5, 0u8..3, 0u64..4096, 0u64..u64::MAX, 0u64..64, 0u64..4),
+                1..2000,
+            ),
+        ) {
+            let mut table = table();
+            let mut model: HashMap<_, (Option<NetAddr>, Option<u32>)> = HashMap::new();
+            let mut slots = 0;
+            for (op, kind, dense, sparse, top, addr) in ops {
+                let id = NodeId::new(match kind {
+                    0 => dense,
+                    1 => sparse,
+                    _ => u64::MAX - top,
+                });
+                let addr = NetAddr::Virtual(addr);
+                let entry = model.entry(id).or_default();
+                match op {
+                    0 if entry.1.is_none() => {
+                        table.host(id, slots);
+                        entry.1 = Some(slots);
+                        slots += 1;
+                    }
+                    1 => {
+                        table.learn(id, addr);
+                        entry.0 = Some(addr);
+                    }
+                    2 => {
+                        let fresh = entry.0.is_none();
+                        let kept = table.introduce(id, addr);
+                        proptest::prop_assert_eq!(kept, fresh || entry.0 == Some(addr));
+                        entry.0 = entry.0.or(Some(addr));
+                    }
+                    3 if entry.1.is_some() => {
+                        table.forget(id);
+                        entry.0 = None;
+                    }
+                    _ => {}
+                }
+                let expected = *entry;
+                proptest::prop_assert_eq!((table.address_of(id), table.slot_of(id)), expected);
+                if expected.1.is_some() {
+                    let local = NetAddr::Virtual(99);
+                    proptest::prop_assert_eq!(table.resolve(id, local), expected.0.or(Some(local)));
+                }
+            }
+            model.retain(|_, &mut entry| entry != (None, None));
+            for (&id, &entry) in &model {
+                proptest::prop_assert_eq!((table.address_of(id), table.slot_of(id)), entry);
+            }
+            let with_addr = model.values().filter(|e| e.0.is_some()).count() as u64;
+            proptest::prop_assert_eq!(table.with_addr, with_addr);
+            proptest::prop_assert_eq!(table.entries, model.len() as u64);
+            check_table(&table);
+        }
+    }
+
+    /// Ids `0..n` learned upwards never touch the overflow. Learned from
+    /// the top down they start in it, and growth moves every one the
+    /// grown dense part covers out of it again.
+    #[test]
+    fn growth_moves_covered_ids_out_of_the_overflow() {
+        for ids in [(0..5000).collect::<Vec<u64>>(), (0..5000).rev().collect()] {
+            let mut table = table();
+            let mut peak = 0;
+            for &i in &ids {
+                table.learn(NodeId::new(i), NetAddr::Virtual(1));
+                peak = peak.max(table.overflow.len());
+            }
+            if ids[0] == 0 {
+                assert_eq!((peak, table.dense.len()), (0, 8192));
+            } else {
+                assert!(table.overflow.len() < peak, "{peak}");
+            }
+            assert!(ids
+                .iter()
+                .all(|&i| table.address_of(NodeId::new(i)) == Some(NetAddr::Virtual(1))));
+            assert_eq!(table.addrs.len(), 1, "one address, interned once");
+            check_table(&table);
+        }
+    }
+
+    /// A runtime hosting node 0 and a raw endpoint to forge frames from.
+    fn forge_target() -> (MemTransport, NetAddr, NetRuntime<MemTransport>) {
+        let net = MemNetwork::new(3, LatencyModel::Zero, 0.0).expect("valid");
+        let raw = net.endpoint();
+        let transport = net.endpoint();
+        let addr = transport.net_addr();
+        let mut rt = NetRuntime::new(transport, config(), 8).expect("valid");
+        rt.add_node(node(0, 8), &[]);
+        (raw, addr, rt)
+    }
+
+    /// Sends node 0 one push request carrying `descriptors`, each at the
+    /// address `addr_of` gives it, and processes it.
+    fn forge(
+        raw: &mut MemTransport,
+        to: NetAddr,
+        rt: &mut NetRuntime<MemTransport>,
+        descriptors: &[NodeDescriptor],
+        addr_of: impl FnMut(NodeId) -> Option<NetAddr>,
+    ) {
+        let mut buf = Vec::new();
+        wire::encode(
+            &mut buf,
+            FrameKind::Request,
+            false,
+            NodeId::new(9),
+            NodeId::new(0),
+            raw.net_addr(),
+            descriptors,
+            addr_of,
+        )
+        .unwrap();
+        assert!(raw.send(to, &buf));
+        rt.run_until(rt.now() + 1);
+    }
+
+    #[test]
+    fn a_frame_of_fresh_high_ids_grows_only_the_overflow() {
+        let (mut raw, addr, mut rt) = forge_target();
+        forge(&mut raw, addr, &mut rt, &[], |_| None);
+        let dense = rt.peers.dense.len();
+        let entries = rt.stats().book_entries;
+        let fresh: Vec<NodeDescriptor> = (0..wire::MAX_DESCRIPTORS as u64)
+            .map(|i| NodeDescriptor::new(NodeId::new(mix(i) | 1 << 63), 0))
+            .collect();
+        forge(&mut raw, addr, &mut rt, &fresh, |_| {
+            Some(NetAddr::Virtual(7))
+        });
+        assert_eq!(rt.stats().requests_in, 2);
+        assert_eq!(rt.peers.dense.len(), dense);
+        assert!(fresh.iter().all(|d| rt.peers.overflow.contains_key(&d.id())
+            && rt.address_of(d.id()) == Some(NetAddr::Virtual(7))));
+        assert_eq!(rt.stats().book_entries, entries + 1024);
+        check_table(&rt.peers);
+    }
+
+    #[test]
+    fn re_teaching_one_id_new_addresses_recycles_them() {
+        let (mut raw, addr, mut rt) = forge_target();
+        let peer = [NodeDescriptor::new(NodeId::new(7), 1)];
+        for k in 0..1000 {
+            forge(&mut raw, addr, &mut rt, &peer, |_| {
+                Some(NetAddr::Virtual(1000 + k))
+            });
+        }
+        assert_eq!(rt.stats().requests_in, 1000);
+        assert_eq!(rt.address_of(peer[0].id()), Some(NetAddr::Virtual(1999)));
+        // Node 0, the sender and node 7: three entries, three addresses.
+        assert_eq!(rt.stats().book_entries, 3);
+        assert_eq!(rt.peers.interned.len(), 3);
+        assert!(rt.peers.addrs.len() <= 4, "{}", rt.peers.addrs.len());
+        check_table(&rt.peers);
     }
 }
