@@ -231,3 +231,90 @@ fn oversized_frames_are_rejected() {
         Err(DecodeError::Oversized { count: c }) if c == count
     ));
 }
+
+/// Every frame kind over every address family, and over views that mix
+/// them, folded into one FNV-1a digest of the encoded bytes. Any change to
+/// the bytes an encoder emits — a field, a padding byte, a family's
+/// layout — moves it.
+#[test]
+fn encoded_frames_match_the_recorded_digest() {
+    use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr};
+    let v4 = |k: u64| {
+        NetAddr::Sock(SocketAddr::new(
+            IpAddr::V4(Ipv4Addr::from(
+                0x0a00_0000 | (k as u32).wrapping_mul(0x0101_0107),
+            )),
+            (k as u16).wrapping_add(4000),
+        ))
+    };
+    let v6 = |k: u64| {
+        NetAddr::Sock(SocketAddr::new(
+            IpAddr::V6(Ipv6Addr::from(
+                0x2001_0db8_u128 << 96 | (k as u128).wrapping_mul(0x9e37_79b9_7f4a_7c15),
+            )),
+            0xf000 | k as u16,
+        ))
+    };
+    let virt = |k: u64| NetAddr::Virtual(k.wrapping_mul(0xdead_beef_0042) ^ k);
+    let families: [&dyn Fn(u64) -> NetAddr; 3] = [&v4, &v6, &virt];
+    let ids: Vec<u64> = vec![0, 1, 7, 0x0102_0304_0506_0708, u64::MAX, 513];
+    let descriptors: Vec<NodeDescriptor> = ids
+        .iter()
+        .enumerate()
+        .map(|(i, &id)| NodeDescriptor::new(NodeId::new(id), (i as u32) * 0x0101_0101))
+        .collect();
+    let kinds = [
+        (FrameKind::Request, true),
+        (FrameKind::Request, false),
+        (FrameKind::Reply, false),
+        (FrameKind::App, false),
+    ];
+    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut fold = |bytes: &[u8]| {
+        for &b in (bytes.len() as u64).to_le_bytes().iter().chain(bytes) {
+            digest ^= b as u64;
+            digest = digest.wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    let mut buf = Vec::new();
+    for (kind, wants_reply) in kinds {
+        for take in [0, 1, descriptors.len()] {
+            let ds = &descriptors[..take];
+            // One family throughout: the source and every descriptor.
+            for (f, family) in families.iter().enumerate() {
+                wire::encode(
+                    &mut buf,
+                    kind,
+                    wants_reply,
+                    NodeId::new(0x77 + f as u64),
+                    NodeId::new(0x0bad_cafe),
+                    family(f as u64),
+                    ds,
+                    |id| Some(family(id.as_u64())),
+                )
+                .expect("encodes");
+                fold(&buf);
+            }
+            // Mixed views: descriptor i takes family (i + shift) % 3,
+            // the source family `shift`.
+            for (shift, family) in families.iter().enumerate() {
+                wire::encode(
+                    &mut buf,
+                    kind,
+                    wants_reply,
+                    NodeId::new(0x99),
+                    NodeId::new(shift as u64),
+                    family(0x55),
+                    ds,
+                    |id| {
+                        let i = ids.iter().position(|&x| x == id.as_u64())?;
+                        Some(families[(i + shift) % 3](id.as_u64()))
+                    },
+                )
+                .expect("encodes");
+                fold(&buf);
+            }
+        }
+    }
+    assert_eq!(digest, 0x118a_b54c_fc6a_672d, "{digest:#018x}");
+}
