@@ -12,12 +12,20 @@
 //!    message to that node"); in-process the opaque [`NodeId`] plays that
 //!    role. On the wire every descriptor carries `(id, age, address)` — a
 //!    [`NetAddr`] — so receivers learn how to reach every node they hear
-//!    about, exactly as gossip membership requires.
+//!    about, exactly as gossip membership requires. Addresses cross the
+//!    codec's boundary in their 19-byte wire form, a [`WireAddr`]:
+//!    [`encode`] copies the form its resolver returns, and
+//!    [`read_descriptors`] hands its `learn` callback the bytes as
+//!    received, with the tag byte checked. A caller that keeps the wire
+//!    form of every address it knows compares 19 bytes per descriptor and
+//!    parses only an address it has not seen.
 //! 2. **Strict decoding.** Frames from a network are untrusted:
 //!    [`decode`] and [`read_descriptors`] are bounds-checked everywhere and
 //!    reject truncated, oversized, length-mismatched, bad-magic/-version,
 //!    and duplicate-id frames with a typed [`DecodeError`] instead of
-//!    panicking or silently truncating.
+//!    panicking or silently truncating. A rejected body teaches nothing:
+//!    [`read_descriptors`] validates every descriptor before it hands
+//!    the first address to `learn`.
 //! 3. **Zero-copy decode into staging buffers.** [`read_descriptors`]
 //!    appends straight into a caller-provided buffer (in practice a
 //!    recycled [`crate::staging`] message buffer), so a received frame is
@@ -131,6 +139,68 @@ impl fmt::Display for NetAddr {
 const TAG_VIRTUAL: u8 = 0;
 const TAG_V4: u8 = 4;
 const TAG_V6: u8 = 6;
+
+/// A [`NetAddr`] in its 19-byte wire form (see the module docs' address
+/// layout), with a tag byte the codec accepts.
+///
+/// The two ways to get one are converting a [`NetAddr`], which writes the
+/// canonical form (zero padding), and [`read_descriptors`], which hands
+/// over a received address's bytes after checking the tag. Equality is
+/// byte equality. A sender may put nonzero bytes in an address's padding,
+/// so two unequal wire forms can still name the same [`NetAddr`]; compare
+/// the parsed addresses when that matters.
+///
+/// It is aligned to 8 bytes (24 in size), so moving one is three word
+/// moves: a caller that returns wire forms by value on every descriptor
+/// otherwise pays for unaligned 19-byte copies, which on `runtime_mem`
+/// cost more than re-encoding each address did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(align(8))]
+pub struct WireAddr([u8; ADDR_LEN]);
+
+impl From<NetAddr> for WireAddr {
+    fn from(addr: NetAddr) -> Self {
+        let mut b = [0u8; ADDR_LEN];
+        match addr {
+            NetAddr::Sock(SocketAddr::V4(s)) => {
+                b[0] = TAG_V4;
+                b[1..5].copy_from_slice(&s.ip().octets());
+                b[17..19].copy_from_slice(&s.port().to_le_bytes());
+            }
+            NetAddr::Sock(SocketAddr::V6(s)) => {
+                b[0] = TAG_V6;
+                b[1..17].copy_from_slice(&s.ip().octets());
+                b[17..19].copy_from_slice(&s.port().to_le_bytes());
+            }
+            NetAddr::Virtual(v) => {
+                b[0] = TAG_VIRTUAL;
+                b[1..9].copy_from_slice(&v.to_le_bytes());
+            }
+        }
+        WireAddr(b)
+    }
+}
+
+impl From<WireAddr> for NetAddr {
+    /// Parses the wire form; padding bytes are ignored.
+    fn from(wire: WireAddr) -> Self {
+        let b = &wire.0;
+        match b[0] {
+            TAG_V4 => {
+                let ip = Ipv4Addr::new(b[1], b[2], b[3], b[4]);
+                NetAddr::Sock(SocketAddr::new(IpAddr::V4(ip), get_u16(&b[17..19])))
+            }
+            TAG_V6 => {
+                let mut octets = [0u8; 16];
+                octets.copy_from_slice(&b[1..17]);
+                let ip = Ipv6Addr::from(octets);
+                NetAddr::Sock(SocketAddr::new(IpAddr::V6(ip), get_u16(&b[17..19])))
+            }
+            // Every WireAddr carries one of the three tags.
+            _ => NetAddr::Virtual(get_u64(&b[1..9])),
+        }
+    }
+}
 
 /// Frame kind: which protocol message the frame carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -290,48 +360,20 @@ fn get_u64(b: &[u8]) -> u64 {
     u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
 }
 
-/// The encoded form of `addr`: tag, address bytes, port, zero-padded.
-fn addr_bytes(addr: NetAddr) -> [u8; ADDR_LEN] {
-    let mut b = [0u8; ADDR_LEN];
-    match addr {
-        NetAddr::Sock(SocketAddr::V4(s)) => {
-            b[0] = TAG_V4;
-            b[1..5].copy_from_slice(&s.ip().octets());
-            b[17..19].copy_from_slice(&s.port().to_le_bytes());
-        }
-        NetAddr::Sock(SocketAddr::V6(s)) => {
-            b[0] = TAG_V6;
-            b[1..17].copy_from_slice(&s.ip().octets());
-            b[17..19].copy_from_slice(&s.port().to_le_bytes());
-        }
-        NetAddr::Virtual(v) => {
-            b[0] = TAG_VIRTUAL;
-            b[1..9].copy_from_slice(&v.to_le_bytes());
-        }
-    }
-    b
-}
-
-fn get_addr(b: &[u8]) -> Result<NetAddr, DecodeError> {
-    debug_assert_eq!(b.len(), ADDR_LEN);
-    match b[0] {
-        TAG_V4 => {
-            let ip = Ipv4Addr::new(b[1], b[2], b[3], b[4]);
-            let port = get_u16(&b[17..19]);
-            Ok(NetAddr::Sock(SocketAddr::new(IpAddr::V4(ip), port)))
-        }
-        TAG_V6 => {
-            let mut octets = [0u8; 16];
-            octets.copy_from_slice(&b[1..17]);
-            let port = get_u16(&b[17..19]);
-            Ok(NetAddr::Sock(SocketAddr::new(
-                IpAddr::V6(Ipv6Addr::from(octets)),
-                port,
-            )))
-        }
-        TAG_VIRTUAL => Ok(NetAddr::Virtual(get_u64(&b[1..9]))),
+/// Accepts the three address tags.
+fn check_tag(tag: u8) -> Result<(), DecodeError> {
+    match tag {
+        TAG_VIRTUAL | TAG_V4 | TAG_V6 => Ok(()),
         tag => Err(DecodeError::BadAddrTag(tag)),
     }
+}
+
+/// The address at the start of `b` (at least [`ADDR_LEN`] bytes), whose
+/// tag [`check_tag`] accepted.
+fn wire_at(b: &[u8]) -> WireAddr {
+    let mut bytes = [0u8; ADDR_LEN];
+    bytes.copy_from_slice(&b[..ADDR_LEN]);
+    WireAddr(bytes)
 }
 
 /// Encodes one frame into `buf` (cleared first, so a reused buffer is
@@ -343,20 +385,25 @@ fn get_addr(b: &[u8]) -> Result<NetAddr, DecodeError> {
 /// both of which feed the book), so [`EncodeError::MissingAddress`] means a
 /// caller-side bookkeeping bug; callers count it and skip the send.
 ///
+/// A frame's addresses — `src_addr` and every one `addr_of` returns — come
+/// in one form `A`: [`NetAddr`]s are encoded, [`WireAddr`]s copied as they
+/// are. A caller that keeps its addresses' wire forms skips the encoding
+/// (the runtime's peer table does); the bytes are the same either way.
+///
 /// # Errors
 ///
 /// [`EncodeError::TooManyDescriptors`] above [`MAX_DESCRIPTORS`], or
 /// [`EncodeError::MissingAddress`] from `addr_of`.
 #[allow(clippy::too_many_arguments)]
-pub fn encode(
+pub fn encode<A: Into<WireAddr>>(
     buf: &mut Vec<u8>,
     kind: FrameKind,
     wants_reply: bool,
     src: NodeId,
     dst: NodeId,
-    src_addr: NetAddr,
+    src_addr: A,
     descriptors: &[NodeDescriptor],
-    mut addr_of: impl FnMut(NodeId) -> Option<NetAddr>,
+    mut addr_of: impl FnMut(NodeId) -> Option<A>,
 ) -> Result<(), EncodeError> {
     if descriptors.len() > MAX_DESCRIPTORS {
         return Err(EncodeError::TooManyDescriptors(descriptors.len()));
@@ -381,15 +428,17 @@ pub fn encode(
     // header[11] is reserved (0).
     header[12..20].copy_from_slice(&src.as_u64().to_le_bytes());
     header[20..28].copy_from_slice(&dst.as_u64().to_le_bytes());
-    header[28..47].copy_from_slice(&addr_bytes(src_addr));
+    header[28..47].copy_from_slice(&src_addr.into().0);
     header[47..49].copy_from_slice(&(descriptors.len() as u16).to_le_bytes());
     buf.extend_from_slice(&header);
     for d in descriptors {
-        let addr = addr_of(d.id()).ok_or(EncodeError::MissingAddress(d.id()))?;
+        let addr: WireAddr = addr_of(d.id())
+            .ok_or(EncodeError::MissingAddress(d.id()))?
+            .into();
         let mut record = [0u8; DESCRIPTOR_LEN];
         record[0..8].copy_from_slice(&d.id().as_u64().to_le_bytes());
         record[8..12].copy_from_slice(&d.hop_count().to_le_bytes());
-        record[12..].copy_from_slice(&addr_bytes(addr));
+        record[12..].copy_from_slice(&addr.0);
         buf.extend_from_slice(&record);
     }
     debug_assert_eq!(buf.len(), payload + 4);
@@ -451,7 +500,8 @@ pub fn decode(bytes: &[u8]) -> Result<Frame<'_>, DecodeError> {
     }
     let src = NodeId::new(get_u64(&bytes[12..20]));
     let dst = NodeId::new(get_u64(&bytes[20..28]));
-    let src_addr = get_addr(&bytes[28..28 + ADDR_LEN])?;
+    check_tag(bytes[28])?;
+    let src_addr = NetAddr::from(wire_at(&bytes[28..]));
     let count = get_u16(&bytes[47..49]) as usize;
     if count > MAX_DESCRIPTORS {
         return Err(DecodeError::Oversized { count });
@@ -526,8 +576,15 @@ impl DecodeScratch {
     }
 }
 
-/// Validates and copies a frame's descriptors into `out`, feeding every
-/// `(id, address)` pair to `learn` (the caller's address book).
+/// Validates and copies a frame's descriptors into `out`, then hands every
+/// `(id, address)` pair to `learn` (the caller's address book), the address
+/// in its wire form.
+///
+/// `learn` runs only once the whole body has passed: a frame rejected for
+/// its last descriptor teaches nothing about its first. Each address's tag
+/// byte is checked; its other bytes are handed over as received, so a
+/// caller that already knows the address compares bytes instead of parsing
+/// (see [`WireAddr`] on padding).
 ///
 /// `out` is cleared first: pass a recycled [`crate::staging`] message
 /// buffer and the whole receive path — decode, absorb via
@@ -539,31 +596,31 @@ impl DecodeScratch {
 /// # Errors
 ///
 /// [`DecodeError::BadAddrTag`] or [`DecodeError::DuplicateId`]; `out` is
-/// left cleared on error so a rejected frame cannot leak partial content.
+/// left cleared on error so a rejected frame cannot leak partial content,
+/// and `learn` is not called.
 pub fn read_descriptors(
     frame: &Frame<'_>,
     out: &mut Vec<NodeDescriptor>,
     scratch: &mut DecodeScratch,
-    mut learn: impl FnMut(NodeId, NetAddr),
+    mut learn: impl FnMut(NodeId, WireAddr),
 ) -> Result<(), DecodeError> {
     out.clear();
     scratch.begin(frame.count);
     for chunk in frame.body.chunks_exact(DESCRIPTOR_LEN) {
         let id = NodeId::new(get_u64(&chunk[0..8]));
         let age = get_u32(&chunk[8..12]);
-        let addr = match get_addr(&chunk[12..12 + ADDR_LEN]) {
-            Ok(addr) => addr,
-            Err(e) => {
-                out.clear();
-                return Err(e);
-            }
-        };
+        if let Err(e) = check_tag(chunk[12]) {
+            out.clear();
+            return Err(e);
+        }
         if !scratch.insert(id.as_u64()) {
             out.clear();
             return Err(DecodeError::DuplicateId(id));
         }
         out.push(NodeDescriptor::new(id, age));
-        learn(id, addr);
+    }
+    for (d, chunk) in out.iter().zip(frame.body.chunks_exact(DESCRIPTOR_LEN)) {
+        learn(d.id(), wire_at(&chunk[12..]));
     }
     Ok(())
 }
@@ -618,7 +675,7 @@ mod tests {
         let mut out = Vec::new();
         let mut learned = Vec::new();
         read_descriptors(&frame, &mut out, &mut DecodeScratch::new(), |id, addr| {
-            learned.push((id, addr))
+            learned.push((id, NetAddr::from(addr)))
         })
         .unwrap();
         assert_eq!(out, ds);
@@ -637,7 +694,7 @@ mod tests {
             NetAddr::Virtual(0xdead_beef_1234_5678),
         ];
         for addr in addrs {
-            assert_eq!(get_addr(&addr_bytes(addr)).unwrap(), addr);
+            assert_eq!(NetAddr::from(WireAddr::from(addr)), addr);
         }
     }
 
@@ -837,10 +894,37 @@ mod tests {
         let buf = sample_frame(&ds);
         let frame = decode(&buf).unwrap();
         let mut out = vec![NodeDescriptor::fresh(NodeId::new(99))];
-        let err = read_descriptors(&frame, &mut out, &mut DecodeScratch::new(), |_, _| {})
-            .expect_err("duplicate must be rejected");
+        let mut learned = 0;
+        let err = read_descriptors(&frame, &mut out, &mut DecodeScratch::new(), |_, _| {
+            learned += 1
+        })
+        .expect_err("duplicate must be rejected");
         assert_eq!(err, DecodeError::DuplicateId(NodeId::new(3)));
         assert!(out.is_empty(), "partial content must not leak");
+        assert_eq!(learned, 0, "a rejected body must teach nothing");
+    }
+
+    /// Padding bytes travel as received: the wire forms differ, the
+    /// parsed addresses do not.
+    #[test]
+    fn padding_reaches_the_wire_form_but_not_the_address() {
+        let buf = sample_frame(&[NodeDescriptor::new(NodeId::new(1), 2)]);
+        let mut padded = buf.clone();
+        padded[HEADER_LEN + 12 + 10] = 0xff; // an IPv4 padding byte
+        let mut learned = Vec::new();
+        for bytes in [&buf, &padded] {
+            let frame = decode(bytes).unwrap();
+            read_descriptors(
+                &frame,
+                &mut Vec::new(),
+                &mut DecodeScratch::new(),
+                |_, a| learned.push(a),
+            )
+            .unwrap();
+        }
+        assert_ne!(learned[0], learned[1]);
+        assert_eq!(learned[0], WireAddr::from(v4(5001)));
+        assert_eq!(NetAddr::from(learned[1]), v4(5001));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use pss_core::wire::{
-    self, DecodeError, DecodeScratch, FrameKind, NetAddr, DESCRIPTOR_LEN, HEADER_LEN,
+    self, DecodeError, DecodeScratch, FrameKind, NetAddr, WireAddr, DESCRIPTOR_LEN, HEADER_LEN,
 };
 use pss_core::{NodeDescriptor, NodeId};
 
@@ -65,6 +65,42 @@ fn encode_frame(
 }
 
 proptest! {
+    /// The wire form hides nothing: it parses back to the address it was
+    /// made from, and a frame encoded from wire forms is byte for byte the
+    /// frame encoded from the addresses.
+    #[test]
+    fn wire_forms_parse_back_and_encode_the_same_bytes(
+        content in view_content(40),
+        src_addr in addr_strategy(),
+        is_request in (0u8..2).prop_map(|b| b == 1),
+    ) {
+        for &(_, addr) in &content {
+            prop_assert_eq!(NetAddr::from(WireAddr::from(addr)), addr);
+        }
+        prop_assert_eq!(NetAddr::from(WireAddr::from(src_addr)), src_addr);
+        let kind = if is_request { FrameKind::Request } else { FrameKind::Reply };
+        let via_addr = encode_frame(kind, true, 3, 4, src_addr, &content);
+        let descriptors: Vec<NodeDescriptor> = content.iter().map(|&(d, _)| d).collect();
+        let mut via_wire = Vec::new();
+        wire::encode(
+            &mut via_wire,
+            kind,
+            true,
+            NodeId::new(3),
+            NodeId::new(4),
+            WireAddr::from(src_addr),
+            &descriptors,
+            |id| {
+                content
+                    .iter()
+                    .find(|(d, _)| d.id() == id)
+                    .map(|&(_, addr)| WireAddr::from(addr))
+            },
+        )
+        .expect("valid content encodes");
+        prop_assert_eq!(via_wire, via_addr);
+    }
+
     #[test]
     fn roundtrip_is_identity(
         content in view_content(40),
@@ -89,7 +125,7 @@ proptest! {
         let mut out = Vec::new();
         let mut learned = Vec::new();
         wire::read_descriptors(&frame, &mut out, &mut DecodeScratch::new(), |id, addr| {
-            learned.push((id, addr));
+            learned.push((id, NetAddr::from(addr)));
         })
         .expect("own frames read");
         let expect_ds: Vec<NodeDescriptor> = content.iter().map(|&(d, _)| d).collect();

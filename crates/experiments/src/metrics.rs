@@ -5,7 +5,8 @@
 //! event engine time their phases and shard imbalance, the workload
 //! driver stamps per-period wall time, per-period measurement time and
 //! membership ops, the UDP runtime histograms exchange RTTs, timer-wheel
-//! lag, per-frame-kind decode latency and frames drained per tick, the
+//! lag, per-frame-kind decode latency (one frame in 64) and frames
+//! drained per tick, the
 //! cluster harness times periods, and the application layer times its
 //! rounds. This experiment exercises all of them in one deterministic
 //! pass — a churned workload on both simulation engines, a

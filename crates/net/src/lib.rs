@@ -23,7 +23,8 @@
 //!   ([`pss_core::wire`]), one id table maps node ids to transport
 //!   addresses and hosted slots (learned from bootstrap introducers and
 //!   from every received descriptor; indexed directly for dense ids,
-//!   written only when an address changes), and one runtime-wide ledger
+//!   addresses kept in wire form too and written only when they change),
+//!   and one runtime-wide ledger
 //!   ([`RuntimeStats`]) counts
 //!   frames, decode failures, reply timeouts and backoffs.
 //! * [`cluster`] — the cluster harness: N nodes across K runtimes on one

@@ -22,6 +22,13 @@
 //! encode buffer, one decode scratch table, one rumor-target list —
 //! nothing per-frame, over either transport.
 //!
+//! Nor does a frame read the clock. The decode latency histogram
+//! (`pss_net_decode_ns`) samples one received frame in 64: the first, the
+//! 65th, and so on by [`RuntimeStats::frames_in`], with no RNG draw, so
+//! which frames are timed is as reproducible as the frames themselves. A
+//! clock pair costs about 100 ns on a 2-vCPU VM, a large share of a
+//! frame's decode; a sample says as much about the latency as a census.
+//!
 //! # Each tick's frames are one batch
 //!
 //! A tick drains every pending frame into the batch before processing the
@@ -61,6 +68,11 @@
 //!   stays within `max(1 024, 4 × entries)`: ids gossiped from far up the
 //!   id space cannot make it sparse. Growth moves the overflow ids the new
 //!   length covers into the dense part, so each id lives in one place.
+//!   Growth is checked again each time the entry count reaches a power of
+//!   two, over the largest overflow id the bound then allows: ids that
+//!   arrived before the bound could cover them (learned from the top down,
+//!   say) are not stranded in the overflow. The check scans the overflow,
+//!   at most `entries` ids once per doubling: amortised O(1) per id.
 //! * **A keyed hash overflow for every other id.** It is a
 //!   `HashMap<NodeId, _, IdHashBuilder>` ([`pss_core::IdHashBuilder`]): one
 //!   xorshift–multiply mix per probe instead of SipHash. The two keys are
@@ -69,12 +81,19 @@
 //!   know the seed — cannot aim ids at one bucket. It is iterated only to
 //!   move entries into a grown dense part, so hash order reaches no view,
 //!   counter or digest.
-//! * **Interned addresses.** An entry holds a `u32` index into a list of
-//!   the addresses in use (one per runtime in an honest cluster); each is
-//!   counted by the entries holding it and recycled when none does, so
-//!   frames that keep teaching one id new addresses cannot grow the list.
-//! * **Learning writes on change only.** A descriptor-carried address is
-//!   compared with the book's entry first and written only if it differs.
+//! * **Interned addresses, in both forms.** An entry holds a `u32` index
+//!   into a list of the addresses in use (one per runtime in an honest
+//!   cluster); each is counted by the entries holding it and recycled when
+//!   none does, so frames that keep teaching one id new addresses cannot
+//!   grow the list. Each is kept as a [`NetAddr`], for the transport, and
+//!   as its 19-byte [`WireAddr`], for frames: encoding a descriptor copies
+//!   the wire form, and nothing is re-encoded per frame.
+//! * **Learning writes on change only.** [`wire::read_descriptors`] hands
+//!   over each descriptor's address in wire form, and only once the whole
+//!   body has passed validation, so a rejected frame teaches nothing. The
+//!   bytes are compared with the entry's interned wire form first; only on
+//!   a mismatch are they parsed, compared as a [`NetAddr`] (a sender may
+//!   pad differently) and, if that differs too, written.
 //!   The rules are unchanged — gossip content may *update* an established
 //!   entry (how a genuine address change propagates), a frame header may
 //!   only *introduce* one ([`RuntimeStats::addr_rebinds_rejected`]), and a
@@ -91,7 +110,7 @@
 
 use std::collections::HashMap;
 
-use pss_core::wire::{self, DecodeScratch, EncodeError, FrameKind, NetAddr};
+use pss_core::wire::{self, DecodeScratch, EncodeError, FrameKind, NetAddr, WireAddr};
 use pss_core::{
     Arena, Exchange, GossipNode, IdHashBuilder, NodeDescriptor, NodeId, Reply, Request, View,
 };
@@ -153,6 +172,10 @@ impl NetConfig {
         Ok(())
     }
 }
+
+/// One received frame in this many has its decode timed into
+/// `pss_net_decode_ns` (see [`NetRuntime`]'s frame path).
+const DECODE_TIMING_STRIDE: u64 = 64;
 
 /// Longest exchange backoff, in periods: after repeated consecutive
 /// timeouts a node re-arms at most this many periods out (see
@@ -310,7 +333,8 @@ struct NetTele {
     rtt_ticks: pss_telemetry::Histogram,
     /// How far behind `t` the timer queue was when a batch fired.
     wheel_lag_ticks: pss_telemetry::Histogram,
-    /// Wire decode latency (header + descriptors) per frame kind.
+    /// Wire decode latency (header + descriptors) per frame kind, for one
+    /// received frame in [`DECODE_TIMING_STRIDE`].
     decode_request_ns: pss_telemetry::Histogram,
     decode_reply_ns: pss_telemetry::Histogram,
     decode_app_ns: pss_telemetry::Histogram,
@@ -327,8 +351,12 @@ struct NetTele {
 impl NetTele {
     fn new() -> Self {
         let reg = pss_telemetry::global();
-        let hist = |phase: &str, help: &str| {
-            reg.histogram_with("pss_net_decode_ns", &[("kind", phase)], help)
+        let hist = |phase: &str| {
+            reg.histogram_with(
+                "pss_net_decode_ns",
+                &[("kind", phase)],
+                "Wire decode latency per frame, nanoseconds, sampled: one received frame in 64",
+            )
         };
         Self {
             rtt_ticks: reg.histogram_with(
@@ -341,9 +369,9 @@ impl NetTele {
                 &[],
                 "Ticks the timer wheel lagged behind runtime time when a batch fired",
             ),
-            decode_request_ns: hist("request", "Wire decode latency per frame, nanoseconds"),
-            decode_reply_ns: hist("reply", "Wire decode latency per frame, nanoseconds"),
-            decode_app_ns: hist("app", "Wire decode latency per frame, nanoseconds"),
+            decode_request_ns: hist("request"),
+            decode_reply_ns: hist("reply"),
+            decode_app_ns: hist("app"),
             decode_errors: reg.counter(
                 "pss_net_decode_errors_total",
                 "Frames rejected at the header or descriptor level",
@@ -424,6 +452,9 @@ struct PeerTable {
     /// Interned addresses with the number of entries holding each; a count
     /// of 0 marks an index on the `free` list.
     addrs: Vec<(NetAddr, u32)>,
+    /// The wire form of each of `addrs`, index for index: all the frame
+    /// path reads of an address it knows.
+    wires: Vec<WireAddr>,
     free: Vec<u32>,
     /// Address → its index in `addrs`, for the live ones.
     interned: HashMap<NetAddr, u32, IdHashBuilder>,
@@ -437,6 +468,7 @@ impl PeerTable {
             entries: 0,
             with_addr: 0,
             addrs: Vec::new(),
+            wires: Vec::new(),
             free: Vec::new(),
             interned: HashMap::with_hasher(hasher),
         }
@@ -454,6 +486,11 @@ impl PeerTable {
     #[inline]
     fn addr(&self, peer: Peer) -> Option<NetAddr> {
         (peer.addr != NONE).then(|| self.addrs[peer.addr as usize].0)
+    }
+
+    #[inline]
+    fn wire(&self, peer: Peer) -> Option<WireAddr> {
+        (peer.addr != NONE).then(|| self.wires[peer.addr as usize])
     }
 
     fn address_of(&self, id: NodeId) -> Option<NetAddr> {
@@ -474,10 +511,33 @@ impl PeerTable {
             .or_else(|| (peer.slot != NONE).then_some(local))
     }
 
-    /// Binds `id` to `addr`, reading first and writing only on change.
+    /// [`PeerTable::resolve`] in wire form: what the encoder copies.
     #[inline]
-    fn learn(&mut self, id: NodeId, addr: NetAddr) {
-        if self.address_of(id) != Some(addr) {
+    fn resolve_wire(&self, id: NodeId, local: WireAddr) -> Option<WireAddr> {
+        let peer = self.get(id);
+        self.wire(peer)
+            .or_else(|| (peer.slot != NONE).then_some(local))
+    }
+
+    /// Binds `id` to the address `wire` names, reading first and writing
+    /// only on change. The steady-state case — `id` known at these very
+    /// bytes — is one probe and one 19-byte compare; the bytes are parsed
+    /// only when they differ from the interned form.
+    #[inline]
+    fn learn(&mut self, id: NodeId, wire: WireAddr) {
+        let peer = self.get(id);
+        if self.wire(peer) != Some(wire) {
+            self.relearn(id, peer, wire);
+        }
+    }
+
+    /// [`PeerTable::learn`] on a byte mismatch. Other bytes may still name
+    /// the known address (nonzero padding): compare parsed, and write only
+    /// a real change.
+    #[inline(never)]
+    fn relearn(&mut self, id: NodeId, peer: Peer, wire: WireAddr) {
+        let addr = NetAddr::from(wire);
+        if self.addr(peer) != Some(addr) {
             self.bind(id, addr);
         }
     }
@@ -525,20 +585,41 @@ impl PeerTable {
     /// overflow. The caller fills the entry in.
     fn entry(&mut self, id: NodeId) -> &mut Peer {
         let i = dense_index(id);
-        if i < self.dense.len() {
-            if self.dense[i] == Peer::EMPTY {
-                self.entries += 1;
+        let fresh = match self.dense.get(i) {
+            Some(&peer) => peer == Peer::EMPTY,
+            None => !self.overflow.contains_key(&id),
+        };
+        if fresh {
+            self.entries += 1;
+            if let Some(len) = self.grown_len(id).filter(|&len| len > self.dense.len()) {
+                self.grow(len);
             }
+            if self.entries.is_power_of_two() {
+                self.regrow();
+            }
+        }
+        if i < self.dense.len() {
             return &mut self.dense[i];
         }
-        if !self.overflow.contains_key(&id) {
-            self.entries += 1;
-            if let Some(len) = self.grown_len(id) {
-                self.grow(len);
-                return &mut self.dense[i];
-            }
-        }
         self.overflow.entry(id).or_insert(Peer::EMPTY)
+    }
+
+    /// Grows the dense part over the largest overflow id it may now cover.
+    ///
+    /// Growth on arrival alone strands ids: learned from the top down,
+    /// `0..5 000` would leave `4 096..4 999` in the overflow once every
+    /// later id fell below the dense length. Run each time `entries`
+    /// reaches a power of two, the scan costs O(overflow) ≤ O(entries) per
+    /// doubling — amortised O(1) per id.
+    fn regrow(&mut self) {
+        let len = self
+            .overflow
+            .keys()
+            .filter_map(|&id| self.grown_len(id))
+            .max();
+        if let Some(len) = len.filter(|&len| len > self.dense.len()) {
+            self.grow(len);
+        }
     }
 
     /// The dense length that would cover `id`: `(id + 1)` rounded up to a
@@ -566,8 +647,8 @@ impl PeerTable {
             });
     }
 
-    /// `addr`'s index, interned if no entry holds it yet, with one more
-    /// reference counted.
+    /// `addr`'s index, interned if no entry holds it yet (with its
+    /// canonical wire form), with one more reference counted.
     fn intern(&mut self, addr: NetAddr) -> u32 {
         if let Some(&index) = self.interned.get(&addr) {
             self.addrs[index as usize].1 += 1;
@@ -576,10 +657,12 @@ impl PeerTable {
         let index = match self.free.pop() {
             Some(index) => {
                 self.addrs[index as usize] = (addr, 1);
+                self.wires[index as usize] = addr.into();
                 index
             }
             None => {
                 self.addrs.push((addr, 1));
+                self.wires.push(addr.into());
                 (self.addrs.len() - 1) as u32
             }
         };
@@ -609,6 +692,8 @@ fn dense_index(id: NodeId) -> usize {
 /// `runtime.rs` module docs and the [crate example](crate).
 pub struct NetRuntime<T: Transport, N: GossipNode = pss_core::PeerSamplingNode> {
     transport: T,
+    /// The wire form of the transport's address.
+    local_wire: WireAddr,
     config: NetConfig,
     nodes: Vec<Slot<N>>,
     /// Node id → learned transport address and hosted slot.
@@ -658,6 +743,7 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
         let hasher =
             IdHashBuilder::with_keys(mix(seed ^ 0x6b30_626f_6f6b), mix(seed ^ 0x6b31_626f_6f6b));
         Ok(NetRuntime {
+            local_wire: transport.local_addr().into(),
             transport,
             config,
             nodes: Vec::new(),
@@ -725,9 +811,9 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
     pub fn add_node(&mut self, mut node: N, introducers: &[(NodeId, NetAddr)]) -> NodeId {
         let id = node.id();
         assert!(self.peers.slot_of(id).is_none(), "node {id} already hosted");
-        self.peers.learn(id, self.transport.local_addr());
+        self.peers.learn(id, self.local_wire);
         for &(peer, addr) in introducers {
-            self.peers.learn(peer, addr);
+            self.peers.learn(peer, addr.into());
         }
         node.init(
             &mut introducers
@@ -940,8 +1026,11 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
     /// destination names, looked up once for the lookahead and reused for
     /// routing (both read the same header bytes).
     fn process_frame(&mut self, _from: NetAddr, bytes: &[u8], slot: Option<u32>) {
+        // One frame in `DECODE_TIMING_STRIDE` is timed, by arrival count
+        // (see the module docs on the frame path).
+        let timed = self.stats.frames_in.is_multiple_of(DECODE_TIMING_STRIDE);
+        let decode_started = timed.then(std::time::Instant::now);
         self.stats.frames_in += 1;
-        let decode_started = std::time::Instant::now();
         let frame = match wire::decode(bytes) {
             Ok(frame) => frame,
             Err(_) => {
@@ -988,8 +1077,9 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
         } else {
             // Descriptor-carried addresses may update an established entry
             // (the path genuine address changes take), but at steady state
-            // every id is already known at this address: read first, and
-            // write only on change, so the table's lines stay clean.
+            // every id is already known at this address: compare the wire
+            // bytes first, and parse and write only on change, so the
+            // table's lines stay clean. Called only for a valid body.
             wire::read_descriptors(&frame, &mut payload, &mut self.scratch, |id, addr| {
                 peers.learn(id, addr)
             })
@@ -1010,9 +1100,11 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
             self.arena.put_buffer(payload);
             return;
         }
-        self.tele
-            .decode_hist(frame.kind)
-            .record(decode_started.elapsed().as_nanos() as u64);
+        if let Some(started) = decode_started {
+            self.tele
+                .decode_hist(frame.kind)
+                .record(started.elapsed().as_nanos() as u64);
+        }
         match frame.kind {
             FrameKind::Request => {
                 slot.contacted = true;
@@ -1250,12 +1342,13 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
             return false;
         }
         let peers = &self.peers;
-        let local = self.transport.local_addr();
+        let local = self.local_wire;
         // Any id hosted here — live or departed — resolves to this
         // runtime's own address without a book entry, so a graceful leave
         // can drop its book entry while views that still reference the
-        // departed id stay encodable.
-        let resolve = |id: NodeId| peers.resolve(id, local);
+        // departed id stay encodable. The encoder copies the interned
+        // wire form: no address is re-encoded per descriptor.
+        let resolve = |id: NodeId| peers.resolve_wire(id, local);
         match wire::encode(
             &mut self.encode_buf,
             kind,
@@ -1891,6 +1984,7 @@ mod tests {
             held[p.addr as usize] += 1;
         }
         assert_eq!(held.iter().map(|&h| h as u64).sum::<u64>(), table.with_addr);
+        assert_eq!(table.wires.len(), table.addrs.len());
         for (index, &(addr, count)) in table.addrs.iter().enumerate() {
             assert_eq!(held[index], count, "{addr}");
             assert_eq!(
@@ -1898,6 +1992,9 @@ mod tests {
                 count > 0,
                 "{addr}"
             );
+            if count > 0 {
+                assert_eq!(table.wires[index], addr.into(), "canonical wire form");
+            }
         }
         assert_eq!(table.interned.len() + table.free.len(), table.addrs.len());
     }
@@ -1939,7 +2036,7 @@ mod tests {
                         slots += 1;
                     }
                     1 => {
-                        table.learn(id, addr);
+                        table.learn(id, addr.into());
                         entry.0 = Some(addr);
                     }
                     2 => {
@@ -1958,7 +2055,12 @@ mod tests {
                 proptest::prop_assert_eq!((table.address_of(id), table.slot_of(id)), expected);
                 if expected.1.is_some() {
                     let local = NetAddr::Virtual(99);
-                    proptest::prop_assert_eq!(table.resolve(id, local), expected.0.or(Some(local)));
+                    let resolved = table.resolve(id, local);
+                    proptest::prop_assert_eq!(resolved, expected.0.or(Some(local)));
+                    proptest::prop_assert_eq!(
+                        table.resolve_wire(id, local.into()),
+                        resolved.map(WireAddr::from)
+                    );
                 }
             }
             model.retain(|_, &mut entry| entry != (None, None));
@@ -1973,22 +2075,20 @@ mod tests {
     }
 
     /// Ids `0..n` learned upwards never touch the overflow. Learned from
-    /// the top down they start in it, and growth moves every one the
-    /// grown dense part covers out of it again.
+    /// the top down they start in it, and growth — on arrival, and again
+    /// each time the entry count reaches a power of two — moves every one
+    /// of them out of it again: no id is stranded on the hash path.
     #[test]
     fn growth_moves_covered_ids_out_of_the_overflow() {
         for ids in [(0..5000).collect::<Vec<u64>>(), (0..5000).rev().collect()] {
             let mut table = table();
             let mut peak = 0;
             for &i in &ids {
-                table.learn(NodeId::new(i), NetAddr::Virtual(1));
+                table.learn(NodeId::new(i), NetAddr::Virtual(1).into());
                 peak = peak.max(table.overflow.len());
             }
-            if ids[0] == 0 {
-                assert_eq!((peak, table.dense.len()), (0, 8192));
-            } else {
-                assert!(table.overflow.len() < peak, "{peak}");
-            }
+            assert_eq!(peak == 0, ids[0] == 0, "only top-down uses the overflow");
+            assert_eq!((table.overflow.len(), table.dense.len()), (0, 8192));
             assert!(ids
                 .iter()
                 .all(|&i| table.address_of(NodeId::new(i)) == Some(NetAddr::Virtual(1))));
@@ -2031,6 +2131,81 @@ mod tests {
         .unwrap();
         assert!(raw.send(to, &buf));
         rt.run_until(rt.now() + 1);
+    }
+
+    /// A body rejected for its second descriptor teaches the book nothing
+    /// about its first.
+    #[test]
+    fn a_rejected_frame_teaches_the_book_nothing() {
+        let (mut raw, addr, mut rt) = forge_target();
+        let twice = [
+            NodeDescriptor::new(NodeId::new(7), 1),
+            NodeDescriptor::new(NodeId::new(7), 2),
+        ];
+        forge(&mut raw, addr, &mut rt, &twice, |_| {
+            Some(NetAddr::Virtual(55))
+        });
+        assert_eq!(rt.stats().body_decode_failures, 1);
+        assert_eq!(rt.address_of(NodeId::new(7)), None);
+        assert!(rt.view_of(NodeId::new(0)).unwrap().is_empty());
+    }
+
+    /// App frames teach nothing, but their descriptors are still validated:
+    /// a bad address tag is a body failure like any other.
+    #[test]
+    fn an_app_frame_with_a_bad_address_tag_is_a_body_failure() {
+        let (mut raw, addr, mut rt) = forge_target();
+        let mut buf = Vec::new();
+        wire::encode(
+            &mut buf,
+            FrameKind::App,
+            false,
+            NodeId::new(9),
+            NodeId::new(0),
+            raw.net_addr(),
+            &[NodeDescriptor::new(NodeId::new(7), 1)],
+            |_| Some(NetAddr::Virtual(55)),
+        )
+        .unwrap();
+        buf[wire::HEADER_LEN + 12] = 9;
+        assert!(raw.send(addr, &buf));
+        rt.run_until(rt.now() + 1);
+        let stats = rt.stats();
+        assert_eq!(stats.body_decode_failures, 1, "{stats:?}");
+        assert_eq!(stats.app_delivered, 0, "{stats:?}");
+        assert!(!rt.is_informed(NodeId::new(0)));
+    }
+
+    /// Wire bytes that differ from the interned form only in padding name
+    /// the same address: the byte compare misses, the parsed compare
+    /// matches, and the entry stays as it was.
+    #[test]
+    fn a_padded_wire_form_of_a_known_address_rebinds_nothing() {
+        let (mut raw, addr, mut rt) = forge_target();
+        let peer = [NodeDescriptor::new(NodeId::new(7), 1)];
+        forge(&mut raw, addr, &mut rt, &peer, |_| {
+            Some(NetAddr::Virtual(5))
+        });
+        let before = rt.peers.get(NodeId::new(7));
+        let mut buf = Vec::new();
+        wire::encode(
+            &mut buf,
+            FrameKind::Request,
+            false,
+            NodeId::new(9),
+            NodeId::new(0),
+            raw.net_addr(),
+            &peer,
+            |_| Some(NetAddr::Virtual(5)),
+        )
+        .unwrap();
+        buf[wire::HEADER_LEN + 12 + 12] = 0xff; // a virtual address's padding
+        assert!(raw.send(addr, &buf));
+        rt.run_until(rt.now() + 1);
+        assert_eq!(rt.stats().requests_in, 2);
+        assert_eq!(rt.peers.get(NodeId::new(7)), before);
+        assert_eq!(rt.address_of(NodeId::new(7)), Some(NetAddr::Virtual(5)));
+        check_table(&rt.peers);
     }
 
     #[test]
