@@ -150,13 +150,32 @@ const TAG_V6: u8 = 6;
 /// so two unequal wire forms can still name the same [`NetAddr`]; compare
 /// the parsed addresses when that matters.
 ///
-/// It is aligned to 8 bytes (24 in size), so moving one is three word
-/// moves: a caller that returns wire forms by value on every descriptor
-/// otherwise pays for unaligned 19-byte copies, which on `runtime_mem`
-/// cost more than re-encoding each address did.
+/// The bytes are held as three little-endian words (bytes 0–7, 8–15 and
+/// 16–18), so moving one is three word moves and comparing two is three
+/// word compares. Held as a 19-byte array, each copy and compare on the
+/// runtime's frame path cost more than the parsing and re-encoding the
+/// wire form replaces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(align(8))]
-pub struct WireAddr([u8; ADDR_LEN]);
+pub struct WireAddr([u64; 3]);
+
+impl WireAddr {
+    /// The address at the start of `b` (at least [`ADDR_LEN`] bytes), tag
+    /// unchecked.
+    fn read(b: &[u8]) -> Self {
+        // Bytes 15..19 in one load; byte 15 is the second word's top.
+        let tail = get_u32(&b[15..19]) >> 8;
+        WireAddr([get_u64(&b[0..8]), get_u64(&b[8..16]), tail as u64])
+    }
+
+    /// The 19 bytes, as they go on the wire.
+    fn bytes(self) -> [u8; ADDR_LEN] {
+        let mut b = [0u8; ADDR_LEN];
+        b[0..8].copy_from_slice(&self.0[0].to_le_bytes());
+        b[8..16].copy_from_slice(&self.0[1].to_le_bytes());
+        b[16..19].copy_from_slice(&self.0[2].to_le_bytes()[..3]);
+        b
+    }
+}
 
 impl From<NetAddr> for WireAddr {
     fn from(addr: NetAddr) -> Self {
@@ -177,14 +196,14 @@ impl From<NetAddr> for WireAddr {
                 b[1..9].copy_from_slice(&v.to_le_bytes());
             }
         }
-        WireAddr(b)
+        WireAddr::read(&b)
     }
 }
 
 impl From<WireAddr> for NetAddr {
     /// Parses the wire form; padding bytes are ignored.
     fn from(wire: WireAddr) -> Self {
-        let b = &wire.0;
+        let b = &wire.bytes();
         match b[0] {
             TAG_V4 => {
                 let ip = Ipv4Addr::new(b[1], b[2], b[3], b[4]);
@@ -368,14 +387,6 @@ fn check_tag(tag: u8) -> Result<(), DecodeError> {
     }
 }
 
-/// The address at the start of `b` (at least [`ADDR_LEN`] bytes), whose
-/// tag [`check_tag`] accepted.
-fn wire_at(b: &[u8]) -> WireAddr {
-    let mut bytes = [0u8; ADDR_LEN];
-    bytes.copy_from_slice(&b[..ADDR_LEN]);
-    WireAddr(bytes)
-}
-
 /// Encodes one frame into `buf` (cleared first, so a reused buffer is
 /// allocation-free in steady state).
 ///
@@ -428,7 +439,7 @@ pub fn encode<A: Into<WireAddr>>(
     // header[11] is reserved (0).
     header[12..20].copy_from_slice(&src.as_u64().to_le_bytes());
     header[20..28].copy_from_slice(&dst.as_u64().to_le_bytes());
-    header[28..47].copy_from_slice(&src_addr.into().0);
+    header[28..47].copy_from_slice(&src_addr.into().bytes());
     header[47..49].copy_from_slice(&(descriptors.len() as u16).to_le_bytes());
     buf.extend_from_slice(&header);
     for d in descriptors {
@@ -438,7 +449,7 @@ pub fn encode<A: Into<WireAddr>>(
         let mut record = [0u8; DESCRIPTOR_LEN];
         record[0..8].copy_from_slice(&d.id().as_u64().to_le_bytes());
         record[8..12].copy_from_slice(&d.hop_count().to_le_bytes());
-        record[12..].copy_from_slice(&addr.0);
+        record[12..].copy_from_slice(&addr.bytes());
         buf.extend_from_slice(&record);
     }
     debug_assert_eq!(buf.len(), payload + 4);
@@ -501,7 +512,7 @@ pub fn decode(bytes: &[u8]) -> Result<Frame<'_>, DecodeError> {
     let src = NodeId::new(get_u64(&bytes[12..20]));
     let dst = NodeId::new(get_u64(&bytes[20..28]));
     check_tag(bytes[28])?;
-    let src_addr = NetAddr::from(wire_at(&bytes[28..]));
+    let src_addr = NetAddr::from(WireAddr::read(&bytes[28..]));
     let count = get_u16(&bytes[47..49]) as usize;
     if count > MAX_DESCRIPTORS {
         return Err(DecodeError::Oversized { count });
@@ -529,8 +540,9 @@ pub fn decode(bytes: &[u8]) -> Result<Frame<'_>, DecodeError> {
 /// allocation and never pay a clear.
 #[derive(Default)]
 pub struct DecodeScratch {
-    keys: Vec<u64>,
-    stamps: Vec<u32>,
+    /// `(key, epoch stamp)` pairs: a probe reads one cache line, not one
+    /// in a key array and another in a stamp array.
+    slots: Vec<(u64, u32)>,
     epoch: u32,
 }
 
@@ -543,13 +555,12 @@ impl DecodeScratch {
     /// Prepares the table for `n` insertions and bumps the epoch.
     fn begin(&mut self, n: usize) {
         let capacity = (n * 4).next_power_of_two().max(64);
-        if self.keys.len() < capacity {
-            self.keys = vec![0; capacity];
-            self.stamps = vec![0; capacity];
+        if self.slots.len() < capacity {
+            self.slots = vec![(0, 0); capacity];
             self.epoch = 0;
         }
         if self.epoch == u32::MAX {
-            self.stamps.fill(0);
+            self.slots.fill((0, 0));
             self.epoch = 0;
         }
         self.epoch += 1;
@@ -557,18 +568,18 @@ impl DecodeScratch {
 
     /// Inserts `key`; false if it was already present this epoch.
     fn insert(&mut self, key: u64) -> bool {
-        let mask = self.keys.len() - 1;
+        let mask = self.slots.len() - 1;
         // SplitMix64-style scramble for the probe start.
         let mut h = key.wrapping_mul(0x9e37_79b9_7f4a_7c15);
         h ^= h >> 29;
         let mut i = (h as usize) & mask;
         loop {
-            if self.stamps[i] != self.epoch {
-                self.stamps[i] = self.epoch;
-                self.keys[i] = key;
+            let slot = &mut self.slots[i];
+            if slot.1 != self.epoch {
+                *slot = (key, self.epoch);
                 return true;
             }
-            if self.keys[i] == key {
+            if slot.0 == key {
                 return false;
             }
             i = (i + 1) & mask;
@@ -620,7 +631,7 @@ pub fn read_descriptors(
         out.push(NodeDescriptor::new(id, age));
     }
     for (d, chunk) in out.iter().zip(frame.body.chunks_exact(DESCRIPTOR_LEN)) {
-        learn(d.id(), wire_at(&chunk[12..]));
+        learn(d.id(), WireAddr::read(&chunk[12..]));
     }
     Ok(())
 }

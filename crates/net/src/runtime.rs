@@ -27,7 +27,8 @@
 //! 65th, and so on by [`RuntimeStats::frames_in`], with no RNG draw, so
 //! which frames are timed is as reproducible as the frames themselves. A
 //! clock pair costs about 100 ns on a 2-vCPU VM, a large share of a
-//! frame's decode; a sample says as much about the latency as a census.
+//! frame's decode, while a runtime absorbing 100 000 frames a second
+//! still records over 1 500 samples a second.
 //!
 //! # Each tick's frames are one batch
 //!
@@ -526,7 +527,7 @@ impl PeerTable {
     #[inline]
     fn learn(&mut self, id: NodeId, wire: WireAddr) {
         let peer = self.get(id);
-        if self.wire(peer) != Some(wire) {
+        if peer.addr == NONE || self.wires[peer.addr as usize] != wire {
             self.relearn(id, peer, wire);
         }
     }
