@@ -151,10 +151,10 @@ const TAG_V6: u8 = 6;
 /// the parsed addresses when that matters.
 ///
 /// The bytes are held as three little-endian words (bytes 0–7, 8–15 and
-/// 16–18), so moving one is three word moves and comparing two is three
-/// word compares. Held as a 19-byte array, each copy and compare on the
-/// runtime's frame path cost more than the parsing and re-encoding the
-/// wire form replaces.
+/// 16–18), so moving or comparing one is three word operations. Held as a
+/// 19-byte array, filled and read through the stack, the copies and
+/// compares on the runtime's frame path cost more than the parsing and
+/// re-encoding the wire form replaces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WireAddr([u64; 3]);
 
@@ -167,56 +167,55 @@ impl WireAddr {
         WireAddr([get_u64(&b[0..8]), get_u64(&b[8..16]), tail as u64])
     }
 
-    /// The 19 bytes, as they go on the wire.
-    fn bytes(self) -> [u8; ADDR_LEN] {
-        let mut b = [0u8; ADDR_LEN];
-        b[0..8].copy_from_slice(&self.0[0].to_le_bytes());
-        b[8..16].copy_from_slice(&self.0[1].to_le_bytes());
-        b[16..19].copy_from_slice(&self.0[2].to_le_bytes()[..3]);
-        b
+    /// Writes the 19 bytes, as they go on the wire, to `out[..ADDR_LEN]`.
+    fn write(self, out: &mut [u8]) {
+        out[0..8].copy_from_slice(&self.0[0].to_le_bytes());
+        out[8..16].copy_from_slice(&self.0[1].to_le_bytes());
+        out[16..19].copy_from_slice(&self.0[2].to_le_bytes()[..3]);
     }
 }
 
+// Both conversions work on the words directly (byte `i` of the wire form
+// is bits `8 × (i % 8)..` of word `i / 8`): going through a byte array
+// would make each word load wait on the byte stores that filled it.
+
 impl From<NetAddr> for WireAddr {
     fn from(addr: NetAddr) -> Self {
-        let mut b = [0u8; ADDR_LEN];
         match addr {
             NetAddr::Sock(SocketAddr::V4(s)) => {
-                b[0] = TAG_V4;
-                b[1..5].copy_from_slice(&s.ip().octets());
-                b[17..19].copy_from_slice(&s.port().to_le_bytes());
+                let ip = u32::from_le_bytes(s.ip().octets()) as u64;
+                WireAddr([TAG_V4 as u64 | ip << 8, 0, (s.port() as u64) << 8])
             }
             NetAddr::Sock(SocketAddr::V6(s)) => {
-                b[0] = TAG_V6;
-                b[1..17].copy_from_slice(&s.ip().octets());
-                b[17..19].copy_from_slice(&s.port().to_le_bytes());
+                let ip = u128::from_le_bytes(s.ip().octets());
+                WireAddr([
+                    TAG_V6 as u64 | (ip as u64) << 8,
+                    (ip >> 56) as u64,
+                    (ip >> 120) as u64 | (s.port() as u64) << 8,
+                ])
             }
-            NetAddr::Virtual(v) => {
-                b[0] = TAG_VIRTUAL;
-                b[1..9].copy_from_slice(&v.to_le_bytes());
-            }
+            NetAddr::Virtual(v) => WireAddr([TAG_VIRTUAL as u64 | v << 8, v >> 56, 0]),
         }
-        WireAddr::read(&b)
     }
 }
 
 impl From<WireAddr> for NetAddr {
     /// Parses the wire form; padding bytes are ignored.
     fn from(wire: WireAddr) -> Self {
-        let b = &wire.bytes();
-        match b[0] {
+        let [low, mid, high] = wire.0;
+        let port = (high >> 8) as u16;
+        match low as u8 {
             TAG_V4 => {
-                let ip = Ipv4Addr::new(b[1], b[2], b[3], b[4]);
-                NetAddr::Sock(SocketAddr::new(IpAddr::V4(ip), get_u16(&b[17..19])))
+                let ip = Ipv4Addr::from(((low >> 8) as u32).to_le_bytes());
+                NetAddr::Sock(SocketAddr::new(IpAddr::V4(ip), port))
             }
             TAG_V6 => {
-                let mut octets = [0u8; 16];
-                octets.copy_from_slice(&b[1..17]);
-                let ip = Ipv6Addr::from(octets);
-                NetAddr::Sock(SocketAddr::new(IpAddr::V6(ip), get_u16(&b[17..19])))
+                let ip = (low >> 8) as u128 | (mid as u128) << 56 | ((high & 0xff) as u128) << 120;
+                let ip = Ipv6Addr::from(ip.to_le_bytes());
+                NetAddr::Sock(SocketAddr::new(IpAddr::V6(ip), port))
             }
             // Every WireAddr carries one of the three tags.
-            _ => NetAddr::Virtual(get_u64(&b[1..9])),
+            _ => NetAddr::Virtual(low >> 8 | mid << 56),
         }
     }
 }
@@ -439,7 +438,7 @@ pub fn encode<A: Into<WireAddr>>(
     // header[11] is reserved (0).
     header[12..20].copy_from_slice(&src.as_u64().to_le_bytes());
     header[20..28].copy_from_slice(&dst.as_u64().to_le_bytes());
-    header[28..47].copy_from_slice(&src_addr.into().bytes());
+    src_addr.into().write(&mut header[28..47]);
     header[47..49].copy_from_slice(&(descriptors.len() as u16).to_le_bytes());
     buf.extend_from_slice(&header);
     for d in descriptors {
@@ -449,7 +448,7 @@ pub fn encode<A: Into<WireAddr>>(
         let mut record = [0u8; DESCRIPTOR_LEN];
         record[0..8].copy_from_slice(&d.id().as_u64().to_le_bytes());
         record[8..12].copy_from_slice(&d.hop_count().to_le_bytes());
-        record[12..].copy_from_slice(&addr.bytes());
+        addr.write(&mut record[12..]);
         buf.extend_from_slice(&record);
     }
     debug_assert_eq!(buf.len(), payload + 4);
