@@ -36,7 +36,7 @@ pub struct NetResult {
     /// The view size (for the in-degree ≈ c check).
     pub view_size: usize,
     /// Whether a schedule drove the run (selects the recovery gate).
-    scheduled: bool,
+    pub(crate) scheduled: bool,
 }
 
 impl Report for NetResult {
