@@ -22,7 +22,7 @@ use pss_core::{NodeId, PolicyTriple, ProtocolConfig};
 use pss_sim::audit::{audit_rows, AttackRecord, HonestPolicy, SampleAudit};
 use pss_sim::workload::{run_workload_observed, Workload};
 
-use crate::report::{fmt_f64, fmt_percent, Report, Section, Table};
+use crate::report::{fmt_f64, fmt_percent, Cell, Cmp, Report, Section, Table};
 use crate::stacks::{on_every_stack, Stack};
 use crate::Options;
 
@@ -92,41 +92,35 @@ impl Report for AdversaryResult {
         vec![Section::new("adversary", table, None)]
     }
 
-    /// Passes when the honest overlay survived everywhere (largest
-    /// attacker-free component ≥ 50 % of live honest nodes — captured
-    /// policies shed real connectivity, that is the attack working) and,
-    /// per stack, the swapper's capture never exceeds newscast's — the
-    /// defense ordering the CI smoke pins. The `max(2.0)` floor keeps
-    /// near-benign schedules (where both skews sit around 1) from
-    /// flickering the gate.
-    fn verdict(&self) -> Result<(), String> {
-        let survived = self
-            .outcomes
-            .iter()
-            .all(|o| o.final_record.honest_component_fraction() >= 0.50);
-        let ordered = Stack::ALL.into_iter().all(|stack| {
-            match (
-                skew_of(&self.outcomes, stack, "newscast"),
-                skew_of(&self.outcomes, stack, "hs swapper"),
-            ) {
-                (Some(news), Some(swap)) => swap <= news.max(2.0),
-                _ => true,
+    /// Per policy × stack, `{policy} × {stack}: honest component` ≥ 0.50:
+    /// the honest overlay survived (captured policies shed real
+    /// connectivity, that is the attack working). Per stack,
+    /// `{stack}: hs swapper skew` ≤ max(newscast's skew, 2.0): the
+    /// swapper's capture never exceeds newscast's — the defense ordering
+    /// the CI smoke pins. The 2.0 floor keeps near-benign schedules
+    /// (where both skews sit around 1) from flickering the gate.
+    fn cells(&self) -> Vec<Cell> {
+        let mut cells: Vec<Cell> = (self.outcomes.iter())
+            .map(|o| {
+                let key = format!("{} × {}: honest component", o.policy, o.stack.label());
+                let survived = o.final_record.honest_component_fraction();
+                Cell::new(key, survived, Cmp::AtLeast, 0.50)
+            })
+            .collect();
+        for stack in Stack::ALL {
+            let news = skew_of(&self.outcomes, stack, "newscast");
+            if let (Some(news), Some(swap)) = (news, skew_of(&self.outcomes, stack, "hs swapper")) {
+                let key = format!("{}: hs swapper skew", stack.label());
+                cells.push(Cell::new(key, swap, Cmp::AtMost, news.max(2.0)));
             }
-        });
-        if survived && ordered {
-            Ok(())
-        } else {
-            Err("adversary sweep broke the honest overlay or the defense ordering".into())
         }
+        cells
     }
 
     fn summary(&self) -> Option<String> {
         Some(format!(
-            "{} nodes, schedule `{}`, {} shards: healthy = {}",
-            self.nodes,
-            self.schedule,
-            self.shards,
-            self.verdict().is_ok()
+            "{} nodes, schedule `{}`, {} shards",
+            self.nodes, self.schedule, self.shards
         ))
     }
 }
@@ -249,6 +243,7 @@ pub fn run(o: &Options) -> Result<AdversaryResult, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::assert_gate_holds;
     use crate::stacks::assert_same_membership;
     use crate::Scale;
 
@@ -268,7 +263,7 @@ mod tests {
         let runs = 4 * Stack::ALL.len();
         assert_eq!(result.outcomes.len(), runs);
         assert_eq!(result.sections()[0].summary.len(), runs);
-        assert!(result.verdict().is_ok(), "{result:?}");
+        assert_gate_holds(&result);
         for corner in result.outcomes.chunks(Stack::ALL.len()) {
             assert_same_membership(corner.iter().map(|o| {
                 let f = &o.final_record;

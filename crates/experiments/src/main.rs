@@ -18,7 +18,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
-use pss_experiments::report::{Report, Section};
+use pss_experiments::report::{Cell, Report, Section};
 use pss_experiments::{
     adversary, apps, asynchrony, fig2, fig3, fig4, fig5, fig6, fig7, hs_ablation, metrics, net,
     policies, protocols, scaling, table1, table2, workload, Options, Scale,
@@ -234,8 +234,9 @@ fn parse_num<T: std::str::FromStr>(s: &str) -> Result<T, String> {
 }
 
 /// Runs one command: caps its scale, prints its sections, prints its
-/// summary, records its gate in the flight recorder and returns the gate's
-/// error.
+/// summary and its gate line, records its gate in the flight recorder
+/// and fails with `<command> gate failed: <cell>` on the first failing
+/// cell.
 fn run_command(command: &Command, cli: &Cli) -> Result<(), String> {
     let started = Instant::now();
     let (max_nodes, max_cycles) = command.caps;
@@ -259,10 +260,18 @@ fn run_command(command: &Command, cli: &Cli) -> Result<(), String> {
             eprintln!("   {line}");
         }
     }
-    let verdict = report.verdict();
-    let pass = u64::from(verdict.is_ok());
-    pss_telemetry::flight().record(EventKind::GateEval, command.name, pass, 0);
-    verdict?;
+    let cells = report.cells();
+    let failing: Vec<&Cell> = cells.iter().filter(|c| !c.holds).collect();
+    let gate = if failing.is_empty() { "pass" } else { "FAIL" };
+    let (held, all) = (cells.len() - failing.len(), cells.len());
+    if all > 0 {
+        eprintln!("   gate: {gate} ({held}/{all} cells hold)");
+    }
+    let (pass, failed) = (u64::from(failing.is_empty()), failing.len() as u64);
+    pss_telemetry::flight().record(EventKind::GateEval, command.name, pass, failed);
+    if let Some(cell) = failing.first() {
+        return Err(format!("{} gate failed: {cell}", command.name));
+    }
     eprintln!("[{} finished in {:.1?}]", command.name, started.elapsed());
     Ok(())
 }
@@ -389,6 +398,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pss_experiments::report::Cmp;
 
     fn args(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
@@ -544,6 +554,34 @@ mod tests {
     #[test]
     fn metrics_declares_its_caps_in_its_row() {
         assert_eq!(caps("metrics"), (600, u64::MAX));
+    }
+
+    /// A gate of two cells, the second failing.
+    struct HalfGate;
+
+    impl Report for HalfGate {
+        fn sections(&self) -> Vec<Section> {
+            Vec::new()
+        }
+
+        fn cells(&self) -> Vec<Cell> {
+            let cell = |key, value| Cell::new(key, value, Cmp::AtLeast, 1.0);
+            vec![cell("held", 1.0), cell("missed", 0.5)]
+        }
+    }
+
+    #[test]
+    fn the_first_failing_cell_is_the_error_line() {
+        let command = Command {
+            name: "half",
+            help: "",
+            options: &[],
+            caps: UNCAPPED,
+            run: |_| Ok(Box::new(HalfGate)),
+        };
+        let cli = parse_args(&args("apps --scale tiny")).unwrap();
+        let err = run_command(&command, &cli).unwrap_err();
+        assert_eq!(err, "half gate failed: missed = 0.500, needs ≥ 1");
     }
 
     #[test]

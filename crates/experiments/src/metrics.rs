@@ -4,26 +4,26 @@
 //! [`pss_telemetry`] registry: the sharded cycle engine and the sharded
 //! event engine time their phases and shard imbalance, the workload
 //! driver stamps per-period wall time, per-period measurement time and
-//! membership ops, the UDP runtime histograms exchange RTTs, timer-wheel
-//! lag, per-frame-kind decode latency (one frame in 64) and frames
-//! drained per tick, the
-//! cluster harness times periods, and the application layer times its
-//! rounds. This experiment exercises all of them in one deterministic
+//! membership ops, the network runtime histograms exchange RTTs,
+//! timer-wheel lag, per-frame-kind decode latency (one frame in 64) and
+//! frames drained per tick, the cluster harness times periods, and the
+//! application layer times its rounds. This experiment exercises all of them in one deterministic
 //! pass — a churned workload on both simulation engines, a
-//! broadcast/aggregation run on top, and a tiny loopback UDP cluster —
-//! then reports the registry: one row per metric series with count,
-//! p50/p99 and max from the log2 histograms, plus the full Prometheus text
-//! exposition.
+//! broadcast/aggregation run on top, and a tiny cluster of runtimes over
+//! the in-memory mesh whose broadcast carries app frames — then reports
+//! the registry: one row per metric series with count, p50/p99 and max
+//! from the log2 histograms, plus the full Prometheus text exposition.
 //!
-//! The health gate checks that every required metric family is present
-//! and nonzero — CI's "Assert required metric families present and
-//! nonzero" step scrapes exactly this. Telemetry never feeds back into
-//! protocol state: the pinned determinism digests are recorded with the
+//! The gate's cells check that every required metric family, and every
+//! frame kind of the decode histogram, recorded — CI's "Assert required
+//! metric families present and nonzero" step scrapes the same families.
+//! Telemetry never feeds back into protocol state: the pinned determinism digests are recorded with the
 //! registry recording, as it always does.
 
+use pss_net::cluster::{self, ClusterBroadcast};
 use pss_telemetry::MetricRow;
 
-use crate::report::{Report, Section, Table};
+use crate::report::{Cell, Cmp, Report, Section, Table};
 use crate::{net, protocols, workload, Options};
 
 /// Metric families the cross-stack run must populate (the list CI's
@@ -100,30 +100,31 @@ impl Report for MetricsResult {
         vec![section]
     }
 
-    /// Passes when every family of [`REQUIRED_FAMILIES`] recorded at least
-    /// one nonzero observation and the flight recorder captured events.
-    fn verdict(&self) -> Result<(), String> {
-        let missing: Vec<&str> = REQUIRED_FAMILIES
-            .iter()
-            .filter(|family| !self.rows.iter().any(|r| r.name == **family && r.value > 0))
-            .copied()
+    /// `{family}` ≥ 1 observation, summed over its series, for every
+    /// family of [`REQUIRED_FAMILIES`]; `pss_net_decode_ns{kind=…}` ≥ 1
+    /// for every frame kind (`request`, `reply`, `app`), not only the
+    /// family; and `flight recorder events` ≥ 1.
+    fn cells(&self) -> Vec<Cell> {
+        let at_least_one = |key: String, n: u64| Cell::new(key, n as f64, Cmp::AtLeast, 1.0);
+        let mut cells: Vec<Cell> = (REQUIRED_FAMILIES.iter())
+            .map(|&family| {
+                let rows = self.rows.iter().filter(|r| r.name == family);
+                at_least_one(family.into(), rows.map(|r| r.value).sum())
+            })
             .collect();
-        if missing.is_empty() && self.flight_recorded > 0 {
-            Ok(())
-        } else {
-            Err(format!(
-                "telemetry exercise left metric families empty: {missing:?}"
-            ))
-        }
+        let decode = self.rows.iter().filter(|r| r.name == "pss_net_decode_ns");
+        cells.extend(decode.map(|r| at_least_one(format!("{}{{{}}}", r.name, r.labels), r.value)));
+        let events = self.flight_recorded;
+        cells.push(at_least_one("flight recorder events".into(), events));
+        cells
     }
 
     fn summary(&self) -> Option<String> {
         Some(format!(
-            "{} series, flight recorder {}/{} events buffered, healthy = {}",
+            "{} series, flight recorder {}/{} events buffered",
             self.rows.len(),
             self.flight_len,
             self.flight_recorded,
-            self.verdict().is_ok()
         ))
     }
 }
@@ -162,11 +163,22 @@ pub fn run(o: &Options) -> Result<MetricsResult, String> {
     let newscast = [pss_core::PolicyTriple::newscast()];
     protocols::sweep(&on_stacks(app_scale), &churn, &newscast)?;
 
-    // A tiny loopback UDP cluster: RTTs, decode latency, period wall time.
+    // A tiny cluster of runtimes carrying a broadcast over the in-memory
+    // mesh, in virtual time: RTTs, per-kind decode latency (app frames
+    // included) and period times, all a function of the seed alone.
     let mut net_scale = o.scale;
     net_scale.nodes = net_scale.nodes.min(48);
     net_scale.cycles = net_scale.cycles.min(10);
-    net::loopback(net_scale, 2, 40, 10, None)?;
+    let mut config = net::cluster_config(net_scale, 2, 40, 10, None)?;
+    config.broadcast = Some(ClusterBroadcast {
+        origin: pss_core::NodeId::new(0),
+        fanout: 2,
+        start_period: 2,
+    });
+    let latency = pss_sim::LatencyModel::Uniform { min: 1, max: 10 };
+    let mesh = pss_net::MemNetwork::new(net_scale.seed, latency, 0.0);
+    let mesh = mesh.map_err(|e| e.to_string())?;
+    cluster::run_mem(&config, &mesh).map_err(|e| e.to_string())?;
 
     let registry = pss_telemetry::global();
     Ok(MetricsResult {
@@ -181,6 +193,7 @@ pub fn run(o: &Options) -> Result<MetricsResult, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::assert_gate_holds;
     use crate::Scale;
 
     #[test]
@@ -188,7 +201,7 @@ mod tests {
         let mut scale = Scale::tiny();
         scale.nodes = 150;
         let result = run(&Options::at(scale)).expect("valid schedules");
-        result.verdict().expect("every family populated");
+        assert_gate_holds(&result);
         assert!(!result.sections()[0].summary.is_empty());
         for family in REQUIRED_FAMILIES {
             assert!(

@@ -21,7 +21,8 @@ use pss_core::{PolicyTriple, ProtocolConfig};
 use pss_net::cluster::{self, ClusterConfig, ClusterReport};
 use pss_sim::Workload;
 
-use crate::report::{fmt_f64, fmt_percent, Report, Section, Table};
+use crate::report::{fmt_f64, fmt_percent, Cell, Cmp, Report, Section, Table};
+use crate::stacks::Health;
 use crate::{Options, Scale};
 
 /// Result of the loopback-cluster experiment.
@@ -84,47 +85,36 @@ impl Report for NetResult {
         vec![Section::new("net", table, None)]
     }
 
-    /// The acceptance gate the CI smokes check: no codec error, and in the
-    /// final period either ≥ 99% full views with the in-degree mean within
-    /// half a link of `c`, or — after a schedule, whose damage must have
-    /// healed — ≥ 95% full views, ≥ 95% of live nodes in the largest
-    /// component and ≤ 10% dead links.
-    fn verdict(&self) -> Result<(), String> {
-        let overlay = self.report.records.last().is_some_and(|last| {
-            if self.scheduled {
-                last.full_fraction() >= 0.95
-                    && last.component_fraction() >= 0.95
-                    && last.dead_link_fraction() <= 0.10
-            } else {
-                last.full_fraction() >= 0.99
-                    && (last.in_degree_mean - self.view_size as f64).abs() <= 0.5
-            }
-        });
-        if overlay && self.report.stats.decode_failures() == 0 {
-            Ok(())
+    /// The acceptance gate the CI smokes check, on the last period:
+    /// `full views` ≥ 0.99 and `|in-degree mean − c|` ≤ 0.5 — or, after a
+    /// schedule, whose damage must have healed, `full views` ≥ 0.95 and
+    /// [`Health::healthy`] (`component` ≥ 0.95, `dead links` ≤ 0.10) —
+    /// and `decode failures` ≤ 0.
+    fn cells(&self) -> Vec<Cell> {
+        let Some(last) = self.report.records.last() else {
+            return vec![Cell::new("periods", 0.0, Cmp::AtLeast, 1.0)];
+        };
+        let full = last.full_fraction();
+        let full = |bound| Cell::new("last period: full views", full, Cmp::AtLeast, bound);
+        let mut cells = if self.scheduled {
+            let [component, dead] = Health::worst([last]).healthy("last period");
+            vec![full(0.95), component, dead]
         } else {
-            Err("loopback cluster failed to converge or recover cleanly".into())
-        }
+            let off = (last.in_degree_mean - self.view_size as f64).abs();
+            let key = "last period: |in-degree mean − c|";
+            vec![full(0.99), Cell::new(key, off, Cmp::AtMost, 0.5)]
+        };
+        let failures = self.report.stats.decode_failures() as f64;
+        cells.push(Cell::new("decode failures", failures, Cmp::AtMost, 0.0));
+        cells
     }
 
+    /// Throughput is the table's `kfps / kxps` row.
     fn summary(&self) -> Option<String> {
         Some(format!(
-            "{} nodes on {} runtimes: {} frames/s, {} exchanges/s, healthy = {}",
-            self.nodes,
-            self.runtimes,
-            fmt_rate(self.report.frames_per_sec()),
-            fmt_rate(self.report.exchanges_per_sec()),
-            self.verdict().is_ok()
+            "{} nodes on {} runtimes",
+            self.nodes, self.runtimes
         ))
-    }
-}
-
-/// Human throughput formatting for the summary line.
-fn fmt_rate(x: f64) -> String {
-    if x >= 1000.0 {
-        format!("{:.1}k", x / 1000.0)
-    } else {
-        format!("{x:.0}")
     }
 }
 
@@ -142,35 +132,38 @@ fn fmt_rate(x: f64) -> String {
 /// Panics if the loopback sockets cannot be bound (no loopback interface —
 /// not a scenario the experiment supports degrading through).
 pub fn run(o: &Options) -> Result<NetResult, String> {
-    loopback(
-        o.scale,
-        o.workers.unwrap_or(4),
-        100,
-        20,
-        o.schedule.as_deref(),
-    )
+    let schedule = o.schedule.as_deref();
+    let config = cluster_config(o.scale, o.workers.unwrap_or(4), 100, 20, schedule)?;
+    let report = cluster::run(&config).expect("loopback sockets available");
+    Ok(NetResult {
+        report,
+        nodes: o.scale.nodes,
+        runtimes: config.runtimes,
+        view_size: o.scale.view_size,
+        scheduled: schedule.is_some(),
+    })
 }
 
-/// The cluster at `scale` on `runtimes` runtimes, with the gossip period
-/// and timer jitter in milliseconds (the period is also the wall-clock
-/// cost per period). Each joiner knows [`ClusterConfig::small`]'s 3
-/// introducers. An optional membership `schedule` is compiled against
-/// `scale.nodes` with `scale.seed`; its period count overrides
-/// `scale.cycles`.
-pub(crate) fn loopback(
+/// The Newscast cluster at `scale` on `runtimes` runtimes, with the gossip
+/// period and timer jitter in milliseconds (over UDP, the period is also
+/// the wall-clock cost per period). Each joiner knows
+/// [`ClusterConfig::small`]'s 3 introducers. An optional membership
+/// `schedule` is compiled against `scale.nodes` with `scale.seed`; its
+/// period count overrides `scale.cycles`.
+pub(crate) fn cluster_config(
     scale: Scale,
     runtimes: usize,
     period_ms: u64,
     jitter_ms: u64,
     schedule: Option<&str>,
-) -> Result<NetResult, String> {
+) -> Result<ClusterConfig, String> {
     let workload = schedule
         .map(|s| Workload::parse(s, scale.seed))
         .transpose()
         .map_err(|e| e.to_string())?;
     let protocol =
         ProtocolConfig::new(PolicyTriple::newscast(), scale.view_size).expect("valid scale");
-    let cluster_config = ClusterConfig {
+    Ok(ClusterConfig {
         nodes: scale.nodes,
         runtimes: runtimes.min(scale.nodes),
         period_ms,
@@ -179,20 +172,13 @@ pub(crate) fn loopback(
         seed: scale.seed,
         workload,
         ..ClusterConfig::small(protocol)
-    };
-    let report = cluster::run(&cluster_config).expect("loopback sockets available");
-    Ok(NetResult {
-        report,
-        nodes: scale.nodes,
-        runtimes: cluster_config.runtimes,
-        view_size: scale.view_size,
-        scheduled: schedule.is_some(),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::assert_gate_holds;
 
     #[test]
     fn tiny_cluster_runs_and_reports() {
@@ -205,7 +191,7 @@ mod tests {
         })
         .unwrap();
         assert_eq!(result.report.periods.len(), 12);
-        assert!(result.verdict().is_ok(), "{:?}", result.report);
+        assert_gate_holds(&result);
         // Table has one row per period plus two summary rows.
         assert_eq!(result.sections()[0].summary.len(), 14);
     }

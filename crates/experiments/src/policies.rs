@@ -32,7 +32,7 @@ pub struct PolicyDiagnosis {
 
 impl PolicyDiagnosis {
     /// Classifies the pathology, mirroring the paper's exclusion rules.
-    pub fn verdict(&self, baseline_clustering: f64) -> &'static str {
+    pub fn classify(&self, baseline_clustering: f64) -> &'static str {
         if self.components > 1 {
             "PARTITIONED"
         } else if self.max_degree_fraction > 0.5 {
@@ -77,7 +77,7 @@ impl Report for PoliciesResult {
                 fmt_f64(d.max_degree_fraction, 3),
                 fmt_f64(d.joiner_degree, 2),
                 fmt_f64(d.joiner_in_degree, 2),
-                d.verdict(self.baseline_clustering).into(),
+                d.classify(self.baseline_clustering).into(),
                 if d.policy.is_degenerate() {
                     "degenerate".into()
                 } else {
@@ -202,7 +202,7 @@ mod tests {
         // The kept protocols look healthy.
         let newscast = find("(rand,head,pushpull)");
         assert_eq!(newscast.components, 1);
-        assert_eq!(newscast.verdict(result.baseline_clustering), "ok");
+        assert_eq!(newscast.classify(result.baseline_clustering), "ok");
 
         assert_eq!(result.sections()[0].summary.len(), 27);
     }

@@ -23,7 +23,7 @@ use pss_sim::audit::HonestPolicy;
 use pss_sim::workload::{PeriodRecord, Workload};
 
 use crate::parallel::parallel_map;
-use crate::report::{fmt_f64, fmt_percent, Report, Section, Table};
+use crate::report::{fmt_f64, fmt_percent, Cell, Cmp, Report, Section, Table};
 use crate::stacks::{on_every_stack, Health, Stack};
 use crate::Options;
 
@@ -145,28 +145,20 @@ impl Report for ProtocolsResult {
         vec![Section::new("protocols", table, Some(series))]
     }
 
-    /// Passes when every run ends on a healthy overlay
-    /// ([`Health::healthy`]) with the rumor delivered to ≥ 90% of the
-    /// surviving population.
-    fn verdict(&self) -> Result<(), String> {
-        let healthy = self.runs.iter().all(|r| {
-            let overlay_ok = (r.records.last()).is_some_and(|end| Health::worst([end]).healthy());
-            overlay_ok && r.report.delivery_ratio() >= 0.90
-        });
-        if healthy {
-            Ok(())
-        } else {
-            Err("an application run missed delivery or left an unhealthy overlay".into())
+    /// Per run, keyed `{schedule} × {stack} × {policy} × {sampler}`: the
+    /// end of the run is healthy ([`Health::healthy`]: `component`
+    /// ≥ 0.95, `dead links` ≤ 0.10) and the rumor reached ≥ 90% of the
+    /// surviving population (`delivery` ≥ 0.90).
+    fn cells(&self) -> Vec<Cell> {
+        let mut cells = Vec::new();
+        for r in &self.runs {
+            let (stack, sampler) = (r.stack.label(), r.sampler.label());
+            let key = format!("{} × {stack} × {} × {sampler}", r.schedule, r.policy);
+            cells.extend(Health::worst(r.records.last()).healthy(&key));
+            let (delivery, key) = (r.report.delivery_ratio(), format!("{key}: delivery"));
+            cells.push(Cell::new(key, delivery, Cmp::AtLeast, 0.90));
         }
-    }
-
-    fn summary(&self) -> Option<String> {
-        Some(format!(
-            "{} nodes, {} runs: healthy = {}",
-            self.nodes,
-            self.runs.len(),
-            self.verdict().is_ok()
-        ))
+        cells
     }
 }
 
@@ -247,6 +239,7 @@ pub(crate) fn sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::assert_gate_holds;
     use crate::stacks::{assert_same_membership, membership};
     use crate::Scale;
 
@@ -269,7 +262,7 @@ mod tests {
             }));
         }
         let section = result.sections().remove(0);
-        assert!(result.verdict().is_ok(), "{}", section.summary);
+        assert_gate_holds(&result);
         // The partition schedule must show blocked app traffic; the churn
         // schedule must show wasted deliveries on the overlay sampler.
         let blocked: u64 = result

@@ -1,5 +1,12 @@
-//! Plain-text tables and CSV emission for experiment results, and the
-//! [`Report`] trait every result implements for the `experiments` CLI.
+//! Plain-text tables and CSV emission for experiment results, the
+//! [`Report`] trait every result implements for the `experiments` CLI,
+//! and the [`Cell`] every gate is made of.
+//!
+//! A gate is data: [`Report::cells`], one [`Cell`] per gated predicate
+//! per row. The CLI prints `gate: pass|FAIL (k/n cells hold)` to stderr
+//! and fails with `<command> gate failed: <first failing cell>`. The six
+//! gated commands (`workload`, `matrix`, `protocols`, `adversary`, `net`,
+//! `metrics`) list their cells in their `cells()` docs.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -11,18 +18,80 @@ pub trait Report {
     /// The stdout sections, in print order.
     fn sections(&self) -> Vec<Section>;
 
-    /// The health gate; the error is what the CLI prints before it exits 1.
+    /// The gate: one [`Cell`] per gated predicate per row, in the order
+    /// the rows print. Empty for an ungated command.
+    fn cells(&self) -> Vec<Cell> {
+        Vec::new()
+    }
+
+    /// The gate's outcome.
     ///
     /// # Errors
     ///
-    /// Describes the first violated condition.
-    fn verdict(&self) -> Result<(), String> {
-        Ok(())
+    /// The first cell of [`Report::cells`] that fails.
+    fn verdict(&self) -> Result<(), Cell> {
+        let failing = self.cells().into_iter().find(|c| !c.holds);
+        failing.map_or(Ok(()), Err)
     }
 
     /// Printed to stderr after the sections.
     fn summary(&self) -> Option<String> {
         None
+    }
+}
+
+/// How a [`Cell`] compares its value with its bound.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Cmp {
+    /// value ≥ bound.
+    AtLeast,
+    /// value ≤ bound.
+    AtMost,
+    /// value < bound.
+    Below,
+}
+
+/// One gated predicate of one row: a measured value against a bound.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Cell {
+    /// What was measured, e.g. `churn × cycle: component`.
+    pub key: String,
+    /// The measured value.
+    pub value: f64,
+    /// How the value is compared with the bound.
+    pub cmp: Cmp,
+    /// The bound.
+    pub bound: f64,
+    /// Whether `value cmp bound`.
+    pub holds: bool,
+}
+
+impl Cell {
+    /// A cell that holds when `value cmp bound`.
+    pub fn new(key: impl Into<String>, value: f64, cmp: Cmp, bound: f64) -> Cell {
+        let holds = match cmp {
+            Cmp::AtLeast => value >= bound,
+            Cmp::AtMost => value <= bound,
+            Cmp::Below => value < bound,
+        };
+        let key = key.into();
+        Cell {
+            key,
+            value,
+            cmp,
+            bound,
+            holds,
+        }
+    }
+}
+
+/// `key = value, needs ≥ bound`; whole numbers print without decimals.
+impl std::fmt::Display for Cell {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let num = |x: f64| format!("{x:.*}", if x.fract() == 0.0 { 0 } else { 3 });
+        let cmp = ["≥", "≤", "<"][self.cmp as usize];
+        let (key, value, bound) = (&self.key, num(self.value), num(self.bound));
+        write!(f, "{key} = {value}, needs {cmp} {bound}")
     }
 }
 
@@ -184,6 +253,18 @@ pub fn fmt_percent(x: f64) -> String {
 }
 
 #[cfg(test)]
+/// Asserts that `report` is gated and that every cell of its gate holds.
+pub(crate) fn assert_gate_holds(report: &dyn Report) {
+    let cells = report.cells();
+    assert!(!cells.is_empty(), "no gate cells");
+    let failing: Vec<String> = (cells.iter().filter(|c| !c.holds))
+        .map(ToString::to_string)
+        .collect();
+    assert!(failing.is_empty(), "failing cells: {failing:#?}");
+    assert_eq!(report.verdict(), Ok(()));
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -220,6 +301,20 @@ mod tests {
         let content = std::fs::read_to_string(&path).unwrap();
         assert_eq!(content, "x\n1\n");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn cell_prints_key_value_and_bound() {
+        let cell = Cell::new("churn × cycle: component", 0.93, Cmp::AtLeast, 0.95);
+        assert!(!cell.holds);
+        let text = "churn × cycle: component = 0.930, needs ≥ 0.950";
+        assert_eq!(cell.to_string(), text);
+        let cell = Cell::new("decode failures", 0.0, Cmp::AtMost, 0.0);
+        assert!(cell.holds);
+        assert_eq!(cell.to_string(), "decode failures = 0, needs ≤ 0");
+        let cell = Cell::new("hop", 0.5, Cmp::Below, 0.5);
+        assert!(!cell.holds);
+        assert_eq!(cell.to_string(), "hop = 0.500, needs < 0.500");
     }
 
     #[test]
@@ -270,10 +365,10 @@ mod gate_bounds {
         }
     }
 
-    /// The gate fails, and its error names `what`.
+    /// The gate fails, and its first failing cell's key names `what`.
     fn fails_on(report: &dyn Report, what: &str) {
         let err = report.verdict().expect_err("the gate fails");
-        assert!(err.contains(what), "`{err}` does not name `{what}`");
+        assert!(err.key.contains(what), "`{err}` does not name `{what}`");
     }
 
     /// An end-of-run record: largest component `comp.0 / comp.1` of the
@@ -322,11 +417,11 @@ mod gate_bounds {
         holds(&workload(&[(HOP, record(AT_95, AT_10))], false));
         fails_on(
             &workload(&[(HOP, record(PAST_95, CLEAN))], false),
-            "hop mode",
+            "hop: component",
         );
         fails_on(
             &workload(&[(TS, record(WHOLE, PAST_10))], false),
-            "timestamp mode",
+            "timestamp: dead links",
         );
     }
 
@@ -339,7 +434,7 @@ mod gate_bounds {
         ));
         fails_on(
             &workload(&[(HOP, split), (TS, record(WHOLE, CLEAN))], false),
-            "hop mode",
+            "hop: component",
         );
     }
 
@@ -349,7 +444,7 @@ mod gate_bounds {
         holds(&workload(&[(HOP, split), (TS, record(AT_95, AT_10))], true));
         fails_on(
             &workload(&[(HOP, split), (TS, record(AT_95, PAST_10))], true),
-            "timestamp mode",
+            "timestamp: dead links",
         );
         // Timestamp 1e-10 below hop-count holds inside the slack; 2e-9
         // below fails.
@@ -357,7 +452,10 @@ mod gate_bounds {
         let within = record((9_699_999_999, 10_000_000_000), CLEAN);
         let below = record((9_699_999_980, 10_000_000_000), CLEAN);
         holds(&workload(&[(HOP, hop), (TS, within)], true));
-        fails_on(&workload(&[(HOP, hop), (TS, below)], true), "ordering");
+        fails_on(
+            &workload(&[(HOP, hop), (TS, below)], true),
+            "cycle: timestamp component vs hop-count",
+        );
     }
 
     /// The sixteen-cell matrix, every cell ending whole and clean except
@@ -399,14 +497,14 @@ mod gate_bounds {
         let split = record(PAST_95, CLEAN);
         fails_on(
             &matrix(&[("churn", false, HOP, split)]),
-            "churn × (rand,rand,pushpull) × hop",
+            "churn × (rand,rand,pushpull) × hop: component",
         );
         // Newscast: component and dead links.
         holds(&matrix(&[("catastrophe", true, TS, record(AT_95, AT_10))]));
         let stale = record(WHOLE, PAST_10);
         fails_on(
             &matrix(&[("herd", true, TS, stale)]),
-            "herd × (rand,head,pushpull) × timestamp",
+            "herd × (rand,head,pushpull) × timestamp: dead links",
         );
     }
 
@@ -415,8 +513,14 @@ mod gate_bounds {
         let ts = |comp, dead| [("partition", true, TS, record(comp, dead))];
         holds(&matrix(&ts((98, 100), (6, 100))));
         let key = "partition × (rand,head,pushpull) × timestamp";
-        fails_on(&matrix(&ts((9_799, 10_000), (6, 100))), key);
-        fails_on(&matrix(&ts((98, 100), (601, 10_000))), key);
+        fails_on(
+            &matrix(&ts((9_799, 10_000), (6, 100))),
+            &format!("{key}: component"),
+        );
+        fails_on(
+            &matrix(&ts((98, 100), (601, 10_000))),
+            &format!("{key}: dead links"),
+        );
     }
 
     #[test]
@@ -428,7 +532,7 @@ mod gate_bounds {
             ]
         };
         holds(&matrix(&hop((9_799_999_980, 10_000_000_000))));
-        let key = "partition × (rand,head,pushpull) × hop";
+        let key = "partition × (rand,head,pushpull) × hop: component";
         fails_on(&matrix(&hop((9_799_999_999, 10_000_000_000))), key);
         fails_on(&matrix(&hop((98, 100))), key);
     }
@@ -481,19 +585,14 @@ mod gate_bounds {
     #[test]
     fn protocols_runs_hold_at_95_10_and_delivery() {
         let (full, partial) = app_reports();
+        let key = |what| format!("churn × cycle × (rand,head,pushpull) × overlay: {what}");
         holds(&protocols(record(AT_95, AT_10), &full));
-        fails_on(
-            &protocols(record(PAST_95, CLEAN), &full),
-            "unhealthy overlay",
-        );
+        fails_on(&protocols(record(PAST_95, CLEAN), &full), &key("component"));
         fails_on(
             &protocols(record(WHOLE, PAST_10), &full),
-            "unhealthy overlay",
+            &key("dead links"),
         );
-        fails_on(
-            &protocols(record(WHOLE, CLEAN), &partial),
-            "missed delivery",
-        );
+        fails_on(&protocols(record(WHOLE, CLEAN), &partial), &key("delivery"));
     }
 
     /// Four corners on every stack: each honest component `comp`, newscast
@@ -540,15 +639,18 @@ mod gate_bounds {
     #[test]
     fn adversary_holds_at_half_the_honest_nodes() {
         holds(&adversary((50, 100), 1.0, 1.0));
-        fails_on(&adversary((4_999, 10_000), 1.0, 1.0), "honest overlay");
+        fails_on(
+            &adversary((4_999, 10_000), 1.0, 1.0),
+            "newscast (rand,head,pushpull) × cycle: honest component",
+        );
     }
 
     #[test]
     fn adversary_swapper_stays_within_max_of_newscast_and_2() {
         holds(&adversary(WHOLE, 1.0, 2.0));
-        fails_on(&adversary(WHOLE, 1.0, 2.0001), "defense ordering");
+        fails_on(&adversary(WHOLE, 1.0, 2.0001), "cycle: hs swapper skew");
         holds(&adversary(WHOLE, 3.0, 3.0));
-        fails_on(&adversary(WHOLE, 3.0, 3.0001), "defense ordering");
+        fails_on(&adversary(WHOLE, 3.0, 3.0001), "cycle: hs swapper skew");
     }
 
     /// A 100-node net run of view size 20 whose last period is `end`.
@@ -584,18 +686,21 @@ mod gate_bounds {
 
     #[test]
     fn net_converges_at_99_and_half_a_link_of_c() {
-        const FAILED: &str = "failed to converge";
+        const IN_DEGREE: &str = "last period: |in-degree mean − c|";
         holds(&net(false, converged((99, 100), 20.5), 0));
         holds(&net(false, converged((99, 100), 19.5), 0));
-        fails_on(&net(false, converged((9_899, 10_000), 20.0), 0), FAILED);
-        fails_on(&net(false, converged((99, 100), 20.5001), 0), FAILED);
-        fails_on(&net(false, converged((99, 100), 19.4999), 0), FAILED);
-        fails_on(&net(false, converged(WHOLE, 20.0), 1), FAILED);
+        fails_on(
+            &net(false, converged((9_899, 10_000), 20.0), 0),
+            "last period: full views",
+        );
+        fails_on(&net(false, converged((99, 100), 20.5001), 0), IN_DEGREE);
+        fails_on(&net(false, converged((99, 100), 19.4999), 0), IN_DEGREE);
+        fails_on(&net(false, converged(WHOLE, 20.0), 1), "decode failures");
     }
 
     #[test]
     fn net_recovers_at_95_95_and_10() {
-        const FAILED: &str = "failed to converge";
+        let last = |what| format!("last period: {what}");
         // 10 000 live nodes: `full` of them with full views, `comp` in
         // the largest component.
         let end = |full, comp, dead| PeriodRecord {
@@ -603,10 +708,16 @@ mod gate_bounds {
             ..record((comp, 10_000), dead)
         };
         holds(&net(true, end(9_500, 9_500, (1_000, 10_000)), 0));
-        fails_on(&net(true, end(9_499, 10_000, CLEAN), 0), FAILED);
-        fails_on(&net(true, end(10_000, 9_499, CLEAN), 0), FAILED);
-        fails_on(&net(true, end(10_000, 10_000, PAST_10), 0), FAILED);
-        fails_on(&net(true, end(10_000, 10_000, CLEAN), 1), FAILED);
+        fails_on(
+            &net(true, end(9_499, 10_000, CLEAN), 0),
+            &last("full views"),
+        );
+        fails_on(&net(true, end(10_000, 9_499, CLEAN), 0), &last("component"));
+        fails_on(
+            &net(true, end(10_000, 10_000, PAST_10), 0),
+            &last("dead links"),
+        );
+        fails_on(&net(true, end(10_000, 10_000, CLEAN), 1), "decode failures");
     }
 
     /// One series per required family and three of `pss_net_decode_ns`
@@ -644,6 +755,12 @@ mod gate_bounds {
         holds(&metrics("", 1));
         fails_on(&metrics("pss_app_round_ns", 1), "pss_app_round_ns");
         fails_on(&metrics("pss_net_decode_ns", 1), "pss_net_decode_ns");
-        fails_on(&metrics("", 0), "left metric families empty");
+        fails_on(&metrics("", 0), "flight recorder events");
+    }
+
+    #[test]
+    fn metrics_needs_one_observation_per_decode_kind() {
+        let app = "pss_net_decode_ns{kind=app}";
+        fails_on(&metrics(app, 1), app);
     }
 }

@@ -1,6 +1,6 @@
 //! The ordered stack list that the cross-stack commands (`workload`,
 //! `matrix`, `protocols`, `adversary`) run each compiled schedule on, and
-//! the end-of-run health test their gates share.
+//! the end-of-run health cells their gates share.
 
 use pss_core::adversary::AdversaryRoles;
 use pss_sim::audit::{role_factory, HonestPolicy};
@@ -10,7 +10,7 @@ use pss_sim::{
     ShardedSimulation, WorkloadTarget,
 };
 
-use crate::report::Table;
+use crate::report::{Cell, Cmp, Table};
 use crate::Scale;
 
 /// A simulation stack of the cross-stack commands.
@@ -128,15 +128,18 @@ impl Health {
         Health { component, dead }
     }
 
-    /// The largest component holds ≥ 95 % of the live population.
-    pub fn connected(self) -> bool {
-        self.component >= 0.95
+    /// `{key}: component` ≥ 0.95: the largest component holds ≥ 95 % of
+    /// the live population.
+    pub fn connected(self, key: &str) -> Cell {
+        let component = format!("{key}: component");
+        Cell::new(component, self.component, Cmp::AtLeast, 0.95)
     }
 
-    /// The cross-stack gates' health test: connected, and dead links
-    /// ≤ 10 % of view entries.
-    pub fn healthy(self) -> bool {
-        self.connected() && self.dead <= 0.10
+    /// The cross-stack gates' health test: [`Health::connected`], and
+    /// `{key}: dead links` ≤ 0.10 of view entries.
+    pub fn healthy(self, key: &str) -> [Cell; 2] {
+        let dead = Cell::new(format!("{key}: dead links"), self.dead, Cmp::AtMost, 0.10);
+        [self.connected(key), dead]
     }
 }
 

@@ -32,7 +32,7 @@ use pss_core::{Freshness, PolicyTriple, ProtocolConfig};
 use pss_sim::audit::HonestPolicy;
 use pss_sim::workload::{run_workload, CompiledWorkload, PeriodRecord, PhaseSpec, Workload};
 
-use crate::report::{fmt_f64, fmt_percent, Report, Section, Table};
+use crate::report::{fmt_f64, fmt_percent, Cell, Cmp, Report, Section, Table};
 use crate::stacks::{on_every_stack, stack_table, Health, Stack};
 use crate::{Options, Scale};
 
@@ -129,13 +129,14 @@ impl WorkloadResult {
         Health::worst(self.records.iter().filter_map(|(_, r)| r.last()))
     }
 
-    /// True when every stack ends healthy ([`Health::healthy`]).
-    pub fn healthy(&self) -> bool {
-        self.end().healthy()
+    /// The worst end's [`Health::healthy`] cells, keyed by the mode
+    /// (`hop: component`, `timestamp: dead links`).
+    pub fn healthy(&self) -> [Cell; 2] {
+        self.end().healthy(mode_slug(self.freshness))
     }
 }
 
-/// All freshness modes of one schedule, plus the health verdict inputs.
+/// All freshness modes of one schedule, plus the gate's inputs.
 #[derive(Debug)]
 pub struct WorkloadRun {
     /// One result per requested mode, in [`FreshnessChoice::modes`] order.
@@ -161,89 +162,48 @@ impl Report for WorkloadRun {
         self.results.iter().map(section).collect()
     }
 
-    /// The health gate across modes.
+    /// The gate across modes.
     ///
-    /// A single-mode run keeps the historic full health gate
-    /// ([`WorkloadResult::healthy`]: one component *and* dead links
-    /// ≤ 10%). A `--freshness both` run gates each mode on connectivity
-    /// only — schedules that end on an instantaneous kill legitimately
-    /// leave fresh dead entries behind — with two exceptions on partition
-    /// schedules: the hop-count side is exempt entirely (leaving the
-    /// overlay split is its documented failure mode, not a harness bug),
-    /// and the timestamp side must *fully* heal, plus satisfy the
-    /// freshness *ordering* — on each stack its end component must be at
-    /// least hop-count's.
-    fn verdict(&self) -> Result<(), String> {
+    /// A single-mode run keeps the full health gate
+    /// ([`WorkloadResult::healthy`]: `{mode}: component` ≥ 0.95 and
+    /// `{mode}: dead links` ≤ 0.10). A `--freshness both` run gates each
+    /// mode on `{mode}: component` only — schedules that end on an
+    /// instantaneous kill legitimately leave fresh dead entries behind —
+    /// except on partition schedules: the hop-count side has no cell
+    /// (leaving the overlay split is its documented failure mode, not a
+    /// harness bug), the timestamp side must *fully* heal, and per stack
+    /// `{stack}: timestamp component vs hop-count` asserts the freshness
+    /// *ordering*: timestamp's end component ≥ hop-count's − 1e-9.
+    fn cells(&self) -> Vec<Cell> {
         let both = self.results.len() == 2;
+        let mut cells = Vec::new();
         for r in &self.results {
-            if self.partitioned && both && r.freshness == Freshness::HopCount {
-                continue;
-            }
-            let end = r.end();
-            let ok = if both && !(self.partitioned && r.freshness == Freshness::Timestamp) {
-                end.connected()
-            } else {
-                end.healthy()
-            };
-            if !ok {
-                return Err(format!(
-                    "workload gate failed: {} mode left an unhealthy overlay \
-                     (end component {:.2}, dead links {:.2})",
-                    mode_slug(r.freshness),
-                    end.component,
-                    end.dead
-                ));
+            if !both {
+                cells.extend(r.healthy());
+            } else if !self.partitioned {
+                cells.push(r.end().connected(mode_slug(r.freshness)));
+            } else if r.freshness == Freshness::Timestamp {
+                cells.extend(r.healthy());
             }
         }
         if self.partitioned && both {
             let (hop, ts) = (&self.results[0], &self.results[1]);
             for ((stack, h), (_, t)) in hop.records.iter().zip(&ts.records) {
-                let (Some(h), Some(t)) = (h.last(), t.last()) else {
-                    continue;
-                };
-                if t.component_fraction() + 1e-9 < h.component_fraction() {
-                    return Err(format!(
-                        "workload gate failed: freshness ordering violated on the {} stack: \
-                         timestamp ended at component {:.2} < hop-count {:.2}",
-                        stack.label(),
-                        t.component_fraction(),
-                        h.component_fraction()
-                    ));
+                if let (Some(h), Some(t)) = (h.last(), t.last()) {
+                    let key = format!("{}: timestamp component vs hop-count", stack.label());
+                    let (t, h) = (t.component_fraction(), h.component_fraction());
+                    cells.push(Cell::new(key, t, Cmp::AtLeast, h - 1e-9));
                 }
             }
         }
-        Ok(())
+        cells
     }
 
-    /// One line per mode, then the gate.
     fn summary(&self) -> Option<String> {
-        let mut text = String::new();
-        for r in &self.results {
-            let mode = match r.freshness {
-                Freshness::HopCount => "hop-count",
-                Freshness::Timestamp => "timestamp",
-            };
-            text += &format!(
-                "{} nodes, schedule `{}`, {} shards, {mode} freshness: healthy = {} \
-                 (periods marked * ran under a partition)\n",
-                r.nodes,
-                self.schedule,
-                self.shards,
-                r.healthy()
-            );
-        }
-        let pass = self.verdict().is_ok();
-        let ordering = self.partitioned && self.results.len() == 2;
-        text += &format!(
-            "gate = {}{}",
-            if pass { "pass" } else { "FAIL" },
-            if ordering {
-                " (cross-mode freshness ordering asserted)"
-            } else {
-                ""
-            }
-        );
-        Some(text)
+        Some(format!(
+            "{} nodes, schedule `{}`, {} shards (periods marked * ran under a partition)",
+            self.results[0].nodes, self.schedule, self.shards
+        ))
     }
 }
 
@@ -355,78 +315,51 @@ impl Report for MatrixResult {
         vec![Section::new("matrix", table, None)]
     }
 
-    /// The matrix gate.
+    /// The matrix gate, keyed `{family} × {policy} × {mode}`.
     ///
     /// Every non-partition cell must keep one connected component
-    /// (≥ 95% of the live population) in both modes — churn, catastrophe
-    /// and thundering-herd recovery must not depend on the freshness
-    /// dimension. The dead-link bound (≤ 10%) applies only to Newscast
-    /// cells: head view selection is the paper's self-healing mechanism,
-    /// and the `(rand,rand,pushpull)` control column retains stale
-    /// entries by design. The partition family is the demonstration:
-    /// Newscast under timestamp freshness must re-merge (component
-    /// ≥ 98%, dead links ≤ 6%) while hop-count stays split below it —
-    /// the marooning defect this axis fixes. The control column heals in
-    /// both modes there (random view selection never age-evicts the
-    /// surviving cross-group entries), so it falls under the component
-    /// gate like any other cell.
-    fn verdict(&self) -> Result<(), String> {
+    /// (`component` ≥ 0.95) in both modes — churn, catastrophe and
+    /// thundering-herd recovery must not depend on the freshness
+    /// dimension. The dead-link bound (`dead links` ≤ 0.10) applies only to
+    /// Newscast cells: head view selection is the paper's self-healing
+    /// mechanism, and the `(rand,rand,pushpull)` control column retains
+    /// stale entries by design. The partition family is the
+    /// demonstration: Newscast under timestamp freshness must re-merge
+    /// (`component` ≥ 0.98, `dead links` ≤ 0.06) while hop-count stays
+    /// split below it (`component` < timestamp's − 1e-9) — the marooning
+    /// defect this axis fixes. The control column heals in both modes
+    /// there (random view selection never age-evicts the surviving
+    /// cross-group entries), so it falls under the component gate like
+    /// any other cell.
+    fn cells(&self) -> Vec<Cell> {
+        let newscast = PolicyTriple::newscast();
+        let mut cells = Vec::new();
         for cell in &self.cells {
-            let is_newscast = cell.policy == PolicyTriple::newscast();
+            let mode = mode_slug(cell.freshness);
+            let key = format!("{} × {} × {mode}", cell.family, cell.policy);
             let end = cell.end();
-            let failure = if cell.family != "partition" || !is_newscast {
-                if !end.connected() {
-                    Some(format!("ended split: component {:.2}", end.component))
-                } else if is_newscast && !end.healthy() {
-                    Some(format!("failed to self-heal: dead {:.2}", end.dead))
+            if cell.family != "partition" || cell.policy != newscast {
+                if cell.policy == newscast {
+                    cells.extend(end.healthy(&key));
                 } else {
-                    None
+                    cells.push(end.connected(&key));
                 }
             } else if cell.freshness == Freshness::Timestamp {
-                (end.component < 0.98 || end.dead > 0.06).then(|| {
-                    format!(
-                        "failed to re-merge: component {:.2}, dead {:.2}",
-                        end.component, end.dead
-                    )
-                })
+                let component = format!("{key}: component");
+                cells.push(Cell::new(component, end.component, Cmp::AtLeast, 0.98));
+                let dead = format!("{key}: dead links");
+                cells.push(Cell::new(dead, end.dead, Cmp::AtMost, 0.06));
             } else {
+                // Against its timestamp twin; a missing twin reads NaN and fails.
+                let twin = ("partition", cell.policy, Freshness::Timestamp);
                 let ts = (self.cells.iter())
-                    .find(|c| {
-                        c.family == "partition"
-                            && c.policy == cell.policy
-                            && c.freshness == Freshness::Timestamp
-                    })
-                    .ok_or("matrix gate failed: partition family missing its timestamp cell")?
-                    .end()
-                    .component;
-                (end.component + 1e-9 >= ts).then(|| {
-                    format!(
-                        "is not split below the timestamp cell: \
-                         hop component {:.2} ≥ timestamp {ts:.2}",
-                        end.component
-                    )
-                })
-            };
-            if let Some(failure) = failure {
-                return Err(format!(
-                    "matrix gate failed: {} × {} × {} {failure}",
-                    cell.family,
-                    cell.policy,
-                    mode_slug(cell.freshness)
-                ));
+                    .find(|c| (c.family, c.policy, c.freshness) == twin)
+                    .map_or(f64::NAN, |c| c.end().component);
+                let component = format!("{key}: component");
+                cells.push(Cell::new(component, end.component, Cmp::Below, ts - 1e-9));
             }
         }
-        Ok(())
-    }
-
-    fn summary(&self) -> Option<String> {
-        let pass = self.verdict().is_ok();
-        let gate = if pass { "pass" } else { "FAIL" };
-        Some(format!(
-            "{} nodes, {} cells: gate = {gate}",
-            self.nodes,
-            self.cells.len()
-        ))
+        cells
     }
 }
 
@@ -505,6 +438,7 @@ pub fn matrix(o: &Options) -> Result<MatrixResult, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::assert_gate_holds;
     use crate::stacks::{assert_same_membership, membership};
 
     #[test]
@@ -526,9 +460,9 @@ mod tests {
             (result.records.iter())
                 .map(|(s, r)| (*s, r.iter().map(membership).collect::<Vec<_>>())),
         );
-        assert!(result.healthy(), "{result:?}");
+        assert!(result.healthy().iter().all(|c| c.holds), "{result:?}");
         assert_eq!(result.table().len(), 16);
-        run.verdict().expect("healthy run passes the gate");
+        assert_gate_holds(&run);
     }
 
     #[test]
@@ -547,7 +481,7 @@ mod tests {
         assert_eq!(run.results[1].freshness, Freshness::Timestamp);
         let names: Vec<&str> = run.sections().iter().map(|s| s.name).collect();
         assert_eq!(names, ["workload", "workload_timestamp"]);
-        run.verdict().expect("both modes healthy under plain churn");
+        assert_gate_holds(&run);
     }
 
     #[test]
@@ -560,7 +494,7 @@ mod tests {
         for cell in &result.cells {
             assert_same_membership(cell.ends.iter().map(|(s, r)| (*s, membership(r))));
         }
-        result.verdict().expect("the tiny matrix passes its gate");
+        assert_gate_holds(&result);
     }
 
     #[test]

@@ -36,7 +36,8 @@ pub enum EventKind {
     /// node id (0 for partition ops), `b` the 1-based period.
     MembershipOp,
     /// An experiment health gate was evaluated. `label` is the experiment
-    /// name, `a` is 1 for pass / 0 for fail, `b` unused.
+    /// name, `a` is 1 for pass / 0 for fail, `b` the number of the gate's
+    /// cells that fail.
     GateEval,
     /// A frame failed to decode in the network runtime. `label` is the
     /// decode stage or frame kind (`header`, `request`, `reply`, `app`),
@@ -268,13 +269,14 @@ mod tests {
         let r = FlightRecorder::with_capacity(8);
         r.record(EventKind::PhaseStart, "cycle/initiate", 1, 0);
         r.record(EventKind::PhaseEnd, "cycle/initiate", 1, 12_345);
-        r.record(EventKind::GateEval, "churn", 1, 0);
+        r.record(EventKind::GateEval, "churn", 0, 3);
         let json = r.dump_json();
         assert!(json.contains("\"recorded_total\": 3"));
         assert!(json.contains("\"kind\": \"phase_start\""));
         assert!(json.contains("\"label\": \"cycle/initiate\""));
         assert!(json.contains("\"b\": 12345"));
         assert!(json.contains("\"kind\": \"gate_eval\""));
+        assert!(json.contains("\"a\": 0, \"b\": 3"), "{json}");
         // Balanced braces / brackets (cheap well-formedness check; the CI
         // smoke job parses a real dump with a real JSON parser).
         assert_eq!(json.matches('{').count(), json.matches('}').count());
