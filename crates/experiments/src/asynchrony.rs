@@ -1,39 +1,43 @@
-//! **Extension X2** — do the cycle-model conclusions survive asynchrony?
+//! **Extension X2** — do the cycle-model conclusions survive asynchrony,
+//! and how fast does each engine reach them?
 //!
 //! The paper simulates an idealized synchronous cycle model. This
-//! experiment reruns representative protocols on the event-driven engine —
-//! timer jitter, message latency, message loss — and compares the converged
-//! overlay properties against the cycle-driven run at the same scale.
+//! experiment runs representative protocols on the sharded cycle engine
+//! ([`pss_sim::ShardedSimulation`]) and on the event-driven engine
+//! ([`pss_sim::ShardedEventSimulation`]: timer jitter, message latency,
+//! message loss), each once per entry of the CLI's `--shards` (default one
+//! shard), and compares the converged overlays. Every row reports
+//! node-cycles/s; the summary line gives the best newscast cycle-engine
+//! speedup over one shard. Cross-shard exchanges resolve in mailbox order,
+//! so the shard count moves a trajectory the way a reseed does: the
+//! in-degree distribution, not its bits, should agree across the sweep.
 //!
-//! The event rows run on [`pss_sim::ShardedEventSimulation`] (conservative
-//! lookahead = minimum latency) once per entry of the CLI's `--shards`
-//! (default one shard), reporting node-cycles/s per row — which
-//! opens the asynchrony comparison at `Scale::million()`: beyond ~10⁵ nodes
-//! the overlay metrics switch to the sampled CSR estimators (exact
-//! connectivity is skipped), the same large-N path the `scaling` experiment
-//! uses. `--scale million` took ≈ 30 min and 8.3 GB peak RSS on 2 vCPUs; on
-//! a shared host add `--nodes 200000`.
+//! Beyond 10⁵ nodes clustering and path length come from the sampled
+//! estimators and exact connectivity is skipped, which opens
+//! [`crate::Scale::million`]. With the cycle rows at one shard count only,
+//! `--scale million --shards 1,2,4` took ≈ 30 min and 8.3 GB peak RSS on
+//! 2 vCPUs; on a shared host add `--nodes 200000`.
 
 use std::time::Instant;
 
 use pss_core::{
     GossipNode, PeerSelection as Ps, PolicyTriple, ViewPropagation as Vp, ViewSelection as Vs,
 };
-use pss_graph::csr::Csr;
 use pss_graph::{clustering, paths, GraphMetrics, MetricsConfig};
-use pss_sim::{scenario, EventConfig, LatencyModel, Mode, Sharded};
+use pss_sim::{scenario, CsrSnapshot, EventConfig, LatencyModel, Mode, Sharded};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::report::{fmt_f64, Report, Section, Table};
-use crate::Options;
+use crate::{Options, Scale};
 
-/// Above this population the overlay metrics come from the sampled CSR
-/// estimators instead of the full undirected graph.
+/// Above this population clustering and path length come from the
+/// sampled estimators instead of [`GraphMetrics`].
 const SAMPLED_METRICS_THRESHOLD: usize = 100_000;
 
-/// Message loss probabilities of the event rows.
-const LOSS_LEVELS: [f64; 2] = [0.0, 0.05];
+/// The engine settings of every protocol, in row order: the cycle engine
+/// (`None`), then the event engine at each message loss probability.
+const ENGINES: [Option<f64>; 3] = [None, Some(0.0), Some(0.05)];
 
 /// The protocols compared: one per view-selection × propagation corner.
 const PROTOCOLS: [PolicyTriple; 3] = [
@@ -59,31 +63,27 @@ fn event_config(loss: f64) -> EventConfig {
     }
 }
 
-/// Converged overlay statistics of one run. Exact or sampled depending on
-/// scale; `connected` is `None` when the exact check was skipped (CSR
-/// sampled path at large N).
+/// Converged overlay statistics of one run. Degrees are exact at every N;
+/// clustering and path length are sampled, more sparsely above
+/// 10⁵ nodes, where `connected` is `None`.
 #[derive(Debug, Clone, Copy)]
 pub struct OverlayStats {
-    /// Mean degree of the communication graph (in-degree mean on the CSR
-    /// path — identical in expectation, since out-degrees are `c`).
+    /// Mean degree of the undirected communication graph.
     pub average_degree: f64,
+    /// Mean in-degree of the directed view graph (= c when views are full).
+    pub in_degree_mean: f64,
+    /// In-degree standard deviation (population).
+    pub in_degree_std: f64,
+    /// Smallest in-degree.
+    pub in_degree_min: f64,
+    /// Largest in-degree.
+    pub in_degree_max: f64,
     /// (Sampled) clustering coefficient.
     pub clustering: f64,
     /// (Sampled) average shortest-path length.
     pub path_length: f64,
     /// Exact connectivity, when measured.
     pub connected: Option<bool>,
-}
-
-impl From<GraphMetrics> for OverlayStats {
-    fn from(m: GraphMetrics) -> Self {
-        OverlayStats {
-            average_degree: m.average_degree,
-            clustering: m.clustering_coefficient,
-            path_length: m.path_lengths.average,
-            connected: Some(m.is_connected()),
-        }
-    }
 }
 
 /// One comparison row: a protocol under one engine/loss/sharding setting.
@@ -108,6 +108,23 @@ pub struct EngineComparison {
 pub struct AsyncResult {
     /// All comparison rows.
     pub rows: Vec<EngineComparison>,
+    /// The scale every row ran at.
+    pub scale: Scale,
+}
+
+impl AsyncResult {
+    /// Throughput speedup of the fastest newscast cycle-engine row over the
+    /// 1-shard one (NaN without a 1-shard row).
+    pub fn best_speedup(&self) -> f64 {
+        let newscast = PolicyTriple::newscast();
+        let cycle = || (self.rows.iter()).filter(|r| r.engine == "cycle" && r.policy == newscast);
+        match cycle().find(|r| r.shards == 1) {
+            Some(base) if base.node_cycles_per_sec > 0.0 => cycle()
+                .map(|r| r.node_cycles_per_sec / base.node_cycles_per_sec)
+                .fold(f64::NAN, f64::max),
+            _ => f64::NAN,
+        }
+    }
 }
 
 impl Report for AsyncResult {
@@ -120,21 +137,30 @@ impl Report for AsyncResult {
             "loss",
             "node-cycles/s",
             "avg degree",
+            "in-deg mean",
+            "in-deg std",
+            "in-deg min",
+            "in-deg max",
             "clustering",
             "path length",
             "connected",
         ]);
         for r in &self.rows {
+            let s = &r.stats;
             t.row(vec![
                 r.policy.to_string(),
                 r.engine.into(),
                 r.shards.to_string(),
                 fmt_f64(r.loss, 2),
                 format!("{:.0}", r.node_cycles_per_sec),
-                fmt_f64(r.stats.average_degree, 2),
-                fmt_f64(r.stats.clustering, 4),
-                fmt_f64(r.stats.path_length, 3),
-                match r.stats.connected {
+                fmt_f64(s.average_degree, 2),
+                fmt_f64(s.in_degree_mean, 2),
+                fmt_f64(s.in_degree_std, 2),
+                fmt_f64(s.in_degree_min, 0),
+                fmt_f64(s.in_degree_max, 0),
+                fmt_f64(s.clustering, 4),
+                fmt_f64(s.path_length, 3),
+                match s.connected {
                     Some(true) => "yes",
                     Some(false) => "NO",
                     None => "-",
@@ -144,64 +170,81 @@ impl Report for AsyncResult {
         }
         vec![Section::new("async", t, None)]
     }
+
+    fn summary(&self) -> Option<String> {
+        Some(format!(
+            "best speedup over 1 shard: {:.2}x (N = {}, {} cycles)",
+            self.best_speedup(),
+            self.scale.nodes,
+            self.scale.cycles
+        ))
+    }
 }
 
-/// Exact(ish) metrics on the full undirected graph: the small-N path.
-fn measure_graph(graph: &Csr, seed: u64) -> OverlayStats {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    GraphMetrics::measure(
-        graph,
-        &MetricsConfig {
-            clustering_samples: Some(1000.min(graph.node_count())),
-            path_sources: Some(50.min(graph.node_count())),
-        },
-        &mut rng,
-    )
-    .into()
-}
-
-/// Sampled metrics from a CSR snapshot: the large-N path (16 BFS sources,
-/// 256 clustering samples, no exact connectivity sweep).
-fn measure_csr(snapshot: &pss_sim::CsrSnapshot, seed: u64) -> OverlayStats {
+/// Measures the overlay in `snapshot`. `sampled` is the large-N path: 256
+/// clustering samples, 16 BFS sources and no connectivity sweep. Otherwise
+/// [`GraphMetrics`] samples 1000 nodes and 50 sources and checks
+/// connectivity exactly.
+fn measure(snapshot: &CsrSnapshot, seed: u64, sampled: bool) -> OverlayStats {
     let csr = snapshot.graph();
     let mut in_deg = pss_stats::Summary::new();
     for d in csr.in_degrees() {
         in_deg.push(d as f64);
     }
     let graph = csr.undirected();
+    let n = graph.node_count();
     let mut rng = SmallRng::seed_from_u64(seed);
+    let (clustering, path_length, connected) = if sampled {
+        let clustering = clustering::estimate_clustering(&graph, 256, &mut rng);
+        let paths = paths::estimate_average_path_length(&graph, 16, &mut rng);
+        (clustering, paths.average, None)
+    } else {
+        let config = MetricsConfig {
+            clustering_samples: Some(1000.min(n)),
+            path_sources: Some(50.min(n)),
+        };
+        let m = GraphMetrics::measure(&graph, &config, &mut rng);
+        let connected = Some(m.is_connected());
+        (m.clustering_coefficient, m.path_lengths.average, connected)
+    };
     OverlayStats {
-        average_degree: in_deg.mean(),
-        clustering: clustering::estimate_clustering(&graph, 256, &mut rng),
-        path_length: paths::estimate_average_path_length(&graph, 16, &mut rng).average,
-        connected: None,
+        average_degree: graph.average_degree(),
+        in_degree_mean: in_deg.mean(),
+        in_degree_std: in_deg.population_std_dev(),
+        in_degree_min: in_deg.min().unwrap_or(f64::NAN),
+        in_degree_max: in_deg.max().unwrap_or(f64::NAN),
+        clustering,
+        path_length,
+        connected,
     }
 }
 
 /// Runs the asynchrony experiment (`scale.cycles` ≈ gossip periods for
-/// the event engine): per protocol, the cycle baseline on the sharded
-/// cycle engine at the largest shard count, then the event rows on
-/// [`pss_sim::ShardedEventSimulation`] per loss level and shard count.
-/// Rows run one after another — each run parallelizes internally across
-/// its worker threads (`--workers`, default: available parallelism).
+/// the event engine): per protocol and engine setting, one row per
+/// `--shards` entry, each from the identical initial overlay of
+/// `(seed, N, c)`. Rows run one after another; each run parallelizes
+/// internally across its worker threads (`--workers`, default: available
+/// parallelism, capped at the shard count).
 pub fn run(o: &Options) -> AsyncResult {
     let shard_counts = o.shards.clone().unwrap_or_else(|| vec![1]);
-    let cycle_shards = shard_counts.iter().copied().max().unwrap_or(1);
     let mut rows = Vec::new();
     for policy in PROTOCOLS {
-        rows.push(cycle_row(o, policy, cycle_shards));
-        // Event rows: loss sweep × shard counts, identical initial overlay
-        // per (seed, N, c) across all of them.
-        for loss in LOSS_LEVELS {
+        for engine in ENGINES {
             for &shards in &shard_counts {
-                rows.push(event_row(o, policy, loss, shards));
+                rows.push(match engine {
+                    None => cycle_row(o, policy, shards),
+                    Some(loss) => event_row(o, policy, loss, shards),
+                });
             }
         }
     }
-    AsyncResult { rows }
+    AsyncResult {
+        rows,
+        scale: o.scale,
+    }
 }
 
-/// The cycle-engine baseline of `policy` on `shards` shards.
+/// The cycle-engine row of `policy` on `shards` shards.
 fn cycle_row(o: &Options, policy: PolicyTriple, shards: usize) -> EngineComparison {
     let scale = o.scale;
     let protocol = scale.protocol(policy);
@@ -258,11 +301,8 @@ fn timed<N: GossipNode + Send, M: Mode>(
     let started = Instant::now();
     advance(&mut sim);
     let seconds = started.elapsed().as_secs_f64();
-    let stats = if o.scale.nodes >= SAMPLED_METRICS_THRESHOLD {
-        measure_csr(&sim.csr_snapshot(), metrics_seed)
-    } else {
-        measure_graph(&sim.csr_snapshot().graph().undirected(), metrics_seed)
-    };
+    let sampled = o.scale.nodes >= SAMPLED_METRICS_THRESHOLD;
+    let stats = measure(&sim.csr_snapshot(), metrics_seed, sampled);
     let node_cycles = o.scale.nodes as f64 * o.scale.cycles as f64;
     let throughput = if seconds > 0.0 {
         node_cycles / seconds
@@ -275,7 +315,6 @@ fn timed<N: GossipNode + Send, M: Mode>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Scale;
 
     #[test]
     fn event_engine_matches_cycle_engine_shape() {
@@ -289,6 +328,7 @@ mod tests {
         let newscast = PolicyTriple::newscast();
         let result = AsyncResult {
             rows: vec![cycle_row(&o, newscast, 1), event_row(&o, newscast, 0.0, 1)],
+            scale,
         };
         let (cycle, event) = (&result.rows[0], &result.rows[1]);
         assert_eq!(cycle.stats.connected, Some(true));
@@ -314,12 +354,12 @@ mod tests {
             workers: Some(2),
             ..Options::at(scale)
         });
-        // Per protocol: the cycle baseline at the largest shard count, then
-        // one event row per loss level and shard count.
+        // Per protocol and engine setting: one row per shard count.
         let layout: Vec<(&str, usize, f64)> = (result.rows.iter())
             .map(|r| (r.engine, r.shards, r.loss))
             .collect();
         let per_protocol = [
+            ("cycle", 1, 0.0),
             ("cycle", 2, 0.0),
             ("event", 1, 0.0),
             ("event", 2, 0.0),
@@ -328,16 +368,41 @@ mod tests {
         ];
         assert_eq!(layout, per_protocol.repeat(3));
         for row in &result.rows {
+            let s = &row.stats;
             assert!(row.node_cycles_per_sec > 0.0);
-            assert!(row.stats.average_degree > 10.0);
-            assert_eq!(row.stats.connected, Some(true), "{row:?}");
+            assert!(s.average_degree > 10.0);
+            assert_eq!(s.connected, Some(true), "{row:?}");
+            assert!(s.path_length > 1.0 && s.path_length < 4.0);
+            assert!(s.clustering.is_finite());
+            if row.engine == "cycle" {
+                // Every view holds c = 12 live entries, so the mean
+                // in-degree must be exactly c.
+                assert!((s.in_degree_mean - 12.0).abs() < 1e-9, "{row:?}");
+                assert!(s.in_degree_std > 0.0);
+                assert!(s.in_degree_max >= s.in_degree_mean);
+            }
         }
-        assert_eq!(result.sections()[0].summary.len(), 15);
+        assert_eq!(result.sections()[0].summary.len(), 18);
+        assert!(result.best_speedup().is_finite());
     }
 
-    /// `run` switches to `measure_csr` at
-    /// `SAMPLED_METRICS_THRESHOLD` nodes, a size no test reaches: check the
-    /// sampled path against the exact one on the same converged overlay.
+    #[test]
+    fn best_speedup_is_nan_without_a_one_shard_row() {
+        let scale = Scale {
+            nodes: 60,
+            cycles: 3,
+            ..Scale::tiny()
+        };
+        let o = Options {
+            shards: Some(vec![2]),
+            ..Options::at(scale)
+        };
+        assert!(run(&o).best_speedup().is_nan());
+    }
+
+    /// `run` switches to the sampled path at `SAMPLED_METRICS_THRESHOLD`
+    /// nodes, a size no test reaches: check it against the exact one on
+    /// the same converged overlay.
     #[test]
     fn sampled_csr_metrics_agree_with_the_full_graph() {
         let scale = Scale {
@@ -353,13 +418,15 @@ mod tests {
                 .expect("validated event config");
         sim.run_for(scale.cycles * event.period);
 
-        let sampled = measure_csr(&sim.csr_snapshot(), scale.seed);
-        let exact = measure_graph(&sim.csr_snapshot().graph().undirected(), scale.seed);
+        let sampled = measure(&sim.csr_snapshot(), scale.seed, true);
+        let exact = measure(&sim.csr_snapshot(), scale.seed, false);
         assert_eq!(sampled.connected, None);
         assert_eq!(exact.connected, Some(true));
-        // Every view is full, so in-degrees sum to N × c (the streaming mean
-        // rounds in the last place).
-        assert!((sampled.average_degree - scale.view_size as f64).abs() < 1e-9);
+        // Degrees are exact on both paths. Every view is full, so
+        // in-degrees sum to N × c (the streaming mean rounds in the last
+        // place).
+        assert_eq!(sampled.average_degree, exact.average_degree);
+        assert!((sampled.in_degree_mean - scale.view_size as f64).abs() < 1e-9);
         // 16 BFS sources and 256 clustering samples against 50 and all 400.
         let rel = |a: f64, b: f64| (a - b).abs() / b;
         assert!(

@@ -20,10 +20,9 @@
 //! | [`fig6`]     | Figure 6       | connectivity under massive node removal |
 //! | [`fig7`]     | Figure 7       | dead-link healing after 50 % node failure |
 //! | [`policies`] | Section 4.3    | why `(head,*,*)`, `(*,tail,*)`, `(*,*,pull)` are degenerate |
-//! | [`asynchrony`] | extension    | conclusions under the event-driven engine |
+//! | [`asynchrony`] | extension    | cycle vs event engine per shard count: overlay quality and throughput |
 //! | [`apps`]     | extension      | broadcast & aggregation vs sampling quality |
 //! | [`hs_ablation`] | extension   | healer/swapper (H, S) corners: healing speed vs degree balance |
-//! | [`scaling`]  | extension      | sharded-engine throughput and overlay quality vs shard count |
 //! | [`net`]      | extension      | live loopback UDP cluster: wire codec + runtimes end to end |
 //! | [`workload`] | extension      | membership-dynamics schedules (churn, catastrophe, flash crowd, partition) on every [`stacks::Stack`] |
 //! | [`adversary`] | extension     | Byzantine attack metrics per honest policy, on every stack |
@@ -52,7 +51,6 @@ pub mod net;
 pub mod policies;
 pub mod protocols;
 pub mod report;
-pub mod scaling;
 pub mod stacks;
 pub mod table1;
 pub mod table2;

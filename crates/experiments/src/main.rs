@@ -21,7 +21,7 @@ use std::time::Instant;
 use pss_experiments::report::{Cell, Report, Section};
 use pss_experiments::{
     adversary, apps, asynchrony, fig2, fig3, fig4, fig5, fig6, fig7, hs_ablation, metrics, net,
-    policies, protocols, scaling, table1, table2, workload, Options, Scale,
+    policies, protocols, table1, table2, workload, Options, Scale,
 };
 use pss_telemetry::EventKind;
 use workload::FreshnessChoice;
@@ -93,7 +93,7 @@ static COMMANDS: &[Command] = &[
         run: |o| Ok(Box::new(policies::run(o))),
     },
     Command {
-        name: "async", help: "event-driven engine comparison (extension)",
+        name: "async", help: "cycle vs event engine per shard count (extension)",
         options: SWEEP, caps: (usize::MAX, 100),
         run: |o| Ok(Box::new(asynchrony::run(o))),
     },
@@ -106,11 +106,6 @@ static COMMANDS: &[Command] = &[
         name: "hs", help: "healer/swapper (H,S) ablation (extension)",
         options: &[], caps: (2000, 100),
         run: |o| Ok(Box::new(hs_ablation::run(o))),
-    },
-    Command {
-        name: "scaling", help: "sharded-engine throughput vs shard count (extension)",
-        options: SWEEP, caps: UNCAPPED,
-        run: |o| Ok(Box::new(scaling::run(o))),
     },
     Command {
         name: "net", help: "live loopback UDP cluster through the wire codec (extension)",
@@ -436,12 +431,12 @@ mod tests {
 
     #[test]
     fn parses_shards_and_workers() {
-        let o = parse_args(&args("scaling --scale tiny --shards 1,2,4 --workers 2")).unwrap();
+        let o = parse_args(&args("async --scale tiny --shards 1,2,4 --workers 2")).unwrap();
         assert_eq!(o.options.shards, Some(vec![1, 2, 4]));
         assert_eq!(o.options.workers, Some(2));
-        assert!(parse_args(&args("scaling --shards 0,2")).is_err());
-        assert!(parse_args(&args("scaling --shards 1,x")).is_err());
-        assert!(parse_args(&args("scaling --workers 0")).is_err());
+        assert!(parse_args(&args("async --shards 0,2")).is_err());
+        assert!(parse_args(&args("async --shards 1,x")).is_err());
+        assert!(parse_args(&args("async --workers 0")).is_err());
     }
 
     #[test]

@@ -15,9 +15,8 @@
 //! from the log2 histograms, plus the full Prometheus text exposition.
 //!
 //! The gate's cells check that every required metric family, and every
-//! frame kind of the decode histogram, recorded — CI's "Assert required
-//! metric families present and nonzero" step scrapes the same families.
-//! Telemetry never feeds back into protocol state: the pinned determinism digests are recorded with the
+//! frame kind of the decode histogram, recorded; CI runs the command and
+//! fails on its exit code. Telemetry never feeds back into protocol state: the pinned determinism digests are recorded with the
 //! registry recording, as it always does.
 
 use pss_net::cluster::{self, ClusterBroadcast};
@@ -26,9 +25,8 @@ use pss_telemetry::MetricRow;
 use crate::report::{Cell, Cmp, Report, Section, Table};
 use crate::{net, protocols, workload, Options};
 
-/// Metric families the cross-stack run must populate (the list CI's
-/// observability step asserts). Scalar families must be nonzero;
-/// histogram families must have observations.
+/// Metric families the cross-stack run must populate. Scalar families
+/// must be nonzero; histogram families must have observations.
 pub const REQUIRED_FAMILIES: &[&str] = &[
     "pss_phase_ns",
     "pss_cycles_total",

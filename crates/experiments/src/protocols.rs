@@ -67,8 +67,6 @@ pub struct ProtocolsResult {
     /// All runs, grouped by schedule, then policy, sampler, and stack in
     /// [`Stack::ALL`] order.
     pub runs: Vec<ProtocolRun>,
-    /// Population every schedule was compiled for.
-    pub nodes: usize,
 }
 
 impl Report for ProtocolsResult {
@@ -232,7 +230,6 @@ pub(crate) fn sweep(
     let cells: Vec<Vec<_>> = cells.into_iter().collect::<Result<_, _>>()?;
     Ok(ProtocolsResult {
         runs: cells.into_iter().flatten().collect(),
-        nodes: scale.nodes,
     })
 }
 

@@ -486,7 +486,7 @@ mod gate_bounds {
                 }
             }
         }
-        MatrixResult { cells, nodes: 100 }
+        MatrixResult { cells }
     }
 
     #[test]
@@ -578,7 +578,6 @@ mod gate_bounds {
         };
         ProtocolsResult {
             runs: Stack::ALL.into_iter().map(run).collect(),
-            nodes: 100,
         }
     }
 

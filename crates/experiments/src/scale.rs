@@ -102,8 +102,8 @@ impl Scale {
     /// 20 cycles — two orders of magnitude beyond the paper's populations,
     /// enough cycles for the in-degree distribution to converge from the
     /// random start (the paper's random-start runs converge within ~20
-    /// cycles at every N it studied). Used by the `scaling` and `async`
-    /// experiments.
+    /// cycles at every N it studied). Used by the `async` experiment, which
+    /// runs both engines at every `--shards` entry.
     pub fn million() -> Self {
         Scale {
             nodes: 1_000_000,
@@ -125,10 +125,7 @@ impl Scale {
     /// Deterministically derives an independent seed for run `index`
     /// (SplitMix64 of `seed ⊕ index`).
     pub fn run_seed(&self, index: u64) -> u64 {
-        let mut z = self.seed ^ index.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        pss_sim::mix(self.seed ^ index.wrapping_mul(0x9e37_79b9_7f4a_7c15))
     }
 }
 

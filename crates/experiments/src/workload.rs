@@ -288,8 +288,6 @@ impl MatrixCell {
 pub struct MatrixResult {
     /// All cells, grouped by family then policy then freshness.
     pub cells: Vec<MatrixCell>,
-    /// Population every schedule was compiled for.
-    pub nodes: usize,
 }
 
 impl Report for MatrixResult {
@@ -381,8 +379,7 @@ impl Report for MatrixResult {
 ///
 /// Propagates schedule-parse or engine-construction errors.
 pub fn matrix(o: &Options) -> Result<MatrixResult, String> {
-    let n = o.scale.nodes;
-    let herd = (n / 2).max(1);
+    let herd = (o.scale.nodes / 2).max(1);
     let herd_schedule = format!("quiet:6,flash:{herd}[herd],quiet:12");
     // The partition family's pinned demonstration regime (see the
     // function docs): its own population, view size, engine seed and
@@ -432,7 +429,7 @@ pub fn matrix(o: &Options) -> Result<MatrixResult, String> {
             }
         }
     }
-    Ok(MatrixResult { cells, nodes: n })
+    Ok(MatrixResult { cells })
 }
 
 #[cfg(test)]

@@ -13,15 +13,19 @@
 //! produce (through `dynamics::run_dynamics`, the degree traces and the
 //! dead-link counts), plus the values each derives from them.
 //!
-//! `async` and `scaling` are pinned on their deterministic columns only:
-//! every row's labels, shard count and overlay statistics, never the
-//! wall-clock throughput, seconds or worker count.
+//! `async` is pinned on its deterministic columns only: every row's
+//! labels, shard count and overlay statistics, never the wall-clock
+//! throughput. Two of its digests were recorded before the `scaling`
+//! command folded into it, and hold over the rows both commands ran: the
+//! rows `async` printed, and the in-degree columns of `scaling`, whose
+//! runs are `async`'s newscast cycle-engine rows.
 
+use pss_core::PolicyTriple;
+use pss_experiments::asynchrony::{AsyncResult, EngineComparison, OverlayStats};
 use pss_experiments::dynamics::ProtocolDynamics;
 use pss_experiments::stacks::Stack;
 use pss_experiments::{
-    adversary, asynchrony, fig2, fig3, fig5, fig7, protocols, scaling, table2, workload, Options,
-    Scale,
+    adversary, asynchrony, fig2, fig3, fig5, fig7, protocols, table2, workload, Options, Scale,
 };
 use pss_protocols::AppPeriodRow;
 use pss_sim::audit::AttackRecord;
@@ -247,27 +251,26 @@ fn per_cycle_figure_series_are_pinned() {
     assert_eq!(digest.0, PER_CYCLE_SERIES);
 }
 
-/// The options both `async` and `scaling` pins run at.
-fn sweep() -> Options {
-    Options {
+/// `async` at tiny scale on shards 1, 2 and 4: 9 rows per protocol.
+fn async_sweep() -> AsyncResult {
+    let result = asynchrony::run(&Options {
         shards: Some(vec![1, 2, 4]),
         ..Options::at(Scale {
             cycles: 20,
             ..tiny()
         })
-    }
+    });
+    assert_eq!(result.rows.len(), 3 * 3 * 3);
+    result
 }
 
-#[test]
-fn async_rows_are_pinned() {
-    let result = asynchrony::run(&sweep());
-    assert_eq!(result.rows.len(), 3 * (1 + 2 * 3));
-    let mut digest = Digest::new();
-    for r in &result.rows {
-        digest.text(r.engine);
-        digest.text(&r.policy.to_string());
+impl Digest {
+    /// The columns an `async` row has had since it was first pinned.
+    fn async_row(&mut self, r: &EngineComparison) {
+        self.text(r.engine);
+        self.text(&r.policy.to_string());
         let s = &r.stats;
-        digest.words(&[
+        self.words(&[
             r.shards as u64,
             r.loss.to_bits(),
             s.average_degree.to_bits(),
@@ -276,28 +279,56 @@ fn async_rows_are_pinned() {
             s.connected.map_or(2, u64::from),
         ]);
     }
+
+    fn in_degrees(&mut self, s: &OverlayStats) {
+        self.words(&[
+            s.in_degree_mean.to_bits(),
+            s.in_degree_std.to_bits(),
+            s.in_degree_min.to_bits(),
+            s.in_degree_max.to_bits(),
+        ]);
+    }
+}
+
+/// The rows `async` printed before `scaling` folded into it: the cycle
+/// engine at the largest shard count only, the event engine at all.
+#[test]
+fn async_rows_are_pinned() {
+    let mut digest = Digest::new();
+    let rows = async_sweep().rows;
+    for r in rows.iter().filter(|r| r.engine == "event" || r.shards == 4) {
+        digest.async_row(r);
+    }
     assert_eq!(digest.0, ASYNC_ROWS);
 }
 
+/// The in-degree columns `scaling` printed: the same runs as `async`'s
+/// newscast cycle-engine rows.
 #[test]
 fn scaling_in_degrees_are_pinned() {
-    let result = scaling::run(&sweep());
-    assert_eq!(result.rows.len(), 3);
     let mut digest = Digest::new();
-    for r in &result.rows {
-        digest.words(&[
-            r.shards as u64,
-            r.in_degree_mean.to_bits(),
-            r.in_degree_std.to_bits(),
-            r.in_degree_min.to_bits(),
-            r.in_degree_max.to_bits(),
-        ]);
+    let rows = async_sweep().rows;
+    let newscast = |r: &&EngineComparison| r.policy == PolicyTriple::newscast();
+    for r in rows.iter().filter(|r| r.engine == "cycle").filter(newscast) {
+        digest.words(&[r.shards as u64]);
+        digest.in_degrees(&r.stats);
     }
     assert_eq!(digest.0, SCALING_IN_DEGREES);
 }
 
+#[test]
+fn async_table_is_pinned() {
+    let mut digest = Digest::new();
+    for r in &async_sweep().rows {
+        digest.async_row(r);
+        digest.in_degrees(&r.stats);
+    }
+    assert_eq!(digest.0, ASYNC_TABLE);
+}
+
 const ASYNC_ROWS: u64 = 269566359260749549;
 const SCALING_IN_DEGREES: u64 = 9222395585052125286;
+const ASYNC_TABLE: u64 = 688229617693845644;
 const PER_CYCLE_SERIES: u64 = 8083121053243876818;
 const WORKLOAD: u64 = 362041301676028430;
 const MATRIX: u64 = 16965542888508163589;

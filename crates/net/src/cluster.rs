@@ -47,7 +47,7 @@ use pss_sim::audit::{self, role_factory, AttackRecord, HonestPolicy};
 use pss_sim::workload::{
     run_workload, CompiledWorkload, Partition, PeriodRecord, Step, Workload, WorkloadTarget,
 };
-use pss_sim::BoxedNode;
+use pss_sim::{mix, planned_range, BoxedNode};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -223,16 +223,8 @@ pub struct BroadcastPeriod {
     pub informed: usize,
 }
 
-/// The contiguous id range runtime `r` of `k` owns under `n` nodes — the
-/// sharded engines' planned-range formula.
-fn range_of(n: usize, k: usize, r: usize) -> (usize, usize) {
-    let start = (r * n).div_ceil(k);
-    let end = ((r + 1) * n).div_ceil(k);
-    (start, end.min(n))
-}
-
 /// The runtime of `k` hosting `id` under `n` initial nodes: initial ids
-/// keep their [`range_of`] range, workload joiners land on runtime
+/// keep their [`planned_range`] range, workload joiners land on runtime
 /// `id mod k`.
 fn host_of(n: usize, k: usize, id: usize) -> usize {
     if id < n {
@@ -240,14 +232,6 @@ fn host_of(n: usize, k: usize, id: usize) -> usize {
     } else {
         id % k
     }
-}
-
-/// `SplitMix64` finalizer: `(seed, id)`-pure node seeds here, runtime
-/// hash keys in [`crate::runtime`].
-pub(crate) fn mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// `(seed, id)`-pure node seed, so a node's RNG stream does not depend on
@@ -313,7 +297,7 @@ impl<T: Transport> Cluster<T> {
             let seed = mix(config.seed ^ (r as u64 + 1));
             let mut rt = NetRuntime::new(transport, config.net_config(), seed)
                 .expect("validated by the caller");
-            let (start, end) = range_of(config.nodes, k, r);
+            let (start, end) = planned_range(config.nodes, k, r);
             for i in start..end {
                 let id = NodeId::new(i as u64);
                 let mut introducers: Vec<(NodeId, NetAddr)> = Vec::new();
@@ -563,7 +547,7 @@ mod tests {
         for (n, k) in [(10, 3), (7, 7), (1000, 4), (5, 1)] {
             let mut seen = 0usize;
             for r in 0..k {
-                let (start, end) = range_of(n, k, r);
+                let (start, end) = planned_range(n, k, r);
                 assert_eq!(start, seen, "gap at runtime {r} for ({n}, {k})");
                 for id in start..end {
                     assert_eq!(host_of(n, k, id), r, "id {id} misrouted");

@@ -115,11 +115,10 @@ use pss_core::wire::{self, DecodeScratch, EncodeError, FrameKind, NetAddr, WireA
 use pss_core::{
     Arena, Exchange, GossipNode, IdHashBuilder, NodeDescriptor, NodeId, Reply, Request, View,
 };
-use pss_sim::{workload::Partition, EventConfig, EventConfigError, TickQueue};
+use pss_sim::{mix, workload::Partition, EventConfig, EventConfigError, TickQueue};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::cluster::mix;
 use crate::transport::Transport;
 
 /// Timing parameters of a runtime, in abstract ticks (the loopback cluster
@@ -154,23 +153,20 @@ impl NetConfig {
         }
     }
 
-    /// Checks the timer invariants — the event engine's rules.
+    /// Checks the timer invariants by [`EventConfig::validate`], the event
+    /// engine's rules.
     ///
     /// # Errors
     ///
     /// [`EventConfigError::ZeroPeriod`] or
     /// [`EventConfigError::JitterNotBelowPeriod`].
     pub fn validate(&self) -> Result<(), EventConfigError> {
-        if self.period == 0 {
-            return Err(EventConfigError::ZeroPeriod);
+        EventConfig {
+            period: self.period,
+            jitter: self.jitter,
+            ..EventConfig::default()
         }
-        if self.jitter >= self.period {
-            return Err(EventConfigError::JitterNotBelowPeriod {
-                jitter: self.jitter,
-                period: self.period,
-            });
-        }
-        Ok(())
+        .validate()
     }
 }
 

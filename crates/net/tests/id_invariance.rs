@@ -8,18 +8,12 @@
 
 use pss_core::{NodeId, PeerSamplingNode, PolicyTriple, ProtocolConfig};
 use pss_net::{MemNetwork, NetAddr, NetConfig, NetRuntime, RuntimeStats};
-use pss_sim::LatencyModel;
+use pss_sim::{mix, LatencyModel};
 
 const NODES: u64 = 48;
 
-/// A splitmix64 finalizer: a bijection on `u64`, so σ is injective on the
-/// low 63 bits it keeps.
-fn mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
+/// `mix` is a splitmix64 finalizer, a bijection on `u64`, so σ is
+/// injective on the low 63 bits it keeps.
 fn scattered(i: u64) -> u64 {
     mix(i) | 1 << 63
 }

@@ -41,8 +41,9 @@ pub(crate) struct SlotRef {
 }
 
 /// SplitMix64 finalizer, for deriving independent per-shard and per-node
-/// seeds from one construction seed.
-pub(crate) fn mix(mut z: u64) -> u64 {
+/// seeds from one construction seed (and, outside this crate, the
+/// runtimes' seeds and hash keys and the experiments' run seeds).
+pub fn mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
@@ -229,9 +230,10 @@ pub(crate) fn lose(rng: &mut SmallRng, loss: f64) -> bool {
 
 /// The contiguous id range shard `index` of `shards` owns under a plan of
 /// `n` ids: `[⌈index·n/shards⌉, ⌈(index+1)·n/shards⌉)` — exactly the ids
-/// [`Directory::shard_for_new`] maps to that shard, so bulk construction
-/// and incremental joins agree on placement.
-pub(crate) fn planned_range(n: usize, shards: usize, index: usize) -> (usize, usize) {
+/// the engines' id directory maps to that shard, so bulk construction
+/// and incremental joins agree on placement. The loopback cluster places
+/// its initial nodes on runtimes by the same rule.
+pub fn planned_range(n: usize, shards: usize, index: usize) -> (usize, usize) {
     let start = (index * n).div_ceil(shards);
     let end = ((index + 1) * n).div_ceil(shards);
     (start, end.min(n))

@@ -81,7 +81,7 @@ pub use cycle::{CycleReport, GrowthPlan, ShardedSimulation};
 pub use event::{
     Delivery, EventConfig, EventConfigError, EventReport, LatencyModel, ShardedEventSimulation,
 };
-pub use exec::prefetch;
+pub use exec::{mix, planned_range, prefetch};
 pub use population::BoxedNode;
 pub use queue::TickQueue;
 pub use shard::{Mode, Sharded};

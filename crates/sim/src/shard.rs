@@ -472,6 +472,15 @@ mod tests {
     }
 
     #[test]
+    fn set_workers_clamps_to_the_shard_count() {
+        for (shards, asked, used) in [(1, 2, 1), (2, 2, 2), (3, 8, 3), (3, 0, 1)] {
+            let mut sim = ShardedSimulation::new(config(), 11, shards);
+            sim.set_workers(asked);
+            assert_eq!(sim.workers(), used, "{asked} workers on {shards} shards");
+        }
+    }
+
+    #[test]
     fn both_engines_drive_generically() {
         let mut cycle = ShardedSimulation::new(config(), 11, 3);
         // In the cycle model every live node initiates exactly once.
