@@ -14,9 +14,8 @@
 //!
 //! Beyond 10⁵ nodes clustering and path length come from the sampled
 //! estimators and exact connectivity is skipped, which opens
-//! [`crate::Scale::million`]. With the cycle rows at one shard count only,
-//! `--scale million --shards 1,2,4` took ≈ 30 min and 8.3 GB peak RSS on
-//! 2 vCPUs; on a shared host add `--nodes 200000`.
+//! [`crate::Scale::million`]. There an event row peaks at 8.3 GB RSS
+//! (measured on 2 vCPUs); on a shared host add `--nodes 200000`.
 
 use std::time::Instant;
 
@@ -192,13 +191,13 @@ fn measure(snapshot: &CsrSnapshot, seed: u64, sampled: bool) -> OverlayStats {
         in_deg.push(d as f64);
     }
     let graph = csr.undirected();
-    let n = graph.node_count();
     let mut rng = SmallRng::seed_from_u64(seed);
     let (clustering, path_length, connected) = if sampled {
         let clustering = clustering::estimate_clustering(&graph, 256, &mut rng);
         let paths = paths::estimate_average_path_length(&graph, 16, &mut rng);
         (clustering, paths.average, None)
     } else {
+        let n = graph.node_count();
         let config = MetricsConfig {
             clustering_samples: Some(1000.min(n)),
             path_sources: Some(50.min(n)),
