@@ -20,8 +20,10 @@
 //! (incremented once per own cycle) rather than network hops.
 //!
 //! [`HsNode`] implements [`GossipNode`], so it runs under the same simulator
-//! drivers as the 2004 protocols. This module is an opt-in extension: none
-//! of the paper-reproduction experiments route through it.
+//! drivers as the 2004 protocols. This module is an opt-in extension: the
+//! paper's own protocols never route through it, and the experiments run
+//! its corners beside them (the self-healing figure and the adversary
+//! sweep).
 
 use core::fmt;
 

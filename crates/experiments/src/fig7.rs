@@ -6,9 +6,26 @@
 //! selection heals exponentially fast (dead links hit zero within tens of
 //! cycles; the pushpull variants overlap), `rand` view selection is linear
 //! at best, with `(tail,rand,push)` even slowly accumulating dead links.
+//!
+//! Four more rows run the healer/swapper (H&S) generalization of the
+//! authors' follow-up paper (TOCS 2007, [`pss_core::hs`]) at the corners of
+//! its design space, with random peer selection: blind `(0,0)`, healer
+//! `(c/2,0)`, swapper `(0,c/2)` and the midpoint `(c/4,c/4)`. The healer
+//! drops the oldest descriptors, so it is expected to heal like `head`;
+//! blind removes at random, so it is expected to stay unhealed like `rand`.
+//! The swapper trades healing for balance: its degree variance is expected
+//! to be the lowest. The H&S paper found these two properties in tension.
+//!
+//! Every row starts from the same random digraph
+//! ([`scenario::random_digraph`]) and runs the same loop: converge for
+//! `scale.cycles`, kill half the nodes, recover. The summary adds the
+//! undirected degree variance just before the kill. `healed at cycle` is
+//! absolute: the failure strikes at the end of cycle `scale.cycles`.
 
-use pss_core::PolicyTriple;
-use pss_sim::scenario;
+use pss_core::hs::{HsConfig, HsPeerSelection};
+use pss_core::{PolicyTriple, ProtocolConfig};
+use pss_sim::audit::HonestPolicy;
+use pss_sim::{scenario, ShardedSimulation};
 use pss_stats::TimeSeries;
 
 use crate::parallel::parallel_map;
@@ -18,16 +35,20 @@ use crate::{Options, Scale};
 /// Fraction of nodes killed at the failure cycle (paper: 0.5).
 const KILL_FRACTION: f64 = 0.5;
 
-/// Healing trajectory of one protocol.
+/// Healing trajectory of one row: a paper protocol or an H&S corner.
 #[derive(Debug, Clone)]
 pub struct HealingCurve {
-    /// The protocol.
-    pub policy: PolicyTriple,
+    /// The row's label: the policy triple, or `hs <corner> (H=…,S=…)`.
+    pub protocol: String,
+    /// Undirected degree variance of the converged overlay, just before
+    /// the failure (lower = more balanced).
+    pub degree_variance: f64,
     /// Dead links per cycle after the failure.
     pub dead_links: TimeSeries,
     /// Dead links immediately after the failure (before any healing cycle).
     pub initial_dead_links: usize,
-    /// First post-failure cycle with zero dead links, if reached.
+    /// First cycle after the failure with zero dead links, if reached
+    /// (absolute, like the cycles of `dead_links`).
     pub healed_at_cycle: Option<u64>,
 }
 
@@ -41,14 +62,15 @@ impl HealingCurve {
 /// Result of the Figure 7 experiment.
 #[derive(Debug, Clone)]
 pub struct Fig7Result {
-    /// One curve per protocol.
+    /// One curve per row: the paper's eight protocols in paper order, then
+    /// the four H&S corners (blind, healer, swapper, midpoint).
     pub curves: Vec<HealingCurve>,
     /// The cycle at which the failure was injected.
     pub failure_cycle: u64,
 }
 
 impl Report for Fig7Result {
-    /// Summary per protocol, and the long-format series: one row per
+    /// Summary per row, and the long-format series: one row per
     /// (protocol, cycle).
     fn sections(&self) -> Vec<Section> {
         let mut t = Table::new(vec![
@@ -56,48 +78,81 @@ impl Report for Fig7Result {
             "dead links at failure",
             "healed at cycle",
             "remaining at end",
+            "degree variance at failure",
         ]);
         for c in &self.curves {
             t.row(vec![
-                c.policy.to_string(),
+                c.protocol.clone(),
                 c.initial_dead_links.to_string(),
                 c.healed_at_cycle
                     .map_or("not healed".into(), |c| c.to_string()),
                 fmt_f64(c.remaining(), 0),
+                fmt_f64(c.degree_variance, 1),
             ]);
         }
 
         let mut series = Table::new(vec!["protocol", "cycle", "dead links"]);
         for c in &self.curves {
             for (cycle, v) in c.dead_links.iter() {
-                series.row(vec![c.policy.to_string(), cycle.to_string(), fmt_f64(v, 0)]);
+                series.row(vec![c.protocol.clone(), cycle.to_string(), fmt_f64(v, 0)]);
             }
         }
         vec![Section::new("fig7", t, Some(series))]
     }
 }
 
-/// Runs the Figure 7 experiment (the paper's eight protocols in
-/// parallel); `scale.cycles` is the convergence budget before the failure.
+/// Runs the Figure 7 experiment (every row in parallel);
+/// `scale.cycles` is the convergence budget before the failure.
 pub fn run(o: &Options) -> Fig7Result {
     let scale = o.scale;
-    let curves = parallel_map(PolicyTriple::paper_eight().to_vec(), move |policy| {
-        healing_curve(scale, policy)
-    });
+    let curves = parallel_map(rows(scale.view_size), move |row| healing_curve(scale, row));
     Fig7Result {
         curves,
         failure_cycle: scale.cycles,
     }
 }
 
-/// One protocol's dead links per cycle after the failure.
-fn healing_curve(scale: Scale, policy: PolicyTriple) -> HealingCurve {
+/// The rows at view size `c`, labelled: the paper's eight protocols, then
+/// the H&S corners with random peer selection.
+///
+/// # Panics
+///
+/// Panics if `c < 2`, where H&S has no valid configuration.
+fn rows(c: usize) -> Vec<(String, HonestPolicy)> {
+    let paper = PolicyTriple::paper_eight().map(|policy| {
+        let config = ProtocolConfig::new(policy, c).expect("non-zero view size");
+        (policy.to_string(), HonestPolicy::Sampling(config))
+    });
+    let (half, quarter) = (c / 2, c / 4);
+    let corners = [
+        ("blind", 0, 0),
+        ("healer", half, 0),
+        ("swapper", 0, half),
+        ("midpoint", quarter, quarter),
+    ]
+    .map(|(name, h, s)| {
+        let hs = HsConfig::new(c, h, s, HsPeerSelection::Rand).expect("H + S <= c/2");
+        (format!("hs {name} (H={h},S={s})"), HonestPolicy::Hs(hs))
+    });
+    paper.into_iter().chain(corners).collect()
+}
+
+/// One row's dead links per cycle after the failure.
+fn healing_curve(scale: Scale, (protocol, policy): (String, HonestPolicy)) -> HealingCurve {
     // Cycles simulated after the failure (the paper plots 70 for the head
     // protocols and 200 for the rand ones; we run the maximum for all).
     let recovery = (scale.cycles * 2 / 3).max(40);
-    let protocol = scale.protocol(policy);
-    let mut sim = scenario::random_overlay(&protocol, scale.nodes, scale.seed ^ 0xf17);
+    let seed = scale.seed ^ 0xf17;
+    let (n, c) = (scale.nodes, policy.view_size());
+    let mut sim = ShardedSimulation::with_factory(seed, 1, move |id, s| policy.build(id, s));
+    scenario::seed_from_digraph(&mut sim, c, &scenario::random_digraph(n, c, seed));
     sim.run_cycles(scale.cycles);
+    let degree_variance = sim
+        .csr_snapshot()
+        .graph()
+        .undirected()
+        .degree_distribution()
+        .variance();
     sim.kill_random_fraction(KILL_FRACTION);
     let initial_dead_links = sim.dead_link_count();
     let mut dead_links = TimeSeries::default();
@@ -107,7 +162,8 @@ fn healing_curve(scale: Scale, policy: PolicyTriple) -> HealingCurve {
     }
     let healed_at_cycle = dead_links.iter().find(|&(_, v)| v == 0.0).map(|(c, _)| c);
     HealingCurve {
-        policy,
+        protocol,
+        degree_variance,
         dead_links,
         initial_dead_links,
         healed_at_cycle,
@@ -117,6 +173,14 @@ fn healing_curve(scale: Scale, policy: PolicyTriple) -> HealingCurve {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The row whose label starts with `label`, at view size `c`.
+    fn row(c: usize, label: &str) -> (String, HonestPolicy) {
+        rows(c)
+            .into_iter()
+            .find(|(l, _)| l.starts_with(label))
+            .expect("known row")
+    }
 
     #[test]
     fn head_heals_rand_does_not_at_tiny_scale() {
@@ -128,8 +192,8 @@ mod tests {
         };
         let result = Fig7Result {
             curves: vec![
-                healing_curve(scale, "(rand,head,pushpull)".parse().unwrap()),
-                healing_curve(scale, "(rand,rand,pushpull)".parse().unwrap()),
+                healing_curve(scale, row(15, "(rand,head,pushpull)")),
+                healing_curve(scale, row(15, "(rand,rand,pushpull)")),
             ],
             failure_cycle: scale.cycles,
         };
@@ -150,5 +214,47 @@ mod tests {
         let section = result.sections().remove(0);
         assert!(!section.summary.is_empty());
         assert!(section.series.as_ref().is_some_and(|s| !s.is_empty()));
+    }
+
+    #[test]
+    fn healer_corner_heals_blind_corner_does_not() {
+        let scale = Scale {
+            nodes: 300,
+            cycles: 40,
+            view_size: 16,
+            seed: 91,
+        };
+        let blind = healing_curve(scale, row(16, "hs blind"));
+        let healer = healing_curve(scale, row(16, "hs healer"));
+        assert!(
+            healer.healed_at_cycle.is_some(),
+            "healer corner should fully heal, left {}",
+            healer.remaining()
+        );
+        assert_eq!(blind.healed_at_cycle, None, "blind corner healed");
+        assert!(
+            healer.remaining() < blind.remaining(),
+            "healer {} should beat blind {}",
+            healer.remaining(),
+            blind.remaining()
+        );
+    }
+
+    #[test]
+    fn swapper_corner_balances_degrees() {
+        let scale = Scale {
+            nodes: 300,
+            cycles: 40,
+            view_size: 16,
+            seed: 92,
+        };
+        let blind = healing_curve(scale, row(16, "hs blind"));
+        let swapper = healing_curve(scale, row(16, "hs swapper"));
+        assert!(
+            swapper.degree_variance <= blind.degree_variance * 1.2,
+            "swapper variance {} should not exceed blind {}",
+            swapper.degree_variance,
+            blind.degree_variance
+        );
     }
 }

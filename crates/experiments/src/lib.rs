@@ -18,11 +18,10 @@
 //! | [`table2`]   | Table 2        | degree statistics of traced nodes |
 //! | [`fig5`]     | Figure 5       | autocorrelation of a node's degree series |
 //! | [`fig6`]     | Figure 6       | connectivity under massive node removal |
-//! | [`fig7`]     | Figure 7       | dead-link healing after 50 % node failure |
+//! | [`fig7`]     | Figure 7       | dead-link healing after 50 % node failure; healer/swapper (H, S) corners beside the paper's eight |
 //! | [`policies`] | Section 4.3    | why `(head,*,*)`, `(*,tail,*)`, `(*,*,pull)` are degenerate |
 //! | [`asynchrony`] | extension    | cycle vs event engine per shard count: overlay quality and throughput |
 //! | [`apps`]     | extension      | broadcast & aggregation vs sampling quality |
-//! | [`hs_ablation`] | extension   | healer/swapper (H, S) corners: healing speed vs degree balance |
 //! | [`net`]      | extension      | live loopback UDP cluster: wire codec + runtimes end to end |
 //! | [`workload`] | extension      | membership-dynamics schedules (churn, catastrophe, flash crowd, partition) on every [`stacks::Stack`] |
 //! | [`adversary`] | extension     | Byzantine attack metrics per honest policy, on every stack |
@@ -45,7 +44,6 @@ pub mod fig4;
 pub mod fig5;
 pub mod fig6;
 pub mod fig7;
-pub mod hs_ablation;
 pub mod metrics;
 pub mod net;
 pub mod policies;

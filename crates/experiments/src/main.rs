@@ -20,8 +20,8 @@ use std::time::Instant;
 
 use pss_experiments::report::{Cell, Report, Section};
 use pss_experiments::{
-    adversary, apps, asynchrony, fig2, fig3, fig4, fig5, fig6, fig7, hs_ablation, metrics, net,
-    policies, protocols, table1, table2, workload, Options, Scale,
+    adversary, apps, asynchrony, fig2, fig3, fig4, fig5, fig6, fig7, metrics, net, policies,
+    protocols, table1, table2, workload, Options, Scale,
 };
 use pss_telemetry::EventKind;
 use workload::FreshnessChoice;
@@ -83,7 +83,7 @@ static COMMANDS: &[Command] = &[
         run: |o| Ok(Box::new(fig6::run(o))),
     },
     Command {
-        name: "fig7", help: "self-healing after 50% node failure",
+        name: "fig7", help: "self-healing after 50% node failure, with H&S corners",
         options: &[], caps: UNCAPPED,
         run: |o| Ok(Box::new(fig7::run(o))),
     },
@@ -101,11 +101,6 @@ static COMMANDS: &[Command] = &[
         name: "apps", help: "broadcast/aggregation sampling-quality comparison (extension)",
         options: &[], caps: (2000, 100),
         run: |o| Ok(Box::new(apps::run(o))),
-    },
-    Command {
-        name: "hs", help: "healer/swapper (H,S) ablation (extension)",
-        options: &[], caps: (2000, 100),
-        run: |o| Ok(Box::new(hs_ablation::run(o))),
     },
     Command {
         name: "net", help: "live loopback UDP cluster through the wire codec (extension)",

@@ -11,7 +11,9 @@
 //! The per-cycle figures are pinned the same way: every cycle index and
 //! value of the series that `fig2`, `fig3`, `fig5`, `table2` and `fig7`
 //! produce (through `dynamics::run_dynamics`, the degree traces and the
-//! dead-link counts), plus the values each derives from them.
+//! dead-link counts), plus the values each derives from them. That digest
+//! covers `fig7`'s eight paper protocols; its H&S rows and its degree
+//! variances have a constant of their own.
 //!
 //! `async` is pinned on its deterministic columns only: every row's
 //! labels, shard count and overlay statistics, never the wall-clock
@@ -238,8 +240,8 @@ fn per_cycle_figure_series_are_pinned() {
     }
 
     let f7 = fig7::run(&o);
-    assert_eq!(f7.curves.len(), 8);
-    for c in &f7.curves {
+    assert_eq!(f7.curves.len(), 12);
+    for c in &f7.curves[..8] {
         assert_eq!(c.dead_links.len(), 40);
         digest.series(&c.dead_links);
         digest.words(&[
@@ -249,6 +251,30 @@ fn per_cycle_figure_series_are_pinned() {
     }
 
     assert_eq!(digest.0, PER_CYCLE_SERIES);
+}
+
+/// The rows `fig7` runs beside the paper's eight: the four H&S curves, and
+/// every row's degree variance at the failure.
+#[test]
+fn fig7_hs_rows_and_variances_are_pinned() {
+    let f7 = fig7::run(&Options::at(Scale {
+        cycles: 30,
+        ..tiny()
+    }));
+    assert_eq!(f7.curves.len(), 12);
+    let mut digest = Digest::new();
+    for c in &f7.curves[8..] {
+        digest.text(&c.protocol);
+        digest.series(&c.dead_links);
+        digest.words(&[
+            c.initial_dead_links as u64,
+            c.healed_at_cycle.unwrap_or(u64::MAX),
+        ]);
+    }
+    for c in &f7.curves {
+        digest.words(&[c.degree_variance.to_bits()]);
+    }
+    assert_eq!(digest.0, FIG7_HS_ROWS);
 }
 
 /// `async` at tiny scale on shards 1, 2 and 4: 9 rows per protocol.
@@ -330,6 +356,7 @@ const ASYNC_ROWS: u64 = 269566359260749549;
 const SCALING_IN_DEGREES: u64 = 9222395585052125286;
 const ASYNC_TABLE: u64 = 688229617693845644;
 const PER_CYCLE_SERIES: u64 = 8083121053243876818;
+const FIG7_HS_ROWS: u64 = 12904017961309988330;
 const WORKLOAD: u64 = 362041301676028430;
 const MATRIX: u64 = 16965542888508163589;
 const PROTOCOLS: u64 = 5633405237867706408;

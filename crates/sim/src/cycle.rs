@@ -241,26 +241,6 @@ impl<N: GossipNode + Send> ShardedSimulation<N> {
         let idx = self.control_rng.random_range(0..len);
         Some(self.view_of(id)?.descriptors()[idx].id())
     }
-
-    /// Re-initializes a live node's view from fresh seed descriptors (the
-    /// service's `init()` called again). Returns false for dead/unknown
-    /// nodes.
-    pub fn reinit_node(
-        &mut self,
-        id: NodeId,
-        seeds: impl IntoIterator<Item = NodeDescriptor>,
-    ) -> bool {
-        if !self.is_alive(id) {
-            return false;
-        }
-        let at = self
-            .dir
-            .slot_ref(id)
-            .expect("live ids are in the directory");
-        let entry = self.shards[at.shard as usize].pop.slot_mut(at.slot);
-        entry.node.init(&mut seeds.into_iter());
-        true
-    }
 }
 
 impl Mode for CycleDriven {
@@ -784,18 +764,6 @@ mod tests {
         assert_eq!(p, NodeId::new(1));
         sim.kill(NodeId::new(1));
         assert!(sim.get_peer(NodeId::new(1)).is_none());
-    }
-
-    #[test]
-    fn reinit_node_replaces_view() {
-        let mut sim = two_node_sim();
-        assert!(sim.reinit_node(NodeId::new(1), [NodeDescriptor::fresh(NodeId::new(0))]));
-        let view = sim.view_of(NodeId::new(1)).unwrap();
-        assert_eq!(view.len(), 1);
-        assert!(view.contains(NodeId::new(0)));
-        sim.kill(NodeId::new(1));
-        assert!(!sim.reinit_node(NodeId::new(1), []));
-        assert!(!sim.reinit_node(NodeId::new(99), []));
     }
 
     #[test]

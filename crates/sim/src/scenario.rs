@@ -22,7 +22,7 @@ use crate::{EventConfig, EventConfigError, GrowthPlan, ShardedEventSimulation, S
 
 /// Seeds an empty engine so that node `i`'s view holds a fresh descriptor
 /// per out-neighbor of `i` in the directed `graph` — one loop for both
-/// engines.
+/// engines and every node type.
 ///
 /// Deliberately **serial** (`add_node`: node seeds, and on the event engine
 /// timer phases, from the control RNG in join order — unlike the bulk path
@@ -32,8 +32,8 @@ use crate::{EventConfig, EventConfigError, GrowthPlan, ShardedEventSimulation, S
 /// # Panics
 ///
 /// Panics if any out-degree exceeds `view_size`.
-fn seed_from_digraph<M: Mode>(
-    sim: &mut Sharded<PeerSamplingNode, M>,
+pub fn seed_from_digraph<N: GossipNode + Send, M: Mode>(
+    sim: &mut Sharded<N, M>,
     view_size: usize,
     graph: &Csr,
 ) {
@@ -56,7 +56,7 @@ fn seed_from_digraph<M: Mode>(
 /// Seeds an empty engine with `n` nodes in a binary tree: node 0 knows
 /// nobody, node `i` knows node `i / 2` — the minimal connected bootstrap
 /// the workload, adversary and application runs converge from, on both
-/// engines. Serial like [`from_digraph_sharded`], for the same reason: the
+/// engines. Serial like [`seed_from_digraph`], for the same reason: the
 /// trajectories pinned on those runs ride on `add_node`'s control-RNG
 /// draws in id order.
 pub fn seed_tree<N: GossipNode + Send, M: Mode>(sim: &mut Sharded<N, M>, n: usize) {
@@ -78,7 +78,9 @@ pub fn from_digraph(
     graph: &Csr,
     seed: u64,
 ) -> ShardedSimulation<PeerSamplingNode> {
-    from_digraph_sharded(config, graph, seed, 1)
+    let mut sim = ShardedSimulation::new(config.clone(), seed, 1);
+    seed_from_digraph(&mut sim, config.view_size(), graph);
+    sim
 }
 
 /// The growing-overlay scenario: one initial node, `per_cycle` joiners per
@@ -118,28 +120,17 @@ pub fn random_overlay(
     n: usize,
     seed: u64,
 ) -> ShardedSimulation<PeerSamplingNode> {
-    // Derive the topology RNG from the run seed but keep it distinct from
-    // the simulation RNG stream.
-    let mut topo_rng = SmallRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
-    let graph = gen::uniform_view_digraph(n, config.view_size(), &mut topo_rng);
-    from_digraph(config, &graph, seed)
+    from_digraph(config, &random_digraph(n, config.view_size(), seed), seed)
 }
 
-/// [`from_digraph`] at any shard count: the same serial per-node seed
-/// draws and the same views, placed in contiguous per-shard id ranges.
-///
-/// # Panics
-///
-/// Panics if any out-degree exceeds the configured view size.
-pub fn from_digraph_sharded(
-    config: &ProtocolConfig,
-    graph: &Csr,
-    seed: u64,
-    shards: usize,
-) -> ShardedSimulation<PeerSamplingNode> {
-    let mut sim = ShardedSimulation::new(config.clone(), seed, shards);
-    seed_from_digraph(&mut sim, config.view_size(), graph);
-    sim
+/// The random scenario's start as a directed graph: every node's
+/// out-neighbors are `c` uniform picks of the other nodes
+/// ([`gen::uniform_view_digraph`]). The topology stream is derived from the
+/// run seed but kept distinct from the engine's, so an engine built at
+/// `seed` and seeded from this graph is [`random_overlay`] at any node type.
+pub fn random_digraph(n: usize, c: usize, seed: u64) -> Csr {
+    let mut topo_rng = SmallRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
+    gen::uniform_view_digraph(n, c, &mut topo_rng)
 }
 
 /// The random scenario at sharded scale: every node's initial view is an
@@ -217,33 +208,10 @@ pub fn event_random_overlay_sharded(
     Ok(sim)
 }
 
-/// Seeds an empty [`ShardedEventSimulation`] from a directed graph, exactly
-/// like [`from_digraph_sharded`] does for the cycle engine: node `i`'s view
-/// holds a fresh descriptor per out-neighbor of `i`, and node seeds/phases
-/// come from the control RNG in join order.
-///
-/// # Errors
-///
-/// Returns an [`EventConfigError`] if `event` violates an invariant.
-///
-/// # Panics
-///
-/// Panics if any out-degree exceeds the configured view size.
-pub fn event_from_digraph_sharded(
-    config: &ProtocolConfig,
-    event: EventConfig,
-    graph: &Csr,
-    seed: u64,
-    shards: usize,
-) -> Result<ShardedEventSimulation<PeerSamplingNode>, EventConfigError> {
-    let mut sim = ShardedEventSimulation::new(config.clone(), event, seed, shards)?;
-    seed_from_digraph(&mut sim, config.view_size(), graph);
-    Ok(sim)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pss_core::hs::{HsConfig, HsNode, HsPeerSelection};
     use pss_core::PolicyTriple;
     use pss_graph::components::connected_components;
     use pss_graph::csr::CsrBuilder;
@@ -264,8 +232,8 @@ mod tests {
         digraph(&[&[1, 2], &[2], &[]])
     }
 
-    /// The views of [`three_nodes`], on either engine.
-    fn assert_replicates<M: Mode>(sim: &Sharded<PeerSamplingNode, M>) {
+    /// The views of [`three_nodes`], on either engine and any node type.
+    fn assert_replicates<N: GossipNode + Send, M: Mode>(sim: &Sharded<N, M>) {
         assert_eq!(sim.node_count(), 3);
         let v0 = sim.view_of(NodeId::new(0)).unwrap();
         assert!(v0.contains(NodeId::new(1)));
@@ -363,7 +331,14 @@ mod tests {
 
     #[test]
     fn sharded_from_digraph_replicates_views() {
-        let sim = from_digraph_sharded(&config(5), &three_nodes(), 1, 2);
+        let mut sim = ShardedSimulation::new(config(5), 1, 2);
+        seed_from_digraph(&mut sim, 5, &three_nodes());
+        assert_replicates(&sim);
+
+        let hs = HsConfig::new(5, 1, 1, HsPeerSelection::Rand).unwrap();
+        let mut sim =
+            ShardedSimulation::with_factory(1, 2, move |id, seed| HsNode::with_seed(id, hs, seed));
+        seed_from_digraph(&mut sim, 5, &three_nodes());
         assert_replicates(&sim);
     }
 
@@ -391,9 +366,8 @@ mod tests {
 
     #[test]
     fn event_from_digraph_replicates_views() {
-        let sim =
-            event_from_digraph_sharded(&config(5), EventConfig::default(), &three_nodes(), 1, 2)
-                .unwrap();
+        let mut sim = ShardedEventSimulation::new(config(5), EventConfig::default(), 1, 2).unwrap();
+        seed_from_digraph(&mut sim, 5, &three_nodes());
         assert_replicates(&sim);
     }
 }

@@ -23,7 +23,7 @@ use common::{
     apply_step, assert_csr_matches_views, assert_streaming_matches_csr, boxed_factory,
     digest_report, fnv1a, view_digest, FNV_OFFSET,
 };
-use pss_core::{NodeDescriptor, NodeId, PolicyTriple, ProtocolConfig};
+use pss_core::{NodeId, PolicyTriple, ProtocolConfig};
 use pss_graph::gen;
 use pss_sim::workload::{run_workload, Workload};
 use pss_sim::{scenario, Partition, ShardedSimulation};
@@ -175,14 +175,7 @@ fn one_shard_matches_sequential_for_headline_policies() {
         // A heterogeneous-capable boxed population, built by the same
         // serial joins...
         let mut boxed = ShardedSimulation::with_factory(31, 1, boxed_factory(config.clone()));
-        for v in 0..graph.node_count() as u32 {
-            boxed.add_node(
-                graph
-                    .neighbors(v)
-                    .iter()
-                    .map(|&t| NodeDescriptor::fresh(NodeId::new(t as u64))),
-            );
-        }
+        scenario::seed_from_digraph(&mut boxed, 10, &graph);
         // ...vs the monomorphized engine the scenario constructor builds.
         let mut typed = scenario::from_digraph(&config, &graph, 31);
 

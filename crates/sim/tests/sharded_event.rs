@@ -84,18 +84,10 @@ fn one_shard_matches_sequential_for_headline_policies() {
         let mut boxed =
             ShardedEventSimulation::with_factory(event, 31, 1, boxed_factory(config.clone()))
                 .expect("valid");
-        for v in 0..graph.node_count() as u32 {
-            boxed.add_node(
-                graph
-                    .neighbors(v)
-                    .iter()
-                    .map(|&t| NodeDescriptor::fresh(NodeId::new(t as u64))),
-            );
-        }
-        // ...vs the monomorphized engine the scenario constructor builds,
-        // run in a different chunking.
-        let mut typed =
-            scenario::event_from_digraph_sharded(&config, event, &graph, 31, 1).expect("valid");
+        scenario::seed_from_digraph(&mut boxed, 10, &graph);
+        // ...vs the monomorphized engine, run in a different chunking.
+        let mut typed = ShardedEventSimulation::new(config, event, 31, 1).expect("valid");
+        scenario::seed_from_digraph(&mut typed, 10, &graph);
 
         boxed.set_record_deliveries(true);
         typed.set_record_deliveries(true);
@@ -203,12 +195,9 @@ const PINNED_TINY_EVENT_DIGEST: u64 = 3724866096535109322;
 fn pinned_serial_one_shard_digest_at_tiny_scale() {
     let seed = 20040601;
     let config = ProtocolConfig::new(PolicyTriple::newscast(), 15).expect("valid");
-    // `scenario::random_overlay`'s topology stream.
-    let mut topo = SmallRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
-    let graph = gen::uniform_view_digraph(300, 15, &mut topo);
     let mut sim =
-        scenario::event_from_digraph_sharded(&config, EventConfig::default(), &graph, seed, 1)
-            .expect("valid");
+        ShardedEventSimulation::new(config, EventConfig::default(), seed, 1).expect("valid");
+    scenario::seed_from_digraph(&mut sim, 15, &scenario::random_digraph(300, 15, seed));
     let mut digest = FNV_OFFSET;
     for _ in 0..20 {
         sim.run_for(1000);
