@@ -14,7 +14,6 @@
 //! * [`chi_square_uniform`] — Pearson goodness-of-fit against uniform, the
 //!   PeerSwap-style randomness audit of the adversarial suite.
 //! * [`TimeSeries`] — a cycle-indexed recorder for per-cycle metrics.
-//! * [`quantile`] — quantile estimation on sorted data.
 //!
 //! # Examples
 //!
@@ -32,13 +31,11 @@
 mod autocorr;
 mod chi2;
 mod distribution;
-mod quantiles;
 mod series;
 mod summary;
 
 pub use autocorr::{autocorrelation, autocorrelation_at, white_noise_band, Autocorrelation};
 pub use chi2::{chi_square, chi_square_sf, chi_square_uniform, ChiSquare};
 pub use distribution::CountDistribution;
-pub use quantiles::{median, quantile, QuantileError};
 pub use series::TimeSeries;
 pub use summary::Summary;

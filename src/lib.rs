@@ -21,8 +21,8 @@
 //!   multi-node [`pss_net::NetRuntime`], and the loopback cluster harness.
 //! * [`graph`] ([`pss_graph`]) — overlay graph analysis: components, path
 //!   lengths, clustering, degree distributions, generators.
-//! * [`stats`] ([`pss_stats`]) — summaries, quantiles, autocorrelation,
-//!   degree distributions, time series.
+//! * [`stats`] ([`pss_stats`]) — summaries, autocorrelation, degree
+//!   distributions, time series.
 //! * [`protocols`] ([`pss_protocols`]) — epidemic broadcast and gossip
 //!   averaging running on the sampling service.
 //!
