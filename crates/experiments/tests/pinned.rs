@@ -9,11 +9,13 @@
 //! them.
 //!
 //! The per-cycle figures are pinned the same way: every cycle index and
-//! value of the series that `fig2`, `fig3`, `fig5`, `table2` and `fig7`
-//! produce (through `dynamics::run_dynamics`, the degree traces and the
-//! dead-link counts), plus the values each derives from them. That digest
-//! covers `fig7`'s eight paper protocols; its H&S rows and its degree
-//! variances have a constant of their own.
+//! value of the series that `fig2`, `fig3` and `fig7` produce (through
+//! `dynamics::run_dynamics` and the dead-link counts), plus the values
+//! each derives from them. That digest covers `fig7`'s eight paper
+//! protocols; its H&S rows and its degree variances have a constant of
+//! their own. The degree figures have one constant each: every
+//! `(cycle, degree, count)` of Figure 4's captures, Table 2's rows and
+//! Figure 5's autocorrelations.
 //!
 //! `async` is pinned on its deterministic columns only: every row's
 //! labels, shard count and overlay statistics, never the wall-clock
@@ -27,7 +29,8 @@ use pss_experiments::asynchrony::{AsyncResult, EngineComparison, OverlayStats};
 use pss_experiments::dynamics::ProtocolDynamics;
 use pss_experiments::stacks::Stack;
 use pss_experiments::{
-    adversary, asynchrony, fig2, fig3, fig5, fig7, protocols, table2, workload, Options, Scale,
+    adversary, asynchrony, fig2, fig3, fig4, fig5, fig7, protocols, table2, workload, Options,
+    Scale,
 };
 use pss_protocols::AppPeriodRow;
 use pss_sim::audit::AttackRecord;
@@ -220,25 +223,6 @@ fn per_cycle_figure_series_are_pinned() {
         digest.dynamics(d);
     }
 
-    let f5 = fig5::run(&o);
-    assert_eq!(f5.protocols.len(), 4);
-    for p in &f5.protocols {
-        let values = p.autocorrelation.values();
-        digest.words(&[values.len() as u64]);
-        digest.words(&values.iter().map(|r| r.to_bits()).collect::<Vec<_>>());
-        digest.words(&[p.last_significant_lag.map_or(u64::MAX, |l| l as u64)]);
-    }
-
-    let t2 = table2::run(&o);
-    assert_eq!(t2.rows.len(), 8);
-    for row in &t2.rows {
-        digest.words(&[
-            row.final_mean_degree.to_bits(),
-            row.traced_mean.to_bits(),
-            row.traced_std.to_bits(),
-        ]);
-    }
-
     let f7 = fig7::run(&o);
     assert_eq!(f7.curves.len(), 12);
     for c in &f7.curves[..8] {
@@ -251,6 +235,54 @@ fn per_cycle_figure_series_are_pinned() {
     }
 
     assert_eq!(digest.0, PER_CYCLE_SERIES);
+}
+
+/// The degree figures: every capture of Figure 4, Table 2's rows and
+/// Figure 5's autocorrelations, each under a constant of its own.
+#[test]
+fn degree_figures_are_pinned() {
+    let o = Options::at(Scale {
+        cycles: 30,
+        ..tiny()
+    });
+
+    let f4 = fig4::run(&o);
+    assert_eq!(f4.evolutions.len(), 8);
+    let mut digest = Digest::new();
+    for e in &f4.evolutions {
+        digest.text(&e.policy.to_string());
+        for (cycle, dist) in &e.captures {
+            for (degree, count) in dist.iter() {
+                digest.words(&[*cycle, degree, count]);
+            }
+        }
+    }
+    assert_eq!(digest.0, FIG4_CAPTURES);
+
+    let t2 = table2::run(&o);
+    assert_eq!(t2.rows.len(), 8);
+    let mut digest = Digest::new();
+    for row in &t2.rows {
+        digest.text(&row.policy.to_string());
+        digest.words(&[
+            row.final_mean_degree.to_bits(),
+            row.traced_mean.to_bits(),
+            row.traced_std.to_bits(),
+        ]);
+    }
+    assert_eq!(digest.0, TABLE2_ROWS);
+
+    let f5 = fig5::run(&o);
+    assert_eq!(f5.protocols.len(), 4);
+    let mut digest = Digest::new();
+    for p in &f5.protocols {
+        digest.text(&p.policy.to_string());
+        let values = p.autocorrelation.values();
+        digest.words(&[values.len() as u64]);
+        digest.words(&values.iter().map(|r| r.to_bits()).collect::<Vec<_>>());
+        digest.words(&[p.last_significant_lag.map_or(u64::MAX, |l| l as u64)]);
+    }
+    assert_eq!(digest.0, FIG5_AUTOCORRELATIONS);
 }
 
 /// The rows `fig7` runs beside the paper's eight: the four H&S curves, and
@@ -355,7 +387,10 @@ fn async_table_is_pinned() {
 const ASYNC_ROWS: u64 = 269566359260749549;
 const SCALING_IN_DEGREES: u64 = 9222395585052125286;
 const ASYNC_TABLE: u64 = 688229617693845644;
-const PER_CYCLE_SERIES: u64 = 8083121053243876818;
+const PER_CYCLE_SERIES: u64 = 18057792563941359457;
+const FIG4_CAPTURES: u64 = 195961736075852946;
+const TABLE2_ROWS: u64 = 13567595184759610227;
+const FIG5_AUTOCORRELATIONS: u64 = 2971559083788760700;
 const FIG7_HS_ROWS: u64 = 12904017961309988330;
 const WORKLOAD: u64 = 362041301676028430;
 const MATRIX: u64 = 16965542888508163589;
