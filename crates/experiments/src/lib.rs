@@ -14,9 +14,7 @@
 //! | [`table1`]   | Table 1        | partitioning of push protocols in the growing scenario |
 //! | [`fig2`]     | Figure 2       | property dynamics while the overlay grows |
 //! | [`fig3`]     | Figure 3       | convergence from lattice and random starts |
-//! | [`fig4`]     | Figure 4       | degree distribution evolution (log-log) |
-//! | [`table2`]   | Table 2        | degree statistics of traced nodes |
-//! | [`fig5`]     | Figure 5       | autocorrelation of a node's degree series |
+//! | [`degree`]   | Figure 4, Table 2, Figure 5 | one degree trace per protocol: distribution evolution (log-log), traced nodes' statistics, one node's autocorrelation |
 //! | [`fig6`]     | Figure 6       | connectivity under massive node removal |
 //! | [`fig7`]     | Figure 7       | dead-link healing after 50 % node failure; healer/swapper (H, S) corners beside the paper's eight |
 //! | [`policies`] | Section 4.3    | why `(head,*,*)`, `(*,tail,*)`, `(*,*,pull)` are degenerate |
@@ -37,11 +35,10 @@
 pub mod adversary;
 pub mod apps;
 pub mod asynchrony;
+pub mod degree;
 pub mod dynamics;
 pub mod fig2;
 pub mod fig3;
-pub mod fig4;
-pub mod fig5;
 pub mod fig6;
 pub mod fig7;
 pub mod metrics;
@@ -51,7 +48,6 @@ pub mod protocols;
 pub mod report;
 pub mod stacks;
 pub mod table1;
-pub mod table2;
 pub mod workload;
 
 mod parallel;

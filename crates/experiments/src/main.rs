@@ -20,8 +20,8 @@ use std::time::Instant;
 
 use pss_experiments::report::{Cell, Report, Section};
 use pss_experiments::{
-    adversary, apps, asynchrony, fig2, fig3, fig4, fig5, fig6, fig7, metrics, net, policies,
-    protocols, table1, table2, workload, Options, Scale,
+    adversary, apps, asynchrony, degree, fig2, fig3, fig6, fig7, metrics, net, policies, protocols,
+    table1, workload, Options, Scale,
 };
 use pss_telemetry::EventKind;
 use workload::FreshnessChoice;
@@ -63,19 +63,9 @@ static COMMANDS: &[Command] = &[
         run: |o| Ok(Box::new(fig3::run(o))),
     },
     Command {
-        name: "fig4", help: "degree distribution evolution",
+        name: "degree", help: "degree distribution, traced nodes and autocorrelation (Fig 4, Table 2, Fig 5)",
         options: &[], caps: UNCAPPED,
-        run: |o| Ok(Box::new(fig4::run(o))),
-    },
-    Command {
-        name: "table2", help: "degree statistics of traced nodes",
-        options: &[], caps: UNCAPPED,
-        run: |o| Ok(Box::new(table2::run(o))),
-    },
-    Command {
-        name: "fig5", help: "degree autocorrelation of a fixed node",
-        options: &[], caps: UNCAPPED,
-        run: |o| Ok(Box::new(fig5::run(o))),
+        run: |o| Ok(Box::new(degree::run(o))),
     },
     Command {
         name: "fig6", help: "robustness to massive node removal",
@@ -507,7 +497,7 @@ mod tests {
         assert_eq!(names.len(), COMMANDS.len(), "duplicate command name");
         let tiny = include_str!("../../../results/tiny.md5");
         let small = include_str!("../../../results/small.md5");
-        assert_eq!((tiny.lines().count(), small.lines().count()), (14, 12));
+        assert_eq!((tiny.lines().count(), small.lines().count()), (12, 10));
         for line in tiny.lines().chain(small.lines()) {
             let name = line.split_whitespace().nth(1).unwrap_or_default();
             assert!(

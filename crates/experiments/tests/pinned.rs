@@ -29,8 +29,7 @@ use pss_experiments::asynchrony::{AsyncResult, EngineComparison, OverlayStats};
 use pss_experiments::dynamics::ProtocolDynamics;
 use pss_experiments::stacks::Stack;
 use pss_experiments::{
-    adversary, asynchrony, fig2, fig3, fig4, fig5, fig7, protocols, table2, workload, Options,
-    Scale,
+    adversary, asynchrony, degree, fig2, fig3, fig7, protocols, workload, Options, Scale,
 };
 use pss_protocols::AppPeriodRow;
 use pss_sim::audit::AttackRecord;
@@ -237,8 +236,9 @@ fn per_cycle_figure_series_are_pinned() {
     assert_eq!(digest.0, PER_CYCLE_SERIES);
 }
 
-/// The degree figures: every capture of Figure 4, Table 2's rows and
-/// Figure 5's autocorrelations, each under a constant of its own.
+/// The degree figures, read from one `degree` run: every capture of
+/// Figure 4, Table 2's rows and Figure 5's autocorrelations, each under a
+/// constant of its own.
 #[test]
 fn degree_figures_are_pinned() {
     let o = Options::at(Scale {
@@ -246,12 +246,12 @@ fn degree_figures_are_pinned() {
         ..tiny()
     });
 
-    let f4 = fig4::run(&o);
-    assert_eq!(f4.evolutions.len(), 8);
+    let d = degree::run(&o);
+    assert_eq!(d.traces.len(), 8);
     let mut digest = Digest::new();
-    for e in &f4.evolutions {
-        digest.text(&e.policy.to_string());
-        for (cycle, dist) in &e.captures {
+    for t in &d.traces {
+        digest.text(&t.policy.to_string());
+        for (cycle, dist) in &t.captures {
             for (degree, count) in dist.iter() {
                 digest.words(&[*cycle, degree, count]);
             }
@@ -259,11 +259,10 @@ fn degree_figures_are_pinned() {
     }
     assert_eq!(digest.0, FIG4_CAPTURES);
 
-    let t2 = table2::run(&o);
-    assert_eq!(t2.rows.len(), 8);
     let mut digest = Digest::new();
-    for row in &t2.rows {
-        digest.text(&row.policy.to_string());
+    for t in &d.traces {
+        let row = t.stats();
+        digest.text(&t.policy.to_string());
         digest.words(&[
             row.final_mean_degree.to_bits(),
             row.traced_mean.to_bits(),
@@ -272,15 +271,16 @@ fn degree_figures_are_pinned() {
     }
     assert_eq!(digest.0, TABLE2_ROWS);
 
-    let f5 = fig5::run(&o);
-    assert_eq!(f5.protocols.len(), 4);
+    let autocorrelations = d.autocorrelations();
+    assert_eq!(autocorrelations.len(), 4);
     let mut digest = Digest::new();
-    for p in &f5.protocols {
-        digest.text(&p.policy.to_string());
-        let values = p.autocorrelation.values();
+    for (policy, acf) in &autocorrelations {
+        digest.text(&policy.to_string());
+        let values = acf.values();
         digest.words(&[values.len() as u64]);
         digest.words(&values.iter().map(|r| r.to_bits()).collect::<Vec<_>>());
-        digest.words(&[p.last_significant_lag.map_or(u64::MAX, |l| l as u64)]);
+        let last = acf.last_significant_lag(d.band);
+        digest.words(&[last.map_or(u64::MAX, |l| l as u64)]);
     }
     assert_eq!(digest.0, FIG5_AUTOCORRELATIONS);
 }
@@ -388,9 +388,9 @@ const ASYNC_ROWS: u64 = 269566359260749549;
 const SCALING_IN_DEGREES: u64 = 9222395585052125286;
 const ASYNC_TABLE: u64 = 688229617693845644;
 const PER_CYCLE_SERIES: u64 = 18057792563941359457;
-const FIG4_CAPTURES: u64 = 195961736075852946;
+const FIG4_CAPTURES: u64 = 12900431136060516060;
 const TABLE2_ROWS: u64 = 13567595184759610227;
-const FIG5_AUTOCORRELATIONS: u64 = 2971559083788760700;
+const FIG5_AUTOCORRELATIONS: u64 = 9946352216296955770;
 const FIG7_HS_ROWS: u64 = 12904017961309988330;
 const WORKLOAD: u64 = 362041301676028430;
 const MATRIX: u64 = 16965542888508163589;
