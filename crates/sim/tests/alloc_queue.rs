@@ -6,10 +6,13 @@
 //! allocator. This pins it with a counting global allocator.
 //!
 //! Kept in its own integration-test binary because the `#[global_allocator]`
-//! is process-wide; the single `#[test]` keeps the measurement window free
-//! of concurrent test allocations.
+//! is process-wide. It counts only on a thread that has opened the
+//! measurement window, so the test harness's own threads (progress output,
+//! timing) cannot land in it; `TickQueue` is single-threaded, so every
+//! allocation it makes is on that thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use pss_sim::TickQueue;
@@ -18,11 +21,23 @@ struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Set on the thread whose allocations are being counted.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count() {
+    if COUNTING.with(Cell::get) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 // SAFETY: pure pass-through to the system allocator; the counter is the
-// only addition and is atomic.
+// only addition, atomic, and gated by a const-initialised thread-local
+// that never allocates.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -31,7 +46,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -67,11 +82,12 @@ fn steady_state_push_and_drain_is_allocation_free() {
     }
     let pending = queue.len();
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    COUNTING.with(|c| c.set(true));
     for t in warm_up..warm_up + 10_000 {
         round(&mut queue, t);
     }
-    let during = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    COUNTING.with(|c| c.set(false));
+    let during = ALLOCATIONS.load(Ordering::Relaxed);
 
     assert_eq!(queue.len(), pending, "occupancy is steady");
     assert!(drained >= 10_000 * PER_TICK);
