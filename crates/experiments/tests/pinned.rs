@@ -15,7 +15,9 @@
 //! protocols; its H&S rows and its degree variances have a constant of
 //! their own. The degree figures have one constant each: every
 //! `(cycle, degree, count)` of Figure 4's captures, Table 2's rows and
-//! Figure 5's autocorrelations.
+//! Figure 5's autocorrelations. Table 2's was recorded while it ran on
+//! its own and holds; Figure 4's and Figure 5's were recorded again when
+//! they moved onto Table 2's overlay, one `degree` run per protocol.
 //!
 //! `async` is pinned on its deterministic columns only: every row's
 //! labels, shard count and overlay statistics, never the wall-clock
