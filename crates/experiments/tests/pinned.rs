@@ -9,11 +9,12 @@
 //! them.
 //!
 //! The per-cycle figures are pinned the same way: every cycle index and
-//! value of the series that `fig2`, `fig3` and `fig7` produce (through
-//! `dynamics::run_dynamics` and the dead-link counts), plus the values
-//! each derives from them. That digest covers `fig7`'s eight paper
-//! protocols; its H&S rows and its degree variances have a constant of
-//! their own. The degree figures have one constant each: every
+//! value of the series that `fig2` and `fig3` produce (through
+//! `dynamics::run_dynamics`), plus the values each derives from them.
+//! Figure 6 has one constant for every point and first partition percent,
+//! and Figure 7 one for its eight paper curves; its H&S rows and its
+//! degree variances have a constant of their own. The degree figures have
+//! one constant each: every
 //! `(cycle, degree, count)` of Figure 4's captures, Table 2's rows and
 //! Figure 5's autocorrelations. Table 2's was recorded while it ran on
 //! its own and holds; Figure 4's and Figure 5's were recorded again when
@@ -31,7 +32,7 @@ use pss_experiments::asynchrony::{AsyncResult, EngineComparison, OverlayStats};
 use pss_experiments::dynamics::ProtocolDynamics;
 use pss_experiments::stacks::Stack;
 use pss_experiments::{
-    adversary, asynchrony, degree, fig2, fig3, fig7, protocols, workload, Options, Scale,
+    adversary, asynchrony, degree, fig2, fig3, fig6, fig7, protocols, workload, Options, Scale,
 };
 use pss_protocols::AppPeriodRow;
 use pss_sim::audit::AttackRecord;
@@ -224,17 +225,6 @@ fn per_cycle_figure_series_are_pinned() {
         digest.dynamics(d);
     }
 
-    let f7 = fig7::run(&o);
-    assert_eq!(f7.curves.len(), 12);
-    for c in &f7.curves[..8] {
-        assert_eq!(c.dead_links.len(), 40);
-        digest.series(&c.dead_links);
-        digest.words(&[
-            c.initial_dead_links as u64,
-            c.healed_at_cycle.unwrap_or(u64::MAX),
-        ]);
-    }
-
     assert_eq!(digest.0, PER_CYCLE_SERIES);
 }
 
@@ -285,6 +275,48 @@ fn degree_figures_are_pinned() {
         digest.words(&[last.map_or(u64::MAX, |l| l as u64)]);
     }
     assert_eq!(digest.0, FIG5_AUTOCORRELATIONS);
+}
+
+/// Figure 6's curves: every point of every protocol and each first
+/// partition percent.
+#[test]
+fn fig6_curves_are_pinned() {
+    let f6 = fig6::run(&Options::at(Scale {
+        cycles: 30,
+        ..tiny()
+    }));
+    assert_eq!(f6.curves.len(), 8);
+    let mut digest = Digest::new();
+    for c in &f6.curves {
+        digest.text(&c.policy.to_string());
+        for (percent, outside) in &c.points {
+            digest.words(&[percent.to_bits(), outside.to_bits()]);
+        }
+        digest.words(&[c.first_partition_percent.map_or(u64::MAX, f64::to_bits)]);
+    }
+    assert_eq!(digest.0, FIG6_CURVES);
+}
+
+/// Figure 7's eight paper curves: the dead links per cycle, the dead links
+/// at the failure and the cycle each healed at.
+#[test]
+fn fig7_curves_are_pinned() {
+    let f7 = fig7::run(&Options::at(Scale {
+        cycles: 30,
+        ..tiny()
+    }));
+    assert_eq!(f7.curves.len(), 12);
+    let mut digest = Digest::new();
+    for c in &f7.curves[..8] {
+        assert_eq!(c.dead_links.len(), 40);
+        digest.text(&c.protocol);
+        digest.series(&c.dead_links);
+        digest.words(&[
+            c.initial_dead_links as u64,
+            c.healed_at_cycle.unwrap_or(u64::MAX),
+        ]);
+    }
+    assert_eq!(digest.0, FIG7_CURVES);
 }
 
 /// The rows `fig7` runs beside the paper's eight: the four H&S curves, and
@@ -389,10 +421,12 @@ fn async_table_is_pinned() {
 const ASYNC_ROWS: u64 = 269566359260749549;
 const SCALING_IN_DEGREES: u64 = 9222395585052125286;
 const ASYNC_TABLE: u64 = 688229617693845644;
-const PER_CYCLE_SERIES: u64 = 18057792563941359457;
+const PER_CYCLE_SERIES: u64 = 6298598200495836158;
 const FIG4_CAPTURES: u64 = 12900431136060516060;
 const TABLE2_ROWS: u64 = 13567595184759610227;
 const FIG5_AUTOCORRELATIONS: u64 = 9946352216296955770;
+const FIG6_CURVES: u64 = 6254649865628143878;
+const FIG7_CURVES: u64 = 3876757057238000314;
 const FIG7_HS_ROWS: u64 = 12904017961309988330;
 const WORKLOAD: u64 = 362041301676028430;
 const MATRIX: u64 = 16965542888508163589;
