@@ -14,9 +14,7 @@
 //! | [`table1`]   | Table 1        | partitioning of push protocols in the growing scenario |
 //! | [`fig2`]     | Figure 2       | property dynamics while the overlay grows |
 //! | [`fig3`]     | Figure 3       | convergence from lattice and random starts |
-//! | [`degree`]   | Figure 4, Table 2, Figure 5 | one degree trace per protocol: distribution evolution (log-log), traced nodes' statistics, one node's autocorrelation |
-//! | [`fig6`]     | Figure 6       | connectivity under massive node removal |
-//! | [`fig7`]     | Figure 7       | dead-link healing after 50 % node failure; healer/swapper (H, S) corners beside the paper's eight |
+//! | [`random`]   | Figures 4–7, Table 2 | one random-start run per protocol: degree distribution evolution (log-log), traced nodes' statistics, one node's autocorrelation, connectivity under massive node removal, dead-link healing after 50 % node failure; healer/swapper (H, S) corners beside the paper's eight |
 //! | [`policies`] | Section 4.3    | why `(head,*,*)`, `(*,tail,*)`, `(*,*,pull)` are degenerate |
 //! | [`asynchrony`] | extension    | cycle vs event engine per shard count: overlay quality and throughput |
 //! | [`apps`]     | extension      | broadcast & aggregation vs sampling quality |
@@ -35,16 +33,14 @@
 pub mod adversary;
 pub mod apps;
 pub mod asynchrony;
-pub mod degree;
 pub mod dynamics;
 pub mod fig2;
 pub mod fig3;
-pub mod fig6;
-pub mod fig7;
 pub mod metrics;
 pub mod net;
 pub mod policies;
 pub mod protocols;
+pub mod random;
 pub mod report;
 pub mod stacks;
 pub mod table1;

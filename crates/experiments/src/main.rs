@@ -20,8 +20,8 @@ use std::time::Instant;
 
 use pss_experiments::report::{Cell, Report, Section};
 use pss_experiments::{
-    adversary, apps, asynchrony, degree, fig2, fig3, fig6, fig7, metrics, net, policies, protocols,
-    table1, workload, Options, Scale,
+    adversary, apps, asynchrony, fig2, fig3, metrics, net, policies, protocols, random, table1,
+    workload, Options, Scale,
 };
 use pss_telemetry::EventKind;
 use workload::FreshnessChoice;
@@ -63,19 +63,9 @@ static COMMANDS: &[Command] = &[
         run: |o| Ok(Box::new(fig3::run(o))),
     },
     Command {
-        name: "degree", help: "degree distribution, traced nodes and autocorrelation (Fig 4, Table 2, Fig 5)",
-        options: &[], caps: UNCAPPED,
-        run: |o| Ok(Box::new(degree::run(o))),
-    },
-    Command {
-        name: "fig6", help: "robustness to massive node removal",
+        name: "random", help: "Fig 4-7 and Table 2 from one random-start run per protocol, with H&S corners",
         options: &["--runs"], caps: UNCAPPED,
-        run: |o| Ok(Box::new(fig6::run(o))),
-    },
-    Command {
-        name: "fig7", help: "self-healing after 50% node failure, with H&S corners",
-        options: &[], caps: UNCAPPED,
-        run: |o| Ok(Box::new(fig7::run(o))),
+        run: |o| Ok(Box::new(random::run(o))),
     },
     Command {
         name: "policies", help: "sweep of all 27 policy combinations (Section 4.3)",
@@ -400,7 +390,7 @@ mod tests {
 
     #[test]
     fn parses_scale_presets_and_overrides() {
-        let o = parse_args(&args("fig7 --scale tiny --nodes 500 --cycles 70 --seed 9")).unwrap();
+        let o = parse_args(&args("fig3 --scale tiny --nodes 500 --cycles 70 --seed 9")).unwrap();
         assert_eq!(o.options.scale.nodes, 500);
         assert_eq!(o.options.scale.cycles, 70);
         assert_eq!(o.options.scale.seed, 9);
@@ -409,7 +399,7 @@ mod tests {
 
     #[test]
     fn parses_runs_and_out() {
-        let o = parse_args(&args("fig6 --runs 100 --out /tmp/results")).unwrap();
+        let o = parse_args(&args("random --runs 100 --out /tmp/results")).unwrap();
         assert_eq!(o.options.runs, Some(100));
         assert_eq!(o.out, Some(PathBuf::from("/tmp/results")));
     }
@@ -471,7 +461,7 @@ mod tests {
     fn unread_options_are_rejected_naming_the_command() {
         for line in [
             "fig2 --runs 3",
-            "fig7 --schedule quiet:5",
+            "random --schedule quiet:5",
             "table1 --freshness both",
         ] {
             let (command, option) = line.split_once(' ').unwrap();
@@ -497,7 +487,7 @@ mod tests {
         assert_eq!(names.len(), COMMANDS.len(), "duplicate command name");
         let tiny = include_str!("../../../results/tiny.md5");
         let small = include_str!("../../../results/small.md5");
-        assert_eq!((tiny.lines().count(), small.lines().count()), (12, 10));
+        assert_eq!((tiny.lines().count(), small.lines().count()), (10, 8));
         for line in tiny.lines().chain(small.lines()) {
             let name = line.split_whitespace().nth(1).unwrap_or_default();
             assert!(

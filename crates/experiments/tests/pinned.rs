@@ -11,14 +11,15 @@
 //! The per-cycle figures are pinned the same way: every cycle index and
 //! value of the series that `fig2` and `fig3` produce (through
 //! `dynamics::run_dynamics`), plus the values each derives from them.
-//! Figure 6 has one constant for every point and first partition percent,
-//! and Figure 7 one for its eight paper curves; its H&S rows and its
-//! degree variances have a constant of their own. The degree figures have
-//! one constant each: every
-//! `(cycle, degree, count)` of Figure 4's captures, Table 2's rows and
-//! Figure 5's autocorrelations. Table 2's was recorded while it ran on
-//! its own and holds; Figure 4's and Figure 5's were recorded again when
-//! they moved onto Table 2's overlay, one `degree` run per protocol.
+//! `random`'s figures have one constant each, all read from one run per
+//! row at Table 2's seed: every `(cycle, degree, count)` of Figure 4's
+//! captures, Table 2's rows, Figure 5's autocorrelations, Figure 6's
+//! points and first partition percents, Figure 7's eight paper curves, and
+//! its four H&S curves with every row's degree variance. Table 2's was
+//! recorded while it ran on its own and holds; Figure 4's and Figure 5's
+//! were recorded again when they moved onto Table 2's overlay, and hold.
+//! Figure 6's and Figure 7's were recorded again when they moved onto it
+//! too: before, each converged an overlay of its own at another seed.
 //!
 //! `async` is pinned on its deterministic columns only: every row's
 //! labels, shard count and overlay statistics, never the wall-clock
@@ -27,12 +28,15 @@
 //! rows `async` printed, and the in-degree columns of `scaling`, whose
 //! runs are `async`'s newscast cycle-engine rows.
 
+use std::sync::OnceLock;
+
 use pss_core::PolicyTriple;
 use pss_experiments::asynchrony::{AsyncResult, EngineComparison, OverlayStats};
 use pss_experiments::dynamics::ProtocolDynamics;
+use pss_experiments::random::{RandomResult, RandomRun};
 use pss_experiments::stacks::Stack;
 use pss_experiments::{
-    adversary, asynchrony, degree, fig2, fig3, fig6, fig7, protocols, workload, Options, Scale,
+    adversary, asynchrony, fig2, fig3, protocols, random, workload, Options, Scale,
 };
 use pss_protocols::AppPeriodRow;
 use pss_sim::audit::AttackRecord;
@@ -228,22 +232,29 @@ fn per_cycle_figure_series_are_pinned() {
     assert_eq!(digest.0, PER_CYCLE_SERIES);
 }
 
-/// The degree figures, read from one `degree` run: every capture of
-/// Figure 4, Table 2's rows and Figure 5's autocorrelations, each under a
-/// constant of its own.
+/// `random` at tiny scale and 30 cycles, run once for the pins below.
+fn random_run() -> &'static RandomResult {
+    static RUN: OnceLock<RandomResult> = OnceLock::new();
+    RUN.get_or_init(|| {
+        let result = random::run(&Options::at(Scale {
+            cycles: 30,
+            ..tiny()
+        }));
+        assert_eq!(result.runs.len(), 12);
+        result
+    })
+}
+
+/// The degree figures, read from the paper's eight `random` runs: every
+/// capture of Figure 4, Table 2's rows and Figure 5's autocorrelations,
+/// each under a constant of its own.
 #[test]
 fn degree_figures_are_pinned() {
-    let o = Options::at(Scale {
-        cycles: 30,
-        ..tiny()
-    });
-
-    let d = degree::run(&o);
-    assert_eq!(d.traces.len(), 8);
+    let r = random_run();
     let mut digest = Digest::new();
-    for t in &d.traces {
-        digest.text(&t.policy.to_string());
-        for (cycle, dist) in &t.captures {
+    for (policy, run) in r.paper() {
+        digest.text(&policy.to_string());
+        for (cycle, dist) in &run.degrees.captures {
             for (degree, count) in dist.iter() {
                 digest.words(&[*cycle, degree, count]);
             }
@@ -252,9 +263,9 @@ fn degree_figures_are_pinned() {
     assert_eq!(digest.0, FIG4_CAPTURES);
 
     let mut digest = Digest::new();
-    for t in &d.traces {
-        let row = t.stats();
-        digest.text(&t.policy.to_string());
+    for (policy, run) in r.paper() {
+        let row = run.degrees.stats();
+        digest.text(&policy.to_string());
         digest.words(&[
             row.final_mean_degree.to_bits(),
             row.traced_mean.to_bits(),
@@ -263,7 +274,7 @@ fn degree_figures_are_pinned() {
     }
     assert_eq!(digest.0, TABLE2_ROWS);
 
-    let autocorrelations = d.autocorrelations();
+    let autocorrelations = r.autocorrelations();
     assert_eq!(autocorrelations.len(), 4);
     let mut digest = Digest::new();
     for (policy, acf) in &autocorrelations {
@@ -271,24 +282,20 @@ fn degree_figures_are_pinned() {
         let values = acf.values();
         digest.words(&[values.len() as u64]);
         digest.words(&values.iter().map(|r| r.to_bits()).collect::<Vec<_>>());
-        let last = acf.last_significant_lag(d.band);
+        let last = acf.last_significant_lag(r.band);
         digest.words(&[last.map_or(u64::MAX, |l| l as u64)]);
     }
     assert_eq!(digest.0, FIG5_AUTOCORRELATIONS);
 }
 
-/// Figure 6's curves: every point of every protocol and each first
+/// Figure 6's curves: every point of every paper protocol and each first
 /// partition percent.
 #[test]
 fn fig6_curves_are_pinned() {
-    let f6 = fig6::run(&Options::at(Scale {
-        cycles: 30,
-        ..tiny()
-    }));
-    assert_eq!(f6.curves.len(), 8);
     let mut digest = Digest::new();
-    for c in &f6.curves {
-        digest.text(&c.policy.to_string());
+    for (policy, run) in random_run().paper() {
+        let c = &run.removal;
+        digest.text(&policy.to_string());
         for (percent, outside) in &c.points {
             digest.words(&[percent.to_bits(), outside.to_bits()]);
         }
@@ -297,48 +304,41 @@ fn fig6_curves_are_pinned() {
     assert_eq!(digest.0, FIG6_CURVES);
 }
 
+impl Digest {
+    fn healing(&mut self, run: &RandomRun) {
+        let c = &run.healing;
+        assert_eq!(c.dead_links.len(), 40);
+        self.text(&run.protocol);
+        self.series(&c.dead_links);
+        self.words(&[
+            c.initial_dead_links as u64,
+            c.healed_at_cycle.unwrap_or(u64::MAX),
+        ]);
+    }
+}
+
 /// Figure 7's eight paper curves: the dead links per cycle, the dead links
 /// at the failure and the cycle each healed at.
 #[test]
 fn fig7_curves_are_pinned() {
-    let f7 = fig7::run(&Options::at(Scale {
-        cycles: 30,
-        ..tiny()
-    }));
-    assert_eq!(f7.curves.len(), 12);
     let mut digest = Digest::new();
-    for c in &f7.curves[..8] {
-        assert_eq!(c.dead_links.len(), 40);
-        digest.text(&c.protocol);
-        digest.series(&c.dead_links);
-        digest.words(&[
-            c.initial_dead_links as u64,
-            c.healed_at_cycle.unwrap_or(u64::MAX),
-        ]);
+    for (_, run) in random_run().paper() {
+        digest.healing(run);
     }
     assert_eq!(digest.0, FIG7_CURVES);
 }
 
-/// The rows `fig7` runs beside the paper's eight: the four H&S curves, and
-/// every row's degree variance at the failure.
+/// The rows Figure 7 shows beside the paper's eight: the four H&S curves,
+/// and every row's degree variance at the failure.
 #[test]
 fn fig7_hs_rows_and_variances_are_pinned() {
-    let f7 = fig7::run(&Options::at(Scale {
-        cycles: 30,
-        ..tiny()
-    }));
-    assert_eq!(f7.curves.len(), 12);
+    let runs = &random_run().runs;
     let mut digest = Digest::new();
-    for c in &f7.curves[8..] {
-        digest.text(&c.protocol);
-        digest.series(&c.dead_links);
-        digest.words(&[
-            c.initial_dead_links as u64,
-            c.healed_at_cycle.unwrap_or(u64::MAX),
-        ]);
+    for run in runs.iter().filter(|r| r.policy.is_none()) {
+        digest.healing(run);
     }
-    for c in &f7.curves {
-        digest.words(&[c.degree_variance.to_bits()]);
+    for run in runs {
+        digest.words(&[run.degrees.last().variance().to_bits()]);
     }
     assert_eq!(digest.0, FIG7_HS_ROWS);
 }
@@ -425,9 +425,9 @@ const PER_CYCLE_SERIES: u64 = 6298598200495836158;
 const FIG4_CAPTURES: u64 = 12900431136060516060;
 const TABLE2_ROWS: u64 = 13567595184759610227;
 const FIG5_AUTOCORRELATIONS: u64 = 9946352216296955770;
-const FIG6_CURVES: u64 = 6254649865628143878;
-const FIG7_CURVES: u64 = 3876757057238000314;
-const FIG7_HS_ROWS: u64 = 12904017961309988330;
+const FIG6_CURVES: u64 = 3744758760871165443;
+const FIG7_CURVES: u64 = 12343414793284032574;
+const FIG7_HS_ROWS: u64 = 7824702544224063504;
 const WORKLOAD: u64 = 362041301676028430;
 const MATRIX: u64 = 16965542888508163589;
 const PROTOCOLS: u64 = 5633405237867706408;
