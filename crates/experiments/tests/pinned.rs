@@ -8,9 +8,11 @@
 //! one helper; a change to how a stack is bootstrapped or driven changes
 //! them.
 //!
-//! The per-cycle figures are pinned the same way: every cycle index and
-//! value of the series that `fig2` and `fig3` produce (through
-//! `dynamics::run_dynamics`), plus the values each derives from them.
+//! Table 1 is pinned on every row's run counts and partition means. The
+//! per-cycle figures are pinned the same way, one constant per figure:
+//! every cycle index and value of the series that `fig2` and `fig3`
+//! produce (through `dynamics::run_dynamics`), plus the values each
+//! derives from them.
 //! `random`'s figures have one constant each, all read from one run per
 //! row at Table 2's seed: every `(cycle, degree, count)` of Figure 4's
 //! captures, Table 2's rows, Figure 5's autocorrelations, Figure 6's
@@ -36,7 +38,7 @@ use pss_experiments::dynamics::ProtocolDynamics;
 use pss_experiments::random::{RandomResult, RandomRun};
 use pss_experiments::stacks::Stack;
 use pss_experiments::{
-    adversary, asynchrony, fig2, fig3, protocols, random, workload, Options, Scale,
+    adversary, asynchrony, fig2, fig3, protocols, random, table1, workload, Options, Scale,
 };
 use pss_protocols::AppPeriodRow;
 use pss_sim::audit::AttackRecord;
@@ -208,28 +210,57 @@ fn attack_records_are_pinned_on_every_stack() {
     assert_eq!(digest.0, ADVERSARY);
 }
 
+/// Table 1 at tiny scale and 4 runs per protocol: every row's policy,
+/// run count, partitioned runs and the two partition means.
 #[test]
-fn per_cycle_figure_series_are_pinned() {
-    let o = Options::at(Scale {
+fn table1_rows_are_pinned() {
+    let result = table1::run(&Options {
+        runs: Some(4),
+        ..Options::at(tiny())
+    });
+    assert_eq!(result.rows.len(), 8);
+    let mut digest = Digest::new();
+    for row in &result.rows {
+        digest.text(&row.policy.to_string());
+        digest.words(&[
+            row.runs as u64,
+            row.partitioned_runs as u64,
+            row.avg_clusters.to_bits(),
+            row.avg_largest.to_bits(),
+        ]);
+    }
+    assert_eq!(digest.0, TABLE1_ROWS);
+}
+
+/// The options of the per-cycle figure pins: tiny scale, 30 cycles.
+fn per_cycle() -> Options {
+    Options::at(Scale {
         cycles: 30,
         ..tiny()
-    });
-    let mut digest = Digest::new();
+    })
+}
 
-    let f2 = fig2::run(&o);
+#[test]
+fn fig2_series_are_pinned() {
+    let f2 = fig2::run(&per_cycle());
     assert_eq!(f2.dynamics.len(), 6);
+    let mut digest = Digest::new();
     for d in &f2.dynamics {
         assert_eq!(d.degree.len(), 30);
         digest.dynamics(d);
     }
+    assert_eq!(digest.0, FIG2_SERIES);
+}
 
-    let f3 = fig3::run(&o);
+#[test]
+fn fig3_series_are_pinned() {
+    let f3 = fig3::run(&per_cycle());
     assert_eq!(f3.lattice.len() + f3.random.len(), 16);
+    let mut digest = Digest::new();
     for d in f3.lattice.iter().chain(&f3.random) {
         digest.dynamics(d);
     }
-
-    assert_eq!(digest.0, PER_CYCLE_SERIES);
+    assert_eq!(digest.0, FIG3_SERIES);
 }
 
 /// `random` at tiny scale and 30 cycles, run once for the pins below.
@@ -421,7 +452,9 @@ fn async_table_is_pinned() {
 const ASYNC_ROWS: u64 = 269566359260749549;
 const SCALING_IN_DEGREES: u64 = 9222395585052125286;
 const ASYNC_TABLE: u64 = 688229617693845644;
-const PER_CYCLE_SERIES: u64 = 6298598200495836158;
+const TABLE1_ROWS: u64 = 728462392450649829;
+const FIG2_SERIES: u64 = 14141485572333597668;
+const FIG3_SERIES: u64 = 9918106349512918887;
 const FIG4_CAPTURES: u64 = 12900431136060516060;
 const TABLE2_ROWS: u64 = 13567595184759610227;
 const FIG5_AUTOCORRELATIONS: u64 = 9946352216296955770;
