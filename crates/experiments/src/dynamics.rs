@@ -1,124 +1,98 @@
-//! Shared machinery for the per-cycle dynamics experiments (Figures 2, 3).
+//! The per-cycle property trace of Figures 2 and 3, and the uniform random
+//! baseline both plot it against.
 
-use pss_core::PolicyTriple;
+use pss_core::GossipNode;
+use pss_graph::csr::Csr;
 use pss_graph::{gen, GraphMetrics, MetricsConfig};
-use pss_sim::{scenario, ShardedSimulation};
+use pss_sim::ShardedSimulation;
 use pss_stats::TimeSeries;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
+use crate::report::{fmt_f64, Table};
 use crate::Scale;
 
-/// Which bootstrap scenario a dynamics run uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScenarioKind {
-    /// Growing overlay with `per_cycle` joiners (Section 5.1).
-    Growing {
-        /// Joiners per cycle.
-        per_cycle: usize,
-    },
-    /// Ring lattice start (Section 5.2).
-    Lattice,
-    /// Uniform random start (Section 5.3).
-    Random,
-}
-
-impl ScenarioKind {
-    /// Short label used in CSV output.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ScenarioKind::Growing { .. } => "growing",
-            ScenarioKind::Lattice => "lattice",
-            ScenarioKind::Random => "random",
-        }
-    }
-
-    fn build(
-        &self,
-        policy: PolicyTriple,
-        scale: Scale,
-        seed: u64,
-    ) -> ShardedSimulation<pss_core::PeerSamplingNode> {
-        let protocol = scale.protocol(policy);
-        match *self {
-            ScenarioKind::Growing { per_cycle } => {
-                scenario::growing_overlay(&protocol, scale.nodes, per_cycle, seed)
-            }
-            ScenarioKind::Lattice => scenario::lattice_overlay(&protocol, scale.nodes, seed),
-            ScenarioKind::Random => scenario::random_overlay(&protocol, scale.nodes, seed),
-        }
-    }
-}
-
-/// The three per-cycle property series of one protocol in one scenario.
+/// The three headline properties of Figures 2 and 3, one value per cycle:
+/// the clustering coefficient, average degree and average path length of
+/// the undirected overlay, measured with [`MetricsConfig::sampled`].
 #[derive(Debug, Clone)]
-pub struct ProtocolDynamics {
-    /// The protocol.
-    pub policy: PolicyTriple,
-    /// The scenario it ran in.
-    pub scenario: ScenarioKind,
+pub struct PropertyTrace {
     /// Clustering coefficient per cycle.
     pub clustering: TimeSeries,
     /// Average node degree per cycle.
     pub degree: TimeSeries,
     /// Average path length per cycle.
     pub path_length: TimeSeries,
-    /// Whether the final overlay was connected.
-    pub connected_at_end: bool,
-    /// Seeds tried until a connected run was found (1 = first try).
-    pub attempts: u32,
+    /// The sampling stream: a stream of its own, so measuring never
+    /// perturbs the run it measures.
+    rng: SmallRng,
 }
 
-/// Runs one protocol through `cycles` cycles of a scenario, recording the
-/// three headline properties each cycle.
-///
-/// If `require_connected` is positive, up to that many seeds are tried until
-/// the final overlay is connected — the paper plots non-partitioned runs of
-/// the push protocols in Figure 2 ("a non partitioned run of both
-/// (rand,rand,push) and (tail,rand,push) is included").
-pub fn run_dynamics(
-    policy: PolicyTriple,
-    scale: Scale,
-    kind: ScenarioKind,
-    cycles: u64,
-    require_connected: u32,
-) -> ProtocolDynamics {
-    let attempts_allowed = require_connected.max(1);
-    let mut last = None;
-    for attempt in 0..attempts_allowed {
-        let seed = scale.run_seed(u64::from(attempt) * 7919 + 1);
-        let mut sim = kind.build(policy, scale, seed);
-        let config = MetricsConfig::sampled();
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0xabcd);
-        let mut clustering = TimeSeries::default();
-        let mut degree = TimeSeries::default();
-        let mut path_length = TimeSeries::default();
-        for _ in 0..cycles {
-            sim.run_cycle();
-            let graph = sim.csr_snapshot().graph().undirected();
-            let m = GraphMetrics::measure(&graph, &config, &mut rng);
-            clustering.push(sim.cycle(), m.clustering_coefficient);
-            degree.push(sim.cycle(), m.average_degree);
-            path_length.push(sim.cycle(), m.path_lengths.average);
+impl PropertyTrace {
+    /// An empty trace of the run at `seed`.
+    pub fn new(seed: u64) -> Self {
+        PropertyTrace {
+            clustering: TimeSeries::default(),
+            degree: TimeSeries::default(),
+            path_length: TimeSeries::default(),
+            rng: SmallRng::seed_from_u64(seed ^ 0xabcd),
         }
-        let connected =
-            pss_graph::components::connected_components(&sim.csr_snapshot().graph().undirected())
-                .is_connected();
-        let dynamics = ProtocolDynamics {
-            policy,
-            scenario: kind,
-            clustering,
-            degree,
-            path_length,
-            connected_at_end: connected,
-            attempts: attempt + 1,
-        };
-        if connected || attempt + 1 == attempts_allowed {
-            return dynamics;
-        }
-        last = Some(dynamics);
     }
-    last.expect("loop executed at least once")
+
+    /// Measures `graph`, the undirected overlay after `cycle`.
+    pub fn record(&mut self, cycle: u64, graph: &Csr) {
+        let m = GraphMetrics::measure(graph, &MetricsConfig::sampled(), &mut self.rng);
+        self.clustering.push(cycle, m.clustering_coefficient);
+        self.degree.push(cycle, m.average_degree);
+        self.path_length.push(cycle, m.path_lengths.average);
+    }
+
+    /// Runs `n` cycles of `sim`, recording each; returns the final
+    /// undirected overlay.
+    pub fn run(&mut self, sim: &mut ShardedSimulation<impl GossipNode + Send>, n: u64) -> Csr {
+        let mut graph = sim.csr_snapshot().graph().undirected();
+        for _ in 0..n {
+            sim.run_cycle();
+            graph = sim.csr_snapshot().graph().undirected();
+            self.record(sim.cycle(), &graph);
+        }
+        graph
+    }
+
+    /// The last clustering coefficient, average degree and average path
+    /// length, formatted (`-` before the first cycle).
+    pub fn final_cells(&self) -> [String; 3] {
+        let series = [&self.clustering, &self.degree, &self.path_length];
+        cells(series.map(|s| s.values().last().copied().unwrap_or(f64::NAN)))
+    }
+
+    /// Appends one row per cycle to a [`series`] table, after `leading`.
+    pub fn push_rows(&self, table: &mut Table, leading: &[String]) {
+        let values = self.degree.values().iter().zip(self.path_length.values());
+        for ((cycle, cc), (deg, apl)) in self.clustering.iter().zip(values) {
+            let cells = [fmt_f64(cc, 6), fmt_f64(*deg, 4), fmt_f64(*apl, 4)];
+            let leading = leading.iter().cloned().chain([cycle.to_string()]);
+            table.row(leading.chain(cells).collect());
+        }
+    }
+}
+
+/// The long-format series table of Figures 2 and 3: the `leading`
+/// columns, then one column per cycle property.
+pub fn series(leading: &[&str]) -> Table {
+    let properties = ["cycle", "clustering", "avg_degree", "avg_path_length"];
+    Table::new(leading.iter().chain(&properties).copied().collect())
+}
+
+/// The baseline's clustering coefficient, average degree and average path
+/// length, formatted as [`PropertyTrace::final_cells`] formats a run's.
+pub fn baseline_cells(b: &GraphMetrics) -> [String; 3] {
+    let path_length = b.path_lengths.average;
+    cells([b.clustering_coefficient, b.average_degree, path_length])
+}
+
+fn cells([cc, deg, apl]: [f64; 3]) -> [String; 3] {
+    [fmt_f64(cc, 4), fmt_f64(deg, 2), fmt_f64(apl, 3)]
 }
 
 /// Measures the paper's uniform random baseline (each view a uniform random
@@ -137,49 +111,39 @@ pub fn random_baseline(scale: Scale) -> GraphMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pss_core::{PolicyTriple, ProtocolConfig};
+    use pss_sim::scenario;
 
-    #[test]
-    fn labels() {
-        assert_eq!(ScenarioKind::Growing { per_cycle: 5 }.label(), "growing");
-        assert_eq!(ScenarioKind::Lattice.label(), "lattice");
-        assert_eq!(ScenarioKind::Random.label(), "random");
+    fn newscast(c: usize) -> ProtocolConfig {
+        ProtocolConfig::new(PolicyTriple::newscast(), c).expect("valid")
     }
 
     #[test]
     fn dynamics_records_every_cycle() {
-        let scale = Scale {
-            nodes: 120,
-            cycles: 10,
-            view_size: 10,
-            seed: 5,
-        };
-        let d = run_dynamics(PolicyTriple::newscast(), scale, ScenarioKind::Random, 10, 1);
-        assert_eq!(d.clustering.len(), 10);
-        assert_eq!(d.degree.len(), 10);
-        assert_eq!(d.path_length.len(), 10);
-        assert!(d.connected_at_end);
-        assert_eq!(d.attempts, 1);
+        let mut sim = scenario::random_overlay(&newscast(10), 120, 5);
+        let mut trace = PropertyTrace::new(5);
+        let graph = trace.run(&mut sim, 10);
+        assert_eq!(trace.clustering.len(), 10);
+        assert_eq!(trace.degree.len(), 10);
+        assert_eq!(trace.path_length.len(), 10);
+        assert_eq!(
+            graph.average_degree(),
+            *trace.degree.values().last().unwrap()
+        );
+        let mut table = series(&["protocol"]);
+        trace.push_rows(&mut table, &["newscast".into()]);
+        assert_eq!(table.len(), 10);
+        assert!(trace.final_cells().iter().all(|v| v != "-"));
     }
 
     #[test]
     fn growing_dynamics_reaches_target() {
-        let scale = Scale {
-            nodes: 100,
-            cycles: 20,
-            view_size: 8,
-            seed: 6,
-        };
-        let d = run_dynamics(
-            PolicyTriple::newscast(),
-            scale,
-            ScenarioKind::Growing { per_cycle: 10 },
-            20,
-            1,
-        );
+        let mut sim = scenario::growing_overlay(&newscast(8), 100, 10, 6);
+        let mut trace = PropertyTrace::new(6);
+        trace.run(&mut sim, 20);
         // Degree series grows as the population does.
-        let first = d.degree.values()[0];
-        let last = *d.degree.values().last().unwrap();
-        assert!(last > first);
+        let degree = trace.degree.values();
+        assert!(degree.last().unwrap() > &degree[0]);
     }
 
     #[test]

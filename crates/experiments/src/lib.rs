@@ -11,10 +11,8 @@
 //!
 //! | module       | paper artifact | content |
 //! |--------------|----------------|---------|
-//! | [`table1`]   | Table 1        | partitioning of push protocols in the growing scenario |
-//! | [`fig2`]     | Figure 2       | property dynamics while the overlay grows |
-//! | [`fig3`]     | Figure 3       | convergence from lattice and random starts |
-//! | [`random`]   | Figures 4–7, Table 2 | one random-start run per protocol: degree distribution evolution (log-log), traced nodes' statistics, one node's autocorrelation, connectivity under massive node removal, dead-link healing after 50 % node failure; healer/swapper (H, S) corners beside the paper's eight |
+//! | [`growing`]  | Table 1, Figure 2 | growing-overlay runs per protocol: partitioning of push protocols, and property dynamics of each protocol's first connected run |
+//! | [`random`]   | Figures 3–7, Table 2 | one random-start run per protocol: convergence against a lattice-start control, degree distribution evolution (log-log), traced nodes' statistics, one node's autocorrelation, connectivity under massive node removal, dead-link healing after 50 % node failure; healer/swapper (H, S) corners beside the paper's eight |
 //! | [`policies`] | Section 4.3    | why `(head,*,*)`, `(*,tail,*)`, `(*,*,pull)` are degenerate |
 //! | [`asynchrony`] | extension    | cycle vs event engine per shard count: overlay quality and throughput |
 //! | [`apps`]     | extension      | broadcast & aggregation vs sampling quality |
@@ -34,8 +32,7 @@ pub mod adversary;
 pub mod apps;
 pub mod asynchrony;
 pub mod dynamics;
-pub mod fig2;
-pub mod fig3;
+pub mod growing;
 pub mod metrics;
 pub mod net;
 pub mod policies;
@@ -43,7 +40,6 @@ pub mod protocols;
 pub mod random;
 pub mod report;
 pub mod stacks;
-pub mod table1;
 pub mod workload;
 
 mod parallel;

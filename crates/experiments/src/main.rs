@@ -20,8 +20,8 @@ use std::time::Instant;
 
 use pss_experiments::report::{Cell, Report, Section};
 use pss_experiments::{
-    adversary, apps, asynchrony, fig2, fig3, metrics, net, policies, protocols, random, table1,
-    workload, Options, Scale,
+    adversary, apps, asynchrony, growing, metrics, net, policies, protocols, random, workload,
+    Options, Scale,
 };
 use pss_telemetry::EventKind;
 use workload::FreshnessChoice;
@@ -48,22 +48,12 @@ const SCHEDULED: &[&str] = &["--shards", "--workers", "--schedule"];
 #[rustfmt::skip]
 static COMMANDS: &[Command] = &[
     Command {
-        name: "table1", help: "partitioning of push protocols (growing overlay)",
+        name: "growing", help: "Table 1 and Fig 2 from growing-overlay runs per protocol",
         options: &["--runs"], caps: UNCAPPED,
-        run: |o| Ok(Box::new(table1::run(o))),
+        run: |o| Ok(Box::new(growing::run(o))),
     },
     Command {
-        name: "fig2", help: "property dynamics in the growing scenario",
-        options: &[], caps: UNCAPPED,
-        run: |o| Ok(Box::new(fig2::run(o))),
-    },
-    Command {
-        name: "fig3", help: "convergence from lattice and random starts",
-        options: &[], caps: UNCAPPED,
-        run: |o| Ok(Box::new(fig3::run(o))),
-    },
-    Command {
-        name: "random", help: "Fig 4-7 and Table 2 from one random-start run per protocol, with H&S corners",
+        name: "random", help: "Fig 3-7 and Table 2 from one random-start run per protocol, with H&S corners",
         options: &["--runs"], caps: UNCAPPED,
         run: |o| Ok(Box::new(random::run(o))),
     },
@@ -376,9 +366,9 @@ mod tests {
 
     #[test]
     fn parses_command_and_defaults() {
-        let o = parse_args(&args("table1")).unwrap();
+        let o = parse_args(&args("growing")).unwrap();
         assert_eq!(o.commands.len(), 1);
-        assert_eq!(o.commands[0].name, "table1");
+        assert_eq!(o.commands[0].name, "growing");
         assert_eq!(o.options.scale, Scale::paper());
         assert_eq!(o.options.runs, None);
         assert_eq!(o.out, None);
@@ -390,7 +380,10 @@ mod tests {
 
     #[test]
     fn parses_scale_presets_and_overrides() {
-        let o = parse_args(&args("fig3 --scale tiny --nodes 500 --cycles 70 --seed 9")).unwrap();
+        let o = parse_args(&args(
+            "growing --scale tiny --nodes 500 --cycles 70 --seed 9",
+        ))
+        .unwrap();
         assert_eq!(o.options.scale.nodes, 500);
         assert_eq!(o.options.scale.cycles, 70);
         assert_eq!(o.options.scale.seed, 9);
@@ -435,7 +428,7 @@ mod tests {
 
     #[test]
     fn numbers_allow_underscores() {
-        let o = parse_args(&args("fig2 --nodes 10_000")).unwrap();
+        let o = parse_args(&args("growing --nodes 10_000")).unwrap();
         assert_eq!(o.options.scale.nodes, 10_000);
     }
 
@@ -443,12 +436,12 @@ mod tests {
     fn rejects_bad_input() {
         assert!(parse_args(&args("")).is_err());
         assert!(parse_args(&args("--scale tiny")).is_err()); // no command
-        assert!(parse_args(&args("fig2 --scale huge")).is_err());
-        assert!(parse_args(&args("fig2 --nodes abc")).is_err());
-        assert!(parse_args(&args("fig2 extra")).is_err());
-        assert!(parse_args(&args("fig2 --nodes")).is_err());
-        assert!(parse_args(&args("fig2 --bogus 1")).is_err());
-        assert!(parse_args(&args("fig2 --nodes 1")).is_err()); // too small
+        assert!(parse_args(&args("growing --scale huge")).is_err());
+        assert!(parse_args(&args("growing --nodes abc")).is_err());
+        assert!(parse_args(&args("growing extra")).is_err());
+        assert!(parse_args(&args("growing --nodes")).is_err());
+        assert!(parse_args(&args("growing --bogus 1")).is_err());
+        assert!(parse_args(&args("growing --nodes 1")).is_err()); // too small
     }
 
     #[test]
@@ -460,9 +453,9 @@ mod tests {
     #[test]
     fn unread_options_are_rejected_naming_the_command() {
         for line in [
-            "fig2 --runs 3",
+            "policies --runs 3",
             "random --schedule quiet:5",
-            "table1 --freshness both",
+            "growing --freshness both",
         ] {
             let (command, option) = line.split_once(' ').unwrap();
             let option = option.split(' ').next().unwrap();
@@ -487,7 +480,7 @@ mod tests {
         assert_eq!(names.len(), COMMANDS.len(), "duplicate command name");
         let tiny = include_str!("../../../results/tiny.md5");
         let small = include_str!("../../../results/small.md5");
-        assert_eq!((tiny.lines().count(), small.lines().count()), (10, 8));
+        assert_eq!((tiny.lines().count(), small.lines().count()), (8, 7));
         for line in tiny.lines().chain(small.lines()) {
             let name = line.split_whitespace().nth(1).unwrap_or_default();
             assert!(
@@ -509,7 +502,7 @@ mod tests {
                 assert!(line.contains(option), "{line}");
             }
         }
-        assert!(parse_args(&args("fig2 --help")).is_err_and(|e| e == "help"));
+        assert!(parse_args(&args("growing --help")).is_err_and(|e| e == "help"));
     }
 
     fn caps(name: &str) -> (usize, u64) {

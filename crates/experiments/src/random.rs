@@ -1,12 +1,17 @@
-//! **Figures 4–7 and Table 2** — one run per protocol from the random
+//! **Figures 3–7 and Table 2** — one run per protocol from the random
 //! topology.
 //!
-//! The paper reads all five artifacts off one scenario: every node's view
+//! The paper reads all six artifacts off one scenario: every node's view
 //! starts as `c` uniform picks of the others, the overlay converges for 300
 //! cycles, and Figures 6 and 7 then damage "the cycle-300 overlay of the
 //! random-init scenario". So each row here is one run at Table 2's seed
 //! (`seed ^ 0x7ab1e2`), and every artifact reads it in turn:
 //!
+//! - **Figure 3**: clustering, degree and path length over the first 100
+//!   cycles, from the random start (the row's run) and from a ring lattice
+//!   of large diameter (one control run per row at the same seed, so the
+//!   two differ only in their start). The properties converge to the same
+//!   values from either start.
 //! - **Figure 4**: the undirected degree distribution at exponentially
 //!   spaced cycles, `{0, 1 %, 10 %, 100 %}` of the run (the paper's
 //!   0/3/30/300). `head` view selection yields a balanced, fast-converging
@@ -48,7 +53,8 @@
 //! blind removes at random, so it is expected to stay unhealed like `rand`.
 //! The swapper trades healing for balance: its degree variance is expected
 //! to be the lowest. The H&S paper found these two properties in tension.
-//! They take the same path as the paper's rows, and print in Figure 7 only.
+//! They take the same path as the paper's rows, print in Figure 7 only,
+//! and get no lattice control.
 
 use pss_core::hs::{HsConfig, HsPeerSelection};
 use pss_core::{
@@ -57,6 +63,7 @@ use pss_core::{
 };
 use pss_graph::components::connected_components;
 use pss_graph::csr::Csr;
+use pss_graph::{gen, GraphMetrics};
 use pss_sim::audit::HonestPolicy;
 use pss_sim::{scenario, BoxedNode, ShardedSimulation};
 use pss_stats::{Autocorrelation, CountDistribution, Summary, TimeSeries};
@@ -64,6 +71,7 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
+use crate::dynamics::{baseline_cells, random_baseline, series, PropertyTrace};
 use crate::parallel::parallel_map;
 use crate::report::{fmt_f64, Report, Section, Table};
 use crate::{Options, Scale};
@@ -76,6 +84,9 @@ const CONFIDENCE: f64 = 0.99;
 
 /// Removal percentages (the paper's x-axis: 65–95).
 const REMOVAL_PERCENTS: [f64; 7] = [65.0, 70.0, 75.0, 80.0, 85.0, 90.0, 95.0];
+
+/// Cycles Figure 3 plots (paper: 100 of 300).
+const PLOTTED_CYCLES: u64 = 100;
 
 /// Fraction of nodes killed at the failure cycle (paper: 0.5).
 const KILL_FRACTION: f64 = 0.5;
@@ -92,6 +103,16 @@ const PROTOCOLS: [PolicyTriple; 8] = [
     PolicyTriple::new(Ps::Rand, Vs::Rand, Vp::PushPull),
     PolicyTriple::new(Ps::Tail, Vs::Rand, Vp::PushPull),
 ];
+
+/// Figure 3: one paper row's properties over the plotted cycles, from
+/// both starts.
+#[derive(Debug, Clone)]
+pub struct Convergence {
+    /// The control run from the ring lattice.
+    pub lattice: PropertyTrace,
+    /// The row's run from the random topology.
+    pub random: PropertyTrace,
+}
 
 /// Figures 4 and 5 and Table 2: the degrees of one row's converging run.
 #[derive(Debug, Clone)]
@@ -177,6 +198,8 @@ pub struct RandomRun {
     pub protocol: String,
     /// The paper protocol; `None` for an H&S corner.
     pub policy: Option<PolicyTriple>,
+    /// Figure 3; `None` for an H&S corner.
+    pub convergence: Option<Convergence>,
     /// Figures 4 and 5 and Table 2.
     pub degrees: DegreeTrace,
     /// Figure 6.
@@ -195,6 +218,8 @@ pub struct RandomResult {
     pub max_lag: usize,
     /// Half-width of Figure 5's white-noise confidence band.
     pub band: f64,
+    /// Figure 3's uniform random baseline at the same scale.
+    pub baseline: GraphMetrics,
 }
 
 impl RandomResult {
@@ -217,6 +242,8 @@ impl RandomResult {
 }
 
 impl Report for RandomResult {
+    /// Figure 3's final values from both starts against the random
+    /// baseline and its series (one row per start, protocol and cycle),
     /// Figure 4's distribution shape at the final capture and its
     /// long-format series (one row per protocol, cycle and degree), Table
     /// 2, Figure 5's summary and series (one row per protocol and lag),
@@ -224,6 +251,39 @@ impl Report for RandomResult {
     /// percent), and Figure 7's summary and series (one row per protocol
     /// and cycle). Figure 7 shows every row, the others the paper's eight.
     fn sections(&self) -> Vec<Section> {
+        let mut fig3 = Table::new(vec![
+            "protocol",
+            "cc (lattice)",
+            "cc (random)",
+            "deg (lattice)",
+            "deg (random)",
+            "apl (lattice)",
+            "apl (random)",
+        ]);
+        let [cc, deg, apl] = baseline_cells(&self.baseline);
+        let (label, blank) = ("uniform random baseline".into(), String::new);
+        fig3.row(vec![label, blank(), cc, blank(), deg, blank(), apl]);
+        let mut fig3_series = series(&["scenario", "protocol"]);
+        for (policy, r) in self.paper() {
+            let Some(c) = &r.convergence else { continue };
+            let protocol = policy.to_string();
+            let [cc_l, deg_l, apl_l] = c.lattice.final_cells();
+            let [cc_r, deg_r, apl_r] = c.random.final_cells();
+            fig3.row(vec![
+                protocol.clone(),
+                cc_l,
+                cc_r,
+                deg_l,
+                deg_r,
+                apl_l,
+                apl_r,
+            ]);
+            let lattice = ["lattice".into(), protocol.clone()];
+            let random = ["random".into(), protocol];
+            c.lattice.push_rows(&mut fig3_series, &lattice);
+            c.random.push_rows(&mut fig3_series, &random);
+        }
+
         let mut fig4 = Table::new(vec![
             "protocol",
             "mean degree",
@@ -334,6 +394,7 @@ impl Report for RandomResult {
         }
 
         vec![
+            Section::new("fig3", fig3, Some(fig3_series)),
             Section::new("fig4", fig4, Some(fig4_series)),
             Section::new("table2", table2, None),
             Section::new("fig5", fig5, Some(fig5_series)),
@@ -344,7 +405,8 @@ impl Report for RandomResult {
 }
 
 /// Runs every row (in parallel); `scale.cycles` is the convergence budget
-/// before the damage and the failure, Figure 5's series length, and
+/// before the damage and the failure, Figure 5's series length, and Figure
+/// 3 plots its first `min(100, scale.cycles)` cycles;
 /// `--runs` the removal repetitions per Figure 6 point (default 30;
 /// paper: 100).
 pub fn run(o: &Options) -> RandomResult {
@@ -358,6 +420,7 @@ fn run_rows(scale: Scale, repetitions: usize, rows: Vec<(String, HonestPolicy)>)
         runs,
         max_lag: 140.min(scale.cycles as usize / 2),
         band: pss_stats::white_noise_band(scale.cycles as usize, CONFIDENCE),
+        baseline: random_baseline(scale),
     }
 }
 
@@ -387,31 +450,67 @@ fn rows(c: usize) -> Vec<(String, HonestPolicy)> {
 }
 
 /// One row's run: converge, damage the final graph, then fail and heal.
+/// A paper row also traces Figure 3's properties while converging, and
+/// runs its lattice control.
 fn run_row(scale: Scale, repetitions: usize, (protocol, row): (String, HonestPolicy)) -> RandomRun {
     let policy = match &row {
         HonestPolicy::Sampling(config) => Some(config.policy()),
         HonestPolicy::Hs(_) => None,
     };
-    let (mut sim, degrees, graph) = converge(scale, row);
+    let mut random = policy.map(|_| PropertyTrace::new(row_seed(scale)));
+    let (mut sim, degrees, graph) = converge(scale, row.clone(), random.as_mut());
+    let convergence = random.map(|random| Convergence {
+        lattice: lattice_control(scale, row),
+        random,
+    });
     let removal = removal_curve(scale, &graph, repetitions);
     let healing = heal(scale, &mut sim);
     RandomRun {
         protocol,
         policy,
+        convergence,
         degrees,
         removal,
         healing,
     }
 }
 
+/// Table 2's seed: every row's engine, random start and property trace.
+fn row_seed(scale: Scale) -> u64 {
+    scale.seed ^ 0x7ab1e2
+}
+
+/// The row's engine at Table 2's seed, its views seeded from `start`.
+fn engine(scale: Scale, row: HonestPolicy, start: &Csr) -> ShardedSimulation<BoxedNode> {
+    let c = row.view_size();
+    let mut sim =
+        ShardedSimulation::with_factory(row_seed(scale), 1, move |id, s| row.build(id, s));
+    scenario::seed_from_digraph(&mut sim, c, start);
+    sim
+}
+
+/// Figure 3's lattice column: the row's engine from the ring lattice,
+/// traced over the plotted cycles.
+fn lattice_control(scale: Scale, row: HonestPolicy) -> PropertyTrace {
+    let lattice = gen::ring_lattice(scale.nodes, row.view_size());
+    let mut sim = engine(scale, row, &lattice);
+    let mut trace = PropertyTrace::new(row_seed(scale));
+    trace.run(&mut sim, scale.cycles.min(PLOTTED_CYCLES));
+    trace
+}
+
 /// Runs `scale.cycles` cycles from the random topology, one undirected
-/// graph per cycle: the engine, the degrees Figures 4 and 5 and Table 2
-/// read, and the final graph.
-fn converge(scale: Scale, row: HonestPolicy) -> (ShardedSimulation<BoxedNode>, DegreeTrace, Csr) {
-    let seed = scale.seed ^ 0x7ab1e2;
+/// graph per cycle, the plotted ones recorded into `trace` if one is given:
+/// the engine, the degrees Figures 4 and 5 and Table 2 read, and the final
+/// graph.
+fn converge(
+    scale: Scale,
+    row: HonestPolicy,
+    mut trace: Option<&mut PropertyTrace>,
+) -> (ShardedSimulation<BoxedNode>, DegreeTrace, Csr) {
     let (n, c) = (scale.nodes, row.view_size());
-    let mut sim = ShardedSimulation::with_factory(seed, 1, move |id, s| row.build(id, s));
-    scenario::seed_from_digraph(&mut sim, c, &scenario::random_digraph(n, c, seed));
+    let start = scenario::random_digraph(n, c, row_seed(scale));
+    let mut sim = engine(scale, row, &start);
     // Figure 4 captures at `{0, 1%, 10%, 100%}` of the cycle budget.
     let capture_at = [scale.cycles / 100, scale.cycles / 10, scale.cycles];
     let mut graph = sim.csr_snapshot().graph().undirected();
@@ -429,6 +528,9 @@ fn converge(scale: Scale, row: HonestPolicy) -> (ShardedSimulation<BoxedNode>, D
         let cycle = sim.cycle();
         let snapshot = sim.csr_snapshot();
         graph = snapshot.graph().undirected();
+        if let Some(trace) = trace.as_deref_mut().filter(|_| cycle <= PLOTTED_CYCLES) {
+            trace.record(cycle, &graph);
+        }
         if capture_at.contains(&cycle) {
             captures.push((cycle, graph.degree_distribution()));
         }
@@ -546,6 +648,59 @@ mod tests {
     }
 
     #[test]
+    fn converges_from_both_starts_at_tiny_scale() {
+        let scale = Scale {
+            nodes: 200,
+            cycles: 30,
+            view_size: 10,
+            seed: 99,
+        };
+        let newscast = PolicyTriple::newscast().to_string();
+        let result = run_rows(scale, 1, vec![row(10, &newscast)]);
+        let c = result.runs[0].convergence.as_ref().expect("a paper row");
+        let last = |s: &TimeSeries| *s.values().last().unwrap();
+        let (cc_l, cc_r) = (last(&c.lattice.clustering), last(&c.random.clustering));
+        let (deg_l, deg_r) = (last(&c.lattice.degree), last(&c.random.degree));
+        // The paper's claim: properties converge to the same value from
+        // radically different starts.
+        assert!(
+            (cc_l - cc_r).abs() < 0.08,
+            "lattice {cc_l} vs random {cc_r}"
+        );
+        assert!((deg_l - deg_r).abs() < 3.0, "degree {deg_l} vs {deg_r}");
+        let fig3 = section(&result, "fig3");
+        assert!(fig3.summary.to_string().contains("(rand,head,pushpull)"));
+        assert_eq!(fig3.series.as_ref().map(Table::len), Some(2 * 30));
+    }
+
+    /// Figure 3's random column is the converging run itself: at a budget
+    /// Figure 3 plots in full, its last average degree is Figure 4's final
+    /// capture mean, bit for bit, on every paper row; the H&S rows get no
+    /// Figure 3 row.
+    #[test]
+    fn fig3_random_column_reads_the_converging_run() {
+        let scale = Scale {
+            nodes: 200,
+            cycles: 20,
+            view_size: 8,
+            seed: 7,
+        };
+        let result = run_rows(scale, 1, rows(scale.view_size));
+        for run in &result.runs {
+            let Some(c) = &run.convergence else {
+                assert!(run.policy.is_none(), "{}", run.protocol);
+                continue;
+            };
+            assert_eq!(c.random.degree.len(), 20);
+            assert_eq!(c.lattice.degree.len(), 20);
+            let degree = *c.random.degree.values().last().unwrap();
+            let mean = run.degrees.last().mean();
+            assert_eq!(degree.to_bits(), mean.to_bits(), "{}", run.protocol);
+        }
+        assert_eq!(result.runs.iter().flat_map(|r| &r.convergence).count(), 8);
+    }
+
+    #[test]
     fn head_selection_is_more_balanced_than_rand() {
         let [head, rand] = &shared().runs[..] else {
             unreachable!()
@@ -640,7 +795,7 @@ mod tests {
             seed: 7,
         };
         for (protocol, row) in rows(scale.view_size) {
-            let (sim, degrees, graph) = converge(scale, row);
+            let (sim, degrees, graph) = converge(scale, row, None);
             let last = degrees.last();
             let at_failure = sim.csr_snapshot().graph().undirected();
             let variance = at_failure.degree_distribution().variance();
@@ -746,7 +901,7 @@ mod tests {
             seed: 92,
         };
         let variance = |label| {
-            let (_, degrees, _) = converge(scale, row(16, label).1);
+            let (_, degrees, _) = converge(scale, row(16, label).1, None);
             degrees.last().variance()
         };
         let (blind, swapper) = (variance("hs blind"), variance("hs swapper"));

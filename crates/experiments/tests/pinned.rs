@@ -8,20 +8,26 @@
 //! one helper; a change to how a stack is bootstrapped or driven changes
 //! them.
 //!
-//! Table 1 is pinned on every row's run counts and partition means. The
-//! per-cycle figures are pinned the same way, one constant per figure:
-//! every cycle index and value of the series that `fig2` and `fig3`
-//! produce (through `dynamics::run_dynamics`), plus the values each
-//! derives from them.
+//! `growing` is pinned on Table 1's rows (run counts and partition means)
+//! and on Figure 2's six replays (every cycle index and value of the three
+//! property series, the replayed run and its component count). Table 1's
+//! constant was recorded while `table1` was a command of its own and
+//! holds. Figure 2's was recorded again when it moved onto Table 1's runs:
+//! before, it grew an overlay of its own at `run_seed(1)`, retrying other
+//! seeds until one ended connected.
+//!
 //! `random`'s figures have one constant each, all read from one run per
-//! row at Table 2's seed: every `(cycle, degree, count)` of Figure 4's
+//! row at Table 2's seed: every cycle index and value of Figure 3's series
+//! from both starts, every `(cycle, degree, count)` of Figure 4's
 //! captures, Table 2's rows, Figure 5's autocorrelations, Figure 6's
 //! points and first partition percents, Figure 7's eight paper curves, and
 //! its four H&S curves with every row's degree variance. Table 2's was
 //! recorded while it ran on its own and holds; Figure 4's and Figure 5's
 //! were recorded again when they moved onto Table 2's overlay, and hold.
 //! Figure 6's and Figure 7's were recorded again when they moved onto it
-//! too: before, each converged an overlay of its own at another seed.
+//! too: before, each converged an overlay of its own at another seed. So
+//! was Figure 3's, whose lattice and random starts both ran at
+//! `run_seed(1)` before; its random column is now the row's run.
 //!
 //! `async` is pinned on its deterministic columns only: every row's
 //! labels, shard count and overlay statistics, never the wall-clock
@@ -34,11 +40,11 @@ use std::sync::OnceLock;
 
 use pss_core::PolicyTriple;
 use pss_experiments::asynchrony::{AsyncResult, EngineComparison, OverlayStats};
-use pss_experiments::dynamics::ProtocolDynamics;
+use pss_experiments::dynamics::PropertyTrace;
 use pss_experiments::random::{RandomResult, RandomRun};
 use pss_experiments::stacks::Stack;
 use pss_experiments::{
-    adversary, asynchrony, fig2, fig3, protocols, random, table1, workload, Options, Scale,
+    adversary, asynchrony, growing, protocols, random, workload, Options, Scale,
 };
 use pss_protocols::AppPeriodRow;
 use pss_sim::audit::AttackRecord;
@@ -118,11 +124,10 @@ impl Digest {
         }
     }
 
-    fn dynamics(&mut self, d: &ProtocolDynamics) {
-        self.series(&d.clustering);
-        self.series(&d.degree);
-        self.series(&d.path_length);
-        self.words(&[u64::from(d.connected_at_end), u64::from(d.attempts)]);
+    fn dynamics(&mut self, t: &PropertyTrace) {
+        self.series(&t.clustering);
+        self.series(&t.degree);
+        self.series(&t.path_length);
     }
 }
 
@@ -214,51 +219,62 @@ fn attack_records_are_pinned_on_every_stack() {
 /// run count, partitioned runs and the two partition means.
 #[test]
 fn table1_rows_are_pinned() {
-    let result = table1::run(&Options {
+    let result = growing::run(&Options {
         runs: Some(4),
         ..Options::at(tiny())
     });
-    assert_eq!(result.rows.len(), 8);
+    assert_eq!(result.table1.len(), 8);
     let mut digest = Digest::new();
-    for row in &result.rows {
+    for row in &result.table1 {
+        let (clusters, largest) = row.partition_means();
         digest.text(&row.policy.to_string());
         digest.words(&[
-            row.runs as u64,
-            row.partitioned_runs as u64,
-            row.avg_clusters.to_bits(),
-            row.avg_largest.to_bits(),
+            row.outcomes.len() as u64,
+            row.partitioned().len() as u64,
+            clusters.to_bits(),
+            largest.to_bits(),
         ]);
     }
     assert_eq!(digest.0, TABLE1_ROWS);
 }
 
-/// The options of the per-cycle figure pins: tiny scale, 30 cycles.
-fn per_cycle() -> Options {
-    Options::at(Scale {
-        cycles: 30,
-        ..tiny()
-    })
-}
-
+/// Figure 2's six replays at tiny scale, 30 cycles and 4 runs per
+/// protocol: every series, the replayed run and its component count.
 #[test]
 fn fig2_series_are_pinned() {
-    let f2 = fig2::run(&per_cycle());
-    assert_eq!(f2.dynamics.len(), 6);
+    let result = growing::run(&Options {
+        runs: Some(4),
+        ..Options::at(Scale {
+            cycles: 30,
+            ..tiny()
+        })
+    });
+    assert_eq!(result.fig2.len(), 6);
     let mut digest = Digest::new();
-    for d in &f2.dynamics {
-        assert_eq!(d.degree.len(), 30);
-        digest.dynamics(d);
+    for r in &result.fig2 {
+        assert_eq!(r.properties.degree.len(), 30);
+        digest.dynamics(&r.properties);
+        digest.words(&[r.run as u64, r.components as u64]);
     }
     assert_eq!(digest.0, FIG2_SERIES);
 }
 
+/// Figure 3's series of the paper's eight `random` rows: every lattice
+/// column, then every random column.
 #[test]
 fn fig3_series_are_pinned() {
-    let f3 = fig3::run(&per_cycle());
-    assert_eq!(f3.lattice.len() + f3.random.len(), 16);
+    let runs: Vec<_> = random_run()
+        .runs
+        .iter()
+        .flat_map(|r| &r.convergence)
+        .collect();
+    assert_eq!(runs.len(), 8);
     let mut digest = Digest::new();
-    for d in f3.lattice.iter().chain(&f3.random) {
-        digest.dynamics(d);
+    for c in &runs {
+        digest.dynamics(&c.lattice);
+    }
+    for c in &runs {
+        digest.dynamics(&c.random);
     }
     assert_eq!(digest.0, FIG3_SERIES);
 }
@@ -453,8 +469,8 @@ const ASYNC_ROWS: u64 = 269566359260749549;
 const SCALING_IN_DEGREES: u64 = 9222395585052125286;
 const ASYNC_TABLE: u64 = 688229617693845644;
 const TABLE1_ROWS: u64 = 728462392450649829;
-const FIG2_SERIES: u64 = 14141485572333597668;
-const FIG3_SERIES: u64 = 9918106349512918887;
+const FIG2_SERIES: u64 = 17323905112368634989;
+const FIG3_SERIES: u64 = 199694063003824062;
 const FIG4_CAPTURES: u64 = 12900431136060516060;
 const TABLE2_ROWS: u64 = 13567595184759610227;
 const FIG5_AUTOCORRELATIONS: u64 = 9946352216296955770;

@@ -6,8 +6,8 @@
 //! * **growing overlay** ([`growing_overlay`]) — start from a single node;
 //!   100 nodes join per cycle knowing only the oldest node, until N = 10⁴
 //!   (reached at cycle 100),
-//! * **ring lattice** ([`lattice_overlay`]) — a structured, large-diameter
-//!   start,
+//! * **ring lattice** ([`seed_from_digraph`] over [`gen::ring_lattice`]) —
+//!   a structured, large-diameter start,
 //! * **random** ([`random_overlay`]) — views are uniform random samples
 //!   (the baseline topology itself).
 
@@ -101,16 +101,6 @@ pub fn growing_overlay(
         target,
     });
     sim
-}
-
-/// The ring-lattice scenario: views hold the `c` nearest ring neighbors.
-pub fn lattice_overlay(
-    config: &ProtocolConfig,
-    n: usize,
-    seed: u64,
-) -> ShardedSimulation<PeerSamplingNode> {
-    let lattice = gen::ring_lattice(n, config.view_size());
-    from_digraph(config, &lattice, seed)
 }
 
 /// The random scenario: views are independent uniform samples of the other
@@ -277,7 +267,7 @@ mod tests {
 
     #[test]
     fn lattice_overlay_views_are_ring_neighbors() {
-        let sim = lattice_overlay(&config(4), 10, 4);
+        let sim = from_digraph(&config(4), &gen::ring_lattice(10, 4), 4);
         let v0 = sim.view_of(NodeId::new(0)).unwrap();
         for id in [1u64, 2, 8, 9] {
             assert!(v0.contains(NodeId::new(id)), "missing {id} in {v0}");

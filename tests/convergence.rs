@@ -5,7 +5,7 @@
 //! Section 4.3's connectivity requirement.
 
 use peer_sampling::{scenario, PolicyTriple, ProtocolConfig};
-use pss_graph::{clustering, components, paths};
+use pss_graph::{clustering, components, gen, paths};
 
 const N: usize = 600;
 const C: usize = 20;
@@ -14,7 +14,7 @@ const CYCLES: u64 = 80;
 fn converged_metrics(policy: PolicyTriple, which: &str, seed: u64) -> (f64, f64, f64) {
     let config = ProtocolConfig::new(policy, C).expect("valid");
     let mut sim = match which {
-        "lattice" => scenario::lattice_overlay(&config, N, seed),
+        "lattice" => scenario::from_digraph(&config, &gen::ring_lattice(N, C), seed),
         "random" => scenario::random_overlay(&config, N, seed),
         "growing" => scenario::growing_overlay(&config, N, N / 50, seed),
         other => panic!("unknown scenario {other}"),
@@ -60,7 +60,7 @@ fn lattice_diameter_collapses_quickly() {
     // Figure 3a: from a ring lattice (path length O(N/c)) the overlay
     // reaches random-like distances within tens of cycles.
     let config = ProtocolConfig::new(PolicyTriple::newscast(), C).expect("valid");
-    let mut sim = scenario::lattice_overlay(&config, N, 3);
+    let mut sim = scenario::from_digraph(&config, &gen::ring_lattice(N, C), 3);
     let initial = paths::average_path_length(&sim.csr_snapshot().graph().undirected()).average;
     sim.run_cycles(20);
     let after = paths::average_path_length(&sim.csr_snapshot().graph().undirected()).average;
