@@ -71,8 +71,8 @@ impl PropertyTrace {
         let values = self.degree.values().iter().zip(self.path_length.values());
         for ((cycle, cc), (deg, apl)) in self.clustering.iter().zip(values) {
             let cells = [fmt_f64(cc, 6), fmt_f64(*deg, 4), fmt_f64(*apl, 4)];
-            let leading = leading.iter().cloned().chain([cycle.to_string()]);
-            table.row(leading.chain(cells).collect());
+            let row = leading.iter().cloned().chain([cycle.to_string()]);
+            table.row(row.chain(cells).collect());
         }
     }
 }

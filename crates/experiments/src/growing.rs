@@ -17,11 +17,10 @@
 //!   no connected run it replays run 0, and its `connected` column reads
 //!   `NO`.
 
-use pss_core::{PolicyTriple, ViewPropagation, ViewSelection};
+use pss_core::{PeerSamplingNode, PolicyTriple, ViewPropagation, ViewSelection};
 use pss_graph::components::connected_components;
-use pss_graph::csr::Csr;
 use pss_graph::GraphMetrics;
-use pss_sim::scenario;
+use pss_sim::{scenario, ShardedSimulation};
 
 use crate::dynamics::{baseline_cells, random_baseline, series, PropertyTrace};
 use crate::parallel::parallel_map;
@@ -151,8 +150,9 @@ pub fn run(o: &Options) -> GrowingResult {
     let protocols = PolicyTriple::paper_eight();
     let outcomes = parallel_map((0..protocols.len() * runs).collect(), move |i| {
         let (pi, r) = (i / runs, i % runs);
-        let graph = grow(scale, protocols[pi], run_seed(scale, pi, r), None);
-        let report = connected_components(&graph);
+        let mut sim = growing(scale, protocols[pi], run_seed(scale, pi, r));
+        sim.run_cycles(scale.cycles);
+        let report = connected_components(&sim.csr_snapshot().graph().undirected());
         (report.count(), report.largest())
     });
     let table1: Vec<PartitionRow> = protocols
@@ -174,7 +174,7 @@ pub fn run(o: &Options) -> GrowingResult {
     let fig2 = parallel_map(replays, move |(pi, run)| {
         let seed = run_seed(scale, pi, run);
         let mut properties = PropertyTrace::new(seed);
-        let graph = grow(scale, protocols[pi], seed, Some(&mut properties));
+        let graph = properties.run(&mut growing(scale, protocols[pi], seed), scale.cycles);
         Replay {
             policy: protocols[pi],
             run,
@@ -195,19 +195,11 @@ fn run_seed(scale: Scale, pi: usize, r: usize) -> u64 {
     scale.run_seed((pi * 10_007 + r) as u64)
 }
 
-/// One growing-overlay run at `seed`: N / 100 joiners per cycle (the
-/// paper's 100 at N = 10⁴) for `scale.cycles` cycles, each cycle's
-/// undirected overlay recorded into `trace` if one is given. Returns the
-/// final undirected overlay.
-fn grow(scale: Scale, policy: PolicyTriple, seed: u64, trace: Option<&mut PropertyTrace>) -> Csr {
+/// The growing-overlay engine of one run at `seed`: one node, then N / 100
+/// joiners per cycle (the paper's 100 at N = 10⁴).
+fn growing(scale: Scale, policy: PolicyTriple, seed: u64) -> ShardedSimulation<PeerSamplingNode> {
     let per_cycle = (scale.nodes / 100).max(1);
-    let protocol = scale.protocol(policy);
-    let mut sim = scenario::growing_overlay(&protocol, scale.nodes, per_cycle, seed);
-    if let Some(trace) = trace {
-        return trace.run(&mut sim, scale.cycles);
-    }
-    sim.run_cycles(scale.cycles);
-    sim.csr_snapshot().graph().undirected()
+    scenario::growing_overlay(&scale.protocol(policy), scale.nodes, per_cycle, seed)
 }
 
 #[cfg(test)]
