@@ -1778,6 +1778,27 @@ mod tests {
         let _ = measure_rows(3, &rows, |_| true, 1);
     }
 
+    /// A digest of five schedules' compiled form, recorded before the
+    /// compiler had a `grow:` phase: a new phase must leave the others
+    /// compiling byte for byte as they did.
+    #[test]
+    fn existing_schedules_compile_as_before() {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for schedule in [
+            "quiet:10,kill:0.5,churn:0.01x20",
+            "churn:0.02/0.03x5[contacts=2],flash:40[herd],part:2x3@0.95,quiet:1",
+            "adv:eclipse@0.05>victims:8,quiet:3,part:3x4@0.9/0.5",
+            "(churn:0.01x5,kill:0.3)x2,flash:7[contacts=1]",
+            "quiet:4,kill:0.3,churn:0.02x4,flash:10,part:2x3,quiet:2",
+        ] {
+            let text = format!("{:?}", compile(schedule, 11, 200));
+            for byte in text.bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x1000_0000_01b3);
+            }
+        }
+        assert_eq!(hash, 16_379_161_474_006_141_100);
+    }
+
     #[test]
     #[should_panic(expected = "workload compiled id")]
     fn join_id_mismatch_is_detected() {
