@@ -137,16 +137,6 @@ mod tests {
     }
 
     #[test]
-    fn growing_dynamics_reaches_target() {
-        let mut sim = scenario::growing_overlay(&newscast(8), 100, 10, 6);
-        let mut trace = PropertyTrace::new(6);
-        trace.run(&mut sim, 20);
-        // Degree series grows as the population does.
-        let degree = trace.degree.values();
-        assert!(degree.last().unwrap() > &degree[0]);
-    }
-
-    #[test]
     fn baseline_close_to_theory() {
         let scale = Scale {
             nodes: 1000,

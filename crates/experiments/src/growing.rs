@@ -2,7 +2,9 @@
 //!
 //! The paper grows the overlay from one node (100 joiners per cycle up to
 //! N = 10⁴, each knowing only the initial node) to cycle 300, and reads
-//! both artifacts off those runs:
+//! both artifacts off those runs. Each run here is one node, then the
+//! schedule `grow:{N-1}/{N/100},quiet:{T}` through the workload driver, cut
+//! to its first `T = scale.cycles` periods (a shorter budget ends mid-growth).
 //!
 //! - **Table 1**: over 100 runs per protocol, how often each push protocol
 //!   partitioned, and the average number of clusters and largest-cluster
@@ -17,10 +19,12 @@
 //!   no connected run it replays run 0, and its `connected` column reads
 //!   `NO`.
 
-use pss_core::{PeerSamplingNode, PolicyTriple, ViewPropagation, ViewSelection};
+use pss_core::{PolicyTriple, ViewPropagation, ViewSelection};
 use pss_graph::components::connected_components;
+use pss_graph::csr::Csr;
 use pss_graph::GraphMetrics;
-use pss_sim::{scenario, ShardedSimulation};
+use pss_sim::workload::{run_workload_observed, Workload};
+use pss_sim::{CsrSnapshot, ShardedSimulation};
 
 use crate::dynamics::{baseline_cells, random_baseline, series, PropertyTrace};
 use crate::parallel::parallel_map;
@@ -150,9 +154,8 @@ pub fn run(o: &Options) -> GrowingResult {
     let protocols = PolicyTriple::paper_eight();
     let outcomes = parallel_map((0..protocols.len() * runs).collect(), move |i| {
         let (pi, r) = (i / runs, i % runs);
-        let mut sim = growing(scale, protocols[pi], run_seed(scale, pi, r));
-        sim.run_cycles(scale.cycles);
-        let report = connected_components(&sim.csr_snapshot().graph().undirected());
+        let graph = grow(scale, protocols[pi], run_seed(scale, pi, r), None);
+        let report = connected_components(&graph);
         (report.count(), report.largest())
     });
     let table1: Vec<PartitionRow> = protocols
@@ -174,7 +177,7 @@ pub fn run(o: &Options) -> GrowingResult {
     let fig2 = parallel_map(replays, move |(pi, run)| {
         let seed = run_seed(scale, pi, run);
         let mut properties = PropertyTrace::new(seed);
-        let graph = properties.run(&mut growing(scale, protocols[pi], seed), scale.cycles);
+        let graph = grow(scale, protocols[pi], seed, Some(&mut properties));
         Replay {
             policy: protocols[pi],
             run,
@@ -195,11 +198,29 @@ fn run_seed(scale: Scale, pi: usize, r: usize) -> u64 {
     scale.run_seed((pi * 10_007 + r) as u64)
 }
 
-/// The growing-overlay engine of one run at `seed`: one node, then N / 100
-/// joiners per cycle (the paper's 100 at N = 10⁴).
-fn growing(scale: Scale, policy: PolicyTriple, seed: u64) -> ShardedSimulation<PeerSamplingNode> {
-    let per_cycle = (scale.nodes / 100).max(1);
-    scenario::growing_overlay(&scale.protocol(policy), scale.nodes, per_cycle, seed)
+/// One growing-overlay run at `seed` through the workload driver: one
+/// node, then N / 100 joiners per period (the paper's 100 at N = 10⁴),
+/// each knowing only node 0, for `scale.cycles` periods in all (at least
+/// one). Records every period into `trace` if one is given; returns the
+/// final undirected overlay.
+fn grow(scale: Scale, p: PolicyTriple, seed: u64, mut trace: Option<&mut PropertyTrace>) -> Csr {
+    let (n, per_period) = (scale.nodes, (scale.nodes / 100).max(1));
+    let schedule = format!("grow:{}/{per_period},quiet:{}", n - 1, scale.cycles);
+    let mut compiled = Workload::parse(&schedule, seed).expect("valid").compile(1);
+    compiled.steps.truncate(scale.cycles as usize);
+    let mut sim = ShardedSimulation::new(scale.protocol(p), seed, 1);
+    sim.add_node([]);
+    let (mut graph, last) = (None, compiled.periods());
+    let mut observe = |period, rows: &[_]| {
+        if trace.is_some() || period == last {
+            let g = graph.insert(CsrSnapshot::from_rows(n, rows).graph().undirected());
+            if let Some(trace) = trace.as_deref_mut() {
+                trace.record(period, g);
+            }
+        }
+    };
+    run_workload_observed(&mut sim, &compiled, scale.view_size, &mut observe);
+    graph.expect("a run of one period at least")
 }
 
 #[cfg(test)]
@@ -272,6 +293,9 @@ mod tests {
         assert_eq!(result.fig2.len(), 6);
         for r in &result.fig2 {
             assert_eq!(r.properties.clustering.len(), 25);
+            // The degree series grows as the population does.
+            let degree = r.properties.degree.values();
+            assert!(degree[24] > degree[0], "{}: {degree:?}", r.policy);
         }
         // Pushpull protocols converge and stay connected at this scale.
         for r in result

@@ -162,8 +162,8 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     scale.cycles = value("--cycles").map_or(Ok(scale.cycles), parse_num)?;
     scale.view_size = value("--view-size").map_or(Ok(scale.view_size), parse_num)?;
     scale.seed = value("--seed").map_or(Ok(scale.seed), parse_num)?;
-    if scale.nodes < 2 || scale.view_size == 0 {
-        return Err("need at least 2 nodes and a positive view size".into());
+    if scale.nodes < 2 || scale.view_size == 0 || scale.cycles == 0 {
+        return Err("need at least 2 nodes, and a positive view size and cycles".into());
     }
     let shards: Option<Vec<usize>> = value("--shards")
         .map(|l| l.split(',').map(parse_num).collect())
@@ -442,6 +442,7 @@ mod tests {
         assert!(parse_args(&args("growing --nodes")).is_err());
         assert!(parse_args(&args("growing --bogus 1")).is_err());
         assert!(parse_args(&args("growing --nodes 1")).is_err()); // too small
+        assert!(parse_args(&args("random --cycles 0")).is_err()); // no schedule
     }
 
     #[test]

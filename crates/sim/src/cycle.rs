@@ -41,8 +41,7 @@
 //! local peer, and the partition draws keep their order.
 
 use pss_core::{
-    Arena, Exchange, GossipNode, NodeDescriptor, NodeId, PeerSamplingNode, ProtocolConfig, Reply,
-    Request,
+    Arena, Exchange, GossipNode, NodeId, PeerSamplingNode, ProtocolConfig, Reply, Request,
 };
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -84,17 +83,6 @@ impl core::ops::AddAssign for CycleReport {
     }
 }
 
-/// Automatic population growth, reproducing the paper's *growing overlay*
-/// scenario: at the beginning of each cycle, `nodes_per_cycle` fresh nodes
-/// join (until `target` is reached), each knowing only the oldest node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GrowthPlan {
-    /// Nodes added per cycle.
-    pub nodes_per_cycle: usize,
-    /// Population size at which growth stops.
-    pub target: usize,
-}
-
 /// A request crossing a shard boundary.
 struct QueuedRequest {
     from: NodeId,
@@ -124,7 +112,6 @@ pub struct CycleShard {
 /// Driver-side state of the cycle model (the [`Mode`] of
 /// [`ShardedSimulation`]).
 pub struct CycleDriven {
-    growth: Option<GrowthPlan>,
     /// Per-cycle liveness snapshot buffer, reused across cycles.
     alive_snapshot: Vec<u64>,
 }
@@ -194,7 +181,6 @@ impl<N: GossipNode + Send> ShardedSimulation<N> {
             factory,
             EngineTele::new("cycle", &["initiate", "respond", "absorb"], shards),
             CycleDriven {
-                growth: None,
                 alive_snapshot: Vec::new(),
             },
             || {
@@ -207,27 +193,6 @@ impl<N: GossipNode + Send> ShardedSimulation<N> {
                 (Arena::new(), state)
             },
         )
-    }
-
-    /// Installs a growth plan (see [`GrowthPlan`]). Growth happens at the
-    /// beginning of each subsequent cycle.
-    pub fn set_growth(&mut self, plan: GrowthPlan) {
-        self.mode.growth = Some(plan);
-    }
-
-    fn apply_growth(&mut self) {
-        let Some(plan) = self.mode.growth else { return };
-        if self.node_count() >= plan.target {
-            return;
-        }
-        let missing = plan.target - self.node_count();
-        let joining = plan.nodes_per_cycle.min(missing);
-        // "The view of these nodes is initialized with only a single node
-        // descriptor, which belongs to the oldest, initial node."
-        let oldest = NodeId::new(0);
-        for _ in 0..joining {
-            self.add_node([NodeDescriptor::fresh(oldest)]);
-        }
     }
 
     /// Calls the peer sampling service (`getPeer()`) on a live node.
@@ -250,7 +215,6 @@ impl Mode for CycleDriven {
     fn joined(&self, _: &mut CycleShard, _: u32, _: impl FnOnce(u64) -> u64) {}
 
     fn run_cycle<N: GossipNode + Send>(sim: &mut Sharded<N, Self>) -> CycleReport {
-        sim.apply_growth();
         sim.cycles += 1;
 
         let Sharded {
@@ -302,7 +266,6 @@ impl<N: GossipNode + Send> std::fmt::Debug for ShardedSimulation<N> {
             .field("workers", &self.pool.workers())
             .field("nodes", &self.dir.len())
             .field("alive", &self.dir.alive_count())
-            .field("growth", &self.mode.growth)
             .field("partition", &self.partition)
             .finish()
     }
@@ -522,7 +485,7 @@ fn phase_absorb<N: GossipNode + Send>(shard: &mut Shard<N, CycleShard>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pss_core::PolicyTriple;
+    use pss_core::{NodeDescriptor, PolicyTriple};
 
     fn config() -> ProtocolConfig {
         ProtocolConfig::new(PolicyTriple::newscast(), 5).unwrap()
@@ -685,40 +648,6 @@ mod tests {
         sim.kill(NodeId::new(0));
         // b's view points at dead a.
         assert_eq!(sim.dead_link_count(), 1);
-    }
-
-    #[test]
-    fn growth_plan_adds_nodes_each_cycle() {
-        let mut sim = ShardedSimulation::new(config(), 5, 1);
-        sim.add_node([]);
-        sim.set_growth(GrowthPlan {
-            nodes_per_cycle: 10,
-            target: 25,
-        });
-        sim.run_cycle();
-        assert_eq!(sim.node_count(), 11);
-        sim.run_cycle();
-        assert_eq!(sim.node_count(), 21);
-        sim.run_cycle();
-        assert_eq!(sim.node_count(), 25); // clamped at target
-        sim.run_cycle();
-        assert_eq!(sim.node_count(), 25);
-    }
-
-    #[test]
-    fn growth_seeds_point_at_oldest() {
-        let mut sim = ShardedSimulation::new(config(), 5, 1);
-        sim.add_node([]);
-        sim.set_growth(GrowthPlan {
-            nodes_per_cycle: 3,
-            target: 4,
-        });
-        sim.run_cycle();
-        // New nodes joined knowing node 0 (they may have gossiped since,
-        // but their views must be non-empty).
-        for id in 1..4 {
-            assert!(!sim.view_of(NodeId::new(id)).unwrap().is_empty());
-        }
     }
 
     #[test]

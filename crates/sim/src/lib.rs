@@ -26,18 +26,17 @@
 //!   minimum latency, with the same determinism contract as the cycle
 //!   engine.
 //!
-//! Scenario constructors ([`scenario`]) reproduce the paper's three
-//! bootstrap regimes — growing overlay, ring lattice, uniform random. A
-//! per-cycle figure runs [`Sharded::run_cycle`] in its own loop and reads
-//! its value — a [`CsrSnapshot`] metric or [`Sharded::dead_link_count`] —
-//! after each cycle. [`workload`] declares seed-deterministic
-//! membership-dynamics schedules (churn, catastrophic failure, flash
+//! [`scenario`] seeds the starting overlays: ring lattice, uniform random
+//! and the cross-stack runs' tree. [`workload`] declares seed-deterministic
+//! schedules (growth from one node, churn, catastrophic failure, flash
 //! crowds, partition/heal, Byzantine adversary placement) that compile to
-//! concrete per-period operations and run identically on every engine and
-//! on the deployed `pss-net` cluster — whatever implements
-//! [`WorkloadTarget`], the one trait a driver sees; [`audit`] layers attack
-//! observables (in-degree capture, victim isolation, chi-square
-//! randomness) on attacked runs.
+//! per-period operations and run identically on every engine and on the
+//! deployed `pss-net` cluster — whatever implements [`WorkloadTarget`]. A
+//! per-cycle figure is a schedule run through
+//! [`workload::run_workload_observed`], reading each period's live view
+//! rows (as a [`CsrSnapshot::from_rows`]) or its [`workload::PeriodRecord`].
+//! [`audit`] layers attack observables (in-degree capture, victim
+//! isolation, chi-square randomness) on attacked runs.
 //!
 //! # Examples
 //!
@@ -77,7 +76,7 @@ pub mod audit;
 pub mod scenario;
 pub mod workload;
 
-pub use cycle::{CycleReport, GrowthPlan, ShardedSimulation};
+pub use cycle::{CycleReport, ShardedSimulation};
 pub use event::{
     Delivery, EventConfig, EventConfigError, EventReport, LatencyModel, ShardedEventSimulation,
 };

@@ -1,15 +1,18 @@
-//! The paper's three bootstrap scenarios, plus generic graph-seeded setup.
+//! The paper's starting overlays, plus generic graph-seeded setup.
 //!
 //! Section 5 of the paper evaluates convergence from three initial
-//! conditions:
+//! conditions. Two are starting overlays built here:
 //!
-//! * **growing overlay** ([`growing_overlay`]) — start from a single node;
-//!   100 nodes join per cycle knowing only the oldest node, until N = 10⁴
-//!   (reached at cycle 100),
 //! * **ring lattice** ([`seed_from_digraph`] over [`gen::ring_lattice`]) —
 //!   a structured, large-diameter start,
 //! * **random** ([`random_overlay`]) — views are uniform random samples
 //!   (the baseline topology itself).
+//!
+//! The third, the **growing overlay** — start from a single node; 100
+//! nodes join per cycle knowing only the oldest node, until N = 10⁴
+//! (reached at cycle 100) — is a schedule, not a start: one node, then the
+//! workload phase `grow:9999/100` ([`crate::workload::PhaseSpec::Grow`]),
+//! so it runs on every stack a workload drives.
 
 use pss_core::{GossipNode, NodeDescriptor, NodeId, PeerSamplingNode, ProtocolConfig};
 use pss_graph::csr::Csr;
@@ -18,7 +21,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::shard::{Mode, Sharded};
-use crate::{EventConfig, EventConfigError, GrowthPlan, ShardedEventSimulation, ShardedSimulation};
+use crate::{EventConfig, EventConfigError, ShardedEventSimulation, ShardedSimulation};
 
 /// Seeds an empty engine so that node `i`'s view holds a fresh descriptor
 /// per out-neighbor of `i` in the directed `graph` — one loop for both
@@ -80,26 +83,6 @@ pub fn from_digraph(
 ) -> ShardedSimulation<PeerSamplingNode> {
     let mut sim = ShardedSimulation::new(config.clone(), seed, 1);
     seed_from_digraph(&mut sim, config.view_size(), graph);
-    sim
-}
-
-/// The growing-overlay scenario: one initial node, `per_cycle` joiners per
-/// cycle (each knowing only node 0) until `target` nodes exist.
-///
-/// The paper uses `per_cycle = 100` and `target = 10_000`; growth then
-/// completes at cycle 100 and the run continues to cycle 300.
-pub fn growing_overlay(
-    config: &ProtocolConfig,
-    target: usize,
-    per_cycle: usize,
-    seed: u64,
-) -> ShardedSimulation<PeerSamplingNode> {
-    let mut sim = ShardedSimulation::new(config.clone(), seed, 1);
-    sim.add_node([]);
-    sim.set_growth(GrowthPlan {
-        nodes_per_cycle: per_cycle,
-        target,
-    });
     sim
 }
 
@@ -201,6 +184,7 @@ pub fn event_random_overlay_sharded(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::{run_workload, PeriodRecord, Workload};
     use pss_core::hs::{HsConfig, HsNode, HsPeerSelection};
     use pss_core::PolicyTriple;
     use pss_graph::components::connected_components;
@@ -244,23 +228,33 @@ mod tests {
         let _ = from_digraph(&config(2), &g, 1);
     }
 
+    /// One node, then `schedule` (the growing overlay's `grow:` phase)
+    /// run at view size `c`: the engine and its period records.
+    fn grown(
+        c: usize,
+        schedule: &str,
+        seed: u64,
+    ) -> (ShardedSimulation<PeerSamplingNode>, Vec<PeriodRecord>) {
+        let mut sim = ShardedSimulation::new(config(c), seed, 1);
+        sim.add_node([]);
+        let compiled = Workload::parse(schedule, seed).unwrap().compile(1);
+        let records = run_workload(&mut sim, &compiled, c);
+        (sim, records)
+    }
+
     #[test]
     fn growing_reaches_target() {
-        let mut sim = growing_overlay(&config(5), 50, 10, 2);
-        assert_eq!(sim.node_count(), 1);
-        for _ in 0..5 {
-            sim.run_cycle();
-        }
-        assert_eq!(sim.node_count(), 50);
-        sim.run_cycle();
+        let (sim, records) = grown(5, "grow:49/10,quiet:1", 2);
+        let live: Vec<usize> = records.iter().map(|r| r.live).collect();
+        assert_eq!(live, [11, 21, 31, 41, 50, 50]);
         assert_eq!(sim.node_count(), 50);
     }
 
     #[test]
     fn growing_overlay_becomes_connected() {
         // c = 15 keeps a 60-node overlay above the connectivity threshold.
-        let mut sim = growing_overlay(&config(15), 60, 20, 3);
-        sim.run_cycles(25);
+        let (sim, records) = grown(15, "grow:59/20,quiet:22", 3);
+        assert_eq!(records.len(), 25);
         let g = sim.csr_snapshot().graph().undirected();
         assert!(connected_components(&g).is_connected());
     }

@@ -5,10 +5,11 @@
 //! failure (Section 7), sustained membership change — but each scenario
 //! used to be hand-rolled per driver. A [`Workload`] names the scenario
 //! once as a sequence of [`PhaseSpec`]s (quiet windows, churn phases,
-//! catastrophic kills, flash-crowd bulk joins, network partition/heal) and
-//! **compiles** it, from a seed and the initial population size alone, down
-//! to concrete per-period operations ([`Op`]): *this* node dies at period
-//! 12, *this* node joins at period 15 bootstrapping off *these* contacts.
+//! catastrophic kills, flash-crowd bulk joins, growth from the oldest node,
+//! network partition/heal) and **compiles** it, from a seed and the initial
+//! population size alone, down to concrete per-period operations ([`Op`]):
+//! *this* node dies at period 12, *this* node joins at period 15
+//! bootstrapping off *these* contacts.
 //!
 //! Because the compiled schedule fixes the full membership trajectory up
 //! front, the same [`CompiledWorkload`] drives the cycle engines, the
@@ -51,6 +52,8 @@
 //! churn:L/JxP      independent leave rate L and join rate J
 //! kill:F           catastrophic kill of fraction F (instantaneous)
 //! flash:N          flash crowd: N simultaneous joins (instantaneous)
+//! grow:M/J         M joins, J per period for ⌈M/J⌉ periods (the last adds
+//!                  the rest), each knowing only the oldest (smallest) live id
 //! part:GxP         total partition into G groups for P periods, heal
 //! part:GxP@L       lossy partition: cross-group loss probability L
 //! part:GxP@L1/L2   asymmetric: lower→higher group loss L1, reverse L2
@@ -270,6 +273,17 @@ pub enum PhaseSpec {
         /// introducer, picked once from the live population.
         herd: bool,
     },
+    /// Growth: `joins` nodes join, `per_period` at a time, one period per
+    /// batch (the last batch holds the remainder). Each joiner knows only
+    /// the oldest live node at its period's boundary — the smallest live
+    /// id, or nobody in an empty population. Draws nothing from the
+    /// compile RNG.
+    Grow {
+        /// Total joins.
+        joins: usize,
+        /// Joins per period (the last period may hold fewer).
+        per_period: usize,
+    },
     /// Network partition (a group-pair loss matrix) for `periods`
     /// periods; the matrix lifts (heals) at the boundary after the last
     /// period.
@@ -292,8 +306,8 @@ pub enum ScheduleErrorKind {
     Syntax,
     /// An unknown phase kind.
     UnknownKind,
-    /// A phase spanning zero periods (or a flash of zero joins): it would
-    /// compile to nothing and silently vanish from the schedule.
+    /// A phase spanning zero periods (or a flash or growth of zero joins):
+    /// it would compile to nothing and silently vanish from the schedule.
     ZeroLength,
     /// A rate or loss of zero that would make the phase a disguised quiet
     /// phase (churn with both rates 0, a lossless partition, kill of
@@ -495,22 +509,31 @@ impl Workload {
                 ops.push(Op::Kill(victim));
             }
         }
+        // Joins `count` fresh ids, each knowing the contacts `pick` chooses
+        // from the live nodes before it.
         fn join_into(
             ops: &mut Vec<Op>,
             live: &mut Vec<NodeId>,
             next_id: &mut u64,
             count: usize,
-            contacts: usize,
-            rng: &mut SmallRng,
+            mut pick: impl FnMut(&mut Vec<NodeId>) -> Vec<NodeId>,
         ) {
             for _ in 0..count {
-                let picks = contacts.min(live.len());
-                let (chosen, _) = live.partial_shuffle(rng, picks);
-                let contacts = chosen.to_vec();
+                let contacts = pick(live);
                 let id = NodeId::new(*next_id);
                 *next_id += 1;
                 live.push(id);
                 ops.push(Op::Join { id, contacts });
+            }
+        }
+        // `k` distinct live contacts drawn with the compile RNG.
+        fn random(
+            k: usize,
+            rng: &mut SmallRng,
+        ) -> impl FnMut(&mut Vec<NodeId>) -> Vec<NodeId> + '_ {
+            move |live| {
+                let picks = k.min(live.len());
+                live.partial_shuffle(rng, picks).0.to_vec()
             }
         }
 
@@ -536,14 +559,9 @@ impl Workload {
                         let mut ops = std::mem::take(&mut pending);
                         let n = live.len() as f64;
                         kill_into(&mut ops, &mut live, leaves.step(n * leave_rate), &mut rng);
-                        join_into(
-                            &mut ops,
-                            &mut live,
-                            &mut next_id,
-                            joins.step(n * join_rate),
-                            contacts,
-                            &mut rng,
-                        );
+                        let count = joins.step(n * join_rate);
+                        let pick = random(contacts, &mut rng);
+                        join_into(&mut ops, &mut live, &mut next_id, count, pick);
                         steps.push(Step { ops });
                     }
                 }
@@ -561,24 +579,24 @@ impl Workload {
                         // shared by every joiner in the flash.
                         let pick = rand::Rng::random_range(&mut rng, 0..live.len());
                         let introducer = live[pick];
-                        for _ in 0..joins {
-                            let id = NodeId::new(next_id);
-                            next_id += 1;
-                            live.push(id);
-                            pending.push(Op::Join {
-                                id,
-                                contacts: vec![introducer],
-                            });
-                        }
+                        join_into(&mut pending, &mut live, &mut next_id, joins, |_| {
+                            vec![introducer]
+                        });
                     } else {
-                        join_into(
-                            &mut pending,
-                            &mut live,
-                            &mut next_id,
-                            joins,
-                            contacts.unwrap_or(CONTACTS_PER_JOIN),
-                            &mut rng,
-                        );
+                        let pick = random(contacts.unwrap_or(CONTACTS_PER_JOIN), &mut rng);
+                        join_into(&mut pending, &mut live, &mut next_id, joins, pick);
+                    }
+                }
+                PhaseSpec::Grow { joins, per_period } => {
+                    for start in (0..joins).step_by(per_period) {
+                        let mut ops = std::mem::take(&mut pending);
+                        // "The view of these nodes is initialized with
+                        // only a single node descriptor, which belongs to
+                        // the oldest, initial node."
+                        let oldest: Vec<NodeId> = live.iter().min().copied().into_iter().collect();
+                        let count = per_period.min(joins - start);
+                        join_into(&mut ops, &mut live, &mut next_id, count, |_| oldest.clone());
+                        steps.push(Step { ops });
                     }
                 }
                 PhaseSpec::Partition { partition, periods } => {
@@ -833,6 +851,18 @@ fn parse_item(workload: &mut Workload, item: &str) -> Result<(), ScheduleParseEr
                 herd: overrides.herd,
             });
         }
+        "grow" => {
+            let (spec, _) = parse_overrides(spec, false, false, &bad)?;
+            let counts = spec.split_once('/').map(|(m, j)| (m.parse(), j.parse()));
+            let Some((Ok(joins), Ok(per_period))) = counts else {
+                return Err(syntax("expected `grow:M/J` with counts M and J"));
+            };
+            if joins == 0 || per_period == 0 {
+                let reason = "growth by zero joins, or zero per period, does nothing";
+                return Err(bad(reason, ScheduleErrorKind::ZeroLength));
+            }
+            workload.phases.push(PhaseSpec::Grow { joins, per_period });
+        }
         "part" => {
             let (spec, _) = parse_overrides(spec, false, false, &bad)?;
             let (shape, loss) = match spec.split_once('@') {
@@ -965,6 +995,7 @@ impl std::fmt::Display for PhaseSpec {
                 }
                 Ok(())
             }
+            PhaseSpec::Grow { joins, per_period } => write!(f, "grow:{joins}/{per_period}"),
             PhaseSpec::Partition { partition, periods } => {
                 write!(
                     f,
@@ -1505,6 +1536,7 @@ mod tests {
             "churn:0.02/0.03x5[contacts=2],flash:40[herd],part:2x3@0.95,quiet:1",
             "adv:eclipse@0.05>victims:8,quiet:3,part:3x4@0.9/0.5",
             "(churn:0.01x5,kill:0.3)x2,flash:7[contacts=1]",
+            "grow:99/10,quiet:5,(grow:3/2,kill:0.1)x2",
         ] {
             let parsed = Workload::parse(schedule, 11).unwrap();
             let shown = parsed.to_string();
@@ -1521,6 +1553,8 @@ mod tests {
             ("churn:0.01x0", ScheduleErrorKind::ZeroLength),
             ("part:2x0", ScheduleErrorKind::ZeroLength),
             ("flash:0", ScheduleErrorKind::ZeroLength),
+            ("grow:0/5", ScheduleErrorKind::ZeroLength),
+            ("grow:5/0", ScheduleErrorKind::ZeroLength),
             ("(quiet:5)x0", ScheduleErrorKind::ZeroLength),
             ("()x3", ScheduleErrorKind::ZeroLength),
             ("churn:0x5", ScheduleErrorKind::ZeroRate),
@@ -1547,6 +1581,9 @@ mod tests {
             ("quiet", ScheduleErrorKind::Syntax),
             ("quiet:x", ScheduleErrorKind::Syntax),
             ("churn:ax5", ScheduleErrorKind::Syntax),
+            ("grow:5", ScheduleErrorKind::Syntax),
+            ("grow:5/x", ScheduleErrorKind::Syntax),
+            ("grow:5/2[herd]", ScheduleErrorKind::Override),
         ] {
             let err = Workload::parse(schedule, 0).unwrap_err();
             assert_eq!(err.kind, kind, "`{schedule}` → {err}");
@@ -1776,6 +1813,71 @@ mod tests {
     fn measure_rows_rejects_unsorted_rows() {
         let rows = vec![(NodeId::new(2), vec![]), (NodeId::new(0), vec![])];
         let _ = measure_rows(3, &rows, |_| true, 1);
+    }
+
+    /// The joins of each compiled step, as `(id, contacts)`.
+    fn joins(compiled: &CompiledWorkload) -> Vec<Vec<(u64, Vec<u64>)>> {
+        let join = |op: &Op| match op {
+            Op::Join { id, contacts } => {
+                Some((id.as_u64(), contacts.iter().map(|c| c.as_u64()).collect()))
+            }
+            _ => None,
+        };
+        let steps = compiled.steps.iter();
+        steps
+            .map(|s| s.ops.iter().filter_map(join).collect())
+            .collect()
+    }
+
+    #[test]
+    fn grow_adds_up_to_j_per_period_and_the_remainder_last() {
+        let compiled = compile("grow:24/10,quiet:1", 5, 1);
+        let counts: Vec<usize> = joins(&compiled).iter().map(Vec::len).collect();
+        assert_eq!(counts, [10, 10, 4, 0]);
+        assert_eq!(compiled.id_space, 25);
+        // Every joiner knows only node 0, the one initial node, and ids
+        // are sequential.
+        let all: Vec<(u64, Vec<u64>)> = joins(&compiled).concat();
+        assert!(all.iter().all(|(_, contacts)| contacts == &[0]));
+        let ids: Vec<u64> = all.iter().map(|j| j.0).collect();
+        assert_eq!(ids, (1..25).collect::<Vec<_>>());
+        // An exact multiple has no remainder period.
+        let counts: Vec<usize> = joins(&compile("grow:20/10", 5, 1))
+            .iter()
+            .map(Vec::len)
+            .collect();
+        assert_eq!(counts, [10, 10]);
+    }
+
+    #[test]
+    fn grow_contacts_the_smallest_live_id() {
+        // From nobody, the first batch knows nobody; later batches know
+        // the first joiner.
+        let from_empty = joins(&compile("grow:5/3", 1, 0));
+        assert_eq!(from_empty[0], [(0, vec![]), (1, vec![]), (2, vec![])]);
+        assert_eq!(from_empty[1], [(3, vec![0]), (4, vec![0])]);
+        // After a kill, the contact is the smallest id that survived it,
+        // at every seed (some of which kill node 0).
+        let mut killed_zero = 0;
+        for seed in 0..20 {
+            let compiled = compile("kill:0.5,grow:4/2", seed, 10);
+            let killed: Vec<u64> = compiled.steps[0]
+                .ops
+                .iter()
+                .filter_map(|op| match op {
+                    Op::Kill(id) => Some(id.as_u64()),
+                    _ => None,
+                })
+                .collect();
+            killed_zero += usize::from(killed.contains(&0));
+            let oldest = (0..10).find(|id| !killed.contains(id)).unwrap();
+            for step in joins(&compiled) {
+                assert!(step.iter().all(|(_, contacts)| contacts == &[oldest]));
+            }
+            // The kill shares the first growth period; nothing trails.
+            assert_eq!(compiled.periods(), 2);
+        }
+        assert!(killed_zero > 0);
     }
 
     /// A digest of five schedules' compiled form, recorded before the

@@ -7,11 +7,11 @@ use proptest::prelude::*;
 use pss_core::{NodeId, PolicyTriple, ProtocolConfig};
 use pss_graph::components::largest_weak_component;
 use pss_sim::workload::{
-    measure_rows, Op, Partition, PeriodRecord, PhaseSpec, ScheduleErrorKind, Workload,
+    measure_rows, run_workload, Op, Partition, PeriodRecord, PhaseSpec, ScheduleErrorKind, Workload,
 };
 use pss_sim::{
     scenario, CsrSnapshot, EventConfig, LatencyModel, RateAccumulator, ShardedEventSimulation,
-    TickQueue,
+    ShardedSimulation, TickQueue,
 };
 
 /// Builds one grammar-expressible phase from raw draws. Rates and losses
@@ -38,6 +38,10 @@ fn build_phase(kind: usize, periods: u64, a: usize, b: usize, k: usize) -> Phase
                 None
             },
             herd: b % 3 == 1,
+        },
+        4 => PhaseSpec::Grow {
+            joins: 1 + a,
+            per_period: k,
         },
         _ => {
             let groups = 2 + (k as u32 % 3);
@@ -392,22 +396,29 @@ proptest! {
         per_cycle in 1usize..20,
         seed in 0u64..1_000,
     ) {
+        // One node, then `grow:{target - 1}/{per_cycle}` and two quiet
+        // periods: the population grows by at most `per_cycle` a period,
+        // never past `target`, and reaches it.
         let config = ProtocolConfig::new(PolicyTriple::newscast(), 6).unwrap();
-        let mut sim = scenario::growing_overlay(&config, target, per_cycle, seed);
-        let mut previous = sim.node_count();
-        for _ in 0..(target / per_cycle + 2) as u64 {
-            sim.run_cycle();
-            prop_assert!(sim.node_count() >= previous);
-            prop_assert!(sim.node_count() <= target);
-            previous = sim.node_count();
+        let mut sim = ShardedSimulation::new(config, seed, 1);
+        sim.add_node([]);
+        let schedule = format!("grow:{}/{per_cycle},quiet:2", target - 1);
+        let compiled = Workload::parse(&schedule, seed).unwrap().compile(1);
+        let records = run_workload(&mut sim, &compiled, 6);
+        prop_assert_eq!(records.len(), (target - 1).div_ceil(per_cycle) + 2);
+        let mut previous = 1;
+        for r in &records {
+            prop_assert!(r.live >= previous && r.live - previous <= per_cycle);
+            prop_assert!(r.live <= target);
+            previous = r.live;
         }
-        prop_assert_eq!(sim.node_count(), target);
+        prop_assert_eq!(previous, target);
     }
 
     #[test]
     fn schedule_grammar_round_trips_display_and_parse(
         phases in prop::collection::vec(
-            (0usize..5, 1u64..25, 0usize..2000, 0usize..2000, 1usize..8),
+            (0usize..6, 1u64..25, 0usize..2000, 0usize..2000, 1usize..8),
             1..10,
         ),
         seed in 0u64..1_000,

@@ -1,5 +1,5 @@
 //! Cross-engine workload conformance: the same compiled schedule —
-//! churn, catastrophe, flash crowd, partition/heal — must (a) be
+//! churn, catastrophe, flash crowd, partition/heal, growth — must (a) be
 //! bit-deterministic per `(seed, shard_count)` at any worker count on the
 //! sharded engines, (b) produce statistically agreeing recovery
 //! trajectories across engines, and (c) satisfy the self-healing bounds
@@ -49,6 +49,10 @@ fn schedule_family() -> Vec<(&'static str, Workload)> {
         (
             "partition",
             Workload::parse("quiet:6,part:2x3,quiet:8", 44).unwrap(),
+        ),
+        (
+            "growth",
+            Workload::parse("quiet:4,grow:60/10,quiet:6", 45).unwrap(),
         ),
     ]
 }
@@ -267,6 +271,13 @@ fn self_healing_bounds_hold_for_every_schedule() {
             }
             "partition" => {
                 // Covered in detail below.
+            }
+            "growth" => {
+                // 10 joiners a period for 6 periods, each knowing only
+                // node 0, all integrated by the end.
+                let joined: Vec<usize> = records.iter().map(|r| r.joined).collect();
+                assert_eq!(joined[4..10], [10; 6]);
+                assert_eq!(records.last().unwrap().live, N + 60);
             }
             other => panic!("unknown schedule {other}"),
         }

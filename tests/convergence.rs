@@ -4,22 +4,38 @@
 //! values regardless of the initial topology ("self-organization") — and
 //! Section 4.3's connectivity requirement.
 
-use peer_sampling::{scenario, PolicyTriple, ProtocolConfig};
+use peer_sampling::sim::workload::run_workload;
+use peer_sampling::{scenario, PolicyTriple, ProtocolConfig, ShardedSimulation, Workload};
 use pss_graph::{clustering, components, gen, paths};
 
 const N: usize = 600;
 const C: usize = 20;
 const CYCLES: u64 = 80;
 
+/// The overlay after `CYCLES` periods of the scenario `which`. Every start
+/// runs through the workload driver; the growing one starts from one node
+/// and grows by `N / 50` nodes a period, each knowing only node 0.
 fn converged_metrics(policy: PolicyTriple, which: &str, seed: u64) -> (f64, f64, f64) {
     let config = ProtocolConfig::new(policy, C).expect("valid");
-    let mut sim = match which {
-        "lattice" => scenario::from_digraph(&config, &gen::ring_lattice(N, C), seed),
-        "random" => scenario::random_overlay(&config, N, seed),
-        "growing" => scenario::growing_overlay(&config, N, N / 50, seed),
+    let (mut sim, growth) = match which {
+        "lattice" => {
+            let sim = scenario::from_digraph(&config, &gen::ring_lattice(N, C), seed);
+            (sim, String::new())
+        }
+        "random" => (scenario::random_overlay(&config, N, seed), String::new()),
+        "growing" => {
+            let mut sim = ShardedSimulation::new(config, seed, 1);
+            sim.add_node([]);
+            (sim, format!("grow:{}/{},", N - 1, N / 50))
+        }
         other => panic!("unknown scenario {other}"),
     };
-    sim.run_cycles(CYCLES);
+    let schedule = format!("{growth}quiet:{CYCLES}");
+    let mut compiled = Workload::parse(&schedule, seed)
+        .unwrap()
+        .compile(sim.node_count());
+    compiled.steps.truncate(CYCLES as usize);
+    run_workload(&mut sim, &compiled, C);
     let g = sim.csr_snapshot().graph().undirected();
     assert!(
         components::connected_components(&g).is_connected(),
