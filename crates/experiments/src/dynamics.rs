@@ -1,10 +1,8 @@
 //! The per-cycle property trace of Figures 2 and 3, and the uniform random
 //! baseline both plot it against.
 
-use pss_core::GossipNode;
 use pss_graph::csr::Csr;
 use pss_graph::{gen, GraphMetrics, MetricsConfig};
-use pss_sim::ShardedSimulation;
 use pss_stats::TimeSeries;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -45,18 +43,6 @@ impl PropertyTrace {
         self.clustering.push(cycle, m.clustering_coefficient);
         self.degree.push(cycle, m.average_degree);
         self.path_length.push(cycle, m.path_lengths.average);
-    }
-
-    /// Runs `n` cycles of `sim`, recording each; returns the final
-    /// undirected overlay.
-    pub fn run(&mut self, sim: &mut ShardedSimulation<impl GossipNode + Send>, n: u64) -> Csr {
-        let mut graph = sim.csr_snapshot().graph().undirected();
-        for _ in 0..n {
-            sim.run_cycle();
-            graph = sim.csr_snapshot().graph().undirected();
-            self.record(sim.cycle(), &graph);
-        }
-        graph
     }
 
     /// The last clustering coefficient, average degree and average path
@@ -111,30 +97,6 @@ pub fn random_baseline(scale: Scale) -> GraphMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pss_core::{PolicyTriple, ProtocolConfig};
-    use pss_sim::scenario;
-
-    fn newscast(c: usize) -> ProtocolConfig {
-        ProtocolConfig::new(PolicyTriple::newscast(), c).expect("valid")
-    }
-
-    #[test]
-    fn dynamics_records_every_cycle() {
-        let mut sim = scenario::random_overlay(&newscast(10), 120, 5);
-        let mut trace = PropertyTrace::new(5);
-        let graph = trace.run(&mut sim, 10);
-        assert_eq!(trace.clustering.len(), 10);
-        assert_eq!(trace.degree.len(), 10);
-        assert_eq!(trace.path_length.len(), 10);
-        assert_eq!(
-            graph.average_degree(),
-            *trace.degree.values().last().unwrap()
-        );
-        let mut table = series(&["protocol"]);
-        trace.push_rows(&mut table, &["newscast".into()]);
-        assert_eq!(table.len(), 10);
-        assert!(trace.final_cells().iter().all(|v| v != "-"));
-    }
 
     #[test]
     fn baseline_close_to_theory() {

@@ -5,13 +5,16 @@
 //! starts as `c` uniform picks of the others, the overlay converges for 300
 //! cycles, and Figures 6 and 7 then damage "the cycle-300 overlay of the
 //! random-init scenario". So each row here is one run at Table 2's seed
-//! (`seed ^ 0x7ab1e2`), and every artifact reads it in turn:
+//! (`seed ^ 0x7ab1e2`): the schedule `quiet:T,kill:0.5,quiet:R` (`T =
+//! scale.cycles`, `R` recovery cycles) through the workload driver, whose
+//! compiler picks the victims. Every artifact reads the live view rows the
+//! driver hands over each period, or its period records:
 //!
 //! - **Figure 3**: clustering, degree and path length over the first 100
 //!   cycles, from the random start (the row's run) and from a ring lattice
-//!   of large diameter (one control run per row at the same seed, so the
-//!   two differ only in their start). The properties converge to the same
-//!   values from either start.
+//!   of large diameter (one control run per row of `quiet:min(T,100)` at
+//!   the same seed, so the two differ only in their start). The properties
+//!   converge to the same values from either start.
 //! - **Figure 4**: the undirected degree distribution at exponentially
 //!   spaced cycles, `{0, 1 %, 10 %, 100 %}` of the run (the paper's
 //!   0/3/30/300). `head` view selection yields a balanced, fast-converging
@@ -65,7 +68,8 @@ use pss_graph::components::connected_components;
 use pss_graph::csr::Csr;
 use pss_graph::{gen, GraphMetrics};
 use pss_sim::audit::HonestPolicy;
-use pss_sim::{scenario, BoxedNode, ShardedSimulation};
+use pss_sim::workload::{run_workload_observed, CompiledWorkload, Op, Workload};
+use pss_sim::{scenario, BoxedNode, CsrSnapshot, ShardedSimulation};
 use pss_stats::{Autocorrelation, CountDistribution, Summary, TimeSeries};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -449,33 +453,8 @@ fn rows(c: usize) -> Vec<(String, HonestPolicy)> {
     paper.into_iter().chain(corners).collect()
 }
 
-/// One row's run: converge, damage the final graph, then fail and heal.
-/// A paper row also traces Figure 3's properties while converging, and
-/// runs its lattice control.
-fn run_row(scale: Scale, repetitions: usize, (protocol, row): (String, HonestPolicy)) -> RandomRun {
-    let policy = match &row {
-        HonestPolicy::Sampling(config) => Some(config.policy()),
-        HonestPolicy::Hs(_) => None,
-    };
-    let mut random = policy.map(|_| PropertyTrace::new(row_seed(scale)));
-    let (mut sim, degrees, graph) = converge(scale, row.clone(), random.as_mut());
-    let convergence = random.map(|random| Convergence {
-        lattice: lattice_control(scale, row),
-        random,
-    });
-    let removal = removal_curve(scale, &graph, repetitions);
-    let healing = heal(scale, &mut sim);
-    RandomRun {
-        protocol,
-        policy,
-        convergence,
-        degrees,
-        removal,
-        healing,
-    }
-}
-
-/// Table 2's seed: every row's engine, random start and property trace.
+/// Table 2's seed: every row's engine, random start, schedule and property
+/// trace.
 fn row_seed(scale: Scale) -> u64 {
     scale.seed ^ 0x7ab1e2
 }
@@ -489,32 +468,50 @@ fn engine(scale: Scale, row: HonestPolicy, start: &Csr) -> ShardedSimulation<Box
     sim
 }
 
+/// `schedule` compiled at Table 2's seed for the scale's population.
+fn compile(scale: Scale, schedule: &str) -> CompiledWorkload {
+    let workload = Workload::parse(schedule, row_seed(scale)).expect("valid");
+    workload.compile(scale.nodes)
+}
+
 /// Figure 3's lattice column: the row's engine from the ring lattice,
-/// traced over the plotted cycles.
+/// traced over the plotted cycles (`quiet:min(T,100)`).
 fn lattice_control(scale: Scale, row: HonestPolicy) -> PropertyTrace {
-    let lattice = gen::ring_lattice(scale.nodes, row.view_size());
-    let mut sim = engine(scale, row, &lattice);
+    let (n, c) = (scale.nodes, row.view_size());
+    let mut sim = engine(scale, row, &gen::ring_lattice(n, c));
+    let plotted = scale.cycles.min(PLOTTED_CYCLES);
+    let compiled = compile(scale, &format!("quiet:{plotted}"));
     let mut trace = PropertyTrace::new(row_seed(scale));
-    trace.run(&mut sim, scale.cycles.min(PLOTTED_CYCLES));
+    run_workload_observed(&mut sim, &compiled, c, &mut |period, rows| {
+        let graph = CsrSnapshot::from_rows(n, rows).graph().undirected();
+        trace.record(period, &graph);
+    });
     trace
 }
 
-/// Runs `scale.cycles` cycles from the random topology, one undirected
-/// graph per cycle, the plotted ones recorded into `trace` if one is given:
-/// the engine, the degrees Figures 4 and 5 and Table 2 read, and the final
-/// graph.
-fn converge(
-    scale: Scale,
-    row: HonestPolicy,
-    mut trace: Option<&mut PropertyTrace>,
-) -> (ShardedSimulation<BoxedNode>, DegreeTrace, Csr) {
-    let (n, c) = (scale.nodes, row.view_size());
-    let start = scenario::random_digraph(n, c, row_seed(scale));
-    let mut sim = engine(scale, row, &start);
+/// One row's run from the random topology through the workload driver:
+/// `quiet:T,kill:0.5,quiet:R` with `T = scale.cycles` (positive) and `R`
+/// recovery cycles. Each of the first `T` periods is measured for Figures 4
+/// and 5 and Table 2, and a paper row's plotted ones for Figure 3, which
+/// also runs its lattice control. Figure 6 damages the overlay of period
+/// `T`; the kill strikes at the boundary after it, and Figure 7 reads the
+/// dead links of every later period's record.
+fn run_row(scale: Scale, repetitions: usize, (protocol, row): (String, HonestPolicy)) -> RandomRun {
+    let policy = match &row {
+        HonestPolicy::Sampling(config) => Some(config.policy()),
+        HonestPolicy::Hs(_) => None,
+    };
+    let (n, t) = (scale.nodes, scale.cycles);
+    // Cycles simulated after the failure (the paper plots 70 for the head
+    // protocols and 200 for the rand ones; we run the maximum for all).
+    let recovery = (t * 2 / 3).max(40);
+    let schedule = format!("quiet:{t},kill:{KILL_FRACTION},quiet:{recovery}");
+    let compiled = compile(scale, &schedule);
+    let start = scenario::random_digraph(n, row.view_size(), row_seed(scale));
+    let mut random = policy.map(|_| PropertyTrace::new(row_seed(scale)));
     // Figure 4 captures at `{0, 1%, 10%, 100%}` of the cycle budget.
-    let capture_at = [scale.cycles / 100, scale.cycles / 10, scale.cycles];
-    let mut graph = sim.csr_snapshot().graph().undirected();
-    let mut captures = vec![(0, graph.degree_distribution())];
+    let capture_at = [t / 100, t / 10, t];
+    let mut captures = vec![(0, start.undirected().degree_distribution())];
     // Trace evenly spaced nodes — as good as random for a symmetric
     // random topology, and deterministic.
     let traced_count = TRACED_NODES.min(n);
@@ -523,29 +520,67 @@ fn converge(
         .map(|i| (NodeId::new((i * stride) as u64), TimeSeries::default()))
         .collect();
     let mut fixed = (NodeId::new((n / 2) as u64), TimeSeries::default());
-    for _ in 0..scale.cycles {
-        sim.run_cycle();
-        let cycle = sim.cycle();
-        let snapshot = sim.csr_snapshot();
-        graph = snapshot.graph().undirected();
-        if let Some(trace) = trace.as_deref_mut().filter(|_| cycle <= PLOTTED_CYCLES) {
-            trace.record(cycle, &graph);
+    // The victims of the kill at the boundary after period T.
+    let mut victim = vec![false; n];
+    for op in &compiled.steps[t as usize].ops {
+        if let Op::Kill(id) = op {
+            victim[id.as_index()] = true;
         }
-        if capture_at.contains(&cycle) {
-            captures.push((cycle, graph.degree_distribution()));
+    }
+    let (mut at_failure, mut initial_dead_links) = (None, 0);
+    let mut observe = |period, rows: &[(NodeId, Vec<NodeId>)]| {
+        if period > t {
+            return;
+        }
+        let snapshot = CsrSnapshot::from_rows(n, rows);
+        let graph = snapshot.graph().undirected();
+        if capture_at.contains(&period) {
+            captures.push((period, graph.degree_distribution()));
+        }
+        if let Some(trace) = random.as_mut().filter(|_| period <= PLOTTED_CYCLES) {
+            trace.record(period, &graph);
         }
         for (id, s) in traced.iter_mut().chain([&mut fixed]) {
             if let Some(idx) = snapshot.index_of(*id) {
-                s.push(cycle, graph.degree(idx) as f64);
+                s.push(period, graph.degree(idx) as f64);
             }
         }
-    }
-    let degrees = DegreeTrace {
-        captures,
-        traced,
-        fixed: fixed.1,
+        if period == t {
+            // Dead links right after the kill, before any recovery cycle:
+            // the survivors' descriptors of the victims.
+            let survivors = rows.iter().filter(|(id, _)| !victim[id.as_index()]);
+            let links = survivors.flat_map(|(_, view)| view);
+            initial_dead_links = links.filter(|v| victim[v.as_index()]).count();
+            at_failure = Some(graph);
+        }
     };
-    (sim, degrees, graph)
+    let mut sim = engine(scale, row.clone(), &start);
+    let records = run_workload_observed(&mut sim, &compiled, row.view_size(), &mut observe);
+    let graph = at_failure.expect("a run of one period at least");
+    let mut dead_links = TimeSeries::default();
+    for r in &records[t as usize..] {
+        dead_links.push(r.period, r.dead_links as f64);
+    }
+    let healed_at_cycle = dead_links.iter().find(|&(_, v)| v == 0.0).map(|(c, _)| c);
+    RandomRun {
+        protocol,
+        policy,
+        convergence: random.map(|random| Convergence {
+            lattice: lattice_control(scale, row),
+            random,
+        }),
+        degrees: DegreeTrace {
+            captures,
+            traced,
+            fixed: fixed.1,
+        },
+        removal: removal_curve(scale, &graph, repetitions),
+        healing: HealingCurve {
+            dead_links,
+            initial_dead_links,
+            healed_at_cycle,
+        },
+    }
 }
 
 /// Figure 6's curve: `graph` is damaged `repetitions` times per
@@ -590,27 +625,6 @@ fn damage_and_measure(graph: &Csr, percent: f64, repetitions: usize, seed: u64) 
     (total_outside as f64 / repetitions as f64, any_partition)
 }
 
-/// Figure 7's curve: half the nodes crash, then the dead links are counted
-/// every cycle.
-fn heal(scale: Scale, sim: &mut ShardedSimulation<BoxedNode>) -> HealingCurve {
-    // Cycles simulated after the failure (the paper plots 70 for the head
-    // protocols and 200 for the rand ones; we run the maximum for all).
-    let recovery = (scale.cycles * 2 / 3).max(40);
-    sim.kill_random_fraction(KILL_FRACTION);
-    let initial_dead_links = sim.dead_link_count();
-    let mut dead_links = TimeSeries::default();
-    for _ in 0..recovery {
-        sim.run_cycle();
-        dead_links.push(sim.cycle(), sim.dead_link_count() as f64);
-    }
-    let healed_at_cycle = dead_links.iter().find(|&(_, v)| v == 0.0).map(|(c, _)| c);
-    HealingCurve {
-        dead_links,
-        initial_dead_links,
-        healed_at_cycle,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use std::sync::OnceLock;
@@ -647,6 +661,12 @@ mod tests {
         sections.into_iter().find(|s| s.name == name).expect(name)
     }
 
+    /// The paper's Figure 3 claim: the properties converge to the same
+    /// values from radically different starts. At N = 200 and c = 10 the
+    /// converged clustering coefficient itself spreads: over seeds 1–100
+    /// its value at cycle 30 has σ ≈ 0.035 from either start. Two converged
+    /// runs then differ by less than 4·√2·σ ≈ 0.2, while the two starts
+    /// differ by more than that at cycle 1.
     #[test]
     fn converges_from_both_starts_at_tiny_scale() {
         let scale = Scale {
@@ -661,12 +681,14 @@ mod tests {
         let last = |s: &TimeSeries| *s.values().last().unwrap();
         let (cc_l, cc_r) = (last(&c.lattice.clustering), last(&c.random.clustering));
         let (deg_l, deg_r) = (last(&c.lattice.degree), last(&c.random.degree));
-        // The paper's claim: properties converge to the same value from
-        // radically different starts.
-        assert!(
-            (cc_l - cc_r).abs() < 0.08,
-            "lattice {cc_l} vs random {cc_r}"
-        );
+        // Passes at 100 of `--seed 1..100` (at 81 with its former bound of
+        // 0.08, a fifth of the converged spread).
+        assert!((cc_l - cc_r).abs() < 0.2, "lattice {cc_l} vs random {cc_r}");
+        // Passes at 100 of `--seed 1..100`: the gap at cycle 1 is ≥ 0.59.
+        let first = |s: &TimeSeries| s.values()[0];
+        let start_gap = first(&c.lattice.clustering) - first(&c.random.clustering);
+        assert!(start_gap.abs() > 0.2, "starts differ by {start_gap} only");
+        // Passes at 100 of `--seed 1..100` (converged σ ≈ 0.23).
         assert!((deg_l - deg_r).abs() < 3.0, "degree {deg_l} vs {deg_r}");
         let fig3 = section(&result, "fig3");
         assert!(fig3.summary.to_string().contains("(rand,head,pushpull)"));
@@ -674,9 +696,10 @@ mod tests {
     }
 
     /// Figure 3's random column is the converging run itself: at a budget
-    /// Figure 3 plots in full, its last average degree is Figure 4's final
-    /// capture mean, bit for bit, on every paper row; the H&S rows get no
-    /// Figure 3 row.
+    /// Figure 3 plots in full, both columns record every cycle and its
+    /// random column's last average degree is Figure 4's final capture
+    /// mean, bit for bit, on every paper row; the H&S rows get no Figure 3
+    /// row.
     #[test]
     fn fig3_random_column_reads_the_converging_run() {
         let scale = Scale {
@@ -691,8 +714,14 @@ mod tests {
                 assert!(run.policy.is_none(), "{}", run.protocol);
                 continue;
             };
-            assert_eq!(c.random.degree.len(), 20);
-            assert_eq!(c.lattice.degree.len(), 20);
+            for trace in [&c.random, &c.lattice] {
+                let all = [&trace.clustering, &trace.degree, &trace.path_length];
+                assert!(all.iter().all(|s| s.len() == 20), "{}", run.protocol);
+                assert!(trace.final_cells().iter().all(|v| v != "-"));
+                let mut table = series(&["protocol"]);
+                trace.push_rows(&mut table, std::slice::from_ref(&run.protocol));
+                assert_eq!(table.len(), 20);
+            }
             let degree = *c.random.degree.values().last().unwrap();
             let mean = run.degrees.last().mean();
             assert_eq!(degree.to_bits(), mean.to_bits(), "{}", run.protocol);
@@ -782,10 +811,11 @@ mod tests {
         }
     }
 
-    /// Figures 6 and 7 read Figure 4's final overlay, on every row: the
-    /// engine's degree variance at the failure is the final capture's, bit
-    /// for bit, and the graph Figure 6 damages has the final capture's
-    /// nodes and degrees.
+    /// Figures 6 and 7 read Figure 4's final overlay, on every row: Figure
+    /// 6 damages the overlay of period T, whose degrees are the final
+    /// capture (replayed here on `quiet:T`, which runs the same first T
+    /// periods), and Figure 7's curve starts the cycle after it, once the
+    /// survivors hold dead links.
     #[test]
     fn fig6_and_fig7_read_fig4s_final_capture() {
         let scale = Scale {
@@ -795,13 +825,35 @@ mod tests {
             seed: 7,
         };
         for (protocol, row) in rows(scale.view_size) {
-            let (sim, degrees, graph) = converge(scale, row, None);
-            let last = degrees.last();
-            let at_failure = sim.csr_snapshot().graph().undirected();
-            let variance = at_failure.degree_distribution().variance();
-            assert_eq!(variance.to_bits(), last.variance().to_bits(), "{protocol}");
-            assert_eq!(graph.node_count() as u64, last.total(), "{protocol}");
-            assert_eq!(graph.degree_distribution(), *last, "{protocol}");
+            let start = scenario::random_digraph(200, 8, row_seed(scale));
+            let mut graph = None;
+            let quiet = compile(scale, "quiet:20");
+            run_workload_observed(
+                &mut engine(scale, row.clone(), &start),
+                &quiet,
+                8,
+                &mut |_, rows| {
+                    graph = Some(CsrSnapshot::from_rows(200, rows).graph().undirected());
+                },
+            );
+            let graph = graph.unwrap();
+            let run = run_row(scale, 2, (protocol.clone(), row));
+            let (cycle, last) = run.degrees.captures.last().unwrap();
+            assert_eq!(
+                (*cycle, &graph.degree_distribution()),
+                (20, last),
+                "{protocol}"
+            );
+            let removal = removal_curve(scale, &graph, 2);
+            assert_eq!(removal.points, run.removal.points, "{protocol}");
+            let healing = &run.healing;
+            assert!(healing.initial_dead_links > 0, "{protocol}");
+            assert_eq!(
+                healing.dead_links.iter().next().unwrap().0,
+                21,
+                "{protocol}"
+            );
+            assert_eq!(healing.dead_links.len(), 40, "{protocol}");
         }
     }
 
@@ -901,8 +953,8 @@ mod tests {
             seed: 92,
         };
         let variance = |label| {
-            let (_, degrees, _) = converge(scale, row(16, label).1, None);
-            degrees.last().variance()
+            let run = run_row(scale, 1, row(16, label));
+            run.degrees.last().variance()
         };
         let (blind, swapper) = (variance("hs blind"), variance("hs swapper"));
         assert!(
