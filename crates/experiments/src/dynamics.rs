@@ -97,6 +97,62 @@ pub fn random_baseline(scale: Scale) -> GraphMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pss_core::{PeerSamplingNode, PolicyTriple, ProtocolConfig};
+    use pss_sim::workload::{run_workload_observed, Workload};
+    use pss_sim::{scenario, CsrSnapshot, ShardedSimulation};
+
+    fn newscast(c: usize) -> ProtocolConfig {
+        ProtocolConfig::new(PolicyTriple::newscast(), c).expect("valid")
+    }
+
+    /// Runs `schedule` on `sim`, whose population is `start` nodes of view
+    /// size `c`, through the workload driver, recording every period into
+    /// `trace`; returns the final undirected overlay.
+    fn trace_schedule(
+        sim: &mut ShardedSimulation<PeerSamplingNode>,
+        (start, c): (usize, usize),
+        schedule: &str,
+        trace: &mut PropertyTrace,
+    ) -> Csr {
+        let compiled = Workload::parse(schedule, 1).expect("valid").compile(start);
+        let mut graph = None;
+        run_workload_observed(sim, &compiled, c, &mut |period, rows| {
+            let snapshot = CsrSnapshot::from_rows(compiled.id_space, rows);
+            let g = graph.insert(snapshot.graph().undirected());
+            trace.record(period, g);
+        });
+        graph.expect("a run of one period at least")
+    }
+
+    #[test]
+    fn dynamics_records_every_cycle() {
+        let mut sim = scenario::random_overlay(&newscast(10), 120, 5);
+        let mut trace = PropertyTrace::new(5);
+        let graph = trace_schedule(&mut sim, (120, 10), "quiet:10", &mut trace);
+        assert_eq!(trace.clustering.len(), 10);
+        assert_eq!(trace.degree.len(), 10);
+        assert_eq!(trace.path_length.len(), 10);
+        assert_eq!(
+            graph.average_degree(),
+            *trace.degree.values().last().unwrap()
+        );
+        let mut table = series(&["protocol"]);
+        trace.push_rows(&mut table, &["newscast".into()]);
+        assert_eq!(table.len(), 10);
+        assert!(trace.final_cells().iter().all(|v| v != "-"));
+    }
+
+    #[test]
+    fn growing_dynamics_reaches_target() {
+        let mut sim = ShardedSimulation::new(newscast(8), 6, 1);
+        sim.add_node([]);
+        let mut trace = PropertyTrace::new(6);
+        let graph = trace_schedule(&mut sim, (1, 8), "grow:99/10,quiet:10", &mut trace);
+        assert_eq!((sim.node_count(), graph.node_count()), (100, 100));
+        // Degree series grows as the population does.
+        let degree = trace.degree.values();
+        assert!(degree.last().unwrap() > &degree[0]);
+    }
 
     #[test]
     fn baseline_close_to_theory() {
