@@ -34,6 +34,10 @@
 //! before. Every other `random` and `growing` constant held through that
 //! move.
 //!
+//! `policies` is pinned on every field of its 27 diagnoses (Section 4.3).
+//! The constant was recorded while each policy still converged and took
+//! its joiners in a loop of its own.
+//!
 //! `async` is pinned on its deterministic columns only: every row's
 //! labels, shard count and overlay statistics, never the wall-clock
 //! throughput. Two of its digests were recorded before the `scaling`
@@ -49,7 +53,7 @@ use pss_experiments::dynamics::PropertyTrace;
 use pss_experiments::random::{RandomResult, RandomRun};
 use pss_experiments::stacks::Stack;
 use pss_experiments::{
-    adversary, asynchrony, growing, protocols, random, workload, Options, Scale,
+    adversary, asynchrony, growing, policies, protocols, random, workload, Options, Scale,
 };
 use pss_protocols::AppPeriodRow;
 use pss_sim::audit::AttackRecord;
@@ -187,9 +191,12 @@ fn matrix_cells_are_pinned_on_every_stack() {
 #[test]
 fn protocol_rows_are_pinned_on_every_stack() {
     let result = protocols::run(&Options::at(tiny())).expect("valid");
-    assert_eq!(result.runs.len(), 8 * Stack::ALL.len());
+    let runs: Vec<_> = (result.runs.iter())
+        .filter(|r| ["churn", "partition"].contains(&r.schedule.as_str()))
+        .collect();
+    assert_eq!(runs.len(), 8 * Stack::ALL.len());
     let mut digest = Digest::new();
-    for run in &result.runs {
+    for run in runs {
         for record in &run.records {
             digest.period(record);
         }
@@ -218,6 +225,25 @@ fn attack_records_are_pinned_on_every_stack() {
         ]);
     }
     assert_eq!(digest.0, ADVERSARY);
+}
+
+/// Section 4.3 at tiny scale: every field of every policy's diagnosis.
+#[test]
+fn policies_rows_are_pinned() {
+    let result = policies::run(&Options::at(tiny()));
+    assert_eq!(result.diagnoses.len(), 27);
+    let mut digest = Digest::new();
+    for d in &result.diagnoses {
+        digest.text(&d.policy.to_string());
+        digest.words(&[
+            d.components as u64,
+            d.clustering.to_bits(),
+            d.max_degree_fraction.to_bits(),
+            d.joiner_degree.to_bits(),
+            d.joiner_in_degree.to_bits(),
+        ]);
+    }
+    assert_eq!(digest.0, POLICIES);
 }
 
 /// Table 1 at tiny scale and 4 runs per protocol: every row's policy,
@@ -486,3 +512,4 @@ const WORKLOAD: u64 = 362041301676028430;
 const MATRIX: u64 = 16965542888508163589;
 const PROTOCOLS: u64 = 5633405237867706408;
 const ADVERSARY: u64 = 571509363189020044;
+const POLICIES: u64 = 9705930650359408178;
