@@ -7,7 +7,8 @@
 //! batch of fresh nodes joins, and the resulting overlay is classified.
 
 use pss_core::{NodeId, PolicyTriple};
-use pss_sim::scenario;
+use pss_sim::workload::{run_workload, run_workload_observed, Workload};
+use pss_sim::{scenario, CsrSnapshot};
 
 use crate::parallel::parallel_map;
 use crate::report::{fmt_f64, Report, Section, Table};
@@ -98,16 +99,28 @@ pub fn run(o: &Options) -> PoliciesResult {
     let joiners = (scale.nodes / 10).max(5);
     let join_cycles = (scale.cycles / 3).max(10);
 
+    let quiet = |periods: u64, nodes: usize| {
+        Workload::parse(&format!("quiet:{periods}"), scale.seed)
+            .expect("a quiet schedule parses")
+            .compile(nodes)
+    };
+
     let diagnoses = parallel_map(PolicyTriple::all(), move |policy| {
-        let protocol = scale.protocol(policy);
+        let (protocol, c) = (scale.protocol(policy), scale.view_size);
         let mut sim = scenario::random_overlay(&protocol, scale.nodes, scale.seed ^ 0x901);
-        sim.run_cycles(scale.cycles);
+        run_workload(&mut sim, &quiet(scale.cycles, scale.nodes), c);
 
         let joined_from = sim.node_count();
         sim.add_nodes_with_random_contacts(joiners, 1);
-        sim.run_cycles(join_cycles);
+        let compiled = quiet(join_cycles, sim.node_count());
+        let mut snap = None;
+        run_workload_observed(&mut sim, &compiled, c, &mut |period, rows| {
+            if period == join_cycles {
+                snap = Some(CsrSnapshot::from_rows(compiled.id_space, rows));
+            }
+        });
 
-        let snap = sim.csr_snapshot();
+        let snap = snap.expect("the join phase runs at least one period");
         let graph = snap.graph().undirected();
         let report = pss_graph::components::connected_components(&graph);
         let clustering = pss_graph::clustering::estimate_clustering(
