@@ -3,11 +3,13 @@
 //! The paper discards `(head,*,*)` (severe clustering), `(*,tail,*)`
 //! (cannot absorb joining nodes) and `(*,*,pull)` (converges to a star
 //! topology) after preliminary experiments. This experiment reruns those
-//! preliminaries: every combination is run from a random start, then a
-//! batch of fresh nodes joins, and the resulting overlay is classified.
+//! preliminaries: every combination is run from a random start through
+//! one schedule, `quiet:T,flash:J[contacts=1],quiet:Jc` — converge, then
+//! a batch of fresh nodes joins, each knowing one live node the schedule's
+//! compiler picks — and the overlay after the last period is classified.
 
 use pss_core::{NodeId, PolicyTriple};
-use pss_sim::workload::{run_workload, run_workload_observed, Workload};
+use pss_sim::workload::{run_workload_observed, Workload};
 use pss_sim::{scenario, CsrSnapshot};
 
 use crate::parallel::parallel_map;
@@ -99,23 +101,22 @@ pub fn run(o: &Options) -> PoliciesResult {
     let joiners = (scale.nodes / 10).max(5);
     let join_cycles = (scale.cycles / 3).max(10);
 
-    let quiet = |periods: u64, nodes: usize| {
-        Workload::parse(&format!("quiet:{periods}"), scale.seed)
-            .expect("a quiet schedule parses")
-            .compile(nodes)
-    };
+    let schedule = format!(
+        "quiet:{},flash:{joiners}[contacts=1],quiet:{join_cycles}",
+        scale.cycles
+    );
+    let compiled = Workload::parse(&schedule, scale.seed)
+        .expect("the join schedule parses")
+        .compile(scale.nodes);
+    let compiled = &compiled;
 
     let diagnoses = parallel_map(PolicyTriple::all(), move |policy| {
-        let (protocol, c) = (scale.protocol(policy), scale.view_size);
+        let protocol = scale.protocol(policy);
         let mut sim = scenario::random_overlay(&protocol, scale.nodes, scale.seed ^ 0x901);
-        run_workload(&mut sim, &quiet(scale.cycles, scale.nodes), c);
-
-        let joined_from = sim.node_count();
-        sim.add_nodes_with_random_contacts(joiners, 1);
-        let compiled = quiet(join_cycles, sim.node_count());
         let mut snap = None;
-        run_workload_observed(&mut sim, &compiled, c, &mut |period, rows| {
-            if period == join_cycles {
+        let last = compiled.periods();
+        run_workload_observed(&mut sim, compiled, scale.view_size, &mut |period, rows| {
+            if period == last {
                 snap = Some(CsrSnapshot::from_rows(compiled.id_space, rows));
             }
         });
@@ -130,12 +131,10 @@ pub fn run(o: &Options) -> PoliciesResult {
         );
         let n = graph.node_count().max(2);
         let in_degrees = snap.graph().in_degrees();
-        let joiner_ids: Vec<NodeId> = (joined_from..joined_from + joiners)
-            .map(|i| NodeId::new(i as u64))
-            .collect();
+        // The flash's joiners take the ids after the initial population.
         let (mut deg_sum, mut indeg_sum, mut count) = (0.0, 0.0, 0usize);
-        for id in joiner_ids {
-            if let Some(idx) = snap.index_of(id) {
+        for i in scale.nodes..scale.nodes + joiners {
+            if let Some(idx) = snap.index_of(NodeId::new(i as u64)) {
                 deg_sum += graph.degree(idx) as f64;
                 indeg_sum += in_degrees[idx as usize] as f64;
                 count += 1;

@@ -35,8 +35,13 @@
 //! move.
 //!
 //! `policies` is pinned on every field of its 27 diagnoses (Section 4.3).
-//! The constant was recorded while each policy still converged and took
-//! its joiners in a loop of its own.
+//! The constant was recorded while each policy converged and took its
+//! joiners in a loop of its own, and held when both moved onto the
+//! workload driver with the joins still made by the engine. It was
+//! recorded again when the join became the schedule's `flash:J[contacts=1]`
+//! phase: the schedule's compiler now picks each joiner's contact, where
+//! the engine's control RNG picked it before, and it may pick an earlier
+//! joiner of the same flash.
 //!
 //! `async` is pinned on its deterministic columns only: every row's
 //! labels, shard count and overlay statistics, never the wall-clock
@@ -512,4 +517,4 @@ const WORKLOAD: u64 = 362041301676028430;
 const MATRIX: u64 = 16965542888508163589;
 const PROTOCOLS: u64 = 5633405237867706408;
 const ADVERSARY: u64 = 571509363189020044;
-const POLICIES: u64 = 9705930650359408178;
+const POLICIES: u64 = 17551951421246147274;
