@@ -23,7 +23,7 @@ use pss_sim::audit::{audit_rows, AttackRecord, HonestPolicy, SampleAudit};
 use pss_sim::workload::{run_workload_observed, Workload};
 
 use crate::report::{fmt_f64, fmt_percent, Cell, Cmp, Report, Section, Table};
-use crate::stacks::{on_every_stack, Stack};
+use crate::stacks::{on_every_stack, Stack, Start};
 use crate::Options;
 
 /// The default schedule: the headline hub attack — 2 % colluders forging
@@ -196,6 +196,7 @@ pub fn run(o: &Options) -> Result<AdversaryResult, String> {
         let runs = on_every_stack(
             policy.clone(),
             Some(roles),
+            Start::Tree,
             &o.scale,
             shards,
             o.workers,

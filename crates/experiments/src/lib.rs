@@ -15,7 +15,6 @@
 //! | [`random`]   | Figures 3–7, Table 2 | one random-start run per protocol: convergence against a lattice-start control, degree distribution evolution (log-log), traced nodes' statistics, one node's autocorrelation, connectivity under massive node removal, dead-link healing after 50 % node failure; healer/swapper (H, S) corners beside the paper's eight |
 //! | [`policies`] | Section 4.3    | why `(head,*,*)`, `(*,tail,*)`, `(*,*,pull)` are degenerate |
 //! | [`asynchrony`] | extension    | cycle vs event engine per shard count: overlay quality and throughput |
-//! | [`apps`]     | extension      | broadcast & aggregation vs sampling quality |
 //! | [`net`]      | extension      | live loopback UDP cluster: wire codec + runtimes end to end |
 //! | [`workload`] | extension      | membership-dynamics schedules (churn, catastrophe, flash crowd, partition) on every [`stacks::Stack`] |
 //! | [`adversary`] | extension     | Byzantine attack metrics per honest policy, on every stack |
@@ -29,7 +28,6 @@
 #![warn(missing_docs)]
 
 pub mod adversary;
-pub mod apps;
 pub mod asynchrony;
 pub mod dynamics;
 pub mod growing;

@@ -20,8 +20,8 @@ use std::time::Instant;
 
 use pss_experiments::report::{Cell, Report, Section};
 use pss_experiments::{
-    adversary, apps, asynchrony, growing, metrics, net, policies, protocols, random, workload,
-    Options, Scale,
+    adversary, asynchrony, growing, metrics, net, policies, protocols, random, workload, Options,
+    Scale,
 };
 use pss_telemetry::EventKind;
 use workload::FreshnessChoice;
@@ -66,11 +66,6 @@ static COMMANDS: &[Command] = &[
         name: "async", help: "cycle vs event engine per shard count (extension)",
         options: SWEEP, caps: (usize::MAX, 100),
         run: |o| Ok(Box::new(asynchrony::run(o))),
-    },
-    Command {
-        name: "apps", help: "broadcast/aggregation sampling-quality comparison (extension)",
-        options: &[], caps: (2000, 100),
-        run: |o| Ok(Box::new(apps::run(o))),
     },
     Command {
         name: "net", help: "live loopback UDP cluster through the wire codec (extension)",
@@ -481,7 +476,7 @@ mod tests {
         assert_eq!(names.len(), COMMANDS.len(), "duplicate command name");
         let tiny = include_str!("../../../results/tiny.md5");
         let small = include_str!("../../../results/small.md5");
-        assert_eq!((tiny.lines().count(), small.lines().count()), (8, 7));
+        assert_eq!((tiny.lines().count(), small.lines().count()), (7, 7));
         for line in tiny.lines().chain(small.lines()) {
             let name = line.split_whitespace().nth(1).unwrap_or_default();
             assert!(
@@ -543,15 +538,15 @@ mod tests {
             caps: UNCAPPED,
             run: |_| Ok(Box::new(HalfGate)),
         };
-        let cli = parse_args(&args("apps --scale tiny")).unwrap();
+        let cli = parse_args(&args("policies --scale tiny")).unwrap();
         let err = run_command(&command, &cli).unwrap_err();
         assert_eq!(err, "half gate failed: missed = 0.500, needs ≥ 1");
     }
 
     #[test]
-    fn tiny_end_to_end_apps() {
-        // Smoke: run the cheapest real command end-to-end.
-        let mut o = parse_args(&args("apps --scale tiny")).unwrap();
+    fn tiny_end_to_end_policies() {
+        // Smoke: run a cheap real command end-to-end.
+        let mut o = parse_args(&args("policies --scale tiny")).unwrap();
         o.options.scale.nodes = 120;
         o.options.scale.cycles = 15;
         assert!(run_command(&o.commands[0], &o).is_ok());

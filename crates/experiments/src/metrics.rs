@@ -23,6 +23,7 @@ use pss_net::cluster::{self, ClusterBroadcast};
 use pss_telemetry::MetricRow;
 
 use crate::report::{Cell, Cmp, Report, Section, Table};
+use crate::stacks::Start;
 use crate::{net, protocols, workload, Options};
 
 /// Metric families the cross-stack run must populate. Scalar families
@@ -157,7 +158,7 @@ pub fn run(o: &Options) -> Result<MetricsResult, String> {
     // The application layer on both engines: per-round timings.
     let mut app_scale = o.scale;
     app_scale.nodes = app_scale.nodes.min(200);
-    let churn = [("churn", "quiet:3,kill:0.3,churn:0.02x5")];
+    let churn = [("churn", Start::Tree, "quiet:3,kill:0.3,churn:0.02x5")];
     let newscast = [pss_core::PolicyTriple::newscast()];
     protocols::sweep(&on_stacks(app_scale), &churn, &newscast)?;
 

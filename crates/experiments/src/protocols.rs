@@ -1,19 +1,23 @@
-//! **Extension X7** — applications under membership schedules, cross-stack.
+//! **Extension X7** — applications on the sampling service, cross-stack.
 //!
-//! The `apps` experiment measures sampling quality on a *static* overlay;
-//! this one puts the same two consumers — epidemic broadcast and push-pull
-//! averaging — under full membership dynamics. One compiled workload
-//! schedule drives every simulation stack ([`Stack::ALL`]), and on each
-//! the application layer runs with both peer supplies: the node's own
-//! overlay view (dead links and all) and the uniform live oracle. The
-//! sweep crosses policy × sampler × stack per schedule, so every
-//! delivery/decay number is attributable to exactly one of those axes
-//! under an identical membership trajectory.
+//! The paper's motivation: gossip applications assume uniform sampling.
+//! This experiment runs the two canonical consumers — epidemic broadcast
+//! and push-pull averaging — on every simulation stack ([`Stack::ALL`])
+//! under one compiled schedule per row, and on each the application layer
+//! runs with both peer supplies: the node's own overlay view (dead links
+//! and all) and the uniform live oracle. The sweep crosses policy ×
+//! sampler × stack per row, so every delivery/decay number is
+//! attributable to exactly one of those axes under an identical membership
+//! trajectory.
 //!
-//! The default schedule list pairs the conformance churn schedule with a
-//! Table-1-style partition schedule: the overlay splits in two, and the
-//! application rows show coverage stalling at the cut (blocked messages
-//! counted) and re-flooding after the heal.
+//! Each row names its schedule and its [`Start`]:
+//! - `churn`, from the tree bootstrap: the conformance churn schedule;
+//! - `partition`, from the tree bootstrap: a Table-1-style two-group
+//!   partition, where coverage stalls at the cut (blocked messages
+//!   counted) and re-floods after the heal;
+//! - `quiet`, from a random start: thirty quiet periods on a
+//!   converged-like overlay, where the overlay samplers' dissemination
+//!   speed and aggregation decay are read against the oracle's.
 
 use pss_core::{
     PeerSelection as Ps, PolicyTriple, ProtocolConfig, ViewPropagation as Vp, ViewSelection as Vs,
@@ -24,15 +28,17 @@ use pss_sim::workload::{PeriodRecord, Workload};
 
 use crate::parallel::parallel_map;
 use crate::report::{fmt_f64, fmt_percent, Cell, Cmp, Report, Section, Table};
-use crate::stacks::{on_every_stack, Health, Stack};
+use crate::stacks::{on_every_stack, Health, Stack, Start};
 use crate::Options;
 
-/// The default `(label, schedule)` pairs ([`pss_sim::workload`]
-/// grammar): the conformance churn schedule plus a two-group partition
-/// schedule.
-const SCHEDULES: [(&str, &str); 2] = [
-    ("churn", "quiet:5,kill:0.3,churn:0.01x15"),
-    ("partition", "part:2x6,quiet:14"),
+/// The default `(label, start, schedule)` rows ([`pss_sim::workload`]
+/// grammar): the conformance churn schedule and a two-group partition
+/// schedule from the tree bootstrap, and a quiet schedule from a random
+/// start.
+const SCHEDULES: [(&str, Start, &str); 3] = [
+    ("churn", Start::Tree, "quiet:5,kill:0.3,churn:0.01x15"),
+    ("partition", Start::Tree, "part:2x6,quiet:14"),
+    ("quiet", Start::Random, "quiet:30"),
 ];
 
 /// The overlay policies hosting the applications. Both heal dead links
@@ -161,7 +167,8 @@ impl Report for ProtocolsResult {
 }
 
 /// Runs the sweep (broadcast fanout: [`AppConfig`]'s default, 2) over
-/// the default schedules, or `--schedule` alone, on every stack of
+/// the default rows, or `--schedule` alone from the tree bootstrap, on
+/// every stack of
 /// `--shards` shards (default 2). `scale.cycles` is ignored: each schedule
 /// fixes its own period count.
 ///
@@ -170,38 +177,39 @@ impl Report for ProtocolsResult {
 /// Returns schedule-parse or configuration error text verbatim.
 pub fn run(o: &Options) -> Result<ProtocolsResult, String> {
     match &o.schedule {
-        Some(schedule) => sweep(o, &[("custom", schedule.as_str())], &POLICIES),
+        Some(schedule) => sweep(o, &[("custom", Start::Tree, schedule)], &POLICIES),
         None => sweep(o, &SCHEDULES, &POLICIES),
     }
 }
 
-/// The sweep over `(label, schedule)` pairs × `policies` × both samplers.
+/// The sweep over `(label, start, schedule)` rows × `policies` × both
+/// samplers.
 pub(crate) fn sweep(
     o: &Options,
-    schedules: &[(&str, &str)],
+    schedules: &[(&str, Start, &str)],
     policies: &[PolicyTriple],
 ) -> Result<ProtocolsResult, String> {
     // Compile every schedule up front so a typo fails fast, not after
     // half the sweep has run.
     let mut compiled = Vec::with_capacity(schedules.len());
-    for &(label, schedule) in schedules {
+    for &(label, start, schedule) in schedules {
         let workload = Workload::parse(schedule, o.scale.seed)
             .map_err(|e| format!("schedule `{label}`: {e}"))?;
-        compiled.push((label, workload.compile(o.scale.nodes)));
+        compiled.push((label, start, workload.compile(o.scale.nodes)));
     }
     let shards = o.shards_or(2);
     let mut jobs = Vec::new();
-    for (label, compiled) in &compiled {
+    for (label, start, compiled) in &compiled {
         for &policy in policies {
             for sampler in [Sampler::Overlay, Sampler::Oracle] {
-                jobs.push((*label, compiled, policy, sampler));
+                jobs.push((*label, *start, compiled, policy, sampler));
             }
         }
     }
 
     // One (schedule, policy, sampler) cell per job, each on every stack.
     let (scale, c) = (o.scale, o.scale.view_size);
-    let cells = parallel_map(jobs, |(label, compiled, policy, sampler)| {
+    let cells = parallel_map(jobs, |(label, start, compiled, policy, sampler)| {
         let protocol = ProtocolConfig::new(policy, c).map_err(|e| e.to_string())?;
         let app = AppConfig {
             sampler,
@@ -211,6 +219,7 @@ pub(crate) fn sweep(
         on_every_stack(
             HonestPolicy::Sampling(protocol),
             None,
+            start,
             &scale,
             shards,
             o.workers,
@@ -245,11 +254,11 @@ mod tests {
         let mut scale = Scale::tiny();
         scale.nodes = 150;
         scale.view_size = 12;
-        // One policy keeps the test at 4 cells (2 schedules × 2 samplers),
+        // One policy keeps the test at 6 cells (3 schedules × 2 samplers),
         // each run on every stack.
         let o = Options::at(scale);
         let result = sweep(&o, &SCHEDULES, &[PolicyTriple::newscast()]).expect("valid config");
-        assert_eq!(result.runs.len(), 4 * Stack::ALL.len());
+        assert_eq!(result.runs.len(), 6 * Stack::ALL.len());
         for cell in result.runs.chunks(Stack::ALL.len()) {
             assert_same_membership(cell.iter().map(|r| {
                 (
@@ -297,6 +306,40 @@ mod tests {
         }
         assert!(!section.summary.is_empty());
         assert!(section.series.as_ref().is_some_and(|s| s.len() > 100));
+    }
+
+    /// The quiet row's overlay sampler against the oracle, on every
+    /// stack. Passes at 16 of `seed` 1..=16 (the same test on the converged
+    /// overlay the command that held it ran on: 16 of 16).
+    #[test]
+    fn gossip_samplers_approach_oracle_quality() {
+        let scale = Scale {
+            nodes: 300,
+            cycles: 30,
+            view_size: 15,
+            seed: 81,
+        };
+        let quiet = [SCHEDULES[2]];
+        assert_eq!(quiet[0].0, "quiet");
+        let newscast = [PolicyTriple::newscast()];
+        let result = sweep(&Options::at(scale), &quiet, &newscast).expect("valid config");
+        let (overlay, oracle) = result.runs.split_at(Stack::ALL.len());
+        for (newscast, oracle) in overlay.iter().zip(oracle) {
+            assert_eq!(oracle.sampler, Sampler::Oracle);
+            let (newscast, oracle) = (&newscast.report, &oracle.report);
+            assert!(oracle.delivery_ratio() > 0.999);
+            let coverage = newscast.delivery_ratio();
+            assert!(coverage > 0.95, "coverage {coverage}");
+            // Both converge; the oracle is at least as fast.
+            assert!(oracle.decay_factor() < 0.5);
+            assert!(newscast.decay_factor() < 0.7);
+            assert!(
+                oracle.decay_factor() <= newscast.decay_factor() + 0.1,
+                "oracle {} vs newscast {}",
+                oracle.decay_factor(),
+                newscast.decay_factor()
+            );
+        }
     }
 
     #[test]

@@ -345,7 +345,7 @@ mod gate_bounds {
     use crate::metrics::{MetricsResult, REQUIRED_FAMILIES};
     use crate::net::NetResult;
     use crate::protocols::{ProtocolRun, ProtocolsResult};
-    use crate::stacks::{on_every_stack, Stack};
+    use crate::stacks::{on_every_stack, Stack, Start};
     use crate::workload::{MatrixCell, MatrixResult, WorkloadResult, WorkloadRun};
     use crate::Scale;
 
@@ -551,7 +551,7 @@ mod gate_bounds {
         let report = |schedule: &str| {
             let compiled = Workload::parse(schedule, 1).unwrap().compile(60);
             let policy = HonestPolicy::Sampling(protocol.clone());
-            on_every_stack(policy, None, &scale, 1, None, |_, target| {
+            on_every_stack(policy, None, Start::Tree, &scale, 1, None, |_, target| {
                 run_under_workload(target, &compiled, 8, &AppConfig::default()).1
             })
             .unwrap()

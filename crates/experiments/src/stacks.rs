@@ -1,6 +1,13 @@
-//! The ordered stack list that the cross-stack commands (`workload`,
-//! `matrix`, `protocols`, `adversary`) run each compiled schedule on, and
-//! the end-of-run health cells their gates share.
+//! The ordered stack list that the cross-stack commands (`matrix`,
+//! `protocols`, `adversary`) run each compiled schedule on, the [`Start`]
+//! every stack's overlay is seeded with, and the end-of-run health cells
+//! their gates share.
+//!
+//! The start is an axis of a run, as the schedule is: a binary tree
+//! ([`Start::Tree`], the minimal connected bootstrap the schedules
+//! converge from) or uniform random views ([`Start::Random`], the paper's
+//! random scenario, a converged-like overlay from period 1). Both seed
+//! every node type on either engine in id order.
 
 use pss_core::adversary::AdversaryRoles;
 use pss_sim::audit::{role_factory, HonestPolicy};
@@ -44,6 +51,17 @@ impl Stack {
     }
 }
 
+/// How every stack's overlay starts, before the schedule's first period.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Start {
+    /// Node 0 knows nobody and node `i` knows node `i / 2`
+    /// ([`scenario::seed_tree`]).
+    Tree,
+    /// Every node knows `c` uniform picks of the others
+    /// ([`scenario::random_digraph`] at the run seed).
+    Random,
+}
+
 /// A table of the `shared` columns, then the `per_stack` columns under
 /// each stack's [`Stack::short`] prefix, stack by stack.
 pub(crate) fn stack_table(shared: &[&str], per_stack: &[&str]) -> Table {
@@ -55,13 +73,14 @@ pub(crate) fn stack_table(shared: &[&str], per_stack: &[&str]) -> Table {
 }
 
 /// Runs `drive` on every stack, each built from [`role_factory`] at
-/// `(scale.seed, shards)` and grown to `scale.nodes` nodes by
-/// [`scenario::seed_tree`]; the results come back in [`Stack::ALL`] order.
+/// `(scale.seed, shards)` and seeded with `scale.nodes` nodes from
+/// `start`; the results come back in [`Stack::ALL`] order.
 /// Fails with the event engine's configuration error text (a shard count
 /// its lookahead window cannot serve).
 pub(crate) fn on_every_stack<R>(
     policy: HonestPolicy,
     roles: Option<AdversaryRoles>,
+    start: Start,
     scale: &Scale,
     shards: usize,
     workers: Option<usize>,
@@ -69,10 +88,18 @@ pub(crate) fn on_every_stack<R>(
 ) -> Result<Vec<R>, String> {
     fn bootstrap<M: Mode + 'static>(
         mut sim: Sharded<BoxedNode, M>,
+        start: Start,
         scale: &Scale,
         workers: Option<usize>,
     ) -> Box<dyn WorkloadTarget> {
-        scenario::seed_tree(&mut sim, scale.nodes);
+        let (n, c) = (scale.nodes, scale.view_size);
+        match start {
+            Start::Tree => scenario::seed_tree(&mut sim, n),
+            Start::Random => {
+                let graph = scenario::random_digraph(n, c, scale.seed);
+                scenario::seed_from_digraph(&mut sim, c, &graph);
+            }
+        }
         if let Some(w) = workers {
             sim.set_workers(w);
         }
@@ -92,12 +119,14 @@ pub(crate) fn on_every_stack<R>(
             let mut target = match stack {
                 Stack::Cycle => bootstrap(
                     ShardedSimulation::with_factory(seed, shards, factory),
+                    start,
                     scale,
                     workers,
                 ),
                 Stack::Event => bootstrap(
                     ShardedEventSimulation::with_factory(event, seed, shards, factory)
                         .map_err(|e| e.to_string())?,
+                    start,
                     scale,
                     workers,
                 ),

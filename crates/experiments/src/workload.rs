@@ -33,7 +33,7 @@ use pss_sim::audit::HonestPolicy;
 use pss_sim::workload::{run_workload, CompiledWorkload, PeriodRecord, PhaseSpec, Workload};
 
 use crate::report::{fmt_f64, fmt_percent, Cell, Cmp, Report, Section, Table};
-use crate::stacks::{on_every_stack, stack_table, Health, Stack};
+use crate::stacks::{on_every_stack, stack_table, Health, Stack, Start};
 use crate::{Options, Scale};
 
 /// The default schedule: the conformance suite's headline — converge,
@@ -256,6 +256,7 @@ fn stack_records(
     on_every_stack(
         HonestPolicy::Sampling(protocol),
         None,
+        Start::Tree,
         scale,
         shards,
         workers,

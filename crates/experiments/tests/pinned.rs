@@ -6,7 +6,10 @@
 //! on the cycle and the event engine, digested in that order, before the
 //! per-engine build-and-run code of those four commands was folded into
 //! one helper; a change to how a stack is bootstrapped or driven changes
-//! them.
+//! them. `protocols`' constant covers its `churn` and `partition` rows,
+//! which start from the tree bootstrap, and holds; `PROTOCOLS_QUIET` was
+//! recorded when the `quiet` row joined them from a random start, taking
+//! over the sampling-quality comparison from a command of its own.
 //!
 //! `growing` is pinned on Table 1's rows (run counts and partition means)
 //! and on Figure 2's six replays (every cycle index and value of the three
@@ -55,6 +58,7 @@ use std::sync::OnceLock;
 use pss_core::PolicyTriple;
 use pss_experiments::asynchrony::{AsyncResult, EngineComparison, OverlayStats};
 use pss_experiments::dynamics::PropertyTrace;
+use pss_experiments::protocols::ProtocolRun;
 use pss_experiments::random::{RandomResult, RandomRun};
 use pss_experiments::stacks::Stack;
 use pss_experiments::{
@@ -193,15 +197,15 @@ fn matrix_cells_are_pinned_on_every_stack() {
     assert_eq!(digest.0, MATRIX);
 }
 
-#[test]
-fn protocol_rows_are_pinned_on_every_stack() {
+/// The digest of every `protocols` run on the rows labelled `labels`:
+/// `runs` runs, each on every stack.
+fn protocol_runs_digest(labels: &[&str], runs: usize) -> u64 {
     let result = protocols::run(&Options::at(tiny())).expect("valid");
-    let runs: Vec<_> = (result.runs.iter())
-        .filter(|r| ["churn", "partition"].contains(&r.schedule.as_str()))
-        .collect();
-    assert_eq!(runs.len(), 8 * Stack::ALL.len());
+    let runs_on = |r: &&ProtocolRun| labels.contains(&r.schedule.as_str());
+    let selected: Vec<_> = result.runs.iter().filter(runs_on).collect();
+    assert_eq!(selected.len(), runs * Stack::ALL.len());
     let mut digest = Digest::new();
-    for run in runs {
+    for run in selected {
         for record in &run.records {
             digest.period(record);
         }
@@ -210,7 +214,17 @@ fn protocol_rows_are_pinned_on_every_stack() {
         }
         digest.words(&[run.report.initial_variance().to_bits()]);
     }
-    assert_eq!(digest.0, PROTOCOLS);
+    digest.0
+}
+
+#[test]
+fn protocol_rows_are_pinned_on_every_stack() {
+    assert_eq!(protocol_runs_digest(&["churn", "partition"], 8), PROTOCOLS);
+}
+
+#[test]
+fn protocol_quiet_rows_are_pinned_on_every_stack() {
+    assert_eq!(protocol_runs_digest(&["quiet"], 4), PROTOCOLS_QUIET);
 }
 
 #[test]
@@ -516,5 +530,6 @@ const FIG7_HS_ROWS: u64 = 14983782728992281685;
 const WORKLOAD: u64 = 362041301676028430;
 const MATRIX: u64 = 16965542888508163589;
 const PROTOCOLS: u64 = 5633405237867706408;
+const PROTOCOLS_QUIET: u64 = 1195942027021648939;
 const ADVERSARY: u64 = 571509363189020044;
 const POLICIES: u64 = 17551951421246147274;
