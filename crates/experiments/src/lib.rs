@@ -16,9 +16,9 @@
 //! | [`policies`] | Section 4.3    | why `(head,*,*)`, `(*,tail,*)`, `(*,*,pull)` are degenerate |
 //! | [`asynchrony`] | extension    | cycle vs event engine per shard count: overlay quality and throughput |
 //! | [`net`]      | extension      | live loopback UDP cluster: wire codec + runtimes end to end |
-//! | [`workload`] | extension      | membership-dynamics schedules (churn, catastrophe, flash crowd, partition) on every [`stacks::Stack`] |
+//! | [`workload`] | extension      | `matrix`: membership-dynamics schedules (churn, catastrophe, flash crowd, partition) on every [`stacks::Stack`], as the failure-family grid or one `--schedule` |
 //! | [`adversary`] | extension     | Byzantine attack metrics per honest policy, on every stack |
-//! | [`protocols`] | extension     | broadcast & aggregation under membership schedules, on every stack |
+//! | [`protocols`] | extension     | broadcast & aggregation under membership schedules from a tree start, and against the uniform oracle on a quiet schedule from a random start, on every stack |
 //! | [`metrics`]  | extension      | telemetry registry exercised across every stack (phase/RTT histograms, flight recorder) |
 //!
 //! All experiments are deterministic given their seed and parallelize

@@ -73,15 +73,13 @@ static COMMANDS: &[Command] = &[
         run: |o| Ok(Box::new(net::run(o)?)),
     },
     Command {
-        name: "workload", help: "membership-dynamics schedule on every stack (extension)",
+        name: "matrix", help: "failure-physics scenario matrix, or one --schedule (extension)",
         options: &["--shards", "--workers", "--schedule", "--freshness"],
-        caps: (20_000, u64::MAX), // every stack × full per-period metrics
-        run: |o| Ok(Box::new(workload::run(o)?)),
-    },
-    Command {
-        name: "matrix", help: "failure-physics scenario matrix (extension)",
-        options: SWEEP, caps: (2000, u64::MAX), // sixteen cells, each on every stack
-        run: |o| Ok(Box::new(workload::matrix(o)?)),
+        caps: (2000, u64::MAX), // sixteen cells, each on every stack
+        run: |o| Ok(match &o.schedule {
+            Some(schedule) => Box::new(workload::run(o, schedule)?),
+            None => Box::new(workload::matrix(o)?),
+        }),
     },
     Command {
         name: "adversary", help: "Byzantine attack sweep across honest policies (extension)",
@@ -404,21 +402,21 @@ mod tests {
 
     #[test]
     fn parses_schedule() {
-        let o = parse_args(&args("workload --schedule quiet:5,kill:0.5 --shards 2")).unwrap();
+        let o = parse_args(&args("matrix --schedule quiet:5,kill:0.5 --shards 2")).unwrap();
         assert_eq!(o.options.schedule.as_deref(), Some("quiet:5,kill:0.5"));
-        assert!(parse_args(&args("workload --schedule")).is_err());
+        assert!(parse_args(&args("matrix --schedule")).is_err());
     }
 
     #[test]
     fn parses_freshness() {
-        let o = parse_args(&args("workload --freshness both")).unwrap();
+        let o = parse_args(&args("matrix --freshness both")).unwrap();
         assert_eq!(o.options.freshness, FreshnessChoice::Both);
-        let o = parse_args(&args("workload --freshness timestamp")).unwrap();
+        let o = parse_args(&args("matrix --freshness timestamp")).unwrap();
         assert_eq!(o.options.freshness, FreshnessChoice::Timestamp);
-        let o = parse_args(&args("workload")).unwrap();
+        let o = parse_args(&args("matrix")).unwrap();
         assert_eq!(o.options.freshness, FreshnessChoice::Hop);
-        assert!(parse_args(&args("workload --freshness stale")).is_err());
-        assert!(parse_args(&args("workload --freshness")).is_err());
+        assert!(parse_args(&args("matrix --freshness stale")).is_err());
+        assert!(parse_args(&args("matrix --freshness")).is_err());
     }
 
     #[test]
@@ -444,6 +442,25 @@ mod tests {
     fn unknown_command_is_rejected_at_parse() {
         let err = parse_args(&args("nonsense --scale tiny")).unwrap_err();
         assert!(err.contains("unknown command `nonsense`"), "{err}");
+    }
+
+    #[test]
+    fn folded_commands_are_unknown() {
+        // `workload` is `matrix --schedule`; `apps` is `protocols`' quiet row.
+        for command in ["workload", "apps"] {
+            let err = parse_args(&args(&format!("{command} --scale tiny"))).unwrap_err();
+            assert!(
+                err.contains(&format!("unknown command `{command}`")),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn matrix_runs_a_schedule_when_given_one() {
+        let cli = parse_args(&args("matrix --scale tiny --schedule bogus:1")).unwrap();
+        let err = run_command(&cli.commands[0], &cli).unwrap_err();
+        assert!(err.contains("bogus"), "{err}");
     }
 
     #[test]
@@ -476,7 +493,7 @@ mod tests {
         assert_eq!(names.len(), COMMANDS.len(), "duplicate command name");
         let tiny = include_str!("../../../results/tiny.md5");
         let small = include_str!("../../../results/small.md5");
-        assert_eq!((tiny.lines().count(), small.lines().count()), (7, 7));
+        assert_eq!((tiny.lines().count(), small.lines().count()), (6, 6));
         for line in tiny.lines().chain(small.lines()) {
             let name = line.split_whitespace().nth(1).unwrap_or_default();
             assert!(

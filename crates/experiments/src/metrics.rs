@@ -150,10 +150,7 @@ pub fn run(o: &Options) -> Result<MetricsResult, String> {
 
     // Both simulation engines under a churned schedule: phase timings,
     // shard imbalance, workload period rows and membership-op events.
-    workload::run(&Options {
-        schedule: Some("quiet:4,kill:0.3,churn:0.02x8".into()),
-        ..on_stacks(o.scale)
-    })?;
+    workload::run(&on_stacks(o.scale), "quiet:4,kill:0.3,churn:0.02x8")?;
 
     // The application layer on both engines: per-round timings.
     let mut app_scale = o.scale;

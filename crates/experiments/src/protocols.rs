@@ -10,7 +10,7 @@
 //! attributable to exactly one of those axes under an identical membership
 //! trajectory.
 //!
-//! Each row names its schedule and its [`Start`]:
+//! Each row names its schedule and its `Start`:
 //! - `churn`, from the tree bootstrap: the conformance churn schedule;
 //! - `partition`, from the tree bootstrap: a Table-1-style two-group
 //!   partition, where coverage stalls at the cut (blocked messages

@@ -4,9 +4,10 @@
 //!
 //! A gate is data: [`Report::cells`], one [`Cell`] per gated predicate
 //! per row. The CLI prints `gate: pass|FAIL (k/n cells hold)` to stderr
-//! and fails with `<command> gate failed: <first failing cell>`. The six
-//! gated commands (`workload`, `matrix`, `protocols`, `adversary`, `net`,
-//! `metrics`) list their cells in their `cells()` docs.
+//! and fails with `<command> gate failed: <first failing cell>`. The five
+//! gated commands (`matrix`, with or without `--schedule`, `protocols`,
+//! `adversary`, `net`, `metrics`) list their cells in their `cells()`
+//! docs.
 
 use std::fmt::Write as _;
 use std::fs;

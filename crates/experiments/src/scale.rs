@@ -22,7 +22,7 @@ pub struct Options {
     /// A membership schedule in the [`pss_sim::workload`] grammar
     /// (`--schedule`).
     pub schedule: Option<String>,
-    /// Freshness mode(s) of the `workload` command (`--freshness`).
+    /// Freshness mode(s) of a `matrix --schedule` run (`--freshness`).
     pub freshness: FreshnessChoice,
 }
 

@@ -1,11 +1,11 @@
 //! The ordered stack list that the cross-stack commands (`matrix`,
-//! `protocols`, `adversary`) run each compiled schedule on, the [`Start`]
+//! `protocols`, `adversary`) run each compiled schedule on, the `Start`
 //! every stack's overlay is seeded with, and the end-of-run health cells
 //! their gates share.
 //!
 //! The start is an axis of a run, as the schedule is: a binary tree
-//! ([`Start::Tree`], the minimal connected bootstrap the schedules
-//! converge from) or uniform random views ([`Start::Random`], the paper's
+//! (`Start::Tree`, the minimal connected bootstrap the schedules
+//! converge from) or uniform random views (`Start::Random`, the paper's
 //! random scenario, a converged-like overlay from period 1). Both seed
 //! every node type on either engine in id order.
 

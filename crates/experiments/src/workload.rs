@@ -1,28 +1,28 @@
-//! **Extension X6** — membership-dynamics workloads, cross-stack.
+//! **Extension X6** — membership-dynamics workloads, cross-stack: the
+//! `matrix` command.
 //!
-//! Runs one declarative [`Workload`] schedule (churn phases, catastrophic
-//! kills, flash crowds, partition/heal — see the `pss_sim::workload`
-//! grammar) on **every** simulation stack ([`Stack::ALL`]: the sharded
-//! cycle engine, the paper's model, and the sharded event engine, with
-//! jitter, latency and loss) through the same compiled per-period
-//! operations, and tabulates the recovery trajectories side by side: live
-//! population, then per stack the full-view fraction, in-degree mean,
-//! dead-link fraction and largest live component.
-//!
-//! The run covers one or both **freshness modes** ([`FreshnessChoice`]):
-//! hop-count age (the repo's historic default) and the paper's Newscast
-//! timestamp age. Under lossy partitions the two modes diverge — hop-count
-//! inflates trickle-delivered cross-partition descriptors one hop per
-//! transfer until view selection evicts them, timestamp age is owner-clock
-//! and survives relaying — so `--freshness both` on a partition schedule
-//! gates on the *ordering* (timestamp end-component ≥ hop-count's) instead
-//! of demanding that the hop-count overlay heal.
-//!
-//! [`matrix`] systematizes this into the failure-physics scenario matrix:
-//! policy × freshness × failure family (churn, catastrophe, thundering
-//! herd, lossy partition), one row per cell, gated on every non-partition
+//! [`matrix`] runs the failure-physics scenario matrix: policy ×
+//! freshness × failure family (churn, catastrophe, thundering herd, lossy
+//! partition), one row per cell, each cell a declarative [`Workload`]
+//! schedule (see the `pss_sim::workload` grammar) on **every** simulation
+//! stack ([`Stack::ALL`]: the sharded cycle engine, the paper's model, and
+//! the sharded event engine, with jitter, latency and loss) through the
+//! same compiled per-period operations. It gates on every non-partition
 //! cell staying healthy and on Newscast timestamp healing the lossy long
 //! partition that hop-count leaves split.
+//!
+//! `matrix --schedule S` runs one schedule instead ([`run`]), newscast
+//! only, and tabulates its recovery trajectories side by side: live
+//! population, then per stack the full-view fraction, in-degree mean,
+//! dead-link fraction and largest live component. It covers one or both
+//! **freshness modes** (`--freshness`, [`FreshnessChoice`]): hop-count age
+//! (the repo's historic default) and the paper's Newscast timestamp age.
+//! Under lossy partitions the two modes diverge — hop-count inflates
+//! trickle-delivered cross-partition descriptors one hop per transfer
+//! until view selection evicts them, timestamp age is owner-clock and
+//! survives relaying — so `--freshness both` on a partition schedule gates
+//! on the *ordering* (timestamp end-component ≥ hop-count's) instead of
+//! demanding that the hop-count overlay heal.
 //!
 //! This is the CLI face of the conformance suite: the same schedules that
 //! `tests/workload_conformance.rs` and the `pss-net` loopback harness pin
@@ -36,11 +36,7 @@ use crate::report::{fmt_f64, fmt_percent, Cell, Cmp, Report, Section, Table};
 use crate::stacks::{on_every_stack, stack_table, Health, Stack, Start};
 use crate::{Options, Scale};
 
-/// The default schedule: the conformance suite's headline — converge,
-/// kill half, churn at 1%/period through recovery.
-pub const DEFAULT_SCHEDULE: &str = "quiet:10,kill:0.5,churn:0.01x20";
-
-/// Which freshness modes a workload run covers (`--freshness`).
+/// Which freshness modes a `matrix --schedule` run covers (`--freshness`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FreshnessChoice {
     /// Hop-count transfer age only (the historic default).
@@ -207,15 +203,14 @@ impl Report for WorkloadRun {
     }
 }
 
-/// Runs `--schedule` (default [`DEFAULT_SCHEDULE`]) on every stack of
-/// `--shards` shards (default 2) under the `--freshness` mode(s).
-/// `scale.cycles` is ignored: the schedule fixes the period count.
+/// Runs `schedule` (`matrix --schedule`) on every stack of `--shards`
+/// shards (default 2) under the `--freshness` mode(s). `scale.cycles` is
+/// ignored: the schedule fixes the period count.
 ///
 /// # Errors
 ///
 /// Returns the schedule-parse error text verbatim.
-pub fn run(o: &Options) -> Result<WorkloadRun, String> {
-    let schedule = o.schedule.as_deref().unwrap_or(DEFAULT_SCHEDULE);
+pub fn run(o: &Options, schedule: &str) -> Result<WorkloadRun, String> {
     let workload = Workload::parse(schedule, o.scale.seed).map_err(|e| e.to_string())?;
     let partitioned = workload
         .phases()
@@ -362,8 +357,8 @@ impl Report for MatrixResult {
     }
 }
 
-/// Runs the scenario matrix: failure family × policy × freshness, each
-/// cell a full cross-stack workload run.
+/// Runs the scenario matrix (`matrix` without `--schedule`): failure
+/// family × policy × freshness, each cell a full cross-stack workload run.
 ///
 /// The churn, catastrophe and herd families run at the configured scale,
 /// on every stack of `--shards` shards (default 2).
@@ -444,11 +439,8 @@ mod tests {
         let mut scale = Scale::tiny();
         scale.nodes = 150;
         scale.view_size = 12;
-        let run = run(&Options {
-            schedule: Some("quiet:6,kill:0.5,churn:0.02x10".into()),
-            ..Options::at(scale)
-        })
-        .expect("valid schedule");
+        let run =
+            run(&Options::at(scale), "quiet:6,kill:0.5,churn:0.02x10").expect("valid schedule");
         assert!(!run.partitioned);
         assert_eq!(run.results.len(), 1);
         let result = &run.results[0];
@@ -468,12 +460,11 @@ mod tests {
         let mut scale = Scale::tiny();
         scale.nodes = 150;
         scale.view_size = 12;
-        let run = run(&Options {
-            schedule: Some("quiet:6,(churn:0.02x3)x2".into()),
+        let o = Options {
             freshness: FreshnessChoice::Both,
             ..Options::at(scale)
-        })
-        .expect("valid schedule");
+        };
+        let run = run(&o, "quiet:6,(churn:0.02x3)x2").expect("valid schedule");
         assert_eq!(run.results.len(), 2);
         assert_eq!(run.results[0].freshness, Freshness::HopCount);
         assert_eq!(run.results[1].freshness, Freshness::Timestamp);
@@ -505,11 +496,7 @@ mod tests {
 
     #[test]
     fn bad_schedule_is_reported() {
-        let err = run(&Options {
-            schedule: Some("bogus:1".into()),
-            ..Options::at(Scale::tiny())
-        })
-        .unwrap_err();
+        let err = run(&Options::at(Scale::tiny()), "bogus:1").unwrap_err();
         assert!(err.contains("bogus"));
     }
 }

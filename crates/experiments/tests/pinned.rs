@@ -1,12 +1,14 @@
 //! Pins the cross-stack experiment commands: an FNV-1a digest over every
 //! field of every `PeriodRecord`, `AppPeriodRow` and `AttackRecord` that
-//! `workload::run`, `workload::matrix`, `protocols::run` and
-//! `adversary::run` produce at a tiny configuration, on every stack in
-//! `Stack::ALL` order (`f64`s by bit pattern). The constants were recorded
-//! on the cycle and the event engine, digested in that order, before the
-//! per-engine build-and-run code of those four commands was folded into
-//! one helper; a change to how a stack is bootstrapped or driven changes
-//! them. `protocols`' constant covers its `churn` and `partition` rows,
+//! `workload::run` (`matrix --schedule`), `workload::matrix` (`matrix`),
+//! `protocols::run` and `adversary::run` produce at a tiny configuration,
+//! on every stack in `Stack::ALL` order (`f64`s by bit pattern). The
+//! constants were recorded on the cycle and the event engine, digested in
+//! that order, before the per-engine build-and-run code of those four
+//! runs was folded into one helper; a change to how a stack is
+//! bootstrapped or driven changes them. `WORKLOAD` was recorded while
+//! `workload` was a command of its own and holds through `matrix
+//! --schedule`. `protocols`' constant covers its `churn` and `partition` rows,
 //! which start from the tree bootstrap, and holds; `PROTOCOLS_QUIET` was
 //! recorded when the `quiet` row joined them from a random start, taking
 //! over the sampling-quality comparison from a command of its own.
@@ -164,12 +166,12 @@ fn tiny() -> Scale {
 
 #[test]
 fn workload_records_are_pinned_on_every_stack() {
-    let run = workload::run(&Options {
-        schedule: Some("quiet:4,kill:0.3,churn:0.02x4,flash:10,part:2x3,quiet:2".into()),
+    let o = Options {
         freshness: workload::FreshnessChoice::Both,
         ..Options::at(tiny())
-    })
-    .expect("valid schedule");
+    };
+    let schedule = "quiet:4,kill:0.3,churn:0.02x4,flash:10,part:2x3,quiet:2";
+    let run = workload::run(&o, schedule).expect("valid schedule");
     let mut digest = Digest::new();
     for result in &run.results {
         assert_eq!(stacks(&result.records), Stack::ALL);

@@ -44,7 +44,7 @@
 //! # Schedule grammar
 //!
 //! [`Workload::parse`] accepts a compact comma-separated schedule string
-//! (used by the `workload` experiment command's `--schedule` flag):
+//! (used by the `matrix` experiment command's `--schedule` flag):
 //!
 //! ```text
 //! quiet:P          P quiet periods (gossip only)
