@@ -108,20 +108,19 @@ pub fn run(o: &Options) -> PoliciesResult {
     let compiled = Workload::parse(&schedule, scale.seed)
         .expect("the join schedule parses")
         .compile(scale.nodes);
-    let compiled = &compiled;
 
-    let diagnoses = parallel_map(PolicyTriple::all(), move |policy| {
+    let diagnoses = parallel_map(PolicyTriple::all(), |policy| {
         let protocol = scale.protocol(policy);
         let mut sim = scenario::random_overlay(&protocol, scale.nodes, scale.seed ^ 0x901);
         let mut snap = None;
         let last = compiled.periods();
-        run_workload_observed(&mut sim, compiled, scale.view_size, &mut |period, rows| {
+        run_workload_observed(&mut sim, &compiled, scale.view_size, &mut |period, rows| {
             if period == last {
                 snap = Some(CsrSnapshot::from_rows(compiled.id_space, rows));
             }
         });
 
-        let snap = snap.expect("the join phase runs at least one period");
+        let snap = snap.expect("the schedule's last period is observed");
         let graph = snap.graph().undirected();
         let report = pss_graph::components::connected_components(&graph);
         let clustering = pss_graph::clustering::estimate_clustering(
