@@ -168,9 +168,8 @@ impl Report for ProtocolsResult {
 
 /// Runs the sweep (broadcast fanout: [`AppConfig`]'s default, 2) over
 /// the default rows, or `--schedule` alone from the tree bootstrap, on
-/// every stack of
-/// `--shards` shards (default 2). `scale.cycles` is ignored: each schedule
-/// fixes its own period count.
+/// every stack of `--shards` shards (default 2). `scale.cycles` is
+/// ignored: each schedule fixes its own period count.
 ///
 /// # Errors
 ///
@@ -309,15 +308,12 @@ mod tests {
     }
 
     /// The quiet row's overlay sampler against the oracle, on every
-    /// stack. Passes at 16 of `seed` 1..=16 (the same test on the converged
-    /// overlay the command that held it ran on: 16 of 16).
+    /// stack. Passes at 16 of seeds 1..=16.
     #[test]
     fn gossip_samplers_approach_oracle_quality() {
         let scale = Scale {
-            nodes: 300,
-            cycles: 30,
-            view_size: 15,
             seed: 81,
+            ..Scale::tiny()
         };
         let quiet = [SCHEDULES[2]];
         assert_eq!(quiet[0].0, "quiet");
